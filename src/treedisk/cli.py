@@ -18,11 +18,10 @@ import time
 
 import numpy as np
 
-from . import circle
 from .config import RunConfig, parse_config
 from .dtn import condensed_dtn
 from .errors import ConfigError, StructuralConditionViolated, TreediskError
-from .exterior import dtn_galerkin, dtn_symbol
+from .exterior import check_cutoff, dtn_symbol
 from .transmission import (
     TransmissionConfig,
     assemble_system,
@@ -113,10 +112,7 @@ def _cmd_tree_dtn(args) -> int:
 def _cmd_exterior_dtn(args) -> int:
     started = time.monotonic()
     symbol = dtn_symbol(args.radius, args.modes)
-    if args.p**args.level <= 1024:
-        decomp = circle.MultiscaleDecomposition(R=args.radius, p=args.p,
-                                                n_max=max(args.level, 1))
-        dtn_galerkin(decomp, args.level, symbol)
+    check_cutoff(args.modes, args.p**args.level)
     rows = [(int(k), symbol.coeff(int(k))) for k in symbol.ks()]
     _write_csv(args.out, ("k", "value"), rows)
     _write_manifest(args.out + ".manifest", "exterior-dtn", None, started, [args.out])
@@ -131,8 +127,7 @@ def _solution_rows(sol):
             for j in range(gen.shape[1]):
                 tree_rows.append((n, k, j, gen[k, j]))
     trace = sol.u_ext.trace0()
-    ext_rows = [(int(k), trace.coeff(int(k)).real, trace.coeff(int(k)).imag)
-                for k in trace.ks()]
+    ext_rows = list(zip(trace.ks().tolist(), trace.coeffs.real.tolist(), trace.coeffs.imag.tolist()))
     return g_rows, tree_rows, ext_rows
 
 

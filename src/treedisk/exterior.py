@@ -25,6 +25,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from .circle import FourierFn, MultiscaleDecomposition, _sinc_cells
 from .dtn import GalerkinOperator
@@ -66,9 +67,8 @@ class ExteriorSymbol:
     def apply(self, g: FourierFn) -> FourierFn:
         """Multiply a Fourier function by the symbol (modes beyond M are dropped)."""
         m = min(self.M, g.M)
-        ks = np.arange(-m, m + 1)
-        coeffs = np.array([self.coeff(k) * g.coeff(k) for k in ks])
-        return FourierFn(self.R, coeffs)
+        values = self.values[self.M - m : self.M + m + 1]
+        return FourierFn(self.R, values * g.coeffs[g.M - m : g.M + m + 1])
 
 
 def dtn_symbol(R: float, M: int) -> ExteriorSymbol:
@@ -396,11 +396,26 @@ def gamma1_exterior(u: ExteriorField) -> FourierFn:
 # symbol Galerkin matrices on the multiscale cells
 
 
+def check_cutoff(M: int, pn: int):
+    """Warn (CutoffTooSmall) when M modes under-resolve the entries on pn cells."""
+    if M < MODE_OVERSAMPLING * pn:
+        warnings.warn(CutoffTooSmall(
+            "mode cutoff %d below %d * %d cells; entry tails unresolved"
+            % (M, MODE_OVERSAMPLING, pn)))
+
+
 def dtn_galerkin(decomp: MultiscaleDecomposition, N: int, symbol: ExteriorSymbol) -> GalerkinOperator:
     """Galerkin matrix A[K][L] = 2 pi R sum_k s_k (1hat_L)_k (1hat_K)_{-k} on level N.
 
-    The exact cell phases make A a symmetric circulant.  For the DtN symbol
-    the sinc zeros at aliased modes give A 1 = 0 identically and the
+    The cell phases make A a symmetric circulant: its entries depend on
+    (K - L) mod p^N only, through the row
+
+        a_j = 2 pi R sum_k w_k cos(2 pi j k / p^N),  w_k = s_k sinc^2(k / p^N) / p^{2N}.
+
+    Folding the weights by k mod p^N turns that sum into the real part of
+    one FFT of length p^N, so the row costs O(M + p^N log p^N) time and O(M + p^N)
+    memory; the dense matrix is gathered from it.  For the DtN symbol the
+    sinc zeros at aliased modes give A 1 = 0 up to rounding and the
     quadratic form 2 pi R sum s_k |g_M(k)|^2 <= 0, so A is negative
     semidefinite at every cutoff.  Entries of the order-one symbols (DtN,
     hypersingular) depend on the cutoff M (their diagonal grows like log M);
@@ -409,15 +424,10 @@ def dtn_galerkin(decomp: MultiscaleDecomposition, N: int, symbol: ExteriorSymbol
     if abs(symbol.R - decomp.R) > 1e-12 * decomp.R:
         raise ValueError("symbol radius differs from the decomposition radius")
     pn = decomp.n_cells(N)
-    if symbol.M < MODE_OVERSAMPLING * pn:
-        warnings.warn(CutoffTooSmall(
-            "mode cutoff %d below %d * %d cells; entry tails unresolved"
-            % (symbol.M, MODE_OVERSAMPLING, pn)))
+    check_cutoff(symbol.M, pn)
     ks = symbol.ks()
     weights = symbol.values * _sinc_cells(ks, pn) ** 2 / float(pn) ** 2
-    shifts = np.arange(pn)
-    phases = np.mod(np.outer(shifts, ks), pn)
-    row = 2.0 * math.pi * decomp.R * (np.cos(2.0 * math.pi * phases / pn) @ weights)
-    A = row[np.mod(np.subtract.outer(shifts, shifts), pn)]
-    return GalerkinOperator(level=N, matrix=A, kind="exterior_symbol",
+    folded = np.bincount(ks % pn, weights, pn)
+    row = 2.0 * math.pi * decomp.R * np.fft.fft(folded).real
+    return GalerkinOperator(level=N, matrix=scipy.linalg.circulant(row), kind="exterior_symbol",
                             meta={"symbol": symbol.tag, "M": symbol.M, "R": decomp.R})

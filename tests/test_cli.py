@@ -107,6 +107,13 @@ def test_exterior_dtn_dump(tmp_path):
     assert values[-3] == pytest.approx(-1.5)
 
 
+def test_exterior_dtn_warns_at_levels_too_large_for_a_matrix(tmp_path):
+    # 2^20 cells: the warning comes from the cutoff alone, no C_N is built
+    with pytest.warns(CutoffTooSmall):
+        assert cli.main(["exterior-dtn", "--radius", "1.0", "--level", "20",
+                         "--modes", "8", "--out", str(tmp_path / "symbol.csv")]) == 0
+
+
 def test_transmission_artifacts_and_determinism(ref_config, tmp_path, capsys):
     prefix_a = str(tmp_path / "a_")
     prefix_b = str(tmp_path / "b_")
