@@ -13,8 +13,10 @@ additionally requires continuity and the Kirchhoff flux balance
     omega_{n,k} f'_{n,k}(ell-) = sum_j omega_{n+1,pk+j} f'_{n+1,pk+j}(0+)
 
 at every interior vertex.  Harmonic and Poisson solves reduce to clamped
-weighted graph-Laplacian systems with conductances omega_e / ell_e, solved
-by a direct sparse factorization.
+weighted graph-Laplacian systems with conductances omega_e / ell_e.  A
+tree has no cycles, so Gaussian elimination from the leaves to the root
+creates no fill: one upward sweep of effective conductances, one upward
+pass of loads and one downward substitution solve them in O(#vertices).
 """
 
 from __future__ import annotations
@@ -24,8 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .errors import DepthMismatch, KirchhoffViolated, NotGeometric, SingularSystem
 from .tree import CondensedTree, FiniteTree, TreeParams, build_condensed, build_truncated, require_valid
@@ -310,82 +310,67 @@ def _vertex_offsets(tree: FiniteTree):
     return offsets
 
 
-def _graph_system(tree: FiniteTree):
-    """Weighted graph Laplacian over all vertices X_{n,k} (root clamped out).
+def tree_elimination(tree: FiniteTree):
+    """Leaves-to-root elimination of the clamped graph Laplacian.
 
-    Returns (Q, offsets) with Q in CSR; conductances omega_e / ell_e.
+    Returns (c, pivot): c[n] holds the conductances omega_e / ell_e of
+    generation n, and for n < depth pivot[n] = c[n] + a[n], where a[n] is
+    the effective conductance of the subtree below X_{n,k} with its leaves
+    clamped,
+
+        a[n] = sum over children of c[n+1] a[n+1] / pivot[n+1],
+
+    and a leaf edge passes its whole conductance.  With that subtree
+    eliminated, X_{n,k} keeps the single equation
+    pivot u(X) - c u(parent) = (load collected from below), and the vertex
+    hands the share c / pivot of its collected load on to its parent.  A
+    tree has no cycles, so nothing fills in (Parter, SIAM Review 3, 1961).
     """
     p = tree.p
-    offsets = _vertex_offsets(tree)
-    nv = offsets[-1]
-    rows, cols, vals = [], [], []
-    for n in range(tree.depth + 1):
-        c = tree.weights[n] / tree.lengths[n]
-        idx = offsets[n] + np.arange(p**n)
-        rows.append(idx)
-        cols.append(idx)
-        vals.append(c)
-        if n > 0:
-            par = offsets[n - 1] + np.arange(p**n) // p
-            rows += [par, par, idx]
-            cols += [par, idx, par]
-            vals += [c, -c, -c]
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    vals = np.concatenate(vals)
-    Q = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(nv, nv))
-    return Q, offsets
+    c = [tree.weights[n] / tree.lengths[n] for n in range(tree.depth + 1)]
+    pivot = [None] * tree.depth
+    below = c[tree.depth]
+    for n in range(tree.depth - 1, -1, -1):
+        a = below.reshape(-1, p).sum(axis=1)
+        pivot[n] = c[n] + a
+        below = c[n] * a / pivot[n]
+    return c, pivot
 
 
-def _solve_sparse(lu, b):
-    if np.iscomplexobj(b):
-        return lu.solve(b.real.copy()) + 1j * lu.solve(b.imag.copy())
-    return lu.solve(b)
+def _solve_vertices(tree: FiniteTree, loads, leaf_values, root_value):
+    """Vertex values of the clamped graph system, per generation, leaves last.
+
+    loads[n] (n < depth) is the right-hand side at X_{n,k}; the leaves are
+    clamped at leaf_values and the root o at root_value.  One upward pass
+    collects the loads, one downward pass substitutes.
+    """
+    p = tree.p
+    c, pivot = tree_elimination(tree)
+    collected = [None] * tree.depth
+    up = c[tree.depth] * leaf_values
+    for n in range(tree.depth - 1, -1, -1):
+        collected[n] = loads[n] + up.reshape(-1, p).sum(axis=1)
+        up = c[n] * collected[n] / pivot[n]
+    values = []
+    parent = root_value
+    for n in range(tree.depth):
+        values.append((c[n] * parent + collected[n]) / pivot[n])
+        parent = np.repeat(values[-1], p)
+    values.append(leaf_values)
+    return values
 
 
-def _split_interior_boundary(tree: FiniteTree):
-    offsets = _vertex_offsets(tree)
-    interior = np.arange(offsets[tree.depth])
-    boundary = offsets[tree.depth] + np.arange(tree.n_leaves)
-    return offsets, interior, boundary
-
-
-def interior_factorization(tree: FiniteTree):
-    """LU factorization of the interior block of the clamped graph Laplacian."""
-    Q, offsets = _graph_system(tree)
-    _, interior, boundary = _split_interior_boundary(tree)
-    Q_ii = Q[interior][:, interior].tocsc()
-    Q_ib = Q[interior][:, boundary].tocsc()
-    Q_bi = Q[boundary][:, interior].tocsc()
-    Q_bb = Q[boundary][:, boundary].tocsc()
-    lu = scipy.sparse.linalg.splu(Q_ii) if interior.size else None
-    return {"lu": lu, "Q_ib": Q_ib, "Q_bi": Q_bi, "Q_bb": Q_bb, "offsets": offsets}
-
-
-def solve_harmonic_dirichlet(tree: FiniteTree, leaf_values, root_value=0.0, factor=None) -> TreeFunction:
+def solve_harmonic_dirichlet(tree: FiniteTree, leaf_values, root_value=0.0) -> TreeFunction:
     """Edgewise-linear function, harmonic off the vertices, with prescribed
     leaf values and root value; Kirchhoff holds at interior vertices."""
     leaf_values = np.asarray(leaf_values)
     if leaf_values.shape != (tree.n_leaves,):
         raise DepthMismatch("expected %d leaf values, got shape %r" % (tree.n_leaves, leaf_values.shape))
-    fac = factor if factor is not None else interior_factorization(tree)
-    dtype = np.result_type(leaf_values.dtype, type(root_value), float)
-    n_int = fac["Q_ib"].shape[0]
-    if n_int:
-        b = -(fac["Q_ib"] @ leaf_values).astype(dtype)
-        b[0] = b[0] + (tree.weights[0][0] / tree.lengths[0][0]) * root_value
-        u_int = _solve_sparse(fac["lu"], b)
-    else:
-        u_int = np.zeros(0, dtype=dtype)
-    values = []
-    offsets = fac["offsets"]
-    for n in range(tree.depth):
-        values.append(u_int[offsets[n] : offsets[n + 1]])
-    values.append(leaf_values.astype(dtype))
+    values = _solve_vertices(tree, [0.0] * tree.depth, leaf_values, root_value)
     return from_vertex_values(tree, root_value, values)
 
 
-def solve_poisson_zero_trace(tree: FiniteTree, source: TreeFunction, factor=None) -> TreeFunction:
+def solve_poisson_zero_trace(tree: FiniteTree, source: TreeFunction) -> TreeFunction:
     """Solve Lap u = source edgewise with u(o) = 0 and zero leaf values.
 
     Zero traces at both ends approximate the homogeneous-boundary space of
@@ -399,37 +384,21 @@ def solve_poisson_zero_trace(tree: FiniteTree, source: TreeFunction, factor=None
     w_end = [_poly_eval(w_parts[n], tree.lengths[n]) for n in range(tree.depth + 1)]
     wder_end = [_poly_eval(_poly_der(w_parts[n]), tree.lengths[n]) for n in range(tree.depth + 1)]
 
-    fac = factor if factor is not None else interior_factorization(tree)
-    offsets = fac["offsets"]
-    n_int = offsets[tree.depth]
+    cond = [tree.weights[n] / tree.lengths[n] for n in range(tree.depth + 1)]
+    loads = [
+        -tree.weights[n] * wder_end[n] + cond[n] * w_end[n]
+        - (cond[n + 1] * w_end[n + 1]).reshape(-1, p).sum(axis=1)
+        for n in range(tree.depth)
+    ]
     dtype = np.result_type(*(c.dtype for c in source.coeffs), float)
-    rhs = np.zeros(n_int, dtype=dtype)
-    for n in range(tree.depth):
-        idx = offsets[n] + np.arange(p**n)
-        cond = tree.weights[n] / tree.lengths[n]
-        rhs[idx] += -tree.weights[n] * wder_end[n] + cond * w_end[n]
-        cond_ch = tree.weights[n + 1] / tree.lengths[n + 1]
-        rhs[idx] -= (cond_ch * w_end[n + 1]).reshape(-1, p).sum(axis=1)
-    if n_int:
-        u_int = _solve_sparse(fac["lu"], rhs)
-    else:
-        u_int = np.zeros(0, dtype=dtype)
+    values = _solve_vertices(tree, loads, np.zeros(tree.n_leaves, dtype=dtype), 0.0)
 
     coeffs = []
     for n in range(tree.depth + 1):
-        if n == 0:
-            a = np.zeros(1, dtype=dtype)
-        else:
-            par = u_int[offsets[n - 1] : offsets[n]]
-            a = par[np.arange(p**n) // p]
-        if n < tree.depth:
-            b = u_int[offsets[n] : offsets[n + 1]]
-        else:
-            b = np.zeros(p**n, dtype=dtype)
+        a = np.zeros(1, dtype=dtype) if n == 0 else np.repeat(values[n - 1], p)
         c = _pad(w_parts[n].astype(dtype), max(w_parts[n].shape[1], 2))
-        beta = (b - a - w_end[n]) / tree.lengths[n]
         c[:, 0] += a
-        c[:, 1] += beta
+        c[:, 1] += (values[n] - a - w_end[n]) / tree.lengths[n]
         coeffs.append(c)
     return TreeFunction(tree, coeffs)
 

@@ -208,12 +208,6 @@ def inner(f: FourierFn, g: FourierFn) -> complex:
     return 2 * math.pi * a.R * complex(a.coeffs @ np.conj(b.coeffs))
 
 
-def pairing(f: FourierFn, g: FourierFn) -> complex:
-    """Bilinear (non-conjugated) pairing, integral of f * g."""
-    a, b = f._align(g)
-    return 2 * math.pi * a.R * complex(a.coeffs @ b.coeffs[::-1])
-
-
 def _sinc_cells(ks, pn):
     # average magnitude of e^{ik.} over a level-n cell; exact zero on the
     # aliased multiples k = m p^n (m != 0) where np.sinc leaves ~1e-16 dust

@@ -59,7 +59,6 @@ _KEYS = {
     "tree.N1": (_parse_int, 0),
     "interface.radius": (_parse_float, 1.0),
     "interface.N": (_parse_int, 3),
-    "interface.mode_cutoff": (_parse_int, None),
     "transmission.alpha1": (_parse_complex, complex(1.0)),
     "transmission.alpha0": (_parse_complex, complex(0.0)),
     "transmission.c_root": (_parse_complex, complex(0.0)),
@@ -75,10 +74,13 @@ _KEYS = {
 }
 
 # patterned keys: override corridor entries and exterior source profiles
+_LENGTH_OVERRIDE = re.compile(r"^tree\.length_override\.(\d+)\.(\d+)$")
+_WEIGHT_OVERRIDE = re.compile(r"^tree\.weight_override\.(\d+)\.(\d+)$")
+_PROFILE = re.compile(r"^source\.exterior\.profile\.(-?\d+)$")
 _PATTERNS = [
-    (re.compile(r"^tree\.length_override\.(\d+)\.(\d+)$"), _parse_float),
-    (re.compile(r"^tree\.weight_override\.(\d+)\.(\d+)$"), _parse_float),
-    (re.compile(r"^source\.exterior\.profile\.(-?\d+)$"), _parse_float_list),
+    (_LENGTH_OVERRIDE, _parse_float),
+    (_WEIGHT_OVERRIDE, _parse_float),
+    (_PROFILE, _parse_float_list),
 ]
 
 _SECTIONS = ("tree", "interface", "transmission", "source.tree", "source.exterior", "run")
@@ -118,10 +120,10 @@ class RunConfig:
     def params(self) -> TreeParams:
         length_overrides, weight_overrides = {}, {}
         for key, val in self.values.items():
-            m = re.match(r"^tree\.length_override\.(\d+)\.(\d+)$", key)
+            m = _LENGTH_OVERRIDE.match(key)
             if m:
                 length_overrides[(int(m.group(1)), int(m.group(2)))] = val
-            m = re.match(r"^tree\.weight_override\.(\d+)\.(\d+)$", key)
+            m = _WEIGHT_OVERRIDE.match(key)
             if m:
                 weight_overrides[(int(m.group(1)), int(m.group(2)))] = val
         return TreeParams(
@@ -132,7 +134,7 @@ class RunConfig:
     def exterior_source(self) -> RadialSource | None:
         terms = []
         for key, val in self.values.items():
-            m = re.match(r"^source\.exterior\.profile\.(-?\d+)$", key)
+            m = _PROFILE.match(key)
             if m:
                 terms.append((int(m.group(1)), val))
         if not terms:

@@ -10,12 +10,18 @@ because the cell measure in the density cancels against the one in the
 pairing.  In graph form this is exactly the boundary Schur complement of
 the weighted graph Laplacian (conductances omega_e / ell_e, root clamped):
 
-    A = Q_BB - Q_BI Q_II^{-1} Q_IB,
+    A = Q_BB - Q_BI Q_II^{-1} Q_IB.
 
-assembled here with one shared sparse factorization.  Condensing the tree
-(stretching the generation-(N+1) leaf edges by 1/(1-r)) makes A agree with
-the infinite-tree map composed with P_{N+1}; truncating instead leaves a
-geometrically decaying defect.
+It is assembled by eliminating the interior vertices from the leaves to the
+root (calculus.tree_elimination).  Eliminating X_{n,k} subtracts one
+rank-one term beta beta^T / pivot, where beta, supported on the leaves
+below X_{n,k}, holds the leaf conductances scaled by c / pivot once per
+generation on the way up; so generation n adds p^n diagonal blocks of size
+p^{depth-n} to A = diag(leaf conductances) - sum beta beta^T / pivot.
+
+Condensing the tree (stretching the generation-(N+1) leaf edges by
+1/(1-r)) makes A agree with the infinite-tree map composed with P_{N+1};
+truncating instead leaves a geometrically decaying defect.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calculus import interior_factorization
+from .calculus import tree_elimination
 from .errors import AssemblyTooLarge, InsufficientDepths
 from .tree import FiniteTree, TreeParams, build_condensed, build_truncated
 
@@ -56,12 +62,18 @@ def _schur_boundary(tree: FiniteTree, allow_large: bool) -> np.ndarray:
             "%d leaf cells exceed the dense limit %d (pass allow_large to override)"
             % (tree.n_leaves, MAX_DENSE_LEAVES)
         )
-    fac = interior_factorization(tree)
-    q_bb = fac["Q_bb"].toarray()
-    if fac["lu"] is None:
-        return q_bb
-    x = fac["lu"].solve(fac["Q_ib"].toarray())
-    return q_bb - fac["Q_bi"] @ x
+    p = tree.p
+    c, pivot = tree_elimination(tree)
+    A = np.diag(c[tree.depth])
+    beta = c[tree.depth]
+    for n in range(tree.depth - 1, -1, -1):
+        beta = beta.reshape(p**n, -1)
+        m = beta.shape[1]
+        blocks = A.reshape(p**n, m, p**n, m)
+        k = np.arange(p**n)
+        blocks[k, :, k, :] -= beta[:, :, None] * beta[:, None, :] / pivot[n][:, None, None]
+        beta = beta * (c[n] / pivot[n])[:, None]
+    return A
 
 
 def condensed_dtn(params: TreeParams, N: int, allow_large: bool = False) -> GalerkinOperator:

@@ -225,14 +225,14 @@ class RadialSource:
 
 
 def _source_integral(source: RadialSource, k: int, expo: float, upper: float,
-                     with_log: bool = False) -> complex:
-    """Gauss integral of s^expo * f_k(s) (optionally * log s) over [R, min(upper, r_max)]."""
+                     with_log: bool = False, scale: float = 1.0) -> complex:
+    """Gauss integral of (s/scale)^expo * f_k(s) (optionally * log s) over [R, min(upper, r_max)]."""
     hi = min(upper, source.r_max)
     if hi <= source.R:
         return 0.0
     mid, half = 0.5 * (hi + source.R), 0.5 * (hi - source.R)
     s = mid + half * _GL64[0]
-    vals = s**expo * source.profile_value(k, s)
+    vals = (s / scale)**expo * source.profile_value(k, s)
     if with_log:
         vals = vals * np.log(s)
     return complex(half * (_GL64[1] @ vals))
@@ -240,11 +240,13 @@ def _source_integral(source: RadialSource, k: int, expo: float, upper: float,
 
 @dataclass
 class ExteriorField:
-    """Per-mode exterior solution a_k r^{-|k|} + b_k r^{|k|} + particular part.
+    """Per-mode exterior solution a_k (R/r)^{|k|} + b_k (r/R)^{|k|} + particular part.
 
     Mode 0 carries a constant a_0 and (in the diagnostic radiation class) a
-    log coefficient b_0.  The particular part vanishes along with its
-    derivative at r = R, so traces at the boundary involve only (a, b).
+    log coefficient b_0 of log r.  Normalizing the powers at R keeps every
+    coefficient of the order of the data, whatever R and |k|.  The
+    particular part vanishes along with its derivative at r = R, so traces
+    at the boundary involve only (a, b).
     """
 
     R: float
@@ -264,7 +266,7 @@ class ExteriorField:
         if ak == 0:
             out = a_c + b_c * np.log(r) + 0j
         else:
-            out = a_c * r**(-ak) + b_c * r**ak + 0j
+            out = a_c * (self.R / r)**ak + b_c * (r / self.R)**ak + 0j
         if self.source is not None and k in self.source.modes():
             for i, ri in enumerate(r):
                 if ri <= self.source.R:
@@ -298,12 +300,12 @@ class ExteriorField:
                 if ak == 0:
                     val = b_c / self.R
                 else:
-                    val = -ak * a_c * self.R ** (-ak - 1) + ak * b_c * self.R ** (ak - 1)
+                    val = ak * (b_c - a_c) / self.R
             else:
                 if ak == 0:
                     val = a_c + b_c * math.log(self.R)
                 else:
-                    val = a_c * self.R ** (-ak) + b_c * self.R**ak
+                    val = a_c + b_c
             coeffs[k + m] = val
         return FourierFn(self.R, coeffs)
 
@@ -362,9 +364,9 @@ def solve_exterior_dirichlet(g, source: RadialSource | None, R: float | None = N
         ghat = complex(g.coeff(k)) if (g is not None and abs(k) <= g.M) else 0.0
         ak = abs(k)
         if ak > 0:
-            i_minus = _source_integral(source, k, 1.0 - ak, np.inf) if source else 0.0
-            b_c = -i_minus / (2.0 * ak)
-            a_c = (ghat - b_c * R**ak) * R**ak
+            i_minus = _source_integral(source, k, 1.0 - ak, np.inf, scale=R) if source else 0.0
+            b_c = -R * i_minus / (2.0 * ak)
+            a_c = ghat - b_c
         else:
             i_a = _source_integral(source, k, 1.0, np.inf) if source else 0.0
             i_log = _source_integral(source, k, 1.0, np.inf, with_log=True) if source else 0.0

@@ -205,9 +205,6 @@ class FiniteTree:
         """mu(T) = sum of omega_e * ell_e over edges."""
         return float(sum((self.lengths[n] * self.weights[n]).sum() for n in range(self.depth + 1)))
 
-    def leaf_refs(self) -> list:
-        return [EdgeRef(self.depth, k) for k in range(self.n_leaves)]
-
 
 class TruncatedTree(FiniteTree):
     """Edges of generations 0..N with lengths straight from the parameters."""

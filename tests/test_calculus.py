@@ -138,13 +138,12 @@ def test_complex_harmonic():
 def test_green_identity_random_pairs():
     rng = np.random.default_rng(19)
     T = build_condensed(REF, 3)
-    fac = ca.interior_factorization(T)
     for _ in range(10):
         s = random_polynomial(T, rng, degree=2)
-        u = ca.solve_poisson_zero_trace(T, s, factor=fac) + ca.solve_harmonic_dirichlet(
-            T, rng.standard_normal(T.n_leaves), root_value=rng.standard_normal(), factor=fac
+        u = ca.solve_poisson_zero_trace(T, s) + ca.solve_harmonic_dirichlet(
+            T, rng.standard_normal(T.n_leaves), root_value=rng.standard_normal()
         )
-        v = ca.solve_poisson_zero_trace(T, random_polynomial(T, rng, degree=1), factor=fac)
+        v = ca.solve_poisson_zero_trace(T, random_polynomial(T, rng, degree=1))
         rep = ca.green_identity_check(u, v)
         assert rep.relative < 1e-12
 

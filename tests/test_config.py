@@ -59,6 +59,12 @@ def test_unknown_key_reports_line():
         parse_text("tree.p = 2\ntree.elll = 0.5\n")
 
 
+def test_mode_cutoff_key_rejected():
+    # the exterior cutoff is fixed at 16 p^N; a key that would not change it is refused
+    with pytest.raises(ConfigError, match=r"unknown key 'interface\.mode_cutoff'"):
+        parse_text(BASE + "[interface]\nmode_cutoff = 64\n")
+
+
 def test_unknown_section_rejected():
     with pytest.raises(ConfigError, match=r"unknown section \[trees\]"):
         parse_text("[trees]\np = 2\n")

@@ -122,6 +122,17 @@ def test_flux_residual_within_discretization_defect():
     assert sol.u_tree.root_value == pytest.approx(1.5, abs=1e-10)
 
 
+@pytest.mark.parametrize("R", [0.5, 2.0])
+def test_interface_radius_away_from_one_at_high_mode_cutoff(R):
+    # the exterior modes run up to 16 * 2^7 = 2048, where R^{|k|} over- or
+    # underflows a float; the mode coefficients must stay of the data's size
+    source = RadialSource(R=R, r_max=2.0 * R, terms=[(1, {0: 1.0}), (-1, {0: 1.0})])
+    cfg = TransmissionConfig(params=REF, level=7, alpha1=1.0, alpha0=0.3, exterior_source=source, R=R)
+    sol = solve_transmission(cfg)
+    assert sol.trace_defect <= 1e-10
+    assert sol.flux_residual <= sol.discretization_defect + 1e-10
+
+
 def test_case_ii_purely_imaginary_coupling_solves():
     cfg = TransmissionConfig(params=REF, level=4, alpha1=1j, alpha0=0.0,
                              exterior_source=_ext_source(2, 0.4))
