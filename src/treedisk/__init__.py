@@ -3,8 +3,10 @@ Dirichlet-to-Neumann maps."""
 
 __version__ = "0.1.0"
 
-from . import (acceptance, calculus, circle, cli, config, dtn, errors, exterior,
-               transmission, tree)
+# the command line module `cli` is not imported here: `python -m treedisk.cli`
+# would otherwise find it in sys.modules before running it as __main__
+from . import (acceptance, calculus, circle, config, dtn, errors, exterior, transmission,
+               tree)
 
-__all__ = ["acceptance", "calculus", "circle", "cli", "config", "dtn", "errors",
-           "exterior", "transmission", "tree", "__version__"]
+__all__ = ["acceptance", "calculus", "circle", "config", "dtn", "errors", "exterior",
+           "transmission", "tree", "__version__"]

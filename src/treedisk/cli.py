@@ -58,10 +58,39 @@ def _atomic_write(path: str, text: str):
         raise
 
 
-def _write_csv(path: str, header, rows):
+def _write_csv(path: str, header, columns):
+    """Write equal-length numpy columns as CSV, one `%` format per row.
+
+    Fields read as `_fmt` writes them: integers as %d (the text of %.17g for
+    |k| <= 2**53, which every index column meets), reals as %.17g, complex
+    values as %.17g when imag == 0.0 (-0.0 included) and as %.17g%+.17gj
+    otherwise.  Rows are cut into runs over which each complex column stays
+    in one of its two cases, and each run is formatted with its own row
+    format, so a column with no complex entries never pays for them.
+    """
+    columns = [np.asarray(c) for c in columns]
+    cplx = [c.imag != 0.0 if np.iscomplexobj(c) else None for c in columns]
+    n = len(columns[0])
+    cuts = np.zeros(n, dtype=bool)
+    for mask in cplx:
+        if mask is not None:
+            cuts[1:] |= mask[1:] != mask[:-1]
+    bounds = [0, *np.flatnonzero(cuts).tolist(), n] if n else []
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(x) if not isinstance(x, str) else x for x in row))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        fmt, parts = [], []
+        for col, mask in zip(columns, cplx):
+            col = col[lo:hi]
+            if mask is not None and mask[lo]:
+                fmt.append("%.17g%+.17gj")
+                parts += [col.real, col.imag]
+            elif col.dtype.kind in "iu":
+                fmt.append("%d")
+                parts.append(col)
+            else:
+                fmt.append("%.17g")
+                parts.append(col.real)
+        lines += map(",".join(fmt).__mod__, zip(*[part.tolist() for part in parts]))
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
@@ -103,8 +132,8 @@ def _cmd_tree_dtn(args) -> int:
     started = time.monotonic()
     cfg = parse_config(args.config)
     op = condensed_dtn(cfg.params(), args.depth, allow_large=args.allow_large)
-    rows = [(i, j, op.matrix[i, j]) for i in range(op.size) for j in range(op.size)]
-    _write_csv(args.out, ("row", "col", "value"), rows)
+    rows, cols = np.divmod(np.arange(op.matrix.size), op.size)
+    _write_csv(args.out, ("row", "col", "value"), [rows, cols, op.matrix.ravel()])
     _write_manifest(args.out + ".manifest", "tree-dtn", cfg, started, [args.out])
     return EXIT_OK
 
@@ -113,22 +142,16 @@ def _cmd_exterior_dtn(args) -> int:
     started = time.monotonic()
     symbol = dtn_symbol(args.radius, args.modes)
     check_cutoff(args.modes, args.p**args.level)
-    rows = [(int(k), symbol.coeff(int(k))) for k in symbol.ks()]
-    _write_csv(args.out, ("k", "value"), rows)
+    _write_csv(args.out, ("k", "value"), [symbol.ks(), symbol.values])
     _write_manifest(args.out + ".manifest", "exterior-dtn", None, started, [args.out])
     return EXIT_OK
 
 
-def _solution_rows(sol):
-    g_rows = [(sol.g.level, K, v) for K, v in enumerate(sol.g.values)]
-    tree_rows = []
-    for n, gen in enumerate(sol.u_tree.coeffs):
-        for k in range(gen.shape[0]):
-            for j in range(gen.shape[1]):
-                tree_rows.append((n, k, j, gen[k, j]))
-    trace = sol.u_ext.trace0()
-    ext_rows = list(zip(trace.ks().tolist(), trace.coeffs.real.tolist(), trace.coeffs.imag.tolist()))
-    return g_rows, tree_rows, ext_rows
+def _tree_columns(coeffs):
+    """Columns n, k, coeff_index, value of the per-generation coefficient arrays."""
+    per_gen = [(np.full(gen.size, n), *np.divmod(np.arange(gen.size), gen.shape[1]), gen.ravel())
+               for n, gen in enumerate(coeffs)]
+    return [np.concatenate(col) for col in zip(*per_gen)]
 
 
 def _cmd_transmission(args) -> int:
@@ -136,10 +159,14 @@ def _cmd_transmission(args) -> int:
     cfg = parse_config(args.config)
     sol = solve_transmission(cfg.transmission())
     prefix = args.out_prefix
-    g_rows, tree_rows, ext_rows = _solution_rows(sol)
-    _write_csv(prefix + "g.csv", ("level", "cell", "value"), g_rows)
-    _write_csv(prefix + "tree.csv", ("n", "k", "coeff_index", "value"), tree_rows)
-    _write_csv(prefix + "exterior.csv", ("k", "re", "im"), ext_rows)
+    g = sol.g.values
+    _write_csv(prefix + "g.csv", ("level", "cell", "value"),
+               [np.full(g.size, sol.g.level), np.arange(g.size), g])
+    _write_csv(prefix + "tree.csv", ("n", "k", "coeff_index", "value"),
+               _tree_columns(sol.u_tree.coeffs))
+    trace = sol.u_ext.trace0()
+    _write_csv(prefix + "exterior.csv", ("k", "re", "im"),
+               [trace.ks(), trace.coeffs.real, trace.coeffs.imag])
     outputs = [prefix + name for name in ("g.csv", "tree.csv", "exterior.csv")]
     _write_manifest(prefix + "manifest.txt", "transmission", cfg, started, outputs)
     print("condition estimate = %s" % _fmt(sol.condition_estimate))
@@ -157,9 +184,8 @@ def _cmd_convergence(args) -> int:
         levels = list(range(base, base + 4))
     study = convergence_study(cfg.transmission(level=min(levels)), levels,
                               manufactured=cfg.manufactured())
-    rows = [(n, d, e2, eh, rr) for n, d, e2, eh, rr in
-            zip(study.levels, study.dof, study.err_l2, study.err_h12, study.rate_running)]
-    _write_csv(args.out, ("N", "dof", "err_l2", "err_h12", "rate_running"), rows)
+    columns = [study.levels, study.dof, study.err_l2, study.err_h12, study.rate_running]
+    _write_csv(args.out, ("N", "dof", "err_l2", "err_h12", "rate_running"), columns)
     _write_manifest(args.out + ".manifest", "convergence", cfg, started, [args.out])
     print("rho_hat = %s" % _fmt(study.rho_hat))
     if study.rho_admissible_max is not None:
@@ -175,8 +201,8 @@ def _cmd_plasmonic(args) -> int:
     system = assemble_system(tcfg)
     count = cfg.get("transmission.pencil_count")
     values = plasmonic_pencil(system.C, system.D, count=count)
-    rows = [(i, z.real, z.imag) for i, z in enumerate(values)]
-    _write_csv(args.out, ("index", "re", "im"), rows)
+    values = np.asarray(values, dtype=complex)
+    _write_csv(args.out, ("index", "re", "im"), [np.arange(values.size), values.real, values.imag])
     _write_manifest(args.out + ".manifest", "plasmonic", cfg, started, [args.out])
     return EXIT_OK
 

@@ -238,24 +238,43 @@ def _source_integral(source: RadialSource, k: int, expo: float, upper: float,
     return complex(half * (_GL64[1] @ vals))
 
 
+def _centered(coeffs, M: int) -> np.ndarray:
+    """Centered coefficients padded with zeros (or cut) to modes |k| <= M."""
+    out = np.zeros(2 * M + 1, dtype=complex)
+    c = (coeffs.size - 1) // 2
+    m = min(M, c)
+    out[M - m : M + m + 1] = coeffs[c - m : c + m + 1]
+    return out
+
+
 @dataclass
 class ExteriorField:
     """Per-mode exterior solution a_k (R/r)^{|k|} + b_k (r/R)^{|k|} + particular part.
 
-    Mode 0 carries a constant a_0 and (in the diagnostic radiation class) a
-    log coefficient b_0 of log r.  Normalizing the powers at R keeps every
+    `a` and `b` are centered coefficient arrays over |k| <= M, where M is the
+    largest |k| that is a source mode or carries nonzero data.  Mode 0
+    carries a constant a_0 and (in the diagnostic radiation class) a log
+    coefficient b_0 of log r.  Normalizing the powers at R keeps every
     coefficient of the order of the data, whatever R and |k|.  The
     particular part vanishes along with its derivative at r = R, so traces
     at the boundary involve only (a, b).
     """
 
     R: float
-    modes: dict
+    a: np.ndarray
+    b: np.ndarray
     source: RadialSource | None = None
     radiation: str = "bounded"
 
+    @property
+    def M(self) -> int:
+        return (self.a.size - 1) // 2
+
     def mode_coeffs(self, k: int):
-        return self.modes.get(int(k), (0.0, 0.0))
+        k = int(k)
+        if abs(k) > self.M:
+            return (0.0, 0.0)
+        return (complex(self.a[k + self.M]), complex(self.b[k + self.M]))
 
     def eval_mode(self, k: int, r):
         r = np.atleast_1d(np.asarray(r, dtype=float))
@@ -285,45 +304,32 @@ class ExteriorField:
         r = np.asarray(r, dtype=float)
         theta = np.asarray(theta, dtype=float)
         out = np.zeros(np.broadcast(r, theta).shape, dtype=complex)
-        for k in self.modes:
+        ks = set((np.flatnonzero((self.a != 0) | (self.b != 0)) - self.M).tolist())
+        if self.source is not None:
+            ks |= set(self.source.modes())
+        for k in sorted(ks):
             out = out + np.asarray(self.eval_mode(k, r)) * np.exp(1j * k * theta)
         return out
 
-    def _trace(self, derivative: bool) -> FourierFn:
-        if not self.modes:
-            return FourierFn(self.R, [0.0])
-        m = max(abs(k) for k in self.modes)
-        coeffs = np.zeros(2 * m + 1, dtype=complex)
-        for k, (a_c, b_c) in self.modes.items():
-            ak = abs(k)
-            if derivative:
-                if ak == 0:
-                    val = b_c / self.R
-                else:
-                    val = ak * (b_c - a_c) / self.R
-            else:
-                if ak == 0:
-                    val = a_c + b_c * math.log(self.R)
-                else:
-                    val = a_c + b_c
-            coeffs[k + m] = val
+    def trace0(self) -> FourierFn:
+        coeffs = self.a + self.b
+        coeffs[self.M] = self.a[self.M] + self.b[self.M] * math.log(self.R)
         return FourierFn(self.R, coeffs)
 
-    def trace0(self) -> FourierFn:
-        return self._trace(False)
-
     def trace1(self) -> FourierFn:
-        return self._trace(True)
+        ak = np.abs(np.arange(-self.M, self.M + 1))
+        coeffs = ak * (self.b - self.a) / self.R
+        coeffs[self.M] = self.b[self.M] / self.R
+        return FourierFn(self.R, coeffs)
 
     def __add__(self, other):
         if not isinstance(other, ExteriorField):
             return NotImplemented
         if abs(self.R - other.R) > 1e-12 * self.R:
             raise ValueError("field radii differ")
-        modes = dict(self.modes)
-        for k, (a_c, b_c) in other.modes.items():
-            a0, b0 = modes.get(k, (0.0, 0.0))
-            modes[k] = (a0 + a_c, b0 + b_c)
+        M = max(self.M, other.M)
+        a = _centered(self.a, M) + _centered(other.a, M)
+        b = _centered(self.b, M) + _centered(other.b, M)
         if self.source is not None and other.source is not None:
             if abs(self.source.r_max - other.source.r_max) > 1e-12:
                 raise ValueError("cannot merge sources with different supports")
@@ -331,7 +337,7 @@ class ExteriorField:
                                list(self.source.terms) + list(other.source.terms))
         else:
             src = self.source or other.source
-        return ExteriorField(self.R, modes, source=src, radiation=self.radiation)
+        return ExteriorField(self.R, a, b, source=src, radiation=self.radiation)
 
 
 def solve_exterior_dirichlet(g, source: RadialSource | None, R: float | None = None,
@@ -343,7 +349,9 @@ def solve_exterior_dirichlet(g, source: RadialSource | None, R: float | None = N
     k = 0, adjusting the free constant), while the diagnostic "log_class"
     forbids the constant but admits b log|x|; at log R = 0 the mean mode of
     the latter is overdetermined and raises UnresolvableMode0 unless the
-    data already matches the source mass.
+    data already matches the source mass.  Modes k != 0 without a source
+    term are a_k = g_k, b_k = 0 and are set as arrays; the source modes and
+    the mean mode take the formulas below one by one.
     """
     if radiation not in ("bounded", "log_class"):
         raise ValueError("radiation must be 'bounded' or 'log_class'")
@@ -357,14 +365,20 @@ def solve_exterior_dirichlet(g, source: RadialSource | None, R: float | None = N
         raise ValueError("source annulus does not start at R")
 
     ks = set(source.modes()) if source is not None else set()
-    if g is not None:
-        ks |= {int(k) for k in g.ks() if g.coeff(int(k)) != 0}
-    modes = {}
+    M = max((abs(k) for k in ks), default=0)
+    data = np.zeros(1, dtype=complex) if g is None else g.coeffs
+    nonzero = np.flatnonzero(data) - (data.size - 1) // 2
+    if nonzero.size:
+        M = max(M, int(np.abs(nonzero).max()))
+    a = _centered(data, M)
+    b = np.zeros_like(a)
+    if a[M] != 0:
+        ks.add(0)
     for k in sorted(ks):
-        ghat = complex(g.coeff(k)) if (g is not None and abs(k) <= g.M) else 0.0
+        ghat = complex(a[k + M])
         ak = abs(k)
         if ak > 0:
-            i_minus = _source_integral(source, k, 1.0 - ak, np.inf, scale=R) if source else 0.0
+            i_minus = _source_integral(source, k, 1.0 - ak, np.inf, scale=R)
             b_c = -R * i_minus / (2.0 * ak)
             a_c = ghat - b_c
         else:
@@ -385,8 +399,8 @@ def solve_exterior_dirichlet(g, source: RadialSource | None, R: float | None = N
                             "log radiation class at log R = 0: mean data %r conflicts "
                             "with source term %r" % (ghat, a_c))
                     b_c = 0.0
-        modes[k] = (a_c, b_c)
-    return ExteriorField(R=float(R), modes=modes, source=source, radiation=radiation)
+        a[k + M], b[k + M] = a_c, b_c
+    return ExteriorField(R=float(R), a=a, b=b, source=source, radiation=radiation)
 
 
 def gamma1_exterior(u: ExteriorField) -> FourierFn:

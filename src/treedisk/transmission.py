@@ -41,6 +41,7 @@ from .errors import (
 )
 from .exterior import (
     MODE_OVERSAMPLING,
+    ExteriorField,
     RadialSource,
     dtn_galerkin,
     dtn_symbol,
@@ -136,9 +137,33 @@ def _tree_forcing(cfg: TransmissionConfig, tree: FiniteTree) -> TreeFunction | N
     return f
 
 
+def _source_lifts(cfg: TransmissionConfig):
+    """The source tree, the lifts u_f and v_f, and the per-cell leaf flux of u_f.
+
+    u_f is None without tree forcing (its flux is then zero), v_f is None
+    without an exterior source.
+    """
+    pn = cfg.params.p**cfg.level
+    tree = _source_tree(cfg)
+    forcing = _tree_forcing(cfg, tree)
+    u_f = None
+    flux_f = np.zeros(pn)
+    if forcing is not None:
+        u_f = solve_poisson_zero_trace(tree, forcing)
+        flux_f = leaf_flux(u_f).reshape(pn, -1).sum(axis=1)
+    v_f = None
+    if cfg.exterior_source is not None:
+        v_f = solve_exterior_dirichlet(None, cfg.exterior_source, R=cfg.R)
+    return tree, u_f, flux_f, v_f
+
+
 @dataclass
 class InterfaceSystem:
-    """Assembled level-N matrices and rhs of the interface equation M g = -h."""
+    """Assembled level-N matrices and rhs of the interface equation M g = -h.
+
+    It also keeps the source lifts behind h (see `_source_lifts`), which
+    `reconstruct` reuses for the same config.
+    """
 
     level: int
     decomp: MultiscaleDecomposition
@@ -147,6 +172,10 @@ class InterfaceSystem:
     A0: np.ndarray
     h: np.ndarray
     config: TransmissionConfig
+    tree: FiniteTree
+    u_f: TreeFunction | None
+    flux_f: np.ndarray
+    v_f: ExteriorField | None
     condition_estimate: float | None = None
     solve_residual: float | None = None
 
@@ -174,17 +203,14 @@ def assemble_system(cfg: TransmissionConfig) -> InterfaceSystem:
     D = compress(condensed_dtn(cfg.params, cfg.level, allow_large=True), cfg.level).matrix
     A0 = np.diag(cfg.alpha0_cells() * decomp.cell_measure(cfg.level))
 
+    tree, u_f, flux_f, v_f = _source_lifts(cfg)
     h = np.zeros(pn, dtype=complex)
-    if cfg.exterior_source is not None:
-        v_f = solve_exterior_dirichlet(None, cfg.exterior_source, R=cfg.R)
+    if v_f is not None:
         h -= circle.cell_integrals(decomp, gamma1_exterior(v_f), cfg.level)
-    tree = _source_tree(cfg)
-    forcing = _tree_forcing(cfg, tree)
-    if forcing is not None:
-        u_f = solve_poisson_zero_trace(tree, forcing)
-        fine = leaf_flux(u_f)
-        h += complex(cfg.alpha1) * fine.reshape(pn, -1).sum(axis=1)
-    return InterfaceSystem(level=cfg.level, decomp=decomp, C=C, D=D, A0=A0, h=h, config=cfg)
+    if u_f is not None:
+        h += complex(cfg.alpha1) * flux_f
+    return InterfaceSystem(level=cfg.level, decomp=decomp, C=C, D=D, A0=A0, h=h, config=cfg,
+                           tree=tree, u_f=u_f, flux_f=flux_f, v_f=v_f)
 
 
 def solve_interface(sys: InterfaceSystem) -> PiecewiseConstantFn:
@@ -253,31 +279,30 @@ def reconstruct(cfg: TransmissionConfig, g: PiecewiseConstantFn,
     so it is an independent check of the transmission conditions in the
     V_N pairing.  Interface traces match by construction: the tree leaf
     values carry the refined cells of g, the exterior modes carry its
-    Fourier coefficients at the assembly cutoff.
+    Fourier coefficients at the assembly cutoff.  The source lifts come
+    from `system` when it was assembled from this same `cfg` object.
     """
     p = cfg.params.p
     pn = p**cfg.level
     decomp = g.decomp
-    tree = _source_tree(cfg)
+    if system is not None and system.config is cfg:
+        tree, u_f, flux_f, v_f = system.tree, system.u_f, system.flux_f, system.v_f
+    else:
+        tree, u_f, flux_f, v_f = _source_lifts(cfg)
     refined = np.repeat(g.values, p ** (tree.depth - cfg.level))
     u = solve_harmonic_dirichlet(tree, refined, root_value=0.0)
     flux_u = leaf_flux(u).reshape(pn, -1).sum(axis=1)
-    flux_f = np.zeros(pn)
     u_T = u
     if cfg.c_root != 0:
         u_T = u_T + root_bump(tree) * complex(cfg.c_root)
-    forcing = _tree_forcing(cfg, tree)
-    u_f = None
-    if forcing is not None:
-        u_f = solve_poisson_zero_trace(tree, forcing)
+    if u_f is not None:
         u_T = u_T + u_f
-        flux_f = leaf_flux(u_f).reshape(pn, -1).sum(axis=1)
 
     g_fourier = g.to_fourier(MODE_OVERSAMPLING * pn)
     v = solve_exterior_dirichlet(g_fourier, None, R=cfg.R)
     u_ext = v
-    if cfg.exterior_source is not None:
-        u_ext = u_ext + solve_exterior_dirichlet(None, cfg.exterior_source, R=cfg.R)
+    if v_f is not None:
+        u_ext = u_ext + v_f
 
     tree_trace = np.abs(u_T.leaf_values() - refined).max() if pn else 0.0
     diff = u_ext.trace0() - g_fourier

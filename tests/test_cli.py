@@ -7,9 +7,17 @@ import numpy as np
 import pytest
 
 from treedisk import cli
+from treedisk.config import parse_config
 from treedisk.dtn import condensed_dtn
 from treedisk.errors import CutoffTooSmall
-from treedisk.transmission import TransmissionConfig, assemble_system, plasmonic_pencil
+from treedisk.exterior import dtn_symbol
+from treedisk.transmission import (
+    TransmissionConfig,
+    assemble_system,
+    convergence_study,
+    plasmonic_pencil,
+    solve_transmission,
+)
 from treedisk.tree import TreeParams
 
 REF_TEXT = """
@@ -38,6 +46,29 @@ def ref_config(tmp_path):
     path = tmp_path / "ref.ini"
     path.write_text(REF_TEXT)
     return str(path)
+
+
+# complex interface data (alpha1 off the real axis) and a tree source, so
+# g, the tree coefficients and the exterior trace are all complex
+COMPLEX_TEXT = REF_TEXT.replace("alpha1 = 1.0", "alpha1 = 1.0+0.5j") + """
+[transmission]
+c_root = 0.3
+[source.tree]
+constant = 0.7
+"""
+
+
+def _fmt(x):
+    """Row-wise field formatting of the CSV writer, kept as the oracle."""
+    z = complex(x)
+    if z.imag == 0.0:
+        return "%.17g" % z.real
+    return "%.17g%+.17gj" % (z.real, z.imag)
+
+
+def _oracle_csv(header, rows):
+    lines = [",".join(header)] + [",".join(_fmt(x) for x in row) for row in rows]
+    return ("\n".join(lines) + "\n").encode()
 
 
 def _read_csv(path):
@@ -190,3 +221,90 @@ def test_module_entry_point(ref_config):
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "ok" in proc.stdout
+
+
+def test_module_entry_point_raises_no_runpy_warning(ref_config):
+    # runpy warns when the package import already loaded treedisk.cli
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "treedisk.cli",
+                           "validate", "--config", ref_config],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+
+
+def test_csv_writer_matches_row_oracle(tmp_path):
+    nan, inf = float("nan"), float("inf")
+    ints = np.array([0, -3, 7, 2**53, 12, -1, 5, 9])
+    reals = np.array([-0.0, 0.0, nan, inf, -inf, 1e-300, -2.5, 1.0 / 3.0])
+    cplx = np.array([1 + 0j, complex(-2.0, -0.0), 1 - 2j, complex(0.0, nan), 3j,
+                     complex(-0.0, 0.0), complex(inf, 1.0), 0.1 + 0.2j])
+    other = np.array([2j, 2j, 0.5, 0.5, 0.5, 1e-20j, complex(-0.0, -0.0), -1j])
+    header = ("i", "x", "z", "w")
+    out = tmp_path / "w.csv"
+    cli._write_csv(str(out), header, [ints, reals, cplx, other])
+    rows = [(int(i), x, z, w) for i, x, z, w in zip(ints, reals, cplx, other)]
+    assert out.read_bytes() == _oracle_csv(header, rows)
+    cli._write_csv(str(out), header, [col[:0] for col in (ints, reals, cplx, other)])
+    assert out.read_bytes() == _oracle_csv(header, [])
+
+
+@pytest.mark.parametrize("text", [REF_TEXT, COMPLEX_TEXT], ids=["real", "complex"])
+def test_transmission_csvs_match_row_oracle(text, tmp_path):
+    path = tmp_path / "run.ini"
+    path.write_text(text)
+    prefix = str(tmp_path / "t_")
+    assert cli.main(["transmission", "--config", str(path), "--out-prefix", prefix]) == 0
+    sol = solve_transmission(parse_config(str(path)).transmission())
+    tree_rows = []
+    for n, gen in enumerate(sol.u_tree.coeffs):
+        for k in range(gen.shape[0]):
+            for j in range(gen.shape[1]):
+                tree_rows.append((n, k, j, gen[k, j]))
+    trace = sol.u_ext.trace0()
+    expected = {
+        "g.csv": _oracle_csv(("level", "cell", "value"),
+                             [(sol.g.level, K, v) for K, v in enumerate(sol.g.values)]),
+        "tree.csv": _oracle_csv(("n", "k", "coeff_index", "value"), tree_rows),
+        "exterior.csv": _oracle_csv(("k", "re", "im"),
+                                    [(int(k), c.real, c.imag)
+                                     for k, c in zip(trace.ks(), trace.coeffs)]),
+    }
+    for name, data in expected.items():
+        assert (tmp_path / ("t_" + name)).read_bytes() == data, name
+    if text is COMPLEX_TEXT:
+        assert b"j" in expected["g.csv"] and b"j" in expected["tree.csv"]
+    # 16 p^N = 128 modes; the top one is an aliased zero and gets no row
+    assert len(trace.coeffs) == 255
+
+
+def test_matrix_and_table_csvs_match_row_oracle(ref_config, tmp_path):
+    out = tmp_path / "dtn.csv"
+    assert cli.main(["tree-dtn", "--config", ref_config, "--depth", "2", "--out", str(out)]) == 0
+    m = condensed_dtn(TreeParams(p=2, ell=0.5, omega=0.4), 2).matrix
+    rows = [(i, j, m[i, j]) for i in range(m.shape[0]) for j in range(m.shape[1])]
+    assert out.read_bytes() == _oracle_csv(("row", "col", "value"), rows)
+
+    out = tmp_path / "symbol.csv"
+    with pytest.warns(CutoffTooSmall):
+        assert cli.main(["exterior-dtn", "--radius", "0.7", "--level", "3",
+                         "--modes", "9", "--out", str(out)]) == 0
+    symbol = dtn_symbol(0.7, 9)
+    rows = [(int(k), symbol.coeff(int(k))) for k in symbol.ks()]
+    assert out.read_bytes() == _oracle_csv(("k", "value"), rows)
+
+    path = tmp_path / "conv.ini"
+    path.write_text(REF_TEXT + "[transmission]\nlevels = 3, 4, 5\nmanufactured_mode = 1\n")
+    out = tmp_path / "conv.csv"
+    assert cli.main(["convergence", "--config", str(path), "--out", str(out)]) == 0
+    cfg = parse_config(str(path))
+    study = convergence_study(cfg.transmission(level=3), [3, 4, 5], manufactured=cfg.manufactured())
+    rows = list(zip(study.levels, study.dof, study.err_l2, study.err_h12, study.rate_running))
+    assert out.read_bytes() == _oracle_csv(("N", "dof", "err_l2", "err_h12", "rate_running"), rows)
+
+    out = tmp_path / "pencil.csv"
+    assert cli.main(["plasmonic", "--config", ref_config, "--out", str(out)]) == 0
+    system = assemble_system(TransmissionConfig(params=TreeParams(p=2, ell=0.5, omega=0.4),
+                                                level=3, alpha1=1.0, alpha0=0.0))
+    values = plasmonic_pencil(system.C, system.D, count=8)
+    rows = [(i, z.real, z.imag) for i, z in enumerate(values)]
+    assert out.read_bytes() == _oracle_csv(("index", "re", "im"), rows)

@@ -8,6 +8,7 @@ from treedisk.errors import CutoffTooSmall, ScaleEqualsRadius, UnresolvableMode0
 from treedisk.exterior import (
     MODE_OVERSAMPLING,
     RadialSource,
+    _source_integral,
     bie_dtn_crosscheck,
     dtn_galerkin,
     dtn_symbol,
@@ -138,6 +139,74 @@ def test_field_superposition():
         assert u.eval_mode(k, 1.8) == pytest.approx(v.eval_mode(k, 1.8), abs=1e-13)
 
 
+def _oracle_modes(g, source, R, radiation):
+    """Per-mode solve into a dict k -> (a_k, b_k), over the source modes and the
+    modes with nonzero data, kept as the oracle of the array solve."""
+    ks = set(source.modes()) if source is not None else set()
+    if g is not None:
+        ks |= {int(k) for k in g.ks() if g.coeff(int(k)) != 0}
+    modes = {}
+    for k in sorted(ks):
+        ghat = complex(g.coeff(k)) if g is not None else 0.0
+        ak = abs(k)
+        if ak > 0:
+            i_minus = _source_integral(source, k, 1.0 - ak, np.inf, scale=R) if source else 0.0
+            b_c = -R * i_minus / (2.0 * ak)
+            modes[k] = (ghat - b_c, b_c)
+        else:
+            i_a = _source_integral(source, k, 1.0, np.inf) if source else 0.0
+            i_log = _source_integral(source, k, 1.0, np.inf, with_log=True) if source else 0.0
+            if radiation == "bounded":
+                modes[k] = (ghat + i_a * math.log(R), -i_a)
+            else:
+                modes[k] = (i_log, (ghat - i_log) / math.log(R))
+    return modes
+
+
+def _oracle_add(u, v):
+    out = dict(u)
+    for k, (a_c, b_c) in v.items():
+        a0, b0 = out.get(k, (0.0, 0.0))
+        out[k] = (a0 + a_c, b0 + b_c)
+    return out
+
+
+def _oracle_traces(modes, R):
+    m = max((abs(k) for k in modes), default=0)
+    t0 = np.zeros(2 * m + 1, dtype=complex)
+    t1 = np.zeros(2 * m + 1, dtype=complex)
+    for k, (a_c, b_c) in modes.items():
+        if k == 0:
+            t0[m], t1[m] = a_c + b_c * math.log(R), b_c / R
+        else:
+            t0[k + m], t1[k + m] = a_c + b_c, abs(k) * (b_c - a_c) / R
+    return t0, t1
+
+
+@pytest.mark.parametrize("radius,radiation", [(1.0, "bounded"), (0.5, "bounded"),
+                                              (2.0, "bounded"), (0.5, "log_class"),
+                                              (2.0, "log_class")])
+def test_array_field_matches_per_mode_oracle(radius, radiation):
+    rng = np.random.default_rng(7)
+    src = RadialSource(radius, 1.7 * radius, [(k, {0: 0.4 - 0.2j, -2: 1.1}) for k in (-9, 0, 2, 3)])
+    # data of degree 6 padded with zeros to 40 modes: the field's extent is
+    # set by the source mode 9, not by the padding
+    g = FourierFn(radius, rng.standard_normal(13) + 1j * rng.standard_normal(13)).pad_to(40)
+    g2 = FourierFn.from_modes(radius, {1: 0.3, -4: 2.0 - 1j, 0: 0.8})
+    u = (solve_exterior_dirichlet(g, src, radiation=radiation)
+         + solve_exterior_dirichlet(g2, None, radiation=radiation)
+         + solve_exterior_dirichlet(None, src, R=radius, radiation=radiation))
+    modes = _oracle_add(_oracle_add(_oracle_modes(g, src, radius, radiation),
+                                    _oracle_modes(g2, None, radius, radiation)),
+                        _oracle_modes(None, src, radius, radiation))
+    t0, t1 = _oracle_traces(modes, radius)
+    assert u.trace0().coeffs.shape == t0.shape == (19,)
+    assert np.abs(u.trace0().coeffs - t0).max() <= 1e-14 * np.abs(t0).max()
+    assert np.abs(u.trace1().coeffs - t1).max() <= 1e-14 * np.abs(t1).max()
+    for k in range(-10, 11):
+        assert np.allclose(u.mode_coeffs(k), modes.get(k, (0.0, 0.0)), rtol=1e-14, atol=0.0)
+
+
 def test_radial_source_validation():
     with pytest.raises(ValueError):
         RadialSource(2.0, 1.0, [])
@@ -154,7 +223,7 @@ def test_log_radiation_class():
     g = FourierFn.from_modes(2.0, {0: 1.0})
     u = solve_exterior_dirichlet(g, None, radiation="log_class")
     assert u.trace0().coeff(0) == pytest.approx(1.0)
-    assert abs(u.modes[0][1]) > 0.1
+    assert abs(u.mode_coeffs(0)[1]) > 0.1
     # at R = 1 the mean mode is overdetermined
     g = FourierFn.from_modes(1.0, {0: 1.0})
     with pytest.raises(UnresolvableMode0):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from treedisk import transmission
 from treedisk.calculus import constant_function
 from treedisk.circle import FourierFn, MultiscaleDecomposition, PiecewiseConstantFn
 from treedisk.errors import (
@@ -286,3 +287,25 @@ def test_reconstruct_matches_band_limited_exterior_trace():
     r = np.linspace(1.0, 3.0, 7)
     vals = sol.u_ext.eval(r, np.zeros_like(r))
     assert np.all(np.isfinite(vals))
+
+
+def test_reconstruct_reuses_the_assembled_source_lifts(monkeypatch):
+    calls = []
+    solve = transmission.solve_poisson_zero_trace
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(transmission, "solve_poisson_zero_trace", counted)
+    cfg = TransmissionConfig(params=REF, level=3, alpha1=1.0, alpha0=0.3, c_root=0.5,
+                             exterior_source=_ext_source(2))
+    sol = solve_transmission(cfg)
+    assert len(calls) == 1
+    # without the system (or for another config object) the lifts are solved again
+    again = reconstruct(cfg, sol.g)
+    assert len(calls) == 2
+    for mine, theirs in zip(sol.u_tree.coeffs, again.u_tree.coeffs):
+        assert np.array_equal(mine, theirs)
+    assert np.array_equal(sol.u_ext.trace1().coeffs, again.u_ext.trace1().coeffs)
+    assert again.flux_residual == sol.flux_residual
