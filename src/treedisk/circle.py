@@ -68,9 +68,6 @@ class MultiscaleDecomposition:
     def cell_angle(self, n: int) -> float:
         return 2 * math.pi / self.p**n
 
-    def theta_edges(self, n: int) -> np.ndarray:
-        return 2 * math.pi * np.arange(self.p**n + 1) / self.p**n
-
     def cell_diameter(self, n: int) -> float:
         """Chord of one arc: 2 R sin(pi / p^n), at most 2 pi R / p^n."""
         if self.p**n == 1:
@@ -412,12 +409,5 @@ def lift_to_tree(decomp: MultiscaleDecomposition, g, tree: FiniteTree) -> calcul
     The Dirichlet trace of the result at depth N is exactly P_N g.
     """
     _check_tree_vs_decomp(tree, decomp)
-    values = []
-    for n in range(tree.depth + 1):
-        vals = cell_averages(decomp, g, n)
-        if isinstance(g, PiecewiseConstantFn) and np.isrealobj(g.values):
-            vals = np.real(vals)
-        elif isinstance(g, FourierFn) and g.is_real(1e-11):
-            vals = np.real(vals)
-        values.append(vals)
+    values = [project_PN(decomp, g, n).values for n in range(tree.depth + 1)]
     return calculus.from_vertex_values(tree, 0.0, values)

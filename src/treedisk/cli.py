@@ -11,6 +11,7 @@ failure.
 """
 
 import argparse
+import math
 import os
 import sys
 import tempfile
@@ -214,6 +215,17 @@ def _cmd_selftest(args) -> int:
     return EXIT_OK if all(ok for _, ok, _ in results) else EXIT_NUMERICAL
 
 
+def _checked(kind, test, requirement):
+    """An argparse type: parse with `kind`, then require `test(value)`."""
+    def parse(text):
+        if not test(value := kind(text)):
+            raise argparse.ArgumentTypeError("%s is not %s" % (text, requirement))
+        return value
+
+    parse.__name__ = kind.__name__
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="treedisk",
                                      description="Tree-disk transmission pipeline")
@@ -231,10 +243,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_tree_dtn)
 
     sp = sub.add_parser("exterior-dtn", help="dump the exterior DtN symbol")
-    sp.add_argument("--radius", type=float, required=True)
-    sp.add_argument("--level", type=int, required=True)
-    sp.add_argument("--modes", type=int, required=True)
-    sp.add_argument("--p", type=int, default=2)
+    sp.add_argument("--radius", required=True,
+                    type=_checked(float, lambda r: 0 < r < math.inf, "a finite number > 0"))
+    sp.add_argument("--level", required=True, type=_checked(int, lambda n: n >= 0, ">= 0"))
+    sp.add_argument("--modes", required=True, type=_checked(int, lambda m: m >= 0, ">= 0"))
+    sp.add_argument("--p", default=2, type=_checked(int, lambda p: p >= 1, ">= 1"))
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=_cmd_exterior_dtn)
 

@@ -12,8 +12,8 @@ keys, malformed lines, and unparsable values are rejected with their line
 number.
 """
 
+import cmath
 import hashlib
-import math
 import re
 from dataclasses import dataclass, field
 
@@ -156,21 +156,17 @@ class RunConfig:
         from .transmission import TransmissionConfig
         from .tree import build_condensed
 
-        params = self.params()
         if level is None:
             level = self.get("interface.N")
-        source_depth = self.get("transmission.source_depth")
-        if source_depth is None:
-            source_depth = level + 4
-        tree_source = None
+        cfg = TransmissionConfig(
+            params=self.params(), level=level, alpha1=self.get("transmission.alpha1"),
+            alpha0=self.get("transmission.alpha0"), c_root=self.get("transmission.c_root"),
+            exterior_source=self.exterior_source(),
+            source_depth=self.get("transmission.source_depth"), R=self.get("interface.radius"))
         const = self.get("source.tree.constant")
         if const != 0:
-            tree_source = constant_function(build_condensed(params, source_depth), const)
-        return TransmissionConfig(
-            params=params, level=level, alpha1=self.get("transmission.alpha1"),
-            alpha0=self.get("transmission.alpha0"), c_root=self.get("transmission.c_root"),
-            tree_source=tree_source, exterior_source=self.exterior_source(),
-            source_depth=source_depth, R=self.get("interface.radius"))
+            cfg.tree_source = constant_function(build_condensed(cfg.params, cfg.source_depth), const)
+        return cfg
 
 
 def parse_text(text: str, origin: str = "<config>") -> RunConfig:
@@ -214,7 +210,8 @@ def parse_text(text: str, origin: str = "<config>") -> RunConfig:
         except (ValueError, TypeError) as exc:
             raise ConfigError("%s, line %d: bad value for %r: %s"
                               % (origin, lineno, full, exc)) from exc
-        if isinstance(parsed, float) and not math.isfinite(parsed):
+        items = parsed if isinstance(parsed, list) else [parsed]
+        if not all(cmath.isfinite(x) for x in items if isinstance(x, (float, complex))):
             raise ConfigError("%s, line %d: non-finite value for %r" % (origin, lineno, full))
         values[full] = parsed
     for key, (_, default) in _KEYS.items():

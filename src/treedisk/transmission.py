@@ -72,8 +72,8 @@ class TransmissionConfig:
 
     alpha0 may be a scalar or a per-cell array at the solve level (the
     cellwise realization of a bounded multiplication coefficient).
-    tree_source must live on the condensed source tree of depth
-    source_depth (default level + 4).
+    tree_source must live on the condensed tree of params at source_depth
+    (default level + 4); that tree is then the source tree of the solve.
     """
 
     params: TreeParams
@@ -117,34 +117,37 @@ class TransmissionConfig:
         return {"case_i": bool(case_i), "case_ii": bool(case_ii)}
 
 
-def _source_tree(cfg: TransmissionConfig):
-    return build_condensed(cfg.params, cfg.source_depth)
-
-
 def _tree_forcing(cfg: TransmissionConfig, tree: FiniteTree) -> TreeFunction | None:
-    """f_T - c * Lap(u1), or None when both vanish."""
-    if cfg.tree_source is None and cfg.c_root == 0:
-        return None
+    """f_T - c * Lap(u1) on the source tree, or None when both vanish.
+
+    f_T must live on the condensed tree of cfg.params at source_depth.
+    """
     f = cfg.tree_source
-    if f is not None and f.tree.depth != tree.depth:
-        raise DepthBelowChartLevel("tree_source depth %d, expected %d" % (f.tree.depth, tree.depth))
+    if f is not None and (f.tree.depth != cfg.source_depth + 1 or not f.tree.condensed
+                          or f.tree.params != cfg.params):
+        raise DepthBelowChartLevel("tree_source must live on the condensed tree of depth %d"
+                                   % (cfg.source_depth + 1))
+    if cfg.c_root == 0:
+        return f
     if f is None:
         f = constant_function(tree, 0.0)
-    if cfg.c_root != 0:
-        lap_u1 = constant_function(tree, 0.0)
-        lap_u1.coeffs[0] = np.array([[2.0 / tree.lengths[0][0] ** 2]])
-        f = f - lap_u1 * complex(cfg.c_root)
-    return f
+    lap_u1 = constant_function(tree, 0.0)
+    lap_u1.coeffs[0] = np.array([[2.0 / tree.lengths[0][0] ** 2]])
+    return f - lap_u1 * complex(cfg.c_root)
 
 
 def _source_lifts(cfg: TransmissionConfig):
     """The source tree, the lifts u_f and v_f, and the per-cell leaf flux of u_f.
 
-    u_f is None without tree forcing (its flux is then zero), v_f is None
-    without an exterior source.
+    The source tree is the tree of cfg.tree_source, or the condensed tree
+    at source_depth when there is no tree source.  u_f is None without tree
+    forcing (its flux is then zero), v_f is None without an exterior source.
     """
     pn = cfg.params.p**cfg.level
-    tree = _source_tree(cfg)
+    if cfg.tree_source is not None:
+        tree = cfg.tree_source.tree
+    else:
+        tree = build_condensed(cfg.params, cfg.source_depth)
     forcing = _tree_forcing(cfg, tree)
     u_f = None
     flux_f = np.zeros(pn)
@@ -161,11 +164,10 @@ def _source_lifts(cfg: TransmissionConfig):
 class InterfaceSystem:
     """Assembled level-N matrices and rhs of the interface equation M g = -h.
 
-    It also keeps the source lifts behind h (see `_source_lifts`), which
-    `reconstruct` reuses for the same config.
+    It also keeps the source lifts behind h (see `_source_lifts`), from
+    which `reconstruct` rebuilds the volume solutions.
     """
 
-    level: int
     decomp: MultiscaleDecomposition
     C: np.ndarray
     D: np.ndarray
@@ -177,7 +179,6 @@ class InterfaceSystem:
     flux_f: np.ndarray
     v_f: ExteriorField | None
     condition_estimate: float | None = None
-    solve_residual: float | None = None
 
     @property
     def M(self) -> np.ndarray:
@@ -209,7 +210,7 @@ def assemble_system(cfg: TransmissionConfig) -> InterfaceSystem:
         h -= circle.cell_integrals(decomp, gamma1_exterior(v_f), cfg.level)
     if u_f is not None:
         h += complex(cfg.alpha1) * flux_f
-    return InterfaceSystem(level=cfg.level, decomp=decomp, C=C, D=D, A0=A0, h=h, config=cfg,
+    return InterfaceSystem(decomp=decomp, C=C, D=D, A0=A0, h=h, config=cfg,
                            tree=tree, u_f=u_f, flux_f=flux_f, v_f=v_f)
 
 
@@ -241,12 +242,11 @@ def solve_interface(sys: InterfaceSystem) -> PiecewiseConstantFn:
         g = g.real.astype(float)
     scale = float(np.linalg.norm(sys.h))
     residual = float(np.linalg.norm(M @ g + sys.h))
-    sys.solve_residual = residual
     if residual > 1e-10 * max(scale, 1e-300):
         raise SingularInterfaceOperator(
             "residual %.3e exceeds 1e-10 of ||h|| = %.3e (condition %.3e)"
             % (residual, scale, cond))
-    return PiecewiseConstantFn(sys.decomp, sys.level, g)
+    return PiecewiseConstantFn(sys.decomp, sys.config.level, g)
 
 
 @dataclass
@@ -266,12 +266,11 @@ class TransmissionSolution:
     trace_defect: float
     flux_residual: float
     discretization_defect: float
-    condition_estimate: float | None
+    condition_estimate: float
     meta: dict
 
 
-def reconstruct(cfg: TransmissionConfig, g: PiecewiseConstantFn,
-                system: InterfaceSystem | None = None) -> TransmissionSolution:
+def reconstruct(system: InterfaceSystem, g: PiecewiseConstantFn) -> TransmissionSolution:
     """Rebuild u_T = u + c u1 + u_f and u_Omega = v + v_f from the trace g.
 
     The flux-condition residual is recomputed from the reconstructed fields
@@ -279,16 +278,14 @@ def reconstruct(cfg: TransmissionConfig, g: PiecewiseConstantFn,
     so it is an independent check of the transmission conditions in the
     V_N pairing.  Interface traces match by construction: the tree leaf
     values carry the refined cells of g, the exterior modes carry its
-    Fourier coefficients at the assembly cutoff.  The source lifts come
-    from `system` when it was assembled from this same `cfg` object.
+    Fourier coefficients at the assembly cutoff.  The config, the source
+    tree and the source lifts all come from `system`, the solved system.
     """
+    cfg = system.config
     p = cfg.params.p
     pn = p**cfg.level
     decomp = g.decomp
-    if system is not None and system.config is cfg:
-        tree, u_f, flux_f, v_f = system.tree, system.u_f, system.flux_f, system.v_f
-    else:
-        tree, u_f, flux_f, v_f = _source_lifts(cfg)
+    tree, u_f, flux_f, v_f = system.tree, system.u_f, system.flux_f, system.v_f
     refined = np.repeat(g.values, p ** (tree.depth - cfg.level))
     u = solve_harmonic_dirichlet(tree, refined, root_value=0.0)
     flux_u = leaf_flux(u).reshape(pn, -1).sum(axis=1)
@@ -328,7 +325,7 @@ def reconstruct(cfg: TransmissionConfig, g: PiecewiseConstantFn,
     return TransmissionSolution(
         g=g, u_tree=u_T, u_ext=u_ext, trace_defect=trace_defect,
         flux_residual=flux_residual, discretization_defect=discretization_defect,
-        condition_estimate=system.condition_estimate if system is not None else None,
+        condition_estimate=system.condition_estimate,
         meta={"level": cfg.level, "solvability": cfg.solvability()},
     )
 
@@ -337,7 +334,7 @@ def solve_transmission(cfg: TransmissionConfig) -> TransmissionSolution:
     """Assemble, solve, and reconstruct in one call."""
     system = assemble_system(cfg)
     g = solve_interface(system)
-    return reconstruct(cfg, g, system=system)
+    return reconstruct(system, g)
 
 
 @dataclass
@@ -390,7 +387,7 @@ def convergence_study(cfg: TransmissionConfig, N_list, manufactured=None) -> Con
     coeffs = []
     for n in levels:
         if manufactured is not None:
-            cfg_n = dataclasses.replace(cfg, level=n, source_depth=None,
+            cfg_n = dataclasses.replace(cfg, level=n, source_depth=None, c_root=0,
                                         tree_source=None, exterior_source=None)
         else:
             sd = cfg.source_depth if cfg.tree_source is not None else max(cfg.source_depth, n)

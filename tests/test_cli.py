@@ -104,6 +104,30 @@ def test_unknown_key_is_config_error(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", [REF_TEXT.replace("alpha1 = 1.0", "alpha1 = nan"),
+                                  REF_TEXT + "source.exterior.profile.2 = inf, 1\n"],
+                         ids=["complex", "list"])
+def test_non_finite_config_value_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "bad.ini"
+    path.write_text(text)
+    assert cli.main(["transmission", "--config", str(path),
+                     "--out-prefix", str(tmp_path / "run_")]) == 2
+    assert "non-finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [("--radius", "0"), ("--radius", "nan"),
+                                         ("--modes", "-3"), ("--level", "-1"), ("--p", "0")])
+def test_exterior_dtn_bad_argument_exits_2(tmp_path, capsys, flag, value):
+    args = {"--radius": "1.0", "--level": "3", "--modes": "64", "--p": "2"}
+    args[flag] = value
+    argv = ["exterior-dtn", "--out", str(tmp_path / "symbol.csv")]
+    for key, val in args.items():
+        argv += [key, val]
+    assert cli.main(argv) == 2
+    assert "argument %s" % flag in capsys.readouterr().err
+    assert not (tmp_path / "symbol.csv").exists()
+
+
 def test_unknown_subcommand_exits_2(capsys):
     assert cli.main(["frobnicate"]) == 2
 

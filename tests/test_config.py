@@ -83,6 +83,11 @@ def test_bad_value_reports_line():
 def test_non_finite_value_rejected():
     with pytest.raises(ConfigError, match="non-finite"):
         parse_text("tree.p = 2\ntree.ell = inf\ntree.omega = 0.4\n")
+    # both parts of a complex value and every list item are checked too
+    for line in ["transmission.alpha1 = nan", "transmission.c_root = 1+infj",
+                 "source.exterior.profile.1 = inf, 1"]:
+        with pytest.raises(ConfigError, match="line 4: non-finite"):
+            parse_text("tree.p = 2\ntree.ell = 0.5\ntree.omega = 0.4\n%s\n" % line)
 
 
 def test_missing_required_key():

@@ -24,7 +24,7 @@ from treedisk.transmission import (
     solve_interface,
     solve_transmission,
 )
-from treedisk.tree import TreeParams, build_condensed
+from treedisk.tree import TreeParams, build_condensed, build_truncated
 
 REF = TreeParams(p=2, ell=0.5, omega=0.4, L0=1.0, omega0=1.0)
 
@@ -269,11 +269,14 @@ def test_config_validation():
 
 
 def test_tree_source_on_wrong_tree_rejected():
-    shallow = constant_function(build_condensed(REF, 4), 1.0)
-    cfg = TransmissionConfig(params=REF, level=3, alpha1=1.0, alpha0=0.3,
-                             tree_source=shallow, source_depth=6)
-    with pytest.raises(DepthBelowChartLevel):
-        assemble_system(cfg)
+    # a source on a tree other than the condensed tree of the config's
+    # parameters at source_depth: too shallow, truncated, other parameters
+    for tree in [build_condensed(REF, 4), build_truncated(REF, 7),
+                 build_condensed(TreeParams(p=2, ell=0.5, omega=0.45), 6)]:
+        cfg = TransmissionConfig(params=REF, level=3, alpha1=1.0, alpha0=0.3,
+                                 tree_source=constant_function(tree, 1.0), source_depth=6)
+        with pytest.raises(DepthBelowChartLevel):
+            assemble_system(cfg)
 
 
 def test_reconstruct_matches_band_limited_exterior_trace():
@@ -281,7 +284,7 @@ def test_reconstruct_matches_band_limited_exterior_trace():
                              exterior_source=_ext_source(1))
     sy = assemble_system(cfg)
     g = solve_interface(sy)
-    sol = reconstruct(cfg, g, system=sy)
+    sol = reconstruct(sy, g)
     assert sol.trace_defect <= 1e-10
     assert sol.condition_estimate == sy.condition_estimate
     r = np.linspace(1.0, 3.0, 7)
@@ -289,23 +292,47 @@ def test_reconstruct_matches_band_limited_exterior_trace():
     assert np.all(np.isfinite(vals))
 
 
-def test_reconstruct_reuses_the_assembled_source_lifts(monkeypatch):
+def _count_calls(monkeypatch, module, name):
     calls = []
-    solve = transmission.solve_poisson_zero_trace
+    original = getattr(module, name)
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return solve(*args, **kwargs)
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(transmission, "solve_poisson_zero_trace", counted)
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_reconstruct_reuses_the_assembled_source_lifts(monkeypatch):
+    calls = _count_calls(monkeypatch, transmission, "solve_poisson_zero_trace")
     cfg = TransmissionConfig(params=REF, level=3, alpha1=1.0, alpha0=0.3, c_root=0.5,
                              exterior_source=_ext_source(2))
-    sol = solve_transmission(cfg)
+    solve_transmission(cfg)
     assert len(calls) == 1
-    # without the system (or for another config object) the lifts are solved again
-    again = reconstruct(cfg, sol.g)
-    assert len(calls) == 2
-    for mine, theirs in zip(sol.u_tree.coeffs, again.u_tree.coeffs):
-        assert np.array_equal(mine, theirs)
-    assert np.array_equal(sol.u_ext.trace1().coeffs, again.u_ext.trace1().coeffs)
-    assert again.flux_residual == sol.flux_residual
+
+
+def test_solve_builds_a_source_tree_only_without_a_tree_source(monkeypatch):
+    cfg = TransmissionConfig(params=REF, level=3, alpha1=1.0, alpha0=0.3, c_root=0.5)
+    builds = _count_calls(monkeypatch, transmission, "build_condensed")
+    sol = solve_transmission(cfg)
+    assert len(builds) == 1
+    assert sol.u_tree.tree.depth == cfg.source_depth + 1 and sol.u_tree.tree.condensed
+    # with a tree source the solve runs on the source's own tree
+    cfg.tree_source = constant_function(sol.u_tree.tree, 0.7)
+    sol = solve_transmission(cfg)
+    assert len(builds) == 1
+    assert sol.u_tree.tree is cfg.tree_source.tree
+
+
+def test_manufactured_study_solves_no_source_lift(monkeypatch):
+    # the manufactured rhs replaces h, so the root value c_root must not
+    # cost a Poisson solve per level nor change an error
+    gstar = FourierFn.from_modes(1.0, {1: 0.5, -1: 0.5})
+    plain = TransmissionConfig(params=REF, level=3, alpha1=1.0, alpha0=0.3)
+    expected = convergence_study(plain, [3, 4, 5], manufactured=gstar)
+    solves = _count_calls(monkeypatch, transmission, "solve_poisson_zero_trace")
+    st = convergence_study(dataclasses.replace(plain, c_root=1.5), [3, 4, 5], manufactured=gstar)
+    assert len(solves) == 0
+    assert st.err_h12 == expected.err_h12
+    assert st.err_l2 == expected.err_l2
