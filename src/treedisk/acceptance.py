@@ -102,17 +102,20 @@ def _random_admissible_params(rng):
 
 def criterion_4():
     """Symmetrized condensed DtN is positive definite for random parameters."""
+    name = "randomized coercivity and symmetry"
     rng = np.random.default_rng(1404)
     min_eig, max_sym = np.inf, 0.0
-    for _ in range(10):
+    for i in range(10):
         params = _random_admissible_params(rng)
-        assert validate_params(params).ok
+        report = validate_params(params)
+        if not report.ok:
+            return (name, False, "draw %d is not admissible: %s" % (i, "; ".join(report.failures)))
         op = condensed_dtn(params, params.N1 + 2)
         sym = 0.5 * (op.matrix + op.matrix.T)
         min_eig = min(min_eig, float(np.linalg.eigvalsh(sym)[0]))
         max_sym = max(max_sym, op.symmetry_defect())
     ok = min_eig > 0.0 and max_sym < 1e-9
-    return ("randomized coercivity and symmetry", ok,
+    return (name, ok,
             "min eigenvalue %.3e, max symmetry defect %.2e" % (min_eig, max_sym))
 
 
@@ -218,6 +221,7 @@ def criterion_8():
 
 def criterion_9():
     """The admissible sign conditions solve; a pencil eigenvalue does not."""
+    name = "solvability under the sign conditions"
     rng = np.random.default_rng(1409)
     worst_cond = 0.0
     solvable = 0
@@ -230,7 +234,9 @@ def criterion_9():
             alpha0 = complex(rng.uniform(-1.0, 1.0), rng.uniform(0.0, 2.0))
         cfg = TransmissionConfig(params=REF, level=3, alpha1=alpha1, alpha0=alpha0)
         which = "case_i" if i < 20 else "case_ii"
-        assert cfg.solvability()[which]
+        if not cfg.solvability()[which]:
+            return (name, False, "draw %d (alpha1 %r, alpha0 %r) violates %s"
+                    % (i, alpha1, alpha0, which))
         system = assemble_system(cfg)
         cond = float(np.linalg.cond(system.M))
         worst_cond = max(worst_cond, cond)
@@ -247,7 +253,7 @@ def criterion_9():
     except SingularInterfaceOperator:
         raised = True
     ok = solvable == 40 and raised
-    return ("solvability under the sign conditions", ok,
+    return (name, ok,
             "%d/40 nonsingular, worst condition %.2e, pencil eigenvalue rejected: %s"
             % (solvable, worst_cond, raised))
 

@@ -260,8 +260,9 @@ def leaf_flux(f: TreeFunction) -> np.ndarray:
     Dividing by the boundary cell measures |Gamma_{N,K}| turns this into
     the distributional normal-derivative trace density.
     """
-    der = f.derivative()
-    return f.tree.weights[f.tree.depth] * der.end_values(f.tree.depth)
+    tree = f.tree
+    der = _poly_der(f.coeffs[tree.depth])
+    return tree.weights[tree.depth] * _poly_eval(der, tree.lengths[tree.depth])
 
 
 @dataclass

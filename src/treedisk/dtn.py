@@ -22,6 +22,13 @@ p^{depth-n} to A = diag(leaf conductances) - sum beta beta^T / pivot.
 Condensing the tree (stretching the generation-(N+1) leaf edges by
 1/(1-r)) makes A agree with the infinite-tree map composed with P_{N+1};
 truncating instead leaves a geometrically decaying defect.
+
+The interface solver tests D against level-N cells.  tree_dtn builds that
+p^N x p^N matrix directly: on a level-N indicator the p leaf edges below
+X_{N,k} carry one value, so they merge into one edge of summed
+conductance before the dense elimination starts.  compress, the Galerkin
+restriction of a finer matrix, stays as the identity this rests on
+(acceptance criterion 3) and as its test oracle.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ import numpy as np
 
 from .calculus import tree_elimination
 from .errors import AssemblyTooLarge, InsufficientDepths
-from .tree import FiniteTree, TreeParams, build_condensed, build_truncated
+from .tree import TreeParams, build_condensed, build_truncated
 
 MAX_DENSE_LEAVES = 4096
 
@@ -56,22 +63,31 @@ class GalerkinOperator:
         return float(np.abs(self.matrix - self.matrix.T).max()) / scale
 
 
-def _schur_boundary(tree: FiniteTree, allow_large: bool) -> np.ndarray:
-    if tree.n_leaves > MAX_DENSE_LEAVES and not allow_large:
+def _check_dense(n_cells: int, allow_large: bool) -> None:
+    if n_cells > MAX_DENSE_LEAVES and not allow_large:
         raise AssemblyTooLarge(
             "%d leaf cells exceed the dense limit %d (pass allow_large to override)"
-            % (tree.n_leaves, MAX_DENSE_LEAVES)
+            % (n_cells, MAX_DENSE_LEAVES)
         )
-    p = tree.p
-    c, pivot = tree_elimination(tree)
-    A = np.diag(c[tree.depth])
-    beta = c[tree.depth]
-    for n in range(tree.depth - 1, -1, -1):
-        beta = beta.reshape(p**n, -1)
+
+
+def _schur_boundary(c, pivot) -> np.ndarray:
+    """Dense boundary Schur complement from a leaves-to-root elimination.
+
+    c[-1] holds the boundary-edge conductances, c[n] and pivot[n] those of
+    the interior vertices X_{n,k} (calculus.tree_elimination).  The leaves
+    below each vertex are contiguous, so generation n acts on pivot[n].size
+    diagonal blocks of equal size.
+    """
+    A = np.diag(c[-1])
+    beta = c[-1]
+    for n in range(len(pivot) - 1, -1, -1):
+        blocks_n = pivot[n].size
+        beta = beta.reshape(blocks_n, -1)
         m = beta.shape[1]
-        blocks = A.reshape(p**n, m, p**n, m)
-        k = np.arange(p**n)
-        blocks[k, :, k, :] -= beta[:, :, None] * beta[:, None, :] / pivot[n][:, None, None]
+        # the diagonal blocks of A, as a writeable einsum view
+        diag_blocks = np.einsum("ijik->ijk", A.reshape(blocks_n, m, blocks_n, m))
+        diag_blocks -= (beta / pivot[n][:, None])[:, :, None] * beta[:, None, :]
         beta = beta * (c[n] / pivot[n])[:, None]
     return A
 
@@ -83,14 +99,32 @@ def condensed_dtn(params: TreeParams, N: int, allow_large: bool = False) -> Gale
     condensation only needs r = ell/(p omega) < 1.
     """
     tree = build_condensed(params, N)
-    A = _schur_boundary(tree, allow_large)
+    _check_dense(tree.n_leaves, allow_large)
+    A = _schur_boundary(*tree_elimination(tree))
     return GalerkinOperator(level=tree.depth, matrix=A, kind="tree_dtn", meta={"params": params, "condensed": True, "N": N})
+
+
+def tree_dtn(params: TreeParams, N: int) -> GalerkinOperator:
+    """DtN matrix D_N of the condensed tree tested against level-N cells.
+
+    Equals compress(condensed_dtn(params, N), N): a level-N indicator sets
+    the p stretched leaf edges below X_{N,k} to one value, so they act as a
+    single edge with their summed conductance.  The elimination of the
+    condensed tree runs on vectors; the dense matrix is p^N x p^N from the
+    start, with generation N eliminated as p^N blocks of size one.
+    """
+    tree = build_condensed(params, N)
+    c, pivot = tree_elimination(tree)
+    merged = c[N + 1].reshape(params.p**N, -1).sum(axis=1)
+    A = _schur_boundary(c[: N + 1] + [merged], pivot)
+    return GalerkinOperator(level=N, matrix=A, kind="tree_dtn", meta={"params": params, "condensed": True, "N": N})
 
 
 def truncated_dtn(params: TreeParams, depth: int, allow_large: bool = False) -> GalerkinOperator:
     """DtN matrix of the plain truncated tree with edge generations 0..depth."""
     tree = build_truncated(params, depth)
-    A = _schur_boundary(tree, allow_large)
+    _check_dense(tree.n_leaves, allow_large)
+    A = _schur_boundary(*tree_elimination(tree))
     return GalerkinOperator(level=depth, matrix=A, kind="tree_dtn", meta={"params": params, "condensed": False, "N": depth})
 
 

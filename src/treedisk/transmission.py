@@ -4,11 +4,11 @@ The interface equation is M g = -h with M = -C + alpha1 D + alpha0, where C
 is the exterior DtN map, D the tree DtN map, and alpha0 acts by
 multiplication.  Discretization is Galerkin on the piecewise-constant cells
 V_N for both operators: D comes from the condensed finite tree (exact on
-V_N), C from the Fourier symbol at cutoff 16 p^N.  The right-hand side
-h = -gamma1 v_f + alpha1 gamma1(c u1 + u_f) collects the source lifts: v_f
-solves the exterior problem with zero trace, u_f a tree Poisson problem
-with zero trace, and u1 is a root bump carrying the root value c without
-contributing any leaf flux.
+V_N; dtn.tree_dtn), C from the Fourier symbol at cutoff 16 p^N.  The
+right-hand side h = -gamma1 v_f + alpha1 gamma1(c u1 + u_f) collects the
+source lifts: v_f solves the exterior problem with zero trace, u_f a tree
+Poisson problem with zero trace, and u1 is a root bump carrying the root
+value c without contributing any leaf flux.
 
 Sign conventions: both volume equations are driven as Delta u = f (the
 exterior solver already uses this convention, so no negation occurs
@@ -32,7 +32,9 @@ from .calculus import (
     solve_poisson_zero_trace,
 )
 from .circle import FourierFn, MultiscaleDecomposition, PiecewiseConstantFn
-from .dtn import GalerkinOperator, compress, condensed_dtn
+# compress is not called here; it stays importable from this module because
+# perfbench's tracer test wraps this binding
+from .dtn import GalerkinOperator, compress, tree_dtn  # noqa: F401
 from .errors import (
     Alpha1Zero,
     DepthBelowChartLevel,
@@ -61,9 +63,14 @@ def root_bump(tree: FiniteTree) -> TreeFunction:
     root value into the source problem without touching the interface.
     """
     u1 = constant_function(tree, 0.0)
-    l0 = tree.lengths[0][0]
-    u1.coeffs[0] = np.array([[1.0, -2.0 / l0, 1.0 / l0**2]])
+    u1.coeffs[0] = _root_bump_coeffs(tree)
     return u1
+
+
+def _root_bump_coeffs(tree: FiniteTree) -> np.ndarray:
+    """Root-edge coefficients of u1; every other edge of u1 is zero."""
+    l0 = tree.lengths[0][0]
+    return np.array([[1.0, -2.0 / l0, 1.0 / l0**2]])
 
 
 @dataclass
@@ -121,6 +128,9 @@ def _tree_forcing(cfg: TransmissionConfig, tree: FiniteTree) -> TreeFunction | N
     """f_T - c * Lap(u1) on the source tree, or None when both vanish.
 
     f_T must live on the condensed tree of cfg.params at source_depth.
+    Lap(u1) is the constant 2/l_root^2 on the root edge and zero elsewhere,
+    so only generation 0 changes; the other generations are those of f_T,
+    or zero-stride zero views without a tree source.
     """
     f = cfg.tree_source
     if f is not None and (f.tree.depth != cfg.source_depth + 1 or not f.tree.condensed
@@ -130,28 +140,31 @@ def _tree_forcing(cfg: TransmissionConfig, tree: FiniteTree) -> TreeFunction | N
     if cfg.c_root == 0:
         return f
     if f is None:
-        f = constant_function(tree, 0.0)
-    lap_u1 = constant_function(tree, 0.0)
-    lap_u1.coeffs[0] = np.array([[2.0 / tree.lengths[0][0] ** 2]])
-    return f - lap_u1 * complex(cfg.c_root)
+        coeffs = [np.broadcast_to(0.0, (tree.p**n, 1)) for n in range(tree.depth + 1)]
+    else:
+        coeffs = list(f.coeffs)
+    root = coeffs[0].astype(complex)
+    root[0, 0] -= (2.0 / tree.lengths[0][0] ** 2) * complex(cfg.c_root)
+    return TreeFunction(tree, [root] + coeffs[1:])
 
 
 def _source_lifts(cfg: TransmissionConfig):
     """The source tree, the lifts u_f and v_f, and the per-cell leaf flux of u_f.
 
     The source tree is the tree of cfg.tree_source, or the condensed tree
-    at source_depth when there is no tree source.  u_f is None without tree
-    forcing (its flux is then zero), v_f is None without an exterior source.
+    at source_depth when only c_root forces the tree.  Without tree forcing
+    the tree and u_f are None (the flux of u_f is then zero), so nothing of
+    source_depth is built; v_f is None without an exterior source.
     """
     pn = cfg.params.p**cfg.level
+    tree = u_f = None
+    flux_f = np.zeros(pn)
     if cfg.tree_source is not None:
         tree = cfg.tree_source.tree
-    else:
+    elif cfg.c_root != 0:
         tree = build_condensed(cfg.params, cfg.source_depth)
-    forcing = _tree_forcing(cfg, tree)
-    u_f = None
-    flux_f = np.zeros(pn)
-    if forcing is not None:
+    if tree is not None:
+        forcing = _tree_forcing(cfg, tree)
         u_f = solve_poisson_zero_trace(tree, forcing)
         flux_f = leaf_flux(u_f).reshape(pn, -1).sum(axis=1)
     v_f = None
@@ -165,7 +178,8 @@ class InterfaceSystem:
     """Assembled level-N matrices and rhs of the interface equation M g = -h.
 
     It also keeps the source lifts behind h (see `_source_lifts`), from
-    which `reconstruct` rebuilds the volume solutions.
+    which `reconstruct` rebuilds the volume solutions.  tree is None when
+    nothing forces the tree; `reconstruct` then builds the source tree.
     """
 
     decomp: MultiscaleDecomposition
@@ -174,7 +188,7 @@ class InterfaceSystem:
     A0: np.ndarray
     h: np.ndarray
     config: TransmissionConfig
-    tree: FiniteTree
+    tree: FiniteTree | None
     u_f: TreeFunction | None
     flux_f: np.ndarray
     v_f: ExteriorField | None
@@ -201,7 +215,7 @@ def assemble_system(cfg: TransmissionConfig) -> InterfaceSystem:
     n_max = max(cfg.level, cfg.source_depth + 1) + 1
     decomp = MultiscaleDecomposition(R=cfg.R, p=p, n_max=n_max)
     C = dtn_galerkin(decomp, cfg.level, dtn_symbol(cfg.R, MODE_OVERSAMPLING * pn)).matrix
-    D = compress(condensed_dtn(cfg.params, cfg.level, allow_large=True), cfg.level).matrix
+    D = tree_dtn(cfg.params, cfg.level).matrix
     A0 = np.diag(cfg.alpha0_cells() * decomp.cell_measure(cfg.level))
 
     tree, u_f, flux_f, v_f = _source_lifts(cfg)
@@ -286,12 +300,16 @@ def reconstruct(system: InterfaceSystem, g: PiecewiseConstantFn) -> Transmission
     pn = p**cfg.level
     decomp = g.decomp
     tree, u_f, flux_f, v_f = system.tree, system.u_f, system.flux_f, system.v_f
+    if tree is None:
+        tree = build_condensed(cfg.params, cfg.source_depth)
     refined = np.repeat(g.values, p ** (tree.depth - cfg.level))
     u = solve_harmonic_dirichlet(tree, refined, root_value=0.0)
     flux_u = leaf_flux(u).reshape(pn, -1).sum(axis=1)
     u_T = u
     if cfg.c_root != 0:
-        u_T = u_T + root_bump(tree) * complex(cfg.c_root)
+        root = complex(cfg.c_root) * _root_bump_coeffs(tree)
+        root[:, :2] += u.coeffs[0]
+        u_T = TreeFunction(tree, [root] + u.coeffs[1:])
     if u_f is not None:
         u_T = u_T + u_f
 

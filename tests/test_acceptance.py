@@ -6,6 +6,8 @@ carries the criterion's own diagnostic detail.
 """
 
 from treedisk import acceptance
+from treedisk.transmission import TransmissionConfig
+from treedisk.tree import ValidationReport
 
 
 def _check(criterion):
@@ -77,3 +79,23 @@ def test_run_all_guards_raising_criteria():
     assert not ok
     assert "ValueError" in detail and "synthetic" in detail
     assert name == "A criterion that cannot finish"
+
+
+def test_inadmissible_draw_fails_criterion_4(monkeypatch):
+    # a plain `assert` here would vanish under python -O
+    def reject(params):
+        return ValidationReport(sigma=None, r=params.r, min_C=1.0,
+                                failures=["synthetic failure"], oracle_only=False)
+
+    monkeypatch.setattr(acceptance, "validate_params", reject)
+    name, ok, detail = acceptance.criterion_4()
+    assert not ok
+    assert "draw 0" in detail and "synthetic failure" in detail
+
+
+def test_sign_condition_violation_fails_criterion_9(monkeypatch):
+    monkeypatch.setattr(TransmissionConfig, "solvability",
+                        lambda self: {"case_i": False, "case_ii": False})
+    name, ok, detail = acceptance.criterion_9()
+    assert not ok
+    assert "draw 0" in detail and "case_i" in detail

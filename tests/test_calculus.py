@@ -188,6 +188,14 @@ def test_leaf_flux_radial():
     np.testing.assert_allclose(flux, rec.flux / 16)
 
 
+def test_leaf_flux_matches_full_derivative():
+    rng = np.random.default_rng(11)
+    for tree in (build_condensed(TreeParams(p=3, ell=0.6, omega=0.3), 2), build_truncated(REF, 4)):
+        f = random_polynomial(tree, rng, degree=3, complex_=True)
+        full = tree.weights[tree.depth] * f.derivative().end_values(tree.depth)
+        assert np.array_equal(ca.leaf_flux(f), full)
+
+
 def test_poincare_interval():
     # exact constant on a root-clamped interval of length L is 2L/pi
     T = build_truncated(INTERVAL, 0)

@@ -239,6 +239,15 @@ def test_selftest_passes(capsys):
     assert len(lines) == 10 and all(line.startswith("PASS") for line in lines)
 
 
+def test_selftest_passes_under_optimize():
+    # python -O strips assert statements; every criterion must still check
+    proc = subprocess.run([sys.executable, "-O", "-m", "treedisk.cli", "selftest"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.strip().splitlines()
+    assert len(lines) == 10 and all(line.startswith("PASS") for line in lines)
+
+
 def test_module_entry_point(ref_config):
     proc = subprocess.run([sys.executable, "-m", "treedisk.cli",
                            "validate", "--config", ref_config],

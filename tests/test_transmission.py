@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from treedisk import transmission
-from treedisk.calculus import constant_function
+from treedisk.calculus import TreeFunction, constant_function
 from treedisk.circle import FourierFn, MultiscaleDecomposition, PiecewiseConstantFn
 from treedisk.errors import (
     Alpha1Zero,
@@ -336,3 +336,70 @@ def test_manufactured_study_solves_no_source_lift(monkeypatch):
     assert len(solves) == 0
     assert st.err_h12 == expected.err_h12
     assert st.err_l2 == expected.err_l2
+
+
+def _source_depth_builds(monkeypatch, cfg):
+    builds = []
+    original = transmission.build_condensed
+
+    def counted(params, N):
+        if N == cfg.source_depth:
+            builds.append(N)
+        return original(params, N)
+
+    monkeypatch.setattr(transmission, "build_condensed", counted)
+    return builds
+
+
+def test_source_tree_is_built_only_when_read(monkeypatch):
+    # no tree forcing: assembly reads only C and D, reconstruct needs the tree
+    cfg = TransmissionConfig(params=REF, level=3, alpha1=1.0, alpha0=0.3,
+                             exterior_source=_ext_source(2))
+    builds = _source_depth_builds(monkeypatch, cfg)
+    sy = assemble_system(cfg)
+    assert builds == []
+    assert sy.tree is None and sy.u_f is None and not sy.flux_f.any()
+    sol = reconstruct(sy, solve_interface(sy))
+    assert len(builds) == 1
+    assert sol.u_tree.tree.depth == cfg.source_depth + 1 and sol.u_tree.tree.condensed
+    assert sol.trace_defect <= 1e-10
+    assert sol.flux_residual <= sol.discretization_defect + 1e-10
+
+
+def _padded(f):
+    q = max(c.shape[1] for c in f.coeffs)
+    return [np.pad(c, ((0, 0), (0, q - c.shape[1]))) for c in f.coeffs]
+
+
+def _assert_same_function(got, expected):
+    for a, b in zip(_padded(got), _padded(expected)):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("with_source", [False, True])
+def test_tree_forcing_matches_full_tree_formula(with_source):
+    cfg = TransmissionConfig(params=REF, level=2, alpha1=1.0, c_root=0.8 - 0.3j)
+    tree = build_condensed(REF, cfg.source_depth)
+    if with_source:
+        rng = np.random.default_rng(5)
+        cfg.tree_source = TreeFunction(
+            tree, [rng.standard_normal((2**n, 3)) for n in range(tree.depth + 1)])
+    f = cfg.tree_source if with_source else constant_function(tree, 0.0)
+    lap_u1 = constant_function(tree, 0.0)
+    lap_u1.coeffs[0] = np.array([[2.0 / tree.lengths[0][0] ** 2]])
+    expected = f - lap_u1 * complex(cfg.c_root)
+    _assert_same_function(transmission._tree_forcing(cfg, tree), expected)
+    # without c_root the tree source itself is the forcing
+    cfg.c_root = 0.0
+    assert transmission._tree_forcing(cfg, tree) is cfg.tree_source
+
+
+def test_reconstruct_adds_the_root_bump_on_the_root_edge():
+    cfg = TransmissionConfig(params=REF, level=3, alpha1=1.5, alpha0=0.3, c_root=-0.7 + 0.2j,
+                             exterior_source=_ext_source(1))
+    sy = assemble_system(cfg)
+    sol = reconstruct(sy, solve_interface(sy))
+    refined = np.repeat(sol.g.values, 2 ** (sy.tree.depth - cfg.level))
+    u = transmission.solve_harmonic_dirichlet(sy.tree, refined, root_value=0.0)
+    expected = u + root_bump(sy.tree) * complex(cfg.c_root) + sy.u_f
+    _assert_same_function(sol.u_tree, expected)

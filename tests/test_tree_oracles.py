@@ -3,7 +3,8 @@
 The functions below assemble the clamped weighted graph Laplacian as a
 scipy CSR matrix, split it into interior and leaf blocks and factor the
 interior block with splu: the construction the elimination kernel replaced,
-kept here as the oracle only.
+kept here as the oracle only.  The level-N builder tree_dtn is checked
+against the level-(N+1) condensed matrix summed down with compress.
 """
 
 import numpy as np
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 from treedisk import calculus as ca
 from treedisk.acceptance import _random_admissible_params
-from treedisk.dtn import condensed_dtn, truncated_dtn
+from treedisk.dtn import compress, condensed_dtn, tree_dtn, truncated_dtn
 from treedisk.tree import TreeParams, build_condensed, build_truncated
 
 PARAMS = {
@@ -203,3 +204,40 @@ def test_random_admissible_trees_match_sparse_oracle(seed):
     for op, tree in checks:
         assert _rel(op.matrix, sparse_schur(tree)) <= 1e-12
         _check_tree(tree, rng)
+
+
+# ---------------------------------------------------------------------------
+# level-N builder against the level-(N+1) matrix summed down
+
+
+def _level_cases():
+    cases = []
+    for name, params in PARAMS.items():
+        N = params.N1
+        # p = 1 has a single cell at every level
+        while params.p ** (N + 1) <= MAX_LEAVES and N <= 9:
+            cases.append((name, N))
+            N += 1
+    return cases
+
+
+def _check_level_builder(params, N):
+    op = tree_dtn(params, N)
+    ref = compress(condensed_dtn(params, N), N)
+    assert op.level == ref.level == N
+    assert op.matrix.shape == (params.p**N, params.p**N)
+    assert _rel(op.matrix, ref.matrix) <= 1e-12
+
+
+@pytest.mark.parametrize("name,N", _level_cases())
+def test_level_builder_matches_compressed_condensed_dtn(name, N):
+    _check_level_builder(PARAMS[name], N)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_level_builder_matches_on_random_admissible_trees(seed):
+    params = _random_admissible_params(np.random.default_rng(seed))
+    for N in range(params.N1, params.N1 + 3):
+        if params.p ** (N + 1) <= MAX_LEAVES:
+            _check_level_builder(params, N)
