@@ -17,6 +17,10 @@ weighted graph-Laplacian systems with conductances omega_e / ell_e.  A
 tree has no cycles, so Gaussian elimination from the leaves to the root
 creates no fill: one upward sweep of effective conductances, one upward
 pass of loads and one downward substitution solve them in O(#vertices).
+The Poisson particular part (the double antiderivative of the source) is
+evaluated in closed form from the source coefficients, and the sums over
+the p children of each vertex add p strided slices, so a solve passes
+over each generation's rows a fixed, small number of times.
 """
 
 from __future__ import annotations
@@ -43,22 +47,24 @@ def _pad(c, q):
 
 
 def _poly_eval(c, x):
-    """Evaluate each row polynomial at its own abscissa x (array)."""
-    val = np.zeros(c.shape[0], dtype=np.result_type(c.dtype, np.asarray(x).dtype))
-    for j in range(c.shape[1] - 1, -1, -1):
-        val = val * x + c[:, j]
+    """Evaluate each row polynomial at its own abscissa x (array).
+
+    Horner in place on one output array, starting from the top coefficient.
+    """
+    q = c.shape[1] - 1
+    if q == 0:
+        return c[:, 0].astype(np.result_type(c.dtype, np.asarray(x).dtype))
+    val = c[:, q] * x
+    for j in range(q - 1, 0, -1):
+        val += c[:, j]
+        val *= x
+    val += c[:, 0]
     return val
 
 def _poly_der(c):
     if c.shape[1] == 1:
         return np.zeros_like(c[:, :1])
     return c[:, 1:] * np.arange(1, c.shape[1])
-
-
-def _poly_antider(c):
-    out = np.zeros((c.shape[0], c.shape[1] + 1), dtype=c.dtype)
-    out[:, 1:] = c / np.arange(1, c.shape[1] + 1)
-    return out
 
 
 def _poly_defint(c, lengths):
@@ -170,12 +176,14 @@ def from_vertex_values(tree: FiniteTree, root_value, vertex_values) -> TreeFunct
         if n == 0:
             a = np.full(1, root_value, dtype=np.result_type(np.asarray(root_value).dtype, float))
         else:
-            a = np.asarray(vertex_values[n - 1])[np.arange(tree.p**n) // tree.p]
+            a = np.repeat(vertex_values[n - 1], tree.p)
         b = np.asarray(vertex_values[n])
         dtype = np.result_type(a.dtype, b.dtype, float)
-        c = np.zeros((tree.p**n, 2), dtype=dtype)
+        c = np.empty((tree.p**n, 2), dtype=dtype)
         c[:, 0] = a
-        c[:, 1] = (b - a) / tree.lengths[n]
+        slope = np.subtract(b, a, dtype=dtype)
+        slope /= tree.lengths[n]
+        c[:, 1] = slope
         coeffs.append(c)
     return TreeFunction(tree, coeffs)
 
@@ -186,7 +194,7 @@ def from_vertex_values(tree: FiniteTree, root_value, vertex_values) -> TreeFunct
 
 def l2_inner(f: TreeFunction, g: TreeFunction):
     """Weighted L^2 inner product, conjugating the second argument."""
-    _same_tree(f, g)
+    _same_tree(f.tree, g.tree)
     acc = 0.0
     for n in range(f.tree.depth + 1):
         prod = _poly_mul(f.coeffs[n], np.conj(g.coeffs[n]))
@@ -206,9 +214,23 @@ def h1_seminorm(f: TreeFunction) -> float:
     return l2_norm(f.derivative())
 
 
-def _same_tree(f, g):
-    if f.tree is not g.tree and (f.tree.depth != g.tree.depth or f.tree.p != g.tree.p):
+def _same_tree(a: FiniteTree, b: FiniteTree):
+    if a is not b and (a.depth != b.depth or a.p != b.p):
         raise DepthMismatch("functions live on different trees")
+
+
+def _child_sums(x, p):
+    """Sum over the p children of every parent: x[p k] + ... + x[p k + p - 1].
+
+    Adds the p strided slices x[j::p], several times faster than
+    x.reshape(-1, p).sum(axis=1) for small p.  For p = 1 this is x itself.
+    """
+    if p == 1:
+        return x
+    out = x[0::p] + x[1::p]
+    for j in range(2, p):
+        out += x[j::p]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -240,9 +262,8 @@ def kirchhoff_residual(f: TreeFunction) -> KirchhoffResidual:
     for n in range(tree.depth):
         out_flux = tree.weights[n] * der.end_values(n)
         in_flux = tree.weights[n + 1] * der.start_values(n + 1)
-        in_sum = in_flux.reshape(-1, p).sum(axis=1)
-        values.append(out_flux - in_sum)
-        mags = np.abs(out_flux) + np.abs(in_flux).reshape(-1, p).sum(axis=1)
+        values.append(out_flux - _child_sums(in_flux, p))
+        mags = np.abs(out_flux) + _child_sums(np.abs(in_flux), p)
         if mags.size:
             scale = max(scale, float(mags.max()))
     return KirchhoffResidual(values=values, scale=scale)
@@ -261,8 +282,18 @@ def leaf_flux(f: TreeFunction) -> np.ndarray:
     the distributional normal-derivative trace density.
     """
     tree = f.tree
-    der = _poly_der(f.coeffs[tree.depth])
-    return tree.weights[tree.depth] * _poly_eval(der, tree.lengths[tree.depth])
+    c = f.coeffs[tree.depth]
+    q = c.shape[1] - 1
+    if q == 0:
+        return np.zeros(c.shape[0], dtype=np.result_type(c.dtype, float))
+    # Horner on the derivative's coefficients j c_j, without forming them
+    ell = tree.lengths[tree.depth]
+    der = np.multiply(c[:, q], q, dtype=np.result_type(c.dtype, float))
+    for j in range(q - 1, 0, -1):
+        der *= ell
+        der += c[:, j] * j if j > 1 else c[:, 1]
+    der *= tree.weights[tree.depth]
+    return der
 
 
 @dataclass
@@ -282,7 +313,7 @@ def green_identity_check(u: TreeFunction, v: TreeFunction) -> GreenReport:
     leaves (the cell measures cancel between the density and the pairing).
     Requires v(o) = 0; u should satisfy Kirchhoff for the identity to hold.
     """
-    _same_tree(u, v)
+    _same_tree(u.tree, v.tree)
     vmax = max(float(np.abs(c).max()) for c in v.coeffs)
     if abs(v.root_value) > 1e-10 * max(vmax, 1.0):
         raise ValueError("green_identity_check requires v(o) = 0, got %r" % (v.root_value,))
@@ -332,31 +363,37 @@ def tree_elimination(tree: FiniteTree):
     pivot = [None] * tree.depth
     below = c[tree.depth]
     for n in range(tree.depth - 1, -1, -1):
-        a = below.reshape(-1, p).sum(axis=1)
+        a = _child_sums(below, p)
         pivot[n] = c[n] + a
-        below = c[n] * a / pivot[n]
+        below = c[n] * a
+        below /= pivot[n]
     return c, pivot
 
 
-def _solve_vertices(tree: FiniteTree, loads, leaf_values, root_value):
+def _solve_vertices(tree: FiniteTree, elimination, loads, leaf_values, root_value):
     """Vertex values of the clamped graph system, per generation, leaves last.
 
-    loads[n] (n < depth) is the right-hand side at X_{n,k}; the leaves are
-    clamped at leaf_values and the root o at root_value.  One upward pass
-    collects the loads, one downward pass substitutes.
+    elimination is tree_elimination(tree); loads[n] (n < depth) is the
+    right-hand side at X_{n,k}; the leaves are clamped at leaf_values and
+    the root o at root_value.  One upward pass collects the loads, one
+    downward pass substitutes.
     """
     p = tree.p
-    c, pivot = tree_elimination(tree)
+    c, pivot = elimination
     collected = [None] * tree.depth
     up = c[tree.depth] * leaf_values
     for n in range(tree.depth - 1, -1, -1):
-        collected[n] = loads[n] + up.reshape(-1, p).sum(axis=1)
-        up = c[n] * collected[n] / pivot[n]
+        collected[n] = loads[n] + _child_sums(up, p)
+        up = c[n] * collected[n]
+        up /= pivot[n]
     values = []
     parent = root_value
     for n in range(tree.depth):
-        values.append((c[n] * parent + collected[n]) / pivot[n])
-        parent = np.repeat(values[-1], p)
+        if n:
+            parent = np.repeat(values[-1], p)
+        v = c[n] * parent + collected[n]
+        v /= pivot[n]
+        values.append(v)
     values.append(leaf_values)
     return values
 
@@ -367,7 +404,7 @@ def solve_harmonic_dirichlet(tree: FiniteTree, leaf_values, root_value=0.0) -> T
     leaf_values = np.asarray(leaf_values)
     if leaf_values.shape != (tree.n_leaves,):
         raise DepthMismatch("expected %d leaf values, got shape %r" % (tree.n_leaves, leaf_values.shape))
-    values = _solve_vertices(tree, [0.0] * tree.depth, leaf_values, root_value)
+    values = _solve_vertices(tree, tree_elimination(tree), [0.0] * tree.depth, leaf_values, root_value)
     return from_vertex_values(tree, root_value, values)
 
 
@@ -375,32 +412,61 @@ def solve_poisson_zero_trace(tree: FiniteTree, source: TreeFunction) -> TreeFunc
     """Solve Lap u = source edgewise with u(o) = 0 and zero leaf values.
 
     Zero traces at both ends approximate the homogeneous-boundary space of
-    the infinite tree; the particular parts are exact edge antiderivatives,
-    the vertex values solve the clamped graph system.
+    the infinite tree.  On each edge u = w + linear, where w is the double
+    antiderivative of the source with w(0) = w'(0) = 0: its coefficient of
+    x^{j+2} is s_j / ((j+1)(j+2)), and its end values w(ell), w'(ell) come
+    in closed form from the source coefficients by Horner.  The vertex
+    values solve the clamped graph system, and the linear part corrects w
+    to them.  The source arrays are only read.
     """
-    if source.tree is not tree:
-        _same_tree(source, constant_function(tree, 0.0))
+    _same_tree(source.tree, tree)
     p = tree.p
-    w_parts = [_poly_antider(_poly_antider(c)) for c in source.coeffs]
-    w_end = [_poly_eval(w_parts[n], tree.lengths[n]) for n in range(tree.depth + 1)]
-    wder_end = [_poly_eval(_poly_der(w_parts[n]), tree.lengths[n]) for n in range(tree.depth + 1)]
-
-    cond = [tree.weights[n] / tree.lengths[n] for n in range(tree.depth + 1)]
-    loads = [
-        -tree.weights[n] * wder_end[n] + cond[n] * w_end[n]
-        - (cond[n + 1] * w_end[n + 1]).reshape(-1, p).sum(axis=1)
-        for n in range(tree.depth)
-    ]
+    elimination = tree_elimination(tree)
+    cond = elimination[0]
     dtype = np.result_type(*(c.dtype for c in source.coeffs), float)
-    values = _solve_vertices(tree, loads, np.zeros(tree.n_leaves, dtype=dtype), 0.0)
+    coeffs = [None] * (tree.depth + 1)
+    w_end = [None] * (tree.depth + 1)
+    loads = [None] * tree.depth
+    for n in range(tree.depth, -1, -1):
+        s, ell = source.coeffs[n], tree.lengths[n]
+        d = s.shape[1] - 1
+        c = np.empty((s.shape[0], d + 3), dtype=dtype)
+        # w(ell) by Horner from the top coefficient; each column c[:, 2:]
+        # is written once, here, and c[:, :2] after the vertex solve
+        end = s[:, d] / ((d + 1) * (d + 2))
+        c[:, d + 2] = end
+        for j in range(d - 1, -1, -1):
+            end *= ell
+            term = s[:, j] / ((j + 1) * (j + 2))
+            c[:, j + 2] = term
+            end += term
+        end *= ell
+        end *= ell
+        coeffs[n], w_end[n] = c, end
+        # load at X_{n,k}: c w(ell) - omega w'(ell) on its own edge, minus
+        # the children's c w(ell)
+        own = cond[n] * end
+        if n < tree.depth:
+            # w'(ell) by Horner; its coefficient of x^j is s_j / (j+1)
+            der = s[:, d] / (d + 1)
+            for j in range(d - 1, -1, -1):
+                der *= ell
+                der += s[:, j] / (j + 1)
+            der *= ell
+            der *= tree.weights[n]
+            loads[n] = np.subtract(own, der, dtype=dtype)
+            loads[n] -= _child_sums(below, p)
+        below = own
+    values = _solve_vertices(tree, elimination, loads, np.zeros(tree.n_leaves, dtype=dtype), 0.0)
 
-    coeffs = []
-    for n in range(tree.depth + 1):
+    for n, c in enumerate(coeffs):
         a = np.zeros(1, dtype=dtype) if n == 0 else np.repeat(values[n - 1], p)
-        c = _pad(w_parts[n].astype(dtype), max(w_parts[n].shape[1], 2))
-        c[:, 0] += a
-        c[:, 1] += (values[n] - a - w_end[n]) / tree.lengths[n]
-        coeffs.append(c)
+        c[:, 0] = a
+        # the linear part (values[n] - a - w(ell)) / ell, formed in a
+        np.subtract(values[n], a, out=a)
+        a -= w_end[n]
+        a /= tree.lengths[n]
+        c[:, 1] = a
     return TreeFunction(tree, coeffs)
 
 

@@ -305,13 +305,21 @@ def reconstruct(system: InterfaceSystem, g: PiecewiseConstantFn) -> Transmission
     refined = np.repeat(g.values, p ** (tree.depth - cfg.level))
     u = solve_harmonic_dirichlet(tree, refined, root_value=0.0)
     flux_u = leaf_flux(u).reshape(pn, -1).sum(axis=1)
-    u_T = u
+    # u_T: one array per generation, a copy of u_f with the columns of
+    # u (and of c u1 on the root edge) added one by one; a strided 1-D add
+    # is several times faster than one add over the (rows, 2) block
+    coeffs = list(u.coeffs)
     if cfg.c_root != 0:
         root = complex(cfg.c_root) * _root_bump_coeffs(tree)
-        root[:, :2] += u.coeffs[0]
-        u_T = TreeFunction(tree, [root] + u.coeffs[1:])
+        root[:, :2] += coeffs[0]
+        coeffs[0] = root
     if u_f is not None:
-        u_T = u_T + u_f
+        for n, cf in enumerate(u_f.coeffs):
+            c = cf.astype(np.result_type(cf, coeffs[n]))
+            for j in range(coeffs[n].shape[1]):
+                c[:, j] += coeffs[n][:, j]
+            coeffs[n] = c
+    u_T = TreeFunction(tree, coeffs)
 
     g_fourier = g.to_fourier(MODE_OVERSAMPLING * pn)
     v = solve_exterior_dirichlet(g_fourier, None, R=cfg.R)

@@ -179,7 +179,7 @@ class FiniteTree:
             if n == 0:
                 d = lengths[0].copy()
             else:
-                d = prev[np.arange(params.p**n) // params.p] + lengths[n]
+                d = np.repeat(prev, params.p) + lengths[n]
             self.dist.append(d)
             prev = d
 

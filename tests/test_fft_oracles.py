@@ -12,6 +12,8 @@ import sys
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treedisk import circle as ci
 from treedisk.exterior import MODE_OVERSAMPLING, dtn_galerkin, dtn_symbol, layer_symbols
@@ -74,6 +76,32 @@ def test_to_fourier_and_cell_averages_match_dense(p, N):
 
         g = ci.FourierFn(R, rng.standard_normal(2 * M + 1) + 1j * rng.standard_normal(2 * M + 1))
         assert rel_err(ci.cell_averages(dec, g, N), dense_cell_averages(g, pn)) <= 1e-13, (p, N, M)
+
+
+# largest N with p^N <= 256 (p = 1 has a single cell at every level)
+MAX_LEVEL = {1: 3, 2: 8, 3: 5}
+
+
+@settings(max_examples=30, deadline=None)
+@given(p=st.sampled_from([1, 2, 3]), radius=st.floats(min_value=0.5, max_value=3.0),
+       seed=st.integers(min_value=0, max_value=2**32 - 1), data=st.data())
+def test_fft_kernels_match_dense_on_random_inputs(p, radius, seed, data):
+    N = data.draw(st.integers(min_value=0, max_value=MAX_LEVEL[p]), label="N")
+    pn = p**N
+    M = data.draw(st.integers(min_value=1, max_value=4 * pn + 3), label="M")
+    dec = ci.MultiscaleDecomposition(R=radius, p=p, n_max=N + 1)
+    cutoff = MODE_OVERSAMPLING * pn
+    for symbol in (dtn_symbol(radius, cutoff),) + layer_symbols(radius, 2.0 * radius, cutoff):
+        row = dense_galerkin_row(symbol, pn)
+        dense = row[np.mod(np.subtract.outer(np.arange(pn), np.arange(pn)), pn)]
+        assert rel_err(dtn_galerkin(dec, N, symbol).matrix, dense) <= 1e-13, (symbol.tag, p, N, M)
+
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal(pn) + 1j * rng.standard_normal(pn)
+    fast = ci.PiecewiseConstantFn(dec, N, values).to_fourier(M).coeffs
+    assert rel_err(fast, dense_to_fourier(values, pn, M)) <= 1e-13, (p, N, M)
+    g = ci.FourierFn(radius, rng.standard_normal(2 * M + 1) + 1j * rng.standard_normal(2 * M + 1))
+    assert rel_err(ci.cell_averages(dec, g, N), dense_cell_averages(g, pn)) <= 1e-13, (p, N, M)
 
 
 def test_condition_estimate_within_factor_n_of_svd():

@@ -403,3 +403,41 @@ def test_reconstruct_adds_the_root_bump_on_the_root_edge():
     u = transmission.solve_harmonic_dirichlet(sy.tree, refined, root_value=0.0)
     expected = u + root_bump(sy.tree) * complex(cfg.c_root) + sy.u_f
     _assert_same_function(sol.u_tree, expected)
+
+
+def _tree_source_config(c_root):
+    tree = build_condensed(REF, 7)
+    return TransmissionConfig(params=REF, level=3, alpha1=1.2, alpha0=0.4, c_root=c_root,
+                              tree_source=constant_function(tree, 0.6 - 0.25j),
+                              exterior_source=_ext_source(2, 0.3))
+
+
+@pytest.mark.parametrize("c_root", [0.0, -0.45])
+def test_repeated_solves_are_bit_identical(c_root):
+    # the solve must not write into the tree source it is handed
+    cfg = _tree_source_config(c_root)
+    before = [c.copy() for c in cfg.tree_source.coeffs]
+    first, second = solve_transmission(cfg), solve_transmission(cfg)
+    assert np.array_equal(first.g.values, second.g.values)
+    for a, b in zip(first.u_tree.coeffs, second.u_tree.coeffs):
+        assert np.array_equal(a, b)
+    assert all(np.array_equal(a, b) for a, b in zip(cfg.tree_source.coeffs, before))
+
+
+@pytest.mark.parametrize("with_source", [False, True])
+@pytest.mark.parametrize("c_root", [0.0, 0.8 - 0.3j])
+def test_reconstructed_tree_solution_matches_sum_of_lifts(with_source, c_root):
+    cfg = _tree_source_config(c_root)
+    if not with_source:
+        cfg.tree_source = None
+    sy = assemble_system(cfg)
+    sol = reconstruct(sy, solve_interface(sy))
+    tree = sol.u_tree.tree
+    refined = np.repeat(sol.g.values, 2 ** (tree.depth - cfg.level))
+    expected = transmission.solve_harmonic_dirichlet(tree, refined, root_value=0.0)
+    expected = expected + root_bump(tree) * complex(cfg.c_root)
+    if sy.u_f is not None:
+        expected = expected + sy.u_f
+    diff = expected - sol.u_tree
+    scale = max(float(np.abs(c).max()) for c in expected.coeffs)
+    assert max(float(np.abs(c).max()) for c in diff.coeffs) <= 1e-15 * scale

@@ -3,8 +3,11 @@
 The functions below assemble the clamped weighted graph Laplacian as a
 scipy CSR matrix, split it into interior and leaf blocks and factor the
 interior block with splu: the construction the elimination kernel replaced,
-kept here as the oracle only.  The level-N builder tree_dtn is checked
-against the level-(N+1) condensed matrix summed down with compress.
+kept here as the oracle only.  sparse_poisson also keeps the particular
+parts of the old Poisson solve, double antiderivative arrays built with
+_poly_antider, where the kernel evaluates them in closed form.  The
+level-N builder tree_dtn is checked against the level-(N+1) condensed
+matrix summed down with compress.
 """
 
 import numpy as np
@@ -118,9 +121,15 @@ def sparse_harmonic(tree, leaf_values, root_value):
     return ca.from_vertex_values(tree, root_value, values + [leaf_values.astype(dtype)])
 
 
+def _poly_antider(c):
+    out = np.zeros((c.shape[0], c.shape[1] + 1), dtype=c.dtype)
+    out[:, 1:] = c / np.arange(1, c.shape[1] + 1)
+    return out
+
+
 def sparse_poisson(tree, source):
     p = tree.p
-    w_parts = [ca._poly_antider(ca._poly_antider(c)) for c in source.coeffs]
+    w_parts = [_poly_antider(_poly_antider(c)) for c in source.coeffs]
     w_end = [ca._poly_eval(w_parts[n], tree.lengths[n]) for n in range(tree.depth + 1)]
     wder_end = [ca._poly_eval(ca._poly_der(w_parts[n]), tree.lengths[n]) for n in range(tree.depth + 1)]
     fac = sparse_system(tree)
@@ -161,11 +170,11 @@ def _rel_fn(got, ref):
     return diff / max(scale, 1e-300)
 
 
-def _random_source(tree, rng, degree):
-    return ca.TreeFunction(tree, [
-        rng.standard_normal((tree.p**n, degree + 1)) + 1j * rng.standard_normal((tree.p**n, degree + 1))
-        for n in range(tree.depth + 1)
-    ])
+def _random_source(tree, rng, degree, complex_=True):
+    def gen(n):
+        c = rng.standard_normal((tree.p**n, degree + 1))
+        return c + 1j * rng.standard_normal(c.shape) if complex_ else c
+    return ca.TreeFunction(tree, [gen(n) for n in range(tree.depth + 1)])
 
 
 def _check_tree(tree, rng):
@@ -241,3 +250,58 @@ def test_level_builder_matches_on_random_admissible_trees(seed):
     for N in range(params.N1, params.N1 + 3):
         if params.p ** (N + 1) <= MAX_LEAVES:
             _check_level_builder(params, N)
+
+
+# ---------------------------------------------------------------------------
+# closed-form Poisson kernel against the antiderivative formula
+
+
+POISSON_TREES = [("interval", "truncated", 6), ("p2", "condensed", 4), ("p3_overrides", "truncated", 3)]
+
+
+@pytest.mark.parametrize("name,kind,depth", POISSON_TREES)
+@pytest.mark.parametrize("complex_", [False, True])
+@pytest.mark.parametrize("degree", [0, 1, 2])
+def test_poisson_matches_oracle_by_source_degree(name, kind, depth, complex_, degree):
+    tree = _tree(name, kind, depth)
+    source = _random_source(tree, np.random.default_rng(17 * degree + depth), degree, complex_)
+    u = ca.solve_poisson_zero_trace(tree, source)
+    assert [c.shape[1] for c in u.coeffs] == [degree + 3] * (tree.depth + 1)
+    assert np.iscomplexobj(u.coeffs[0]) == complex_
+    assert _rel_fn(u, sparse_poisson(tree, source)) <= 1e-12
+
+
+@pytest.mark.parametrize("name,kind,depth", POISSON_TREES)
+def test_poisson_matches_oracle_on_root_only_broadcast_forcing(name, kind, depth):
+    # the solve path's forcing without a tree source: a complex root edge and
+    # zero-stride read-only zero generations below it
+    tree = _tree(name, kind, depth)
+    root = np.array([[0.3 - 1.2j]])
+    zeros = [np.broadcast_to(0.0, (tree.p**n, 1)) for n in range(1, tree.depth + 1)]
+    source = ca.TreeFunction(tree, [root] + zeros)
+    u = ca.solve_poisson_zero_trace(tree, source)
+    assert _rel_fn(u, sparse_poisson(tree, source)) <= 1e-12
+    assert np.array_equal(root, [[0.3 - 1.2j]])
+    assert all(not z.flags.writeable and not z.any() for z in zeros)
+
+
+def test_poisson_leaves_its_source_untouched():
+    tree = _tree("p3_overrides", "truncated", 3)
+    rng = np.random.default_rng(3)
+    for degree in (0, 2):
+        source = _random_source(tree, rng, degree)
+        before = [c.copy() for c in source.coeffs]
+        u = ca.solve_poisson_zero_trace(tree, source)
+        assert all(np.array_equal(a, b) for a, b in zip(source.coeffs, before))
+        assert not any(np.shares_memory(a, b) for a, b in zip(u.coeffs, source.coeffs))
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("complex_", [False, True])
+def test_child_sums_match_reshape_sum(p, complex_):
+    rng = np.random.default_rng(p)
+    for parents in (1, 5, 81):
+        x = rng.standard_normal(parents * p)
+        if complex_:
+            x = x + 1j * rng.standard_normal(x.size)
+        assert _rel(ca._child_sums(x, p), x.reshape(-1, p).sum(axis=1)) <= 1e-15
