@@ -65,9 +65,6 @@ class MultiscaleDecomposition:
     def cell_measure(self, n: int) -> float:
         return self.circumference / self.p**n
 
-    def cell_angle(self, n: int) -> float:
-        return 2 * math.pi / self.p**n
-
     def cell_diameter(self, n: int) -> float:
         """Chord of one arc: 2 R sin(pi / p^n), at most 2 pi R / p^n."""
         if self.p**n == 1:
@@ -367,9 +364,6 @@ class LeafDensity:
     decomp: MultiscaleDecomposition
     level: int
     values: np.ndarray
-
-    def as_fn(self) -> PiecewiseConstantFn:
-        return PiecewiseConstantFn(self.decomp, self.level, self.values)
 
     def pair_with(self, v: PiecewiseConstantFn):
         """Duality pairing integral of density * v over Gamma (bilinear)."""

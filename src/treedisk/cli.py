@@ -6,8 +6,8 @@ manifest recording the config hash, the effective parameters, and the wall
 time.  Numbers are written with 17 significant digits so identical configs
 reproduce byte-identical CSVs.
 
-Exit codes: 0 success, 2 configuration or validation failure, 3 numerical
-failure.
+Exit codes: 0 success, 2 configuration or validation failure (a problem
+larger than the size budgets included), 3 numerical failure.
 """
 
 import argparse
@@ -21,7 +21,7 @@ import numpy as np
 
 from .config import RunConfig, parse_config
 from .dtn import condensed_dtn
-from .errors import ConfigError, StructuralConditionViolated, TreediskError
+from .errors import AssemblyTooLarge, ConfigError, StructuralConditionViolated, TreediskError
 from .exterior import check_cutoff, dtn_symbol
 from .transmission import (
     TransmissionConfig,
@@ -132,7 +132,7 @@ def _cmd_validate(args) -> int:
 def _cmd_tree_dtn(args) -> int:
     started = time.monotonic()
     cfg = parse_config(args.config)
-    op = condensed_dtn(cfg.params(), args.depth, allow_large=args.allow_large)
+    op = condensed_dtn(cfg.params(), args.depth)
     rows, cols = np.divmod(np.arange(op.matrix.size), op.size)
     _write_csv(args.out, ("row", "col", "value"), [rows, cols, op.matrix.ravel()])
     _write_manifest(args.out + ".manifest", "tree-dtn", cfg, started, [args.out])
@@ -239,7 +239,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--config", required=True)
     sp.add_argument("--depth", type=int, required=True)
     sp.add_argument("--out", required=True)
-    sp.add_argument("--allow-large", action="store_true")
     sp.set_defaults(func=_cmd_tree_dtn)
 
     sp = sub.add_parser("exterior-dtn", help="dump the exterior DtN symbol")
@@ -284,6 +283,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except StructuralConditionViolated as exc:
         print("invalid parameters: %s" % exc, file=sys.stderr)
+        return EXIT_CONFIG
+    except AssemblyTooLarge as exc:
+        print("problem too large: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG
     except (TreediskError, AssertionError, np.linalg.LinAlgError) as exc:
         print("numerical failure: %s" % exc, file=sys.stderr)

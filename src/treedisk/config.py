@@ -35,10 +35,6 @@ def _parse_complex(s):
     return complex(s.replace(" ", ""))
 
 
-def _parse_str(s):
-    return s
-
-
 def _parse_int_list(s):
     return [int(part.strip(), 10) for part in s.split(",") if part.strip()]
 
@@ -69,8 +65,6 @@ _KEYS = {
     "transmission.manufactured_amplitude": (_parse_complex, complex(1.0)),
     "source.tree.constant": (_parse_complex, complex(0.0)),
     "source.exterior.r_max": (_parse_float, 2.0),
-    "run.out_dir": (_parse_str, "."),
-    "run.seed": (_parse_int, 0),
 }
 
 # patterned keys: override corridor entries and exterior source profiles
@@ -83,7 +77,7 @@ _PATTERNS = [
     (_PROFILE, _parse_float_list),
 ]
 
-_SECTIONS = ("tree", "interface", "transmission", "source.tree", "source.exterior", "run")
+_SECTIONS = ("tree", "interface", "transmission", "source.tree", "source.exterior")
 
 
 @dataclass

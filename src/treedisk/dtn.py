@@ -34,7 +34,7 @@ restriction of a finer matrix, stays as the identity this rests on
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,17 +42,19 @@ from .calculus import tree_elimination
 from .errors import AssemblyTooLarge, InsufficientDepths
 from .tree import TreeParams, build_condensed, build_truncated
 
-MAX_DENSE_LEAVES = 4096
+# Dense operators cost memory quadratic in the cell count: a p = 2, N = 12
+# solve (4096 cells) peaked at 2,251 MiB on a 7 GB host, and 8192 cells
+# would need about 9 GiB.
+DENSE_CELL_BUDGET = 4096
 
 
 @dataclass
 class GalerkinOperator:
-    """Dense matrix of an operator tested against level-`level` indicators."""
+    """Dense matrix of an operator tested against level-`level` cells of branching p."""
 
+    p: int
     level: int
     matrix: np.ndarray
-    kind: str
-    meta: dict = field(default_factory=dict)
 
     @property
     def size(self) -> int:
@@ -63,12 +65,11 @@ class GalerkinOperator:
         return float(np.abs(self.matrix - self.matrix.T).max()) / scale
 
 
-def _check_dense(n_cells: int, allow_large: bool) -> None:
-    if n_cells > MAX_DENSE_LEAVES and not allow_large:
-        raise AssemblyTooLarge(
-            "%d leaf cells exceed the dense limit %d (pass allow_large to override)"
-            % (n_cells, MAX_DENSE_LEAVES)
-        )
+def _check_dense(n_cells: int) -> None:
+    """Raise AssemblyTooLarge before a dense n_cells x n_cells operator is built."""
+    if n_cells > DENSE_CELL_BUDGET:
+        raise AssemblyTooLarge("%d cells exceed the dense operator budget of %d cells"
+                               % (n_cells, DENSE_CELL_BUDGET))
 
 
 def _schur_boundary(c, pivot) -> np.ndarray:
@@ -92,16 +93,16 @@ def _schur_boundary(c, pivot) -> np.ndarray:
     return A
 
 
-def condensed_dtn(params: TreeParams, N: int, allow_large: bool = False) -> GalerkinOperator:
+def condensed_dtn(params: TreeParams, N: int) -> GalerkinOperator:
     """DtN matrix of the condensed tree; level N+1 cells.
 
     Admits p = 1 (the interval oracle) even though sigma is undefined there;
     condensation only needs r = ell/(p omega) < 1.
     """
+    _check_dense(params.p ** (N + 1))
     tree = build_condensed(params, N)
-    _check_dense(tree.n_leaves, allow_large)
     A = _schur_boundary(*tree_elimination(tree))
-    return GalerkinOperator(level=tree.depth, matrix=A, kind="tree_dtn", meta={"params": params, "condensed": True, "N": N})
+    return GalerkinOperator(p=params.p, level=tree.depth, matrix=A)
 
 
 def tree_dtn(params: TreeParams, N: int) -> GalerkinOperator:
@@ -113,19 +114,20 @@ def tree_dtn(params: TreeParams, N: int) -> GalerkinOperator:
     condensed tree runs on vectors; the dense matrix is p^N x p^N from the
     start, with generation N eliminated as p^N blocks of size one.
     """
+    _check_dense(params.p**N)
     tree = build_condensed(params, N)
     c, pivot = tree_elimination(tree)
     merged = c[N + 1].reshape(params.p**N, -1).sum(axis=1)
     A = _schur_boundary(c[: N + 1] + [merged], pivot)
-    return GalerkinOperator(level=N, matrix=A, kind="tree_dtn", meta={"params": params, "condensed": True, "N": N})
+    return GalerkinOperator(p=params.p, level=N, matrix=A)
 
 
-def truncated_dtn(params: TreeParams, depth: int, allow_large: bool = False) -> GalerkinOperator:
+def truncated_dtn(params: TreeParams, depth: int) -> GalerkinOperator:
     """DtN matrix of the plain truncated tree with edge generations 0..depth."""
+    _check_dense(params.p**depth)
     tree = build_truncated(params, depth)
-    _check_dense(tree.n_leaves, allow_large)
     A = _schur_boundary(*tree_elimination(tree))
-    return GalerkinOperator(level=depth, matrix=A, kind="tree_dtn", meta={"params": params, "condensed": False, "N": depth})
+    return GalerkinOperator(p=params.p, level=depth, matrix=A)
 
 
 def compress(op: GalerkinOperator, level: int) -> GalerkinOperator:
@@ -136,13 +138,10 @@ def compress(op: GalerkinOperator, level: int) -> GalerkinOperator:
     """
     if level > op.level:
         raise InsufficientDepths("cannot compress level %d to finer level %d" % (op.level, level))
-    p = op.meta["params"].p if "params" in op.meta else op.meta["p"]
-    q = p ** (op.level - level)
+    q = op.p ** (op.level - level)
     m = op.size // q
     B = op.matrix.reshape(m, q, m, q).sum(axis=(1, 3))
-    meta = dict(op.meta)
-    meta["compressed_from"] = op.level
-    return GalerkinOperator(level=level, matrix=B, kind=op.kind, meta=meta)
+    return GalerkinOperator(p=op.p, level=level, matrix=B)
 
 
 @dataclass
@@ -189,9 +188,8 @@ def _fit_rate(depths, errors):
     return -float(coef[1]), float(np.abs(fit - logs).max())
 
 
-def dtn_convergence_rate(
-    params: TreeParams, depths, ref_extra: int = 2, modes=(1, 2, 3), allow_large: bool = False
-) -> ConvergenceRecord:
+def dtn_convergence_rate(params: TreeParams, depths, ref_extra: int = 2,
+                         modes=(1, 2, 3)) -> ConvergenceRecord:
     """Fitted geometric rate of ||D P_N g - D g|| as N grows.
 
     For p >= 2 the errors are measured in the Fourier H^{-1/2} norm on
@@ -206,7 +204,7 @@ def dtn_convergence_rate(
     if len(set(depths)) < 3:
         raise InsufficientDepths("need at least 3 distinct depths, got %r" % (depths,))
     if params.p == 1:
-        ref = condensed_dtn(params, max(max(depths), params.N1), allow_large=allow_large)
+        ref = condensed_dtn(params, max(max(depths), params.N1))
         errors = [abs(float(truncated_dtn(params, d).matrix[0, 0] - ref.matrix[0, 0])) for d in depths]
         rate, residual = _fit_rate(depths, errors)
         return ConvergenceRecord(
@@ -218,7 +216,7 @@ def dtn_convergence_rate(
 
     n_ref = max(max(depths) + ref_extra, params.N1)
     level = n_ref + 1
-    ref = condensed_dtn(params, n_ref, allow_large=allow_large)
+    ref = condensed_dtn(params, n_ref)
     decomp = circle.MultiscaleDecomposition(R=1.0, p=params.p, n_max=level)
     mu = decomp.cell_measure(level)
     m_eval = 8 * decomp.n_cells(level)

@@ -34,7 +34,7 @@ class SingularSystem(TreediskError):
 
 
 class AssemblyTooLarge(TreediskError):
-    """Dense assembly refused; pass allow_large=True to override."""
+    """A dense operator or a tree exceeds its size budget; raised before it is allocated."""
 
 
 class ExponentOrderViolated(TreediskError):

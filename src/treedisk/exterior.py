@@ -28,7 +28,7 @@ import numpy as np
 import scipy.linalg
 
 from .circle import FourierFn, MultiscaleDecomposition, _sinc_cells
-from .dtn import GalerkinOperator
+from .dtn import GalerkinOperator, _check_dense
 from .errors import CutoffTooSmall, ScaleEqualsRadius, UnresolvableMode0
 
 MODE_OVERSAMPLING = 16
@@ -440,10 +440,10 @@ def dtn_galerkin(decomp: MultiscaleDecomposition, N: int, symbol: ExteriorSymbol
     if abs(symbol.R - decomp.R) > 1e-12 * decomp.R:
         raise ValueError("symbol radius differs from the decomposition radius")
     pn = decomp.n_cells(N)
+    _check_dense(pn)
     check_cutoff(symbol.M, pn)
     ks = symbol.ks()
     weights = symbol.values * _sinc_cells(ks, pn) ** 2 / float(pn) ** 2
     folded = np.bincount(ks % pn, weights, pn)
     row = 2.0 * math.pi * decomp.R * np.fft.fft(folded).real
-    return GalerkinOperator(level=N, matrix=scipy.linalg.circulant(row), kind="exterior_symbol",
-                            meta={"symbol": symbol.tag, "M": symbol.M, "R": decomp.R})
+    return GalerkinOperator(p=decomp.p, level=N, matrix=scipy.linalg.circulant(row))

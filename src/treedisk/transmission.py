@@ -31,10 +31,10 @@ from .calculus import (
     solve_harmonic_dirichlet,
     solve_poisson_zero_trace,
 )
-from .circle import FourierFn, MultiscaleDecomposition, PiecewiseConstantFn
+from .circle import MultiscaleDecomposition, PiecewiseConstantFn
 # compress is not called here; it stays importable from this module because
 # perfbench's tracer test wraps this binding
-from .dtn import GalerkinOperator, compress, tree_dtn  # noqa: F401
+from .dtn import _check_dense, compress, tree_dtn  # noqa: F401
 from .errors import (
     Alpha1Zero,
     DepthBelowChartLevel,
@@ -177,15 +177,17 @@ def _source_lifts(cfg: TransmissionConfig):
 class InterfaceSystem:
     """Assembled level-N matrices and rhs of the interface equation M g = -h.
 
-    It also keeps the source lifts behind h (see `_source_lifts`), from
-    which `reconstruct` rebuilds the volume solutions.  tree is None when
-    nothing forces the tree; `reconstruct` then builds the source tree.
+    mass is the diagonal of the alpha0 mass matrix: alpha0 times the cell
+    measure, per cell.  The system also keeps the source lifts behind h
+    (see `_source_lifts`), from which `reconstruct` rebuilds the volume
+    solutions.  tree is None when nothing forces the tree; `reconstruct`
+    then builds the source tree.
     """
 
     decomp: MultiscaleDecomposition
     C: np.ndarray
     D: np.ndarray
-    A0: np.ndarray
+    mass: np.ndarray
     h: np.ndarray
     config: TransmissionConfig
     tree: FiniteTree | None
@@ -196,7 +198,10 @@ class InterfaceSystem:
 
     @property
     def M(self) -> np.ndarray:
-        return -self.C + complex(self.config.alpha1) * self.D + self.A0
+        M = complex(self.config.alpha1) * self.D
+        M -= self.C
+        M[np.diag_indices_from(M)] += self.mass
+        return M
 
     def hermitian_min_eig(self) -> float:
         m = self.M
@@ -204,19 +209,21 @@ class InterfaceSystem:
 
 
 def assemble_system(cfg: TransmissionConfig) -> InterfaceSystem:
-    """Build C_N, D_N, A0_N and the cell integrals of the source term h.
+    """Build C_N, D_N, the alpha0 mass and the cell integrals of the source term h.
 
     h_N[K] = int_{Gamma_K} (-gamma1 v_f + alpha1 gamma1(c u1 + u_f)) ds; the
     root bump contributes no flux, so its only effect is the -c Lap(u1)
-    forcing inside u_f.
+    forcing inside u_f.  When p^N exceeds the dense operator budget this
+    raises AssemblyTooLarge before anything of size p^N is allocated.
     """
     p = cfg.params.p
     pn = p**cfg.level
+    _check_dense(pn)
     n_max = max(cfg.level, cfg.source_depth + 1) + 1
     decomp = MultiscaleDecomposition(R=cfg.R, p=p, n_max=n_max)
     C = dtn_galerkin(decomp, cfg.level, dtn_symbol(cfg.R, MODE_OVERSAMPLING * pn)).matrix
     D = tree_dtn(cfg.params, cfg.level).matrix
-    A0 = np.diag(cfg.alpha0_cells() * decomp.cell_measure(cfg.level))
+    mass = cfg.alpha0_cells() * decomp.cell_measure(cfg.level)
 
     tree, u_f, flux_f, v_f = _source_lifts(cfg)
     h = np.zeros(pn, dtype=complex)
@@ -224,7 +231,7 @@ def assemble_system(cfg: TransmissionConfig) -> InterfaceSystem:
         h -= circle.cell_integrals(decomp, gamma1_exterior(v_f), cfg.level)
     if u_f is not None:
         h += complex(cfg.alpha1) * flux_f
-    return InterfaceSystem(decomp=decomp, C=C, D=D, A0=A0, h=h, config=cfg,
+    return InterfaceSystem(decomp=decomp, C=C, D=D, mass=mass, h=h, config=cfg,
                            tree=tree, u_f=u_f, flux_f=flux_f, v_f=v_f)
 
 
@@ -375,16 +382,6 @@ class ConvergenceStudy:
     reference: str
 
 
-def _projected_datum(manufactured, decomp, p, n):
-    """Cell averages of the datum on level n (exact for piecewise constants)."""
-    if isinstance(manufactured, PiecewiseConstantFn):
-        if n >= manufactured.level:
-            return np.asarray(manufactured.refine(n).values, dtype=complex)
-        q = p ** (manufactured.level - n)
-        return np.asarray(manufactured.values, dtype=complex).reshape(-1, q).mean(axis=1)
-    return np.asarray(circle.cell_averages(decomp, manufactured, n), dtype=complex)
-
-
 def convergence_study(cfg: TransmissionConfig, N_list, manufactured=None) -> ConvergenceStudy:
     """Per-level interface errors in band-limited L^2 and H^{1/2} norms.
 
@@ -420,7 +417,8 @@ def convergence_study(cfg: TransmissionConfig, N_list, manufactured=None) -> Con
             cfg_n = dataclasses.replace(cfg, level=n, source_depth=sd)
         system = assemble_system(cfg_n)
         if manufactured is not None:
-            system.h = -(system.M @ _projected_datum(manufactured, system.decomp, p, n))
+            datum = np.asarray(circle.cell_averages(system.decomp, manufactured, n), dtype=complex)
+            system.h = -(system.M @ datum)
         g = solve_interface(system)
         coeffs.append(g.to_fourier(m_ref))
 
@@ -478,8 +476,7 @@ def plasmonic_pencil(C, D, count: int = 8):
     eigenvalue is real, the constant vector gives alpha = 0 and the rest are
     negative.
     """
-    cm = C.matrix if isinstance(C, GalerkinOperator) else np.asarray(C)
-    dm = D.matrix if isinstance(D, GalerkinOperator) else np.asarray(D)
+    cm, dm = np.asarray(C), np.asarray(D)
     if cm.shape != dm.shape:
         raise ValueError("pencil matrices must share a level")
     vals = scipy.linalg.eigh(cm, dm, eigvals_only=True)[::-1]

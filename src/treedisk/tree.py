@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    AssemblyTooLarge,
     CondensationBelowGeometricGeneration,
     NonPositiveParameter,
     StructuralConditionViolated,
@@ -81,16 +82,6 @@ class TreeParams:
         if self.p == 1:
             return None
         return 0.5 * (1.0 - (math.log(self.ell) - math.log(self.omega)) / math.log(self.p))
-
-    def edge_length(self, n: int, k: int) -> float:
-        if n < self.N1 and (n, k) in self.length_overrides:
-            return float(self.length_overrides[(n, k)])
-        return self.L0 * self.ell**n
-
-    def edge_weight(self, n: int, k: int) -> float:
-        if n < self.N1 and (n, k) in self.weight_overrides:
-            return float(self.weight_overrides[(n, k)])
-        return self.omega0 * self.omega**n
 
 
 @dataclass
@@ -224,7 +215,16 @@ class CondensedTree(FiniteTree):
         return self.depth - 1
 
 
+# A tree costs memory linear in its leaves: 2^19 leaves (a depth-18 source
+# tree solve) peaked at about 253 MiB, so 2^23 leaves take 3-4 GiB and
+# 2^24 do not fit a machine with 8 GB.
+TREE_LEAF_BUDGET = 2**23
+
+
 def _profile(params: TreeParams, depth: int):
+    if params.p**depth > TREE_LEAF_BUDGET:
+        raise AssemblyTooLarge("%d^%d leaves exceed the tree budget of %d leaves"
+                               % (params.p, depth, TREE_LEAF_BUDGET))
     lengths, weights = [], []
     for n in range(depth + 1):
         ln = np.full(params.p**n, params.L0 * params.ell**n)

@@ -65,6 +65,14 @@ def test_mode_cutoff_key_rejected():
         parse_text(BASE + "[interface]\nmode_cutoff = 64\n")
 
 
+def test_run_keys_rejected():
+    # nothing reads a seed or an output directory, so neither key is accepted
+    with pytest.raises(ConfigError, match=r"line 3: unknown key 'run\.seed'"):
+        parse_text("tree.p = 2\ntree.ell = 0.5\nrun.seed = 1\ntree.omega = 0.4\n")
+    with pytest.raises(ConfigError, match=r"unknown section \[run\]"):
+        parse_text(BASE + "[run]\nout_dir = out\n")
+
+
 def test_unknown_section_rejected():
     with pytest.raises(ConfigError, match=r"unknown section \[trees\]"):
         parse_text("[trees]\np = 2\n")
@@ -158,7 +166,7 @@ def test_sha256_and_echo(tmp_path):
     assert cfg.path == str(path)
     assert cfg.sha256() == parse_text(BASE).sha256()
     echoed = dict(cfg.echo())
-    assert echoed["tree.p"] == 2 and echoed["run.seed"] == 0
+    assert echoed["tree.p"] == 2 and echoed["interface.N"] == 3
     assert "transmission.levels" not in echoed
 
 

@@ -3,15 +3,18 @@ import math
 import numpy as np
 import pytest
 
+from treedisk.circle import MultiscaleDecomposition
 from treedisk.dtn import (
     GalerkinOperator,
     coercivity_check,
     compress,
     condensed_dtn,
     dtn_convergence_rate,
+    tree_dtn,
     truncated_dtn,
 )
 from treedisk.errors import AssemblyTooLarge, InsufficientDepths
+from treedisk.exterior import MODE_OVERSAMPLING, dtn_galerkin, dtn_symbol
 from treedisk.tree import TreeParams
 
 REF = TreeParams(p=2, ell=0.5, omega=0.4, L0=1.0, omega0=1.0)
@@ -129,17 +132,21 @@ def test_convergence_rate_needs_three_depths():
 
 
 def test_dense_assembly_guard():
+    # 8192 cells, one level past the 4096-cell budget, for every dense builder
     with pytest.raises(AssemblyTooLarge):
         condensed_dtn(REF, 12)
     with pytest.raises(AssemblyTooLarge):
         truncated_dtn(REF, 13)
+    with pytest.raises(AssemblyTooLarge):
+        tree_dtn(REF, 13)
+    decomp = MultiscaleDecomposition(R=1.0, p=2, n_max=13)
+    with pytest.raises(AssemblyTooLarge):
+        dtn_galerkin(decomp, 13, dtn_symbol(1.0, MODE_OVERSAMPLING * 2**13))
 
 
 def test_operator_metadata():
     op = condensed_dtn(REF, 3)
     assert isinstance(op, GalerkinOperator)
-    assert op.kind == "tree_dtn"
-    assert op.meta["condensed"] is True
-    assert op.size == 16
+    assert (op.p, op.level, op.size) == (2, 4, 16)
     sub = compress(op, 2)
-    assert sub.meta["compressed_from"] == op.level
+    assert (sub.p, sub.level, sub.size) == (2, 2, 4)

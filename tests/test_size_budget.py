@@ -1,0 +1,71 @@
+"""Oversize problems fail with AssemblyTooLarge before they allocate.
+
+Each case runs in a child process whose address space is capped at 2 GiB
+(RLIMIT_AS), with BLAS on one thread, so a guard that allocates before it
+checks fails there with MemoryError instead of taking the test runner down.
+"""
+
+import os
+import pathlib
+import resource
+import subprocess
+import sys
+
+import pytest
+
+import treedisk
+
+ADDRESS_SPACE = 2 * 1024**3
+SRC = str(pathlib.Path(treedisk.__file__).resolve().parent.parent)
+
+SETUP = """
+from treedisk.dtn import condensed_dtn, tree_dtn, truncated_dtn
+from treedisk.errors import AssemblyTooLarge
+from treedisk.transmission import TransmissionConfig, assemble_system
+from treedisk.tree import TreeParams, build_condensed, build_truncated
+P = TreeParams(p=2, ell=0.5, omega=0.4)
+"""
+
+LIBRARY_CASES = {
+    "tree_dtn": "tree_dtn(P, 33)",
+    "condensed_dtn": "condensed_dtn(P, 30)",
+    "truncated_dtn": "truncated_dtn(P, 30)",
+    "assemble_system": "assemble_system(TransmissionConfig(params=P, level=40, alpha1=1.0))",
+    "build_condensed": "build_condensed(P, 40)",
+    "build_truncated": "build_truncated(P, 40)",
+}
+
+CONFIG = "tree.p = 2\ntree.ell = 0.5\ntree.omega = 0.4\n"
+CLI_CASES = {
+    "interface_level": CONFIG + "interface.N = 40\n",
+    "source_depth": CONFIG + "transmission.source_depth = 40\nsource.tree.constant = 1.0\n",
+}
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE))
+
+
+def _run(args):
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=SRC)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          preexec_fn=_limit_address_space, timeout=300)
+
+
+@pytest.mark.parametrize("call", LIBRARY_CASES.values(), ids=LIBRARY_CASES.keys())
+def test_oversize_call_raises_before_allocating(call):
+    code = SETUP + "try:\n    %s\nexcept AssemblyTooLarge:\n    pass\nelse:\n    raise SystemExit(1)\n"
+    proc = _run(["-c", code % call])
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("text", CLI_CASES.values(), ids=CLI_CASES.keys())
+def test_oversize_transmission_exits_2(text, tmp_path):
+    path = tmp_path / "big.ini"
+    path.write_text(text)
+    proc = _run(["-m", "treedisk.cli", "transmission", "--config", str(path),
+                 "--out-prefix", str(tmp_path / "run_")])
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("problem too large: ")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    assert not list(tmp_path.glob("run_*"))
