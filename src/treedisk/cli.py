@@ -37,14 +37,6 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 
-def _fmt(x) -> str:
-    """One CSV field: 17 significant digits, complex only when needed."""
-    z = complex(x)
-    if z.imag == 0.0:
-        return "%.17g" % z.real
-    return "%.17g%+.17gj" % (z.real, z.imag)
-
-
 def _atomic_write(path: str, text: str):
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
@@ -59,40 +51,38 @@ def _atomic_write(path: str, text: str):
         raise
 
 
-def _write_csv(path: str, header, columns):
-    """Write equal-length numpy columns as CSV, one `%` format per row.
+def _distinct_text(fmt, values):
+    """`fmt % v` for each entry of `values`, formatted once per distinct bit pattern.
 
-    Fields read as `_fmt` writes them: integers as %d (the text of %.17g for
-    |k| <= 2**53, which every index column meets), reals as %.17g, complex
-    values as %.17g when imag == 0.0 (-0.0 included) and as %.17g%+.17gj
-    otherwise.  Rows are cut into runs over which each complex column stays
-    in one of its two cases, and each run is formatted with its own row
-    format, so a column with no complex entries never pays for them.
+    Keying on bits keeps -0.0 apart from 0.0, which are equal as values.
     """
-    columns = [np.asarray(c) for c in columns]
-    cplx = [c.imag != 0.0 if np.iscomplexobj(c) else None for c in columns]
-    n = len(columns[0])
-    cuts = np.zeros(n, dtype=bool)
-    for mask in cplx:
-        if mask is not None:
-            cuts[1:] |= mask[1:] != mask[:-1]
-    bounds = [0, *np.flatnonzero(cuts).tolist(), n] if n else []
-    lines = [",".join(header)]
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        fmt, parts = [], []
-        for col, mask in zip(columns, cplx):
-            col = col[lo:hi]
-            if mask is not None and mask[lo]:
-                fmt.append("%.17g%+.17gj")
-                parts += [col.real, col.imag]
-            elif col.dtype.kind in "iu":
-                fmt.append("%d")
-                parts.append(col)
-            else:
-                fmt.append("%.17g")
-                parts.append(col.real)
-        lines += map(",".join(fmt).__mod__, zip(*[part.tolist() for part in parts]))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    dtype = np.int64 if values.dtype.kind in "iu" else np.float64
+    keys, inverse = np.unique(values.astype(dtype, copy=False).view(np.uint64), return_inverse=True)
+    return np.array([fmt % v for v in keys.view(dtype).tolist()], dtype=object)[inverse]
+
+
+def _write_csv(path: str, header, columns):
+    """Write equal-length numpy columns as CSV, formatting each distinct value once.
+
+    Integers are written as %d (the text of %.17g for |k| <= 2**53, which
+    every index column meets), reals as %.17g, complex values as %.17g when
+    imag == 0.0 (-0.0 included) and as %.17g%+.17gj otherwise.  Each column,
+    or each part of a complex one, is formatted with its separator once per
+    distinct bit pattern and the rows are gathered from those texts (the
+    solution dumps repeat most values); the bytes are those of a row format.
+    """
+    seps = [","] * (len(columns) - 1) + ["\n"]
+    fields = []
+    for col, sep in zip(map(np.asarray, columns), seps):
+        if np.iscomplexobj(col):
+            imag = _distinct_text("%+.17gj" + sep, col.imag)
+            imag[col.imag == 0.0] = sep
+            fields += [_distinct_text("%.17g", col.real), imag]
+        else:
+            fields.append(_distinct_text(("%d" if col.dtype.kind in "iu" else "%.17g") + sep, col))
+    text = np.stack(fields, axis=1).ravel().tolist()
+    text.insert(0, ",".join(header) + "\n")
+    _atomic_write(path, "".join(text))
 
 
 def _write_manifest(path: str, command: str, cfg: RunConfig | None, started: float, outputs):
@@ -170,9 +160,9 @@ def _cmd_transmission(args) -> int:
                [trace.ks(), trace.coeffs.real, trace.coeffs.imag])
     outputs = [prefix + name for name in ("g.csv", "tree.csv", "exterior.csv")]
     _write_manifest(prefix + "manifest.txt", "transmission", cfg, started, outputs)
-    print("condition estimate = %s" % _fmt(sol.condition_estimate))
-    print("trace defect = %s" % _fmt(sol.trace_defect))
-    print("flux residual = %s" % _fmt(sol.flux_residual))
+    print("condition estimate = %.17g" % sol.condition_estimate)
+    print("trace defect = %.17g" % sol.trace_defect)
+    print("flux residual = %.17g" % sol.flux_residual)
     return EXIT_OK
 
 
@@ -188,9 +178,9 @@ def _cmd_convergence(args) -> int:
     columns = [study.levels, study.dof, study.err_l2, study.err_h12, study.rate_running]
     _write_csv(args.out, ("N", "dof", "err_l2", "err_h12", "rate_running"), columns)
     _write_manifest(args.out + ".manifest", "convergence", cfg, started, [args.out])
-    print("rho_hat = %s" % _fmt(study.rho_hat))
+    print("rho_hat = %.17g" % study.rho_hat)
     if study.rho_admissible_max is not None:
-        print("rho admissible bound = %s" % _fmt(study.rho_admissible_max))
+        print("rho admissible bound = %.17g" % study.rho_admissible_max)
     return EXIT_OK
 
 

@@ -29,9 +29,13 @@ import scipy.linalg
 
 from .circle import FourierFn, MultiscaleDecomposition, _sinc_cells
 from .dtn import GalerkinOperator, _check_dense
-from .errors import CutoffTooSmall, ScaleEqualsRadius, UnresolvableMode0
+from .errors import AssemblyTooLarge, CutoffTooSmall, ScaleEqualsRadius, UnresolvableMode0
 
 MODE_OVERSAMPLING = 16
+
+# Symbols hold 2M+1 values: M is capped at the tree's leaf budget, while
+# assemble_system needs at most MODE_OVERSAMPLING * DENSE_CELL_BUDGET.
+MODE_BUDGET = 2**23
 
 _TAGS = ("DtN", "SingleLayer", "DoubleLayerT", "Hypersingular")
 
@@ -71,6 +75,13 @@ class ExteriorSymbol:
         return FourierFn(self.R, values * g.coeffs[g.M - m : g.M + m + 1])
 
 
+def _modes(M: int) -> np.ndarray:
+    """The mode numbers -M..M, once M is within MODE_BUDGET."""
+    if M > MODE_BUDGET:
+        raise AssemblyTooLarge("%d modes exceed the symbol budget of %d modes" % (M, MODE_BUDGET))
+    return np.arange(-M, M + 1)
+
+
 def dtn_symbol(R: float, M: int) -> ExteriorSymbol:
     """Exterior DtN symbol: s_0 = 0, s_k = -|k|/R.
 
@@ -80,8 +91,7 @@ def dtn_symbol(R: float, M: int) -> ExteriorSymbol:
     """
     if R <= 0:
         raise ValueError("radius must be positive")
-    ks = np.arange(-M, M + 1)
-    return ExteriorSymbol("DtN", R, M, -np.abs(ks) / R)
+    return ExteriorSymbol("DtN", R, M, -np.abs(_modes(M)) / R)
 
 
 def layer_symbols(R: float, r_scale: float, M: int):
@@ -95,8 +105,7 @@ def layer_symbols(R: float, r_scale: float, M: int):
         raise ValueError("radius must be positive")
     if r_scale == R:
         raise ScaleEqualsRadius("r_scale = R makes the single layer singular on constants")
-    ks = np.arange(-M, M + 1)
-    ak = np.abs(ks)
+    ak = np.abs(_modes(M))
     safe = np.maximum(ak, 1)
     single = np.where(ak == 0, R * math.log(r_scale / R), R / (2.0 * safe))
     double_t = np.where(ak == 0, -1.0, 0.0)

@@ -5,6 +5,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treedisk import cli
 from treedisk.config import parse_config
@@ -279,6 +281,42 @@ def test_csv_writer_matches_row_oracle(tmp_path):
     assert out.read_bytes() == _oracle_csv(header, rows)
     cli._write_csv(str(out), header, [col[:0] for col in (ints, reals, cplx, other)])
     assert out.read_bytes() == _oracle_csv(header, [])
+
+
+# small pools, so that drawn columns repeat most of their values
+_INTS = np.array([-7, -1, 0, 3, 2**53])
+_FLOATS = np.concatenate([
+    [0.0, -0.0, float("inf"), -float("inf"), 5e-324, 1e-300, -2.5, 1.0 / 3.0],
+    # NaN with two payloads and with the sign bit set
+    np.array([0x7FF8000000000001, 0x7FF8000000000002, 0xFFF8000000000000],
+             dtype=np.uint64).view(np.float64),
+])
+_IMAGS = np.array([0.0, -0.0, float("nan"), 2.5, -1e-300])
+
+
+@st.composite
+def _repeating_columns(draw):
+    n = draw(st.sampled_from([0, 1, 64]))
+
+    def pick(pool):
+        return pool[draw(st.lists(st.integers(0, pool.size - 1), min_size=n, max_size=n))]
+
+    cplx = []
+    for _ in range(2):
+        z = np.empty(n, dtype=complex)
+        z.real, z.imag = pick(_FLOATS), pick(_IMAGS)
+        cplx.append(z)
+    return [pick(_INTS), pick(_FLOATS), *cplx]
+
+
+@settings(max_examples=40, deadline=None)
+@given(columns=_repeating_columns())
+def test_csv_writer_matches_row_oracle_on_repeated_values(columns, tmp_path_factory):
+    header = ("i", "x", "z", "w")
+    out = tmp_path_factory.getbasetemp() / "repeated.csv"
+    cli._write_csv(str(out), header, columns)
+    rows = [(int(i), x, z, w) for i, x, z, w in zip(*columns)]
+    assert out.read_bytes() == _oracle_csv(header, rows)
 
 
 @pytest.mark.parametrize("text", [REF_TEXT, COMPLEX_TEXT], ids=["real", "complex"])

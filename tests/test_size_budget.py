@@ -21,6 +21,7 @@ SRC = str(pathlib.Path(treedisk.__file__).resolve().parent.parent)
 SETUP = """
 from treedisk.dtn import condensed_dtn, tree_dtn, truncated_dtn
 from treedisk.errors import AssemblyTooLarge
+from treedisk.exterior import dtn_symbol, layer_symbols
 from treedisk.transmission import TransmissionConfig, assemble_system
 from treedisk.tree import TreeParams, build_condensed, build_truncated
 P = TreeParams(p=2, ell=0.5, omega=0.4)
@@ -33,6 +34,8 @@ LIBRARY_CASES = {
     "assemble_system": "assemble_system(TransmissionConfig(params=P, level=40, alpha1=1.0))",
     "build_condensed": "build_condensed(P, 40)",
     "build_truncated": "build_truncated(P, 40)",
+    "dtn_symbol": "dtn_symbol(1.0, 10**11)",
+    "layer_symbols": "layer_symbols(1.0, 2.0, 10**11)",
 }
 
 CONFIG = "tree.p = 2\ntree.ell = 0.5\ntree.omega = 0.4\n"
@@ -59,13 +62,23 @@ def test_oversize_call_raises_before_allocating(call):
     assert proc.returncode == 0, proc.stderr
 
 
+def _assert_refused(proc, tmp_path):
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("problem too large: ")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    assert not list(tmp_path.glob("run_*"))
+
+
 @pytest.mark.parametrize("text", CLI_CASES.values(), ids=CLI_CASES.keys())
 def test_oversize_transmission_exits_2(text, tmp_path):
     path = tmp_path / "big.ini"
     path.write_text(text)
     proc = _run(["-m", "treedisk.cli", "transmission", "--config", str(path),
                  "--out-prefix", str(tmp_path / "run_")])
-    assert proc.returncode == 2, proc.stderr
-    assert proc.stderr.startswith("problem too large: ")
-    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
-    assert not list(tmp_path.glob("run_*"))
+    _assert_refused(proc, tmp_path)
+
+
+def test_oversize_exterior_dtn_exits_2(tmp_path):
+    proc = _run(["-m", "treedisk.cli", "exterior-dtn", "--radius", "1", "--level", "3",
+                 "--modes", "100000000000", "--out", str(tmp_path / "run_symbol.csv")])
+    _assert_refused(proc, tmp_path)
