@@ -374,16 +374,17 @@ def _solve_vertices(tree: FiniteTree, elimination, loads, leaf_values, root_valu
     """Vertex values of the clamped graph system, per generation, leaves last.
 
     elimination is tree_elimination(tree); loads[n] (n < depth) is the
-    right-hand side at X_{n,k}; the leaves are clamped at leaf_values and
-    the root o at root_value.  One upward pass collects the loads, one
-    downward pass substitutes.
+    right-hand side at X_{n,k}; the leaves are clamped at leaf_values (None:
+    all zero, which loads nothing) and the root o at root_value.  One upward
+    pass collects the loads, one downward pass substitutes.
     """
     p = tree.p
     c, pivot = elimination
     collected = [None] * tree.depth
-    up = c[tree.depth] * leaf_values
+    up = None if leaf_values is None else c[tree.depth] * leaf_values
     for n in range(tree.depth - 1, -1, -1):
-        collected[n] = loads[n] + _child_sums(up, p)
+        # zero leaves add the +0.0 that their products would
+        collected[n] = loads[n] + (0.0 if up is None else _child_sums(up, p))
         up = c[n] * collected[n]
         up /= pivot[n]
     values = []
@@ -394,21 +395,28 @@ def _solve_vertices(tree: FiniteTree, elimination, loads, leaf_values, root_valu
         v = c[n] * parent + collected[n]
         v /= pivot[n]
         values.append(v)
-    values.append(leaf_values)
+    values.append(0.0 if leaf_values is None else leaf_values)
     return values
 
 
-def solve_harmonic_dirichlet(tree: FiniteTree, leaf_values, root_value=0.0) -> TreeFunction:
+def solve_harmonic_dirichlet(tree: FiniteTree, leaf_values, root_value=0.0,
+                             elimination=None) -> TreeFunction:
     """Edgewise-linear function, harmonic off the vertices, with prescribed
-    leaf values and root value; Kirchhoff holds at interior vertices."""
+    leaf values and root value; Kirchhoff holds at interior vertices.
+
+    elimination, when given, is tree_elimination(tree), computed once by
+    the caller for several solves on the same tree."""
     leaf_values = np.asarray(leaf_values)
     if leaf_values.shape != (tree.n_leaves,):
         raise DepthMismatch("expected %d leaf values, got shape %r" % (tree.n_leaves, leaf_values.shape))
-    values = _solve_vertices(tree, tree_elimination(tree), [0.0] * tree.depth, leaf_values, root_value)
+    if elimination is None:
+        elimination = tree_elimination(tree)
+    values = _solve_vertices(tree, elimination, [0.0] * tree.depth, leaf_values, root_value)
     return from_vertex_values(tree, root_value, values)
 
 
-def solve_poisson_zero_trace(tree: FiniteTree, source: TreeFunction) -> TreeFunction:
+def solve_poisson_zero_trace(tree: FiniteTree, source: TreeFunction,
+                             elimination=None) -> TreeFunction:
     """Solve Lap u = source edgewise with u(o) = 0 and zero leaf values.
 
     Zero traces at both ends approximate the homogeneous-boundary space of
@@ -417,11 +425,13 @@ def solve_poisson_zero_trace(tree: FiniteTree, source: TreeFunction) -> TreeFunc
     x^{j+2} is s_j / ((j+1)(j+2)), and its end values w(ell), w'(ell) come
     in closed form from the source coefficients by Horner.  The vertex
     values solve the clamped graph system, and the linear part corrects w
-    to them.  The source arrays are only read.
+    to them.  The source arrays are only read; elimination is as in
+    solve_harmonic_dirichlet.
     """
     _same_tree(source.tree, tree)
     p = tree.p
-    elimination = tree_elimination(tree)
+    if elimination is None:
+        elimination = tree_elimination(tree)
     cond = elimination[0]
     dtype = np.result_type(*(c.dtype for c in source.coeffs), float)
     coeffs = [None] * (tree.depth + 1)
@@ -457,7 +467,7 @@ def solve_poisson_zero_trace(tree: FiniteTree, source: TreeFunction) -> TreeFunc
             loads[n] = np.subtract(own, der, dtype=dtype)
             loads[n] -= _child_sums(below, p)
         below = own
-    values = _solve_vertices(tree, elimination, loads, np.zeros(tree.n_leaves, dtype=dtype), 0.0)
+    values = _solve_vertices(tree, elimination, loads, None, 0.0)
 
     for n, c in enumerate(coeffs):
         a = np.zeros(1, dtype=dtype) if n == 0 else np.repeat(values[n - 1], p)

@@ -55,7 +55,14 @@ def _distinct_text(fmt, values):
     """`fmt % v` for each entry of `values`, formatted once per distinct bit pattern.
 
     Keying on bits keeps -0.0 apart from 0.0, which are equal as values.
+    An integer column whose range is no longer than the column (the index
+    columns) is formatted over its range and gathered by offset, no sort.
     """
+    if values.dtype.kind in "iu" and values.size:
+        lo, hi = int(values.min()), int(values.max())
+        if hi - lo < values.size:
+            texts = np.array([fmt % v for v in range(lo, hi + 1)], dtype=object)
+            return texts[values - lo]
     dtype = np.int64 if values.dtype.kind in "iu" else np.float64
     keys, inverse = np.unique(values.astype(dtype, copy=False).view(np.uint64), return_inverse=True)
     return np.array([fmt % v for v in keys.view(dtype).tolist()], dtype=object)[inverse]

@@ -23,22 +23,26 @@ Condensing the tree (stretching the generation-(N+1) leaf edges by
 1/(1-r)) makes A agree with the infinite-tree map composed with P_{N+1};
 truncating instead leaves a geometrically decaying defect.
 
-The interface solver tests D against level-N cells.  tree_dtn builds that
-p^N x p^N matrix directly: on a level-N indicator the p leaf edges below
-X_{N,k} carry one value, so they merge into one edge of summed
-conductance before the dense elimination starts.  compress, the Galerkin
-restriction of a finer matrix, stays as the identity this rests on
-(acceptance criterion 3) and as its test oracle.
+The interface solver tests D against level-N cells.  On a level-N
+indicator the p leaf edges below X_{N,k} carry one value, so they merge
+into one edge of summed conductance; tree_dtn_operator keeps that level-N
+elimination as a TreeDtN, which applies D by one upward and one downward
+sweep in O(p^N), gives T. Chan's optimal circulant of D from the
+per-generation autocorrelations of beta, and gathers the dense p^N x p^N
+matrix only when asked (tree_dtn).  compress, the Galerkin restriction of
+a finer matrix, stays as the identity this rests on (acceptance criterion
+3) and as its test oracle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .calculus import tree_elimination
+from .calculus import _child_sums, tree_elimination
 from .errors import AssemblyTooLarge, InsufficientDepths
 from .tree import TreeParams, build_condensed, build_truncated
 
@@ -105,21 +109,99 @@ def condensed_dtn(params: TreeParams, N: int) -> GalerkinOperator:
     return GalerkinOperator(p=params.p, level=tree.depth, matrix=A)
 
 
-def tree_dtn(params: TreeParams, N: int) -> GalerkinOperator:
-    """DtN matrix D_N of the condensed tree tested against level-N cells.
+@dataclass
+class TreeDtN:
+    """D_N of the condensed tree, held as its level-N elimination.
 
-    Equals compress(condensed_dtn(params, N), N): a level-N indicator sets
-    the p stretched leaf edges below X_{N,k} to one value, so they act as a
-    single edge with their summed conductance.  The elimination of the
-    condensed tree runs on vectors; the dense matrix is p^N x p^N from the
-    start, with generation N eliminated as p^N blocks of size one.
+    c and pivot are those of calculus.tree_elimination cut at generation N,
+    with c[-1] the merged leaf conductances, one per level-N cell (the
+    arguments of _schur_boundary).  apply and chan_eigs cost O(p^N) and
+    O(N p^N log p^N); matrix gathers the dense p^N x p^N matrix.
     """
-    _check_dense(params.p**N)
-    tree = build_condensed(params, N)
-    c, pivot = tree_elimination(tree)
+
+    p: int
+    level: int
+    c: list
+    pivot: list
+
+    @property
+    def size(self) -> int:
+        return self.c[-1].size
+
+    @property
+    def matrix(self) -> np.ndarray:
+        _check_dense(self.size)
+        return _schur_boundary(self.c, self.pivot)
+
+    @cached_property
+    def _shares(self) -> list:
+        """c / pivot per generation: the share of its load a vertex hands up."""
+        return [cn / pn for cn, pn in zip(self.c, self.pivot)]
+
+    def apply(self, x) -> np.ndarray:
+        """D x: the leaf fluxes c_leaf (x - u) of the harmonic extension u of x.
+
+        One upward pass collects the leaf loads c_leaf x at each vertex and
+        hands the share c / pivot on to its parent; one downward pass
+        substitutes from the clamped root, as calculus._solve_vertices.
+        """
+        c, pivot = self.c, self.pivot
+        leaf = c[-1] * x
+        # X_{N,k} has the merged leaf edge as its only child
+        collected = [leaf]
+        for n in range(len(pivot) - 1, 0, -1):
+            collected.append(_child_sums(self._shares[n] * collected[-1], self.p))
+        collected.reverse()
+        u = collected[0] / pivot[0]
+        for n in range(1, len(pivot)):
+            u = c[n] * np.repeat(u, self.p)
+            u += collected[n]
+            u /= pivot[n]
+        leaf -= c[-1] * u
+        return leaf
+
+    def chan_eigs(self) -> np.ndarray:
+        """Eigenvalues e_k^* D e_k of T. Chan's optimal circulant, e_k = fft basis.
+
+        Generation n subtracts sum_v beta_v beta_v^T / pivot_v over blocks of
+        m = p^(N-n) leaves, so its cyclic diagonal sums are the block
+        autocorrelations of beta: one rfft of the rows zero-padded to 2m,
+        weighted by 1 / pivot and summed, then folded onto the p^N lags.
+        """
+        c, pivot = self.c, self.pivot
+        size = self.size
+        sums = np.zeros(size)
+        sums[0] = c[-1].sum()
+        beta = c[-1]
+        for n in range(len(pivot) - 1, -1, -1):
+            beta = beta.reshape(pivot[n].size, -1)
+            m = beta.shape[1]
+            spectrum = np.fft.rfft(beta, n=2 * m, axis=1)
+            power = (spectrum.real**2 + spectrum.imag**2) / pivot[n][:, None]
+            corr = np.fft.irfft(power.sum(axis=0), n=2 * m)
+            lags = np.arange(1 - m, m)
+            sums -= np.bincount(lags % size, corr[lags], size)
+            beta = beta * self._shares[n][:, None]
+        return np.fft.fft(sums).real / size
+
+
+def tree_dtn_operator(params: TreeParams, N: int) -> TreeDtN:
+    """D_N of the condensed tree tested against level-N cells, as a TreeDtN.
+
+    A level-N indicator sets the p stretched leaf edges below X_{N,k} to
+    one value, so they act as a single edge with their summed conductance;
+    the elimination of the condensed tree runs on vectors, and generation N
+    is eliminated as p^N blocks of size one.
+    """
+    c, pivot = tree_elimination(build_condensed(params, N))
     merged = c[N + 1].reshape(params.p**N, -1).sum(axis=1)
-    A = _schur_boundary(c[: N + 1] + [merged], pivot)
-    return GalerkinOperator(p=params.p, level=N, matrix=A)
+    return TreeDtN(p=params.p, level=N, c=c[: N + 1] + [merged], pivot=pivot)
+
+
+def tree_dtn(params: TreeParams, N: int) -> GalerkinOperator:
+    """Dense D_N, equal to compress(condensed_dtn(params, N), N)."""
+    _check_dense(params.p**N)
+    return GalerkinOperator(p=params.p, level=N, matrix=tree_dtn_operator(params, N).matrix)
 
 
 def truncated_dtn(params: TreeParams, depth: int) -> GalerkinOperator:

@@ -33,8 +33,8 @@ from .errors import AssemblyTooLarge, CutoffTooSmall, ScaleEqualsRadius, Unresol
 
 MODE_OVERSAMPLING = 16
 
-# Symbols hold 2M+1 values: M is capped at the tree's leaf budget, while
-# assemble_system needs at most MODE_OVERSAMPLING * DENSE_CELL_BUDGET.
+# Symbols hold 2M+1 values: M is capped at the tree's leaf budget, which
+# bounds an interface solve (MODE_OVERSAMPLING * p^N modes) at 2^19 cells.
 MODE_BUDGET = 2**23
 
 _TAGS = ("DtN", "SingleLayer", "DoubleLayerT", "Hypersingular")
@@ -429,8 +429,8 @@ def check_cutoff(M: int, pn: int):
             % (M, MODE_OVERSAMPLING, pn)))
 
 
-def dtn_galerkin(decomp: MultiscaleDecomposition, N: int, symbol: ExteriorSymbol) -> GalerkinOperator:
-    """Galerkin matrix A[K][L] = 2 pi R sum_k s_k (1hat_L)_k (1hat_K)_{-k} on level N.
+def galerkin_row(decomp: MultiscaleDecomposition, N: int, symbol: ExteriorSymbol) -> np.ndarray:
+    """Row a of the Galerkin matrix A[K][L] = 2 pi R sum_k s_k (1hat_L)_k (1hat_K)_{-k} on level N.
 
     The cell phases make A a symmetric circulant: its entries depend on
     (K - L) mod p^N only, through the row
@@ -438,10 +438,10 @@ def dtn_galerkin(decomp: MultiscaleDecomposition, N: int, symbol: ExteriorSymbol
         a_j = 2 pi R sum_k w_k cos(2 pi j k / p^N),  w_k = s_k sinc^2(k / p^N) / p^{2N}.
 
     Folding the weights by k mod p^N turns that sum into the real part of
-    one FFT of length p^N, so the row costs O(M + p^N log p^N) time and O(M + p^N)
-    memory; the dense matrix is gathered from it.  For the DtN symbol the
-    sinc zeros at aliased modes give A 1 = 0 up to rounding and the
-    quadratic form 2 pi R sum s_k |g_M(k)|^2 <= 0, so A is negative
+    one FFT of length p^N, so the row costs O(M + p^N log p^N) time and
+    O(M + p^N) memory, and fft(a) holds the eigenvalues of A.  For the DtN
+    symbol the sinc zeros at aliased modes give A 1 = 0 up to rounding and
+    the quadratic form 2 pi R sum s_k |g_M(k)|^2 <= 0, so A is negative
     semidefinite at every cutoff.  Entries of the order-one symbols (DtN,
     hypersingular) depend on the cutoff M (their diagonal grows like log M);
     the summable layer symbols converge with tail O(M^{-2}).
@@ -449,10 +449,15 @@ def dtn_galerkin(decomp: MultiscaleDecomposition, N: int, symbol: ExteriorSymbol
     if abs(symbol.R - decomp.R) > 1e-12 * decomp.R:
         raise ValueError("symbol radius differs from the decomposition radius")
     pn = decomp.n_cells(N)
-    _check_dense(pn)
     check_cutoff(symbol.M, pn)
     ks = symbol.ks()
     weights = symbol.values * _sinc_cells(ks, pn) ** 2 / float(pn) ** 2
     folded = np.bincount(ks % pn, weights, pn)
-    row = 2.0 * math.pi * decomp.R * np.fft.fft(folded).real
+    return 2.0 * math.pi * decomp.R * np.fft.fft(folded).real
+
+
+def dtn_galerkin(decomp: MultiscaleDecomposition, N: int, symbol: ExteriorSymbol) -> GalerkinOperator:
+    """Dense level-N Galerkin matrix of a symbol: the circulant of galerkin_row."""
+    _check_dense(decomp.n_cells(N))
+    row = galerkin_row(decomp, N, symbol)
     return GalerkinOperator(p=decomp.p, level=N, matrix=scipy.linalg.circulant(row))

@@ -4,11 +4,18 @@ The interface equation is M g = -h with M = -C + alpha1 D + alpha0, where C
 is the exterior DtN map, D the tree DtN map, and alpha0 acts by
 multiplication.  Discretization is Galerkin on the piecewise-constant cells
 V_N for both operators: D comes from the condensed finite tree (exact on
-V_N; dtn.tree_dtn), C from the Fourier symbol at cutoff 16 p^N.  The
+V_N; dtn.tree_dtn_operator), C from the Fourier symbol at cutoff 16 p^N.  The
 right-hand side h = -gamma1 v_f + alpha1 gamma1(c u1 + u_f) collects the
 source lifts: v_f solves the exterior problem with zero trace, u_f a tree
 Poisson problem with zero trace, and u1 is a root bump carrying the root
 value c without contributing any leaf flux.
+
+M is never formed on the solve path.  C is circulant, so it acts by FFT
+with the eigenvalues fft(row); D acts by one sweep over its level-N
+elimination; the alpha0 mass is a diagonal.  M g = -h is solved by GMRES,
+preconditioned on the right by T. Chan's optimal circulant of M, and the
+condition number is a Hager-Higham 1-norm estimate.  The dense C, D and M
+are properties of InterfaceSystem, for the pencil and for tests.
 
 Sign conventions: both volume equations are driven as Delta u = f (the
 exterior solver already uses this convention, so no negation occurs
@@ -17,8 +24,8 @@ anywhere), and the solved system is M g = -h.
 
 import dataclasses
 import math
-import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -30,13 +37,15 @@ from .calculus import (
     leaf_flux,
     solve_harmonic_dirichlet,
     solve_poisson_zero_trace,
+    tree_elimination,
 )
 from .circle import MultiscaleDecomposition, PiecewiseConstantFn
 # compress is not called here; it stays importable from this module because
 # perfbench's tracer test wraps this binding
-from .dtn import _check_dense, compress, tree_dtn  # noqa: F401
+from .dtn import TreeDtN, _check_dense, compress, tree_dtn_operator  # noqa: F401
 from .errors import (
     Alpha1Zero,
+    AssemblyTooLarge,
     DepthBelowChartLevel,
     InsufficientLevels,
     SingularInterfaceOperator,
@@ -45,14 +54,21 @@ from .exterior import (
     MODE_OVERSAMPLING,
     ExteriorField,
     RadialSource,
-    dtn_galerkin,
     dtn_symbol,
+    galerkin_row,
     gamma1_exterior,
     solve_exterior_dirichlet,
 )
 from .tree import FiniteTree, TreeParams, build_condensed
 
 _COND_LIMIT = 1e12
+
+# GMRES stops at a relative residual of 1e-12 (1e-13 stagnates above the
+# rounding floor).  With the Chan preconditioner it takes 7-8 steps at every
+# level for a constant alpha0, and up to about 55 for a rough per-cell one;
+# a solve that needs more than _KRYLOV_MAX_ITER has failed.
+_KRYLOV_RTOL = 1e-12
+_KRYLOV_MAX_ITER = 100
 
 
 def root_bump(tree: FiniteTree) -> TreeFunction:
@@ -149,15 +165,16 @@ def _tree_forcing(cfg: TransmissionConfig, tree: FiniteTree) -> TreeFunction | N
 
 
 def _source_lifts(cfg: TransmissionConfig):
-    """The source tree, the lifts u_f and v_f, and the per-cell leaf flux of u_f.
+    """The source tree, its elimination, the lifts u_f and v_f, and the per-cell leaf flux of u_f.
 
     The source tree is the tree of cfg.tree_source, or the condensed tree
     at source_depth when only c_root forces the tree.  Without tree forcing
-    the tree and u_f are None (the flux of u_f is then zero), so nothing of
-    source_depth is built; v_f is None without an exterior source.
+    the tree, its elimination and u_f are None (the flux of u_f is then
+    zero), so nothing of source_depth is built; v_f is None without an
+    exterior source.
     """
     pn = cfg.params.p**cfg.level
-    tree = u_f = None
+    tree = elimination = u_f = None
     flux_f = np.zeros(pn)
     if cfg.tree_source is not None:
         tree = cfg.tree_source.tree
@@ -165,36 +182,51 @@ def _source_lifts(cfg: TransmissionConfig):
         tree = build_condensed(cfg.params, cfg.source_depth)
     if tree is not None:
         forcing = _tree_forcing(cfg, tree)
-        u_f = solve_poisson_zero_trace(tree, forcing)
+        elimination = tree_elimination(tree)
+        u_f = solve_poisson_zero_trace(tree, forcing, elimination=elimination)
         flux_f = leaf_flux(u_f).reshape(pn, -1).sum(axis=1)
     v_f = None
     if cfg.exterior_source is not None:
         v_f = solve_exterior_dirichlet(None, cfg.exterior_source, R=cfg.R)
-    return tree, u_f, flux_f, v_f
+    return tree, elimination, u_f, flux_f, v_f
 
 
 @dataclass
 class InterfaceSystem:
-    """Assembled level-N matrices and rhs of the interface equation M g = -h.
+    """Level-N operators and rhs of the interface equation M g = -h.
 
-    mass is the diagonal of the alpha0 mass matrix: alpha0 times the cell
-    measure, per cell.  The system also keeps the source lifts behind h
-    (see `_source_lifts`), from which `reconstruct` rebuilds the volume
-    solutions.  tree is None when nothing forces the tree; `reconstruct`
-    then builds the source tree.
+    c_row is the circulant row of C_N (exterior.galerkin_row) and dtn is
+    D_N as its level-N elimination; neither is a p^N x p^N array.  C, D
+    and M are dense properties, built on each access within the dense
+    operator budget.  mass is the diagonal of the alpha0 mass matrix:
+    alpha0 times the cell measure, per cell.  The system also keeps the
+    source lifts behind h (see `_source_lifts`), from which `reconstruct`
+    rebuilds the volume solutions with the same source-tree elimination.
+    tree is None when nothing forces the tree; `reconstruct` then builds
+    the source tree.
     """
 
     decomp: MultiscaleDecomposition
-    C: np.ndarray
-    D: np.ndarray
+    c_row: np.ndarray
+    dtn: TreeDtN
     mass: np.ndarray
     h: np.ndarray
     config: TransmissionConfig
     tree: FiniteTree | None
+    elimination: tuple | None
     u_f: TreeFunction | None
     flux_f: np.ndarray
     v_f: ExteriorField | None
     condition_estimate: float | None = None
+
+    @property
+    def C(self) -> np.ndarray:
+        _check_dense(self.c_row.size)
+        return scipy.linalg.circulant(self.c_row)
+
+    @property
+    def D(self) -> np.ndarray:
+        return self.dtn.matrix
 
     @property
     def M(self) -> np.ndarray:
@@ -203,67 +235,213 @@ class InterfaceSystem:
         M[np.diag_indices_from(M)] += self.mass
         return M
 
+    @cached_property
+    def c_eigs(self) -> np.ndarray:
+        """Eigenvalues of C_N on the fft basis: fft of its circulant row."""
+        return np.fft.fft(self.c_row).real
+
+    def apply(self, x, adjoint: bool = False) -> np.ndarray:
+        """M x, or M^H x with adjoint: C by FFT, D by its tree sweep, the mass as a diagonal."""
+        a1, mass = complex(self.config.alpha1), self.mass
+        if adjoint:
+            a1, mass = a1.conjugate(), mass.conj()
+        y = a1 * self.dtn.apply(x)
+        y -= np.fft.ifft(self.c_eigs * np.fft.fft(x))
+        y += mass * x
+        return y
+
     def hermitian_min_eig(self) -> float:
         m = self.M
         return float(np.linalg.eigvalsh(0.5 * (m + m.conj().T))[0])
 
 
 def assemble_system(cfg: TransmissionConfig) -> InterfaceSystem:
-    """Build C_N, D_N, the alpha0 mass and the cell integrals of the source term h.
+    """Build the C_N row, the D_N elimination, the alpha0 mass and the cell integrals of h.
 
     h_N[K] = int_{Gamma_K} (-gamma1 v_f + alpha1 gamma1(c u1 + u_f)) ds; the
     root bump contributes no flux, so its only effect is the -c Lap(u1)
-    forcing inside u_f.  When p^N exceeds the dense operator budget this
-    raises AssemblyTooLarge before anything of size p^N is allocated.
+    forcing inside u_f.  The symbol and the tree are checked against their
+    size budgets (exterior.MODE_BUDGET, tree.TREE_LEAF_BUDGET) before
+    anything of size p^N is allocated; nothing here is p^N x p^N.
     """
     p = cfg.params.p
     pn = p**cfg.level
-    _check_dense(pn)
+    symbol = dtn_symbol(cfg.R, MODE_OVERSAMPLING * pn)
+    dtn = tree_dtn_operator(cfg.params, cfg.level)
     n_max = max(cfg.level, cfg.source_depth + 1) + 1
     decomp = MultiscaleDecomposition(R=cfg.R, p=p, n_max=n_max)
-    C = dtn_galerkin(decomp, cfg.level, dtn_symbol(cfg.R, MODE_OVERSAMPLING * pn)).matrix
-    D = tree_dtn(cfg.params, cfg.level).matrix
+    c_row = galerkin_row(decomp, cfg.level, symbol)
     mass = cfg.alpha0_cells() * decomp.cell_measure(cfg.level)
 
-    tree, u_f, flux_f, v_f = _source_lifts(cfg)
+    tree, elimination, u_f, flux_f, v_f = _source_lifts(cfg)
     h = np.zeros(pn, dtype=complex)
     if v_f is not None:
         h -= circle.cell_integrals(decomp, gamma1_exterior(v_f), cfg.level)
     if u_f is not None:
         h += complex(cfg.alpha1) * flux_f
-    return InterfaceSystem(decomp=decomp, C=C, D=D, mass=mass, h=h, config=cfg,
-                           tree=tree, u_f=u_f, flux_f=flux_f, v_f=v_f)
+    return InterfaceSystem(decomp=decomp, c_row=c_row, dtn=dtn, mass=mass, h=h, config=cfg,
+                           tree=tree, elimination=elimination, u_f=u_f, flux_f=flux_f, v_f=v_f)
+
+
+class _Unconverged(Exception):
+    """An inner GMRES solve missed _KRYLOV_RTOL within _KRYLOV_MAX_ITER steps."""
+
+
+def _givens(a, b):
+    """(c, s, r): c real, [[c, s], [-conj(s), c]] maps (a, b) to (r, 0)."""
+    if b == 0:
+        return 1.0, 0.0, a
+    if a == 0:
+        return 0.0, 1.0, b
+    r = math.hypot(abs(a), abs(b))
+    phase = a / abs(a)
+    return abs(a) / r, phase * b.conjugate() / r, phase * r
+
+
+def _gmres(matvec, precond, b):
+    """(x, converged): ||b - A x|| <= _KRYLOV_RTOL ||b|| when converged.
+
+    Full GMRES (Saad and Schultz, SIAM J. Sci. Stat. Comput. 7, 1986) on
+    A P^{-1}, x = P^{-1} y: with the preconditioner on the right the
+    least-squares residual that Givens rotations track is the residual of
+    A x itself.  The Arnoldi vectors are orthogonalized by classical
+    Gram-Schmidt run twice; there is no restart.  Without convergence x
+    is the minimal-residual iterate after _KRYLOV_MAX_ITER steps.
+    """
+    scale = float(np.linalg.norm(b))
+    if scale == 0.0:
+        return np.zeros(b.size, dtype=complex), True
+    k_max = _KRYLOV_MAX_ITER
+    basis = np.empty((k_max + 1, b.size), dtype=complex)
+    hess = np.zeros((k_max + 1, k_max), dtype=complex)
+    rot = []
+    rhs = np.zeros(k_max + 1, dtype=complex)
+    rhs[0] = scale
+    basis[0] = b / scale
+    converged = False
+    for j in range(k_max):
+        w = matvec(precond(basis[j]))
+        for _ in range(2):
+            coef = basis[: j + 1].conj() @ w
+            w -= coef @ basis[: j + 1]
+            hess[: j + 1, j] += coef
+        norm = float(np.linalg.norm(w))
+        col = hess[:, j]
+        for i, (c, s) in enumerate(rot):
+            col[i], col[i + 1] = c * col[i] + s * col[i + 1], c * col[i + 1] - s.conjugate() * col[i]
+        c, s, col[j] = _givens(col[j], norm)
+        rot.append((c, s))
+        rhs[j + 1] = -s.conjugate() * rhs[j]
+        rhs[j] *= c
+        residual = abs(rhs[j + 1])
+        converged = residual <= _KRYLOV_RTOL * scale
+        if converged or norm == 0.0 or not math.isfinite(residual):
+            break
+        basis[j + 1] = w / norm
+    # a zero pivot means A P^{-1} is singular on the Krylov space: the
+    # iterate stops before it
+    pivots = np.diagonal(hess)[: len(rot)]
+    k = len(rot) if pivots.all() else int(np.argmin(pivots != 0))
+    y = scipy.linalg.solve_triangular(hess[:k, :k], rhs[:k], check_finite=False)
+    return precond(y @ basis[:k]), converged and k == len(rot)
+
+
+def _inverse(matvec, precond):
+    """x -> A^{-1} x by preconditioned GMRES, raising _Unconverged on a missed tolerance."""
+    def solve(x):
+        y, converged = _gmres(matvec, precond, x)
+        if not converged:
+            raise _Unconverged
+        return y
+    return solve
+
+
+def _sign(y):
+    """y / |y| entrywise, 1 where y vanishes (LAPACK zlacn2)."""
+    mag = np.abs(y)
+    out = np.ones(y.size, dtype=complex)
+    nz = mag > np.finfo(float).tiny
+    out[nz] = y[nz] / mag[nz]
+    return out
+
+
+def _norm1_estimate(apply, apply_adjoint, n: int) -> float:
+    """Lower bound on ||A||_1 from products with A and A^H: LAPACK's zlacn2.
+
+    Hager's method as refined by Higham (ACM TOMS 14, 1988), the estimator
+    behind LAPACK's condition numbers: a power-like iteration on unit
+    vectors e_j, at most five rounds, then the alternating-sign test vector.
+    """
+    y = apply(np.full(n, 1.0 / n, dtype=complex))
+    est = float(np.abs(y).sum())
+    if n == 1:
+        return est
+    j = int(np.argmax(np.abs(apply_adjoint(_sign(y)))))
+    for _ in range(4):
+        x = np.zeros(n, dtype=complex)
+        x[j] = 1.0
+        y = apply(x)
+        est_old, est = est, float(np.abs(y).sum())
+        if est <= est_old:
+            break
+        z = np.abs(apply_adjoint(_sign(y)))
+        j_last, j = j, int(np.argmax(z))
+        if z[j_last] == z[j]:
+            break
+    alt = (1.0 + np.arange(n) / (n - 1.0)) * np.where(np.arange(n) % 2, -1.0, 1.0)
+    return max(est, 2.0 * float(np.abs(apply(alt.astype(complex))).sum()) / (3.0 * n))
 
 
 def solve_interface(sys: InterfaceSystem) -> PiecewiseConstantFn:
-    """Solve M g = -h by LU with one refinement step; residual <= 1e-10 ||h||.
+    """Solve M g = -h by GMRES with one refinement step; residual <= 1e-10 ||h||.
 
-    The 1-norm condition number is estimated from the LU factors (LAPACK
-    gecon, no SVD); an estimate beyond 1e12 raises SingularInterfaceOperator
-    and reports the nearest plasmonic pencil eigenvalue as a diagnostic.
+    M acts matrix-free (InterfaceSystem.apply).  The right preconditioner
+    is T. Chan's optimal circulant of M, -lambda_C + alpha1 chan(D) +
+    mean(mass), applied by two FFTs (SIAM J. Sci. Stat. Comput. 9, 1988).
+    The 1-norm condition number is the Hager-Higham estimate of ||M||_1
+    times that of ||M^{-1}||_1, whose products are GMRES solves with M and
+    M^H; it is inf when any of those solves misses its tolerance.  An
+    estimate beyond 1e12 raises SingularInterfaceOperator and reports the
+    nearest plasmonic pencil eigenvalue as a diagnostic when the dense
+    pencil fits its budget.
     """
-    M = sys.M
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(M)
-    gecon, = scipy.linalg.get_lapack_funcs(("gecon",), (lu,))
-    rcond, _ = gecon(lu, np.linalg.norm(M, 1), norm="1")
-    cond = 1.0 / rcond if rcond > 0 else math.inf
+    n = sys.h.size
+    eigs = complex(sys.config.alpha1) * sys.dtn.chan_eigs() - sys.c_eigs + sys.mass.mean()
+
+    def precond(x):
+        return np.fft.ifft(np.fft.fft(x) / eigs)
+
+    def precond_adjoint(x):
+        return np.fft.ifft(np.fft.fft(x) / eigs.conj())
+
+    def apply_adjoint(x):
+        return sys.apply(x, adjoint=True)
+
+    try:
+        inverse_norm = _norm1_estimate(_inverse(sys.apply, precond),
+                                       _inverse(apply_adjoint, precond_adjoint), n)
+    except _Unconverged:
+        inverse_norm = math.inf
+    cond = _norm1_estimate(sys.apply, apply_adjoint, n) * inverse_norm
     sys.condition_estimate = cond
     if not math.isfinite(cond) or cond > _COND_LIMIT:
-        evs = plasmonic_pencil(sys.C, sys.D, count=min(sys.h.size, 8))
-        a1 = complex(sys.config.alpha1)
-        nearest = min(evs, key=lambda z: abs(z - a1))
-        raise SingularInterfaceOperator(
-            "interface operator condition %.3e; nearest pencil eigenvalue %r" % (cond, nearest))
+        message = "interface operator condition %.3e" % cond
+        try:
+            evs = plasmonic_pencil(sys.C, sys.D, count=min(n, 8))
+        except AssemblyTooLarge:
+            evs = []
+        if evs:
+            a1 = complex(sys.config.alpha1)
+            message += "; nearest pencil eigenvalue %r" % min(evs, key=lambda z: abs(z - a1))
+        raise SingularInterfaceOperator(message)
     rhs = -sys.h
-    g = scipy.linalg.lu_solve((lu, piv), rhs)
-    g = g + scipy.linalg.lu_solve((lu, piv), rhs - M @ g)
+    g, _ = _gmres(sys.apply, precond, rhs)
+    g = g + _gmres(sys.apply, precond, rhs - sys.apply(g))[0]
     if np.abs(g.imag).max() <= 1e-12 * max(np.abs(g).max(), 1e-300):
         g = g.real.astype(float)
     scale = float(np.linalg.norm(sys.h))
-    residual = float(np.linalg.norm(M @ g + sys.h))
-    if residual > 1e-10 * max(scale, 1e-300):
+    residual = float(np.linalg.norm(sys.apply(g) + sys.h))
+    if not residual <= 1e-10 * max(scale, 1e-300):
         raise SingularInterfaceOperator(
             "residual %.3e exceeds 1e-10 of ||h|| = %.3e (condition %.3e)"
             % (residual, scale, cond))
@@ -310,12 +488,14 @@ def reconstruct(system: InterfaceSystem, g: PiecewiseConstantFn) -> Transmission
     if tree is None:
         tree = build_condensed(cfg.params, cfg.source_depth)
     refined = np.repeat(g.values, p ** (tree.depth - cfg.level))
-    u = solve_harmonic_dirichlet(tree, refined, root_value=0.0)
+    u = solve_harmonic_dirichlet(tree, refined, root_value=0.0, elimination=system.elimination)
     flux_u = leaf_flux(u).reshape(pn, -1).sum(axis=1)
     # u_T: one array per generation, a copy of u_f with the columns of
     # u (and of c u1 on the root edge) added one by one; a strided 1-D add
-    # is several times faster than one add over the (rows, 2) block
-    coeffs = list(u.coeffs)
+    # is several times faster than one add over the (rows, 2) block.  Each
+    # generation of u is freed once it is added.
+    coeffs = u.coeffs
+    del u
     if cfg.c_root != 0:
         root = complex(cfg.c_root) * _root_bump_coeffs(tree)
         root[:, :2] += coeffs[0]
@@ -418,7 +598,7 @@ def convergence_study(cfg: TransmissionConfig, N_list, manufactured=None) -> Con
         system = assemble_system(cfg_n)
         if manufactured is not None:
             datum = np.asarray(circle.cell_averages(system.decomp, manufactured, n), dtype=complex)
-            system.h = -(system.M @ datum)
+            system.h = -system.apply(datum)
         g = solve_interface(system)
         coeffs.append(g.to_fourier(m_ref))
 

@@ -319,6 +319,18 @@ def test_csv_writer_matches_row_oracle_on_repeated_values(columns, tmp_path_fact
     assert out.read_bytes() == _oracle_csv(header, rows)
 
 
+@settings(max_examples=40, deadline=None)
+@given(lo=st.integers(-2**53, 2**53 - 80), offsets=st.lists(st.integers(0, 80), max_size=100))
+def test_csv_writer_matches_row_oracle_on_index_ranges(lo, offsets, tmp_path_factory):
+    # an integer column whose range fits its length is formatted over that
+    # range and gathered by offset; a sparser one goes through np.unique
+    col = lo + np.array(offsets, dtype=np.int64)
+    out = tmp_path_factory.getbasetemp() / "ranges.csv"
+    cli._write_csv(str(out), ("i", "j"), [col, col[::-1].copy()])
+    rows = [(int(i), int(j)) for i, j in zip(col, col[::-1])]
+    assert out.read_bytes() == _oracle_csv(("i", "j"), rows)
+
+
 @pytest.mark.parametrize("text", [REF_TEXT, COMPLEX_TEXT], ids=["real", "complex"])
 def test_transmission_csvs_match_row_oracle(text, tmp_path):
     path = tmp_path / "run.ini"

@@ -1,7 +1,9 @@
 """FFT kernels of the exterior side against their dense constructions.
 
 The dense functions below are the phase-table formulas the FFT paths
-replaced: O(p^N * M) time and memory, kept here as oracles only.
+replaced: O(p^N * M) time and memory, kept here as oracles only.  The
+matrix-free interface operator and its GMRES solve are checked against the
+dense M and LAPACK's solve and 1-norm condition number.
 """
 
 import math
@@ -16,7 +18,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treedisk import circle as ci
-from treedisk.exterior import MODE_OVERSAMPLING, dtn_galerkin, dtn_symbol, layer_symbols
+from treedisk.acceptance import _random_admissible_params
+from treedisk.errors import SingularInterfaceOperator
+from treedisk.exterior import (
+    MODE_OVERSAMPLING,
+    RadialSource,
+    dtn_galerkin,
+    dtn_symbol,
+    galerkin_row,
+    layer_symbols,
+)
 from treedisk.transmission import TransmissionConfig, assemble_system, plasmonic_pencil, solve_interface
 from treedisk.tree import TreeParams
 
@@ -112,6 +123,83 @@ def test_condition_estimate_within_factor_n_of_svd():
     n = system.h.size
     exact = float(np.linalg.cond(system.M))
     assert exact / n <= system.condition_estimate <= exact * n
+
+
+P3_OVERRIDES = TreeParams(p=3, ell=0.6, omega=0.3, N1=2,
+                          length_overrides={(0, 0): 1.2, (1, 2): 0.5},
+                          weight_overrides={(0, 0): 0.9, (1, 0): 0.35})
+RING = RadialSource(R=1.0, r_max=2.0, terms=[(1, {0: 1.0}), (-1, {0: 1.0}), (2, {1: 0.5j}),
+                                             (-2, {1: -0.5j})])
+# (alpha1, alpha0): real, complex, per-cell, case (ii)
+COEFFS = [(1.0, 0.3), (0.7 + 0.4j, 0.2 - 0.5j), (1.3, "cells"), (-0.4 + 1.5j, 0.1 + 0.8j)]
+
+
+def _system(params, N, alpha1, alpha0):
+    if isinstance(alpha0, str):
+        alpha0 = np.random.default_rng(N).uniform(0.1, 2.0, params.p**N)
+    return assemble_system(TransmissionConfig(params=params, level=N, alpha1=alpha1, alpha0=alpha0,
+                                              c_root=0.6, exterior_source=RING))
+
+
+@pytest.mark.parametrize("p,N", [(1, 3), (2, 0), (2, 5), (3, 3)])
+def test_galerkin_row_eigenvalues_diagonalize_the_circulant(p, N):
+    dec = ci.MultiscaleDecomposition(R=R, p=p, n_max=N + 1)
+    symbol = dtn_symbol(R, MODE_OVERSAMPLING * p**N)
+    C = dtn_galerkin(dec, N, symbol).matrix
+    eigs = np.fft.fft(galerkin_row(dec, N, symbol))
+    assert np.abs(eigs.imag).max() <= 1e-13 * max(np.abs(eigs).max(), 1e-300)
+    x = np.random.default_rng(p + N).standard_normal(p**N)
+    assert rel_err(np.fft.ifft(eigs.real * np.fft.fft(x)), C @ x) <= 1e-13
+
+
+@pytest.mark.parametrize("params,N", [(TreeParams(p=2, ell=0.5, omega=0.4), 6), (P3_OVERRIDES, 4)])
+@pytest.mark.parametrize("alpha1,alpha0", COEFFS)
+def test_interface_operator_matches_dense(params, N, alpha1, alpha0):
+    system = _system(params, N, alpha1, alpha0)
+    M = system.M
+    rng = np.random.default_rng(N)
+    x = rng.standard_normal(M.shape[0]) + 1j * rng.standard_normal(M.shape[0])
+    assert rel_err(system.apply(x), M @ x) <= 1e-13
+    assert rel_err(system.apply(x, adjoint=True), M.conj().T @ x) <= 1e-13
+
+
+@pytest.mark.parametrize("params,N", [(TreeParams(p=2, ell=0.5, omega=0.4), 3),
+                                      (TreeParams(p=2, ell=0.5, omega=0.4), 8),
+                                      (TreeParams(p=1, ell=0.5, omega=1.0), 4),
+                                      (P3_OVERRIDES, 2), (P3_OVERRIDES, 5)])
+@pytest.mark.parametrize("alpha1,alpha0", COEFFS)
+def test_solve_interface_matches_dense_solve(params, N, alpha1, alpha0):
+    system = _system(params, N, alpha1, alpha0)
+    g = solve_interface(system).values
+    M = system.M
+    assert rel_err(g, np.linalg.solve(M, -system.h)) <= 1e-12
+    exact = float(np.linalg.cond(M, 1))
+    assert exact / 3 <= system.condition_estimate <= exact * (1 + 1e-9)
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_solve_interface_matches_dense_on_random_admissible_trees(seed):
+    rng = np.random.default_rng(seed)
+    params = _random_admissible_params(rng)
+    N = params.N1 + int(rng.integers(0, 3))
+    if params.p**N > 729:
+        N = params.N1
+    alpha1 = complex(rng.uniform(0.05, 3.0), rng.uniform(-1.0, 1.0))
+    system = _system(params, N, alpha1, complex(rng.uniform(0.0, 2.0), rng.uniform(-1.0, 1.0)))
+    assert rel_err(solve_interface(system).values, np.linalg.solve(system.M, -system.h)) <= 1e-12
+
+
+@pytest.mark.parametrize("N", [3, 6])
+def test_every_nonzero_pencil_eigenvalue_is_singular(N):
+    params = TreeParams(p=2, ell=0.5, omega=0.4)
+    system = assemble_system(TransmissionConfig(params=params, level=N, alpha1=1.0))
+    values = plasmonic_pencil(system.C, system.D, count=2**N)
+    for alpha1 in values[1:]:
+        singular = assemble_system(TransmissionConfig(params=params, level=N, alpha1=alpha1,
+                                                      exterior_source=RING))
+        with pytest.raises(SingularInterfaceOperator):
+            solve_interface(singular)
 
 
 def test_eigh_pencil_matches_eig():

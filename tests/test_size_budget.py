@@ -3,6 +3,8 @@
 Each case runs in a child process whose address space is capped at 2 GiB
 (RLIMIT_AS), with BLAS on one thread, so a guard that allocates before it
 checks fails there with MemoryError instead of taking the test runner down.
+The interface solve forms no dense operator, so it runs past the dense
+budget within the same cap.
 """
 
 import os
@@ -32,11 +34,27 @@ LIBRARY_CASES = {
     "condensed_dtn": "condensed_dtn(P, 30)",
     "truncated_dtn": "truncated_dtn(P, 30)",
     "assemble_system": "assemble_system(TransmissionConfig(params=P, level=40, alpha1=1.0))",
+    "interface_matrix": "assemble_system(TransmissionConfig(params=P, level=13, alpha1=1.0)).M",
     "build_condensed": "build_condensed(P, 40)",
     "build_truncated": "build_truncated(P, 40)",
     "dtn_symbol": "dtn_symbol(1.0, 10**11)",
     "layer_symbols": "layer_symbols(1.0, 2.0, 10**11)",
 }
+
+SOLVE_BEYOND_DENSE_BUDGET = """
+from treedisk.exterior import RadialSource
+from treedisk.transmission import TransmissionConfig, solve_transmission
+from treedisk.tree import TreeParams
+ring = RadialSource(R=1.0, r_max=2.0, terms=[(1, {0: 1.0}), (-1, {0: 1.0}), (3, {1: 0.5}),
+                                             (-3, {1: 0.5})])
+cfg = TransmissionConfig(params=TreeParams(p=2, ell=0.5, omega=0.4), level=13, alpha1=1.0,
+                         alpha0=0.3, c_root=1.0, exterior_source=ring)
+sol = solve_transmission(cfg)
+if not sol.flux_residual <= sol.discretization_defect + 1e-10:
+    raise SystemExit("flux residual %r, discretization defect %r"
+                     % (sol.flux_residual, sol.discretization_defect))
+"""
+
 
 CONFIG = "tree.p = 2\ntree.ell = 0.5\ntree.omega = 0.4\n"
 CLI_CASES = {
@@ -59,6 +77,12 @@ def _run(args):
 def test_oversize_call_raises_before_allocating(call):
     code = SETUP + "try:\n    %s\nexcept AssemblyTooLarge:\n    pass\nelse:\n    raise SystemExit(1)\n"
     proc = _run(["-c", code % call])
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_solve_runs_past_the_dense_budget():
+    # 8,192 cells, twice the dense budget, with a source tree of 2^18 leaves
+    proc = _run(["-c", SOLVE_BEYOND_DENSE_BUDGET])
     assert proc.returncode == 0, proc.stderr
 
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from treedisk import transmission
+from treedisk import calculus, transmission
 from treedisk.calculus import TreeFunction, constant_function
 from treedisk.circle import FourierFn, MultiscaleDecomposition, PiecewiseConstantFn
 from treedisk.errors import (
@@ -310,6 +310,27 @@ def test_reconstruct_reuses_the_assembled_source_lifts(monkeypatch):
                              exterior_source=_ext_source(2))
     solve_transmission(cfg)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("tree_source", [False, True])
+def test_one_source_tree_elimination_per_solve(monkeypatch, tree_source):
+    # the Poisson lift and the harmonic solve of reconstruct share the
+    # elimination of the source tree, kept on the assembled system
+    cfg = TransmissionConfig(params=REF, level=3, alpha1=1.0, alpha0=0.3, c_root=0.5,
+                             exterior_source=_ext_source(2))
+    if tree_source:
+        cfg.tree_source = constant_function(build_condensed(REF, cfg.source_depth), 0.7)
+    depths = []
+    original = calculus.tree_elimination
+
+    def counted(tree):
+        depths.append(tree.depth)
+        return original(tree)
+
+    monkeypatch.setattr(calculus, "tree_elimination", counted)
+    monkeypatch.setattr(transmission, "tree_elimination", counted, raising=False)
+    solve_transmission(cfg)
+    assert depths.count(cfg.source_depth + 1) == 1
 
 
 def test_solve_builds_a_source_tree_only_without_a_tree_source(monkeypatch):

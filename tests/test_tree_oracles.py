@@ -7,7 +7,8 @@ kept here as the oracle only.  sparse_poisson also keeps the particular
 parts of the old Poisson solve, double antiderivative arrays built with
 _poly_antider, where the kernel evaluates them in closed form.  The
 level-N builder tree_dtn is checked against the level-(N+1) condensed
-matrix summed down with compress.
+matrix summed down with compress, and its matrix-free form (the sweep D x
+and T. Chan's circulant eigenvalues) against that dense matrix.
 """
 
 import numpy as np
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 
 from treedisk import calculus as ca
 from treedisk.acceptance import _random_admissible_params
-from treedisk.dtn import compress, condensed_dtn, tree_dtn, truncated_dtn
+from treedisk.dtn import compress, condensed_dtn, tree_dtn, tree_dtn_operator, truncated_dtn
 from treedisk.tree import TreeParams, build_condensed, build_truncated
 
 PARAMS = {
@@ -253,6 +254,41 @@ def test_level_builder_matches_on_random_admissible_trees(seed):
 
 
 # ---------------------------------------------------------------------------
+# matrix-free D_N against the dense level-N matrix
+
+
+def _chan_oracle(D):
+    """diag(F^H D F) for the unitary DFT basis F of numpy's ifft, by two FFTs."""
+    return np.diagonal(np.fft.fft(np.fft.ifft(D, axis=1), axis=0)).real
+
+
+def _check_operator(params, N, rng):
+    op = tree_dtn_operator(params, N)
+    D = tree_dtn(params, N).matrix
+    assert (op.p, op.level, op.size) == (params.p, N, params.p**N)
+    assert np.array_equal(op.matrix, D)
+    x = rng.standard_normal(op.size) + 1j * rng.standard_normal(op.size)
+    assert _rel(op.apply(x), D @ x) <= 1e-12
+    assert _rel(op.apply(x.real), D @ x.real) <= 1e-12
+    assert _rel(op.chan_eigs(), _chan_oracle(D)) <= 1e-12
+
+
+@pytest.mark.parametrize("name,N", _level_cases())
+def test_operator_matches_dense_level_matrix(name, N):
+    _check_operator(PARAMS[name], N, np.random.default_rng(N + 7 * len(name)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_operator_matches_dense_on_random_admissible_trees(seed):
+    rng = np.random.default_rng(seed)
+    params = _random_admissible_params(rng)
+    for N in range(params.N1, params.N1 + 3):
+        if params.p**N <= MAX_LEAVES:
+            _check_operator(params, N, rng)
+
+
+# ---------------------------------------------------------------------------
 # closed-form Poisson kernel against the antiderivative formula
 
 
@@ -294,6 +330,34 @@ def test_poisson_leaves_its_source_untouched():
         u = ca.solve_poisson_zero_trace(tree, source)
         assert all(np.array_equal(a, b) for a, b in zip(source.coeffs, before))
         assert not any(np.shares_memory(a, b) for a, b in zip(u.coeffs, source.coeffs))
+
+
+@pytest.mark.parametrize("name,kind,depth", POISSON_TREES)
+@pytest.mark.parametrize("complex_", [False, True])
+def test_zero_leaves_are_skipped_bit_for_bit(name, kind, depth, complex_):
+    # the Poisson lift clamps its leaves at zero and skips their product;
+    # the vertex values keep the bits of the product with a zero array,
+    # signed zeros included
+    tree = _tree(name, kind, depth)
+    rng = np.random.default_rng(depth)
+    dtype = complex if complex_ else float
+    signed_zero = complex(-0.0, -0.0) if complex_ else -0.0
+    random_loads = []
+    for n in range(tree.depth):
+        load = rng.standard_normal(tree.p**n).astype(dtype)
+        if complex_:
+            load.imag = rng.standard_normal(load.size)
+        load[::3] = signed_zero
+        random_loads.append(load)
+    zero_loads = [np.full(tree.p**n, signed_zero) for n in range(tree.depth)]
+    elimination = ca.tree_elimination(tree)
+    zeros = np.zeros(tree.n_leaves, dtype=dtype)
+    for loads in (random_loads, zero_loads):
+        for root in (0.0, -0.0):
+            skipped = ca._solve_vertices(tree, elimination, loads, None, root)
+            full = ca._solve_vertices(tree, elimination, loads, zeros, root)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(skipped[:-1], full[:-1]))
+            assert skipped[-1] == 0.0
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
