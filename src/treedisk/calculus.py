@@ -21,6 +21,16 @@ The Poisson particular part (the double antiderivative of the source) is
 evaluated in closed form from the source coefficients, and the sums over
 the p children of each vertex add p strided slices, so a solve passes
 over each generation's rows a fixed, small number of times.
+
+Every kernel reads the tree's rows, so the same code solves on a tree
+compressed below level N (tree.FiniteTree): where a generation has as many
+rows as its parent generation, the p children of a row are that row
+itself, their sum is the p-fold sum x + x (+= x ...) that the strided sum
+of p equal children adds in the same order, and a parent value needs no
+repeat.  For data that is the same on the edges a row stands for, the
+compressed solve gives bit for bit the rows of the full solve, in
+O(p^N * depth).  `TreeFunction.expanded` repeats the rows onto the full
+tree.
 """
 
 from __future__ import annotations
@@ -87,8 +97,8 @@ def _poly_mul(c1, c2):
 class TreeFunction:
     """Piecewise-polynomial function on a finite tree.
 
-    coeffs[n] has shape (p^n, q_n + 1); ascending powers of the local
-    coordinate on each edge.
+    coeffs[n] has shape (tree.rows[n], q_n + 1) (p^n rows on a full tree);
+    ascending powers of the local coordinate on each edge.
     """
 
     def __init__(self, tree: FiniteTree, coeffs):
@@ -97,8 +107,8 @@ class TreeFunction:
         self.tree = tree
         self.coeffs = [np.atleast_2d(np.asarray(c)) for c in coeffs]
         for n, c in enumerate(self.coeffs):
-            if c.shape[0] != tree.p**n:
-                raise DepthMismatch("generation %d needs %d rows, got %d" % (n, tree.p**n, c.shape[0]))
+            if c.shape[0] != tree.rows[n]:
+                raise DepthMismatch("generation %d needs %d rows, got %d" % (n, tree.rows[n], c.shape[0]))
 
     @property
     def degree(self) -> int:
@@ -128,6 +138,16 @@ class TreeFunction:
             val = val * x + c[j]
         return val
 
+    def expanded(self) -> "TreeFunction":
+        """The same function on the full tree (tree.expanded()), each row
+        repeated over the edges it stands for; a function on a full tree is
+        returned as it is."""
+        tree = self.tree.expanded()
+        if tree is self.tree:
+            return self
+        return TreeFunction(tree, [np.repeat(c, self.tree.multiplicity(n), axis=0)
+                                   for n, c in enumerate(self.coeffs)])
+
     def derivative(self) -> "TreeFunction":
         return TreeFunction(self.tree, [_poly_der(c) for c in self.coeffs])
 
@@ -138,7 +158,7 @@ class TreeFunction:
         for n in range(self.tree.depth):
             ends = self.end_values(n)
             starts = self.start_values(n + 1)
-            jump = np.abs(starts - np.repeat(ends, p))
+            jump = np.abs(starts - _parent_rows(ends, p, self.tree.merged(n + 1)))
             if jump.size:
                 worst = max(worst, float(jump.max()))
         return worst
@@ -163,7 +183,7 @@ class TreeFunction:
 
 
 def constant_function(tree: FiniteTree, value=1.0) -> TreeFunction:
-    return TreeFunction(tree, [np.full((tree.p**n, 1), value) for n in range(tree.depth + 1)])
+    return TreeFunction(tree, [np.full((rows, 1), value) for rows in tree.rows])
 
 
 def from_vertex_values(tree: FiniteTree, root_value, vertex_values) -> TreeFunction:
@@ -176,10 +196,10 @@ def from_vertex_values(tree: FiniteTree, root_value, vertex_values) -> TreeFunct
         if n == 0:
             a = np.full(1, root_value, dtype=np.result_type(np.asarray(root_value).dtype, float))
         else:
-            a = np.repeat(vertex_values[n - 1], tree.p)
+            a = _parent_rows(vertex_values[n - 1], tree.p, tree.merged(n))
         b = np.asarray(vertex_values[n])
         dtype = np.result_type(a.dtype, b.dtype, float)
-        c = np.empty((tree.p**n, 2), dtype=dtype)
+        c = np.empty((tree.rows[n], 2), dtype=dtype)
         c[:, 0] = a
         slope = np.subtract(b, a, dtype=dtype)
         slope /= tree.lengths[n]
@@ -198,7 +218,7 @@ def l2_inner(f: TreeFunction, g: TreeFunction):
     acc = 0.0
     for n in range(f.tree.depth + 1):
         prod = _poly_mul(f.coeffs[n], np.conj(g.coeffs[n]))
-        acc = acc + (f.tree.weights[n] * _poly_defint(prod, f.tree.lengths[n])).sum()
+        acc = acc + f.tree.multiplicity(n) * (f.tree.weights[n] * _poly_defint(prod, f.tree.lengths[n])).sum()
     return acc
 
 
@@ -215,22 +235,36 @@ def h1_seminorm(f: TreeFunction) -> float:
 
 
 def _same_tree(a: FiniteTree, b: FiniteTree):
-    if a is not b and (a.depth != b.depth or a.p != b.p):
+    if a is not b and (a.depth != b.depth or a.p != b.p or a.rows != b.rows):
         raise DepthMismatch("functions live on different trees")
 
 
-def _child_sums(x, p):
+def _child_sums(x, p, merged=False):
     """Sum over the p children of every parent: x[p k] + ... + x[p k + p - 1].
 
     Adds the p strided slices x[j::p], several times faster than
-    x.reshape(-1, p).sum(axis=1) for small p.  For p = 1 this is x itself.
+    x.reshape(-1, p).sum(axis=1) for small p.  For a merged generation
+    (tree.FiniteTree.merged) every child of row k is row k, and the sum is
+    x + x (+= x ...), the additions of the strided sum over p equal
+    children in the same order.  For p = 1 this is x itself.
     """
     if p == 1:
         return x
+    if merged:
+        out = x + x
+        for _ in range(2, p):
+            out += x
+        return out
     out = x[0::p] + x[1::p]
     for j in range(2, p):
         out += x[j::p]
     return out
+
+
+def _parent_rows(x, p, merged):
+    """The parent values x on the rows of the child generation: x itself for a
+    merged generation, np.repeat(x, p) otherwise."""
+    return x if merged else np.repeat(x, p)
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +296,9 @@ def kirchhoff_residual(f: TreeFunction) -> KirchhoffResidual:
     for n in range(tree.depth):
         out_flux = tree.weights[n] * der.end_values(n)
         in_flux = tree.weights[n + 1] * der.start_values(n + 1)
-        values.append(out_flux - _child_sums(in_flux, p))
-        mags = np.abs(out_flux) + _child_sums(np.abs(in_flux), p)
+        merged = tree.merged(n + 1)
+        values.append(out_flux - _child_sums(in_flux, p, merged))
+        mags = np.abs(out_flux) + _child_sums(np.abs(in_flux), p, merged)
         if mags.size:
             scale = max(scale, float(mags.max()))
     return KirchhoffResidual(values=values, scale=scale)
@@ -276,7 +311,8 @@ def laplacian(f: TreeFunction):
 
 
 def leaf_flux(f: TreeFunction) -> np.ndarray:
-    """omega_{N,K} * f'_{N,K}(ell-) at every leaf edge.
+    """omega_{N,K} * f'_{N,K}(ell-) at every leaf edge (one value per leaf
+    row, the flux through each of the edges the row stands for).
 
     Dividing by the boundary cell measures |Gamma_{N,K}| turns this into
     the distributional normal-derivative trace density.
@@ -317,15 +353,15 @@ def green_identity_check(u: TreeFunction, v: TreeFunction) -> GreenReport:
     vmax = max(float(np.abs(c).max()) for c in v.coeffs)
     if abs(v.root_value) > 1e-10 * max(vmax, 1.0):
         raise ValueError("green_identity_check requires v(o) = 0, got %r" % (v.root_value,))
-    pairing = (leaf_flux(u) * v.leaf_values()).sum()
+    pairing = u.tree.multiplicity(u.tree.depth) * (leaf_flux(u) * v.leaf_values()).sum()
     lap, _ = laplacian(u)
     du, dv = u.derivative(), v.derivative()
     bulk = 0.0
     grad = 0.0
     for n in range(u.tree.depth + 1):
-        w, ln = u.tree.weights[n], u.tree.lengths[n]
-        bulk = bulk + (w * _poly_defint(_poly_mul(lap.coeffs[n], v.coeffs[n]), ln)).sum()
-        grad = grad + (w * _poly_defint(_poly_mul(du.coeffs[n], dv.coeffs[n]), ln)).sum()
+        w, ln, m = u.tree.weights[n], u.tree.lengths[n], u.tree.multiplicity(n)
+        bulk = bulk + m * (w * _poly_defint(_poly_mul(lap.coeffs[n], v.coeffs[n]), ln)).sum()
+        grad = grad + m * (w * _poly_defint(_poly_mul(du.coeffs[n], dv.coeffs[n]), ln)).sum()
     defect = abs(pairing - bulk - grad)
     scale = abs(pairing) + abs(bulk) + abs(grad)
     return GreenReport(defect=float(defect), scale=float(scale))
@@ -363,7 +399,7 @@ def tree_elimination(tree: FiniteTree):
     pivot = [None] * tree.depth
     below = c[tree.depth]
     for n in range(tree.depth - 1, -1, -1):
-        a = _child_sums(below, p)
+        a = _child_sums(below, p, tree.merged(n + 1))
         pivot[n] = c[n] + a
         below = c[n] * a
         below /= pivot[n]
@@ -384,14 +420,14 @@ def _solve_vertices(tree: FiniteTree, elimination, loads, leaf_values, root_valu
     up = None if leaf_values is None else c[tree.depth] * leaf_values
     for n in range(tree.depth - 1, -1, -1):
         # zero leaves add the +0.0 that their products would
-        collected[n] = loads[n] + (0.0 if up is None else _child_sums(up, p))
+        collected[n] = loads[n] + (0.0 if up is None else _child_sums(up, p, tree.merged(n + 1)))
         up = c[n] * collected[n]
         up /= pivot[n]
     values = []
     parent = root_value
     for n in range(tree.depth):
         if n:
-            parent = np.repeat(values[-1], p)
+            parent = _parent_rows(values[-1], p, tree.merged(n))
         v = c[n] * parent + collected[n]
         v /= pivot[n]
         values.append(v)
@@ -465,15 +501,15 @@ def solve_poisson_zero_trace(tree: FiniteTree, source: TreeFunction,
             der *= ell
             der *= tree.weights[n]
             loads[n] = np.subtract(own, der, dtype=dtype)
-            loads[n] -= _child_sums(below, p)
+            loads[n] -= _child_sums(below, p, tree.merged(n + 1))
         below = own
     values = _solve_vertices(tree, elimination, loads, None, 0.0)
 
     for n, c in enumerate(coeffs):
-        a = np.zeros(1, dtype=dtype) if n == 0 else np.repeat(values[n - 1], p)
+        a = np.zeros(1, dtype=dtype) if n == 0 else _parent_rows(values[n - 1], p, tree.merged(n))
         c[:, 0] = a
-        # the linear part (values[n] - a - w(ell)) / ell, formed in a
-        np.subtract(values[n], a, out=a)
+        # the linear part (values[n] - a - w(ell)) / ell; a may be values[n - 1]
+        a = np.subtract(values[n], a)
         a -= w_end[n]
         a /= tree.lengths[n]
         c[:, 1] = a

@@ -25,7 +25,10 @@ Projected norms never materialize fine levels: with k = r + a p^n,
     ||P_n g||^2 = 2 pi R * sum_r |S_r|^2,
     S_r = sum_a g_{r + a p^n} (-1)^a sinc((r + a p^n)/p^n),
 
-which keeps the multiscale A^r norms O(M) per level.
+which keeps the multiscale A^r norms O(M) per level.  The split of the
+modes (r and the signed sinc weight) depends only on (M, p^n); `mode_split`
+computes it once for callers that convert several functions on the same
+cells, and to_fourier, cell_averages and cell_integrals take it as split.
 
 This module also houses the boundary traces of tree functions: the leaf
 values as a level-N cell function (gamma0) and the conormal density
@@ -37,6 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -105,10 +109,10 @@ class PiecewiseConstantFn:
     def integral(self):
         return self.decomp.cell_measure(self.level) * self.values.sum()
 
-    def to_fourier(self, M: int) -> "FourierFn":
+    def to_fourier(self, M: int, split: "ModeSplit | None" = None) -> "FourierFn":
+        """The modes |k| <= M of this function; split as in cell_averages."""
         pn = self.decomp.n_cells(self.level)
-        ks = np.arange(-M, M + 1)
-        r, weight = _mode_split(ks, pn)
+        r, weight = _split_for(split, M, pn)
         W = np.exp(-1j * np.pi * np.arange(pn) / pn) * np.fft.fft(self.values)
         return FourierFn(self.decomp.R, W[r] * weight / pn)
 
@@ -217,22 +221,50 @@ def _mode_split(ks, pn):
     return r, sign * _sinc_cells(ks, pn)
 
 
-def cell_averages(decomp: MultiscaleDecomposition, g, n: int) -> np.ndarray:
-    """Averages of g over the level-n cells (complex for Fourier input)."""
+class ModeSplit(NamedTuple):
+    """The modes |k| <= M on pn cells: k = r + a pn with r in [0, pn), and the
+    weight (-1)^a sinc(k / pn) (module docstring), entry k + M for mode k."""
+
+    pn: int
+    r: np.ndarray
+    weight: np.ndarray
+
+
+def mode_split(M: int, pn: int) -> ModeSplit:
+    """The split of the modes |k| <= M on pn cells, for reuse by every
+    conversion of at most M modes on the same cells."""
+    return ModeSplit(pn, *_mode_split(np.arange(-M, M + 1), pn))
+
+
+def _split_for(split, M: int, pn: int):
+    """(r, weight) of the modes |k| <= M on pn cells: the middle of split when
+    it is a split on pn cells of at least M modes, computed otherwise."""
+    size = 2 * M + 1
+    if split is not None and split.pn == pn and split.r.size >= size:
+        cut = (split.r.size - size) // 2
+        return split.r[cut : cut + size], split.weight[cut : cut + size]
+    return _mode_split(np.arange(-M, M + 1), pn)
+
+
+def cell_averages(decomp: MultiscaleDecomposition, g, n: int, split: ModeSplit | None = None) -> np.ndarray:
+    """Averages of g over the level-n cells (complex for Fourier input).
+
+    split, a mode_split on the level-n cells, spares recomputing the mode
+    weights of a Fourier g with no more modes than it covers."""
     if isinstance(g, PiecewiseConstantFn):
         if g.level <= n:
             return np.repeat(g.values, decomp.p ** (n - g.level))
         chunk = decomp.p ** (g.level - n)
         return g.values.reshape(decomp.n_cells(n), chunk).mean(axis=1)
     pn = decomp.n_cells(n)
-    r, weight = _mode_split(g.ks(), pn)
+    r, weight = _split_for(split, g.M, pn)
     folded = g.coeffs * weight
     S = np.bincount(r, folded.real, pn) + 1j * np.bincount(r, folded.imag, pn)
     return pn * np.fft.ifft(S * np.exp(1j * np.pi * np.arange(pn) / pn))
 
 
-def cell_integrals(decomp: MultiscaleDecomposition, g, n: int) -> np.ndarray:
-    return cell_averages(decomp, g, n) * decomp.cell_measure(n)
+def cell_integrals(decomp: MultiscaleDecomposition, g, n: int, split: ModeSplit | None = None) -> np.ndarray:
+    return cell_averages(decomp, g, n, split) * decomp.cell_measure(n)
 
 
 def project_PN(decomp: MultiscaleDecomposition, g, n: int) -> PiecewiseConstantFn:

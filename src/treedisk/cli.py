@@ -156,12 +156,15 @@ def _cmd_transmission(args) -> int:
     started = time.monotonic()
     cfg = parse_config(args.config)
     sol = solve_transmission(cfg.transmission())
+    # the full tree solution is expanded, within the tree budget, before
+    # any file is written
+    u_tree = sol.u_tree
     prefix = args.out_prefix
     g = sol.g.values
     _write_csv(prefix + "g.csv", ("level", "cell", "value"),
                [np.full(g.size, sol.g.level), np.arange(g.size), g])
     _write_csv(prefix + "tree.csv", ("n", "k", "coeff_index", "value"),
-               _tree_columns(sol.u_tree.coeffs))
+               _tree_columns(u_tree.coeffs))
     trace = sol.u_ext.trace0()
     _write_csv(prefix + "exterior.csv", ("k", "re", "im"),
                [trace.ks(), trace.coeffs.real, trace.coeffs.imag])

@@ -17,6 +17,8 @@ import hashlib
 import re
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .circle import FourierFn
 from .errors import ConfigError
 from .exterior import RadialSource
@@ -145,10 +147,12 @@ class RunConfig:
         return FourierFn.from_modes(self.get("interface.radius"), modes)
 
     def transmission(self, level: int | None = None):
-        """Build the TransmissionConfig at the given level (default interface.N)."""
-        from .calculus import constant_function
+        """Build the TransmissionConfig at the given level (default interface.N).
+
+        source.tree.constant becomes the tree source as one constant row per
+        generation of the source tree; no tree is built here.
+        """
         from .transmission import TransmissionConfig
-        from .tree import build_condensed
 
         if level is None:
             level = self.get("interface.N")
@@ -159,7 +163,7 @@ class RunConfig:
             source_depth=self.get("transmission.source_depth"), R=self.get("interface.radius"))
         const = self.get("source.tree.constant")
         if const != 0:
-            cfg.tree_source = constant_function(build_condensed(cfg.params, cfg.source_depth), const)
+            cfg.tree_source = np.full((cfg.source_depth + 2, 1), const)
         return cfg
 
 

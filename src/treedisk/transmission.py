@@ -17,6 +17,16 @@ preconditioned on the right by T. Chan's optimal circulant of M, and the
 condition number is a Hager-Higham 1-norm estimate.  The dense C, D and M
 are properties of InterfaceSystem, for the pencil and for tests.
 
+The source side runs on the condensed source tree compressed at level N
+(tree.build_condensed with level=N): every generation below N stores one
+row per cell, which is exact because the subtrees below N >= N1 are
+geometric, the tree forcing is one polynomial per generation, and the
+leaf data is g, constant per cell.  The lifts, the harmonic part and the
+leaf fluxes then cost O(p^N * depth) whatever the source depth; a cell's
+flux is its row's flux times the p^(depth - N) leaf edges under it.  The
+full tree solution TransmissionSolution.u_tree is expanded from the rows
+on first access only.
+
 Sign conventions: both volume equations are driven as Delta u = f (the
 exterior solver already uses this convention, so no negation occurs
 anywhere), and the solved system is M g = -h.
@@ -47,6 +57,7 @@ from .errors import (
     Alpha1Zero,
     AssemblyTooLarge,
     DepthBelowChartLevel,
+    DepthMismatch,
     InsufficientLevels,
     SingularInterfaceOperator,
 )
@@ -95,8 +106,10 @@ class TransmissionConfig:
 
     alpha0 may be a scalar or a per-cell array at the solve level (the
     cellwise realization of a bounded multiplication coefficient).
-    tree_source must live on the condensed tree of params at source_depth
-    (default level + 4); that tree is then the source tree of the solve.
+    tree_source is the tree forcing f_T as a (source_depth + 2, q + 1)
+    array: row n holds the ascending coefficients of the polynomial on
+    every edge of generation n of the condensed tree at source_depth
+    (default level + 4), whose generations run from 0 to source_depth + 1.
     """
 
     params: TreeParams
@@ -104,7 +117,7 @@ class TransmissionConfig:
     alpha1: complex
     alpha0: object = 0.0
     c_root: complex = 0.0
-    tree_source: TreeFunction | None = None
+    tree_source: np.ndarray | None = None
     exterior_source: RadialSource | None = None
     source_depth: int | None = None
     R: float = 1.0
@@ -140,51 +153,64 @@ class TransmissionConfig:
         return {"case_i": bool(case_i), "case_ii": bool(case_ii)}
 
 
-def _tree_forcing(cfg: TransmissionConfig, tree: FiniteTree) -> TreeFunction | None:
-    """f_T - c * Lap(u1) on the source tree, or None when both vanish.
+def _source_tree(cfg: TransmissionConfig) -> FiniteTree:
+    """The condensed tree at source_depth, compressed below the solve level."""
+    return build_condensed(cfg.params, cfg.source_depth, level=cfg.level)
 
-    f_T must live on the condensed tree of cfg.params at source_depth.
+
+def _tree_forcing(cfg: TransmissionConfig, tree: FiniteTree) -> TreeFunction | None:
+    """f_T - c * Lap(u1) on the compressed source tree, or None when both vanish.
+
+    Generation n of f_T is row n of cfg.tree_source on every row of the
+    tree, a read-only zero-stride view (zero without a tree source).
     Lap(u1) is the constant 2/l_root^2 on the root edge and zero elsewhere,
-    so only generation 0 changes; the other generations are those of f_T,
-    or zero-stride zero views without a tree source.
+    so only generation 0 changes.  A tree_source of another shape than
+    (source_depth + 2, q + 1) raises DepthMismatch.
     """
     f = cfg.tree_source
-    if f is not None and (f.tree.depth != cfg.source_depth + 1 or not f.tree.condensed
-                          or f.tree.params != cfg.params):
-        raise DepthBelowChartLevel("tree_source must live on the condensed tree of depth %d"
-                                   % (cfg.source_depth + 1))
-    if cfg.c_root == 0:
-        return f
-    if f is None:
-        coeffs = [np.broadcast_to(0.0, (tree.p**n, 1)) for n in range(tree.depth + 1)]
+    if f is not None:
+        f = np.asarray(f)
+        if f.ndim != 2 or f.shape[0] != cfg.source_depth + 2 or not f.shape[1]:
+            raise DepthMismatch("tree_source needs one coefficient row per generation, shape "
+                                "(%d, q + 1), got %r" % (cfg.source_depth + 2, f.shape))
+    elif cfg.c_root == 0:
+        return None
     else:
-        coeffs = list(f.coeffs)
-    root = coeffs[0].astype(complex)
-    root[0, 0] -= (2.0 / tree.lengths[0][0] ** 2) * complex(cfg.c_root)
-    return TreeFunction(tree, [root] + coeffs[1:])
+        f = np.zeros((tree.depth + 1, 1))
+    coeffs = [np.broadcast_to(f[n], (rows, f.shape[1])) for n, rows in enumerate(tree.rows)]
+    if cfg.c_root != 0:
+        root = coeffs[0].astype(complex)
+        root[0, 0] -= (2.0 / tree.lengths[0][0] ** 2) * complex(cfg.c_root)
+        coeffs[0] = root
+    return TreeFunction(tree, coeffs)
+
+
+def _cell_flux(f: TreeFunction) -> np.ndarray:
+    """Leaf flux of f summed over each level-N cell of its compressed tree.
+
+    The leaf rows are the cells, and each stands for p^(depth - N) leaf
+    edges with the same flux.
+    """
+    return leaf_flux(f) * f.tree.multiplicity(f.tree.depth)
 
 
 def _source_lifts(cfg: TransmissionConfig):
     """The source tree, its elimination, the lifts u_f and v_f, and the per-cell leaf flux of u_f.
 
-    The source tree is the tree of cfg.tree_source, or the condensed tree
-    at source_depth when only c_root forces the tree.  Without tree forcing
-    the tree, its elimination and u_f are None (the flux of u_f is then
-    zero), so nothing of source_depth is built; v_f is None without an
+    The source tree is the condensed tree at source_depth compressed at the
+    solve level.  Without tree forcing the tree, its elimination and u_f
+    are None (the flux of u_f is then zero); v_f is None without an
     exterior source.
     """
     pn = cfg.params.p**cfg.level
     tree = elimination = u_f = None
     flux_f = np.zeros(pn)
-    if cfg.tree_source is not None:
-        tree = cfg.tree_source.tree
-    elif cfg.c_root != 0:
-        tree = build_condensed(cfg.params, cfg.source_depth)
-    if tree is not None:
+    if cfg.tree_source is not None or cfg.c_root != 0:
+        tree = _source_tree(cfg)
         forcing = _tree_forcing(cfg, tree)
         elimination = tree_elimination(tree)
         u_f = solve_poisson_zero_trace(tree, forcing, elimination=elimination)
-        flux_f = leaf_flux(u_f).reshape(pn, -1).sum(axis=1)
+        flux_f = _cell_flux(u_f)
     v_f = None
     if cfg.exterior_source is not None:
         v_f = solve_exterior_dirichlet(None, cfg.exterior_source, R=cfg.R)
@@ -202,8 +228,9 @@ class InterfaceSystem:
     alpha0 times the cell measure, per cell.  The system also keeps the
     source lifts behind h (see `_source_lifts`), from which `reconstruct`
     rebuilds the volume solutions with the same source-tree elimination.
-    tree is None when nothing forces the tree; `reconstruct` then builds
-    the source tree.
+    tree (compressed at the solve level) and u_f, one row per cell below
+    the level, are None when nothing forces the tree; `reconstruct` then
+    builds the source tree.
     """
 
     decomp: MultiscaleDecomposition
@@ -457,16 +484,27 @@ class TransmissionSolution:
     tolerance plus discretization_defect, the band-limitation error of the
     alpha0 mass term (the exterior trace carries finitely many modes while
     the assembled mass matrix integrates the cell functions exactly).
+    u_rows is the tree solution on the compressed source tree, one row per
+    cell below the solve level; u_tree is its expansion to the full tree.
     """
 
     g: PiecewiseConstantFn
-    u_tree: TreeFunction
+    u_rows: TreeFunction
     u_ext: object
     trace_defect: float
     flux_residual: float
     discretization_defect: float
     condition_estimate: float
     meta: dict
+
+    @cached_property
+    def u_tree(self) -> TreeFunction:
+        """u_rows on the full source tree, built on first access.
+
+        Raises AssemblyTooLarge, before allocating, when the full tree is
+        beyond tree.TREE_LEAF_BUDGET.
+        """
+        return self.u_rows.expanded()
 
 
 def reconstruct(system: InterfaceSystem, g: PiecewiseConstantFn) -> TransmissionSolution:
@@ -475,21 +513,21 @@ def reconstruct(system: InterfaceSystem, g: PiecewiseConstantFn) -> Transmission
     The flux-condition residual is recomputed from the reconstructed fields
     (leaf fluxes and per-mode derivatives), not from the solved matrices,
     so it is an independent check of the transmission conditions in the
-    V_N pairing.  Interface traces match by construction: the tree leaf
-    values carry the refined cells of g, the exterior modes carry its
+    V_N pairing.  Interface traces match by construction: the leaf rows of
+    the compressed source tree carry the cells of g, the exterior modes carry its
     Fourier coefficients at the assembly cutoff.  The config, the source
     tree and the source lifts all come from `system`, the solved system.
     """
     cfg = system.config
-    p = cfg.params.p
-    pn = p**cfg.level
+    pn = cfg.params.p**cfg.level
     decomp = g.decomp
     tree, u_f, flux_f, v_f = system.tree, system.u_f, system.flux_f, system.v_f
     if tree is None:
-        tree = build_condensed(cfg.params, cfg.source_depth)
-    refined = np.repeat(g.values, p ** (tree.depth - cfg.level))
-    u = solve_harmonic_dirichlet(tree, refined, root_value=0.0, elimination=system.elimination)
-    flux_u = leaf_flux(u).reshape(pn, -1).sum(axis=1)
+        tree = _source_tree(cfg)
+    # the leaf rows of the compressed tree are the cells, so g itself is
+    # the leaf data
+    u = solve_harmonic_dirichlet(tree, g.values, root_value=0.0, elimination=system.elimination)
+    flux_u = _cell_flux(u)
     # u_T: one array per generation, a copy of u_f with the columns of
     # u (and of c u1 on the root edge) added one by one; a strided 1-D add
     # is several times faster than one add over the (rows, 2) block.  Each
@@ -508,13 +546,15 @@ def reconstruct(system: InterfaceSystem, g: PiecewiseConstantFn) -> Transmission
             coeffs[n] = c
     u_T = TreeFunction(tree, coeffs)
 
-    g_fourier = g.to_fourier(MODE_OVERSAMPLING * pn)
+    # one split of the 16 p^N modes serves g's modes and both cell integrals
+    split = circle.mode_split(MODE_OVERSAMPLING * pn, pn)
+    g_fourier = g.to_fourier(MODE_OVERSAMPLING * pn, split)
     v = solve_exterior_dirichlet(g_fourier, None, R=cfg.R)
     u_ext = v
     if v_f is not None:
         u_ext = u_ext + v_f
 
-    tree_trace = np.abs(u_T.leaf_values() - refined).max() if pn else 0.0
+    tree_trace = np.abs(u_T.leaf_values() - g.values).max() if pn else 0.0
     diff = u_ext.trace0() - g_fourier
     m = g_fourier.M
     ext_trace = np.abs(diff.coeffs[diff.M - m : diff.M + m + 1]).max()
@@ -522,10 +562,10 @@ def reconstruct(system: InterfaceSystem, g: PiecewiseConstantFn) -> Transmission
     if trace_defect > 1e-10:
         raise AssertionError("interface traces disagree by %.3e" % trace_defect)
 
-    flux_ext = circle.cell_integrals(decomp, gamma1_exterior(u_ext), cfg.level)
-    flux_tree = leaf_flux(u_T).reshape(pn, -1).sum(axis=1)
+    flux_ext = circle.cell_integrals(decomp, gamma1_exterior(u_ext), cfg.level, split)
+    flux_tree = _cell_flux(u_T)
     a0 = cfg.alpha0_cells()
-    mass = a0 * circle.cell_integrals(decomp, g_fourier, cfg.level)
+    mass = a0 * circle.cell_integrals(decomp, g_fourier, cfg.level, split)
     mass_exact = a0 * decomp.cell_measure(cfg.level) * g.values
     resid_vec = flux_ext - complex(cfg.alpha1) * flux_tree - mass
     # normalize by the pre-cancellation flux magnitudes (the harmonic tree
@@ -536,7 +576,7 @@ def reconstruct(system: InterfaceSystem, g: PiecewiseConstantFn) -> Transmission
     flux_residual = float(np.abs(resid_vec).max() / scale)
     discretization_defect = float(np.abs(mass - mass_exact).max() / scale)
     return TransmissionSolution(
-        g=g, u_tree=u_T, u_ext=u_ext, trace_defect=trace_defect,
+        g=g, u_rows=u_T, u_ext=u_ext, trace_defect=trace_defect,
         flux_residual=flux_residual, discretization_defect=discretization_defect,
         condition_estimate=system.condition_estimate,
         meta={"level": cfg.level, "solvability": cfg.solvability()},

@@ -15,6 +15,15 @@ root-to-boundary distance series is r = ell / (p * omega) in (0, 1).
 
 The degenerate family p = 1 (a path) is admitted as a closed-form oracle;
 sigma is undefined there and validation reports are marked oracle-only.
+
+A finite tree stores one row per edge of each generation, or is compressed
+below a level N >= N1: generations n <= N keep their p^n rows, and every
+generation n > N has p^N rows, row k standing for the p^(n-N) edges of
+that generation under cell (N, k).  Below N1 every subtree is geometric,
+so those edges carry the same length and weight; functions that are also
+the same on them (forcing constant per generation, leaf data constant per
+cell) are stored and solved in O(p^N * depth).  `FiniteTree.expanded`
+gives the full tree back, within the tree budget.
 """
 
 from __future__ import annotations
@@ -156,6 +165,13 @@ class FiniteTree:
     Per-generation arrays:  lengths[n][k], weights[n][k], dist[n][k] where
     dist is the root distance L_{n,k} of the far vertex X_{n,k}.  The root
     vertex o sits at distance 0 below edge (0, 0).
+
+    rows[n] is the number of rows stored for generation n: p^n on a full
+    tree.  On a compressed tree a generation with as many rows as its
+    parent generation (`merged`) stores one row for all p children of each
+    parent row, and each row stands for `multiplicity(n)` edges.  n_leaves,
+    n_edges and edge_count_by_generation count stored rows; the totals
+    count every edge.
     """
 
     def __init__(self, params: TreeParams, depth: int, lengths, weights, condensed: bool = False):
@@ -164,11 +180,14 @@ class FiniteTree:
         self.lengths = lengths
         self.weights = weights
         self.condensed = condensed
+        self.rows = tuple(len(arr) for arr in lengths)
         self.dist = []
         prev = None
         for n in range(depth + 1):
             if n == 0:
                 d = lengths[0].copy()
+            elif self.merged(n):
+                d = prev + lengths[n]
             else:
                 d = np.repeat(prev, params.p) + lengths[n]
             self.dist.append(d)
@@ -178,23 +197,47 @@ class FiniteTree:
     def p(self) -> int:
         return self.params.p
 
+    def merged(self, n: int) -> bool:
+        """Whether generation n stores one row for the p children of each row of n - 1."""
+        return self.rows[n] == self.rows[n - 1]
+
+    def multiplicity(self, n: int) -> int:
+        """Number of generation-n edges each stored row stands for."""
+        return self.p**n // self.rows[n]
+
     @property
     def n_leaves(self) -> int:
-        return self.p**self.depth
+        return self.rows[self.depth]
 
     @property
     def n_edges(self) -> int:
-        return sum(self.p**n for n in range(self.depth + 1))
+        return sum(self.rows)
 
     def edge_count_by_generation(self) -> list:
-        return [self.p**n for n in range(self.depth + 1)]
+        return list(self.rows)
 
     def total_length(self) -> float:
-        return float(sum(arr.sum() for arr in self.lengths))
+        return float(sum(self.multiplicity(n) * arr.sum() for n, arr in enumerate(self.lengths)))
 
     def total_measure(self) -> float:
         """mu(T) = sum of omega_e * ell_e over edges."""
-        return float(sum((self.lengths[n] * self.weights[n]).sum() for n in range(self.depth + 1)))
+        return float(sum(self.multiplicity(n) * (self.lengths[n] * self.weights[n]).sum()
+                         for n in range(self.depth + 1)))
+
+    def expanded(self) -> "FiniteTree":
+        """The full tree this one stands for: each row repeated over its edges.
+
+        A full tree is returned as it is; a compressed one is checked
+        against TREE_LEAF_BUDGET before anything is allocated.
+        """
+        if self.rows[self.depth] == self.p**self.depth:
+            return self
+        _check_leaf_budget(self.p, self.depth)
+        reps = [self.multiplicity(n) for n in range(self.depth + 1)]
+        return type(self)(self.params, self.depth,
+                          [np.repeat(arr, m) for arr, m in zip(self.lengths, reps)],
+                          [np.repeat(arr, m) for arr, m in zip(self.weights, reps)],
+                          condensed=self.condensed)
 
 
 class TruncatedTree(FiniteTree):
@@ -215,20 +258,26 @@ class CondensedTree(FiniteTree):
         return self.depth - 1
 
 
-# A tree costs memory linear in its leaves: 2^19 leaves (a depth-18 source
-# tree solve) peaked at about 253 MiB, so 2^23 leaves take 3-4 GiB and
-# 2^24 do not fit a machine with 8 GB.
+# A tree costs memory linear in its stored leaf rows: 2^19 leaves (a
+# depth-18 full source tree solve) peaked at about 253 MiB, so 2^23 leaves
+# take 3-4 GiB and 2^24 do not fit a machine with 8 GB.
 TREE_LEAF_BUDGET = 2**23
 
 
-def _profile(params: TreeParams, depth: int):
-    if params.p**depth > TREE_LEAF_BUDGET:
+def _check_leaf_budget(p: int, generation: int):
+    if p**generation > TREE_LEAF_BUDGET:
         raise AssemblyTooLarge("%d^%d leaves exceed the tree budget of %d leaves"
-                               % (params.p, depth, TREE_LEAF_BUDGET))
+                               % (p, generation, TREE_LEAF_BUDGET))
+
+
+def _profile(params: TreeParams, depth: int, level: int):
+    """Lengths and weights of generations 0..depth, compressed below level."""
+    _check_leaf_budget(params.p, min(depth, level))
     lengths, weights = [], []
     for n in range(depth + 1):
-        ln = np.full(params.p**n, params.L0 * params.ell**n)
-        wn = np.full(params.p**n, params.omega0 * params.omega**n)
+        rows = params.p ** min(n, level)
+        ln = np.full(rows, params.L0 * params.ell**n)
+        wn = np.full(rows, params.omega0 * params.omega**n)
         if n < params.N1:
             for (m, k), val in params.length_overrides.items():
                 if m == n:
@@ -246,12 +295,17 @@ def build_truncated(params: TreeParams, N: int) -> TruncatedTree:
     require_valid(params)
     if N < 0:
         raise NonPositiveParameter("depth N must be >= 0, got %d" % N)
-    lengths, weights = _profile(params, N)
+    lengths, weights = _profile(params, N, N)
     return TruncatedTree(params, N, lengths, weights)
 
 
-def build_condensed(params: TreeParams, N: int) -> CondensedTree:
-    """Condensed tree of the truncation at N: depth N+1, stretched leaf edges."""
+def build_condensed(params: TreeParams, N: int, level: int | None = None) -> CondensedTree:
+    """Condensed tree of the truncation at N: depth N+1, stretched leaf edges.
+
+    With level (N1 <= level <= N) the tree is compressed below that level:
+    every generation beyond it stores p^level rows, one per cell of the
+    level.  Without it the tree is full.
+    """
     require_valid(params)
     if N < 0:
         raise NonPositiveParameter("condensation generation N must be >= 0, got %d" % N)
@@ -259,9 +313,14 @@ def build_condensed(params: TreeParams, N: int) -> CondensedTree:
         raise CondensationBelowGeometricGeneration(
             "condensation at N=%d requires geometric subtrees (N1=%d)" % (N, params.N1)
         )
+    if level is None:
+        level = N + 1
+    elif not params.N1 <= level <= N:
+        raise CondensationBelowGeometricGeneration(
+            "compression at level %d needs N1=%d <= level <= N=%d" % (level, params.N1, N))
     r = params.r
     if not r < 1.0:
         raise StructuralConditionViolated("r = ell/(p*omega) = %g must be < 1" % r)
-    lengths, weights = _profile(params, N + 1)
+    lengths, weights = _profile(params, N + 1, level)
     lengths[N + 1] = lengths[N + 1] / (1.0 - r)
     return CondensedTree(params, N + 1, lengths, weights, condensed=True)

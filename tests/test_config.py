@@ -1,5 +1,6 @@
 """Flat INI config parsing and the objects it builds."""
 
+import numpy as np
 import pytest
 
 from treedisk.circle import FourierFn
@@ -154,9 +155,10 @@ def test_transmission_builder_constant_tree_source():
     tcfg = cfg.transmission(level=3)
     assert tcfg.source_depth == 5
     assert tcfg.tree_source is not None
-    # the condensed source tree carries one generation beyond source_depth
-    assert tcfg.tree_source.tree.depth == 6
-    assert tcfg.tree_source.root_value == 2.0
+    # one row per generation 0..6: the condensed source tree carries one
+    # generation beyond source_depth
+    assert tcfg.tree_source.shape == (7, 1)
+    assert np.all(tcfg.tree_source == 2.0)
 
 
 def test_sha256_and_echo(tmp_path):

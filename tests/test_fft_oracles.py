@@ -14,10 +14,11 @@ import sys
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import event, given, note, settings
 from hypothesis import strategies as st
 
 from treedisk import circle as ci
+from treedisk import transmission
 from treedisk.acceptance import _random_admissible_params
 from treedisk.errors import SingularInterfaceOperator
 from treedisk.exterior import (
@@ -188,6 +189,35 @@ def test_solve_interface_matches_dense_on_random_admissible_trees(seed):
     alpha1 = complex(rng.uniform(0.05, 3.0), rng.uniform(-1.0, 1.0))
     system = _system(params, N, alpha1, complex(rng.uniform(0.0, 2.0), rng.uniform(-1.0, 1.0)))
     assert rel_err(solve_interface(system).values, np.linalg.solve(system.M, -system.h)) <= 1e-12
+
+
+@settings(max_examples=20, deadline=None)
+@given(N=st.integers(min_value=3, max_value=8), seed=st.integers(min_value=0, max_value=2**32 - 1),
+       size=st.floats(min_value=1.0, max_value=28.0))
+def test_solve_interface_matches_dense_for_rough_per_cell_alpha0(N, seed, size):
+    # alpha0 drawn independently per cell, complex, |alpha0| <= size <= 28,
+    # with Re alpha0 >= 0 (sign condition (i)); the Chan preconditioner sees
+    # only its mean, so this is where GMRES needs the most steps
+    assert transmission._KRYLOV_MAX_ITER == 100
+    rng = np.random.default_rng(seed)
+    cells = 2**N
+    alpha0 = size * rng.uniform(0.0, 1.0, cells) * np.exp(1j * rng.uniform(-0.5 * np.pi, 0.5 * np.pi, cells))
+    system = assemble_system(TransmissionConfig(params=TreeParams(p=2, ell=0.5, omega=0.4), level=N,
+                                                alpha1=1.0, alpha0=alpha0, c_root=0.6,
+                                                exterior_source=RING))
+    applications = []
+    apply = system.apply
+
+    def counted(x, adjoint=False):
+        applications.append(adjoint)
+        return apply(x, adjoint)
+
+    system.apply = counted
+    g = solve_interface(system).values
+    note("N=%d, max |alpha0| %.2f: %d applications of M or M^H" % (N, size, len(applications)))
+    low = len(applications) // 100 * 100
+    event("N=%d: %d-%d applications" % (N, low, low + 99))
+    assert rel_err(g, np.linalg.solve(system.M, -system.h)) <= 1e-12
 
 
 @pytest.mark.parametrize("N", [3, 6])

@@ -4,7 +4,8 @@ Each case runs in a child process whose address space is capped at 2 GiB
 (RLIMIT_AS), with BLAS on one thread, so a guard that allocates before it
 checks fails there with MemoryError instead of taking the test runner down.
 The interface solve forms no dense operator, so it runs past the dense
-budget within the same cap.
+budget within the same cap, and the source tree is solved compressed at the
+interface level, so a source depth far beyond the tree budget solves too.
 """
 
 import os
@@ -55,6 +56,28 @@ if not sol.flux_residual <= sol.discretization_defect + 1e-10:
                      % (sol.flux_residual, sol.discretization_defect))
 """
 
+DEEP_SOURCE_TREE = """
+import numpy as np
+from treedisk.errors import AssemblyTooLarge
+from treedisk.exterior import RadialSource
+from treedisk.transmission import TransmissionConfig, solve_transmission
+from treedisk.tree import TreeParams
+ring = RadialSource(R=1.0, r_max=2.0, terms=[(1, {0: 1.0}), (-1, {0: 1.0})])
+cfg = TransmissionConfig(params=TreeParams(p=2, ell=0.5, omega=0.4), level=4, alpha1=1.0,
+                         alpha0=0.3, c_root=1.0, exterior_source=ring, source_depth=40,
+                         tree_source=np.full((42, 1), 0.7))
+sol = solve_transmission(cfg)
+if not sol.flux_residual <= sol.discretization_defect + 1e-10:
+    raise SystemExit("flux residual %r, discretization defect %r"
+                     % (sol.flux_residual, sol.discretization_defect))
+try:
+    sol.u_tree
+except AssemblyTooLarge:
+    pass
+else:
+    raise SystemExit("the full source tree of 2^41 leaves was expanded")
+"""
+
 
 CONFIG = "tree.p = 2\ntree.ell = 0.5\ntree.omega = 0.4\n"
 CLI_CASES = {
@@ -83,6 +106,13 @@ def test_oversize_call_raises_before_allocating(call):
 def test_solve_runs_past_the_dense_budget():
     # 8,192 cells, twice the dense budget, with a source tree of 2^18 leaves
     proc = _run(["-c", SOLVE_BEYOND_DENSE_BUDGET])
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_solve_with_a_source_tree_beyond_the_tree_budget():
+    # the source tree of depth 41 is solved one row per cell below N=4;
+    # only its expansion to 2^41 leaf edges is refused
+    proc = _run(["-c", DEEP_SOURCE_TREE])
     assert proc.returncode == 0, proc.stderr
 
 

@@ -4,12 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from treedisk import calculus, transmission
-from treedisk.calculus import TreeFunction, constant_function
+from treedisk import calculus, circle, dtn, transmission
+from treedisk import tree as tree_module
+from treedisk.calculus import TreeFunction
 from treedisk.circle import FourierFn, MultiscaleDecomposition, PiecewiseConstantFn
 from treedisk.errors import (
     Alpha1Zero,
     DepthBelowChartLevel,
+    DepthMismatch,
     InsufficientLevels,
     SingularInterfaceOperator,
 )
@@ -24,7 +26,7 @@ from treedisk.transmission import (
     solve_interface,
     solve_transmission,
 )
-from treedisk.tree import TreeParams, build_condensed, build_truncated
+from treedisk.tree import TreeParams, build_condensed
 
 REF = TreeParams(p=2, ell=0.5, omega=0.4, L0=1.0, omega0=1.0)
 
@@ -89,11 +91,10 @@ def test_lift_choice_does_not_change_the_trace():
     # value and vanishing boundary data must leave h and g unchanged
     cfg_a = TransmissionConfig(params=REF, level=3, alpha1=1.5, alpha0=0.4, c_root=1.0)
     sy_a = assemble_system(cfg_a)
-    tree = build_condensed(REF, cfg_a.source_depth)
-    cubic = constant_function(tree, 0.0)
-    l0 = tree.lengths[0][0]
+    cubic = np.zeros((cfg_a.source_depth + 2, 2))
+    l0 = REF.L0
     # -Lap((1 - t/l0)^3) = -6/l0^2 + 6 t/l0^3
-    cubic.coeffs[0] = np.array([[-6.0 / l0**2, 6.0 / l0**3]])
+    cubic[0] = [-6.0 / l0**2, 6.0 / l0**3]
     cfg_b = TransmissionConfig(params=REF, level=3, alpha1=1.5, alpha0=0.4,
                                tree_source=cubic, source_depth=cfg_a.source_depth)
     sy_b = assemble_system(cfg_b)
@@ -116,7 +117,7 @@ def test_root_bump_properties():
 def test_flux_residual_within_discretization_defect():
     cfg = TransmissionConfig(params=REF, level=3, alpha1=2.0, alpha0=0.5, c_root=1.5,
                              exterior_source=_ext_source(1))
-    cfg.tree_source = constant_function(build_condensed(REF, cfg.source_depth), 0.7)
+    cfg.tree_source = np.full((cfg.source_depth + 2, 1), 0.7)
     sol = solve_transmission(cfg)
     assert sol.trace_defect <= 1e-10
     assert sol.flux_residual <= sol.discretization_defect + 1e-10
@@ -269,13 +270,15 @@ def test_config_validation():
 
 
 def test_tree_source_on_wrong_tree_rejected():
-    # a source on a tree other than the condensed tree of the config's
-    # parameters at source_depth: too shallow, truncated, other parameters
-    for tree in [build_condensed(REF, 4), build_truncated(REF, 7),
-                 build_condensed(TreeParams(p=2, ell=0.5, omega=0.45), 6)]:
+    # the source needs one row for each of the 8 generations of the
+    # condensed tree at source_depth 6: rows for a shallower or a deeper
+    # tree, one value per generation without a coefficient axis, and no
+    # coefficients at all are refused
+    for rows in [np.ones((6, 1)), np.ones((9, 1)), np.ones(8), np.ones((8, 0)),
+                 np.ones((8, 1, 1))]:
         cfg = TransmissionConfig(params=REF, level=3, alpha1=1.0, alpha0=0.3,
-                                 tree_source=constant_function(tree, 1.0), source_depth=6)
-        with pytest.raises(DepthBelowChartLevel):
+                                 tree_source=rows, source_depth=6)
+        with pytest.raises(DepthMismatch):
             assemble_system(cfg)
 
 
@@ -312,38 +315,89 @@ def test_reconstruct_reuses_the_assembled_source_lifts(monkeypatch):
     assert len(calls) == 1
 
 
+def _record_trees(monkeypatch):
+    """(stage, depth, leaf rows) of every tree built or eliminated through the modules' bindings."""
+    trees = []
+
+    def recorded(stage, fn):
+        def wrapper(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            tree = result if stage == "built" else args[0]
+            trees.append((stage, tree.depth, tree.n_leaves))
+            return result
+        return wrapper
+
+    builders = {name: getattr(tree_module, name) for name in ("build_condensed", "build_truncated")}
+    for module in (transmission, tree_module, dtn, calculus):
+        for name, fn in builders.items():
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, recorded("built", fn))
+    elimination = calculus.tree_elimination
+    for module in (calculus, transmission, dtn):
+        monkeypatch.setattr(module, "tree_elimination", recorded("eliminated", elimination))
+    return trees
+
+
 @pytest.mark.parametrize("tree_source", [False, True])
-def test_one_source_tree_elimination_per_solve(monkeypatch, tree_source):
-    # the Poisson lift and the harmonic solve of reconstruct share the
-    # elimination of the source tree, kept on the assembled system
+def test_no_full_source_tree_per_solve(monkeypatch, tree_source):
+    # the source tree of depth source_depth + 1 is built and eliminated
+    # once, compressed to one row per cell below the level; the Poisson
+    # lift and the harmonic solve of reconstruct share its elimination
     cfg = TransmissionConfig(params=REF, level=3, alpha1=1.0, alpha0=0.3, c_root=0.5,
                              exterior_source=_ext_source(2))
     if tree_source:
-        cfg.tree_source = constant_function(build_condensed(REF, cfg.source_depth), 0.7)
-    depths = []
-    original = calculus.tree_elimination
-
-    def counted(tree):
-        depths.append(tree.depth)
-        return original(tree)
-
-    monkeypatch.setattr(calculus, "tree_elimination", counted)
-    monkeypatch.setattr(transmission, "tree_elimination", counted, raising=False)
+        cfg.tree_source = np.full((cfg.source_depth + 2, 1), 0.7)
+    trees = _record_trees(monkeypatch)
     solve_transmission(cfg)
-    assert depths.count(cfg.source_depth + 1) == 1
+    deep = [t for t in trees if t[1] == cfg.source_depth + 1]
+    assert deep == [("built", cfg.source_depth + 1, 2**3), ("eliminated", cfg.source_depth + 1, 2**3)]
+    # nothing else is larger than the level-(N+1) tree behind D_N
+    assert max(rows for _, _, rows in trees) == 2**4
 
 
-def test_solve_builds_a_source_tree_only_without_a_tree_source(monkeypatch):
+def test_each_solve_builds_one_compressed_source_tree(monkeypatch):
     cfg = TransmissionConfig(params=REF, level=3, alpha1=1.0, alpha0=0.3, c_root=0.5)
     builds = _count_calls(monkeypatch, transmission, "build_condensed")
     sol = solve_transmission(cfg)
     assert len(builds) == 1
+    assert sol.u_rows.tree.rows == (1, 2, 4) + (8,) * 6
     assert sol.u_tree.tree.depth == cfg.source_depth + 1 and sol.u_tree.tree.condensed
-    # with a tree source the solve runs on the source's own tree
-    cfg.tree_source = constant_function(sol.u_tree.tree, 0.7)
+    assert sol.u_tree.tree.rows == tuple(2**n for n in range(cfg.source_depth + 2))
+    # a tree source is rows of coefficients, not a tree: the solve builds its own
+    cfg.tree_source = np.full((cfg.source_depth + 2, 1), 0.7)
     sol = solve_transmission(cfg)
-    assert len(builds) == 1
-    assert sol.u_tree.tree is cfg.tree_source.tree
+    assert len(builds) == 2
+    assert sol.u_rows.tree.n_leaves == 8
+
+
+@pytest.mark.parametrize("source", ["none", "ring", "wide ring"])
+def test_reconstruct_splits_the_modes_once(monkeypatch, source):
+    # g's modes and both cell integrals share one split of the 16 p^N
+    # modes; an exterior source mode beyond them needs a split of its own
+    cfg = TransmissionConfig(params=REF, level=3, alpha1=1.0, alpha0=0.3, c_root=0.5)
+    if source == "ring":
+        cfg.exterior_source = _ext_source(2)
+    elif source == "wide ring":
+        cfg.exterior_source = _ext_source(200)
+    sy = assemble_system(cfg)
+    g = solve_interface(sy)
+    expected = reconstruct(sy, g)
+    sizes = []
+    original = circle._mode_split
+
+    def counted(ks, pn):
+        sizes.append(ks.size)
+        return original(ks, pn)
+
+    monkeypatch.setattr(circle, "_mode_split", counted)
+    sol = reconstruct(sy, g)
+    expected_sizes = [2 * 16 * 8 + 1]
+    if source == "wide ring":
+        # the exterior flux carries modes up to 200
+        expected_sizes.append(2 * 200 + 1)
+    assert sizes == expected_sizes
+    assert sol.flux_residual == expected.flux_residual
+    assert sol.discretization_defect == expected.discretization_defect
 
 
 def test_manufactured_study_solves_no_source_lift(monkeypatch):
@@ -363,10 +417,10 @@ def _source_depth_builds(monkeypatch, cfg):
     builds = []
     original = transmission.build_condensed
 
-    def counted(params, N):
+    def counted(params, N, **kwargs):
         if N == cfg.source_depth:
             builds.append(N)
-        return original(params, N)
+        return original(params, N, **kwargs)
 
     monkeypatch.setattr(transmission, "build_condensed", counted)
     return builds
@@ -400,19 +454,25 @@ def _assert_same_function(got, expected):
 @pytest.mark.parametrize("with_source", [False, True])
 def test_tree_forcing_matches_full_tree_formula(with_source):
     cfg = TransmissionConfig(params=REF, level=2, alpha1=1.0, c_root=0.8 - 0.3j)
-    tree = build_condensed(REF, cfg.source_depth)
+    full = build_condensed(REF, cfg.source_depth)
+    tree = build_condensed(REF, cfg.source_depth, level=cfg.level)
     if with_source:
         rng = np.random.default_rng(5)
-        cfg.tree_source = TreeFunction(
-            tree, [rng.standard_normal((2**n, 3)) for n in range(tree.depth + 1)])
-    f = cfg.tree_source if with_source else constant_function(tree, 0.0)
-    lap_u1 = constant_function(tree, 0.0)
-    lap_u1.coeffs[0] = np.array([[2.0 / tree.lengths[0][0] ** 2]])
+        cfg.tree_source = rng.standard_normal((full.depth + 1, 3))
+        f = TreeFunction(full, [np.tile(row, (2**n, 1)) for n, row in enumerate(cfg.tree_source)])
+    else:
+        f = calculus.constant_function(full, 0.0)
+    lap_u1 = calculus.constant_function(full, 0.0)
+    lap_u1.coeffs[0] = np.array([[2.0 / full.lengths[0][0] ** 2]])
     expected = f - lap_u1 * complex(cfg.c_root)
-    _assert_same_function(transmission._tree_forcing(cfg, tree), expected)
-    # without c_root the tree source itself is the forcing
+    _assert_same_function(transmission._tree_forcing(cfg, tree).expanded(), expected)
+    # without c_root the generations are views of the tree source's rows
     cfg.c_root = 0.0
-    assert transmission._tree_forcing(cfg, tree) is cfg.tree_source
+    forcing = transmission._tree_forcing(cfg, tree)
+    if with_source:
+        assert all(np.shares_memory(c, cfg.tree_source) for c in forcing.coeffs)
+    else:
+        assert forcing is None
 
 
 def test_reconstruct_adds_the_root_bump_on_the_root_edge():
@@ -420,16 +480,16 @@ def test_reconstruct_adds_the_root_bump_on_the_root_edge():
                              exterior_source=_ext_source(1))
     sy = assemble_system(cfg)
     sol = reconstruct(sy, solve_interface(sy))
-    refined = np.repeat(sol.g.values, 2 ** (sy.tree.depth - cfg.level))
-    u = transmission.solve_harmonic_dirichlet(sy.tree, refined, root_value=0.0)
-    expected = u + root_bump(sy.tree) * complex(cfg.c_root) + sy.u_f
+    tree = sy.tree.expanded()
+    refined = np.repeat(sol.g.values, 2 ** (tree.depth - cfg.level))
+    u = transmission.solve_harmonic_dirichlet(tree, refined, root_value=0.0)
+    expected = u + root_bump(tree) * complex(cfg.c_root) + sy.u_f.expanded()
     _assert_same_function(sol.u_tree, expected)
 
 
 def _tree_source_config(c_root):
-    tree = build_condensed(REF, 7)
     return TransmissionConfig(params=REF, level=3, alpha1=1.2, alpha0=0.4, c_root=c_root,
-                              tree_source=constant_function(tree, 0.6 - 0.25j),
+                              tree_source=np.full((9, 1), 0.6 - 0.25j),
                               exterior_source=_ext_source(2, 0.3))
 
 
@@ -437,12 +497,12 @@ def _tree_source_config(c_root):
 def test_repeated_solves_are_bit_identical(c_root):
     # the solve must not write into the tree source it is handed
     cfg = _tree_source_config(c_root)
-    before = [c.copy() for c in cfg.tree_source.coeffs]
+    before = cfg.tree_source.copy()
     first, second = solve_transmission(cfg), solve_transmission(cfg)
     assert np.array_equal(first.g.values, second.g.values)
     for a, b in zip(first.u_tree.coeffs, second.u_tree.coeffs):
         assert np.array_equal(a, b)
-    assert all(np.array_equal(a, b) for a, b in zip(cfg.tree_source.coeffs, before))
+    assert np.array_equal(cfg.tree_source, before)
 
 
 @pytest.mark.parametrize("with_source", [False, True])
@@ -458,7 +518,7 @@ def test_reconstructed_tree_solution_matches_sum_of_lifts(with_source, c_root):
     expected = transmission.solve_harmonic_dirichlet(tree, refined, root_value=0.0)
     expected = expected + root_bump(tree) * complex(cfg.c_root)
     if sy.u_f is not None:
-        expected = expected + sy.u_f
+        expected = expected + sy.u_f.expanded()
     diff = expected - sol.u_tree
     scale = max(float(np.abs(c).max()) for c in expected.coeffs)
     assert max(float(np.abs(c).max()) for c in diff.coeffs) <= 1e-15 * scale

@@ -8,7 +8,9 @@ parts of the old Poisson solve, double antiderivative arrays built with
 _poly_antider, where the kernel evaluates them in closed form.  The
 level-N builder tree_dtn is checked against the level-(N+1) condensed
 matrix summed down with compress, and its matrix-free form (the sweep D x
-and T. Chan's circulant eigenvalues) against that dense matrix.
+and T. Chan's circulant eigenvalues) against that dense matrix.  The same
+kernels on a source tree compressed below level N are checked bit for bit
+against the full tree.
 """
 
 import numpy as np
@@ -19,8 +21,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treedisk import calculus as ca
+from treedisk import transmission
 from treedisk.acceptance import _random_admissible_params
 from treedisk.dtn import compress, condensed_dtn, tree_dtn, tree_dtn_operator, truncated_dtn
+from treedisk.errors import CondensationBelowGeometricGeneration
 from treedisk.tree import TreeParams, build_condensed, build_truncated
 
 PARAMS = {
@@ -369,3 +373,127 @@ def test_child_sums_match_reshape_sum(p, complex_):
         if complex_:
             x = x + 1j * rng.standard_normal(x.size)
         assert _rel(ca._child_sums(x, p), x.reshape(-1, p).sum(axis=1)) <= 1e-15
+
+
+# ---------------------------------------------------------------------------
+# the source tree compressed below level N against the full tree
+
+
+COMPRESSED_PARAMS = {
+    "interval": TreeParams(p=1, ell=0.5, omega=1.0),
+    "p2": TreeParams(p=2, ell=0.5, omega=0.4),
+    "p3_overrides": PARAMS["p3_overrides"],
+    "p4": TreeParams(p=4, ell=0.5, omega=0.3, L0=0.8, omega0=1.3),
+    "p2_overrides": PARAMS["p2_overrides"],
+}
+# (level N, source depth): the source tree is condensed at the source depth
+# and has depth source depth + 1; source_depth == level is the shallowest
+COMPRESSED_DEPTHS = {
+    "interval": [(0, 0), (2, 6)],
+    "p2": [(0, 3), (2, 2), (3, 7)],
+    "p3_overrides": [(2, 2), (2, 4), (3, 4)],
+    "p4": [(1, 1), (2, 4)],
+    "p2_overrides": [(1, 1), (1, 6), (3, 5)],
+}
+
+
+def _compressed_cases():
+    return [(name, N, depth) for name in COMPRESSED_PARAMS for N, depth in COMPRESSED_DEPTHS[name]]
+
+
+def _expand_rows(tree, arrays):
+    return [np.repeat(a, tree.multiplicity(n), axis=0) for n, a in enumerate(arrays)]
+
+
+def _assert_bits(got, ref):
+    assert len(got) == len(ref)
+    for g, r in zip(got, ref):
+        assert g.dtype == r.dtype and np.array_equal(g, r)
+
+
+@pytest.mark.parametrize("name,N,depth", _compressed_cases())
+@pytest.mark.parametrize("complex_", [False, True])
+def test_compressed_tree_solves_match_the_full_tree_bit_for_bit(name, N, depth, complex_):
+    params = COMPRESSED_PARAMS[name]
+    tree = build_condensed(params, depth, level=N)
+    full = build_condensed(params, depth)
+    p = params.p
+    assert tree.rows == tuple(p ** min(n, N) for n in range(depth + 2))
+    assert tree.expanded().rows == full.rows
+    _assert_bits(_expand_rows(tree, tree.lengths), full.lengths)
+    _assert_bits(_expand_rows(tree, tree.dist), full.dist)
+
+    # the elimination: conductances and pivots
+    c, pivot = ca.tree_elimination(tree)
+    c_full, pivot_full = ca.tree_elimination(full)
+    _assert_bits(_expand_rows(tree, c), c_full)
+    _assert_bits(_expand_rows(tree, pivot), pivot_full)
+
+    rng = np.random.default_rng(depth + 10 * N + len(name))
+    # the harmonic part: leaf data constant per level-N cell
+    g = rng.standard_normal(p**N)
+    root = 0.0
+    if complex_:
+        g = g + 1j * rng.standard_normal(g.size)
+        root = complex(rng.standard_normal(), rng.standard_normal())
+    u = ca.solve_harmonic_dirichlet(tree, g, root)
+    u_full = ca.solve_harmonic_dirichlet(full, np.repeat(g, full.n_leaves // g.size), root)
+    _assert_bits(u.expanded().coeffs, u_full.coeffs)
+    _assert_bits(_expand_rows(tree, u.vertex_values()), u_full.vertex_values())
+    _assert_bits([np.repeat(ca.leaf_flux(u), tree.multiplicity(tree.depth))], [ca.leaf_flux(u_full)])
+    _assert_bits(_expand_rows(tree, ca.kirchhoff_residual(u).values),
+                 ca.kirchhoff_residual(u_full).values)
+    # totals and pairings count each row once per edge it stands for
+    assert tree.total_measure() == pytest.approx(full.total_measure(), rel=1e-14)
+    assert ca.l2_inner(u, u) == pytest.approx(ca.l2_inner(u_full, u_full), rel=1e-13)
+
+    # the Poisson lift: forcing constant per generation, as zero-stride rows;
+    # v (root value 0) pairs with it in the Green identity
+    v = ca.solve_harmonic_dirichlet(tree, g, 0.0)
+    v_full = ca.solve_harmonic_dirichlet(full, np.repeat(g, full.n_leaves // g.size), 0.0)
+    for degree in (0, 2):
+        rows = rng.standard_normal((depth + 2, degree + 1))
+        if complex_:
+            rows = rows + 1j * rng.standard_normal(rows.shape)
+        source = ca.TreeFunction(tree, [np.broadcast_to(r, (k, r.size)) for r, k in zip(rows, tree.rows)])
+        source_full = ca.TreeFunction(full, [np.tile(r, (p**n, 1)) for n, r in enumerate(rows)])
+        u_f = ca.solve_poisson_zero_trace(tree, source)
+        u_f_full = ca.solve_poisson_zero_trace(full, source_full)
+        _assert_bits(u_f.expanded().coeffs, u_f_full.coeffs)
+        _assert_bits([np.repeat(u_f.leaf_values(), tree.multiplicity(tree.depth))],
+                     [u_f_full.leaf_values()])
+        green = ca.green_identity_check(u_f, v)
+        assert green.scale == pytest.approx(ca.green_identity_check(u_f_full, v_full).scale, rel=1e-13)
+        assert green.relative <= 1e-12
+        # a cell's flux is its row's flux times the leaf edges under it
+        cell = transmission._cell_flux(u_f)
+        summed = ca.leaf_flux(u_f_full).reshape(p**N, -1).sum(axis=1)
+        assert _rel(cell, summed) <= 1e-14
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_compressed_tree_matches_on_random_admissible_trees(seed):
+    rng = np.random.default_rng(seed)
+    params = _random_admissible_params(rng)
+    N = params.N1 + int(rng.integers(0, 2))
+    depth = N + int(rng.integers(0, 3))
+    tree, full = build_condensed(params, depth, level=N), build_condensed(params, depth)
+    g = rng.standard_normal(params.p**N) + 1j * rng.standard_normal(params.p**N)
+    u = ca.solve_harmonic_dirichlet(tree, g, 0.0)
+    u_full = ca.solve_harmonic_dirichlet(full, np.repeat(g, full.n_leaves // g.size), 0.0)
+    _assert_bits(u.expanded().coeffs, u_full.coeffs)
+    rows = rng.standard_normal((depth + 2, 2)) + 1j * rng.standard_normal((depth + 2, 2))
+    source = ca.TreeFunction(tree, [np.broadcast_to(r, (k, 2)) for r, k in zip(rows, tree.rows)])
+    source_full = ca.TreeFunction(full, [np.tile(r, (params.p**n, 1)) for n, r in enumerate(rows)])
+    _assert_bits(ca.solve_poisson_zero_trace(tree, source).expanded().coeffs,
+                 ca.solve_poisson_zero_trace(full, source_full).coeffs)
+
+
+def test_compression_needs_a_geometric_level():
+    params = COMPRESSED_PARAMS["p3_overrides"]
+    with pytest.raises(CondensationBelowGeometricGeneration):
+        build_condensed(params, 4, level=1)
+    with pytest.raises(CondensationBelowGeometricGeneration):
+        build_condensed(params, 4, level=5)
+    assert build_condensed(params, 4, level=4).rows[-2:] == (81, 81)
