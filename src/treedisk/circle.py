@@ -225,7 +225,6 @@ class ModeSplit(NamedTuple):
     """The modes |k| <= M on pn cells: k = r + a pn with r in [0, pn), and the
     weight (-1)^a sinc(k / pn) (module docstring), entry k + M for mode k."""
 
-    pn: int
     r: np.ndarray
     weight: np.ndarray
 
@@ -233,14 +232,14 @@ class ModeSplit(NamedTuple):
 def mode_split(M: int, pn: int) -> ModeSplit:
     """The split of the modes |k| <= M on pn cells, for reuse by every
     conversion of at most M modes on the same cells."""
-    return ModeSplit(pn, *_mode_split(np.arange(-M, M + 1), pn))
+    return ModeSplit(*_mode_split(np.arange(-M, M + 1), pn))
 
 
 def _split_for(split, M: int, pn: int):
-    """(r, weight) of the modes |k| <= M on pn cells: the middle of split when
-    it is a split on pn cells of at least M modes, computed otherwise."""
+    """(r, weight) of the modes |k| <= M on pn cells: the middle of split, a
+    split on the same cells, when it covers M modes, computed otherwise."""
     size = 2 * M + 1
-    if split is not None and split.pn == pn and split.r.size >= size:
+    if split is not None and split.r.size >= size:
         cut = (split.r.size - size) // 2
         return split.r[cut : cut + size], split.weight[cut : cut + size]
     return _mode_split(np.arange(-M, M + 1), pn)

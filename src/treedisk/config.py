@@ -22,7 +22,7 @@ import numpy as np
 from .circle import FourierFn
 from .errors import ConfigError
 from .exterior import RadialSource
-from .tree import TreeParams
+from .tree import TreeParams, check_tree_budget
 
 
 def _parse_int(s):
@@ -150,7 +150,8 @@ class RunConfig:
         """Build the TransmissionConfig at the given level (default interface.N).
 
         source.tree.constant becomes the tree source as one constant row per
-        generation of the source tree; no tree is built here.
+        generation of the source tree; no tree is built here, but the tree
+        budget is checked before the rows are.
         """
         from .transmission import TransmissionConfig
 
@@ -163,6 +164,7 @@ class RunConfig:
             source_depth=self.get("transmission.source_depth"), R=self.get("interface.radius"))
         const = self.get("source.tree.constant")
         if const != 0:
+            check_tree_budget(cfg.params.p, cfg.source_depth + 1, cfg.level)
             cfg.tree_source = np.full((cfg.source_depth + 2, 1), const)
         return cfg
 

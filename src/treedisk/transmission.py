@@ -70,7 +70,7 @@ from .exterior import (
     gamma1_exterior,
     solve_exterior_dirichlet,
 )
-from .tree import FiniteTree, TreeParams, build_condensed
+from .tree import FiniteTree, TreeParams, build_condensed, check_tree_budget
 
 _COND_LIMIT = 1e12
 
@@ -287,11 +287,12 @@ def assemble_system(cfg: TransmissionConfig) -> InterfaceSystem:
 
     h_N[K] = int_{Gamma_K} (-gamma1 v_f + alpha1 gamma1(c u1 + u_f)) ds; the
     root bump contributes no flux, so its only effect is the -c Lap(u1)
-    forcing inside u_f.  The symbol and the tree are checked against their
-    size budgets (exterior.MODE_BUDGET, tree.TREE_LEAF_BUDGET) before
-    anything of size p^N is allocated; nothing here is p^N x p^N.
+    forcing inside u_f.  The source tree and the symbol are checked against
+    their size budgets (tree.check_tree_budget, exterior.MODE_BUDGET)
+    before anything of their size is allocated; nothing here is p^N x p^N.
     """
     p = cfg.params.p
+    check_tree_budget(p, cfg.source_depth + 1, cfg.level)
     pn = p**cfg.level
     symbol = dtn_symbol(cfg.R, MODE_OVERSAMPLING * pn)
     dtn = tree_dtn_operator(cfg.params, cfg.level)
@@ -502,7 +503,7 @@ class TransmissionSolution:
         """u_rows on the full source tree, built on first access.
 
         Raises AssemblyTooLarge, before allocating, when the full tree is
-        beyond tree.TREE_LEAF_BUDGET.
+        beyond the tree budget (tree.check_tree_budget).
         """
         return self.u_rows.expanded()
 

@@ -29,6 +29,7 @@ gives the full tree back, within the tree budget.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -228,11 +229,12 @@ class FiniteTree:
         """The full tree this one stands for: each row repeated over its edges.
 
         A full tree is returned as it is; a compressed one is checked
-        against TREE_LEAF_BUDGET before anything is allocated.
+        against the tree budget (check_tree_budget) before anything is
+        allocated.
         """
         if self.rows[self.depth] == self.p**self.depth:
             return self
-        _check_leaf_budget(self.p, self.depth)
+        check_tree_budget(self.p, self.depth, self.depth)
         reps = [self.multiplicity(n) for n in range(self.depth + 1)]
         return type(self)(self.params, self.depth,
                           [np.repeat(arr, m) for arr, m in zip(self.lengths, reps)],
@@ -258,21 +260,42 @@ class CondensedTree(FiniteTree):
         return self.depth - 1
 
 
-# A tree costs memory linear in its stored leaf rows: 2^19 leaves (a
-# depth-18 full source tree solve) peaked at about 253 MiB, so 2^23 leaves
-# take 3-4 GiB and 2^24 do not fit a machine with 8 GB.
+# A tree costs memory linear in its stored rows: 2^19 leaves (a depth-18
+# full source tree solve, 2^20 rows) peaked at about 253 MiB, so 2^23
+# leaves take 3-4 GiB and 2^24 do not fit a machine with 8 GB.  A full tree
+# with p >= 2 stores fewer than two rows per leaf, so the row bound of twice
+# the leaf budget refuses none of them that the leaf bound admits; it bounds
+# the depth of a path (p = 1) and of a compressed tree, which stores p^N
+# rows for every generation below N.
 TREE_LEAF_BUDGET = 2**23
 
 
-def _check_leaf_budget(p: int, generation: int):
-    if p**generation > TREE_LEAF_BUDGET:
+def check_tree_budget(p: int, depth: int, level: int):
+    """Raise AssemblyTooLarge for a tree of generations 0..depth compressed
+    below level (level >= depth: full) that is beyond the tree budget.
+
+    Nothing of the tree's size is allocated here: the leaf rows p^min(depth,
+    level) must be within TREE_LEAF_BUDGET, all stored rows within twice
+    that, and the p^(depth - level) edges a leaf row stands for must be a
+    finite float, since fluxes and measures are summed over them.
+    """
+    top = min(depth, level)
+    if p > 1 and top >= TREE_LEAF_BUDGET.bit_length() or p**top > TREE_LEAF_BUDGET:
         raise AssemblyTooLarge("%d^%d leaves exceed the tree budget of %d leaves"
-                               % (p, generation, TREE_LEAF_BUDGET))
+                               % (p, top, TREE_LEAF_BUDGET))
+    top_rows = (p ** (top + 1) - 1) // (p - 1) if p > 1 else top + 1
+    rows = top_rows + (depth - top) * p**top
+    if rows > 2 * TREE_LEAF_BUDGET:
+        raise AssemblyTooLarge("%d stored rows exceed the tree budget of %d rows"
+                               % (rows, 2 * TREE_LEAF_BUDGET))
+    if (depth - top) * math.log(p) > math.log(sys.float_info.max):
+        raise AssemblyTooLarge("a leaf row standing for %d^%d edges exceeds the float range"
+                               % (p, depth - top))
 
 
 def _profile(params: TreeParams, depth: int, level: int):
     """Lengths and weights of generations 0..depth, compressed below level."""
-    _check_leaf_budget(params.p, min(depth, level))
+    check_tree_budget(params.p, depth, level)
     lengths, weights = [], []
     for n in range(depth + 1):
         rows = params.p ** min(n, level)

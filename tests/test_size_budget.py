@@ -5,7 +5,8 @@ Each case runs in a child process whose address space is capped at 2 GiB
 checks fails there with MemoryError instead of taking the test runner down.
 The interface solve forms no dense operator, so it runs past the dense
 budget within the same cap, and the source tree is solved compressed at the
-interface level, so a source depth far beyond the tree budget solves too.
+interface level, so a source depth whose full tree is far beyond the leaf
+budget solves too; only the rows it stores count against the tree budget.
 """
 
 import os
@@ -38,6 +39,11 @@ LIBRARY_CASES = {
     "interface_matrix": "assemble_system(TransmissionConfig(params=P, level=13, alpha1=1.0)).M",
     "build_condensed": "build_condensed(P, 40)",
     "build_truncated": "build_truncated(P, 40)",
+    "compressed_tree_rows": "build_condensed(P, 10**9, level=4)",
+    "path_rows": "build_truncated(TreeParams(p=1, ell=0.5, omega=1.0), 10**9)",
+    # 1,031 generations of one row fit the row budget, but the leaf row
+    # stands for 2^1031 edges, which no float counts
+    "leaf_row_float_range": "build_condensed(TreeParams(p=2, ell=0.99, omega=0.5), 1030, level=0)",
     "dtn_symbol": "dtn_symbol(1.0, 10**11)",
     "layer_symbols": "layer_symbols(1.0, 2.0, 10**11)",
 }
@@ -83,6 +89,10 @@ CONFIG = "tree.p = 2\ntree.ell = 0.5\ntree.omega = 0.4\n"
 CLI_CASES = {
     "interface_level": CONFIG + "interface.N = 40\n",
     "source_depth": CONFIG + "transmission.source_depth = 40\nsource.tree.constant = 1.0\n",
+    # stored one row per cell below N, these trees still exceed the row budget
+    "compressed_source_depth":
+        CONFIG + "transmission.source_depth = 1000000000\nsource.tree.constant = 1.0\n",
+    "unforced_source_depth": CONFIG + "transmission.source_depth = 1000000000\n",
 }
 
 
