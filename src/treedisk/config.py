@@ -164,7 +164,7 @@ class RunConfig:
             source_depth=self.get("transmission.source_depth"), R=self.get("interface.radius"))
         const = self.get("source.tree.constant")
         if const != 0:
-            check_tree_budget(cfg.params.p, cfg.source_depth + 1, cfg.level)
+            check_tree_budget(cfg.params, cfg.source_depth + 1, cfg.level)
             cfg.tree_source = np.full((cfg.source_depth + 2, 1), const)
         return cfg
 

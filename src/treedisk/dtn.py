@@ -25,13 +25,14 @@ truncating instead leaves a geometrically decaying defect.
 
 The interface solver tests D against level-N cells.  On a level-N
 indicator the p leaf edges below X_{N,k} carry one value, so they merge
-into one edge of summed conductance; tree_dtn_operator keeps that level-N
-elimination as a TreeDtN, which applies D by one upward and one downward
-sweep in O(p^N), gives T. Chan's optimal circulant of D from the
-per-generation autocorrelations of beta, and gathers the dense p^N x p^N
-matrix only when asked (tree_dtn).  compress, the Galerkin restriction of
-a finer matrix, stays as the identity this rests on (acceptance criterion
-3) and as its test oracle.
+into one edge of summed conductance; tree_dtn_operator eliminates the
+condensed tree compressed at level N (one leaf row per cell) and keeps
+that level-N elimination as a TreeDtN, which applies D by one upward and
+one downward sweep in O(p^N), gives T. Chan's optimal circulant of D from
+the per-generation autocorrelations of beta, and gathers the dense
+p^N x p^N matrix only when asked (tree_dtn).  compress, the Galerkin
+restriction of a finer matrix, stays as the identity this rests on
+(acceptance criterion 3) and as its test oracle.
 """
 
 from __future__ import annotations
@@ -189,12 +190,13 @@ def tree_dtn_operator(params: TreeParams, N: int) -> TreeDtN:
     """D_N of the condensed tree tested against level-N cells, as a TreeDtN.
 
     A level-N indicator sets the p stretched leaf edges below X_{N,k} to
-    one value, so they act as a single edge with their summed conductance;
-    the elimination of the condensed tree runs on vectors, and generation N
-    is eliminated as p^N blocks of size one.
+    one value, so they act as a single edge with their summed conductance.
+    The condensed tree is built compressed at level N, so its leaf
+    generation is already one row per cell, standing for those p edges, and
+    the merged conductance is the p-fold child sum of that row.
     """
-    c, pivot = tree_elimination(build_condensed(params, N))
-    merged = c[N + 1].reshape(params.p**N, -1).sum(axis=1)
+    c, pivot = tree_elimination(build_condensed(params, N, level=N))
+    merged = _child_sums(c[N + 1], params.p, merged=True)
     return TreeDtN(p=params.p, level=N, c=c[: N + 1] + [merged], pivot=pivot)
 
 

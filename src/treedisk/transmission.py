@@ -63,7 +63,6 @@ from .errors import (
 )
 from .exterior import (
     MODE_OVERSAMPLING,
-    ExteriorField,
     RadialSource,
     dtn_symbol,
     galerkin_row,
@@ -194,29 +193,6 @@ def _cell_flux(f: TreeFunction) -> np.ndarray:
     return leaf_flux(f) * f.tree.multiplicity(f.tree.depth)
 
 
-def _source_lifts(cfg: TransmissionConfig):
-    """The source tree, its elimination, the lifts u_f and v_f, and the per-cell leaf flux of u_f.
-
-    The source tree is the condensed tree at source_depth compressed at the
-    solve level.  Without tree forcing the tree, its elimination and u_f
-    are None (the flux of u_f is then zero); v_f is None without an
-    exterior source.
-    """
-    pn = cfg.params.p**cfg.level
-    tree = elimination = u_f = None
-    flux_f = np.zeros(pn)
-    if cfg.tree_source is not None or cfg.c_root != 0:
-        tree = _source_tree(cfg)
-        forcing = _tree_forcing(cfg, tree)
-        elimination = tree_elimination(tree)
-        u_f = solve_poisson_zero_trace(tree, forcing, elimination=elimination)
-        flux_f = _cell_flux(u_f)
-    v_f = None
-    if cfg.exterior_source is not None:
-        v_f = solve_exterior_dirichlet(None, cfg.exterior_source, R=cfg.R)
-    return tree, elimination, u_f, flux_f, v_f
-
-
 @dataclass
 class InterfaceSystem:
     """Level-N operators and rhs of the interface equation M g = -h.
@@ -226,11 +202,10 @@ class InterfaceSystem:
     and M are dense properties, built on each access within the dense
     operator budget.  mass is the diagonal of the alpha0 mass matrix:
     alpha0 times the cell measure, per cell.  The system also keeps the
-    source lifts behind h (see `_source_lifts`), from which `reconstruct`
-    rebuilds the volume solutions with the same source-tree elimination.
-    tree (compressed at the solve level) and u_f, one row per cell below
-    the level, are None when nothing forces the tree; `reconstruct` then
-    builds the source tree.
+    tree side of h for `reconstruct`: the source tree (compressed at the
+    solve level), its elimination, the Poisson lift u_f and its per-cell
+    leaf flux flux_f.  Without tree forcing the first three are None and
+    flux_f is zero; `reconstruct` then builds the source tree.
     """
 
     decomp: MultiscaleDecomposition
@@ -243,7 +218,6 @@ class InterfaceSystem:
     elimination: tuple | None
     u_f: TreeFunction | None
     flux_f: np.ndarray
-    v_f: ExteriorField | None
     condition_estimate: float | None = None
 
     @property
@@ -277,22 +251,20 @@ class InterfaceSystem:
         y += mass * x
         return y
 
-    def hermitian_min_eig(self) -> float:
-        m = self.M
-        return float(np.linalg.eigvalsh(0.5 * (m + m.conj().T))[0])
-
 
 def assemble_system(cfg: TransmissionConfig) -> InterfaceSystem:
     """Build the C_N row, the D_N elimination, the alpha0 mass and the cell integrals of h.
 
     h_N[K] = int_{Gamma_K} (-gamma1 v_f + alpha1 gamma1(c u1 + u_f)) ds; the
     root bump contributes no flux, so its only effect is the -c Lap(u1)
-    forcing inside u_f.  The source tree and the symbol are checked against
-    their size budgets (tree.check_tree_budget, exterior.MODE_BUDGET)
-    before anything of their size is allocated; nothing here is p^N x p^N.
+    forcing inside u_f.  The source tree is built only when forced
+    (tree_source or c_root), and v_f only enters h.  The source tree and
+    the symbol are checked against their budgets (tree.check_tree_budget,
+    exterior.MODE_BUDGET) before anything of their size is allocated, built
+    here or not; nothing here is p^N x p^N.
     """
     p = cfg.params.p
-    check_tree_budget(p, cfg.source_depth + 1, cfg.level)
+    check_tree_budget(cfg.params, cfg.source_depth + 1, cfg.level)
     pn = p**cfg.level
     symbol = dtn_symbol(cfg.R, MODE_OVERSAMPLING * pn)
     dtn = tree_dtn_operator(cfg.params, cfg.level)
@@ -301,14 +273,21 @@ def assemble_system(cfg: TransmissionConfig) -> InterfaceSystem:
     c_row = galerkin_row(decomp, cfg.level, symbol)
     mass = cfg.alpha0_cells() * decomp.cell_measure(cfg.level)
 
-    tree, elimination, u_f, flux_f, v_f = _source_lifts(cfg)
     h = np.zeros(pn, dtype=complex)
-    if v_f is not None:
+    if cfg.exterior_source is not None:
+        v_f = solve_exterior_dirichlet(None, cfg.exterior_source, R=cfg.R)
         h -= circle.cell_integrals(decomp, gamma1_exterior(v_f), cfg.level)
-    if u_f is not None:
+    tree = elimination = u_f = None
+    flux_f = np.zeros(pn)
+    if cfg.tree_source is not None or cfg.c_root != 0:
+        tree = _source_tree(cfg)
+        forcing = _tree_forcing(cfg, tree)
+        elimination = tree_elimination(tree)
+        u_f = solve_poisson_zero_trace(tree, forcing, elimination=elimination)
+        flux_f = _cell_flux(u_f)
         h += complex(cfg.alpha1) * flux_f
     return InterfaceSystem(decomp=decomp, c_row=c_row, dtn=dtn, mass=mass, h=h, config=cfg,
-                           tree=tree, elimination=elimination, u_f=u_f, flux_f=flux_f, v_f=v_f)
+                           tree=tree, elimination=elimination, u_f=u_f, flux_f=flux_f)
 
 
 class _Unconverged(Exception):
@@ -511,18 +490,21 @@ class TransmissionSolution:
 def reconstruct(system: InterfaceSystem, g: PiecewiseConstantFn) -> TransmissionSolution:
     """Rebuild u_T = u + c u1 + u_f and u_Omega = v + v_f from the trace g.
 
-    The flux-condition residual is recomputed from the reconstructed fields
-    (leaf fluxes and per-mode derivatives), not from the solved matrices,
-    so it is an independent check of the transmission conditions in the
-    V_N pairing.  Interface traces match by construction: the leaf rows of
-    the compressed source tree carry the cells of g, the exterior modes carry its
-    Fourier coefficients at the assembly cutoff.  The config, the source
-    tree and the source lifts all come from `system`, the solved system.
+    u_Omega is one exterior solve with trace g and the exterior source,
+    which by linearity is v + v_f.  The flux-condition residual is
+    recomputed from the reconstructed fields (leaf fluxes and per-mode
+    derivatives), not from the solved matrices, so it is an independent
+    check of the transmission conditions in the V_N pairing.  Interface
+    traces match by construction: the leaf rows of the compressed source
+    tree carry the cells of g, the exterior modes carry its Fourier
+    coefficients at the assembly cutoff; a trace defect above 1e-10, or
+    NaN, raises AssertionError.  The config, the source tree and u_f come
+    from `system`, the solved system.
     """
     cfg = system.config
     pn = cfg.params.p**cfg.level
     decomp = g.decomp
-    tree, u_f, flux_f, v_f = system.tree, system.u_f, system.flux_f, system.v_f
+    tree, u_f, flux_f = system.tree, system.u_f, system.flux_f
     if tree is None:
         tree = _source_tree(cfg)
     # the leaf rows of the compressed tree are the cells, so g itself is
@@ -550,17 +532,14 @@ def reconstruct(system: InterfaceSystem, g: PiecewiseConstantFn) -> Transmission
     # one split of the 16 p^N modes serves g's modes and both cell integrals
     split = circle.mode_split(MODE_OVERSAMPLING * pn, pn)
     g_fourier = g.to_fourier(MODE_OVERSAMPLING * pn, split)
-    v = solve_exterior_dirichlet(g_fourier, None, R=cfg.R)
-    u_ext = v
-    if v_f is not None:
-        u_ext = u_ext + v_f
+    u_ext = solve_exterior_dirichlet(g_fourier, cfg.exterior_source, R=cfg.R)
 
     tree_trace = np.abs(u_T.leaf_values() - g.values).max() if pn else 0.0
     diff = u_ext.trace0() - g_fourier
     m = g_fourier.M
     ext_trace = np.abs(diff.coeffs[diff.M - m : diff.M + m + 1]).max()
     trace_defect = float(max(tree_trace, ext_trace))
-    if trace_defect > 1e-10:
+    if not trace_defect <= 1e-10:
         raise AssertionError("interface traces disagree by %.3e" % trace_defect)
 
     flux_ext = circle.cell_integrals(decomp, gamma1_exterior(u_ext), cfg.level, split)

@@ -234,7 +234,7 @@ class FiniteTree:
         """
         if self.rows[self.depth] == self.p**self.depth:
             return self
-        check_tree_budget(self.p, self.depth, self.depth)
+        check_tree_budget(self.params, self.depth, self.depth)
         reps = [self.multiplicity(n) for n in range(self.depth + 1)]
         return type(self)(self.params, self.depth,
                           [np.repeat(arr, m) for arr, m in zip(self.lengths, reps)],
@@ -270,15 +270,18 @@ class CondensedTree(FiniteTree):
 TREE_LEAF_BUDGET = 2**23
 
 
-def check_tree_budget(p: int, depth: int, level: int):
+def check_tree_budget(params: TreeParams, depth: int, level: int):
     """Raise AssemblyTooLarge for a tree of generations 0..depth compressed
     below level (level >= depth: full) that is beyond the tree budget.
 
     Nothing of the tree's size is allocated here: the leaf rows p^min(depth,
     level) must be within TREE_LEAF_BUDGET, all stored rows within twice
     that, and the p^(depth - level) edges a leaf row stands for must be a
-    finite float, since fluxes and measures are summed over them.
+    finite float, since fluxes and measures are summed over them.  The
+    deepest length, weight and conductance omega/ell, compared in log space,
+    must be normal floats: a weight of 0 makes the elimination divide 0 by 0.
     """
+    p = params.p
     top = min(depth, level)
     if p > 1 and top >= TREE_LEAF_BUDGET.bit_length() or p**top > TREE_LEAF_BUDGET:
         raise AssemblyTooLarge("%d^%d leaves exceed the tree budget of %d leaves"
@@ -291,11 +294,18 @@ def check_tree_budget(p: int, depth: int, level: int):
     if (depth - top) * math.log(p) > math.log(sys.float_info.max):
         raise AssemblyTooLarge("a leaf row standing for %d^%d edges exceeds the float range"
                                % (p, depth - top))
+    log_length = math.log(params.L0) + depth * math.log(params.ell)
+    log_weight = math.log(params.omega0) + depth * math.log(params.omega)
+    for name, value in (("length", log_length), ("weight", log_weight),
+                        ("conductance", log_weight - log_length)):
+        if not math.log(sys.float_info.min) <= value <= math.log(sys.float_info.max):
+            raise AssemblyTooLarge("the edge %s of generation %d, 10^%.1f, is not a normal float"
+                                   % (name, depth, value / math.log(10)))
 
 
 def _profile(params: TreeParams, depth: int, level: int):
     """Lengths and weights of generations 0..depth, compressed below level."""
-    check_tree_budget(params.p, depth, level)
+    check_tree_budget(params, depth, level)
     lengths, weights = [], []
     for n in range(depth + 1):
         rows = params.p ** min(n, level)

@@ -44,6 +44,13 @@ LIBRARY_CASES = {
     # 1,031 generations of one row fit the row budget, but the leaf row
     # stands for 2^1031 edges, which no float counts
     "leaf_row_float_range": "build_condensed(TreeParams(p=2, ell=0.99, omega=0.5), 1030, level=0)",
+    # 902 generations of one row fit every budget, but omega^901 underflows
+    # below the normal floats and the elimination would divide 0 by 0
+    "deep_edge_weight": "build_condensed(P, 900, level=0)",
+    # an unforced source tree is built only after the interface solve, so
+    # assembly checks it without building it
+    "unforced_deep_source": "assemble_system(TransmissionConfig(params=P, level=0, alpha1=1.0, "
+                            "source_depth=900))",
     "dtn_symbol": "dtn_symbol(1.0, 10**11)",
     "layer_symbols": "layer_symbols(1.0, 2.0, 10**11)",
 }
@@ -93,6 +100,9 @@ CLI_CASES = {
     "compressed_source_depth":
         CONFIG + "transmission.source_depth = 1000000000\nsource.tree.constant = 1.0\n",
     "unforced_source_depth": CONFIG + "transmission.source_depth = 1000000000\n",
+    # within the row budget, but the deepest edge weight is not a normal float
+    "deep_source_edge_weight":
+        CONFIG + "interface.N = 0\ntransmission.c_root = 1\ntransmission.source_depth = 900\n",
 }
 
 
