@@ -13,7 +13,7 @@ import numpy as np
 
 from . import calculus, circle
 from .circle import FourierFn, MultiscaleDecomposition, PiecewiseConstantFn
-from .dtn import compress, condensed_dtn, truncated_dtn
+from .dtn import coercivity_check, compress, condensed_dtn, truncated_dtn
 from .errors import SingularInterfaceOperator
 from .exterior import (
     bie_dtn_crosscheck,
@@ -110,10 +110,9 @@ def criterion_4():
         report = validate_params(params)
         if not report.ok:
             return (name, False, "draw %d is not admissible: %s" % (i, "; ".join(report.failures)))
-        op = condensed_dtn(params, params.N1 + 2)
-        sym = 0.5 * (op.matrix + op.matrix.T)
-        min_eig = min(min_eig, float(np.linalg.eigvalsh(sym)[0]))
-        max_sym = max(max_sym, op.symmetry_defect())
+        check = coercivity_check(condensed_dtn(params, params.N1 + 2))
+        min_eig = min(min_eig, check.eig_min)
+        max_sym = max(max_sym, check.symmetry_defect)
     ok = min_eig > 0.0 and max_sym < 1e-9
     return (name, ok,
             "min eigenvalue %.3e, max symmetry defect %.2e" % (min_eig, max_sym))
@@ -147,13 +146,12 @@ def criterion_6():
         worst_quad = max(worst_quad, abs(quad - exact))
     cross = bie_dtn_crosscheck(1.0, 2.0, 64)
     decomp = MultiscaleDecomposition(R=1.0, p=2, n_max=6)
-    op = dtn_galerkin(decomp, 3, dtn_symbol(1.0, 16 * 8))
-    const_image = np.abs(op.matrix @ np.ones(8)).max()
-    eig_max = float(np.linalg.eigvalsh(0.5 * (op.matrix + op.matrix.T))[-1])
-    ok = worst_quad <= 1e-6 and cross <= 1e-12 and const_image <= 1e-10 and eig_max <= 1e-10
+    check = coercivity_check(dtn_galerkin(decomp, 3, dtn_symbol(1.0, 16 * 8)))
+    ok = (worst_quad <= 1e-6 and cross <= 1e-12 and check.const_image <= 1e-10
+          and check.eig_max <= 1e-10)
     return ("exterior symbol suite", ok,
             "quadrature defect %.2e, cross-check %.2e, A1 %.2e, max eig %.2e"
-            % (worst_quad, cross, const_image, eig_max))
+            % (worst_quad, cross, check.const_image, check.eig_max))
 
 
 def _random_kirchhoff_fn(tree, rng, degree):

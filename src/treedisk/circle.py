@@ -48,6 +48,9 @@ from . import calculus
 from .errors import DepthMismatch, ExponentOrderViolated, KirchhoffViolated
 from .tree import FiniteTree
 
+# gamma1 rejects a tree function whose relative Kirchhoff imbalance exceeds this
+_KIRCHHOFF_TOL = 1e-8
+
 
 class MultiscaleDecomposition:
     """Equal-arc p-adic partition hierarchy of the circle of radius R."""
@@ -416,14 +419,13 @@ def gamma0(f: calculus.TreeFunction, decomp: MultiscaleDecomposition) -> Piecewi
     return PiecewiseConstantFn(decomp, f.tree.depth, f.leaf_values())
 
 
-def gamma1(f: calculus.TreeFunction, decomp: MultiscaleDecomposition, tol: float = 1e-8) -> LeafDensity:
+def gamma1(f: calculus.TreeFunction, decomp: MultiscaleDecomposition) -> LeafDensity:
     """Conormal trace density; requires f to have an L^2 Laplacian."""
     _check_tree_vs_decomp(f.tree, decomp)
     res = calculus.kirchhoff_residual(f)
-    if res.relative > tol:
-        raise KirchhoffViolated(
-            "interior flux imbalance %g (relative %g) exceeds %g" % (res.max_abs, res.relative, tol)
-        )
+    if res.relative > _KIRCHHOFF_TOL:
+        raise KirchhoffViolated("interior flux imbalance %g (relative %g) exceeds %g"
+                                % (res.max_abs, res.relative, _KIRCHHOFF_TOL))
     level = f.tree.depth
     return LeafDensity(decomp, level, calculus.leaf_flux(f) / decomp.cell_measure(level))
 

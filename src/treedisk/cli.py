@@ -6,8 +6,9 @@ manifest recording the config hash, the effective parameters, and the wall
 time.  Numbers are written with 17 significant digits so identical configs
 reproduce byte-identical CSVs.
 
-Exit codes: 0 success, 2 configuration or validation failure (a problem
-larger than the size budgets included), 3 numerical failure.
+Exit codes: 0 success, 2 configuration or validation failure (any
+errors.InvalidInput, a problem larger than the size budgets included),
+3 numerical failure.
 """
 
 import argparse
@@ -21,7 +22,7 @@ import numpy as np
 
 from .config import RunConfig, parse_config
 from .dtn import condensed_dtn
-from .errors import AssemblyTooLarge, ConfigError, StructuralConditionViolated, TreediskError
+from .errors import InvalidInput, TreediskError
 from .exterior import check_cutoff, dtn_symbol
 from .transmission import (
     TransmissionConfig,
@@ -237,7 +238,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("tree-dtn", help="dump the condensed tree DtN matrix")
     sp.add_argument("--config", required=True)
-    sp.add_argument("--depth", type=int, required=True)
+    sp.add_argument("--depth", required=True, type=_checked(int, lambda n: n >= 0, ">= 0"))
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=_cmd_tree_dtn)
 
@@ -278,14 +279,8 @@ def main(argv=None) -> int:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print("config error: %s" % exc, file=sys.stderr)
-        return EXIT_CONFIG
-    except StructuralConditionViolated as exc:
-        print("invalid parameters: %s" % exc, file=sys.stderr)
-        return EXIT_CONFIG
-    except AssemblyTooLarge as exc:
-        print("problem too large: %s" % exc, file=sys.stderr)
+    except InvalidInput as exc:
+        print("%s: %s" % (exc.kind, exc), file=sys.stderr)
         return EXIT_CONFIG
     except (TreediskError, AssertionError, np.linalg.LinAlgError) as exc:
         print("numerical failure: %s" % exc, file=sys.stderr)

@@ -30,7 +30,7 @@ condensed tree compressed at level N (one leaf row per cell) and keeps
 that level-N elimination as a TreeDtN, which applies D by one upward and
 one downward sweep in O(p^N), gives T. Chan's optimal circulant of D from
 the per-generation autocorrelations of beta, and gathers the dense
-p^N x p^N matrix only when asked (tree_dtn).  compress, the Galerkin
+p^N x p^N matrix only when asked (TreeDtN.matrix).  compress, the Galerkin
 restriction of a finer matrix, stays as the identity this rests on
 (acceptance criterion 3) and as its test oracle.
 """
@@ -51,6 +51,12 @@ from .tree import TreeParams, build_condensed, build_truncated
 # solve (4096 cells) peaked at 2,251 MiB on a 7 GB host, and 8192 cells
 # would need about 9 GiB.
 DENSE_CELL_BUDGET = 4096
+
+# dtn_convergence_rate measures on the Fourier modes cos(k theta) of
+# _RATE_MODES against a reference _RATE_REF_EXTRA levels below the deepest
+# depth fitted
+_RATE_MODES = (1, 2, 3)
+_RATE_REF_EXTRA = 2
 
 
 @dataclass
@@ -200,12 +206,6 @@ def tree_dtn_operator(params: TreeParams, N: int) -> TreeDtN:
     return TreeDtN(p=params.p, level=N, c=c[: N + 1] + [merged], pivot=pivot)
 
 
-def tree_dtn(params: TreeParams, N: int) -> GalerkinOperator:
-    """Dense D_N, equal to compress(condensed_dtn(params, N), N)."""
-    _check_dense(params.p**N)
-    return GalerkinOperator(p=params.p, level=N, matrix=tree_dtn_operator(params, N).matrix)
-
-
 def truncated_dtn(params: TreeParams, depth: int) -> GalerkinOperator:
     """DtN matrix of the plain truncated tree with edge generations 0..depth."""
     _check_dense(params.p**depth)
@@ -272,8 +272,7 @@ def _fit_rate(depths, errors):
     return -float(coef[1]), float(np.abs(fit - logs).max())
 
 
-def dtn_convergence_rate(params: TreeParams, depths, ref_extra: int = 2,
-                         modes=(1, 2, 3)) -> ConvergenceRecord:
+def dtn_convergence_rate(params: TreeParams, depths) -> ConvergenceRecord:
     """Fitted geometric rate of ||D P_N g - D g|| as N grows.
 
     For p >= 2 the errors are measured in the Fourier H^{-1/2} norm on
@@ -298,13 +297,13 @@ def dtn_convergence_rate(params: TreeParams, depths, ref_extra: int = 2,
 
     from . import circle
 
-    n_ref = max(max(depths) + ref_extra, params.N1)
+    n_ref = max(max(depths) + _RATE_REF_EXTRA, params.N1)
     level = n_ref + 1
     ref = condensed_dtn(params, n_ref)
     decomp = circle.MultiscaleDecomposition(R=1.0, p=params.p, n_max=level)
     mu = decomp.cell_measure(level)
     m_eval = 8 * decomp.n_cells(level)
-    tests = [circle.FourierFn.from_modes(1.0, {k: 0.5, -k: 0.5}) for k in modes]
+    tests = [circle.FourierFn.from_modes(1.0, {k: 0.5, -k: 0.5}) for k in _RATE_MODES]
     dens_ref = []
     for g in tests:
         avg = np.real(circle.cell_averages(decomp, g, level))

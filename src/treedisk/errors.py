@@ -5,15 +5,23 @@ class TreediskError(Exception):
     """Base class for all package-specific errors."""
 
 
-class NonPositiveParameter(TreediskError):
+class InvalidInput(TreediskError):
+    """An input the package rejects before computing; `kind` names the reason on the CLI."""
+
+    kind = "invalid input"
+
+
+class NonPositiveParameter(InvalidInput):
     """A parameter that must be strictly positive (or a positive integer) is not."""
 
 
-class StructuralConditionViolated(TreediskError):
+class StructuralConditionViolated(InvalidInput):
     """One of the structural inequalities on (p, ell, omega) fails; the message names it."""
 
+    kind = "invalid parameters"
 
-class CondensationBelowGeometricGeneration(TreediskError):
+
+class CondensationBelowGeometricGeneration(InvalidInput):
     """Condensation requested at a generation where the tree is not yet geometric."""
 
 
@@ -33,8 +41,10 @@ class SingularSystem(TreediskError):
     """A linear solve met a (numerically) singular matrix."""
 
 
-class AssemblyTooLarge(TreediskError):
+class AssemblyTooLarge(InvalidInput):
     """A dense operator or a tree exceeds its size budget; raised before it is allocated."""
+
+    kind = "problem too large"
 
 
 class ExponentOrderViolated(TreediskError):
@@ -45,15 +55,11 @@ class ScaleEqualsRadius(TreediskError):
     """The logarithmic scale r_scale must differ from the circle radius."""
 
 
-class UnresolvableMode0(TreediskError):
-    """Mode-0 radiation constraint conflicts with the data (diagnostic mode only)."""
-
-
-class DepthBelowChartLevel(TreediskError):
+class DepthBelowChartLevel(InvalidInput):
     """Interface system level below the minimum admissible level."""
 
 
-class Alpha1Zero(TreediskError):
+class Alpha1Zero(InvalidInput):
     """The transmission coefficient alpha1 must be nonzero."""
 
 
@@ -65,12 +71,14 @@ class InsufficientDepths(TreediskError):
     """A rate fit needs at least three depths."""
 
 
-class InsufficientLevels(TreediskError):
+class InsufficientLevels(InvalidInput):
     """A convergence study needs at least two levels."""
 
 
-class ConfigError(TreediskError):
+class ConfigError(InvalidInput):
     """Malformed or unknown configuration content; the message carries the line."""
+
+    kind = "config error"
 
 
 class CutoffTooSmall(UserWarning):

@@ -11,10 +11,8 @@ and against the boundary-equation identity linking S, T and the DtN map.
 Source terms are radial Laurent-polynomial profiles supported in an
 annulus [R, r_max]; the exterior Dirichlet problem Delta u = f is solved
 per mode by variation of parameters around the homogeneous pair
-(r^{|k|}, r^{-|k|}), or (1, log r) for the mean mode.  Two radiation
-classes are supported: "bounded" (solutions O(1) at infinity, the default)
-and the diagnostic "log_class" (b log|x| + O(1/|x|), no free constant),
-which can genuinely fail to match mean boundary data when log R = 0.
+(r^{|k|}, r^{-|k|}), or (1, log r) for the mean mode, in the bounded
+radiation class: solutions stay O(1) at infinity.
 
 Normal direction convention: gamma1 is d/dr at r = R, pointing out of the
 disk into the exterior domain.
@@ -29,7 +27,7 @@ import scipy.linalg
 
 from .circle import FourierFn, MultiscaleDecomposition, _sinc_cells
 from .dtn import GalerkinOperator, _check_dense
-from .errors import AssemblyTooLarge, CutoffTooSmall, ScaleEqualsRadius, UnresolvableMode0
+from .errors import AssemblyTooLarge, CutoffTooSmall, ScaleEqualsRadius
 
 MODE_OVERSAMPLING = 16
 
@@ -132,28 +130,18 @@ def bie_dtn_crosscheck(R: float, r_scale: float, M: int) -> float:
     return float(np.abs(defect[keep]).max())
 
 
-def single_layer_quadrature(R: float, r_scale: float, k: int, n_nodes: int = 2048,
-                            method: str = "graded") -> float:
+def single_layer_quadrature(R: float, r_scale: float, k: int, n_nodes: int = 2048) -> float:
     """Direct kernel quadrature of (S e^{ik.})(x) at x = (R, 0).
 
     Integrates (R/2pi) log(r_scale / (2R sin(theta/2))) cos(k theta) over
-    the circle.  The kernel is log-singular at theta = 0, so the default
-    rule grades panels geometrically toward the singularity and applies
+    the circle.  The kernel is log-singular at theta = 0, so the rule
+    grades panels geometrically toward the singularity and applies
     Gauss-Legendre on each, plus the analytic integral of the log tail;
     this reproduces S_k to near machine precision within the node budget.
-    method="midpoint" is the naive uniform rule, kept for comparison (it
-    stalls near 1e-4 at 2048 nodes).
     """
     if r_scale == R:
         raise ScaleEqualsRadius("r_scale = R makes the single layer singular on constants")
     a = abs(int(k))
-    if method == "midpoint":
-        h = 2.0 * math.pi / n_nodes
-        theta = (np.arange(n_nodes) + 0.5) * h
-        vals = np.log(r_scale / (2.0 * R * np.sin(theta / 2.0))) * np.cos(a * theta)
-        return float(R / (2.0 * math.pi) * h * vals.sum())
-    if method != "graded":
-        raise ValueError("method must be 'graded' or 'midpoint'")
     q = _GL24[0].size
     n_panels = max((n_nodes // 2) // q, 4)
     eps_cut = 1e-15
@@ -262,9 +250,9 @@ class ExteriorField:
 
     `a` and `b` are centered coefficient arrays over |k| <= M, where M is the
     largest |k| that is a source mode or carries nonzero data.  Mode 0
-    carries a constant a_0 and (in the diagnostic radiation class) a log
-    coefficient b_0 of log r.  Normalizing the powers at R keeps every
-    coefficient of the order of the data, whatever R and |k|.  The
+    carries a constant a_0 and a coefficient b_0 of log r, which cancels
+    the log growth of the source's mean.  Normalizing the powers at R
+    keeps every coefficient of the order of the data, whatever R and |k|.  The
     particular part vanishes along with its derivative at r = R, so traces
     at the boundary involve only (a, b).
     """
@@ -273,7 +261,6 @@ class ExteriorField:
     a: np.ndarray
     b: np.ndarray
     source: RadialSource | None = None
-    radiation: str = "bounded"
 
     @property
     def M(self) -> int:
@@ -346,24 +333,18 @@ class ExteriorField:
                                list(self.source.terms) + list(other.source.terms))
         else:
             src = self.source or other.source
-        return ExteriorField(self.R, a, b, source=src, radiation=self.radiation)
+        return ExteriorField(self.R, a, b, source=src)
 
 
-def solve_exterior_dirichlet(g, source: RadialSource | None, R: float | None = None,
-                             radiation: str = "bounded") -> ExteriorField:
+def solve_exterior_dirichlet(g, source: RadialSource | None, R: float | None = None) -> ExteriorField:
     """Solve Delta u = f outside the disk with u = g on the boundary circle.
 
     Per mode k the solution is fixed by the Dirichlet value at R and the
-    radiation class: "bounded" kills the growing part (r^{|k|}, and log r at
-    k = 0, adjusting the free constant), while the diagnostic "log_class"
-    forbids the constant but admits b log|x|; at log R = 0 the mean mode of
-    the latter is overdetermined and raises UnresolvableMode0 unless the
-    data already matches the source mass.  Modes k != 0 without a source
-    term are a_k = g_k, b_k = 0 and are set as arrays; the source modes and
-    the mean mode take the formulas below one by one.
+    bounded radiation class, which kills the growing part (r^{|k|}, and
+    log r at k = 0, adjusting the free constant).  Modes k != 0 without a
+    source term are a_k = g_k, b_k = 0 and are set as arrays; the source
+    modes and the mean mode take the formulas below one by one.
     """
-    if radiation not in ("bounded", "log_class"):
-        raise ValueError("radiation must be 'bounded' or 'log_class'")
     if R is None:
         R = g.R if g is not None else (source.R if source is not None else None)
     if R is None:
@@ -391,25 +372,10 @@ def solve_exterior_dirichlet(g, source: RadialSource | None, R: float | None = N
             b_c = -R * i_minus / (2.0 * ak)
             a_c = ghat - b_c
         else:
-            i_a = _source_integral(source, k, 1.0, np.inf) if source else 0.0
-            i_log = _source_integral(source, k, 1.0, np.inf, with_log=True) if source else 0.0
-            if radiation == "bounded":
-                b_c = -i_a
-                a_c = ghat - b_c * math.log(R)
-            else:
-                a_c = i_log
-                lr = math.log(R)
-                if abs(lr) > 1e-12:
-                    b_c = (ghat - a_c) / lr
-                else:
-                    scale = max(abs(ghat), abs(a_c), 1.0)
-                    if abs(ghat - a_c) > 1e-12 * scale:
-                        raise UnresolvableMode0(
-                            "log radiation class at log R = 0: mean data %r conflicts "
-                            "with source term %r" % (ghat, a_c))
-                    b_c = 0.0
+            b_c = -(_source_integral(source, k, 1.0, np.inf) if source else 0.0)
+            a_c = ghat - b_c * math.log(R)
         a[k + M], b[k + M] = a_c, b_c
-    return ExteriorField(R=float(R), a=a, b=b, source=source, radiation=radiation)
+    return ExteriorField(R=float(R), a=a, b=b, source=source)
 
 
 def gamma1_exterior(u: ExteriorField) -> FourierFn:

@@ -14,8 +14,10 @@ M is never formed on the solve path.  C is circulant, so it acts by FFT
 with the eigenvalues fft(row); D acts by one sweep over its level-N
 elimination; the alpha0 mass is a diagonal.  M g = -h is solved by GMRES,
 preconditioned on the right by T. Chan's optimal circulant of M, and the
-condition number is a Hager-Higham 1-norm estimate.  The dense C, D and M
-are properties of InterfaceSystem, for the pencil and for tests.
+condition number is a Hager-Higham 1-norm estimate; M is complex
+symmetric (M^T = M), so the estimate applies M and M^{-1} and never an
+adjoint.  The dense C, D and M are properties of InterfaceSystem, for the
+pencil and for tests.
 
 The source side runs on the condensed source tree compressed at level N
 (tree.build_condensed with level=N): every generation below N stores one
@@ -241,14 +243,11 @@ class InterfaceSystem:
         """Eigenvalues of C_N on the fft basis: fft of its circulant row."""
         return np.fft.fft(self.c_row).real
 
-    def apply(self, x, adjoint: bool = False) -> np.ndarray:
-        """M x, or M^H x with adjoint: C by FFT, D by its tree sweep, the mass as a diagonal."""
-        a1, mass = complex(self.config.alpha1), self.mass
-        if adjoint:
-            a1, mass = a1.conjugate(), mass.conj()
-        y = a1 * self.dtn.apply(x)
+    def apply(self, x) -> np.ndarray:
+        """M x: C by FFT, D by its tree sweep, the mass as a diagonal."""
+        y = complex(self.config.alpha1) * self.dtn.apply(x)
         y -= np.fft.ifft(self.c_eigs * np.fft.fft(x))
-        y += mass * x
+        y += self.mass * x
         return y
 
 
@@ -372,18 +371,20 @@ def _sign(y):
     return out
 
 
-def _norm1_estimate(apply, apply_adjoint, n: int) -> float:
-    """Lower bound on ||A||_1 from products with A and A^H: LAPACK's zlacn2.
+def _norm1_estimate(apply, n: int) -> float:
+    """Lower bound on ||A||_1 from products with a complex symmetric A: LAPACK's zlacn2.
 
     Hager's method as refined by Higham (ACM TOMS 14, 1988), the estimator
     behind LAPACK's condition numbers: a power-like iteration on unit
     vectors e_j, at most five rounds, then the alternating-sign test vector.
+    It reads A^H s only through |A^H s|, which is |A conj(s)| when
+    A^T = A, so A is the only operator it applies.
     """
     y = apply(np.full(n, 1.0 / n, dtype=complex))
     est = float(np.abs(y).sum())
     if n == 1:
         return est
-    j = int(np.argmax(np.abs(apply_adjoint(_sign(y)))))
+    j = int(np.argmax(np.abs(apply(_sign(y).conj()))))
     for _ in range(4):
         x = np.zeros(n, dtype=complex)
         x[j] = 1.0
@@ -391,7 +392,7 @@ def _norm1_estimate(apply, apply_adjoint, n: int) -> float:
         est_old, est = est, float(np.abs(y).sum())
         if est <= est_old:
             break
-        z = np.abs(apply_adjoint(_sign(y)))
+        z = np.abs(apply(_sign(y).conj()))
         j_last, j = j, int(np.argmax(z))
         if z[j_last] == z[j]:
             break
@@ -406,11 +407,12 @@ def solve_interface(sys: InterfaceSystem) -> PiecewiseConstantFn:
     is T. Chan's optimal circulant of M, -lambda_C + alpha1 chan(D) +
     mean(mass), applied by two FFTs (SIAM J. Sci. Stat. Comput. 9, 1988).
     The 1-norm condition number is the Hager-Higham estimate of ||M||_1
-    times that of ||M^{-1}||_1, whose products are GMRES solves with M and
-    M^H; it is inf when any of those solves misses its tolerance.  An
-    estimate beyond 1e12 raises SingularInterfaceOperator and reports the
-    nearest plasmonic pencil eigenvalue as a diagnostic when the dense
-    pencil fits its budget.
+    times that of ||M^{-1}||_1.  C and D are real symmetric and the mass is
+    diagonal, so M^T = M and both estimates need products with M alone:
+    those with M^{-1} are GMRES solves, and the estimate is inf when one of
+    them misses its tolerance.  An estimate beyond 1e12 raises
+    SingularInterfaceOperator and reports the nearest plasmonic pencil
+    eigenvalue as a diagnostic when the dense pencil fits its budget.
     """
     n = sys.h.size
     eigs = complex(sys.config.alpha1) * sys.dtn.chan_eigs() - sys.c_eigs + sys.mass.mean()
@@ -418,18 +420,11 @@ def solve_interface(sys: InterfaceSystem) -> PiecewiseConstantFn:
     def precond(x):
         return np.fft.ifft(np.fft.fft(x) / eigs)
 
-    def precond_adjoint(x):
-        return np.fft.ifft(np.fft.fft(x) / eigs.conj())
-
-    def apply_adjoint(x):
-        return sys.apply(x, adjoint=True)
-
     try:
-        inverse_norm = _norm1_estimate(_inverse(sys.apply, precond),
-                                       _inverse(apply_adjoint, precond_adjoint), n)
+        inverse_norm = _norm1_estimate(_inverse(sys.apply, precond), n)
     except _Unconverged:
         inverse_norm = math.inf
-    cond = _norm1_estimate(sys.apply, apply_adjoint, n) * inverse_norm
+    cond = _norm1_estimate(sys.apply, n) * inverse_norm
     sys.condition_estimate = cond
     if not math.isfinite(cond) or cond > _COND_LIMIT:
         message = "interface operator condition %.3e" % cond

@@ -134,6 +134,34 @@ def test_unknown_subcommand_exits_2(capsys):
     assert cli.main(["frobnicate"]) == 2
 
 
+_ABOVE_LEVEL = REF_TEXT + "[tree]\nN1 = 4\n"
+
+
+@pytest.mark.parametrize("text, argv, message", [
+    (REF_TEXT.replace("alpha1 = 1.0", "alpha1 = 0"), ["transmission", "--out-prefix", "OUT/run_"],
+     "invalid input: alpha1 must be nonzero"),
+    (REF_TEXT.replace("p = 2", "p = 0"), ["validate"], "invalid input: p must be"),
+    (_ABOVE_LEVEL, ["transmission", "--out-prefix", "OUT/run_"], "invalid input: level 3 below"),
+    (_ABOVE_LEVEL, ["plasmonic", "--out", "OUT/pencil.csv"], "invalid input: level 3 below"),
+    (REF_TEXT + "[transmission]\nsource_depth = 2\n", ["transmission", "--out-prefix", "OUT/run_"],
+     "invalid input: source depth below"),
+    (REF_TEXT, ["tree-dtn", "--depth", "-1", "--out", "OUT/dtn.csv"], "argument --depth"),
+    (_ABOVE_LEVEL, ["tree-dtn", "--depth", "2", "--out", "OUT/dtn.csv"],
+     "invalid input: condensation at N=2"),
+    (REF_TEXT + "[transmission]\nlevels = 3, 4\n", ["convergence", "--out", "OUT/conv.csv"],
+     "invalid input: need at least 3"),
+], ids=["alpha1-zero", "p-zero", "level-below-N1", "pencil-level-below-N1",
+        "source-depth-below-level", "tree-dtn-negative-depth", "tree-dtn-depth-below-N1",
+        "two-levels"])
+def test_invalid_input_exits_2(tmp_path, capsys, text, argv, message):
+    path = tmp_path / "bad.ini"
+    path.write_text(text)
+    argv = [argv[0], "--config", str(path)] + [a.replace("OUT", str(tmp_path)) for a in argv[1:]]
+    assert cli.main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def test_tree_dtn_dump(ref_config, tmp_path):
     out = tmp_path / "dtn.csv"
     assert cli.main(["tree-dtn", "--config", ref_config, "--depth", "2",

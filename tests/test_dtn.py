@@ -10,7 +10,7 @@ from treedisk.dtn import (
     compress,
     condensed_dtn,
     dtn_convergence_rate,
-    tree_dtn,
+    tree_dtn_operator,
     truncated_dtn,
 )
 from treedisk.errors import AssemblyTooLarge, InsufficientDepths
@@ -138,7 +138,7 @@ def test_dense_assembly_guard():
     with pytest.raises(AssemblyTooLarge):
         truncated_dtn(REF, 13)
     with pytest.raises(AssemblyTooLarge):
-        tree_dtn(REF, 13)
+        tree_dtn_operator(REF, 13).matrix
     decomp = MultiscaleDecomposition(R=1.0, p=2, n_max=13)
     with pytest.raises(AssemblyTooLarge):
         dtn_galerkin(decomp, 13, dtn_symbol(1.0, MODE_OVERSAMPLING * 2**13))

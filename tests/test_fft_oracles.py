@@ -161,7 +161,9 @@ def test_interface_operator_matches_dense(params, N, alpha1, alpha0):
     rng = np.random.default_rng(N)
     x = rng.standard_normal(M.shape[0]) + 1j * rng.standard_normal(M.shape[0])
     assert rel_err(system.apply(x), M @ x) <= 1e-13
-    assert rel_err(system.apply(x, adjoint=True), M.conj().T @ x) <= 1e-13
+    # the condition estimate reads M^H s as conj(M conj(s)): M is complex symmetric
+    assert np.abs(M - M.T).max() <= 1e-14 * np.abs(M).max()
+    assert rel_err(np.conj(system.apply(np.conj(x))), M.conj().T @ x) <= 1e-13
 
 
 @pytest.mark.parametrize("params,N", [(TreeParams(p=2, ell=0.5, omega=0.4), 3),
@@ -208,13 +210,13 @@ def test_solve_interface_matches_dense_for_rough_per_cell_alpha0(N, seed, size):
     applications = []
     apply = system.apply
 
-    def counted(x, adjoint=False):
-        applications.append(adjoint)
-        return apply(x, adjoint)
+    def counted(x):
+        applications.append(x.size)
+        return apply(x)
 
     system.apply = counted
     g = solve_interface(system).values
-    note("N=%d, max |alpha0| %.2f: %d applications of M or M^H" % (N, size, len(applications)))
+    note("N=%d, max |alpha0| %.2f: %d applications of M" % (N, size, len(applications)))
     low = len(applications) // 100 * 100
     event("N=%d: %d-%d applications" % (N, low, low + 99))
     assert rel_err(g, np.linalg.solve(system.M, -system.h)) <= 1e-12

@@ -23,7 +23,7 @@ ADDRESS_SPACE = 2 * 1024**3
 SRC = str(pathlib.Path(treedisk.__file__).resolve().parent.parent)
 
 SETUP = """
-from treedisk.dtn import condensed_dtn, tree_dtn, truncated_dtn
+from treedisk.dtn import condensed_dtn, tree_dtn_operator, truncated_dtn
 from treedisk.errors import AssemblyTooLarge
 from treedisk.exterior import dtn_symbol, layer_symbols
 from treedisk.transmission import TransmissionConfig, assemble_system
@@ -32,7 +32,7 @@ P = TreeParams(p=2, ell=0.5, omega=0.4)
 """
 
 LIBRARY_CASES = {
-    "tree_dtn": "tree_dtn(P, 33)",
+    "tree_dtn": "tree_dtn_operator(P, 13).matrix",
     "condensed_dtn": "condensed_dtn(P, 30)",
     "truncated_dtn": "truncated_dtn(P, 30)",
     "assemble_system": "assemble_system(TransmissionConfig(params=P, level=40, alpha1=1.0))",

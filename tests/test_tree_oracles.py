@@ -6,11 +6,11 @@ interior block with splu: the construction the elimination kernel replaced,
 kept here as the oracle only.  sparse_poisson also keeps the particular
 parts of the old Poisson solve, double antiderivative arrays built with
 _poly_antider, where the kernel evaluates them in closed form.  The
-level-N builder tree_dtn is checked against the level-(N+1) condensed
-matrix summed down with compress, and its matrix-free form (the sweep D x
-and T. Chan's circulant eigenvalues) against that dense matrix.  The same
-kernels on a source tree compressed below level N are checked bit for bit
-against the full tree.
+level-N builder tree_dtn_operator is checked, through its dense matrix,
+against the level-(N+1) condensed matrix summed down with compress, and
+its matrix-free form (the sweep D x and T. Chan's circulant eigenvalues)
+against that dense matrix.  The same kernels on a source tree compressed
+below level N are checked bit for bit against the full tree.
 """
 
 import numpy as np
@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from treedisk import calculus as ca
 from treedisk import transmission
 from treedisk.acceptance import _random_admissible_params
-from treedisk.dtn import compress, condensed_dtn, tree_dtn, tree_dtn_operator, truncated_dtn
+from treedisk.dtn import compress, condensed_dtn, tree_dtn_operator, truncated_dtn
 from treedisk.errors import CondensationBelowGeometricGeneration
 from treedisk.tree import TreeParams, build_condensed, build_truncated
 
@@ -236,11 +236,12 @@ def _level_cases():
 
 
 def _check_level_builder(params, N):
-    op = tree_dtn(params, N)
+    op = tree_dtn_operator(params, N)
     ref = compress(condensed_dtn(params, N), N)
     assert op.level == ref.level == N
-    assert op.matrix.shape == (params.p**N, params.p**N)
-    assert _rel(op.matrix, ref.matrix) <= 1e-12
+    D = op.matrix
+    assert D.shape == (params.p**N, params.p**N)
+    assert _rel(D, ref.matrix) <= 1e-12
 
 
 @pytest.mark.parametrize("name,N", _level_cases())
@@ -268,9 +269,8 @@ def _chan_oracle(D):
 
 def _check_operator(params, N, rng):
     op = tree_dtn_operator(params, N)
-    D = tree_dtn(params, N).matrix
+    D = op.matrix
     assert (op.p, op.level, op.size) == (params.p, N, params.p**N)
-    assert np.array_equal(op.matrix, D)
     x = rng.standard_normal(op.size) + 1j * rng.standard_normal(op.size)
     assert _rel(op.apply(x), D @ x) <= 1e-12
     assert _rel(op.apply(x.real), D @ x.real) <= 1e-12
