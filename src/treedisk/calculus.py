@@ -42,7 +42,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DepthMismatch, KirchhoffViolated, NotGeometric, SingularSystem
-from .tree import CondensedTree, FiniteTree, TreeParams, build_condensed, build_truncated, require_valid
+from .tree import FiniteTree, TreeParams, _child_sums, build_condensed, build_truncated, require_valid
 
 # ---------------------------------------------------------------------------
 # small dense polynomial helpers (rows = edges, columns = ascending coeffs)
@@ -239,28 +239,6 @@ def _same_tree(a: FiniteTree, b: FiniteTree):
         raise DepthMismatch("functions live on different trees")
 
 
-def _child_sums(x, p, merged=False):
-    """Sum over the p children of every parent: x[p k] + ... + x[p k + p - 1].
-
-    Adds the p strided slices x[j::p], several times faster than
-    x.reshape(-1, p).sum(axis=1) for small p.  For a merged generation
-    (tree.FiniteTree.merged) every child of row k is row k, and the sum is
-    x + x (+= x ...), the additions of the strided sum over p equal
-    children in the same order.  For p = 1 this is x itself.
-    """
-    if p == 1:
-        return x
-    if merged:
-        out = x + x
-        for _ in range(2, p):
-            out += x
-        return out
-    out = x[0::p] + x[1::p]
-    for j in range(2, p):
-        out += x[j::p]
-    return out
-
-
 def _parent_rows(x, p, merged):
     """The parent values x on the rows of the child generation: x itself for a
     merged generation, np.repeat(x, p) otherwise."""
@@ -378,44 +356,16 @@ def _vertex_offsets(tree: FiniteTree):
     return offsets
 
 
-def tree_elimination(tree: FiniteTree):
-    """Leaves-to-root elimination of the clamped graph Laplacian.
-
-    Returns (c, pivot): c[n] holds the conductances omega_e / ell_e of
-    generation n, and for n < depth pivot[n] = c[n] + a[n], where a[n] is
-    the effective conductance of the subtree below X_{n,k} with its leaves
-    clamped,
-
-        a[n] = sum over children of c[n+1] a[n+1] / pivot[n+1],
-
-    and a leaf edge passes its whole conductance.  With that subtree
-    eliminated, X_{n,k} keeps the single equation
-    pivot u(X) - c u(parent) = (load collected from below), and the vertex
-    hands the share c / pivot of its collected load on to its parent.  A
-    tree has no cycles, so nothing fills in (Parter, SIAM Review 3, 1961).
-    """
-    p = tree.p
-    c = [tree.weights[n] / tree.lengths[n] for n in range(tree.depth + 1)]
-    pivot = [None] * tree.depth
-    below = c[tree.depth]
-    for n in range(tree.depth - 1, -1, -1):
-        a = _child_sums(below, p, tree.merged(n + 1))
-        pivot[n] = c[n] + a
-        below = c[n] * a
-        below /= pivot[n]
-    return c, pivot
-
-
-def _solve_vertices(tree: FiniteTree, elimination, loads, leaf_values, root_value):
+def _solve_vertices(tree: FiniteTree, loads, leaf_values, root_value):
     """Vertex values of the clamped graph system, per generation, leaves last.
 
-    elimination is tree_elimination(tree); loads[n] (n < depth) is the
-    right-hand side at X_{n,k}; the leaves are clamped at leaf_values (None:
-    all zero, which loads nothing) and the root o at root_value.  One upward
-    pass collects the loads, one downward pass substitutes.
+    loads[n] (n < depth) is the right-hand side at X_{n,k}; the leaves are
+    clamped at leaf_values (None: all zero, which loads nothing) and the
+    root o at root_value.  One upward pass collects the loads through
+    tree.elimination, one downward pass substitutes.
     """
     p = tree.p
-    c, pivot = elimination
+    c, pivot = tree.elimination
     collected = [None] * tree.depth
     up = None if leaf_values is None else c[tree.depth] * leaf_values
     for n in range(tree.depth - 1, -1, -1):
@@ -435,24 +385,17 @@ def _solve_vertices(tree: FiniteTree, elimination, loads, leaf_values, root_valu
     return values
 
 
-def solve_harmonic_dirichlet(tree: FiniteTree, leaf_values, root_value=0.0,
-                             elimination=None) -> TreeFunction:
+def solve_harmonic_dirichlet(tree: FiniteTree, leaf_values, root_value=0.0) -> TreeFunction:
     """Edgewise-linear function, harmonic off the vertices, with prescribed
-    leaf values and root value; Kirchhoff holds at interior vertices.
-
-    elimination, when given, is tree_elimination(tree), computed once by
-    the caller for several solves on the same tree."""
+    leaf values and root value; Kirchhoff holds at interior vertices."""
     leaf_values = np.asarray(leaf_values)
     if leaf_values.shape != (tree.n_leaves,):
         raise DepthMismatch("expected %d leaf values, got shape %r" % (tree.n_leaves, leaf_values.shape))
-    if elimination is None:
-        elimination = tree_elimination(tree)
-    values = _solve_vertices(tree, elimination, [0.0] * tree.depth, leaf_values, root_value)
+    values = _solve_vertices(tree, [0.0] * tree.depth, leaf_values, root_value)
     return from_vertex_values(tree, root_value, values)
 
 
-def solve_poisson_zero_trace(tree: FiniteTree, source: TreeFunction,
-                             elimination=None) -> TreeFunction:
+def solve_poisson_zero_trace(tree: FiniteTree, source: TreeFunction) -> TreeFunction:
     """Solve Lap u = source edgewise with u(o) = 0 and zero leaf values.
 
     Zero traces at both ends approximate the homogeneous-boundary space of
@@ -461,14 +404,11 @@ def solve_poisson_zero_trace(tree: FiniteTree, source: TreeFunction,
     x^{j+2} is s_j / ((j+1)(j+2)), and its end values w(ell), w'(ell) come
     in closed form from the source coefficients by Horner.  The vertex
     values solve the clamped graph system, and the linear part corrects w
-    to them.  The source arrays are only read; elimination is as in
-    solve_harmonic_dirichlet.
+    to them.  The source arrays are only read.
     """
     _same_tree(source.tree, tree)
     p = tree.p
-    if elimination is None:
-        elimination = tree_elimination(tree)
-    cond = elimination[0]
+    cond = tree.elimination[0]
     dtype = np.result_type(*(c.dtype for c in source.coeffs), float)
     coeffs = [None] * (tree.depth + 1)
     w_end = [None] * (tree.depth + 1)
@@ -503,7 +443,7 @@ def solve_poisson_zero_trace(tree: FiniteTree, source: TreeFunction,
             loads[n] = np.subtract(own, der, dtype=dtype)
             loads[n] -= _child_sums(below, p, tree.merged(n + 1))
         below = own
-    values = _solve_vertices(tree, elimination, loads, None, 0.0)
+    values = _solve_vertices(tree, loads, None, 0.0)
 
     for n, c in enumerate(coeffs):
         a = np.zeros(1, dtype=dtype) if n == 0 else _parent_rows(values[n - 1], p, tree.merged(n))
@@ -526,7 +466,6 @@ class RadialRecord:
     slopes: np.ndarray
     vertex_values: np.ndarray
     boundary_value: float
-    condensed: bool
 
 
 def radial_harmonic(params: TreeParams, N: int, boundary_value: float = 1.0, condensed: bool = True):
@@ -546,17 +485,13 @@ def radial_harmonic(params: TreeParams, N: int, boundary_value: float = 1.0, con
     if condensed:
         tree = build_condensed(params, N)
         s0 = boundary_value * (1.0 - r) / params.L0
-        gens = tree.depth + 1
-        slopes = s0 / pw ** np.arange(gens)
-        vals = s0 * params.L0 * (1.0 - r ** (np.arange(gens) + 1)) / (1.0 - r)
-        vals[-1] = boundary_value
     else:
         tree = build_truncated(params, N)
         s0 = boundary_value * (1.0 - r) / (params.L0 * (1.0 - r ** (N + 1)))
-        gens = tree.depth + 1
-        slopes = s0 / pw ** np.arange(gens)
-        vals = s0 * params.L0 * (1.0 - r ** (np.arange(gens) + 1)) / (1.0 - r)
-        vals[-1] = boundary_value
+    gens = tree.depth + 1
+    slopes = s0 / pw ** np.arange(gens)
+    vals = s0 * params.L0 * (1.0 - r ** (np.arange(gens) + 1)) / (1.0 - r)
+    vals[-1] = boundary_value
     coeffs = []
     for n in range(tree.depth + 1):
         c = np.zeros((tree.p**n, 2))
@@ -569,7 +504,6 @@ def radial_harmonic(params: TreeParams, N: int, boundary_value: float = 1.0, con
         slopes=slopes,
         vertex_values=vals,
         boundary_value=boundary_value,
-        condensed=condensed,
     )
     return f, record
 

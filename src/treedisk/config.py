@@ -21,7 +21,7 @@ import numpy as np
 
 from .circle import FourierFn
 from .errors import ConfigError
-from .exterior import RadialSource
+from .exterior import RadialSource, check_mode_budget
 from .tree import TreeParams, check_tree_budget
 
 
@@ -142,6 +142,7 @@ class RunConfig:
         mode = self.get("transmission.manufactured_mode")
         if mode is None:
             return None
+        check_mode_budget(abs(mode))
         amp = self.get("transmission.manufactured_amplitude")
         modes = {mode: amp} if mode == 0 else {mode: amp, -mode: amp}
         return FourierFn.from_modes(self.get("interface.radius"), modes)

@@ -13,7 +13,7 @@ the weighted graph Laplacian (conductances omega_e / ell_e, root clamped):
     A = Q_BB - Q_BI Q_II^{-1} Q_IB.
 
 It is assembled by eliminating the interior vertices from the leaves to the
-root (calculus.tree_elimination).  Eliminating X_{n,k} subtracts one
+root (tree.FiniteTree.elimination).  Eliminating X_{n,k} subtracts one
 rank-one term beta beta^T / pivot, where beta, supported on the leaves
 below X_{n,k}, holds the leaf conductances scaled by c / pivot once per
 generation on the way up; so generation n adds p^n diagonal blocks of size
@@ -43,9 +43,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .calculus import _child_sums, tree_elimination
 from .errors import AssemblyTooLarge, InsufficientDepths
-from .tree import TreeParams, build_condensed, build_truncated
+from .tree import TreeParams, _child_sums, build_condensed, build_truncated
 
 # Dense operators cost memory quadratic in the cell count: a p = 2, N = 12
 # solve (4096 cells) peaked at 2,251 MiB on a 7 GB host, and 8192 cells
@@ -87,7 +86,7 @@ def _schur_boundary(c, pivot) -> np.ndarray:
     """Dense boundary Schur complement from a leaves-to-root elimination.
 
     c[-1] holds the boundary-edge conductances, c[n] and pivot[n] those of
-    the interior vertices X_{n,k} (calculus.tree_elimination).  The leaves
+    the interior vertices X_{n,k} (tree.FiniteTree.elimination).  The leaves
     below each vertex are contiguous, so generation n acts on pivot[n].size
     diagonal blocks of equal size.
     """
@@ -112,7 +111,7 @@ def condensed_dtn(params: TreeParams, N: int) -> GalerkinOperator:
     """
     _check_dense(params.p ** (N + 1))
     tree = build_condensed(params, N)
-    A = _schur_boundary(*tree_elimination(tree))
+    A = _schur_boundary(*tree.elimination)
     return GalerkinOperator(p=params.p, level=tree.depth, matrix=A)
 
 
@@ -120,7 +119,7 @@ def condensed_dtn(params: TreeParams, N: int) -> GalerkinOperator:
 class TreeDtN:
     """D_N of the condensed tree, held as its level-N elimination.
 
-    c and pivot are those of calculus.tree_elimination cut at generation N,
+    c and pivot are those of tree.FiniteTree.elimination cut at generation N,
     with c[-1] the merged leaf conductances, one per level-N cell (the
     arguments of _schur_boundary).  apply and chan_eigs cost O(p^N) and
     O(N p^N log p^N); matrix gathers the dense p^N x p^N matrix.
@@ -201,7 +200,7 @@ def tree_dtn_operator(params: TreeParams, N: int) -> TreeDtN:
     generation is already one row per cell, standing for those p edges, and
     the merged conductance is the p-fold child sum of that row.
     """
-    c, pivot = tree_elimination(build_condensed(params, N, level=N))
+    c, pivot = build_condensed(params, N, level=N).elimination
     merged = _child_sums(c[N + 1], params.p, merged=True)
     return TreeDtN(p=params.p, level=N, c=c[: N + 1] + [merged], pivot=pivot)
 
@@ -209,8 +208,7 @@ def tree_dtn_operator(params: TreeParams, N: int) -> TreeDtN:
 def truncated_dtn(params: TreeParams, depth: int) -> GalerkinOperator:
     """DtN matrix of the plain truncated tree with edge generations 0..depth."""
     _check_dense(params.p**depth)
-    tree = build_truncated(params, depth)
-    A = _schur_boundary(*tree_elimination(tree))
+    A = _schur_boundary(*build_truncated(params, depth).elimination)
     return GalerkinOperator(p=params.p, level=depth, matrix=A)
 
 

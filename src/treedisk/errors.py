@@ -5,8 +5,11 @@ class TreediskError(Exception):
     """Base class for all package-specific errors."""
 
 
-class InvalidInput(TreediskError):
-    """An input the package rejects before computing; `kind` names the reason on the CLI."""
+class InvalidInput(TreediskError, ValueError):
+    """An input the package rejects before computing; `kind` names the reason on the CLI.
+
+    It is a ValueError too, so callers that catch ValueError still catch it.
+    """
 
     kind = "invalid input"
 

@@ -27,7 +27,7 @@ import scipy.linalg
 
 from .circle import FourierFn, MultiscaleDecomposition, _sinc_cells
 from .dtn import GalerkinOperator, _check_dense
-from .errors import AssemblyTooLarge, CutoffTooSmall, ScaleEqualsRadius
+from .errors import AssemblyTooLarge, CutoffTooSmall, NonPositiveParameter, ScaleEqualsRadius
 
 MODE_OVERSAMPLING = 16
 
@@ -73,10 +73,15 @@ class ExteriorSymbol:
         return FourierFn(self.R, values * g.coeffs[g.M - m : g.M + m + 1])
 
 
+def check_mode_budget(M: int) -> None:
+    """Raise AssemblyTooLarge before the 2M+1 values of modes |k| <= M are allocated."""
+    if M > MODE_BUDGET:
+        raise AssemblyTooLarge("modes up to %d exceed the mode budget of %d" % (M, MODE_BUDGET))
+
+
 def _modes(M: int) -> np.ndarray:
     """The mode numbers -M..M, once M is within MODE_BUDGET."""
-    if M > MODE_BUDGET:
-        raise AssemblyTooLarge("%d modes exceed the symbol budget of %d modes" % (M, MODE_BUDGET))
+    check_mode_budget(M)
     return np.arange(-M, M + 1)
 
 
@@ -88,7 +93,7 @@ def dtn_symbol(R: float, M: int) -> ExteriorSymbol:
     is -|k|/R.
     """
     if R <= 0:
-        raise ValueError("radius must be positive")
+        raise NonPositiveParameter("radius must be positive")
     return ExteriorSymbol("DtN", R, M, -np.abs(_modes(M)) / R)
 
 
@@ -100,7 +105,7 @@ def layer_symbols(R: float, r_scale: float, M: int):
     must differ from R so that S is injective.
     """
     if R <= 0:
-        raise ValueError("radius must be positive")
+        raise NonPositiveParameter("radius must be positive")
     if r_scale == R:
         raise ScaleEqualsRadius("r_scale = R makes the single layer singular on constants")
     ak = np.abs(_modes(M))
@@ -176,7 +181,9 @@ class RadialSource:
 
     Each profile f_k is a Laurent polynomial in r (dict power -> coeff, or
     an ascending coefficient array), supported on [R, r_max] and zero
-    outside.  Real sources satisfy f_{-k} = conj(f_k).
+    outside.  Real sources satisfy f_{-k} = conj(f_k).  A mode beyond
+    MODE_BUDGET raises AssemblyTooLarge, since the exterior solve holds
+    every mode up to it.
     """
 
     R: float
@@ -185,9 +192,10 @@ class RadialSource:
 
     def __post_init__(self):
         if not (0 < self.R < self.r_max):
-            raise ValueError("need 0 < R < r_max")
+            raise NonPositiveParameter("need 0 < R < r_max")
         merged = {}
         for k, profile in self.terms:
+            check_mode_budget(abs(int(k)))
             prof = _as_profile(profile)
             if int(k) in merged:
                 for m, c in prof.items():

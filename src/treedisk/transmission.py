@@ -49,7 +49,6 @@ from .calculus import (
     leaf_flux,
     solve_harmonic_dirichlet,
     solve_poisson_zero_trace,
-    tree_elimination,
 )
 from .circle import MultiscaleDecomposition, PiecewiseConstantFn
 # compress is not called here; it stays importable from this module because
@@ -61,6 +60,7 @@ from .errors import (
     DepthBelowChartLevel,
     DepthMismatch,
     InsufficientLevels,
+    NonPositiveParameter,
     SingularInterfaceOperator,
 )
 from .exterior import (
@@ -204,10 +204,10 @@ class InterfaceSystem:
     and M are dense properties, built on each access within the dense
     operator budget.  mass is the diagonal of the alpha0 mass matrix:
     alpha0 times the cell measure, per cell.  The system also keeps the
-    tree side of h for `reconstruct`: the source tree (compressed at the
-    solve level), its elimination, the Poisson lift u_f and its per-cell
-    leaf flux flux_f.  Without tree forcing the first three are None and
-    flux_f is zero; `reconstruct` then builds the source tree.
+    tree side of h for `reconstruct`: the Poisson lift u_f on the source
+    tree (compressed at the solve level; u_f.tree keeps its elimination)
+    and its per-cell leaf flux flux_f.  Without tree forcing u_f is None
+    and flux_f is zero; `reconstruct` then builds the source tree.
     """
 
     decomp: MultiscaleDecomposition
@@ -216,8 +216,6 @@ class InterfaceSystem:
     mass: np.ndarray
     h: np.ndarray
     config: TransmissionConfig
-    tree: FiniteTree | None
-    elimination: tuple | None
     u_f: TreeFunction | None
     flux_f: np.ndarray
     condition_estimate: float | None = None
@@ -276,17 +274,15 @@ def assemble_system(cfg: TransmissionConfig) -> InterfaceSystem:
     if cfg.exterior_source is not None:
         v_f = solve_exterior_dirichlet(None, cfg.exterior_source, R=cfg.R)
         h -= circle.cell_integrals(decomp, gamma1_exterior(v_f), cfg.level)
-    tree = elimination = u_f = None
+    u_f = None
     flux_f = np.zeros(pn)
     if cfg.tree_source is not None or cfg.c_root != 0:
         tree = _source_tree(cfg)
-        forcing = _tree_forcing(cfg, tree)
-        elimination = tree_elimination(tree)
-        u_f = solve_poisson_zero_trace(tree, forcing, elimination=elimination)
+        u_f = solve_poisson_zero_trace(tree, _tree_forcing(cfg, tree))
         flux_f = _cell_flux(u_f)
         h += complex(cfg.alpha1) * flux_f
     return InterfaceSystem(decomp=decomp, c_row=c_row, dtn=dtn, mass=mass, h=h, config=cfg,
-                           tree=tree, elimination=elimination, u_f=u_f, flux_f=flux_f)
+                           u_f=u_f, flux_f=flux_f)
 
 
 class _Unconverged(Exception):
@@ -493,18 +489,18 @@ def reconstruct(system: InterfaceSystem, g: PiecewiseConstantFn) -> Transmission
     traces match by construction: the leaf rows of the compressed source
     tree carry the cells of g, the exterior modes carry its Fourier
     coefficients at the assembly cutoff; a trace defect above 1e-10, or
-    NaN, raises AssertionError.  The config, the source tree and u_f come
-    from `system`, the solved system.
+    NaN, raises AssertionError.  The config and u_f come from `system`,
+    the solved system, and the source tree from u_f when there is one, so
+    the tree is built and eliminated once per solve.
     """
     cfg = system.config
     pn = cfg.params.p**cfg.level
     decomp = g.decomp
-    tree, u_f, flux_f = system.tree, system.u_f, system.flux_f
-    if tree is None:
-        tree = _source_tree(cfg)
+    u_f, flux_f = system.u_f, system.flux_f
+    tree = _source_tree(cfg) if u_f is None else u_f.tree
     # the leaf rows of the compressed tree are the cells, so g itself is
     # the leaf data
-    u = solve_harmonic_dirichlet(tree, g.values, root_value=0.0, elimination=system.elimination)
+    u = solve_harmonic_dirichlet(tree, g.values, root_value=0.0)
     flux_u = _cell_flux(u)
     # u_T: one array per generation, a copy of u_f with the columns of
     # u (and of c u1 on the root edge) added one by one; a strided 1-D add
@@ -663,14 +659,16 @@ def convergence_study(cfg: TransmissionConfig, N_list, manufactured=None) -> Con
 
 
 def plasmonic_pencil(C, D, count: int = 8):
-    """Generalized eigenvalues alpha of C g = alpha D g, nearest zero first.
+    """The count generalized eigenvalues alpha of C g = alpha D g nearest zero, nearest first.
 
     These are the coupling parameters at which -C + alpha D is singular
     (alpha0 = 0).  C and D are real symmetric and D is positive definite,
     so the pencil is solved as a symmetric-definite problem (eigh): every
     eigenvalue is real, the constant vector gives alpha = 0 and the rest are
-    negative.
+    negative.  A count below 1 raises NonPositiveParameter.
     """
+    if count < 1:
+        raise NonPositiveParameter("pencil count must be >= 1, got %d" % count)
     cm, dm = np.asarray(C), np.asarray(D)
     if cm.shape != dm.shape:
         raise ValueError("pencil matrices must share a level")

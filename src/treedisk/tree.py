@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -40,22 +41,6 @@ from .errors import (
     NonPositiveParameter,
     StructuralConditionViolated,
 )
-
-
-@dataclass(frozen=True)
-class EdgeRef:
-    """Address (generation n, branch k) of one edge."""
-
-    n: int
-    k: int
-
-    def parent(self, p: int) -> "EdgeRef | None":
-        if self.n == 0:
-            return None
-        return EdgeRef(self.n - 1, self.k // p)
-
-    def children(self, p: int) -> list["EdgeRef"]:
-        return [EdgeRef(self.n + 1, p * self.k + j) for j in range(p)]
 
 
 @dataclass(frozen=True)
@@ -160,39 +145,50 @@ def require_valid(params: TreeParams) -> ValidationReport:
     return report
 
 
+def _child_sums(x, p, merged=False):
+    """Sum over the p children of every parent: x[p k] + ... + x[p k + p - 1].
+
+    Adds the p strided slices x[j::p], several times faster than
+    x.reshape(-1, p).sum(axis=1) for small p.  For a merged generation
+    (FiniteTree.merged) every child of row k is row k, and the sum is
+    x + x (+= x ...), the additions of the strided sum over p equal
+    children in the same order.  For p = 1 this is x itself.
+    """
+    if p == 1:
+        return x
+    if merged:
+        out = x + x
+        for _ in range(2, p):
+            out += x
+        return out
+    out = x[0::p] + x[1::p]
+    for j in range(2, p):
+        out += x[j::p]
+    return out
+
+
 class FiniteTree:
     """A finite portion of the tree: edges e_{n,k} for n <= depth.
 
-    Per-generation arrays:  lengths[n][k], weights[n][k], dist[n][k] where
-    dist is the root distance L_{n,k} of the far vertex X_{n,k}.  The root
-    vertex o sits at distance 0 below edge (0, 0).
+    Per-generation arrays lengths[n][k] and weights[n][k].  build_truncated
+    takes them straight from the parameters; build_condensed stretches the
+    leaf edges so that they absorb the geometric tails.  What the tree
+    determines, the root distances `dist` and the leaves-to-root
+    `elimination`, is computed on first access and kept.
 
     rows[n] is the number of rows stored for generation n: p^n on a full
     tree.  On a compressed tree a generation with as many rows as its
     parent generation (`merged`) stores one row for all p children of each
-    parent row, and each row stands for `multiplicity(n)` edges.  n_leaves,
-    n_edges and edge_count_by_generation count stored rows; the totals
-    count every edge.
+    parent row, and each row stands for `multiplicity(n)` edges.  n_leaves
+    and n_edges count stored rows; the totals count every edge.
     """
 
-    def __init__(self, params: TreeParams, depth: int, lengths, weights, condensed: bool = False):
+    def __init__(self, params: TreeParams, depth: int, lengths, weights):
         self.params = params
         self.depth = depth
         self.lengths = lengths
         self.weights = weights
-        self.condensed = condensed
         self.rows = tuple(len(arr) for arr in lengths)
-        self.dist = []
-        prev = None
-        for n in range(depth + 1):
-            if n == 0:
-                d = lengths[0].copy()
-            elif self.merged(n):
-                d = prev + lengths[n]
-            else:
-                d = np.repeat(prev, params.p) + lengths[n]
-            self.dist.append(d)
-            prev = d
 
     @property
     def p(self) -> int:
@@ -214,8 +210,49 @@ class FiniteTree:
     def n_edges(self) -> int:
         return sum(self.rows)
 
-    def edge_count_by_generation(self) -> list:
-        return list(self.rows)
+    @cached_property
+    def dist(self) -> list:
+        """dist[n][k]: the root distance L_{n,k} of the far vertex X_{n,k}.
+
+        The root vertex o sits at distance 0 below edge (0, 0).
+        """
+        dist = [self.lengths[0].copy()]
+        for n in range(1, self.depth + 1):
+            parent = dist[-1] if self.merged(n) else np.repeat(dist[-1], self.p)
+            dist.append(parent + self.lengths[n])
+        return dist
+
+    @cached_property
+    def elimination(self) -> tuple:
+        """Leaves-to-root elimination of the clamped graph Laplacian.
+
+        (c, pivot): c[n] holds the conductances omega_e / ell_e of
+        generation n, and for n < depth pivot[n] = c[n] + a[n], where a[n]
+        is the effective conductance of the subtree below X_{n,k} with its
+        leaves clamped,
+
+            a[n] = sum over children of c[n+1] a[n+1] / pivot[n+1],
+
+        and a leaf edge passes its whole conductance.  With that subtree
+        eliminated, X_{n,k} keeps the single equation
+        pivot u(X) - c u(parent) = (load collected from below), and the
+        vertex hands the share c / pivot of its collected load on to its
+        parent.  A tree has no cycles, so nothing fills in (Parter, SIAM
+        Review 3, 1961).  Every solve on the tree shares the arrays, so
+        they are read-only.
+        """
+        p = self.p
+        c = [self.weights[n] / self.lengths[n] for n in range(self.depth + 1)]
+        pivot = [None] * self.depth
+        below = c[self.depth]
+        for n in range(self.depth - 1, -1, -1):
+            a = _child_sums(below, p, self.merged(n + 1))
+            pivot[n] = c[n] + a
+            below = c[n] * a
+            below /= pivot[n]
+        for arr in c + pivot:
+            arr.setflags(write=False)
+        return c, pivot
 
     def total_length(self) -> float:
         return float(sum(self.multiplicity(n) * arr.sum() for n, arr in enumerate(self.lengths)))
@@ -236,28 +273,9 @@ class FiniteTree:
             return self
         check_tree_budget(self.params, self.depth, self.depth)
         reps = [self.multiplicity(n) for n in range(self.depth + 1)]
-        return type(self)(self.params, self.depth,
+        return FiniteTree(self.params, self.depth,
                           [np.repeat(arr, m) for arr, m in zip(self.lengths, reps)],
-                          [np.repeat(arr, m) for arr, m in zip(self.weights, reps)],
-                          condensed=self.condensed)
-
-
-class TruncatedTree(FiniteTree):
-    """Edges of generations 0..N with lengths straight from the parameters."""
-
-
-class CondensedTree(FiniteTree):
-    """Depth N+1 tree whose leaf edges absorb the geometric tails.
-
-    Each leaf edge at generation N+1 is stretched to ell_{N+1,k} / (1 - r):
-    the extra length equals the distance from X_{N+1,k} to the boundary
-    through the (geometric) subtree hanging below it, so root-to-leaf
-    distances match root-to-boundary distances of the infinite tree.
-    """
-
-    @property
-    def n_cond(self) -> int:
-        return self.depth - 1
+                          [np.repeat(arr, m) for arr, m in zip(self.weights, reps)])
 
 
 # A tree costs memory linear in its stored rows: 2^19 leaves (a depth-18
@@ -323,17 +341,22 @@ def _profile(params: TreeParams, depth: int, level: int):
     return lengths, weights
 
 
-def build_truncated(params: TreeParams, N: int) -> TruncatedTree:
+def build_truncated(params: TreeParams, N: int) -> FiniteTree:
     """Finite tree with edges of generations 0..N."""
     require_valid(params)
     if N < 0:
         raise NonPositiveParameter("depth N must be >= 0, got %d" % N)
     lengths, weights = _profile(params, N, N)
-    return TruncatedTree(params, N, lengths, weights)
+    return FiniteTree(params, N, lengths, weights)
 
 
-def build_condensed(params: TreeParams, N: int, level: int | None = None) -> CondensedTree:
+def build_condensed(params: TreeParams, N: int, level: int | None = None) -> FiniteTree:
     """Condensed tree of the truncation at N: depth N+1, stretched leaf edges.
+
+    Each leaf edge at generation N+1 is stretched to ell_{N+1,k} / (1 - r):
+    the extra length equals the distance from X_{N+1,k} to the boundary
+    through the (geometric) subtree hanging below it, so root-to-leaf
+    distances match root-to-boundary distances of the infinite tree.
 
     With level (N1 <= level <= N) the tree is compressed below that level:
     every generation beyond it stores p^level rows, one per cell of the
@@ -356,4 +379,4 @@ def build_condensed(params: TreeParams, N: int, level: int | None = None) -> Con
         raise StructuralConditionViolated("r = ell/(p*omega) = %g must be < 1" % r)
     lengths, weights = _profile(params, N + 1, level)
     lengths[N + 1] = lengths[N + 1] / (1.0 - r)
-    return CondensedTree(params, N + 1, lengths, weights, condensed=True)
+    return FiniteTree(params, N + 1, lengths, weights)

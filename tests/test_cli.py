@@ -162,6 +162,34 @@ def test_invalid_input_exits_2(tmp_path, capsys, text, argv, message):
     assert list(tmp_path.iterdir()) == [path]
 
 
+# without an exterior source, whose annulus would refuse the radius first
+_NEGATIVE_RADIUS = REF_TEXT.split("[source.exterior]")[0].replace("radius = 1.0", "radius = -1")
+
+
+@pytest.mark.parametrize("text, argv, message", [
+    (_NEGATIVE_RADIUS, ["transmission", "--out-prefix", "OUT/run_"], "radius must be positive"),
+    (_NEGATIVE_RADIUS, ["plasmonic", "--out", "OUT/pencil.csv"], "radius must be positive"),
+    (_NEGATIVE_RADIUS, ["convergence", "--out", "OUT/conv.csv"], "radius must be positive"),
+    (REF_TEXT.replace("r_max = 2.0", "r_max = 0.5"), ["transmission", "--out-prefix", "OUT/run_"],
+     "need 0 < R < r_max"),
+    (REF_TEXT + "[transmission]\npencil_count = -1\n", ["plasmonic", "--out", "OUT/pencil.csv"],
+     "pencil count must be >= 1"),
+    (REF_TEXT + "[transmission]\npencil_count = 0\n", ["plasmonic", "--out", "OUT/pencil.csv"],
+     "pencil count must be >= 1"),
+], ids=["transmission-radius", "plasmonic-radius", "convergence-radius", "r_max-below-radius",
+        "pencil-count-negative", "pencil-count-zero"])
+def test_invalid_value_exits_2_with_one_line(tmp_path, capsys, text, argv, message):
+    # these values were checked by plain ValueErrors, which escaped main as
+    # a traceback with exit 1, or (the pencil count) not checked at all
+    path = tmp_path / "bad.ini"
+    path.write_text(text)
+    argv = [argv[0], "--config", str(path)] + [a.replace("OUT", str(tmp_path)) for a in argv[1:]]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input: ") and message in err and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def test_tree_dtn_dump(ref_config, tmp_path):
     out = tmp_path / "dtn.csv"
     assert cli.main(["tree-dtn", "--config", ref_config, "--depth", "2",

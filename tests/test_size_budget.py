@@ -103,6 +103,12 @@ CLI_CASES = {
     # within the row budget, but the deepest edge weight is not a normal float
     "deep_source_edge_weight":
         CONFIG + "interface.N = 0\ntransmission.c_root = 1\ntransmission.source_depth = 900\n",
+    # the exterior solve holds every mode up to the largest source mode
+    "exterior_source_mode": CONFIG + "source.exterior.profile.1000000000 = 1.0\n",
+}
+CONVERGENCE_CASES = {
+    # the manufactured datum holds every mode up to its own
+    "manufactured_mode": CONFIG + "transmission.manufactured_mode = 1000000000\n",
 }
 
 
@@ -149,6 +155,15 @@ def test_oversize_transmission_exits_2(text, tmp_path):
     path.write_text(text)
     proc = _run(["-m", "treedisk.cli", "transmission", "--config", str(path),
                  "--out-prefix", str(tmp_path / "run_")])
+    _assert_refused(proc, tmp_path)
+
+
+@pytest.mark.parametrize("text", CONVERGENCE_CASES.values(), ids=CONVERGENCE_CASES.keys())
+def test_oversize_convergence_exits_2(text, tmp_path):
+    path = tmp_path / "big.ini"
+    path.write_text(text)
+    proc = _run(["-m", "treedisk.cli", "convergence", "--config", str(path),
+                 "--out", str(tmp_path / "run_convergence.csv")])
     _assert_refused(proc, tmp_path)
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -320,7 +321,7 @@ def test_reconstruct_reuses_the_assembled_source_lifts(monkeypatch):
 
 
 def _record_trees(monkeypatch):
-    """(stage, depth, leaf rows) of every tree built or eliminated through the modules' bindings."""
+    """(stage, depth, leaf rows) of every tree built through the modules' bindings or eliminated."""
     trees = []
 
     def recorded(stage, fn):
@@ -336,10 +337,15 @@ def _record_trees(monkeypatch):
         for name, fn in builders.items():
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, recorded("built", fn))
-    elimination = calculus.tree_elimination
-    for module in (calculus, transmission, dtn):
-        monkeypatch.setattr(module, "tree_elimination", recorded("eliminated", elimination))
+    eliminated = functools.cached_property(recorded("eliminated", tree_module.FiniteTree.elimination.func))
+    eliminated.__set_name__(tree_module.FiniteTree, "elimination")
+    monkeypatch.setattr(tree_module.FiniteTree, "elimination", eliminated)
     return trees
+
+
+def _leaves_stretched(tree):
+    """Whether the leaf edges are those of a condensed tree: ell_{depth} / (1 - r)."""
+    return bool(np.all(tree.lengths[tree.depth] == REF.L0 * REF.ell**tree.depth / (1.0 - REF.r)))
 
 
 @pytest.mark.parametrize("tree_source", [False, True])
@@ -366,7 +372,7 @@ def test_each_solve_builds_one_compressed_source_tree(monkeypatch):
     sol = solve_transmission(cfg)
     assert len(builds) == 1
     assert sol.u_rows.tree.rows == (1, 2, 4) + (8,) * 6
-    assert sol.u_tree.tree.depth == cfg.source_depth + 1 and sol.u_tree.tree.condensed
+    assert sol.u_tree.tree.depth == cfg.source_depth + 1 and _leaves_stretched(sol.u_tree.tree)
     assert sol.u_tree.tree.rows == tuple(2**n for n in range(cfg.source_depth + 2))
     # a tree source is rows of coefficients, not a tree: the solve builds its own
     cfg.tree_source = np.full((cfg.source_depth + 2, 1), 0.7)
@@ -438,10 +444,10 @@ def test_source_tree_is_built_only_when_read(monkeypatch):
     builds = _source_depth_builds(monkeypatch, cfg)
     sy = assemble_system(cfg)
     assert builds == []
-    assert sy.tree is None and sy.u_f is None and not sy.flux_f.any()
+    assert sy.u_f is None and not sy.flux_f.any()
     sol = reconstruct(sy, solve_interface(sy))
     assert len(builds) == 1
-    assert sol.u_tree.tree.depth == cfg.source_depth + 1 and sol.u_tree.tree.condensed
+    assert sol.u_tree.tree.depth == cfg.source_depth + 1 and _leaves_stretched(sol.u_tree.tree)
     assert sol.trace_defect <= 1e-10
     assert sol.flux_residual <= sol.discretization_defect + 1e-10
 
@@ -495,7 +501,7 @@ def test_reconstruct_adds_the_root_bump_on_the_root_edge():
                              exterior_source=_ext_source(1))
     sy = assemble_system(cfg)
     sol = reconstruct(sy, solve_interface(sy))
-    tree = sy.tree.expanded()
+    tree = sy.u_f.tree.expanded()
     refined = np.repeat(sol.g.values, 2 ** (tree.depth - cfg.level))
     u = transmission.solve_harmonic_dirichlet(tree, refined, root_value=0.0)
     expected = u + root_bump(tree) * complex(cfg.c_root) + sy.u_f.expanded()

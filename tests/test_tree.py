@@ -11,7 +11,6 @@ from treedisk.errors import (
     StructuralConditionViolated,
 )
 from treedisk.tree import (
-    EdgeRef,
     TreeParams,
     build_condensed,
     build_truncated,
@@ -58,15 +57,9 @@ def test_bad_parameters_raise():
             TreeParams(**base)
 
 
-def test_edge_refs():
-    e = EdgeRef(2, 5)
-    assert e.parent(2) == EdgeRef(1, 2)
-    assert e.children(2) == [EdgeRef(3, 10), EdgeRef(3, 11)]
-
-
 def test_truncated_shape_and_distances():
     T = build_truncated(REF, 2)
-    assert T.edge_count_by_generation() == [1, 2, 4]
+    assert T.rows == (1, 2, 4)
     assert T.n_edges == 7
     assert T.n_leaves == 4
     np.testing.assert_allclose(T.dist[2], 1.75)
@@ -80,8 +73,6 @@ def test_truncated_shape_and_distances():
 def test_condensed_leaf_stretch():
     C = build_condensed(REF, 3)
     assert C.depth == 4
-    assert C.n_cond == 3
-    assert C.condensed
     # leaf edges ell^4 / (1 - r) with r = 5/8
     np.testing.assert_allclose(C.lengths[4], 0.5**4 / (1 - 0.625))
     np.testing.assert_allclose(C.lengths[3], 0.5**3)
@@ -131,3 +122,13 @@ def test_condensation_needs_geometric_tail():
         build_condensed(P, 1)
     C = build_condensed(P, 2)
     assert C.depth == 3
+
+
+def test_distances_and_elimination_are_computed_when_read():
+    for tree in (build_truncated(REF, 3), build_condensed(REF, 3, level=2)):
+        assert "dist" not in vars(tree) and "elimination" not in vars(tree)
+        assert tree.dist is tree.dist
+        assert "elimination" not in vars(tree)
+        assert tree.elimination is tree.elimination
+        c, pivot = tree.elimination
+        assert not any(arr.flags.writeable for arr in c + pivot)

@@ -25,7 +25,7 @@ from treedisk import transmission
 from treedisk.acceptance import _random_admissible_params
 from treedisk.dtn import compress, condensed_dtn, tree_dtn_operator, truncated_dtn
 from treedisk.errors import CondensationBelowGeometricGeneration
-from treedisk.tree import TreeParams, build_condensed, build_truncated
+from treedisk.tree import TreeParams, _child_sums, build_condensed, build_truncated
 
 PARAMS = {
     "interval": TreeParams(p=1, ell=0.5, omega=1.0),
@@ -354,12 +354,11 @@ def test_zero_leaves_are_skipped_bit_for_bit(name, kind, depth, complex_):
         load[::3] = signed_zero
         random_loads.append(load)
     zero_loads = [np.full(tree.p**n, signed_zero) for n in range(tree.depth)]
-    elimination = ca.tree_elimination(tree)
     zeros = np.zeros(tree.n_leaves, dtype=dtype)
     for loads in (random_loads, zero_loads):
         for root in (0.0, -0.0):
-            skipped = ca._solve_vertices(tree, elimination, loads, None, root)
-            full = ca._solve_vertices(tree, elimination, loads, zeros, root)
+            skipped = ca._solve_vertices(tree, loads, None, root)
+            full = ca._solve_vertices(tree, loads, zeros, root)
             assert all(a.tobytes() == b.tobytes() for a, b in zip(skipped[:-1], full[:-1]))
             assert skipped[-1] == 0.0
 
@@ -372,7 +371,7 @@ def test_child_sums_match_reshape_sum(p, complex_):
         x = rng.standard_normal(parents * p)
         if complex_:
             x = x + 1j * rng.standard_normal(x.size)
-        assert _rel(ca._child_sums(x, p), x.reshape(-1, p).sum(axis=1)) <= 1e-15
+        assert _rel(_child_sums(x, p), x.reshape(-1, p).sum(axis=1)) <= 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -424,8 +423,8 @@ def test_compressed_tree_solves_match_the_full_tree_bit_for_bit(name, N, depth, 
     _assert_bits(_expand_rows(tree, tree.dist), full.dist)
 
     # the elimination: conductances and pivots
-    c, pivot = ca.tree_elimination(tree)
-    c_full, pivot_full = ca.tree_elimination(full)
+    c, pivot = tree.elimination
+    c_full, pivot_full = full.elimination
     _assert_bits(_expand_rows(tree, c), c_full)
     _assert_bits(_expand_rows(tree, pivot), pivot_full)
 
