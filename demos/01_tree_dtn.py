@@ -24,23 +24,23 @@ def main():
     print("\ninterval tree (p=1): truncated DtN vs exact condensed value 0.5")
     print("  depth   truncated        defect vs 0.5/(1-0.5^N)")
     for n in range(1, 7):
-        t = truncated_dtn(INTERVAL, n - 1).matrix[0, 0]
+        t = truncated_dtn(INTERVAL, n - 1)[0, 0]
         closed = 0.5 / (1.0 - 0.5**n)
         print("  %5d   %.12f   %.2e" % (n, t, abs(t - closed)))
-    print("  condensed at any level: %.15f" % condensed_dtn(INTERVAL, 3).matrix[0, 0])
+    print("  condensed at any level: %.15f" % condensed_dtn(INTERVAL, 3)[0, 0])
 
     print("\ncondensed DtN on constants carries the uniform radial flux")
     for n in (2, 4, 6):
-        op = condensed_dtn(REF, n)
-        flux = op.matrix @ np.ones(op.size)
+        A = condensed_dtn(REF, n)
+        flux = A @ np.ones(len(A))
         print("  level %d: size %4d, cell flux %.3e (expected %.3e), spread %.2e"
-              % (n + 1, op.size, flux[0], 0.375 / op.size, np.ptp(flux)))
+              % (n + 1, len(A), flux[0], 0.375 / len(A), np.ptp(flux)))
 
     print("\ncompression consistency: compress(condensed(N+3), N+1) vs condensed(N)")
     for n in (2, 3):
-        fine = compress(condensed_dtn(REF, n + 3), n + 1)
+        fine = compress(condensed_dtn(REF, n + 3), REF.p, n + 1)
         coarse = condensed_dtn(REF, n)
-        print("  N=%d: max entrywise defect %.2e" % (n, np.abs(fine.matrix - coarse.matrix).max()))
+        print("  N=%d: max entrywise defect %.2e" % (n, np.abs(fine - coarse).max()))
 
     print("\nfitted convergence of the projected DtN")
     rec = dtn_convergence_rate(REF, [2, 3, 4, 5])

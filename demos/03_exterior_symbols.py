@@ -39,11 +39,10 @@ def main():
 
     decomp = circle.MultiscaleDecomposition(R=R, p=2, n_max=6)
     level = 3
-    op = dtn_galerkin(decomp, level, dtn_symbol(R, 16 * decomp.n_cells(level)))
-    ones = np.ones(op.size)
-    eigs = np.linalg.eigvalsh(0.5 * (op.matrix + op.matrix.T))
-    print("\nGalerkin exterior DtN at level %d (%d cells):" % (level, op.size))
-    print("  constants in kernel: |A 1|_max = %.2e" % np.abs(op.matrix @ ones).max())
+    A = dtn_galerkin(decomp, level, dtn_symbol(R, 16 * decomp.n_cells(level)))
+    eigs = np.linalg.eigvalsh(0.5 * (A + A.T))
+    print("\nGalerkin exterior DtN at level %d (%d cells):" % (level, len(A)))
+    print("  constants in kernel: |A 1|_max = %.2e" % np.abs(A @ np.ones(len(A))).max())
     print("  negative semidefinite: eigenvalues in [%.4f, %.2e]" % (eigs[0], eigs[-1]))
 
 

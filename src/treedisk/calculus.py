@@ -111,10 +111,6 @@ class TreeFunction:
                 raise DepthMismatch("generation %d needs %d rows, got %d" % (n, tree.rows[n], c.shape[0]))
 
     @property
-    def degree(self) -> int:
-        return max(c.shape[1] - 1 for c in self.coeffs)
-
-    @property
     def root_value(self):
         return self.coeffs[0][0, 0]
 
@@ -463,9 +459,7 @@ def solve_poisson_zero_trace(tree: FiniteTree, source: TreeFunction) -> TreeFunc
 @dataclass
 class RadialRecord:
     flux: float
-    slopes: np.ndarray
     vertex_values: np.ndarray
-    boundary_value: float
 
 
 def radial_harmonic(params: TreeParams, N: int, boundary_value: float = 1.0, condensed: bool = True):
@@ -501,9 +495,7 @@ def radial_harmonic(params: TreeParams, N: int, boundary_value: float = 1.0, con
     f = TreeFunction(tree, coeffs)
     record = RadialRecord(
         flux=float(params.omega0 * s0),
-        slopes=slopes,
         vertex_values=vals,
-        boundary_value=boundary_value,
     )
     return f, record
 

@@ -27,6 +27,7 @@ from .exterior import check_cutoff, dtn_symbol
 from .transmission import (
     TransmissionConfig,
     assemble_system,
+    check_pencil_count,
     convergence_study,
     plasmonic_pencil,
     solve_transmission,
@@ -130,9 +131,9 @@ def _cmd_validate(args) -> int:
 def _cmd_tree_dtn(args) -> int:
     started = time.monotonic()
     cfg = parse_config(args.config)
-    op = condensed_dtn(cfg.params(), args.depth)
-    rows, cols = np.divmod(np.arange(op.matrix.size), op.size)
-    _write_csv(args.out, ("row", "col", "value"), [rows, cols, op.matrix.ravel()])
+    A = condensed_dtn(cfg.params(), args.depth)
+    rows, cols = np.divmod(np.arange(A.size), A.shape[0])
+    _write_csv(args.out, ("row", "col", "value"), [rows, cols, A.ravel()])
     _write_manifest(args.out + ".manifest", "tree-dtn", cfg, started, [args.out])
     return EXIT_OK
 
@@ -200,8 +201,9 @@ def _cmd_plasmonic(args) -> int:
     cfg = parse_config(args.config)
     tcfg = TransmissionConfig(params=cfg.params(), level=cfg.get("interface.N"),
                               alpha1=1.0, alpha0=0.0, R=cfg.get("interface.radius"))
-    system = assemble_system(tcfg)
     count = cfg.get("transmission.pencil_count")
+    check_pencil_count(count)
+    system = assemble_system(tcfg)
     values = plasmonic_pencil(system.C, system.D, count=count)
     values = np.asarray(values, dtype=complex)
     _write_csv(args.out, ("index", "re", "im"), [np.arange(values.size), values.real, values.imag])

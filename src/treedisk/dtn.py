@@ -30,7 +30,8 @@ condensed tree compressed at level N (one leaf row per cell) and keeps
 that level-N elimination as a TreeDtN, which applies D by one upward and
 one downward sweep in O(p^N), gives T. Chan's optimal circulant of D from
 the per-generation autocorrelations of beta, and gathers the dense
-p^N x p^N matrix only when asked (TreeDtN.matrix).  compress, the Galerkin
+p^N x p^N matrix only when asked (TreeDtN.matrix).  The dense builders
+condensed_dtn and truncated_dtn return plain arrays.  compress, the Galerkin
 restriction of a finer matrix, stays as the identity this rests on
 (acceptance criterion 3) and as its test oracle.
 """
@@ -56,23 +57,6 @@ DENSE_CELL_BUDGET = 4096
 # depth fitted
 _RATE_MODES = (1, 2, 3)
 _RATE_REF_EXTRA = 2
-
-
-@dataclass
-class GalerkinOperator:
-    """Dense matrix of an operator tested against level-`level` cells of branching p."""
-
-    p: int
-    level: int
-    matrix: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return self.matrix.shape[0]
-
-    def symmetry_defect(self) -> float:
-        scale = max(float(np.abs(self.matrix).max()), 1e-300)
-        return float(np.abs(self.matrix - self.matrix.T).max()) / scale
 
 
 def _check_dense(n_cells: int) -> None:
@@ -103,16 +87,14 @@ def _schur_boundary(c, pivot) -> np.ndarray:
     return A
 
 
-def condensed_dtn(params: TreeParams, N: int) -> GalerkinOperator:
+def condensed_dtn(params: TreeParams, N: int) -> np.ndarray:
     """DtN matrix of the condensed tree; level N+1 cells.
 
     Admits p = 1 (the interval oracle) even though sigma is undefined there;
     condensation only needs r = ell/(p omega) < 1.
     """
     _check_dense(params.p ** (N + 1))
-    tree = build_condensed(params, N)
-    A = _schur_boundary(*tree.elimination)
-    return GalerkinOperator(p=params.p, level=tree.depth, matrix=A)
+    return _schur_boundary(*build_condensed(params, N).elimination)
 
 
 @dataclass
@@ -126,7 +108,6 @@ class TreeDtN:
     """
 
     p: int
-    level: int
     c: list
     pivot: list
 
@@ -202,28 +183,28 @@ def tree_dtn_operator(params: TreeParams, N: int) -> TreeDtN:
     """
     c, pivot = build_condensed(params, N, level=N).elimination
     merged = _child_sums(c[N + 1], params.p, merged=True)
-    return TreeDtN(p=params.p, level=N, c=c[: N + 1] + [merged], pivot=pivot)
+    return TreeDtN(p=params.p, c=c[: N + 1] + [merged], pivot=pivot)
 
 
-def truncated_dtn(params: TreeParams, depth: int) -> GalerkinOperator:
+def truncated_dtn(params: TreeParams, depth: int) -> np.ndarray:
     """DtN matrix of the plain truncated tree with edge generations 0..depth."""
     _check_dense(params.p**depth)
-    A = _schur_boundary(*build_truncated(params, depth).elimination)
-    return GalerkinOperator(p=params.p, level=depth, matrix=A)
+    return _schur_boundary(*build_truncated(params, depth).elimination)
 
 
-def compress(op: GalerkinOperator, level: int) -> GalerkinOperator:
-    """Galerkin restriction to the coarser space V_level.
+def compress(A: np.ndarray, p: int, level: int) -> np.ndarray:
+    """Galerkin restriction of a DtN matrix of branching p to the coarser space V_level.
 
     Coarse indicators are sums of their children, so entries aggregate:
-    B[J][J'] = sum over child cells of A[K][K'].
+    B[J][J'] = sum over child cells of A[K][K'].  Raises InsufficientDepths
+    unless p^level divides the number of cells of A.
     """
-    if level > op.level:
-        raise InsufficientDepths("cannot compress level %d to finer level %d" % (op.level, level))
-    q = op.p ** (op.level - level)
-    m = op.size // q
-    B = op.matrix.reshape(m, q, m, q).sum(axis=(1, 3))
-    return GalerkinOperator(p=op.p, level=level, matrix=B)
+    size, m = A.shape[0], p**level
+    if level < 0 or size % m:
+        raise InsufficientDepths("cannot compress %d cells to level %d of branching %d"
+                                 % (size, level, p))
+    q = size // m
+    return A.reshape(m, q, m, q).sum(axis=(1, 3))
 
 
 @dataclass
@@ -238,24 +219,23 @@ class CoercivityReport:
         return self.eig_min > 0
 
 
-def coercivity_check(op: GalerkinOperator) -> CoercivityReport:
+def coercivity_check(A: np.ndarray) -> CoercivityReport:
     """Spectral summary of the symmetrized matrix plus the constant-vector image."""
-    sym = 0.5 * (op.matrix + op.matrix.T)
+    sym = 0.5 * (A + A.T)
     if np.iscomplexobj(sym):
-        sym = 0.5 * (op.matrix + op.matrix.conj().T)
+        sym = 0.5 * (A + A.conj().T)
     vals = np.linalg.eigvalsh(np.real_if_close(sym))
-    const = np.ones(op.size)
+    scale = max(float(np.abs(A).max()), 1e-300)
     return CoercivityReport(
-        symmetry_defect=op.symmetry_defect(),
+        symmetry_defect=float(np.abs(A - A.T).max()) / scale,
         eig_min=float(vals[0]),
         eig_max=float(vals[-1]),
-        const_image=float(np.abs(op.matrix @ const).max()),
+        const_image=float(np.abs(A @ np.ones(A.shape[0])).max()),
     )
 
 
 @dataclass
 class ConvergenceRecord:
-    depths: list
     errors: list
     rate_per_level: float
     rho_hat: float | None
@@ -286,10 +266,10 @@ def dtn_convergence_rate(params: TreeParams, depths) -> ConvergenceRecord:
         raise InsufficientDepths("need at least 3 distinct depths, got %r" % (depths,))
     if params.p == 1:
         ref = condensed_dtn(params, max(max(depths), params.N1))
-        errors = [abs(float(truncated_dtn(params, d).matrix[0, 0] - ref.matrix[0, 0])) for d in depths]
+        errors = [abs(float(truncated_dtn(params, d)[0, 0] - ref[0, 0])) for d in depths]
         rate, residual = _fit_rate(depths, errors)
         return ConvergenceRecord(
-            depths=list(depths), errors=errors, rate_per_level=rate, rho_hat=None, residual=residual,
+            errors=errors, rate_per_level=rate, rho_hat=None, residual=residual,
             measure="truncation defect (scalar)",
         )
 
@@ -305,19 +285,19 @@ def dtn_convergence_rate(params: TreeParams, depths) -> ConvergenceRecord:
     dens_ref = []
     for g in tests:
         avg = np.real(circle.cell_averages(decomp, g, level))
-        dens_ref.append(ref.matrix @ avg / mu)
+        dens_ref.append(ref @ avg / mu)
     errors = []
     for d in depths:
         worst = 0.0
         for g, dref in zip(tests, dens_ref):
             coarse = np.real(circle.cell_averages(decomp, g, d))
             refined = np.repeat(coarse, decomp.p ** (level - d))
-            dens = ref.matrix @ refined / mu
+            dens = ref @ refined / mu
             diff = circle.PiecewiseConstantFn(decomp, level, dens - dref)
             worst = max(worst, circle.sobolev_norm_fourier(diff.to_fourier(m_eval), -0.5))
         errors.append(worst)
     rate, residual = _fit_rate(depths, errors)
     return ConvergenceRecord(
-        depths=list(depths), errors=errors, rate_per_level=rate, rho_hat=rate / math.log(params.p),
+        errors=errors, rate_per_level=rate, rho_hat=rate / math.log(params.p),
         residual=residual, measure="H^{-1/2} projection error on smooth modes",
     )

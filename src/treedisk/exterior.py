@@ -26,7 +26,7 @@ import numpy as np
 import scipy.linalg
 
 from .circle import FourierFn, MultiscaleDecomposition, _sinc_cells
-from .dtn import GalerkinOperator, _check_dense
+from .dtn import _check_dense
 from .errors import AssemblyTooLarge, CutoffTooSmall, NonPositiveParameter, ScaleEqualsRadius
 
 MODE_OVERSAMPLING = 16
@@ -35,28 +35,31 @@ MODE_OVERSAMPLING = 16
 # bounds an interface solve (MODE_OVERSAMPLING * p^N modes) at 2^19 cells.
 MODE_BUDGET = 2**23
 
-_TAGS = ("DtN", "SingleLayer", "DoubleLayerT", "Hypersingular")
-
 _GL64 = np.polynomial.legendre.leggauss(64)
 _GL24 = np.polynomial.legendre.leggauss(24)
+
+# the node budget of single_layer_quadrature
+_QUADRATURE_NODES = 2048
 
 
 @dataclass
 class ExteriorSymbol:
-    """Fourier symbol s_k, |k| <= M, of a boundary operator on the circle."""
+    """Fourier symbol s_k, |k| <= M, of a boundary operator on the circle.
 
-    tag: str
+    values holds s_{-M}..s_M, an odd number of values.
+    """
+
     R: float
-    M: int
     values: np.ndarray
-    r_scale: float | None = None
 
     def __post_init__(self):
-        if self.tag not in _TAGS:
-            raise ValueError("unknown symbol tag %r" % (self.tag,))
         self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (2 * self.M + 1,):
+        if self.values.ndim != 1 or self.values.size % 2 == 0:
             raise ValueError("need 2M+1 symbol values")
+
+    @property
+    def M(self) -> int:
+        return (self.values.size - 1) // 2
 
     def ks(self):
         return np.arange(-self.M, self.M + 1)
@@ -94,7 +97,7 @@ def dtn_symbol(R: float, M: int) -> ExteriorSymbol:
     """
     if R <= 0:
         raise NonPositiveParameter("radius must be positive")
-    return ExteriorSymbol("DtN", R, M, -np.abs(_modes(M)) / R)
+    return ExteriorSymbol(R, -np.abs(_modes(M)) / R)
 
 
 def layer_symbols(R: float, r_scale: float, M: int):
@@ -114,9 +117,9 @@ def layer_symbols(R: float, r_scale: float, M: int):
     double_t = np.where(ak == 0, -1.0, 0.0)
     hyper = ak / (2.0 * R)
     return (
-        ExteriorSymbol("SingleLayer", R, M, single, r_scale=r_scale),
-        ExteriorSymbol("DoubleLayerT", R, M, double_t, r_scale=r_scale),
-        ExteriorSymbol("Hypersingular", R, M, hyper, r_scale=r_scale),
+        ExteriorSymbol(R, single),
+        ExteriorSymbol(R, double_t),
+        ExteriorSymbol(R, hyper),
     )
 
 
@@ -135,7 +138,7 @@ def bie_dtn_crosscheck(R: float, r_scale: float, M: int) -> float:
     return float(np.abs(defect[keep]).max())
 
 
-def single_layer_quadrature(R: float, r_scale: float, k: int, n_nodes: int = 2048) -> float:
+def single_layer_quadrature(R: float, r_scale: float, k: int) -> float:
     """Direct kernel quadrature of (S e^{ik.})(x) at x = (R, 0).
 
     Integrates (R/2pi) log(r_scale / (2R sin(theta/2))) cos(k theta) over
@@ -148,7 +151,7 @@ def single_layer_quadrature(R: float, r_scale: float, k: int, n_nodes: int = 204
         raise ScaleEqualsRadius("r_scale = R makes the single layer singular on constants")
     a = abs(int(k))
     q = _GL24[0].size
-    n_panels = max((n_nodes // 2) // q, 4)
+    n_panels = max((_QUADRATURE_NODES // 2) // q, 4)
     eps_cut = 1e-15
     ratio = (eps_cut / math.pi) ** (1.0 / n_panels)
     breaks = math.pi * ratio ** np.arange(n_panels + 1)
@@ -430,8 +433,7 @@ def galerkin_row(decomp: MultiscaleDecomposition, N: int, symbol: ExteriorSymbol
     return 2.0 * math.pi * decomp.R * np.fft.fft(folded).real
 
 
-def dtn_galerkin(decomp: MultiscaleDecomposition, N: int, symbol: ExteriorSymbol) -> GalerkinOperator:
+def dtn_galerkin(decomp: MultiscaleDecomposition, N: int, symbol: ExteriorSymbol) -> np.ndarray:
     """Dense level-N Galerkin matrix of a symbol: the circulant of galerkin_row."""
     _check_dense(decomp.n_cells(N))
-    row = galerkin_row(decomp, N, symbol)
-    return GalerkinOperator(p=decomp.p, level=N, matrix=scipy.linalg.circulant(row))
+    return scipy.linalg.circulant(galerkin_row(decomp, N, symbol))

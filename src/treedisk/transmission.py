@@ -466,7 +466,6 @@ class TransmissionSolution:
     flux_residual: float
     discretization_defect: float
     condition_estimate: float
-    meta: dict
 
     @cached_property
     def u_tree(self) -> TreeFunction:
@@ -550,7 +549,6 @@ def reconstruct(system: InterfaceSystem, g: PiecewiseConstantFn) -> Transmission
         g=g, u_rows=u_T, u_ext=u_ext, trace_defect=trace_defect,
         flux_residual=flux_residual, discretization_defect=discretization_defect,
         condition_estimate=system.condition_estimate,
-        meta={"level": cfg.level, "solvability": cfg.solvability()},
     )
 
 
@@ -658,6 +656,12 @@ def convergence_study(cfg: TransmissionConfig, N_list, manufactured=None) -> Con
         reference="manufactured" if manufactured is not None else "finest level")
 
 
+def check_pencil_count(count: int) -> None:
+    """Raise NonPositiveParameter for a pencil count below 1."""
+    if count < 1:
+        raise NonPositiveParameter("pencil count must be >= 1, got %d" % count)
+
+
 def plasmonic_pencil(C, D, count: int = 8):
     """The count generalized eigenvalues alpha of C g = alpha D g nearest zero, nearest first.
 
@@ -667,8 +671,7 @@ def plasmonic_pencil(C, D, count: int = 8):
     eigenvalue is real, the constant vector gives alpha = 0 and the rest are
     negative.  A count below 1 raises NonPositiveParameter.
     """
-    if count < 1:
-        raise NonPositiveParameter("pencil count must be >= 1, got %d" % count)
+    check_pencil_count(count)
     cm, dm = np.asarray(C), np.asarray(D)
     if cm.shape != dm.shape:
         raise ValueError("pencil matrices must share a level")

@@ -92,6 +92,15 @@ class ValidationReport:
         return not self.failures
 
 
+def _is_edge(p: int, n: int, k: int) -> bool:
+    """Whether (n, k) is an edge: 0 <= n and 0 <= k < p^n.
+
+    p^b > k for p >= 2 and b the bit length of k, so p^n is never taken
+    with more bits than k.
+    """
+    return 0 <= n and 0 <= k < p ** min(n, int(k).bit_length())
+
+
 def validate_params(params: TreeParams) -> ValidationReport:
     """Check the structural inequalities and compute (sigma, r, minimal C).
 
@@ -114,6 +123,10 @@ def validate_params(params: TreeParams) -> ValidationReport:
         if n >= params.N1:
             failures.append("length override at generation %d not below N1=%d" % (n, params.N1))
             continue
+        if not _is_edge(p, n, k):
+            failures.append("length override at (%d,%d) names no edge (generation %d has %d^%d edges)"
+                            % (n, k, n, p, n))
+            continue
         if not (val > 0 and math.isfinite(val)):
             failures.append("length override at (%d,%d) not positive" % (n, k))
             continue
@@ -121,6 +134,10 @@ def validate_params(params: TreeParams) -> ValidationReport:
     for (n, k), val in params.weight_overrides.items():
         if n >= params.N1:
             failures.append("weight override at generation %d not below N1=%d" % (n, params.N1))
+            continue
+        if not _is_edge(p, n, k):
+            failures.append("weight override at (%d,%d) names no edge (generation %d has %d^%d edges)"
+                            % (n, k, n, p, n))
             continue
         if not (val > 0 and math.isfinite(val)):
             failures.append("weight override at (%d,%d) not positive" % (n, k))

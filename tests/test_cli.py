@@ -190,18 +190,50 @@ def test_invalid_value_exits_2_with_one_line(tmp_path, capsys, text, argv, messa
     assert list(tmp_path.iterdir()) == [path]
 
 
+def test_pencil_count_is_checked_before_assembly(tmp_path, capsys, monkeypatch):
+    def assemble(cfg):
+        raise RuntimeError("assembled before the pencil count was checked")
+
+    monkeypatch.setattr(cli, "assemble_system", assemble)
+    path = tmp_path / "bad.ini"
+    path.write_text(REF_TEXT + "[transmission]\npencil_count = 0\n")
+    assert cli.main(["plasmonic", "--config", str(path), "--out", str(tmp_path / "pencil.csv")]) == 2
+    assert capsys.readouterr().err == "invalid input: pencil count must be >= 1, got 0\n"
+    assert list(tmp_path.iterdir()) == [path]
+
+
+# generation 1 of p = 2 has the edges (1, 0) and (1, 1) only
+_MISSING_EDGE = REF_TEXT + "[tree]\nN1 = 2\nlength_override.1.5 = 0.3\n"
+_NO_EDGE = "length override at (1,5) names no edge (generation 1 has 2^1 edges)\n"
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["validate"], "FAIL: " + _NO_EDGE),
+    (["transmission", "--out-prefix", "OUT/run_"], "invalid parameters: " + _NO_EDGE),
+    (["plasmonic", "--out", "OUT/pencil.csv"], "invalid parameters: " + _NO_EDGE),
+    (["tree-dtn", "--depth", "3", "--out", "OUT/dtn.csv"], "invalid parameters: " + _NO_EDGE),
+], ids=["validate", "transmission", "plasmonic", "tree-dtn"])
+def test_override_on_a_missing_edge_exits_2(tmp_path, capsys, argv, err):
+    path = tmp_path / "bad.ini"
+    path.write_text(_MISSING_EDGE)
+    argv = [argv[0], "--config", str(path)] + [a.replace("OUT", str(tmp_path)) for a in argv[1:]]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == err
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def test_tree_dtn_dump(ref_config, tmp_path):
     out = tmp_path / "dtn.csv"
     assert cli.main(["tree-dtn", "--config", ref_config, "--depth", "2",
                      "--out", str(out)]) == 0
     header, rows = _read_csv(out)
     assert header == ["row", "col", "value"]
-    op = condensed_dtn(TreeParams(p=2, ell=0.5, omega=0.4), 2)
-    assert len(rows) == op.size**2
-    matrix = np.zeros((op.size, op.size))
+    A = condensed_dtn(TreeParams(p=2, ell=0.5, omega=0.4), 2)
+    assert len(rows) == A.size
+    matrix = np.zeros(A.shape)
     for i, j, v in rows:
         matrix[int(i), int(j)] = float(v)
-    assert np.abs(matrix - op.matrix).max() == 0.0
+    assert np.abs(matrix - A).max() == 0.0
     manifest = (tmp_path / "dtn.csv.manifest").read_text()
     assert "command=tree-dtn" in manifest
     assert "param.tree.p=2" in manifest
@@ -419,7 +451,7 @@ def test_transmission_csvs_match_row_oracle(text, tmp_path):
 def test_matrix_and_table_csvs_match_row_oracle(ref_config, tmp_path):
     out = tmp_path / "dtn.csv"
     assert cli.main(["tree-dtn", "--config", ref_config, "--depth", "2", "--out", str(out)]) == 0
-    m = condensed_dtn(TreeParams(p=2, ell=0.5, omega=0.4), 2).matrix
+    m = condensed_dtn(TreeParams(p=2, ell=0.5, omega=0.4), 2)
     rows = [(i, j, m[i, j]) for i in range(m.shape[0]) for j in range(m.shape[1])]
     assert out.read_bytes() == _oracle_csv(("row", "col", "value"), rows)
 

@@ -5,7 +5,6 @@ import pytest
 
 from treedisk.circle import MultiscaleDecomposition
 from treedisk.dtn import (
-    GalerkinOperator,
     coercivity_check,
     compress,
     condensed_dtn,
@@ -24,28 +23,28 @@ UNIT_INTERVAL = TreeParams(p=1, ell=0.5, omega=1.0, L0=1.0, omega0=1.0)
 def test_interval_truncated_matches_series_resistance():
     # p=1 chain of N edges: D = (1 - ell^N)^{-1} * (1 - ell) / L0 when omega = 1
     for n_edges in range(1, 7):
-        op = truncated_dtn(UNIT_INTERVAL, n_edges - 1)
+        A = truncated_dtn(UNIT_INTERVAL, n_edges - 1)
         expected = 0.5 / (1.0 - 0.5**n_edges)
-        assert op.matrix.shape == (1, 1)
-        assert op.matrix[0, 0] == pytest.approx(expected, abs=1e-14)
-    assert truncated_dtn(UNIT_INTERVAL, 2).matrix[0, 0] == pytest.approx(0.5714285714285714, abs=1e-12)
+        assert A.shape == (1, 1)
+        assert A[0, 0] == pytest.approx(expected, abs=1e-14)
+    assert truncated_dtn(UNIT_INTERVAL, 2)[0, 0] == pytest.approx(0.5714285714285714, abs=1e-12)
 
 
 def test_interval_condensed_is_exact_at_every_level():
     for n in range(1, 7):
-        op = condensed_dtn(UNIT_INTERVAL, n)
-        assert op.level == n + 1
-        assert op.matrix[0, 0] == pytest.approx(0.5, abs=1e-14)
+        A = condensed_dtn(UNIT_INTERVAL, n)
+        assert A.shape == (1, 1)
+        assert A[0, 0] == pytest.approx(0.5, abs=1e-14)
 
 
 def test_condensed_row_sums_equal_radial_flux():
     # constant boundary data 1: total flux omega0 * (1 - r) / L0, split evenly
     r = REF.ell / (REF.p * REF.omega)
     for n in (2, 4, 6):
-        op = condensed_dtn(REF, n)
-        m = op.matrix.shape[0]
+        A = condensed_dtn(REF, n)
+        m = A.shape[0]
         assert m == REF.p ** (n + 1)
-        rows = op.matrix.sum(axis=1)
+        rows = A.sum(axis=1)
         expected = (1.0 - r) / m
         assert np.max(np.abs(rows - expected)) < 1e-12 * abs(expected) * m
 
@@ -54,40 +53,47 @@ def test_condensation_consistency_under_compression():
     fine = condensed_dtn(REF, 5)
     for n in (1, 2, 3):
         coarse = condensed_dtn(REF, n)
-        squeezed = compress(fine, n + 1)
-        assert squeezed.level == coarse.level
-        scale = np.abs(coarse.matrix).max()
-        assert np.abs(squeezed.matrix - coarse.matrix).max() < 1e-12 * scale
+        squeezed = compress(fine, REF.p, n + 1)
+        assert squeezed.shape == coarse.shape
+        scale = np.abs(coarse).max()
+        assert np.abs(squeezed - coarse).max() < 1e-12 * scale
 
 
 def test_compress_refuses_refinement():
-    op = condensed_dtn(REF, 2)
-    with pytest.raises(InsufficientDepths):
-        compress(op, op.level + 1)
+    A = condensed_dtn(REF, 2)
+    # 8 cells: level 4 is finer, and 3 cells of p = 3 do not divide them
+    for p, level in ((2, 4), (3, 1), (2, -1)):
+        with pytest.raises(InsufficientDepths):
+            compress(A, p, level)
+    # p = 1 has one cell at every level
+    one = condensed_dtn(UNIT_INTERVAL, 3)
+    assert np.array_equal(compress(one, 1, 2), one)
 
 
 def test_compress_preserves_total_flux():
-    op = condensed_dtn(REF, 4)
-    total = op.matrix.sum()
-    for level in range(op.level - 1, -1, -1):
-        op = compress(op, level)
-        assert op.matrix.sum() == pytest.approx(total, rel=1e-13)
+    A = condensed_dtn(REF, 4)
+    total = A.sum()
+    for level in range(4, -1, -1):
+        A = compress(A, REF.p, level)
+        assert A.sum() == pytest.approx(total, rel=1e-13)
 
 
 def test_symmetry_and_coercivity():
-    op = condensed_dtn(REF, 4)
-    report = coercivity_check(op)
+    A = condensed_dtn(REF, 4)
+    report = coercivity_check(A)
     assert report.symmetry_defect < 1e-12
     assert report.eig_min > 0.0
     assert report.positive_definite
     # constants see the full flux, split evenly across the 2^{N+1} leaf cells
-    assert report.const_image == pytest.approx(op.matrix.sum() / op.size, rel=1e-12)
+    assert report.const_image == pytest.approx(A.sum() / len(A), rel=1e-12)
+    # the defect is relative to the largest entry
+    assert coercivity_check(np.array([[2.0, 1.0], [0.0, 2.0]])).symmetry_defect == 0.5
 
 
 def test_weight_scaling_is_linear():
     scaled = TreeParams(p=2, ell=0.5, omega=0.4, L0=1.0, omega0=3.0)
-    a = condensed_dtn(REF, 3).matrix
-    b = condensed_dtn(scaled, 3).matrix
+    a = condensed_dtn(REF, 3)
+    b = condensed_dtn(scaled, 3)
     assert np.abs(b - 3.0 * a).max() < 1e-12 * np.abs(a).max()
 
 
@@ -97,8 +103,8 @@ def test_truncated_flux_defect_decays_like_r():
     ref = condensed_dtn(REF, 9)
     defects = []
     for d in range(2, 7):
-        trunc = truncated_dtn(REF, d).matrix.sum()
-        exact = compress(ref, d).matrix.sum()
+        trunc = truncated_dtn(REF, d).sum()
+        exact = compress(ref, REF.p, d).sum()
         defects.append(abs(trunc - exact) / exact)
     ratios = [defects[i + 1] / defects[i] for i in range(len(defects) - 1)]
     assert all(d2 < d1 for d1, d2 in zip(defects, defects[1:]))
@@ -143,10 +149,3 @@ def test_dense_assembly_guard():
     with pytest.raises(AssemblyTooLarge):
         dtn_galerkin(decomp, 13, dtn_symbol(1.0, MODE_OVERSAMPLING * 2**13))
 
-
-def test_operator_metadata():
-    op = condensed_dtn(REF, 3)
-    assert isinstance(op, GalerkinOperator)
-    assert (op.p, op.level, op.size) == (2, 4, 16)
-    sub = compress(op, 2)
-    assert (sub.p, sub.level, sub.size) == (2, 2, 4)

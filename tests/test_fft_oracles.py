@@ -60,19 +60,21 @@ def rel_err(fast, dense):
     return float(np.abs(fast - dense).max() / max(np.abs(dense).max(), 1e-300))
 
 
-def _symbols(M):
-    return (dtn_symbol(R, M),) + layer_symbols(R, 2.0 * R, M)
+def _symbols(radius, M):
+    """(name, symbol) of the DtN map and the three layer operators."""
+    names = ("DtN", "SingleLayer", "DoubleLayerT", "Hypersingular")
+    return zip(names, (dtn_symbol(radius, M),) + layer_symbols(radius, 2.0 * radius, M))
 
 
 @pytest.mark.parametrize("p,N", CASES)
 def test_galerkin_matches_dense_row(p, N):
     pn = p**N
     dec = ci.MultiscaleDecomposition(R=R, p=p, n_max=N + 1)
-    for symbol in _symbols(MODE_OVERSAMPLING * pn):
-        A = dtn_galerkin(dec, N, symbol).matrix
+    for name, symbol in _symbols(R, MODE_OVERSAMPLING * pn):
+        A = dtn_galerkin(dec, N, symbol)
         row = dense_galerkin_row(symbol, pn)
         dense = row[np.mod(np.subtract.outer(np.arange(pn), np.arange(pn)), pn)]
-        assert rel_err(A, dense) <= 1e-13, (symbol.tag, p, N)
+        assert rel_err(A, dense) <= 1e-13, (name, p, N)
 
 
 @pytest.mark.parametrize("p,N", CASES)
@@ -103,10 +105,10 @@ def test_fft_kernels_match_dense_on_random_inputs(p, radius, seed, data):
     M = data.draw(st.integers(min_value=1, max_value=4 * pn + 3), label="M")
     dec = ci.MultiscaleDecomposition(R=radius, p=p, n_max=N + 1)
     cutoff = MODE_OVERSAMPLING * pn
-    for symbol in (dtn_symbol(radius, cutoff),) + layer_symbols(radius, 2.0 * radius, cutoff):
+    for name, symbol in _symbols(radius, cutoff):
         row = dense_galerkin_row(symbol, pn)
         dense = row[np.mod(np.subtract.outer(np.arange(pn), np.arange(pn)), pn)]
-        assert rel_err(dtn_galerkin(dec, N, symbol).matrix, dense) <= 1e-13, (symbol.tag, p, N, M)
+        assert rel_err(dtn_galerkin(dec, N, symbol), dense) <= 1e-13, (name, p, N, M)
 
     rng = np.random.default_rng(seed)
     values = rng.standard_normal(pn) + 1j * rng.standard_normal(pn)
@@ -146,7 +148,7 @@ def _system(params, N, alpha1, alpha0):
 def test_galerkin_row_eigenvalues_diagonalize_the_circulant(p, N):
     dec = ci.MultiscaleDecomposition(R=R, p=p, n_max=N + 1)
     symbol = dtn_symbol(R, MODE_OVERSAMPLING * p**N)
-    C = dtn_galerkin(dec, N, symbol).matrix
+    C = dtn_galerkin(dec, N, symbol)
     eigs = np.fft.fft(galerkin_row(dec, N, symbol))
     assert np.abs(eigs.imag).max() <= 1e-13 * max(np.abs(eigs).max(), 1e-300)
     x = np.random.default_rng(p + N).standard_normal(p**N)

@@ -140,7 +140,7 @@ def test_case_ii_purely_imaginary_coupling_solves():
     cfg = TransmissionConfig(params=REF, level=4, alpha1=1j, alpha0=0.0,
                              exterior_source=_ext_source(2, 0.4))
     sol = solve_transmission(cfg)
-    assert sol.meta["solvability"] == {"case_i": False, "case_ii": True}
+    assert cfg.solvability() == {"case_i": False, "case_ii": True}
     assert sol.flux_residual < 1e-10
     assert np.isfinite(sol.condition_estimate)
 
@@ -253,6 +253,21 @@ def test_singular_at_pencil_eigenvalue():
                                              exterior_source=_ext_source(1)))
     with pytest.raises(SingularInterfaceOperator):
         solve_interface(bad)
+
+
+def test_singular_operator_names_the_nearest_pencil_eigenvalue(monkeypatch):
+    sy = assemble_system(TransmissionConfig(params=REF, level=3, alpha1=1.0, alpha0=0.0))
+    lam = plasmonic_pencil(sy.C, sy.D, 3)[1]
+    cfg = TransmissionConfig(params=REF, level=3, alpha1=lam, alpha0=0.0,
+                             exterior_source=_ext_source(1))
+    with pytest.raises(SingularInterfaceOperator) as exc:
+        solve_interface(assemble_system(cfg))
+    assert str(exc.value).endswith("; nearest pencil eigenvalue %r" % lam)
+    # past the dense budget the pencil is skipped and the solve still raises
+    monkeypatch.setattr(dtn, "DENSE_CELL_BUDGET", 4)
+    with pytest.raises(SingularInterfaceOperator) as exc:
+        solve_interface(assemble_system(cfg))
+    assert "pencil" not in str(exc.value)
 
 
 def test_pencil_shape_mismatch_rejected():

@@ -116,6 +116,16 @@ def test_override_outside_window_rejected():
         build_truncated(P, 2)
 
 
+@pytest.mark.parametrize("overrides", [dict(length_overrides={(1, -1): 0.3}),
+                                       dict(length_overrides={(1, 2): 0.3}),
+                                       dict(weight_overrides={(0, -1): 0.5})])
+def test_override_on_a_missing_edge_rejected(overrides):
+    P = TreeParams(p=2, ell=0.5, omega=0.4, N1=2, **overrides)
+    assert not validate_params(P).ok
+    with pytest.raises(StructuralConditionViolated, match="names no edge"):
+        build_condensed(P, 2)
+
+
 def test_condensation_needs_geometric_tail():
     P = TreeParams(p=2, ell=0.5, omega=0.4, N1=2, length_overrides={(1, 0): 0.6})
     with pytest.raises(CondensationBelowGeometricGeneration):

@@ -195,10 +195,10 @@ def _check_tree(tree, rng):
 @pytest.mark.parametrize("name,kind,depth", CASES)
 def test_dtn_matches_sparse_schur_complement(name, kind, depth):
     if kind == "condensed":
-        op = condensed_dtn(PARAMS[name], depth)
+        A = condensed_dtn(PARAMS[name], depth)
     else:
-        op = truncated_dtn(PARAMS[name], depth)
-    assert _rel(op.matrix, sparse_schur(_tree(name, kind, depth))) <= 1e-12
+        A = truncated_dtn(PARAMS[name], depth)
+    assert _rel(A, sparse_schur(_tree(name, kind, depth))) <= 1e-12
 
 
 @pytest.mark.parametrize("name,kind,depth", CASES)
@@ -215,8 +215,8 @@ def test_random_admissible_trees_match_sparse_oracle(seed):
         (condensed_dtn(params, params.N1 + 2), build_condensed(params, params.N1 + 2)),
         (truncated_dtn(params, params.N1 + 3), build_truncated(params, params.N1 + 3)),
     ]
-    for op, tree in checks:
-        assert _rel(op.matrix, sparse_schur(tree)) <= 1e-12
+    for A, tree in checks:
+        assert _rel(A, sparse_schur(tree)) <= 1e-12
         _check_tree(tree, rng)
 
 
@@ -236,12 +236,10 @@ def _level_cases():
 
 
 def _check_level_builder(params, N):
-    op = tree_dtn_operator(params, N)
-    ref = compress(condensed_dtn(params, N), N)
-    assert op.level == ref.level == N
-    D = op.matrix
+    D = tree_dtn_operator(params, N).matrix
+    ref = compress(condensed_dtn(params, N), params.p, N)
     assert D.shape == (params.p**N, params.p**N)
-    assert _rel(D, ref.matrix) <= 1e-12
+    assert _rel(D, ref) <= 1e-12
 
 
 @pytest.mark.parametrize("name,N", _level_cases())
@@ -270,7 +268,7 @@ def _chan_oracle(D):
 def _check_operator(params, N, rng):
     op = tree_dtn_operator(params, N)
     D = op.matrix
-    assert (op.p, op.level, op.size) == (params.p, N, params.p**N)
+    assert (op.p, op.size) == (params.p, params.p**N)
     x = rng.standard_normal(op.size) + 1j * rng.standard_normal(op.size)
     assert _rel(op.apply(x), D @ x) <= 1e-12
     assert _rel(op.apply(x.real), D @ x.real) <= 1e-12
