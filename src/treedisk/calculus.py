@@ -352,43 +352,88 @@ def _vertex_offsets(tree: FiniteTree):
     return offsets
 
 
-def _solve_vertices(tree: FiniteTree, loads, leaf_values, root_value):
+def _solve_vertices(tree: FiniteTree, loads):
     """Vertex values of the clamped graph system, per generation, leaves last.
 
-    loads[n] (n < depth) is the right-hand side at X_{n,k}; the leaves are
-    clamped at leaf_values (None: all zero, which loads nothing) and the
-    root o at root_value.  One upward pass collects the loads through
-    tree.elimination, one downward pass substitutes.
+    loads[n] (n < depth) is the right-hand side at X_{n,k}; the leaves and
+    the root o are clamped at zero, which loads nothing.  One upward pass
+    collects the loads through tree.elimination, one downward pass
+    substitutes.
     """
     p = tree.p
     c, pivot = tree.elimination
     collected = [None] * tree.depth
-    up = None if leaf_values is None else c[tree.depth] * leaf_values
+    up = None
     for n in range(tree.depth - 1, -1, -1):
         # zero leaves add the +0.0 that their products would
         collected[n] = loads[n] + (0.0 if up is None else _child_sums(up, p, tree.merged(n + 1)))
         up = c[n] * collected[n]
         up /= pivot[n]
     values = []
-    parent = root_value
+    parent = 0.0
     for n in range(tree.depth):
         if n:
             parent = _parent_rows(values[-1], p, tree.merged(n))
         v = c[n] * parent + collected[n]
         v /= pivot[n]
         values.append(v)
-    values.append(0.0 if leaf_values is None else leaf_values)
+    values.append(0.0)
     return values
 
 
 def solve_harmonic_dirichlet(tree: FiniteTree, leaf_values, root_value=0.0) -> TreeFunction:
     """Edgewise-linear function, harmonic off the vertices, with prescribed
-    leaf values and root value; Kirchhoff holds at interior vertices."""
+    leaf values and root value; Kirchhoff holds at interior vertices.
+
+    The elimination is carried in deviations, so that no slope is the
+    difference of two nearly equal vertex values (Higham, Accuracy and
+    Stability of Numerical Algorithms, ch. 1).  Upward, m[n] is the mean
+    of the leaf values below X_{n,k}, weighted by the share c a / pivot of
+    each child (a leaf edge hands up its conductance):
+
+        m[n] = first + sum_children share (m[n+1] - first) / a,
+
+    with first the first child's mean and a the sum of the shares, the
+    effective conductance below X; equal children give first exactly.
+    Downward, u(X_{n,k}) = m[n] + w[n] with w[n] = c[n] d[n] / pivot[n],
+    where d[n] = u(parent) - m[n] is (m[n-1] - m[n]) + w[n-1], or r0 - m[0]
+    at the root, and edge n has slope (w[n] - d[n]) / ell[n] (w = 0 on a
+    leaf edge).  Below a compressed level every row has one child, so d[n]
+    = w[n-1] and the leaf flux is a product of shares: exact at any depth.
+    """
     leaf_values = np.asarray(leaf_values)
     if leaf_values.shape != (tree.n_leaves,):
         raise DepthMismatch("expected %d leaf values, got shape %r" % (tree.n_leaves, leaf_values.shape))
-    values = _solve_vertices(tree, [0.0] * tree.depth, leaf_values, root_value)
-    return from_vertex_values(tree, root_value, values)
+    p = tree.p
+    c, pivot = tree.elimination
+    means = [None] * tree.depth + [leaf_values]
+    share = c[tree.depth]
+    for n in range(tree.depth - 1, -1, -1):
+        merged = tree.merged(n + 1)
+        below = means[n + 1]
+        first = below if merged else below[0::p]
+        a = _child_sums(share, p, merged)
+        spread = _child_sums(share * (below - _parent_rows(first, p, merged)), p, merged)
+        spread /= a
+        means[n] = first + spread
+        share = c[n] * a
+        share /= pivot[n]
+
+    dtype = np.result_type(leaf_values, np.asarray(root_value), float)
+    coeffs = []
+    start, d = root_value, root_value - means[0]
+    for n in range(tree.depth + 1):
+        if n:
+            merged = tree.merged(n)
+            start = _parent_rows(means[n - 1] + w, p, merged)
+            d = _parent_rows(means[n - 1], p, merged) - means[n]
+            d += _parent_rows(w, p, merged)
+        w = c[n] * d / pivot[n] if n < tree.depth else 0.0
+        coef = np.empty((tree.rows[n], 2), dtype=dtype)
+        coef[:, 0] = start
+        coef[:, 1] = (w - d) / tree.lengths[n]
+        coeffs.append(coef)
+    return TreeFunction(tree, coeffs)
 
 
 def solve_poisson_zero_trace(tree: FiniteTree, source: TreeFunction) -> TreeFunction:
@@ -439,7 +484,7 @@ def solve_poisson_zero_trace(tree: FiniteTree, source: TreeFunction) -> TreeFunc
             loads[n] = np.subtract(own, der, dtype=dtype)
             loads[n] -= _child_sums(below, p, tree.merged(n + 1))
         below = own
-    values = _solve_vertices(tree, loads, None, 0.0)
+    values = _solve_vertices(tree, loads)
 
     for n, c in enumerate(coeffs):
         a = np.zeros(1, dtype=dtype) if n == 0 else _parent_rows(values[n - 1], p, tree.merged(n))
@@ -459,7 +504,6 @@ def solve_poisson_zero_trace(tree: FiniteTree, source: TreeFunction) -> TreeFunc
 @dataclass
 class RadialRecord:
     flux: float
-    vertex_values: np.ndarray
 
 
 def radial_harmonic(params: TreeParams, N: int, boundary_value: float = 1.0, condensed: bool = True):
@@ -493,11 +537,7 @@ def radial_harmonic(params: TreeParams, N: int, boundary_value: float = 1.0, con
         c[:, 1] = slopes[n]
         coeffs.append(c)
     f = TreeFunction(tree, coeffs)
-    record = RadialRecord(
-        flux=float(params.omega0 * s0),
-        vertex_values=vals,
-    )
-    return f, record
+    return f, RadialRecord(flux=float(params.omega0 * s0))
 
 
 # ---------------------------------------------------------------------------

@@ -14,21 +14,22 @@ Fourier mode over cell K of level n is
     avg_K(e^{ik.}) = exp(i pi k (2K+1) / p^n) * sinc(k / p^n),
 
 and with k = r + a p^n (0 <= r < p^n) the phase only depends on r, up to
-the sign (-1)^a.  Folding the weighted coefficients by r therefore turns
-both directions between cell values and modes into one DFT of length p^n:
-cell averages of M modes cost O(M + p^n log p^n), not O(M p^n).  The sinc
-is set to exactly zero at the aliased multiples k = m p^n (m != 0), so
-projector identities such as P_N P_n = P_min(N,n) hold to rounding error.
+the sign (-1)^a.  For k != 0 (Briggs and Henson, The DFT, SIAM 1995)
 
-Projected norms never materialize fine levels: with k = r + a p^n,
+    (-1)^a sinc(k / p^n) = p^n sin(pi r / p^n) / (pi k),
 
-    ||P_n g||^2 = 2 pi R * sum_r |S_r|^2,
-    S_r = sum_a g_{r + a p^n} (-1)^a sinc((r + a p^n)/p^n),
+so every bridge between cell values and modes is one fold (alias_fold):
+sum the coefficients divided by k over alias blocks of p^n modes, then
+multiply by the sine, a function of r alone; mode 0 (weight 1) is set
+apart.  Both directions cost one DFT of length p^n: O(M + p^n log p^n)
+for M modes, not O(M p^n).  The sine is an exact zero at r = 0, so the
+aliased multiples k = m p^n (m != 0) drop out and identities such as
+P_N P_n = P_min(N,n) hold to rounding error.  It is evaluated at
+min(r, p^n - r): near r = p^n, sin(pi r / p^n) is off by about 1e-14.
 
-which keeps the multiscale A^r norms O(M) per level.  The split of the
-modes (r and the signed sinc weight) depends only on (M, p^n); `mode_split`
-computes it once for callers that convert several functions on the same
-cells, and to_fourier, cell_averages and cell_integrals take it as split.
+Projected norms never materialize fine levels: ||P_n g||^2 = 2 pi R
+sum_r |S_r|^2 with S the fold of g, and the blocks are at most 2M + 1
+modes wide, so the multiscale A^r norms cost O(M) per level.
 
 This module also houses the boundary traces of tree functions: the leaf
 values as a level-N cell function (gamma0) and the conormal density
@@ -40,7 +41,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -112,12 +112,14 @@ class PiecewiseConstantFn:
     def integral(self):
         return self.decomp.cell_measure(self.level) * self.values.sum()
 
-    def to_fourier(self, M: int, split: "ModeSplit | None" = None) -> "FourierFn":
-        """The modes |k| <= M of this function; split as in cell_averages."""
+    def to_fourier(self, M: int) -> "FourierFn":
+        """The modes |k| <= M of this function: the transpose of alias_fold."""
         pn = self.decomp.n_cells(self.level)
-        r, weight = _split_for(split, M, pn)
-        W = np.exp(-1j * np.pi * np.arange(pn) / pn) * np.fft.fft(self.values)
-        return FourierFn(self.decomp.R, W[r] * weight / pn)
+        r, sine, inv = _alias_classes(M, pn)
+        W = np.exp(-1j * np.pi * np.arange(pn) / pn) * np.fft.fft(self.values) / pn
+        coeffs = np.tile(W[r] * sine, -(-(2 * M + 1) // r.size))[: 2 * M + 1] * inv
+        coeffs[M] = W[0]
+        return FourierFn(self.decomp.R, coeffs)
 
     def _align(self, other):
         lvl = max(self.level, other.level)
@@ -209,64 +211,64 @@ def inner(f: FourierFn, g: FourierFn) -> complex:
     return 2 * math.pi * a.R * complex(a.coeffs @ np.conj(b.coeffs))
 
 
-def _sinc_cells(ks, pn):
-    # average magnitude of e^{ik.} over a level-n cell; exact zero on the
-    # aliased multiples k = m p^n (m != 0) where np.sinc leaves ~1e-16 dust
-    s = np.sinc(ks / pn)
-    s[(ks % pn == 0) & (ks != 0)] = 0.0
-    return s
+def _alias_classes(M: int, pn: int):
+    """The alias blocks of the modes |k| <= M on pn cells (module docstring).
+
+    The centred modes, cut into rows of width min(pn, 2M + 1), put mode k
+    in column (k + M) mod width, and column j holds the modes of the class
+    r[j] = (j - M) mod pn.  Returns (r, sine, inv): sine[j] = pn sin(pi
+    r[j] / pn) / pi, so that (-1)^a sinc(k / pn) = sine[j] / k for k != 0,
+    and inv[k + M] = 1 / k, with 0 for the mode 0 that callers set apart.
+    """
+    r = (np.arange(min(pn, 2 * M + 1)) - M) % pn
+    sine = pn * np.sin(np.pi * np.minimum(r, pn - r) / pn) / np.pi
+    ks = np.arange(-M, M + 1, dtype=float)
+    ks[M] = np.inf
+    return r, sine, 1.0 / ks
 
 
-def _mode_split(ks, pn):
-    r = ks % pn
-    a = (ks - r) // pn
-    sign = np.where(a % 2, -1.0, 1.0)
-    return r, sign * _sinc_cells(ks, pn)
+def _alias_fold(x, pn: int, power: int):
+    """(r, S): S[j] sums x_k ((-1)^a sinc(k / pn))^power over the modes of
+    class r[j], for the centred mode values x; see alias_fold."""
+    M = (x.size - 1) // 2
+    r, sine, inv = _alias_classes(M, pn)
+    blocks = np.zeros(-(-x.size // r.size) * r.size, dtype=np.result_type(x, float))
+    blocks[: x.size] = x
+    blocks[: x.size] *= inv**power
+    S = blocks.reshape(-1, r.size).sum(axis=0)
+    S *= sine**power
+    S[M % r.size] += x[M]
+    return r, S
 
 
-class ModeSplit(NamedTuple):
-    """The modes |k| <= M on pn cells: k = r + a pn with r in [0, pn), and the
-    weight (-1)^a sinc(k / pn) (module docstring), entry k + M for mode k."""
+def alias_fold(x, pn: int, power: int = 1) -> np.ndarray:
+    """S_r = sum_a x_k ((-1)^a sinc(k / pn))^power over k = r + a pn, r < pn.
 
-    r: np.ndarray
-    weight: np.ndarray
-
-
-def mode_split(M: int, pn: int) -> ModeSplit:
-    """The split of the modes |k| <= M on pn cells, for reuse by every
-    conversion of at most M modes on the same cells."""
-    return ModeSplit(*_mode_split(np.arange(-M, M + 1), pn))
-
-
-def _split_for(split, M: int, pn: int):
-    """(r, weight) of the modes |k| <= M on pn cells: the middle of split, a
-    split on the same cells, when it covers M modes, computed otherwise."""
-    size = 2 * M + 1
-    if split is not None and split.r.size >= size:
-        cut = (split.r.size - size) // 2
-        return split.r[cut : cut + size], split.weight[cut : cut + size]
-    return _mode_split(np.arange(-M, M + 1), pn)
+    x holds the centred mode values x_{-M}..x_M.  power 1 folds Fourier
+    coefficients onto the cells (the DFT of their averages), power 2 the
+    Galerkin weights of a symbol (exterior.galerkin_row).  The aliased
+    multiples k = m pn (m != 0) add exact zeros.
+    """
+    r, S = _alias_fold(x, pn, power)
+    out = np.zeros(pn, dtype=S.dtype)
+    out[r] = S
+    return out
 
 
-def cell_averages(decomp: MultiscaleDecomposition, g, n: int, split: ModeSplit | None = None) -> np.ndarray:
-    """Averages of g over the level-n cells (complex for Fourier input).
-
-    split, a mode_split on the level-n cells, spares recomputing the mode
-    weights of a Fourier g with no more modes than it covers."""
+def cell_averages(decomp: MultiscaleDecomposition, g, n: int) -> np.ndarray:
+    """Averages of g over the level-n cells (complex for Fourier input)."""
     if isinstance(g, PiecewiseConstantFn):
         if g.level <= n:
             return np.repeat(g.values, decomp.p ** (n - g.level))
         chunk = decomp.p ** (g.level - n)
         return g.values.reshape(decomp.n_cells(n), chunk).mean(axis=1)
     pn = decomp.n_cells(n)
-    r, weight = _split_for(split, g.M, pn)
-    folded = g.coeffs * weight
-    S = np.bincount(r, folded.real, pn) + 1j * np.bincount(r, folded.imag, pn)
+    S = alias_fold(g.coeffs, pn)
     return pn * np.fft.ifft(S * np.exp(1j * np.pi * np.arange(pn) / pn))
 
 
-def cell_integrals(decomp: MultiscaleDecomposition, g, n: int, split: ModeSplit | None = None) -> np.ndarray:
-    return cell_averages(decomp, g, n, split) * decomp.cell_measure(n)
+def cell_integrals(decomp: MultiscaleDecomposition, g, n: int) -> np.ndarray:
+    return cell_averages(decomp, g, n) * decomp.cell_measure(n)
 
 
 def project_PN(decomp: MultiscaleDecomposition, g, n: int) -> PiecewiseConstantFn:
@@ -281,15 +283,6 @@ def project_PN(decomp: MultiscaleDecomposition, g, n: int) -> PiecewiseConstantF
     return PiecewiseConstantFn(decomp, n, vals)
 
 
-def indicator_fourier(decomp: MultiscaleDecomposition, n: int, K: int, M: int) -> FourierFn:
-    """Fourier coefficients of the level-n cell indicator 1_{Gamma_{n,K}}."""
-    pn = decomp.n_cells(n)
-    ks = np.arange(-M, M + 1)
-    idx = (-ks * (2 * K + 1)) % (2 * pn)
-    coeffs = np.exp(1j * np.pi * idx / pn) * _sinc_cells(ks, pn) / pn
-    return FourierFn(decomp.R, coeffs)
-
-
 def l2_norm_sq(g) -> float:
     return float(g.l2_norm() ** 2)
 
@@ -300,11 +293,7 @@ def proj_norm_sq(decomp: MultiscaleDecomposition, g, n: int) -> float:
         if n >= g.level:
             return l2_norm_sq(g)
         return l2_norm_sq(project_PN(decomp, g, n))
-    pn = decomp.n_cells(n)
-    r, weight = _mode_split(g.ks(), pn)
-    uniq, inv = np.unique(r, return_inverse=True)
-    S = np.zeros(uniq.size, dtype=complex)
-    np.add.at(S, inv, g.coeffs * weight)
+    _, S = _alias_fold(g.coeffs, decomp.n_cells(n), 1)
     return 2 * math.pi * decomp.R * float((np.abs(S) ** 2).sum())
 
 

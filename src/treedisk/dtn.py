@@ -59,7 +59,7 @@ _RATE_MODES = (1, 2, 3)
 _RATE_REF_EXTRA = 2
 
 
-def _check_dense(n_cells: int) -> None:
+def check_dense(n_cells: int) -> None:
     """Raise AssemblyTooLarge before a dense n_cells x n_cells operator is built."""
     if n_cells > DENSE_CELL_BUDGET:
         raise AssemblyTooLarge("%d cells exceed the dense operator budget of %d cells"
@@ -93,7 +93,7 @@ def condensed_dtn(params: TreeParams, N: int) -> np.ndarray:
     Admits p = 1 (the interval oracle) even though sigma is undefined there;
     condensation only needs r = ell/(p omega) < 1.
     """
-    _check_dense(params.p ** (N + 1))
+    check_dense(params.p ** (N + 1))
     return _schur_boundary(*build_condensed(params, N).elimination)
 
 
@@ -117,7 +117,7 @@ class TreeDtN:
 
     @property
     def matrix(self) -> np.ndarray:
-        _check_dense(self.size)
+        check_dense(self.size)
         return _schur_boundary(self.c, self.pivot)
 
     @cached_property
@@ -188,7 +188,7 @@ def tree_dtn_operator(params: TreeParams, N: int) -> TreeDtN:
 
 def truncated_dtn(params: TreeParams, depth: int) -> np.ndarray:
     """DtN matrix of the plain truncated tree with edge generations 0..depth."""
-    _check_dense(params.p**depth)
+    check_dense(params.p**depth)
     return _schur_boundary(*build_truncated(params, depth).elimination)
 
 

@@ -23,10 +23,9 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
-from .circle import FourierFn, MultiscaleDecomposition, _sinc_cells
-from .dtn import _check_dense
+from .circle import FourierFn, MultiscaleDecomposition, alias_fold
+from .dtn import check_dense
 from .errors import AssemblyTooLarge, CutoffTooSmall, NonPositiveParameter, ScaleEqualsRadius
 
 MODE_OVERSAMPLING = 16
@@ -414,10 +413,11 @@ def galerkin_row(decomp: MultiscaleDecomposition, N: int, symbol: ExteriorSymbol
 
         a_j = 2 pi R sum_k w_k cos(2 pi j k / p^N),  w_k = s_k sinc^2(k / p^N) / p^{2N}.
 
-    Folding the weights by k mod p^N turns that sum into the real part of
-    one FFT of length p^N, so the row costs O(M + p^N log p^N) time and
-    O(M + p^N) memory, and fft(a) holds the eigenvalues of A.  For the DtN
-    symbol the sinc zeros at aliased modes give A 1 = 0 up to rounding and
+    Folding the weights onto k mod p^N (circle.alias_fold with power 2)
+    turns that sum into the real part of one FFT of length p^N, so the row
+    costs O(M + p^N log p^N) time and O(M + p^N) memory, and fft(a) holds
+    the eigenvalues of A.  For the DtN symbol the sinc zeros at
+    aliased modes give A 1 = 0 up to rounding and
     the quadratic form 2 pi R sum s_k |g_M(k)|^2 <= 0, so A is negative
     semidefinite at every cutoff.  Entries of the order-one symbols (DtN,
     hypersingular) depend on the cutoff M (their diagonal grows like log M);
@@ -427,13 +427,19 @@ def galerkin_row(decomp: MultiscaleDecomposition, N: int, symbol: ExteriorSymbol
         raise ValueError("symbol radius differs from the decomposition radius")
     pn = decomp.n_cells(N)
     check_cutoff(symbol.M, pn)
-    ks = symbol.ks()
-    weights = symbol.values * _sinc_cells(ks, pn) ** 2 / float(pn) ** 2
-    folded = np.bincount(ks % pn, weights, pn)
+    folded = alias_fold(symbol.values, pn, power=2) / float(pn) ** 2
     return 2.0 * math.pi * decomp.R * np.fft.fft(folded).real
+
+
+def circulant(row: np.ndarray) -> np.ndarray:
+    """The dense circulant with first column row: entry (i, j) is row[(i - j) mod n],
+    gathered from the doubled row at i - j + n, which needs no modulo."""
+    check_dense(row.size)
+    n = row.size
+    return np.concatenate((row, row))[np.subtract.outer(np.arange(n, 2 * n), np.arange(n))]
 
 
 def dtn_galerkin(decomp: MultiscaleDecomposition, N: int, symbol: ExteriorSymbol) -> np.ndarray:
     """Dense level-N Galerkin matrix of a symbol: the circulant of galerkin_row."""
-    _check_dense(decomp.n_cells(N))
-    return scipy.linalg.circulant(galerkin_row(decomp, N, symbol))
+    check_dense(decomp.n_cells(N))
+    return circulant(galerkin_row(decomp, N, symbol))

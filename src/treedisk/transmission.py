@@ -53,7 +53,7 @@ from .calculus import (
 from .circle import MultiscaleDecomposition, PiecewiseConstantFn
 # compress is not called here; it stays importable from this module because
 # perfbench's tracer test wraps this binding
-from .dtn import TreeDtN, _check_dense, compress, tree_dtn_operator  # noqa: F401
+from .dtn import TreeDtN, compress, tree_dtn_operator  # noqa: F401
 from .errors import (
     Alpha1Zero,
     AssemblyTooLarge,
@@ -66,6 +66,7 @@ from .errors import (
 from .exterior import (
     MODE_OVERSAMPLING,
     RadialSource,
+    circulant,
     dtn_symbol,
     galerkin_row,
     gamma1_exterior,
@@ -222,8 +223,7 @@ class InterfaceSystem:
 
     @property
     def C(self) -> np.ndarray:
-        _check_dense(self.c_row.size)
-        return scipy.linalg.circulant(self.c_row)
+        return circulant(self.c_row)
 
     @property
     def D(self) -> np.ndarray:
@@ -412,6 +412,9 @@ def solve_interface(sys: InterfaceSystem) -> PiecewiseConstantFn:
     """
     n = sys.h.size
     eigs = complex(sys.config.alpha1) * sys.dtn.chan_eigs() - sys.c_eigs + sys.mass.mean()
+    # a singular M can zero an eigenvalue exactly (a pencil eigenvector that
+    # is a Fourier mode); eps keeps the preconditioner invertible
+    eigs[eigs == 0] = np.finfo(float).eps * np.abs(eigs).max()
 
     def precond(x):
         return np.fft.ifft(np.fft.fft(x) / eigs)
@@ -519,9 +522,7 @@ def reconstruct(system: InterfaceSystem, g: PiecewiseConstantFn) -> Transmission
             coeffs[n] = c
     u_T = TreeFunction(tree, coeffs)
 
-    # one split of the 16 p^N modes serves g's modes and both cell integrals
-    split = circle.mode_split(MODE_OVERSAMPLING * pn, pn)
-    g_fourier = g.to_fourier(MODE_OVERSAMPLING * pn, split)
+    g_fourier = g.to_fourier(MODE_OVERSAMPLING * pn)
     u_ext = solve_exterior_dirichlet(g_fourier, cfg.exterior_source, R=cfg.R)
 
     tree_trace = np.abs(u_T.leaf_values() - g.values).max() if pn else 0.0
@@ -532,10 +533,10 @@ def reconstruct(system: InterfaceSystem, g: PiecewiseConstantFn) -> Transmission
     if not trace_defect <= 1e-10:
         raise AssertionError("interface traces disagree by %.3e" % trace_defect)
 
-    flux_ext = circle.cell_integrals(decomp, gamma1_exterior(u_ext), cfg.level, split)
+    flux_ext = circle.cell_integrals(decomp, gamma1_exterior(u_ext), cfg.level)
     flux_tree = _cell_flux(u_T)
     a0 = cfg.alpha0_cells()
-    mass = a0 * circle.cell_integrals(decomp, g_fourier, cfg.level, split)
+    mass = a0 * circle.cell_integrals(decomp, g_fourier, cfg.level)
     mass_exact = a0 * decomp.cell_measure(cfg.level) * g.values
     resid_vec = flux_ext - complex(cfg.alpha1) * flux_tree - mass
     # normalize by the pre-cancellation flux magnitudes (the harmonic tree

@@ -119,30 +119,26 @@ def validate_params(params: TreeParams) -> ValidationReport:
         failures.append("omega*p < 1/ell fails: omega*p=%g, 1/ell=%g" % (omega * p, 1.0 / ell))
 
     ratios = [params.L0, 1.0 / params.L0, params.omega0, 1.0 / params.omega0]
-    for (n, k), val in params.length_overrides.items():
-        if n >= params.N1:
-            failures.append("length override at generation %d not below N1=%d" % (n, params.N1))
-            continue
-        if not _is_edge(p, n, k):
-            failures.append("length override at (%d,%d) names no edge (generation %d has %d^%d edges)"
-                            % (n, k, n, p, n))
-            continue
-        if not (val > 0 and math.isfinite(val)):
-            failures.append("length override at (%d,%d) not positive" % (n, k))
-            continue
-        ratios += [val / ell**n, ell**n / val]
-    for (n, k), val in params.weight_overrides.items():
-        if n >= params.N1:
-            failures.append("weight override at generation %d not below N1=%d" % (n, params.N1))
-            continue
-        if not _is_edge(p, n, k):
-            failures.append("weight override at (%d,%d) names no edge (generation %d has %d^%d edges)"
-                            % (n, k, n, p, n))
-            continue
-        if not (val > 0 and math.isfinite(val)):
-            failures.append("weight override at (%d,%d) not positive" % (n, k))
-            continue
-        ratios += [val / omega**n, omega**n / val]
+    for name, overrides, base in (("length", params.length_overrides, ell),
+                                  ("weight", params.weight_overrides, omega)):
+        for (n, k), val in overrides.items():
+            if n >= params.N1:
+                failures.append("%s override at generation %d not below N1=%d" % (name, n, params.N1))
+                continue
+            if not _is_edge(p, n, k):
+                failures.append("%s override at (%d,%d) names no edge (generation %d has %d^%d edges)"
+                                % (name, n, k, n, p, n))
+                continue
+            if not (val > 0 and math.isfinite(val)):
+                failures.append("%s override at (%d,%d) not positive" % (name, n, k))
+                continue
+            # in log space: base^n underflows to 0 at a deep generation
+            log_ratio = abs(math.log(val) - n * math.log(base))
+            if not log_ratio < math.log(sys.float_info.max):
+                failures.append("%s override at (%d,%d) is 10^%.1f times the geometric %s, "
+                                "beyond the float range" % (name, n, k, log_ratio / math.log(10), name))
+                continue
+            ratios.append(math.exp(log_ratio))
     min_C = max(ratios)
 
     sigma = params.sigma

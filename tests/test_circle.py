@@ -14,11 +14,18 @@ D = ci.MultiscaleDecomposition(R=1.0, p=2, n_max=24)
 REF = TreeParams(p=2, ell=0.5, omega=0.4)
 
 
+def _indicator(n, K, M):
+    """The modes |k| <= M of the indicator of cell K of level n."""
+    values = np.zeros(D.n_cells(n))
+    values[K] = 1.0
+    return ci.PiecewiseConstantFn(D, n, values).to_fourier(M)
+
+
 def test_cell_geometry():
     assert D.n_cells(3) == 8
     assert D.cell_measure(3) == pytest.approx(2 * math.pi / 8)
     # partition of unity and nesting
-    tot = sum(ci.indicator_fourier(D, 2, K, 12).coeffs for K in range(4))
+    tot = sum(_indicator(2, K, 12).coeffs for K in range(4))
     ref = np.zeros(25, complex)
     ref[12] = 1.0
     np.testing.assert_allclose(tot, ref, atol=1e-15)
@@ -32,20 +39,20 @@ def test_cell_geometry():
 
 def test_indicator_closed_form():
     for n, K, M in [(2, 1, 16), (3, 5, 31)]:
-        f = ci.indicator_fourier(D, n, K, M)
+        f = _indicator(n, K, M)
         ks = f.ks()
         a, b = 2 * np.pi * K / 2**n, 2 * np.pi * (K + 1) / 2**n
         safe = np.where(ks == 0, 1, ks)
         ref = np.where(ks == 0, 2.0**-n, (np.exp(-1j * ks * a) - np.exp(-1j * ks * b)) / (2j * np.pi * safe))
         np.testing.assert_allclose(f.coeffs, ref, atol=1e-14)
-    triv = ci.indicator_fourier(D, 0, 0, 8)
+    triv = _indicator(0, 0, 8)
     assert triv.coeff(0) == 1.0
     assert np.abs(np.delete(triv.coeffs, 8)).max() == 0.0
 
 
 def test_indicator_parseval():
     M = 4000
-    f = ci.indicator_fourier(D, 3, 2, M)
+    f = _indicator(3, 2, M)
     gap = abs(2 * math.pi * float((np.abs(f.coeffs) ** 2).sum()) - 2 * math.pi / 8)
     assert gap < 2.0 / M
 
@@ -83,6 +90,38 @@ def test_proj_norm_aliasing_formula():
         assert ci.proj_norm_sq(D, g, n) <= ci.l2_norm_sq(g) + 1e-12
         e = ci.err_norm_sq(D, g, n)
         assert e == pytest.approx(ci.l2_norm_sq(g) - ci.proj_norm_sq(D, g, n), abs=1e-12)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_to_fourier_vanishes_exactly_at_aliased_modes(p):
+    # the cell average of e^{ik.} is zero for k = m p^n, m != 0, and the
+    # alias fold keeps that zero exact
+    rng = np.random.default_rng(p)
+    dec = ci.MultiscaleDecomposition(R=1.0, p=p, n_max=6)
+    for n in range(4):
+        pn = p**n
+        M = 7 * pn + 2
+        g = ci.PiecewiseConstantFn(dec, n, rng.standard_normal(pn) + 1j * rng.standard_normal(pn))
+        f = g.to_fourier(M)
+        ks = f.ks()
+        aliased = (ks % pn == 0) & (ks != 0)
+        assert np.all(f.coeffs[aliased] == 0)
+        assert np.all(f.coeffs[~aliased] != 0)
+
+
+@pytest.mark.parametrize("p,n", [(2, 12), (3, 7)])
+def test_to_fourier_keeps_every_mode_to_rounding(p, n):
+    # the sine of the alias fold is taken at min(r, p^n - r); at r near p^n
+    # the plain sin(pi r / p^n) puts these modes up to 3e-13 off
+    dec = ci.MultiscaleDecomposition(R=1.0, p=p, n_max=n)
+    pn = p**n
+    values = np.zeros(pn)
+    values[0] = 1.0
+    f = ci.PiecewiseConstantFn(dec, n, values).to_fourier(4 * pn + 3)
+    ks = f.ks()
+    near = np.abs(ks) < pn // 2
+    ref = np.exp(-1j * np.pi * ks[near] / pn) * np.sinc(ks[near] / pn) / pn
+    assert np.max(np.abs(f.coeffs[near] - ref) / np.abs(ref)) <= 1e-14
 
 
 def test_to_fourier_roundtrip():

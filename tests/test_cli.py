@@ -222,6 +222,28 @@ def test_override_on_a_missing_edge_exits_2(tmp_path, capsys, argv, err):
     assert list(tmp_path.iterdir()) == [path]
 
 
+# generation 1500 of ell = 0.5, omega = 0.4: ell^1500 and omega^1500
+# underflow to 0, and the corridor ratios are beyond the float range
+_DEEP_OVERRIDE = REF_TEXT.replace("N = 3", "N = 2000") + "[tree]\nN1 = 2000\n%s_override.1500.0 = 0.3\n"
+_DEEP_RATIO = {"length": "10^451.0", "weight": "10^596.4"}
+
+
+@pytest.mark.parametrize("kind", ["length", "weight"])
+@pytest.mark.parametrize("argv", [["validate"], ["transmission", "--out-prefix", "OUT/run_"]],
+                         ids=["validate", "transmission"])
+def test_deep_override_exits_2(tmp_path, capsys, kind, argv):
+    path = tmp_path / "deep.ini"
+    path.write_text(_DEEP_OVERRIDE % kind)
+    argv = [argv[0], "--config", str(path)] + [a.replace("OUT", str(tmp_path)) for a in argv[1:]]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    if argv[0] == "validate":
+        assert err == ("FAIL: %s override at (1500,0) is %s times the geometric %s, beyond the float range\n"
+                       % (kind, _DEEP_RATIO[kind], kind))
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def test_tree_dtn_dump(ref_config, tmp_path):
     out = tmp_path / "dtn.csv"
     assert cli.main(["tree-dtn", "--config", ref_config, "--depth", "2",

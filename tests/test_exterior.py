@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from treedisk.circle import FourierFn, MultiscaleDecomposition
 from treedisk.errors import CutoffTooSmall, ScaleEqualsRadius
@@ -10,6 +11,7 @@ from treedisk.exterior import (
     RadialSource,
     _source_integral,
     bie_dtn_crosscheck,
+    circulant,
     dtn_galerkin,
     dtn_symbol,
     gamma1_exterior,
@@ -269,3 +271,10 @@ def test_symbol_apply():
     out = sym.apply(g)
     assert out.coeff(1) == pytest.approx(-2.0)
     assert out.coeff(-3) == pytest.approx(-3.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8, 27])
+def test_circulant_matches_scipy(n):
+    rng = np.random.default_rng(n)
+    row = rng.standard_normal(n)
+    assert np.array_equal(circulant(row), scipy.linalg.circulant(row))

@@ -36,22 +36,37 @@ R = 1.3
 CASES = [(1, n) for n in range(4)] + [(2, n) for n in range(10)] + [(3, n) for n in range(6)]
 
 
+def sinc_cells(ks, pn):
+    # average magnitude of e^{ik.} over a cell of pn cells; exact zero on the
+    # aliased multiples k = m pn (m != 0), where np.sinc leaves ~1e-16 dust
+    s = np.sinc(ks / pn)
+    s[(ks % pn == 0) & (ks != 0)] = 0.0
+    return s
+
+
+def mode_split(ks, pn):
+    # k = r + a pn with 0 <= r < pn, and the weight (-1)^a sinc(k / pn)
+    r = ks % pn
+    a = (ks - r) // pn
+    return r, np.where(a % 2, -1.0, 1.0) * sinc_cells(ks, pn)
+
+
 def dense_galerkin_row(symbol, pn):
     ks = symbol.ks()
-    weights = symbol.values * ci._sinc_cells(ks, pn) ** 2 / float(pn) ** 2
+    weights = symbol.values * sinc_cells(ks, pn) ** 2 / float(pn) ** 2
     phases = np.mod(np.outer(np.arange(pn), ks), pn)
     return 2.0 * math.pi * symbol.R * (np.cos(2.0 * math.pi * phases / pn) @ weights)
 
 
 def dense_to_fourier(values, pn, M):
     ks = np.arange(-M, M + 1)
-    r, weight = ci._mode_split(ks, pn)
+    r, weight = mode_split(ks, pn)
     idx = np.outer(r, 2 * np.arange(pn) + 1) % (2 * pn)
     return (np.exp(-1j * np.pi * idx / pn) @ values) * weight / pn
 
 
 def dense_cell_averages(g, pn):
-    r, weight = ci._mode_split(g.ks(), pn)
+    r, weight = mode_split(g.ks(), pn)
     idx = np.outer(2 * np.arange(pn) + 1, r) % (2 * pn)
     return np.exp(1j * np.pi * idx / pn) @ (g.coeffs * weight)
 

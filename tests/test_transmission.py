@@ -396,34 +396,16 @@ def test_each_solve_builds_one_compressed_source_tree(monkeypatch):
     assert sol.u_rows.tree.n_leaves == 8
 
 
-@pytest.mark.parametrize("source", ["none", "ring", "wide ring"])
-def test_reconstruct_splits_the_modes_once(monkeypatch, source):
-    # g's modes and both cell integrals share one split of the 16 p^N
-    # modes; an exterior source mode beyond them needs a split of its own
-    cfg = TransmissionConfig(params=REF, level=3, alpha1=1.0, alpha0=0.3, c_root=0.5)
-    if source == "ring":
-        cfg.exterior_source = _ext_source(2)
-    elif source == "wide ring":
-        cfg.exterior_source = _ext_source(200)
-    sy = assemble_system(cfg)
-    g = solve_interface(sy)
-    expected = reconstruct(sy, g)
-    sizes = []
-    original = circle._mode_split
-
-    def counted(ks, pn):
-        sizes.append(ks.size)
-        return original(ks, pn)
-
-    monkeypatch.setattr(circle, "_mode_split", counted)
-    sol = reconstruct(sy, g)
-    expected_sizes = [2 * 16 * 8 + 1]
-    if source == "wide ring":
-        # the exterior flux carries modes up to 200
-        expected_sizes.append(2 * 200 + 1)
-    assert sizes == expected_sizes
-    assert sol.flux_residual == expected.flux_residual
-    assert sol.discretization_defect == expected.discretization_defect
+@pytest.mark.parametrize("extra", [40, 200])
+def test_flux_gate_holds_far_below_the_solve_level(extra):
+    # a source tree 40 or 200 generations below N = 4, one row per cell:
+    # the harmonic leaf fluxes carry no cancellation at any depth
+    depth = 4 + extra
+    cfg = TransmissionConfig(params=REF, level=4, alpha1=1.0, alpha0=0.3, c_root=1.0,
+                             exterior_source=_ext_source(1), source_depth=depth,
+                             tree_source=np.full((depth + 2, 1), 0.7))
+    sol = solve_transmission(cfg)
+    assert sol.flux_residual <= sol.discretization_defect + 1e-10
 
 
 def test_manufactured_study_solves_no_source_lift(monkeypatch):

@@ -334,6 +334,27 @@ def test_poisson_leaves_its_source_untouched():
         assert not any(np.shares_memory(a, b) for a, b in zip(u.coeffs, source.coeffs))
 
 
+def _vertices_with_leaf_products(tree, loads, leaf_values):
+    """The clamped vertex solve with root value 0 that forms the products
+    of the leaf conductances and leaf_values."""
+    c, pivot = tree.elimination
+    collected = [None] * tree.depth
+    up = c[tree.depth] * leaf_values
+    for n in range(tree.depth - 1, -1, -1):
+        collected[n] = loads[n] + _child_sums(up, tree.p, tree.merged(n + 1))
+        up = c[n] * collected[n]
+        up /= pivot[n]
+    values = []
+    parent = 0.0
+    for n in range(tree.depth):
+        if n:
+            parent = ca._parent_rows(values[-1], tree.p, tree.merged(n))
+        v = c[n] * parent + collected[n]
+        v /= pivot[n]
+        values.append(v)
+    return values
+
+
 @pytest.mark.parametrize("name,kind,depth", POISSON_TREES)
 @pytest.mark.parametrize("complex_", [False, True])
 def test_zero_leaves_are_skipped_bit_for_bit(name, kind, depth, complex_):
@@ -354,11 +375,10 @@ def test_zero_leaves_are_skipped_bit_for_bit(name, kind, depth, complex_):
     zero_loads = [np.full(tree.p**n, signed_zero) for n in range(tree.depth)]
     zeros = np.zeros(tree.n_leaves, dtype=dtype)
     for loads in (random_loads, zero_loads):
-        for root in (0.0, -0.0):
-            skipped = ca._solve_vertices(tree, loads, None, root)
-            full = ca._solve_vertices(tree, loads, zeros, root)
-            assert all(a.tobytes() == b.tobytes() for a, b in zip(skipped[:-1], full[:-1]))
-            assert skipped[-1] == 0.0
+        skipped = ca._solve_vertices(tree, loads)
+        full = _vertices_with_leaf_products(tree, loads, zeros)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(skipped[:-1], full))
+        assert skipped[-1] == 0.0
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
@@ -466,6 +486,19 @@ def test_compressed_tree_solves_match_the_full_tree_bit_for_bit(name, N, depth, 
         cell = transmission._cell_flux(u_f)
         summed = ca.leaf_flux(u_f_full).reshape(p**N, -1).sum(axis=1)
         assert _rel(cell, summed) <= 1e-14
+
+
+@pytest.mark.parametrize("name", ["interval", "p2", "p3_overrides", "p4"])
+@pytest.mark.parametrize("extra", [10, 40, 200])
+def test_harmonic_cell_flux_is_exact_deep_below_the_level(name, extra):
+    # every row below the level is a chain ending in one leaf value, so its
+    # vertex values crowd that value; the cell flux still matches D_N g
+    params = COMPRESSED_PARAMS[name]
+    N = max(params.N1, 2)
+    rng = np.random.default_rng(extra)
+    g = rng.standard_normal(params.p**N) + 1j * rng.standard_normal(params.p**N)
+    u = ca.solve_harmonic_dirichlet(build_condensed(params, N + extra, level=N), g, 0.0)
+    assert _rel(transmission._cell_flux(u), tree_dtn_operator(params, N).apply(g)) <= 1e-13
 
 
 @settings(max_examples=25, deadline=None)
