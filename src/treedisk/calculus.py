@@ -39,9 +39,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .errors import DepthMismatch, KirchhoffViolated, NotGeometric, SingularSystem
+from .errors import DepthMismatch, KirchhoffViolated, NotGeometric
 from .tree import FiniteTree, TreeParams, _child_sums, build_condensed, build_truncated, require_valid
 
 # ---------------------------------------------------------------------------
@@ -345,13 +344,6 @@ def green_identity_check(u: TreeFunction, v: TreeFunction) -> GreenReport:
 # clamped graph-Laplacian solves
 
 
-def _vertex_offsets(tree: FiniteTree):
-    offsets = [0]
-    for n in range(tree.depth + 1):
-        offsets.append(offsets[-1] + tree.p**n)
-    return offsets
-
-
 def _solve_vertices(tree: FiniteTree, loads):
     """Vertex values of the clamped graph system, per generation, leaves last.
 
@@ -538,75 +530,3 @@ def radial_harmonic(params: TreeParams, N: int, boundary_value: float = 1.0, con
         coeffs.append(c)
     f = TreeFunction(tree, coeffs)
     return f, RadialRecord(flux=float(params.omega0 * s0))
-
-
-# ---------------------------------------------------------------------------
-# Poincare constant via a cubic Rayleigh-Ritz pencil
-
-# local basis on [0, 1]: hat functions plus two interior bubbles
-_BASIS = [
-    np.array([1.0, -1.0]),
-    np.array([0.0, 1.0]),
-    np.array([0.0, 1.0, -1.0]),
-    np.array([0.0, -0.5, 1.5, -1.0]),
-]
-
-
-def _local_matrices():
-    k = np.zeros((4, 4))
-    m = np.zeros((4, 4))
-    for i in range(4):
-        for j in range(4):
-            pi, pj = _BASIS[i], _BASIS[j]
-            prod = np.convolve(pi, pj)
-            m[i, j] = (prod / np.arange(1, prod.size + 1)).sum()
-            di = np.polynomial.polynomial.polyder(pi)
-            dj = np.polynomial.polynomial.polyder(pj)
-            dprod = np.convolve(di, dj)
-            k[i, j] = (dprod / np.arange(1, dprod.size + 1)).sum()
-    return k, m
-
-
-_K_LOC, _M_LOC = _local_matrices()
-
-
-def poincare_constant(tree: FiniteTree) -> float:
-    """1/sqrt(a_N) where a_N is the smallest eigenvalue of the
-    stiffness/mass pencil over continuous piecewise-cubic functions
-    vanishing at the root (leaves unconstrained)."""
-    p = tree.p
-    offsets = _vertex_offsets(tree)
-    nv = offsets[-1]
-    ne = tree.n_edges
-    ndof = nv + 2 * ne
-    A = np.zeros((ndof, ndof))
-    B = np.zeros((ndof, ndof))
-    edge_no = 0
-    for n in range(tree.depth + 1):
-        for k in range(p**n):
-            ell = tree.lengths[n][k]
-            w = tree.weights[n][k]
-            if n == 0:
-                dofs = [None, offsets[0] + k]
-            else:
-                dofs = [offsets[n - 1] + k // p, offsets[n] + k]
-            dofs += [nv + 2 * edge_no, nv + 2 * edge_no + 1]
-            k_e = (w / ell) * _K_LOC
-            m_e = (w * ell) * _M_LOC
-            for i in range(4):
-                if dofs[i] is None:
-                    continue
-                for j in range(4):
-                    if dofs[j] is None:
-                        continue
-                    A[dofs[i], dofs[j]] += k_e[i, j]
-                    B[dofs[i], dofs[j]] += m_e[i, j]
-            edge_no += 1
-    try:
-        vals = scipy.linalg.eigh(A, B, eigvals_only=True, subset_by_index=[0, 0])
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover
-        raise SingularSystem(str(exc)) from exc
-    a = float(vals[0])
-    if a <= 0:
-        raise SingularSystem("nonpositive Rayleigh quotient %g" % a)
-    return 1.0 / math.sqrt(a)

@@ -40,10 +40,6 @@ class NotGeometric(TreediskError):
     """Operation requires a purely geometric tree (no overrides, N1 = 0)."""
 
 
-class SingularSystem(TreediskError):
-    """A linear solve met a (numerically) singular matrix."""
-
-
 class AssemblyTooLarge(InvalidInput):
     """A dense operator or a tree exceeds its size budget; raised before it is allocated."""
 

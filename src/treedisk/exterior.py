@@ -431,12 +431,19 @@ def galerkin_row(decomp: MultiscaleDecomposition, N: int, symbol: ExteriorSymbol
     return 2.0 * math.pi * decomp.R * np.fft.fft(folded).real
 
 
-def circulant(row: np.ndarray) -> np.ndarray:
-    """The dense circulant with first column row: entry (i, j) is row[(i - j) mod n],
-    gathered from the doubled row at i - j + n, which needs no modulo."""
-    check_dense(row.size)
+def circulant_view(row: np.ndarray) -> np.ndarray:
+    """The circulant with first column row as a read-only strided view: entry
+    (i, j) is row[(i - j) mod n], read from the reversed doubled row, so only
+    2n values are stored."""
     n = row.size
-    return np.concatenate((row, row))[np.subtract.outer(np.arange(n, 2 * n), np.arange(n))]
+    doubled = np.concatenate((row, row))[::-1]
+    return np.lib.stride_tricks.sliding_window_view(doubled, n)[n - 1::-1]
+
+
+def circulant(row: np.ndarray) -> np.ndarray:
+    """The dense circulant with first column row: a copy of circulant_view."""
+    check_dense(row.size)
+    return circulant_view(row).copy()
 
 
 def dtn_galerkin(decomp: MultiscaleDecomposition, N: int, symbol: ExteriorSymbol) -> np.ndarray:

@@ -17,7 +17,8 @@ preconditioned on the right by T. Chan's optimal circulant of M, and the
 condition number is a Hager-Higham 1-norm estimate; M is complex
 symmetric (M^T = M), so the estimate applies M and M^{-1} and never an
 adjoint.  The dense C, D and M are properties of InterfaceSystem, for the
-pencil and for tests.
+pencil and for tests; the pencil reduces to one symmetric eigvalsh, so no
+module here needs scipy.
 
 The source side runs on the condensed source tree compressed at level N
 (tree.build_condensed with level=N): every generation below N stores one
@@ -40,7 +41,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from . import circle
 from .calculus import (
@@ -60,6 +60,7 @@ from .errors import (
     DepthBelowChartLevel,
     DepthMismatch,
     InsufficientLevels,
+    InvalidInput,
     NonPositiveParameter,
     SingularInterfaceOperator,
 )
@@ -67,6 +68,7 @@ from .exterior import (
     MODE_OVERSAMPLING,
     RadialSource,
     circulant,
+    circulant_view,
     dtn_symbol,
     galerkin_row,
     gamma1_exterior,
@@ -344,7 +346,7 @@ def _gmres(matvec, precond, b):
     # iterate stops before it
     pivots = np.diagonal(hess)[: len(rot)]
     k = len(rot) if pivots.all() else int(np.argmin(pivots != 0))
-    y = scipy.linalg.solve_triangular(hess[:k, :k], rhs[:k], check_finite=False)
+    y = np.linalg.solve(hess[:k, :k], rhs[:k]) if k else rhs[:0]
     return precond(y @ basis[:k]), converged and k == len(rot)
 
 
@@ -667,14 +669,51 @@ def plasmonic_pencil(C, D, count: int = 8):
     """The count generalized eigenvalues alpha of C g = alpha D g nearest zero, nearest first.
 
     These are the coupling parameters at which -C + alpha D is singular
-    (alpha0 = 0).  C and D are real symmetric and D is positive definite,
-    so the pencil is solved as a symmetric-definite problem (eigh): every
-    eigenvalue is real, the constant vector gives alpha = 0 and the rest are
-    negative.  A count below 1 raises NonPositiveParameter.
+    (alpha0 = 0).  C must be a real symmetric circulant (InvalidInput
+    otherwise) whose eigenvalues lambda = rfft(C[:, 0]) are negative off the
+    constants, as for C_N, and D real symmetric positive definite
+    (np.linalg.LinAlgError otherwise, which the CLI reports with exit 3).
+    The definite pencil is reduced to one standard symmetric problem
+    (Parlett, The Symmetric Eigenvalue Problem, SIAM 1998, ch. 15): with
+    S = (-C)^{+1/2}, zero on the constants, u = D 1, s = 1^T u and the
+    rank-one update D~ = D - u u^T / s, each eigenvector but the constants
+    is D-orthogonal to 1 and has alpha = -1/mu for an eigenvalue mu > 0 of
+    K = S D~ S.
+    K is one rfft2 of D and its inverse, scaled by root (x) root, root =
+    (-lambda)^{-1/2}, with the rank-one term subtracted in Fourier space, so
+    the work is one eigvalsh of size n.  The constants' alpha is their
+    Rayleigh quotient lambda_0 / (s / n), zero up to rounding; every other
+    alpha is negative.  A count below 1 raises NonPositiveParameter.
     """
     check_pencil_count(count)
-    cm, dm = np.asarray(C), np.asarray(D)
-    if cm.shape != dm.shape:
-        raise ValueError("pencil matrices must share a level")
-    vals = scipy.linalg.eigh(cm, dm, eigvals_only=True)[::-1]
-    return [complex(v) for v in vals[: min(count, vals.size)]]
+    C, D = np.asarray(C), np.asarray(D)
+    if C.ndim != 2 or C.shape != D.shape or C.shape[0] != C.shape[1] or not C.size:
+        raise InvalidInput("pencil matrices must be square and share a level")
+    n, col = C.shape[0], C[:, 0]
+    if not np.array_equal(C, circulant_view(col)):
+        raise InvalidInput("the exterior pencil matrix C must be circulant")
+    lam = np.fft.rfft(col).real
+    u = D.sum(axis=1)
+    s = float(u.sum())
+    if not s > 0 or not (lam[1:] < 0).all():
+        raise np.linalg.LinAlgError("the pencil (C, D) is not definite")
+    root = np.zeros(lam.size)
+    root[1:] = (-lam[1:]) ** -0.5
+    # K in Fourier space: rfft2(D) minus the transform of u u^T / s, scaled,
+    # then inverted axis by axis, so at most two n x (n/2 + 1) arrays live
+    z = np.fft.rfft2(D)
+    z -= np.multiply.outer(np.fft.fft(u), np.fft.rfft(u) / s)
+    z *= np.concatenate((root, root[1:(n + 1) // 2][::-1]))[:, None]
+    z *= root
+    z = np.fft.ifft(z, axis=0)
+    k = np.fft.irfft(z, n, axis=1)
+    del z
+    mu = np.linalg.eigvalsh(k)
+    del k
+    # the constants' mu is zero up to rounding; the others are all positive
+    # exactly when D is positive definite
+    mu = np.delete(mu, np.argmin(np.abs(mu)))[::-1]
+    if mu.size and not mu[-1] > 0:
+        raise np.linalg.LinAlgError("the pencil matrix D is not positive definite")
+    alpha = [lam[0] / (s / n)] + [-1.0 / m for m in mu[: count - 1]]
+    return [complex(a) for a in alpha]

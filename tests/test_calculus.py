@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from treedisk import calculus as ca
 from treedisk.errors import NotGeometric
@@ -196,20 +197,88 @@ def test_leaf_flux_matches_full_derivative():
         assert np.array_equal(ca.leaf_flux(f), full)
 
 
+# ---------------------------------------------------------------------------
+# Poincare constant via a cubic Rayleigh-Ritz pencil (a test oracle: nothing
+# in the package needs it)
+
+# local basis on [0, 1]: hat functions plus two interior bubbles
+_BASIS = [
+    np.array([1.0, -1.0]),
+    np.array([0.0, 1.0]),
+    np.array([0.0, 1.0, -1.0]),
+    np.array([0.0, -0.5, 1.5, -1.0]),
+]
+
+
+def _local_matrices():
+    k = np.zeros((4, 4))
+    m = np.zeros((4, 4))
+    for i in range(4):
+        for j in range(4):
+            pi, pj = _BASIS[i], _BASIS[j]
+            prod = np.convolve(pi, pj)
+            m[i, j] = (prod / np.arange(1, prod.size + 1)).sum()
+            di = np.polynomial.polynomial.polyder(pi)
+            dj = np.polynomial.polynomial.polyder(pj)
+            dprod = np.convolve(di, dj)
+            k[i, j] = (dprod / np.arange(1, dprod.size + 1)).sum()
+    return k, m
+
+
+_K_LOC, _M_LOC = _local_matrices()
+
+
+def poincare_constant(tree):
+    """1/sqrt(a_N) where a_N is the smallest eigenvalue of the
+    stiffness/mass pencil over continuous piecewise-cubic functions
+    vanishing at the root (leaves unconstrained)."""
+    p = tree.p
+    offsets = np.cumsum([0] + [p**n for n in range(tree.depth + 1)])
+    nv = offsets[-1]
+    ne = tree.n_edges
+    ndof = nv + 2 * ne
+    A = np.zeros((ndof, ndof))
+    B = np.zeros((ndof, ndof))
+    edge_no = 0
+    for n in range(tree.depth + 1):
+        for k in range(p**n):
+            ell = tree.lengths[n][k]
+            w = tree.weights[n][k]
+            if n == 0:
+                dofs = [None, offsets[0] + k]
+            else:
+                dofs = [offsets[n - 1] + k // p, offsets[n] + k]
+            dofs += [nv + 2 * edge_no, nv + 2 * edge_no + 1]
+            k_e = (w / ell) * _K_LOC
+            m_e = (w * ell) * _M_LOC
+            for i in range(4):
+                if dofs[i] is None:
+                    continue
+                for j in range(4):
+                    if dofs[j] is None:
+                        continue
+                    A[dofs[i], dofs[j]] += k_e[i, j]
+                    B[dofs[i], dofs[j]] += m_e[i, j]
+            edge_no += 1
+    a = float(scipy.linalg.eigh(A, B, eigvals_only=True, subset_by_index=[0, 0])[0])
+    assert a > 0, "nonpositive Rayleigh quotient %g" % a
+    return 1.0 / math.sqrt(a)
+
+
 def test_poincare_interval():
     # exact constant on a root-clamped interval of length L is 2L/pi
     T = build_truncated(INTERVAL, 0)
-    assert ca.poincare_constant(T) == pytest.approx(2 / math.pi, rel=2e-2)
+    assert poincare_constant(T) == pytest.approx(2 / math.pi, rel=2e-2)
     T2 = build_truncated(INTERVAL, 4)
     L = T2.total_length()
-    assert ca.poincare_constant(T2) == pytest.approx(2 * L / math.pi, rel=2e-2)
+    assert poincare_constant(T2) == pytest.approx(2 * L / math.pi, rel=2e-2)
 
 
 def test_poincare_brackets_limit():
     # truncated constants increase, condensed decrease; they pinch the
     # infinite-tree value near 1.095
-    cond = [ca.poincare_constant(build_condensed(REF, N)) for N in range(1, 7)]
-    trunc = [ca.poincare_constant(build_truncated(REF, N)) for N in range(1, 7)]
+    cond = [poincare_constant(build_condensed(REF, N)) for N in range(1, 7)]
+    trunc = [poincare_constant(build_truncated(REF, N)) for N in range(1, 7)]
     for a, b in zip(cond, cond[1:]):
         assert b <= a + 1e-12
     for a, b in zip(trunc, trunc[1:]):

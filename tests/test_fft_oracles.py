@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from treedisk import circle as ci
 from treedisk import transmission
 from treedisk.acceptance import _random_admissible_params
-from treedisk.errors import SingularInterfaceOperator
+from treedisk.errors import InvalidInput, SingularInterfaceOperator
 from treedisk.exterior import (
     MODE_OVERSAMPLING,
     RadialSource,
@@ -251,20 +251,76 @@ def test_every_nonzero_pencil_eigenvalue_is_singular(N):
             solve_interface(singular)
 
 
-def test_eigh_pencil_matches_eig():
+def _p3_overrides():
     rng = np.random.default_rng(7)
     overrides = {(n, k): 0.5**n * rng.uniform(0.8, 1.25) for n in range(2) for k in range(3**n)}
     weights = {(n, k): 0.3**n * rng.uniform(0.8, 1.25) for n in range(2) for k in range(3**n)}
-    cases = [
-        TreeParams(p=2, ell=0.5, omega=0.4),
-        TreeParams(p=3, ell=0.5, omega=0.3, N1=2, length_overrides=overrides, weight_overrides=weights),
-    ]
-    for params in cases:
+    return TreeParams(p=3, ell=0.5, omega=0.3, N1=2, length_overrides=overrides,
+                      weight_overrides=weights)
+
+
+def test_eigh_pencil_matches_eig():
+    for params in (TreeParams(p=2, ell=0.5, omega=0.4), _p3_overrides()):
         system = assemble_system(TransmissionConfig(params=params, level=3, alpha1=1.0))
         fast = np.array(plasmonic_pencil(system.C, system.D, count=system.h.size))
         dense = scipy.linalg.eig(system.C, system.D, right=False)
         dense = dense[np.argsort(-dense.real)]
         assert np.abs(fast - dense).max() <= 1e-12 * np.abs(dense).max()
+
+
+PENCIL_CASES = ([(TreeParams(p=2, ell=0.5, omega=0.4), N) for N in range(7)]
+                + [(_p3_overrides(), N) for N in range(3, 6)])
+
+
+@pytest.mark.parametrize("params, N", PENCIL_CASES,
+                         ids=["p2-N%d" % N for N in range(7)] + ["p3-N%d" % N for N in range(3, 6)])
+def test_pencil_matches_scipy_eigh(params, N):
+    # every value of the FFT-reduced pencil against LAPACK's generalized
+    # symmetric-definite solve, nearest zero first
+    system = assemble_system(TransmissionConfig(params=params, level=N, alpha1=1.0))
+    fast = np.array(plasmonic_pencil(system.C, system.D, count=system.h.size))
+    dense = scipy.linalg.eigh(system.C, system.D, eigvals_only=True)[::-1]
+    assert fast.shape == dense.shape
+    assert np.abs(fast - dense).max() <= 1e-12 * np.abs(dense).max()
+
+
+def test_pencil_count_beyond_the_cells_and_one_cell():
+    params = TreeParams(p=2, ell=0.5, omega=0.4)
+    system = assemble_system(TransmissionConfig(params=params, level=3, alpha1=1.0))
+    values = plasmonic_pencil(system.C, system.D, count=100)
+    assert len(values) == 8
+    assert values == plasmonic_pencil(system.C, system.D, count=8)
+    one = assemble_system(TransmissionConfig(params=params, level=0, alpha1=1.0))
+    assert one.C.shape == (1, 1)
+    only = plasmonic_pencil(one.C, one.D, count=5)
+    assert len(only) == 1 and abs(only[0]) <= 1e-12
+
+
+def test_pencil_constant_value_is_a_rayleigh_quotient():
+    # a C that does not annihilate the constants moves the first value off 0
+    system = assemble_system(TransmissionConfig(params=TreeParams(p=2, ell=0.5, omega=0.4), level=4,
+                                                alpha1=1.0))
+    shift = 1e-3
+    first = plasmonic_pencil(system.C + shift / 16, system.D, count=1)[0]
+    assert first.real == pytest.approx(shift * 16 / system.D.sum(), rel=1e-9)
+
+
+def test_pencil_rejects_a_non_circulant_or_an_indefinite_pencil():
+    system = assemble_system(TransmissionConfig(params=_p3_overrides(), level=3, alpha1=1.0))
+    C, D = system.C, system.D
+    bent = C.copy()
+    bent[0, 1] += 1e-9
+    bent[1, 0] += 1e-9
+    with pytest.raises(InvalidInput, match="circulant"):
+        plasmonic_pencil(bent, D)
+    with pytest.raises(InvalidInput):
+        plasmonic_pencil(C, D[:-1, :-1])
+    # s = 1^T D 1 < 0, and s > 0 with a negative direction of zero mean
+    v = np.zeros(C.shape[0])
+    v[:2] = 1.0, -1.0
+    for indefinite in (-D, D - 10.0 * np.abs(D).max() * np.outer(v, v)):
+        with pytest.raises(np.linalg.LinAlgError):
+            plasmonic_pencil(C, indefinite, count=2)
 
 
 def test_projector_error_check_raises_under_optimize_flag():

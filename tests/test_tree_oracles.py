@@ -71,7 +71,7 @@ def _tree(name, kind, depth):
 def sparse_system(tree):
     """Clamped graph Laplacian over all vertices X_{n,k} (root clamped out), CSR."""
     p = tree.p
-    offsets = ca._vertex_offsets(tree)
+    offsets = np.cumsum([0] + [p**n for n in range(tree.depth + 1)])
     rows, cols, vals = [], [], []
     for n in range(tree.depth + 1):
         c = tree.weights[n] / tree.lengths[n]
