@@ -6,12 +6,23 @@ manifest recording the config hash, the effective parameters, and the wall
 time.  Numbers are written with 17 significant digits so identical configs
 reproduce byte-identical CSVs.
 
+Every CSV goes through one writer (_write_chunks), which streams chunks of
+at most _CHUNK_ROWS rows into the temp file.  A chunk is one row format,
+repeated over its rows and filled by one `%` call; its columns are
+numbers, formatted inside that call, or prepared text, passed as %s.
+tree.csv is streamed from the tree solution on the compressed source tree
+one generation at a time: each stored row is formatted once and its text
+repeated over the edges it stands for, so the full tree is never built.
+The tree-dtn matrix repeats a few distinct values, so its values are
+formatted once per bit pattern and written as text.
+
 Exit codes: 0 success, 2 configuration or validation failure (any
 errors.InvalidInput, a problem larger than the size budgets included),
 3 numerical failure.
 """
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -32,20 +43,28 @@ from .transmission import (
     plasmonic_pencil,
     solve_transmission,
 )
-from .tree import validate_params
+from .tree import check_tree_budget, validate_params
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 
-def _atomic_write(path: str, text: str):
+# Rows per chunk of a CSV write: each chunk is formatted by one `%` call and
+# written before the next is built, so a write holds the text and values of
+# at most this many rows whatever the size of the file.
+_CHUNK_ROWS = 2**16
+
+
+@contextlib.contextmanager
+def _atomic_file(path: str):
+    """A text file handle; what is written replaces `path` when the block ends."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -53,45 +72,93 @@ def _atomic_write(path: str, text: str):
         raise
 
 
-def _distinct_text(fmt, values):
-    """`fmt % v` for each entry of `values`, formatted once per distinct bit pattern.
+def _field(col):
+    """The `%` format of one column in a chunk and the lists of values it takes.
 
-    Keying on bits keeps -0.0 apart from 0.0, which are equal as values.
-    An integer column whose range is no longer than the column (the index
-    columns) is formatted over its range and gathered by offset, no sort.
+    Text (an object column) is %s, integers %d, reals %.17g.  A complex
+    value is %.17g of its real part followed by %+.17gj of its imaginary
+    part unless that is zero (-0.0 included): a chunk whose imaginary parts
+    are all zero takes the real parts alone, one with none zero both
+    numbers, and a mixed one the imaginary texts as a %s field.
     """
-    if values.dtype.kind in "iu" and values.size:
-        lo, hi = int(values.min()), int(values.max())
-        if hi - lo < values.size:
-            texts = np.array([fmt % v for v in range(lo, hi + 1)], dtype=object)
-            return texts[values - lo]
-    dtype = np.int64 if values.dtype.kind in "iu" else np.float64
-    keys, inverse = np.unique(values.astype(dtype, copy=False).view(np.uint64), return_inverse=True)
-    return np.array([fmt % v for v in keys.view(dtype).tolist()], dtype=object)[inverse]
+    kind = col.dtype.kind
+    if kind == "O":
+        return "%s", [col.tolist()]
+    if kind in "iu":
+        return "%d", [col.tolist()]
+    if kind != "c":
+        return "%.17g", [col.tolist()]
+    real, imag = col.real.tolist(), col.imag
+    nonzero = imag != 0.0
+    if not nonzero.any():
+        return "%.17g", [real]
+    if nonzero.all():
+        return "%.17g%+.17gj", [real, imag.tolist()]
+    parts = imag[nonzero].tolist()
+    text = np.full(col.size, "", dtype=object)
+    text[nonzero] = ("%+.17gj\n" * len(parts) % tuple(parts)).split("\n")[:-1]
+    return "%.17g%s", [real, text.tolist()]
+
+
+def _chunk_text(fields) -> str:
+    """The text of one chunk: `fields` lays out one row as literal strs
+    (without %) and equal-length columns, and that row format, repeated
+    once per entry of the columns, is filled by one `%` call."""
+    fmt, values = [], []
+    for f in fields:
+        if isinstance(f, str):
+            fmt.append(f)
+        else:
+            spec, vals = _field(np.asarray(f))
+            fmt.append(spec)
+            values += vals
+    rows, width = len(values[0]), len(values)
+    flat = [None] * (rows * width)
+    for i, vals in enumerate(values):
+        flat[i::width] = vals
+    return "".join(fmt) * rows % tuple(flat)
+
+
+def _texts(column) -> list:
+    """The text of each value of a column, as _field formats it."""
+    return _chunk_text([column, "\n"]).split("\n")[:-1]
+
+
+def _row(columns) -> list:
+    """The fields of a CSV row of equal-length columns: the columns, comma separated."""
+    fields = []
+    for col in columns:
+        fields += [col, ","]
+    fields[-1] = "\n"
+    return fields
+
+
+def _write_chunks(path: str, header, chunks):
+    """Write a CSV atomically: the header, then the text of each chunk (_chunk_text).
+
+    This is the one CSV writer.  The bytes are those of a row-by-row
+    writer whatever the chunks are, so identical data give identical files.
+    """
+    with _atomic_file(path) as fh:
+        fh.write(",".join(header) + "\n")
+        for fields in chunks:
+            fh.write(_chunk_text(fields))
 
 
 def _write_csv(path: str, header, columns):
-    """Write equal-length numpy columns as CSV, formatting each distinct value once.
+    """Write equal-length numpy columns as CSV, _CHUNK_ROWS rows per chunk."""
+    columns = [np.asarray(col) for col in columns]
+    size = len(columns[0])
+    _write_chunks(path, header, (_row([col[lo:lo + _CHUNK_ROWS] for col in columns])
+                                 for lo in range(0, size, _CHUNK_ROWS)))
 
-    Integers are written as %d (the text of %.17g for |k| <= 2**53, which
-    every index column meets), reals as %.17g, complex values as %.17g when
-    imag == 0.0 (-0.0 included) and as %.17g%+.17gj otherwise.  Each column,
-    or each part of a complex one, is formatted with its separator once per
-    distinct bit pattern and the rows are gathered from those texts (the
-    solution dumps repeat most values); the bytes are those of a row format.
-    """
-    seps = [","] * (len(columns) - 1) + ["\n"]
-    fields = []
-    for col, sep in zip(map(np.asarray, columns), seps):
-        if np.iscomplexobj(col):
-            imag = _distinct_text("%+.17gj" + sep, col.imag)
-            imag[col.imag == 0.0] = sep
-            fields += [_distinct_text("%.17g", col.real), imag]
-        else:
-            fields.append(_distinct_text(("%d" if col.dtype.kind in "iu" else "%.17g") + sep, col))
-    text = np.stack(fields, axis=1).ravel().tolist()
-    text.insert(0, ",".join(header) + "\n")
-    _atomic_write(path, "".join(text))
+
+def _distinct_text(values):
+    """%.17g of each real value as a text column, formatted once per distinct
+    bit pattern (-0.0 stays apart from 0.0, which is equal as a value)."""
+    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
+    keys, inverse = np.unique(bits, return_inverse=True)
+    return np.array(_texts(keys.view(np.float64)), dtype=object)[inverse]
 
 
 def _write_manifest(path: str, command: str, cfg: RunConfig | None, started: float, outputs):
@@ -105,7 +172,8 @@ def _write_manifest(path: str, command: str, cfg: RunConfig | None, started: flo
     for out in outputs:
         lines.append("output=%s" % out)
     lines.append("wall_time_s=%.3f" % (time.monotonic() - started))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    with _atomic_file(path) as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def _cmd_validate(args) -> int:
@@ -128,12 +196,25 @@ def _cmd_validate(args) -> int:
     return EXIT_OK
 
 
+def _matrix_chunks(A):
+    """Chunks of (row, col, value) for a dense real matrix, one matrix row each.
+
+    The row index is a literal of the row format; the column indices are
+    text formatted once, and the values text formatted once per distinct
+    value of the row: the matrix repeats a few values (12 among 4.2M
+    entries of tree-dtn at depth 10).  A matrix row is within the dense
+    budget, so below _CHUNK_ROWS.
+    """
+    cols = np.array(_texts(np.arange(A.shape[1])), dtype=object)
+    for i, row in enumerate(A):
+        yield ["%d," % i, cols, ",", _distinct_text(row), "\n"]
+
+
 def _cmd_tree_dtn(args) -> int:
     started = time.monotonic()
     cfg = parse_config(args.config)
     A = condensed_dtn(cfg.params(), args.depth)
-    rows, cols = np.divmod(np.arange(A.size), A.shape[0])
-    _write_csv(args.out, ("row", "col", "value"), [rows, cols, A.ravel()])
+    _write_chunks(args.out, ("row", "col", "value"), _matrix_chunks(A))
     _write_manifest(args.out + ".manifest", "tree-dtn", cfg, started, [args.out])
     return EXIT_OK
 
@@ -147,26 +228,48 @@ def _cmd_exterior_dtn(args) -> int:
     return EXIT_OK
 
 
-def _tree_columns(coeffs):
-    """Columns n, k, coeff_index, value of the per-generation coefficient arrays."""
-    per_gen = [(np.full(gen.size, n), *np.divmod(np.arange(gen.size), gen.shape[1]), gen.ravel())
-               for n, gen in enumerate(coeffs)]
-    return [np.concatenate(col) for col in zip(*per_gen)]
+def _tree_chunks(u):
+    """Chunks of tree.csv (n, k, coeff_index, value) for the tree function u,
+    whose tree may be compressed, without expanding it.
+
+    Stored row r of generation n stands for edges r m .. r m + m - 1, m =
+    u.tree.multiplicity(n): its coefficients are formatted once and their
+    texts repeated over those edges.  n and coeff_index are literals of the
+    row format, which covers one edge (q + 1 lines); a chunk holds at most
+    _CHUNK_ROWS lines, so a stored row standing for more edges spans several.
+    """
+    for n, coeffs in enumerate(u.coeffs):
+        m = u.tree.multiplicity(n)
+        width = coeffs.shape[1]
+        edges = max(1, _CHUNK_ROWS // width)
+        block = max(1, edges // m)
+        for r0 in range(0, coeffs.shape[0], block):
+            texts = np.array(_texts(coeffs[r0:r0 + block].ravel()), dtype=object).reshape(-1, width)
+            first, stop = r0 * m, (r0 + texts.shape[0]) * m
+            for k0 in range(first, stop, edges):
+                k = np.arange(k0, min(k0 + edges, stop))
+                repeated = texts[(k - first) // m]
+                fields = []
+                for j in range(width):
+                    fields += ["%d," % n, k, ",%d," % j, repeated[:, j], "\n"]
+                yield fields
 
 
 def _cmd_transmission(args) -> int:
     started = time.monotonic()
     cfg = parse_config(args.config)
     sol = solve_transmission(cfg.transmission())
-    # the full tree solution is expanded, within the tree budget, before
-    # any file is written
-    u_tree = sol.u_tree
+    # tree.csv lists every edge of the full source tree: refuse a tree beyond
+    # the tree budget (what FiniteTree.expanded checks) before any file is
+    # written; the rows are streamed from sol.u_rows, never expanded
+    tree = sol.u_rows.tree
+    check_tree_budget(tree.params, tree.depth, tree.depth)
     prefix = args.out_prefix
     g = sol.g.values
     _write_csv(prefix + "g.csv", ("level", "cell", "value"),
                [np.full(g.size, sol.g.level), np.arange(g.size), g])
-    _write_csv(prefix + "tree.csv", ("n", "k", "coeff_index", "value"),
-               _tree_columns(u_tree.coeffs))
+    _write_chunks(prefix + "tree.csv", ("n", "k", "coeff_index", "value"),
+                  _tree_chunks(sol.u_rows))
     trace = sol.u_ext.trace0()
     _write_csv(prefix + "exterior.csv", ("k", "re", "im"),
                [trace.ks(), trace.coeffs.real, trace.coeffs.imag])

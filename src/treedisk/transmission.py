@@ -16,9 +16,9 @@ elimination; the alpha0 mass is a diagonal.  M g = -h is solved by GMRES,
 preconditioned on the right by T. Chan's optimal circulant of M, and the
 condition number is a Hager-Higham 1-norm estimate; M is complex
 symmetric (M^T = M), so the estimate applies M and M^{-1} and never an
-adjoint.  The dense C, D and M are properties of InterfaceSystem, for the
-pencil and for tests; the pencil reduces to one symmetric eigvalsh, so no
-module here needs scipy.
+adjoint.  C (a read-only circulant view), D and M are properties of
+InterfaceSystem, for the pencil and for tests; the pencil reduces to one
+symmetric eigvalsh, so no module here needs scipy.
 
 The source side runs on the condensed source tree compressed at level N
 (tree.build_condensed with level=N): every generation below N stores one
@@ -67,7 +67,6 @@ from .errors import (
 from .exterior import (
     MODE_OVERSAMPLING,
     RadialSource,
-    circulant,
     circulant_view,
     dtn_symbol,
     galerkin_row,
@@ -203,14 +202,16 @@ class InterfaceSystem:
     """Level-N operators and rhs of the interface equation M g = -h.
 
     c_row is the circulant row of C_N (exterior.galerkin_row) and dtn is
-    D_N as its level-N elimination; neither is a p^N x p^N array.  C, D
-    and M are dense properties, built on each access within the dense
-    operator budget.  mass is the diagonal of the alpha0 mass matrix:
-    alpha0 times the cell measure, per cell.  The system also keeps the
-    tree side of h for `reconstruct`: the Poisson lift u_f on the source
-    tree (compressed at the solve level; u_f.tree keeps its elimination)
-    and its per-cell leaf flux flux_f.  Without tree forcing u_f is None
-    and flux_f is zero; `reconstruct` then builds the source tree.
+    D_N as its level-N elimination; neither is a p^N x p^N array.  C is
+    the read-only circulant view of c_row (exterior.circulant_view), which
+    stores 2 p^N values; D and M are dense properties, built on each
+    access within the dense operator budget.  mass is the diagonal of the
+    alpha0 mass matrix: alpha0 times the cell measure, per cell.  The
+    system also keeps the tree side of h for `reconstruct`: the Poisson
+    lift u_f on the source tree (compressed at the solve level; u_f.tree
+    keeps its elimination) and its per-cell leaf flux flux_f.  Without
+    tree forcing u_f is None and flux_f is zero; `reconstruct` then builds
+    the source tree.
     """
 
     decomp: MultiscaleDecomposition
@@ -225,7 +226,7 @@ class InterfaceSystem:
 
     @property
     def C(self) -> np.ndarray:
-        return circulant(self.c_row)
+        return circulant_view(self.c_row)
 
     @property
     def D(self) -> np.ndarray:

@@ -432,13 +432,68 @@ def test_csv_writer_matches_row_oracle_on_repeated_values(columns, tmp_path_fact
 @settings(max_examples=40, deadline=None)
 @given(lo=st.integers(-2**53, 2**53 - 80), offsets=st.lists(st.integers(0, 80), max_size=100))
 def test_csv_writer_matches_row_oracle_on_index_ranges(lo, offsets, tmp_path_factory):
-    # an integer column whose range fits its length is formatted over that
-    # range and gathered by offset; a sparser one goes through np.unique
+    # integers up to 2**53 in magnitude, where %d is the text of %.17g
     col = lo + np.array(offsets, dtype=np.int64)
     out = tmp_path_factory.getbasetemp() / "ranges.csv"
     cli._write_csv(str(out), ("i", "j"), [col, col[::-1].copy()])
     rows = [(int(i), int(j)) for i, j in zip(col, col[::-1])]
     assert out.read_bytes() == _oracle_csv(("i", "j"), rows)
+
+
+_NONZERO_IMAGS = _IMAGS[_IMAGS != 0.0]
+
+
+@st.composite
+def _chunked_columns(draw):
+    """Columns of up to 40 rows and a split of them into chunks; in each chunk
+    the complex column's imaginary parts are all zero, none zero or mixed."""
+    n = draw(st.integers(0, 40))
+    cuts = sorted(set(draw(st.lists(st.integers(0, n), max_size=6))) | {0, n})
+    bounds = list(zip(cuts, cuts[1:]))
+
+    def pick(pool, size):
+        return pool[draw(st.lists(st.integers(0, pool.size - 1), min_size=size, max_size=size))]
+
+    imag = np.concatenate([np.zeros(0)] + [
+        pick(draw(st.sampled_from([np.array([0.0, -0.0]), _NONZERO_IMAGS, _IMAGS])), b - a)
+        for a, b in bounds])
+    cplx = np.empty(n, dtype=complex)
+    cplx.real, cplx.imag = pick(_FLOATS, n), imag
+    return [pick(_INTS, n), pick(_FLOATS, n), cplx], bounds
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn=_chunked_columns())
+def test_csv_chunks_match_row_oracle_at_any_split(drawn, tmp_path_factory):
+    columns, bounds = drawn
+    # the reals once more as a text column, formatted per distinct bit pattern
+    columns.append(cli._distinct_text(columns[1]))
+    header = ("i", "x", "z", "t")
+    out = tmp_path_factory.getbasetemp() / "chunks.csv"
+    cli._write_chunks(str(out), header, [cli._row([col[a:b] for col in columns])
+                                         for a, b in bounds])
+    rows = [(int(i), x, z, x) for i, x, z in zip(*columns[:3])]
+    assert out.read_bytes() == _oracle_csv(header, rows)
+
+
+@pytest.mark.parametrize("chunk_rows", [2**16, 1000, 3])
+def test_deep_tree_csv_matches_row_oracle_across_chunks(chunk_rows, tmp_path, monkeypatch):
+    # source depth N + 8: each stored row of the deepest generation stands
+    # for 2^9 edges, split across chunks below the default chunk size
+    path = tmp_path / "deep.ini"
+    path.write_text(COMPLEX_TEXT + "[transmission]\nsource_depth = 11\n")
+    sol = solve_transmission(parse_config(str(path)).transmission())
+    tree, deepest = sol.u_rows.tree, sol.u_rows.coeffs[-1]
+    assert deepest.imag.any()
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", chunk_rows)
+    if chunk_rows < 2**16:
+        assert tree.multiplicity(tree.depth) * deepest.shape[1] > chunk_rows
+    prefix = str(tmp_path / "t_")
+    assert cli.main(["transmission", "--config", str(path), "--out-prefix", prefix]) == 0
+    rows = [(n, k, j, gen[k, j]) for n, gen in enumerate(sol.u_tree.coeffs)
+            for k in range(gen.shape[0]) for j in range(gen.shape[1])]
+    expected = _oracle_csv(("n", "k", "coeff_index", "value"), rows)
+    assert (tmp_path / "t_tree.csv").read_bytes() == expected
 
 
 @pytest.mark.parametrize("text", [REF_TEXT, COMPLEX_TEXT], ids=["real", "complex"])
