@@ -58,11 +58,18 @@ _CHUNK_ROWS = 2**16
 
 @contextlib.contextmanager
 def _atomic_file(path: str):
-    """A text file handle; what is written replaces `path` when the block ends."""
+    """A text file handle; what is written replaces `path` when the block ends.
+
+    The file gets the mode open() would give it, 0o666 less the umask:
+    mkstemp makes the temp file 0o600, and os.replace keeps that mode.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
     try:
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             yield fh
         os.replace(tmp, path)

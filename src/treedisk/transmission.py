@@ -13,12 +13,17 @@ value c without contributing any leaf flux.
 M is never formed on the solve path.  C is circulant, so it acts by FFT
 with the eigenvalues fft(row); D acts by one sweep over its level-N
 elimination; the alpha0 mass is a diagonal.  M g = -h is solved by GMRES,
-preconditioned on the right by T. Chan's optimal circulant of M, and the
+preconditioned on the right by T. Chan's optimal circulant P of M, and the
 condition number is a Hager-Higham 1-norm estimate; M is complex
 symmetric (M^T = M), so the estimate applies M and M^{-1} and never an
-adjoint.  C (a read-only circulant view), D and M are properties of
-InterfaceSystem, for the pencil and for tests; the pencil reduces to one
-symmetric eigvalsh, so no module here needs scipy.
+adjoint.  The solve runs in the data's arithmetic: when alpha1, alpha0,
+c_root and the sources are real, h, the mass and M are real, and every
+vector, FFT (rfft/irfft) and Givens rotation is float64.  One GMRES step is
+one fused product M P^{-1} v: one forward FFT, one batched inverse FFT for
+P^{-1} v and -C P^{-1} v, and one D sweep.  C (a read-only circulant
+view), D and M are properties of InterfaceSystem, for the pencil and for
+tests; the pencil reduces to one symmetric eigvalsh, so no module here
+needs scipy.
 
 The source side runs on the condensed source tree compressed at level N
 (tree.build_condensed with level=N): every generation below N stores one
@@ -80,9 +85,27 @@ _COND_LIMIT = 1e12
 # GMRES stops at a relative residual of 1e-12 (1e-13 stagnates above the
 # rounding floor).  With the Chan preconditioner it takes 7-8 steps at every
 # level for a constant alpha0, and up to about 55 for a rough per-cell one;
-# a solve that needs more than _KRYLOV_MAX_ITER has failed.
+# a solve that needs more than _KRYLOV_MAX_ITER has failed.  The refinement
+# solve starts from a residual of about 1e-12 ||h||, so 1e-4 of its own rhs
+# takes it to rounding level (3 steps instead of 7).  The estimate's inner
+# solves keep _KRYLOV_RTOL: at 1e-6 the inverse-norm estimate overshoots the
+# exact ||M^{-1}||_1.
 _KRYLOV_RTOL = 1e-12
+_REFINE_RTOL = 1e-4
 _KRYLOV_MAX_ITER = 100
+
+
+def _exact_real(x) -> np.ndarray:
+    """x as float64 when its imaginary parts are exactly 0, else as complex128.
+
+    No copy is made when x has the dtype already (the real part of a
+    complex x is a view).  Scalars come back as 0-d arrays; index with [()]
+    for a numpy scalar.
+    """
+    x = np.asarray(x)
+    if np.iscomplexobj(x) and x.imag.any():
+        return x.astype(complex, copy=False)
+    return x.real.astype(float, copy=False)
 
 
 def root_bump(tree: FiniteTree) -> TreeFunction:
@@ -139,12 +162,16 @@ class TransmissionConfig:
             raise ValueError("exterior source annulus must start at the interface radius")
 
     def alpha0_cells(self) -> np.ndarray:
+        """alpha0 per level-N cell: float64 when it is real, else complex128.
+
+        A length other than 1 or p^N raises InvalidInput.
+        """
         n = self.params.p**self.level
-        arr = np.atleast_1d(np.asarray(self.alpha0, dtype=complex))
+        arr = np.atleast_1d(_exact_real(self.alpha0))
         if arr.size == 1:
             return np.full(n, arr[0])
         if arr.size != n:
-            raise ValueError("alpha0 needs 1 or %d values, got %d" % (n, arr.size))
+            raise InvalidInput("alpha0 needs 1 or %d values, got %d" % (n, arr.size))
         return arr
 
     def solvability(self) -> dict:
@@ -167,12 +194,13 @@ def _tree_forcing(cfg: TransmissionConfig, tree: FiniteTree) -> TreeFunction | N
     Generation n of f_T is row n of cfg.tree_source on every row of the
     tree, a read-only zero-stride view (zero without a tree source).
     Lap(u1) is the constant 2/l_root^2 on the root edge and zero elsewhere,
-    so only generation 0 changes.  A tree_source of another shape than
+    so only generation 0 changes.  The forcing is real when tree_source and
+    c_root have no imaginary part.  A tree_source of another shape than
     (source_depth + 2, q + 1) raises DepthMismatch.
     """
     f = cfg.tree_source
     if f is not None:
-        f = np.asarray(f)
+        f = _exact_real(f)
         if f.ndim != 2 or f.shape[0] != cfg.source_depth + 2 or not f.shape[1]:
             raise DepthMismatch("tree_source needs one coefficient row per generation, shape "
                                 "(%d, q + 1), got %r" % (cfg.source_depth + 2, f.shape))
@@ -182,8 +210,9 @@ def _tree_forcing(cfg: TransmissionConfig, tree: FiniteTree) -> TreeFunction | N
         f = np.zeros((tree.depth + 1, 1))
     coeffs = [np.broadcast_to(f[n], (rows, f.shape[1])) for n, rows in enumerate(tree.rows)]
     if cfg.c_root != 0:
-        root = coeffs[0].astype(complex)
-        root[0, 0] -= (2.0 / tree.lengths[0][0] ** 2) * complex(cfg.c_root)
+        c_root = _exact_real(cfg.c_root)[()]
+        root = coeffs[0].astype(np.result_type(coeffs[0], c_root))
+        root[0, 0] -= (2.0 / tree.lengths[0][0] ** 2) * c_root
         coeffs[0] = root
     return TreeFunction(tree, coeffs)
 
@@ -197,6 +226,19 @@ def _cell_flux(f: TreeFunction) -> np.ndarray:
     return leaf_flux(f) * f.tree.multiplicity(f.tree.depth)
 
 
+def _circulant(eigs, x) -> np.ndarray:
+    """The circulants with eigenvalues eigs (on the fft basis, last axis) applied to x.
+
+    Real x and eigs, eigs symmetric (eigs[k] = eigs[n - k]), take rfft and
+    irfft with eigs[..., : n//2 + 1] and give real output; anything else
+    takes the complex fft.
+    """
+    n = x.size
+    if np.isrealobj(x) and np.isrealobj(eigs):
+        return np.fft.irfft(eigs[..., : n // 2 + 1] * np.fft.rfft(x), n)
+    return np.fft.ifft(eigs * np.fft.fft(x))
+
+
 @dataclass
 class InterfaceSystem:
     """Level-N operators and rhs of the interface equation M g = -h.
@@ -206,8 +248,9 @@ class InterfaceSystem:
     the read-only circulant view of c_row (exterior.circulant_view), which
     stores 2 p^N values; D and M are dense properties, built on each
     access within the dense operator budget.  mass is the diagonal of the
-    alpha0 mass matrix: alpha0 times the cell measure, per cell.  The
-    system also keeps the tree side of h for `reconstruct`: the Poisson
+    alpha0 mass matrix: alpha0 times the cell measure, per cell.  mass and
+    h are float64 when the data are real, and M is then real symmetric.
+    The system also keeps the tree side of h for `reconstruct`: the Poisson
     lift u_f on the source tree (compressed at the solve level; u_f.tree
     keeps its elimination) and its per-cell leaf flux flux_f.  Without
     tree forcing u_f is None and flux_f is zero; `reconstruct` then builds
@@ -224,6 +267,16 @@ class InterfaceSystem:
     flux_f: np.ndarray
     condition_estimate: float | None = None
 
+    @cached_property
+    def alpha1(self):
+        """alpha1 as a numpy scalar: float64 when its imaginary part is 0."""
+        return _exact_real(self.config.alpha1)[()]
+
+    @property
+    def dtype(self) -> np.dtype:
+        """float64 when M is real, else complex128."""
+        return np.result_type(self.alpha1, self.mass)
+
     @property
     def C(self) -> np.ndarray:
         return circulant_view(self.c_row)
@@ -234,7 +287,8 @@ class InterfaceSystem:
 
     @property
     def M(self) -> np.ndarray:
-        M = complex(self.config.alpha1) * self.D
+        M = self.D.astype(self.dtype)
+        M *= self.alpha1
         M -= self.C
         M[np.diag_indices_from(M)] += self.mass
         return M
@@ -244,12 +298,40 @@ class InterfaceSystem:
         """Eigenvalues of C_N on the fft basis: fft of its circulant row."""
         return np.fft.fft(self.c_row).real
 
+    @cached_property
+    def chan_eigs(self) -> np.ndarray:
+        """Eigenvalues e of T. Chan's optimal circulant P of M on the fft basis.
+
+        P = -lambda_C + alpha1 chan(D) + mean(mass) (SIAM J. Sci. Stat.
+        Comput. 9, 1988), real when M is.  A singular M can zero an
+        eigenvalue exactly (a pencil eigenvector that is a Fourier mode);
+        eps keeps P invertible.
+        """
+        eigs = self.alpha1 * self.dtn.chan_eigs() - self.c_eigs + self.mass.mean()
+        eigs[eigs == 0] = np.finfo(float).eps * np.abs(eigs).max()
+        return eigs
+
+    @cached_property
+    def _step_eigs(self) -> np.ndarray:
+        """[1/e; -lambda_C/e]: P^{-1} and -C P^{-1} on the fft basis."""
+        return np.stack((1.0 / self.chan_eigs, -self.c_eigs / self.chan_eigs))
+
     def apply(self, x) -> np.ndarray:
-        """M x: C by FFT, D by its tree sweep, the mass as a diagonal."""
-        y = complex(self.config.alpha1) * self.dtn.apply(x)
-        y -= np.fft.ifft(self.c_eigs * np.fft.fft(x))
-        y += self.mass * x
-        return y
+        """M x in the dtype of x and M: C by FFT, D by its tree sweep, the mass as a diagonal."""
+        return self.alpha1 * self.dtn.apply(x) - _circulant(self.c_eigs, x) + self.mass * x
+
+    def precond(self, x) -> np.ndarray:
+        """P^{-1} x by two FFTs."""
+        return _circulant(self._step_eigs[0], x)
+
+    def apply_preconditioned(self, x) -> np.ndarray:
+        """M P^{-1} x: one forward and one batched inverse FFT, then one D sweep.
+
+        The inverse FFT of fft(x) [1/e; -lambda_C/e] gives y = P^{-1} x and
+        -C y together, and M y = alpha1 D y + (-C y) + mass y.
+        """
+        y, minus_cy = _circulant(self._step_eigs, x)
+        return self.alpha1 * self.dtn.apply(y) + minus_cy + self.mass * y
 
 
 def assemble_system(cfg: TransmissionConfig) -> InterfaceSystem:
@@ -258,32 +340,41 @@ def assemble_system(cfg: TransmissionConfig) -> InterfaceSystem:
     h_N[K] = int_{Gamma_K} (-gamma1 v_f + alpha1 gamma1(c u1 + u_f)) ds; the
     root bump contributes no flux, so its only effect is the -c Lap(u1)
     forcing inside u_f.  The source tree is built only when forced
-    (tree_source or c_root), and v_f only enters h.  The source tree and
-    the symbol are checked against their budgets (tree.check_tree_budget,
-    exterior.MODE_BUDGET) before anything of their size is allocated, built
-    here or not; nothing here is p^N x p^N.
+    (tree_source or c_root), and v_f only enters h.  h is formed in the
+    dtype of its terms: the cell integrals of gamma1 v_f are real when its
+    modes are conjugate-symmetric bit for bit, and the other terms are real
+    when alpha1, c_root and tree_source have no imaginary part.  The source
+    tree is checked against its budget (tree.check_tree_budget) and alpha0
+    against the cell count (InvalidInput) before anything is built, and the
+    symbol against exterior.MODE_BUDGET before it is allocated; nothing
+    here is p^N x p^N.
     """
     p = cfg.params.p
     check_tree_budget(cfg.params, cfg.source_depth + 1, cfg.level)
+    alpha0 = cfg.alpha0_cells()
     pn = p**cfg.level
     symbol = dtn_symbol(cfg.R, MODE_OVERSAMPLING * pn)
     dtn = tree_dtn_operator(cfg.params, cfg.level)
     n_max = max(cfg.level, cfg.source_depth + 1) + 1
     decomp = MultiscaleDecomposition(R=cfg.R, p=p, n_max=n_max)
     c_row = galerkin_row(decomp, cfg.level, symbol)
-    mass = cfg.alpha0_cells() * decomp.cell_measure(cfg.level)
+    mass = alpha0 * decomp.cell_measure(cfg.level)
 
-    h = np.zeros(pn, dtype=complex)
+    h = np.zeros(pn)
     if cfg.exterior_source is not None:
         v_f = solve_exterior_dirichlet(None, cfg.exterior_source, R=cfg.R)
-        h -= circle.cell_integrals(decomp, gamma1_exterior(v_f), cfg.level)
+        flux = gamma1_exterior(v_f)
+        flux_integrals = circle.cell_integrals(decomp, flux, cfg.level)
+        # conjugate-symmetric modes integrate to real cell values; the
+        # imaginary parts of the fold are rounding only
+        h = h - (flux_integrals.real if flux.is_real(0.0) else flux_integrals)
     u_f = None
     flux_f = np.zeros(pn)
     if cfg.tree_source is not None or cfg.c_root != 0:
         tree = _source_tree(cfg)
         u_f = solve_poisson_zero_trace(tree, _tree_forcing(cfg, tree))
         flux_f = _cell_flux(u_f)
-        h += complex(cfg.alpha1) * flux_f
+        h = h + _exact_real(cfg.alpha1)[()] * flux_f
     return InterfaceSystem(decomp=decomp, c_row=c_row, dtn=dtn, mass=mass, h=h, config=cfg,
                            u_f=u_f, flux_f=flux_f)
 
@@ -303,29 +394,31 @@ def _givens(a, b):
     return abs(a) / r, phase * b.conjugate() / r, phase * r
 
 
-def _gmres(matvec, precond, b):
-    """(x, converged): ||b - A x|| <= _KRYLOV_RTOL ||b|| when converged.
+def _gmres(step, precond, b, rtol=_KRYLOV_RTOL):
+    """(x, converged): ||b - A x|| <= rtol ||b|| when converged.
 
     Full GMRES (Saad and Schultz, SIAM J. Sci. Stat. Comput. 7, 1986) on
     A P^{-1}, x = P^{-1} y: with the preconditioner on the right the
     least-squares residual that Givens rotations track is the residual of
-    A x itself.  The Arnoldi vectors are orthogonalized by classical
-    Gram-Schmidt run twice; there is no restart.  Without convergence x
-    is the minimal-residual iterate after _KRYLOV_MAX_ITER steps.
+    A x itself.  step applies A P^{-1} and precond P^{-1}; both must keep
+    the dtype of b, in which all the work runs.  The Arnoldi vectors are
+    orthogonalized by classical Gram-Schmidt run twice; there is no
+    restart.  Without convergence x is the minimal-residual iterate after
+    _KRYLOV_MAX_ITER steps.
     """
     scale = float(np.linalg.norm(b))
     if scale == 0.0:
-        return np.zeros(b.size, dtype=complex), True
+        return np.zeros(b.size, dtype=b.dtype), True
     k_max = _KRYLOV_MAX_ITER
-    basis = np.empty((k_max + 1, b.size), dtype=complex)
-    hess = np.zeros((k_max + 1, k_max), dtype=complex)
+    basis = np.empty((k_max + 1, b.size), dtype=b.dtype)
+    hess = np.zeros((k_max + 1, k_max), dtype=b.dtype)
     rot = []
-    rhs = np.zeros(k_max + 1, dtype=complex)
+    rhs = np.zeros(k_max + 1, dtype=b.dtype)
     rhs[0] = scale
     basis[0] = b / scale
     converged = False
     for j in range(k_max):
-        w = matvec(precond(basis[j]))
+        w = step(basis[j])
         for _ in range(2):
             coef = basis[: j + 1].conj() @ w
             w -= coef @ basis[: j + 1]
@@ -339,7 +432,7 @@ def _gmres(matvec, precond, b):
         rhs[j + 1] = -s.conjugate() * rhs[j]
         rhs[j] *= c
         residual = abs(rhs[j + 1])
-        converged = residual <= _KRYLOV_RTOL * scale
+        converged = residual <= rtol * scale
         if converged or norm == 0.0 or not math.isfinite(residual):
             break
         basis[j + 1] = w / norm
@@ -351,10 +444,10 @@ def _gmres(matvec, precond, b):
     return precond(y @ basis[:k]), converged and k == len(rot)
 
 
-def _inverse(matvec, precond):
+def _inverse(step, precond):
     """x -> A^{-1} x by preconditioned GMRES, raising _Unconverged on a missed tolerance."""
     def solve(x):
-        y, converged = _gmres(matvec, precond, x)
+        y, converged = _gmres(step, precond, x)
         if not converged:
             raise _Unconverged
         return y
@@ -362,30 +455,32 @@ def _inverse(matvec, precond):
 
 
 def _sign(y):
-    """y / |y| entrywise, 1 where y vanishes (LAPACK zlacn2)."""
+    """y / |y| entrywise, 1 where y vanishes: LAPACK zlacn2, and dlacn2's +-1 for real y."""
     mag = np.abs(y)
-    out = np.ones(y.size, dtype=complex)
+    out = np.ones(y.size, dtype=y.dtype)
     nz = mag > np.finfo(float).tiny
     out[nz] = y[nz] / mag[nz]
     return out
 
 
-def _norm1_estimate(apply, n: int) -> float:
-    """Lower bound on ||A||_1 from products with a complex symmetric A: LAPACK's zlacn2.
+def _norm1_estimate(apply, n: int, dtype) -> float:
+    """Lower bound on ||A||_1 from products with a symmetric A: LAPACK's zlacn2 or dlacn2.
 
     Hager's method as refined by Higham (ACM TOMS 14, 1988), the estimator
     behind LAPACK's condition numbers: a power-like iteration on unit
     vectors e_j, at most five rounds, then the alternating-sign test vector.
     It reads A^H s only through |A^H s|, which is |A conj(s)| when
-    A^T = A, so A is the only operator it applies.
+    A^T = A, so A is the only operator it applies.  The test vectors are of
+    the given dtype: float64 for a real A runs dlacn2, whose signs are those
+    zlacn2 takes for a real y.
     """
-    y = apply(np.full(n, 1.0 / n, dtype=complex))
+    y = apply(np.full(n, 1.0 / n, dtype=dtype))
     est = float(np.abs(y).sum())
     if n == 1:
         return est
     j = int(np.argmax(np.abs(apply(_sign(y).conj()))))
     for _ in range(4):
-        x = np.zeros(n, dtype=complex)
+        x = np.zeros(n, dtype=dtype)
         x[j] = 1.0
         y = apply(x)
         est_old, est = est, float(np.abs(y).sum())
@@ -396,37 +491,36 @@ def _norm1_estimate(apply, n: int) -> float:
         if z[j_last] == z[j]:
             break
     alt = (1.0 + np.arange(n) / (n - 1.0)) * np.where(np.arange(n) % 2, -1.0, 1.0)
-    return max(est, 2.0 * float(np.abs(apply(alt.astype(complex))).sum()) / (3.0 * n))
+    return max(est, 2.0 * float(np.abs(apply(alt.astype(dtype))).sum()) / (3.0 * n))
 
 
 def solve_interface(sys: InterfaceSystem) -> PiecewiseConstantFn:
     """Solve M g = -h by GMRES with one refinement step; residual <= 1e-10 ||h||.
 
-    M acts matrix-free (InterfaceSystem.apply).  The right preconditioner
-    is T. Chan's optimal circulant of M, -lambda_C + alpha1 chan(D) +
-    mean(mass), applied by two FFTs (SIAM J. Sci. Stat. Comput. 9, 1988).
+    Everything runs in the dtype of M and h: float64, with rfft and irfft,
+    when alpha1, alpha0 and h are real, else complex128.  M acts
+    matrix-free (InterfaceSystem.apply).  The right preconditioner P is T.
+    Chan's optimal circulant of M (InterfaceSystem.chan_eigs), and each
+    GMRES step is InterfaceSystem.apply_preconditioned: one forward FFT,
+    one batched inverse FFT for P^{-1} v and -C P^{-1} v, and one D sweep.
+    The solve stops at _KRYLOV_RTOL; its refinement step solves for the
+    residual to _REFINE_RTOL of that residual, which is rounding level.
     The 1-norm condition number is the Hager-Higham estimate of ||M||_1
     times that of ||M^{-1}||_1.  C and D are real symmetric and the mass is
     diagonal, so M^T = M and both estimates need products with M alone:
-    those with M^{-1} are GMRES solves, and the estimate is inf when one of
-    them misses its tolerance.  An estimate beyond 1e12 raises
-    SingularInterfaceOperator and reports the nearest plasmonic pencil
-    eigenvalue as a diagnostic when the dense pencil fits its budget.
+    those with M^{-1} are GMRES solves to _KRYLOV_RTOL, and the estimate is
+    inf when one of them misses its tolerance.  An estimate beyond 1e12
+    raises SingularInterfaceOperator and reports the nearest plasmonic
+    pencil eigenvalue as a diagnostic when the dense pencil fits its budget.
     """
     n = sys.h.size
-    eigs = complex(sys.config.alpha1) * sys.dtn.chan_eigs() - sys.c_eigs + sys.mass.mean()
-    # a singular M can zero an eigenvalue exactly (a pencil eigenvector that
-    # is a Fourier mode); eps keeps the preconditioner invertible
-    eigs[eigs == 0] = np.finfo(float).eps * np.abs(eigs).max()
-
-    def precond(x):
-        return np.fft.ifft(np.fft.fft(x) / eigs)
-
+    dtype = np.result_type(sys.dtype, sys.h)
+    step, precond = sys.apply_preconditioned, sys.precond
     try:
-        inverse_norm = _norm1_estimate(_inverse(sys.apply, precond), n)
+        inverse_norm = _norm1_estimate(_inverse(step, precond), n, dtype)
     except _Unconverged:
         inverse_norm = math.inf
-    cond = _norm1_estimate(sys.apply, n) * inverse_norm
+    cond = _norm1_estimate(sys.apply, n, dtype) * inverse_norm
     sys.condition_estimate = cond
     if not math.isfinite(cond) or cond > _COND_LIMIT:
         message = "interface operator condition %.3e" % cond
@@ -438,10 +532,10 @@ def solve_interface(sys: InterfaceSystem) -> PiecewiseConstantFn:
             a1 = complex(sys.config.alpha1)
             message += "; nearest pencil eigenvalue %r" % min(evs, key=lambda z: abs(z - a1))
         raise SingularInterfaceOperator(message)
-    rhs = -sys.h
-    g, _ = _gmres(sys.apply, precond, rhs)
-    g = g + _gmres(sys.apply, precond, rhs - sys.apply(g))[0]
-    if np.abs(g.imag).max() <= 1e-12 * max(np.abs(g).max(), 1e-300):
+    rhs = -sys.h.astype(dtype)
+    g, _ = _gmres(step, precond, rhs)
+    g = g + _gmres(step, precond, rhs - sys.apply(g), _REFINE_RTOL)[0]
+    if np.iscomplexobj(g) and np.abs(g.imag).max() <= 1e-12 * max(np.abs(g).max(), 1e-300):
         g = g.real.astype(float)
     scale = float(np.linalg.norm(sys.h))
     residual = float(np.linalg.norm(sys.apply(g) + sys.h))

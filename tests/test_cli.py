@@ -1,5 +1,7 @@
 """Command line subcommands: artifacts, exit codes, determinism."""
 
+import os
+import stat
 import subprocess
 import sys
 
@@ -303,6 +305,21 @@ def test_transmission_artifacts_and_determinism(ref_config, tmp_path, capsys):
         a = (tmp_path / ("a_" + name)).read_bytes()
         b = (tmp_path / ("b_" + name)).read_bytes()
         assert a == b
+
+
+def test_outputs_take_their_mode_from_the_umask(ref_config, tmp_path, capsys):
+    # the temp file behind each atomic write is created 0600; the outputs
+    # must get 0666 less the umask, as a plain open() would give them
+    old = os.umask(0o022)
+    try:
+        assert cli.main(["transmission", "--config", ref_config,
+                         "--out-prefix", str(tmp_path / "m_")]) == 0
+    finally:
+        os.umask(old)
+    capsys.readouterr()
+    names = ("g.csv", "tree.csv", "exterior.csv", "manifest.txt")
+    modes = {name: stat.S_IMODE((tmp_path / ("m_" + name)).stat().st_mode) for name in names}
+    assert modes == dict.fromkeys(names, 0o644)
 
 
 def test_transmission_at_pencil_eigenvalue_exits_3(tmp_path, capsys):

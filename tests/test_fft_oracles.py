@@ -183,6 +183,22 @@ def test_interface_operator_matches_dense(params, N, alpha1, alpha0):
     assert rel_err(np.conj(system.apply(np.conj(x))), M.conj().T @ x) <= 1e-13
 
 
+@pytest.mark.parametrize("params,N", [(TreeParams(p=2, ell=0.5, omega=0.4), 6), (P3_OVERRIDES, 4)])
+@pytest.mark.parametrize("alpha1,alpha0", COEFFS)
+def test_fused_preconditioned_step_matches_its_parts(params, N, alpha1, alpha0):
+    # one forward and one batched inverse FFT give P^{-1} v and -C P^{-1} v;
+    # real v on a real system stays real (rfft), anything else is complex
+    system = _system(params, N, alpha1, alpha0)
+    assert (system.dtype == np.float64) == (np.isrealobj(alpha1) and np.isrealobj(alpha0))
+    rng = np.random.default_rng(N)
+    v = rng.standard_normal(system.h.size)
+    for x in (v, v + 1j * rng.standard_normal(v.size)):
+        fused = system.apply_preconditioned(x)
+        assert fused.dtype == np.result_type(system.dtype, x)
+        assert rel_err(fused, system.apply(system.precond(x))) <= 1e-13
+        assert rel_err(system.precond(x), np.fft.ifft(np.fft.fft(x) / system.chan_eigs)) <= 1e-13
+
+
 @pytest.mark.parametrize("params,N", [(TreeParams(p=2, ell=0.5, omega=0.4), 3),
                                       (TreeParams(p=2, ell=0.5, omega=0.4), 8),
                                       (TreeParams(p=1, ell=0.5, omega=1.0), 4),
@@ -225,13 +241,16 @@ def test_solve_interface_matches_dense_for_rough_per_cell_alpha0(N, seed, size):
                                                 alpha1=1.0, alpha0=alpha0, c_root=0.6,
                                                 exterior_source=RING))
     applications = []
-    apply = system.apply
 
-    def counted(x):
-        applications.append(x.size)
-        return apply(x)
+    def counted(product):
+        def apply(x):
+            applications.append(x.size)
+            return product(x)
+        return apply
 
-    system.apply = counted
+    # a GMRES step applies M P^{-1}, the residuals and the norm estimate M
+    system.apply = counted(system.apply)
+    system.apply_preconditioned = counted(system.apply_preconditioned)
     g = solve_interface(system).values
     note("N=%d, max |alpha0| %.2f: %d applications of M" % (N, size, len(applications)))
     low = len(applications) // 100 * 100
@@ -247,6 +266,8 @@ def test_every_nonzero_pencil_eigenvalue_is_singular(N):
     for alpha1 in values[1:]:
         singular = assemble_system(TransmissionConfig(params=params, level=N, alpha1=alpha1,
                                                       exterior_source=RING))
+        # real pencil values and a real source: the solve takes the real path
+        assert singular.dtype == singular.h.dtype == np.float64
         with pytest.raises(SingularInterfaceOperator):
             solve_interface(singular)
 

@@ -9,11 +9,13 @@ from treedisk import calculus, circle, dtn, transmission
 from treedisk import tree as tree_module
 from treedisk.calculus import TreeFunction
 from treedisk.circle import FourierFn, MultiscaleDecomposition, PiecewiseConstantFn
+from treedisk.config import parse_text
 from treedisk.errors import (
     Alpha1Zero,
     DepthBelowChartLevel,
     DepthMismatch,
     InsufficientLevels,
+    InvalidInput,
     SingularInterfaceOperator,
 )
 from treedisk.exterior import RadialSource
@@ -287,6 +289,51 @@ def test_config_validation():
         TransmissionConfig(params=REF, level=4, alpha1=1.0, source_depth=3)
     with pytest.raises(ValueError):
         TransmissionConfig(params=REF, level=3, alpha1=1.0, alpha0=np.ones(5)).alpha0_cells()
+
+
+def test_wrong_length_alpha0_raises_before_assembly(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("operators built before alpha0 was checked")
+
+    monkeypatch.setattr(transmission, "dtn_symbol", refuse)
+    monkeypatch.setattr(transmission, "tree_dtn_operator", refuse)
+    cfg = TransmissionConfig(params=REF, level=3, alpha1=1.0, alpha0=np.ones(5))
+    with pytest.raises(InvalidInput, match="alpha0 needs 1 or 8 values, got 5"):
+        assemble_system(cfg)
+
+
+# the shape of a benchmark input: the parser makes every coefficient complex,
+# here with zero imaginary parts, and the ring source is a real function
+REAL_TEXT = """
+[tree]
+p = 2
+ell = 0.5
+omega = 0.4
+[interface]
+N = 5
+[transmission]
+alpha1 = 1.3
+alpha0 = 0.6
+c_root = -0.4
+source_depth = 9
+[source.tree]
+constant = 0.5
+[source.exterior]
+r_max = 1.8
+profile.1 = 0.7, -0.2
+profile.-1 = 0.7, -0.2
+profile.3 = -0.3, 0.9
+profile.-3 = -0.3, 0.9
+"""
+
+
+def test_real_data_take_the_real_path():
+    sy = assemble_system(parse_text(REAL_TEXT).transmission())
+    assert sy.h.dtype == sy.mass.dtype == sy.flux_f.dtype == sy.dtype == np.float64
+    g = solve_interface(sy).values
+    assert g.dtype == np.float64
+    exact = np.linalg.solve(sy.M, -sy.h)
+    assert np.abs(g - exact).max() <= 1e-12 * np.abs(exact).max()
 
 
 def test_tree_source_on_wrong_tree_rejected():
