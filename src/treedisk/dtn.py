@@ -30,10 +30,13 @@ condensed tree compressed at level N (one leaf row per cell) and keeps
 that level-N elimination as a TreeDtN, which applies D by one upward and
 one downward sweep in O(p^N), gives T. Chan's optimal circulant of D from
 the per-generation autocorrelations of beta, and gathers the dense
-p^N x p^N matrix only when asked (TreeDtN.matrix).  The dense builders
-condensed_dtn and truncated_dtn return plain arrays.  compress, the Galerkin
-restriction of a finer matrix, stays as the identity this rests on
-(acceptance criterion 3) and as its test oracle.
+p^N x p^N matrix only when asked (TreeDtN.matrix).  The top of the sweep,
+from the largest level k with p^k <= _TOP_CELLS up to the root and back,
+is one Green block G (the loads collected at level k to the vertex values
+there), so apply runs only the N - k generations below k in Python.  The
+dense builders condensed_dtn and truncated_dtn return plain arrays.
+compress, the Galerkin restriction of a finer matrix, stays as the
+identity this rests on (acceptance criterion 3) and as its test oracle.
 """
 
 from __future__ import annotations
@@ -51,6 +54,14 @@ from .tree import TreeParams, _child_sums, build_condensed, build_truncated
 # solve (4096 cells) peaked at 2,251 MiB on a 7 GB host, and 8192 cells
 # would need about 9 GiB.
 DENSE_CELL_BUDGET = 4096
+
+# TreeDtN.apply replaces the sweep above the largest level with at most
+# _TOP_CELLS vertices by one dense Green block.  On a 2-vCPU AMD EPYC host
+# (BLAS on one thread) one p = 2 apply takes 1.8 us at N = 6 and 13 us at
+# N = 10, against 14 and 25 us for the whole sweep; 32 cells take 3.9 and
+# 15 us, and 128 cells save at most 1.7 us more with a block four times
+# the size.
+_TOP_CELLS = 64
 
 # dtn_convergence_rate measures on the Fourier modes cos(k theta) of
 # _RATE_MODES against a reference _RATE_REF_EXTRA levels below the deepest
@@ -104,7 +115,9 @@ class TreeDtN:
     c and pivot are those of tree.FiniteTree.elimination cut at generation N,
     with c[-1] the merged leaf conductances, one per level-N cell (the
     arguments of _schur_boundary).  apply and chan_eigs cost O(p^N) and
-    O(N p^N log p^N); matrix gathers the dense p^N x p^N matrix.
+    O(N p^N log p^N); matrix gathers the dense p^N x p^N matrix.  apply
+    builds the Green block of the top levels on its first call (_green), so
+    matrix and chan_eigs never pay for it.
     """
 
     p: int
@@ -125,24 +138,49 @@ class TreeDtN:
         """c / pivot per generation: the share of its load a vertex hands up."""
         return [cn / pn for cn, pn in zip(self.c, self.pivot)]
 
+    @cached_property
+    def _green(self) -> tuple:
+        """(k, G): k the largest level <= N with p^k <= _TOP_CELLS, G its Green block.
+
+        G maps the loads collected at the p^k vertices of level k to the
+        vertex values there.  It is the sweep from level k to the root and
+        back, run on the p^k unit loads (the columns of the identity).
+        """
+        c, pivot, shares, p = self.c, self.pivot, self._shares, self.p
+        k = 0
+        while k < len(pivot) - 1 and p ** (k + 1) <= _TOP_CELLS:
+            k += 1
+        collected = [np.eye(p**k)]
+        for n in range(k, 0, -1):
+            collected.append(_child_sums(shares[n][:, None] * collected[-1], p))
+        u = collected.pop() / pivot[0][:, None]
+        for n in range(1, k + 1):
+            u = c[n][:, None] * np.repeat(u, p, axis=0)
+            u += collected.pop()
+            u /= pivot[n][:, None]
+        return k, u
+
     def apply(self, x) -> np.ndarray:
         """D x: the leaf fluxes c_leaf (x - u) of the harmonic extension u of x.
 
         One upward pass collects the leaf loads c_leaf x at each vertex and
-        hands the share c / pivot on to its parent; one downward pass
-        substitutes from the clamped root, as calculus._solve_vertices.
+        hands the share c / pivot on to its parent, down to level k; the
+        Green block G turns the loads at level k into the vertex values
+        there; one downward pass substitutes from level k, as
+        calculus._solve_vertices does from the clamped root.  When N <= k
+        no generation is swept.
         """
-        c, pivot = self.c, self.pivot
+        c, pivot, shares, p = self.c, self.pivot, self._shares, self.p
+        k, green = self._green
         leaf = c[-1] * x
         # X_{N,k} has the merged leaf edge as its only child
         collected = [leaf]
-        for n in range(len(pivot) - 1, 0, -1):
-            collected.append(_child_sums(self._shares[n] * collected[-1], self.p))
-        collected.reverse()
-        u = collected[0] / pivot[0]
-        for n in range(1, len(pivot)):
-            u = c[n] * np.repeat(u, self.p)
-            u += collected[n]
+        for n in range(len(pivot) - 1, k, -1):
+            collected.append(_child_sums(shares[n] * collected[-1], p))
+        u = green @ collected.pop()
+        for n in range(k + 1, len(pivot)):
+            u = c[n] * np.repeat(u, p)
+            u += collected.pop()
             u /= pivot[n]
         leaf -= c[-1] * u
         return leaf

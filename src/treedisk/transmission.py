@@ -93,6 +93,8 @@ _COND_LIMIT = 1e12
 _KRYLOV_RTOL = 1e-12
 _REFINE_RTOL = 1e-4
 _KRYLOV_MAX_ITER = 100
+# rows of the GMRES basis allocated at first; the basis doubles when full
+_BASIS_ROWS = 16
 
 
 def _exact_real(x) -> np.ndarray:
@@ -403,45 +405,57 @@ def _gmres(step, precond, b, rtol=_KRYLOV_RTOL):
     A x itself.  step applies A P^{-1} and precond P^{-1}; both must keep
     the dtype of b, in which all the work runs.  The Arnoldi vectors are
     orthogonalized by classical Gram-Schmidt run twice; there is no
-    restart.  Without convergence x is the minimal-residual iterate after
-    _KRYLOV_MAX_ITER steps.
+    restart, and at most min(_KRYLOV_MAX_ITER, n) steps.  The basis starts
+    as an array of _BASIS_ROWS rows and doubles when full, up to one row
+    more than the steps.  Each Hessenberg column is rotated as Python
+    scalars and kept as a list, and y comes from back substitution over
+    those columns.  Without convergence x is the minimal-residual iterate
+    after the last step.
     """
     scale = float(np.linalg.norm(b))
     if scale == 0.0:
         return np.zeros(b.size, dtype=b.dtype), True
-    k_max = _KRYLOV_MAX_ITER
-    basis = np.empty((k_max + 1, b.size), dtype=b.dtype)
-    hess = np.zeros((k_max + 1, k_max), dtype=b.dtype)
-    rot = []
-    rhs = np.zeros(k_max + 1, dtype=b.dtype)
-    rhs[0] = scale
+    steps = min(_KRYLOV_MAX_ITER, b.size)
+    basis = np.empty((min(_BASIS_ROWS, steps + 1), b.size), dtype=b.dtype)
     basis[0] = b / scale
+    cols, rot, rhs = [], [], [scale]
     converged = False
-    for j in range(k_max):
+    for j in range(steps):
         w = step(basis[j])
-        for _ in range(2):
-            coef = basis[: j + 1].conj() @ w
-            w -= coef @ basis[: j + 1]
-            hess[: j + 1, j] += coef
+        # conj(V) w as conj(V conj(w)): one vector is conjugated, not V
+        coef = (basis[: j + 1] @ w.conj()).conj()
+        w -= coef @ basis[: j + 1]
+        again = (basis[: j + 1] @ w.conj()).conj()
+        w -= again @ basis[: j + 1]
+        coef += again
         norm = float(np.linalg.norm(w))
-        col = hess[:, j]
+        col = coef.tolist()
         for i, (c, s) in enumerate(rot):
             col[i], col[i + 1] = c * col[i] + s * col[i + 1], c * col[i + 1] - s.conjugate() * col[i]
         c, s, col[j] = _givens(col[j], norm)
         rot.append((c, s))
-        rhs[j + 1] = -s.conjugate() * rhs[j]
+        cols.append(col)
+        rhs.append(-s.conjugate() * rhs[j])
         rhs[j] *= c
         residual = abs(rhs[j + 1])
         converged = residual <= rtol * scale
         if converged or norm == 0.0 or not math.isfinite(residual):
             break
+        if j + 1 == len(basis):
+            grown = np.empty((min(2 * len(basis), steps + 1), b.size), dtype=b.dtype)
+            grown[: len(basis)] = basis
+            basis = grown
         basis[j + 1] = w / norm
     # a zero pivot means A P^{-1} is singular on the Krylov space: the
     # iterate stops before it
-    pivots = np.diagonal(hess)[: len(rot)]
-    k = len(rot) if pivots.all() else int(np.argmin(pivots != 0))
-    y = np.linalg.solve(hess[:k, :k], rhs[:k]) if k else rhs[:0]
-    return precond(y @ basis[:k]), converged and k == len(rot)
+    k = next((j for j, col in enumerate(cols) if col[j] == 0), len(cols))
+    y, r = [], rhs[:k]
+    for col in reversed(cols[:k]):
+        yj = r.pop() / col[len(r)]
+        r = [ri - ci * yj for ri, ci in zip(r, col)]
+        y.append(yj)
+    y.reverse()
+    return precond(np.array(y, dtype=b.dtype) @ basis[:k]), converged and k == len(cols)
 
 
 def _inverse(step, precond):
@@ -608,7 +622,9 @@ def reconstruct(system: InterfaceSystem, g: PiecewiseConstantFn) -> Transmission
     coeffs = u.coeffs
     del u
     if cfg.c_root != 0:
-        root = complex(cfg.c_root) * _root_bump_coeffs(tree)
+        c_root = _exact_real(cfg.c_root)[()]
+        bump = _root_bump_coeffs(tree)
+        root = np.asarray(c_root * bump, dtype=np.result_type(c_root, bump, coeffs[0]))
         root[:, :2] += coeffs[0]
         coeffs[0] = root
     if u_f is not None:
@@ -635,10 +651,10 @@ def reconstruct(system: InterfaceSystem, g: PiecewiseConstantFn) -> Transmission
     a0 = cfg.alpha0_cells()
     mass = a0 * circle.cell_integrals(decomp, g_fourier, cfg.level)
     mass_exact = a0 * decomp.cell_measure(cfg.level) * g.values
-    resid_vec = flux_ext - complex(cfg.alpha1) * flux_tree - mass
+    resid_vec = flux_ext - system.alpha1 * flux_tree - mass
     # normalize by the pre-cancellation flux magnitudes (the harmonic tree
     # flux and the source flux can cancel when g is nearly constant)
-    a1 = abs(complex(cfg.alpha1))
+    a1 = abs(system.alpha1)
     scale = max(np.abs(flux_ext).max(), a1 * np.abs(flux_u).max(),
                 a1 * np.abs(flux_f).max(), np.abs(mass).max(), 1e-300)
     flux_residual = float(np.abs(resid_vec).max() / scale)

@@ -336,6 +336,15 @@ def test_real_data_take_the_real_path():
     assert np.abs(g - exact).max() <= 1e-12 * np.abs(exact).max()
 
 
+def test_real_data_give_real_tree_rows():
+    # the parser's complex c_root with a zero imaginary part adds a real
+    # root bump, so no generation of u_rows turns complex
+    sol = solve_transmission(parse_text(REAL_TEXT).transmission())
+    assert [c.dtype for c in sol.u_rows.coeffs] == [np.float64] * len(sol.u_rows.coeffs)
+    cfg = dataclasses.replace(parse_text(REAL_TEXT).transmission(), c_root=-0.4 + 0.1j)
+    assert solve_transmission(cfg).u_rows.coeffs[0].dtype == np.complex128
+
+
 def test_tree_source_on_wrong_tree_rejected():
     # the source needs one row for each of the 8 generations of the
     # condensed tree at source_depth 6: rows for a shallower or a deeper
@@ -587,3 +596,62 @@ def test_reconstructed_tree_solution_matches_sum_of_lifts(with_source, c_root):
     diff = expected - sol.u_tree
     scale = max(float(np.abs(c).max()) for c in expected.coeffs)
     assert max(float(np.abs(c).max()) for c in diff.coeffs) <= 1e-15 * scale
+
+
+# ---------------------------------------------------------------------------
+# the Krylov solver alone, on dense operators
+
+
+def _counted(product, calls):
+    def step(v):
+        calls.append(v.size)
+        return product(v)
+    return step
+
+
+def test_gmres_on_the_identity_takes_one_step():
+    b = np.random.default_rng(0).standard_normal(12)
+    calls = []
+    # a step must return a new array: _gmres orthogonalizes it in place
+    x, converged = transmission._gmres(_counted(np.copy, calls), np.copy, b)
+    assert converged and len(calls) == 1
+    assert np.abs(x - b).max() <= 1e-15 * np.abs(b).max()
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_gmres_matches_a_dense_nonsymmetric_solve(dtype):
+    rng = np.random.default_rng(3)
+    A = 6.0 * np.eye(20) + rng.standard_normal((20, 20))
+    b = rng.standard_normal(20)
+    if dtype is np.complex128:
+        A = A + 1j * rng.standard_normal((20, 20))
+        b = b + 1j * rng.standard_normal(20)
+    # a diagonal right preconditioner P: the steps apply A P^{-1}
+    d = rng.uniform(1.0, 3.0, 20)
+    x, converged = transmission._gmres(lambda v: A @ (v / d), lambda v: v / d, b)
+    exact = np.linalg.solve(A, b)
+    assert converged and x.dtype == dtype
+    assert np.abs(x - exact).max() <= 1e-12 * np.abs(exact).max()
+
+
+def test_gmres_reports_a_missed_tolerance(monkeypatch):
+    rng = np.random.default_rng(5)
+    A = 6.0 * np.eye(20) + rng.standard_normal((20, 20))
+    b = rng.standard_normal(20)
+    calls = []
+    monkeypatch.setattr(transmission, "_KRYLOV_MAX_ITER", 3)
+    x, converged = transmission._gmres(_counted(lambda v: A @ v, calls), np.copy, b)
+    assert not converged and len(calls) == 3
+    assert np.linalg.norm(A @ x - b) < np.linalg.norm(b)
+
+
+def test_gmres_takes_at_most_n_steps():
+    rng = np.random.default_rng(8)
+    A = 2.0 * np.eye(8) + rng.standard_normal((8, 8))
+    b = rng.standard_normal(8)
+    calls = []
+    # no residual meets a zero tolerance, so only n bounds the steps
+    x, _ = transmission._gmres(_counted(lambda v: A @ v, calls), np.copy, b, rtol=0.0)
+    exact = np.linalg.solve(A, b)
+    assert len(calls) <= 8
+    assert np.abs(x - exact).max() <= 1e-10 * np.abs(exact).max()

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treedisk import calculus as ca
-from treedisk import transmission
+from treedisk import dtn, transmission
 from treedisk.acceptance import _random_admissible_params
 from treedisk.dtn import compress, condensed_dtn, tree_dtn_operator, truncated_dtn
 from treedisk.errors import CondensationBelowGeometricGeneration
@@ -278,6 +278,16 @@ def _check_operator(params, N, rng):
 @pytest.mark.parametrize("name,N", _level_cases())
 def test_operator_matches_dense_level_matrix(name, N):
     _check_operator(PARAMS[name], N, np.random.default_rng(N + 7 * len(name)))
+
+
+def test_operator_matches_dense_below_its_green_block():
+    # PARAMS has no p = 4 tree, and its level cases stop at p^(N+1) <= 729;
+    # at N = 4 (256 cells) the 64-cell block leaves one generation to sweep
+    params = TreeParams(p=4, ell=0.5, omega=0.3)
+    _check_operator(params, 4, np.random.default_rng(4))
+    k, green = tree_dtn_operator(params, 4)._green
+    assert k == 3
+    assert green.shape[0] == green.shape[1] <= dtn._TOP_CELLS
 
 
 @settings(max_examples=25, deadline=None)
