@@ -37,6 +37,9 @@ def main():
           % (sol.trace_defect, sol.flux_residual, sol.discretization_defect))
     print("  interface values g in [%.4f, %.4f]" % (sol.g.values.real.min(), sol.g.values.real.max()))
     print("  tree potential at the root %.4e" % sol.u_tree.root_value.real)
+    radii = np.array([1.0, 1.5, 2.0, 3.0])
+    print("  exterior potential at theta = 0, r = 1, 1.5, 2, 3 (source in 1 < r < 2): %s"
+          % ", ".join("%.4f" % v for v in sol.u_ext.eval(radii, 0.0).real))
 
     const = solve_transmission(TransmissionConfig(params=REF, level=4, alpha1=1.0,
                                                   alpha0=0.0, c_root=2.5))

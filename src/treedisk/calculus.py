@@ -3,9 +3,8 @@
 A TreeFunction stores one polynomial per edge in the local coordinate
 x = t - (L_{n,k} - ell_{n,k}) in [0, ell_{n,k}], i.e. x measures arclength
 from the parent-side vertex.  All integrals against the weighted measure
-d mu = omega_e dx are evaluated in closed form, so norms, the Green
-identity and the orthogonal splitting hold to rounding error for
-polynomial data.
+d mu = omega_e dx are evaluated in closed form, so the Green identity
+holds to rounding error for polynomial data.
 
 The weighted Laplacian acts edgewise as f'' ; membership in its L^2 domain
 additionally requires continuity and the Kirchhoff flux balance
@@ -35,13 +34,12 @@ tree.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DepthMismatch, KirchhoffViolated, NotGeometric
-from .tree import FiniteTree, TreeParams, _child_sums, build_condensed, build_truncated, require_valid
+from .errors import DepthMismatch
+from .tree import FiniteTree, _child_sums
 
 # ---------------------------------------------------------------------------
 # small dense polynomial helpers (rows = edges, columns = ascending coeffs)
@@ -119,19 +117,8 @@ class TreeFunction:
     def end_values(self, n):
         return _poly_eval(self.coeffs[n], self.tree.lengths[n])
 
-    def vertex_values(self):
-        """Values at X_{n,k} (far vertex of each edge), per generation."""
-        return [self.end_values(n) for n in range(self.tree.depth + 1)]
-
     def leaf_values(self):
         return self.end_values(self.tree.depth)
-
-    def eval_edge(self, n, k, x):
-        c = self.coeffs[n][k]
-        val = np.zeros_like(np.asarray(x, dtype=np.result_type(c.dtype, float)))
-        for j in range(c.shape[0] - 1, -1, -1):
-            val = val * x + c[j]
-        return val
 
     def expanded(self) -> "TreeFunction":
         """The same function on the full tree (tree.expanded()), each row
@@ -145,18 +132,6 @@ class TreeFunction:
 
     def derivative(self) -> "TreeFunction":
         return TreeFunction(self.tree, [_poly_der(c) for c in self.coeffs])
-
-    def continuity_defect(self) -> float:
-        """Max jump across interior vertices (roots excluded: no constraint at o)."""
-        worst = 0.0
-        p = self.tree.p
-        for n in range(self.tree.depth):
-            ends = self.end_values(n)
-            starts = self.start_values(n + 1)
-            jump = np.abs(starts - _parent_rows(ends, p, self.tree.merged(n + 1)))
-            if jump.size:
-                worst = max(worst, float(jump.max()))
-        return worst
 
     def _binary(self, other, sign):
         cs = []
@@ -175,58 +150,6 @@ class TreeFunction:
         return TreeFunction(self.tree, [c * scalar for c in self.coeffs])
 
     __rmul__ = __mul__
-
-
-def constant_function(tree: FiniteTree, value=1.0) -> TreeFunction:
-    return TreeFunction(tree, [np.full((rows, 1), value) for rows in tree.rows])
-
-
-def from_vertex_values(tree: FiniteTree, root_value, vertex_values) -> TreeFunction:
-    """Piecewise-linear interpolant of prescribed vertex values.
-
-    vertex_values[n][k] is the value at X_{n,k}; the value at o is root_value.
-    """
-    coeffs = []
-    for n in range(tree.depth + 1):
-        if n == 0:
-            a = np.full(1, root_value, dtype=np.result_type(np.asarray(root_value).dtype, float))
-        else:
-            a = _parent_rows(vertex_values[n - 1], tree.p, tree.merged(n))
-        b = np.asarray(vertex_values[n])
-        dtype = np.result_type(a.dtype, b.dtype, float)
-        c = np.empty((tree.rows[n], 2), dtype=dtype)
-        c[:, 0] = a
-        slope = np.subtract(b, a, dtype=dtype)
-        slope /= tree.lengths[n]
-        c[:, 1] = slope
-        coeffs.append(c)
-    return TreeFunction(tree, coeffs)
-
-
-# ---------------------------------------------------------------------------
-# norms and pairings
-
-
-def l2_inner(f: TreeFunction, g: TreeFunction):
-    """Weighted L^2 inner product, conjugating the second argument."""
-    _same_tree(f.tree, g.tree)
-    acc = 0.0
-    for n in range(f.tree.depth + 1):
-        prod = _poly_mul(f.coeffs[n], np.conj(g.coeffs[n]))
-        acc = acc + f.tree.multiplicity(n) * (f.tree.weights[n] * _poly_defint(prod, f.tree.lengths[n])).sum()
-    return acc
-
-
-def l2_norm(f: TreeFunction) -> float:
-    return math.sqrt(max(float(np.real(l2_inner(f, f))), 0.0))
-
-
-def h1_inner(f: TreeFunction, g: TreeFunction):
-    return l2_inner(f.derivative(), g.derivative())
-
-
-def h1_seminorm(f: TreeFunction) -> float:
-    return l2_norm(f.derivative())
 
 
 def _same_tree(a: FiniteTree, b: FiniteTree):
@@ -487,46 +410,3 @@ def solve_poisson_zero_trace(tree: FiniteTree, source: TreeFunction) -> TreeFunc
         a /= tree.lengths[n]
         c[:, 1] = a
     return TreeFunction(tree, coeffs)
-
-
-# ---------------------------------------------------------------------------
-# radial solutions on geometric trees
-
-
-@dataclass
-class RadialRecord:
-    flux: float
-
-
-def radial_harmonic(params: TreeParams, N: int, boundary_value: float = 1.0, condensed: bool = True):
-    """Closed-form harmonic function depending on the generation only.
-
-    Flux conservation across generations forces the edge slope s_n =
-    s_0 / (p omega)^n; the root-to-boundary drop is the geometric series
-    L0 sum r^n with r = ell/(p omega).  On the condensed tree the stretched
-    leaf edge restores the full series, so the flux constant equals the
-    infinite-tree value F = omega0 * (1 - r) * boundary_value / L0.
-    """
-    if params.N1 != 0 or params.length_overrides or params.weight_overrides:
-        raise NotGeometric("radial solutions need a purely geometric tree")
-    require_valid(params)
-    r = params.r
-    pw = params.p * params.omega
-    if condensed:
-        tree = build_condensed(params, N)
-        s0 = boundary_value * (1.0 - r) / params.L0
-    else:
-        tree = build_truncated(params, N)
-        s0 = boundary_value * (1.0 - r) / (params.L0 * (1.0 - r ** (N + 1)))
-    gens = tree.depth + 1
-    slopes = s0 / pw ** np.arange(gens)
-    vals = s0 * params.L0 * (1.0 - r ** (np.arange(gens) + 1)) / (1.0 - r)
-    vals[-1] = boundary_value
-    coeffs = []
-    for n in range(tree.depth + 1):
-        c = np.zeros((tree.p**n, 2))
-        c[:, 0] = vals[n - 1] if n > 0 else 0.0
-        c[:, 1] = slopes[n]
-        coeffs.append(c)
-    f = TreeFunction(tree, coeffs)
-    return f, RadialRecord(flux=float(params.omega0 * s0))

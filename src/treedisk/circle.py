@@ -30,11 +30,6 @@ min(r, p^n - r): near r = p^n, sin(pi r / p^n) is off by about 1e-14.
 Projected norms never materialize fine levels: ||P_n g||^2 = 2 pi R
 sum_r |S_r|^2 with S the fold of g, and the blocks are at most 2M + 1
 modes wide, so the multiscale A^r norms cost O(M) per level.
-
-This module also houses the boundary traces of tree functions: the leaf
-values as a level-N cell function (gamma0) and the conormal density
-omega_K u'_K / |Gamma_{N,K}| (gamma1), plus the piecewise-linear lifting
-of interface data onto a tree.
 """
 
 from __future__ import annotations
@@ -44,12 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import calculus
-from .errors import DepthMismatch, ExponentOrderViolated, KirchhoffViolated
-from .tree import FiniteTree
-
-# gamma1 rejects a tree function whose relative Kirchhoff imbalance exceeds this
-_KIRCHHOFF_TOL = 1e-8
+from .errors import DepthMismatch, ExponentOrderViolated
 
 
 class MultiscaleDecomposition:
@@ -71,20 +61,6 @@ class MultiscaleDecomposition:
 
     def cell_measure(self, n: int) -> float:
         return self.circumference / self.p**n
-
-    def cell_diameter(self, n: int) -> float:
-        """Chord of one arc: 2 R sin(pi / p^n), at most 2 pi R / p^n."""
-        if self.p**n == 1:
-            return 2 * self.R
-        return 2 * self.R * math.sin(math.pi / self.p**n)
-
-    def regularity_constants(self) -> dict:
-        # diam <= c1 * p^{-n} and |U \ (U+h)| <= c2 |h| for arcs (d = 1)
-        return {"c1": 2 * math.pi * self.R, "c2": 1.0}
-
-    def translation_defect(self, n: int, h: float) -> float:
-        """|U \\ (U + h)| for a level-n arc shifted by arclength h."""
-        return min(abs(h), self.cell_measure(n))
 
 
 class PiecewiseConstantFn:
@@ -108,9 +84,6 @@ class PiecewiseConstantFn:
 
     def l2_norm(self) -> float:
         return math.sqrt(self.decomp.cell_measure(self.level) * float((np.abs(self.values) ** 2).sum()))
-
-    def integral(self):
-        return self.decomp.cell_measure(self.level) * self.values.sum()
 
     def to_fourier(self, M: int) -> "FourierFn":
         """The modes |k| <= M of this function: the transpose of alias_fold."""
@@ -168,10 +141,6 @@ class FourierFn:
     def coeff(self, k: int) -> complex:
         return self.coeffs[k + self.M] if abs(k) <= self.M else 0.0j
 
-    def eval(self, theta) -> np.ndarray:
-        theta = np.asarray(theta, dtype=float)
-        return np.exp(1j * np.outer(theta, self.ks())) @ self.coeffs
-
     def is_real(self, tol: float = 1e-12) -> bool:
         flipped = np.conj(self.coeffs[::-1])
         scale = max(float(np.abs(self.coeffs).max()), 1e-300)
@@ -203,12 +172,6 @@ class FourierFn:
         return FourierFn(self.R, self.coeffs * scalar)
 
     __rmul__ = __mul__
-
-
-def inner(f: FourierFn, g: FourierFn) -> complex:
-    """Sesquilinear L^2(Gamma) product, integral of f * conj(g)."""
-    a, b = f._align(g)
-    return 2 * math.pi * a.R * complex(a.coeffs @ np.conj(b.coeffs))
 
 
 def _alias_classes(M: int, pn: int):
@@ -374,56 +337,3 @@ def projector_error_check(decomp: MultiscaleDecomposition, g: FourierFn, N: int,
     if not lhs <= rhs * (1 + 1e-9):
         raise AssertionError("projector error bound violated: %g > %g" % (lhs, rhs))
     return lhs, rhs
-
-
-# ---------------------------------------------------------------------------
-# traces and lifting
-
-
-@dataclass
-class LeafDensity:
-    """Conormal trace density on the leaf cells: h_K = omega_K u'_K(ell-) / |Gamma_{N,K}|."""
-
-    decomp: MultiscaleDecomposition
-    level: int
-    values: np.ndarray
-
-    def pair_with(self, v: PiecewiseConstantFn):
-        """Duality pairing integral of density * v over Gamma (bilinear)."""
-        if v.level != self.level:
-            v = project_PN(v.decomp, v, self.level) if v.level > self.level else v.refine(self.level)
-        return self.decomp.cell_measure(self.level) * (self.values * v.values).sum()
-
-
-def _check_tree_vs_decomp(tree: FiniteTree, decomp: MultiscaleDecomposition):
-    if tree.p != decomp.p:
-        raise DepthMismatch("tree branching %d != decomposition branching %d" % (tree.p, decomp.p))
-    if tree.depth > decomp.n_max:
-        raise DepthMismatch("tree depth %d exceeds decomposition n_max %d" % (tree.depth, decomp.n_max))
-
-
-def gamma0(f: calculus.TreeFunction, decomp: MultiscaleDecomposition) -> PiecewiseConstantFn:
-    """Dirichlet trace: leaf values as a cell function at the leaf level."""
-    _check_tree_vs_decomp(f.tree, decomp)
-    return PiecewiseConstantFn(decomp, f.tree.depth, f.leaf_values())
-
-
-def gamma1(f: calculus.TreeFunction, decomp: MultiscaleDecomposition) -> LeafDensity:
-    """Conormal trace density; requires f to have an L^2 Laplacian."""
-    _check_tree_vs_decomp(f.tree, decomp)
-    res = calculus.kirchhoff_residual(f)
-    if res.relative > _KIRCHHOFF_TOL:
-        raise KirchhoffViolated("interior flux imbalance %g (relative %g) exceeds %g"
-                                % (res.max_abs, res.relative, _KIRCHHOFF_TOL))
-    level = f.tree.depth
-    return LeafDensity(decomp, level, calculus.leaf_flux(f) / decomp.cell_measure(level))
-
-
-def lift_to_tree(decomp: MultiscaleDecomposition, g, tree: FiniteTree) -> calculus.TreeFunction:
-    """Piecewise-linear lifting: v(o) = 0 and v(X_{n,k}) = average of g on Gamma_{n,k}.
-
-    The Dirichlet trace of the result at depth N is exactly P_N g.
-    """
-    _check_tree_vs_decomp(tree, decomp)
-    values = [project_PN(decomp, g, n).values for n in range(tree.depth + 1)]
-    return calculus.from_vertex_values(tree, 0.0, values)

@@ -37,12 +37,19 @@ def _parse_complex(s):
     return complex(s.replace(" ", ""))
 
 
+def _parse_list(s, parse_item):
+    items = [parse_item(part.strip()) for part in s.split(",") if part.strip()]
+    if not items:
+        raise ValueError("empty list")
+    return items
+
+
 def _parse_int_list(s):
-    return [int(part.strip(), 10) for part in s.split(",") if part.strip()]
+    return _parse_list(s, _parse_int)
 
 
 def _parse_float_list(s):
-    return [float(part.strip()) for part in s.split(",") if part.strip()]
+    return _parse_list(s, _parse_float)
 
 
 # key -> (parser, default); required keys carry the sentinel _REQUIRED

@@ -252,10 +252,6 @@ class CoercivityReport:
     eig_max: float
     const_image: float
 
-    @property
-    def positive_definite(self) -> bool:
-        return self.eig_min > 0
-
 
 def coercivity_check(A: np.ndarray) -> CoercivityReport:
     """Spectral summary of the symmetrized matrix plus the constant-vector image."""

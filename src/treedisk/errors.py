@@ -32,14 +32,6 @@ class DepthMismatch(TreediskError):
     """Tree depth, decomposition level, or function level do not line up."""
 
 
-class KirchhoffViolated(TreediskError):
-    """Flux balance at interior vertices fails beyond tolerance; gamma1 is undefined."""
-
-
-class NotGeometric(TreediskError):
-    """Operation requires a purely geometric tree (no overrides, N1 = 0)."""
-
-
 class AssemblyTooLarge(InvalidInput):
     """A dense operator or a tree exceeds its size budget; raised before it is allocated."""
 

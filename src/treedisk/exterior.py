@@ -14,8 +14,9 @@ per mode by variation of parameters around the homogeneous pair
 (r^{|k|}, r^{-|k|}), or (1, log r) for the mean mode, in the bounded
 radiation class: solutions stay O(1) at infinity.
 
-Normal direction convention: gamma1 is d/dr at r = R, pointing out of the
-disk into the exterior domain.
+Normal direction convention: the conormal trace gamma1
+(ExteriorField.trace1) is d/dr at r = R, pointing out of the disk into the
+exterior domain.
 """
 
 import math
@@ -67,12 +68,6 @@ class ExteriorSymbol:
         if abs(k) > self.M:
             raise IndexError("mode %d beyond cutoff %d" % (k, self.M))
         return float(self.values[k + self.M])
-
-    def apply(self, g: FourierFn) -> FourierFn:
-        """Multiply a Fourier function by the symbol (modes beyond M are dropped)."""
-        m = min(self.M, g.M)
-        values = self.values[self.M - m : self.M + m + 1]
-        return FourierFn(self.R, values * g.coeffs[g.M - m : g.M + m + 1])
 
 
 def check_mode_budget(M: int) -> None:
@@ -220,16 +215,6 @@ class RadialSource:
         out[(r < self.R) | (r > self.r_max)] = 0.0
         return complex(out[0]) if scalar else out
 
-    def is_real(self, tol: float = 1e-12) -> bool:
-        prof = dict(self.terms)
-        for k, pk in prof.items():
-            qk = prof.get(-k, {})
-            keys = set(pk) | set(qk)
-            for m in keys:
-                if abs(pk.get(m, 0.0) - np.conj(qk.get(m, 0.0))) > tol:
-                    return False
-        return True
-
 
 def _source_integral(source: RadialSource, k: int, expo: float, upper: float,
                      with_log: bool = False, scale: float = 1.0) -> complex:
@@ -328,23 +313,6 @@ class ExteriorField:
         coeffs[self.M] = self.b[self.M] / self.R
         return FourierFn(self.R, coeffs)
 
-    def __add__(self, other):
-        if not isinstance(other, ExteriorField):
-            return NotImplemented
-        if abs(self.R - other.R) > 1e-12 * self.R:
-            raise ValueError("field radii differ")
-        M = max(self.M, other.M)
-        a = _centered(self.a, M) + _centered(other.a, M)
-        b = _centered(self.b, M) + _centered(other.b, M)
-        if self.source is not None and other.source is not None:
-            if abs(self.source.r_max - other.source.r_max) > 1e-12:
-                raise ValueError("cannot merge sources with different supports")
-            src = RadialSource(self.R, self.source.r_max,
-                               list(self.source.terms) + list(other.source.terms))
-        else:
-            src = self.source or other.source
-        return ExteriorField(self.R, a, b, source=src)
-
 
 def solve_exterior_dirichlet(g, source: RadialSource | None, R: float | None = None) -> ExteriorField:
     """Solve Delta u = f outside the disk with u = g on the boundary circle.
@@ -386,11 +354,6 @@ def solve_exterior_dirichlet(g, source: RadialSource | None, R: float | None = N
             a_c = ghat - b_c * math.log(R)
         a[k + M], b[k + M] = a_c, b_c
     return ExteriorField(R=float(R), a=a, b=b, source=source)
-
-
-def gamma1_exterior(u: ExteriorField) -> FourierFn:
-    """Outward radial derivative of the field at r = R, as a Fourier function."""
-    return u.trace1()
 
 
 # ---------------------------------------------------------------------------
@@ -440,13 +403,8 @@ def circulant_view(row: np.ndarray) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(doubled, n)[n - 1::-1]
 
 
-def circulant(row: np.ndarray) -> np.ndarray:
-    """The dense circulant with first column row: a copy of circulant_view."""
-    check_dense(row.size)
-    return circulant_view(row).copy()
-
-
 def dtn_galerkin(decomp: MultiscaleDecomposition, N: int, symbol: ExteriorSymbol) -> np.ndarray:
-    """Dense level-N Galerkin matrix of a symbol: the circulant of galerkin_row."""
+    """Dense level-N Galerkin matrix of a symbol: a copy of the circulant view
+    of galerkin_row."""
     check_dense(decomp.n_cells(N))
-    return circulant(galerkin_row(decomp, N, symbol))
+    return circulant_view(galerkin_row(decomp, N, symbol)).copy()

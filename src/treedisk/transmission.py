@@ -50,7 +50,6 @@ import numpy as np
 from . import circle
 from .calculus import (
     TreeFunction,
-    constant_function,
     leaf_flux,
     solve_harmonic_dirichlet,
     solve_poisson_zero_trace,
@@ -72,10 +71,10 @@ from .errors import (
 from .exterior import (
     MODE_OVERSAMPLING,
     RadialSource,
+    check_mode_budget,
     circulant_view,
     dtn_symbol,
     galerkin_row,
-    gamma1_exterior,
     solve_exterior_dirichlet,
 )
 from .tree import FiniteTree, TreeParams, build_condensed, check_tree_budget
@@ -110,20 +109,14 @@ def _exact_real(x) -> np.ndarray:
     return x.real.astype(float, copy=False)
 
 
-def root_bump(tree: FiniteTree) -> TreeFunction:
-    """The ansatz function u1: (1 - t/l_root)^2 on the root edge, zero beyond.
+def _root_bump_coeffs(tree: FiniteTree) -> np.ndarray:
+    """Root-edge coefficients of the ansatz function u1: (1 - t/l_root)^2 on
+    the root edge, zero beyond.
 
     u1(o) = 1, the trace and the leaf fluxes vanish identically, and the
     Laplacian is the constant 2/l_root^2 on the root edge, so u1 carries a
     root value into the source problem without touching the interface.
     """
-    u1 = constant_function(tree, 0.0)
-    u1.coeffs[0] = _root_bump_coeffs(tree)
-    return u1
-
-
-def _root_bump_coeffs(tree: FiniteTree) -> np.ndarray:
-    """Root-edge coefficients of u1; every other edge of u1 is zero."""
     l0 = tree.lengths[0][0]
     return np.array([[1.0, -2.0 / l0, 1.0 / l0**2]])
 
@@ -365,7 +358,7 @@ def assemble_system(cfg: TransmissionConfig) -> InterfaceSystem:
     h = np.zeros(pn)
     if cfg.exterior_source is not None:
         v_f = solve_exterior_dirichlet(None, cfg.exterior_source, R=cfg.R)
-        flux = gamma1_exterior(v_f)
+        flux = v_f.trace1()
         flux_integrals = circle.cell_integrals(decomp, flux, cfg.level)
         # conjugate-symmetric modes integrate to real cell values; the
         # imaginary parts of the fold are rounding only
@@ -646,7 +639,7 @@ def reconstruct(system: InterfaceSystem, g: PiecewiseConstantFn) -> Transmission
     if not trace_defect <= 1e-10:
         raise AssertionError("interface traces disagree by %.3e" % trace_defect)
 
-    flux_ext = circle.cell_integrals(decomp, gamma1_exterior(u_ext), cfg.level)
+    flux_ext = circle.cell_integrals(decomp, u_ext.trace1(), cfg.level)
     flux_tree = _cell_flux(u_T)
     a0 = cfg.alpha0_cells()
     mass = a0 * circle.cell_integrals(decomp, g_fourier, cfg.level)
@@ -696,7 +689,8 @@ def convergence_study(cfg: TransmissionConfig, N_list, manufactured=None) -> Con
     level) so levels are compared consistently.  Raises AssertionError
     unless the H^{1/2} errors are monotone nonincreasing with a positive
     fitted rate; both checks are skipped once the errors sit at the
-    rounding floor (datum resolved exactly).
+    rounding floor (datum resolved exactly).  The finest level's mode and
+    tree budgets are checked before any level is solved (AssemblyTooLarge).
     """
     levels = sorted(set(int(n) for n in N_list))
     needed = 2 if manufactured is not None else 3
@@ -710,15 +704,20 @@ def convergence_study(cfg: TransmissionConfig, N_list, manufactured=None) -> Con
             "tree source lives at depth %d, below the finest study level %d"
             % (cfg.source_depth, max(levels)))
 
+    def level_config(n):
+        if manufactured is not None:
+            return dataclasses.replace(cfg, level=n, source_depth=None, c_root=0,
+                                       tree_source=None, exterior_source=None)
+        sd = cfg.source_depth if cfg.tree_source is not None else max(cfg.source_depth, n)
+        return dataclasses.replace(cfg, level=n, source_depth=sd)
+
+    finest = level_config(max(levels))
+    check_mode_budget(m_ref)
+    check_tree_budget(finest.params, finest.source_depth + 1, finest.level)
+
     coeffs = []
     for n in levels:
-        if manufactured is not None:
-            cfg_n = dataclasses.replace(cfg, level=n, source_depth=None, c_root=0,
-                                        tree_source=None, exterior_source=None)
-        else:
-            sd = cfg.source_depth if cfg.tree_source is not None else max(cfg.source_depth, n)
-            cfg_n = dataclasses.replace(cfg, level=n, source_depth=sd)
-        system = assemble_system(cfg_n)
+        system = assemble_system(level_config(n))
         if manufactured is not None:
             datum = np.asarray(circle.cell_averages(system.decomp, manufactured, n), dtype=complex)
             system.h = -system.apply(datum)

@@ -185,15 +185,14 @@ class FiniteTree:
 
     Per-generation arrays lengths[n][k] and weights[n][k].  build_truncated
     takes them straight from the parameters; build_condensed stretches the
-    leaf edges so that they absorb the geometric tails.  What the tree
-    determines, the root distances `dist` and the leaves-to-root
-    `elimination`, is computed on first access and kept.
+    leaf edges so that they absorb the geometric tails.  The leaves-to-root
+    `elimination` the tree determines is computed on first access and kept.
 
     rows[n] is the number of rows stored for generation n: p^n on a full
     tree.  On a compressed tree a generation with as many rows as its
     parent generation (`merged`) stores one row for all p children of each
-    parent row, and each row stands for `multiplicity(n)` edges.  n_leaves
-    and n_edges count stored rows; the totals count every edge.
+    parent row, and each row stands for `multiplicity(n)` edges; n_leaves
+    counts stored rows.
     """
 
     def __init__(self, params: TreeParams, depth: int, lengths, weights):
@@ -218,22 +217,6 @@ class FiniteTree:
     @property
     def n_leaves(self) -> int:
         return self.rows[self.depth]
-
-    @property
-    def n_edges(self) -> int:
-        return sum(self.rows)
-
-    @cached_property
-    def dist(self) -> list:
-        """dist[n][k]: the root distance L_{n,k} of the far vertex X_{n,k}.
-
-        The root vertex o sits at distance 0 below edge (0, 0).
-        """
-        dist = [self.lengths[0].copy()]
-        for n in range(1, self.depth + 1):
-            parent = dist[-1] if self.merged(n) else np.repeat(dist[-1], self.p)
-            dist.append(parent + self.lengths[n])
-        return dist
 
     @cached_property
     def elimination(self) -> tuple:
@@ -266,14 +249,6 @@ class FiniteTree:
         for arr in c + pivot:
             arr.setflags(write=False)
         return c, pivot
-
-    def total_length(self) -> float:
-        return float(sum(self.multiplicity(n) * arr.sum() for n, arr in enumerate(self.lengths)))
-
-    def total_measure(self) -> float:
-        """mu(T) = sum of omega_e * ell_e over edges."""
-        return float(sum(self.multiplicity(n) * (self.lengths[n] * self.weights[n]).sum()
-                         for n in range(self.depth + 1)))
 
     def expanded(self) -> "FiniteTree":
         """The full tree this one stands for: each row repeated over its edges.

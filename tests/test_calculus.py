@@ -6,12 +6,75 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from oracles import constant_function, from_vertex_values, l2_inner, total_length, total_measure
 from treedisk import calculus as ca
-from treedisk.errors import NotGeometric
 from treedisk.tree import TreeParams, build_condensed, build_truncated
 
 REF = TreeParams(p=2, ell=0.5, omega=0.4)
 INTERVAL = TreeParams(p=1, ell=0.5, omega=1.0)
+
+
+def l2_norm(f):
+    return math.sqrt(max(float(np.real(l2_inner(f, f))), 0.0))
+
+
+def h1_inner(f, g):
+    return l2_inner(f.derivative(), g.derivative())
+
+
+def h1_seminorm(f):
+    return l2_norm(f.derivative())
+
+
+def eval_edge(f, n, k, x):
+    """Edge (n, k) of f at the local coordinates x, by Horner."""
+    c = f.coeffs[n][k]
+    val = np.zeros_like(np.asarray(x, dtype=np.result_type(c.dtype, float)))
+    for j in range(c.shape[0] - 1, -1, -1):
+        val = val * x + c[j]
+    return val
+
+
+def continuity_defect(f):
+    """Max jump across interior vertices (roots excluded: no constraint at o)."""
+    worst = 0.0
+    for n in range(f.tree.depth):
+        parents = ca._parent_rows(f.end_values(n), f.tree.p, f.tree.merged(n + 1))
+        jump = np.abs(f.start_values(n + 1) - parents)
+        if jump.size:
+            worst = max(worst, float(jump.max()))
+    return worst
+
+
+def radial_harmonic(params, N, boundary_value=1.0, condensed=True):
+    """(f, flux): the closed-form harmonic function of a geometric tree that
+    depends on the generation only, and its flux through the root.
+
+    Flux conservation across generations forces the edge slope s_n =
+    s_0 / (p omega)^n; the root-to-boundary drop is the geometric series
+    L0 sum r^n with r = ell/(p omega).  On the condensed tree the stretched
+    leaf edge restores the full series, so the flux constant equals the
+    infinite-tree value F = omega0 * (1 - r) * boundary_value / L0.
+    """
+    r = params.r
+    pw = params.p * params.omega
+    if condensed:
+        tree = build_condensed(params, N)
+        s0 = boundary_value * (1.0 - r) / params.L0
+    else:
+        tree = build_truncated(params, N)
+        s0 = boundary_value * (1.0 - r) / (params.L0 * (1.0 - r ** (N + 1)))
+    gens = tree.depth + 1
+    slopes = s0 / pw ** np.arange(gens)
+    vals = s0 * params.L0 * (1.0 - r ** (np.arange(gens) + 1)) / (1.0 - r)
+    vals[-1] = boundary_value
+    coeffs = []
+    for n in range(tree.depth + 1):
+        c = np.zeros((tree.p**n, 2))
+        c[:, 0] = vals[n - 1] if n > 0 else 0.0
+        c[:, 1] = slopes[n]
+        coeffs.append(c)
+    return ca.TreeFunction(tree, coeffs), float(params.omega0 * s0)
 
 
 def random_polynomial(tree, rng, degree=2, complex_=False):
@@ -33,26 +96,26 @@ def random_continuous(tree, rng, degree=2):
 
 def test_constant_measure():
     T = build_truncated(REF, 6)
-    one = ca.constant_function(T, 1.0)
-    assert ca.l2_norm(one) ** 2 == pytest.approx(T.total_measure(), rel=1e-14)
-    assert ca.h1_seminorm(one) == 0.0
+    one = constant_function(T, 1.0)
+    assert l2_norm(one) ** 2 == pytest.approx(total_measure(T), rel=1e-14)
+    assert h1_seminorm(one) == 0.0
 
 
 def test_eval_and_vertex_values():
     T = build_truncated(REF, 2)
-    f = ca.from_vertex_values(T, 1.0, [np.array([2.0]), np.array([3.0, 0.0]), np.array([4.0, 2.0, 1.0, -1.0])])
+    f = from_vertex_values(T, 1.0, [np.array([2.0]), np.array([3.0, 0.0]), np.array([4.0, 2.0, 1.0, -1.0])])
     assert f.root_value == 1.0
-    assert f.eval_edge(0, 0, 0.5) == pytest.approx(1.5)
-    assert f.continuity_defect() == 0.0
+    assert eval_edge(f, 0, 0, 0.5) == pytest.approx(1.5)
+    assert continuity_defect(f) == 0.0
     np.testing.assert_allclose(f.leaf_values(), [4.0, 2.0, 1.0, -1.0])
 
 
 def test_interval_poisson():
     # u'' = 1 on [0, 1], u(0) = u(1) = 0  ->  u = (x^2 - x)/2
     T = build_truncated(INTERVAL, 0)
-    u = ca.solve_poisson_zero_trace(T, ca.constant_function(T, 1.0))
+    u = ca.solve_poisson_zero_trace(T, constant_function(T, 1.0))
     np.testing.assert_allclose(u.coeffs[0], [[0.0, -0.5, 0.5]], atol=1e-15)
-    assert ca.l2_norm(u) == pytest.approx(math.sqrt(1.0 / 120.0), rel=1e-12)
+    assert l2_norm(u) == pytest.approx(math.sqrt(1.0 / 120.0), rel=1e-12)
 
 
 def test_interval_harmonic_chain():
@@ -61,35 +124,29 @@ def test_interval_harmonic_chain():
     u = ca.solve_harmonic_dirichlet(T, np.array([1.0]))
     for n in range(3):
         assert u.coeffs[n][0, 1] == pytest.approx(1 / 1.75)
-    assert ca.h1_seminorm(u) ** 2 == pytest.approx(1 / 1.75)
+    assert h1_seminorm(u) ** 2 == pytest.approx(1 / 1.75)
 
 
 def test_radial_flux_reference():
-    f, rec = ca.radial_harmonic(REF, N=4, boundary_value=1.0, condensed=True)
-    assert rec.flux == pytest.approx(0.375, abs=1e-15)
+    f, flux = radial_harmonic(REF, N=4, boundary_value=1.0, condensed=True)
+    assert flux == pytest.approx(0.375, abs=1e-15)
     np.testing.assert_allclose(f.leaf_values(), 1.0)
     assert ca.kirchhoff_residual(f).relative < 1e-14
     # truncated flux exceeds the infinite-tree value and converges to it
     prev = None
     for N in range(2, 12):
-        _, rt = ca.radial_harmonic(REF, N=N, boundary_value=1.0, condensed=False)
+        _, flux = radial_harmonic(REF, N=N, boundary_value=1.0, condensed=False)
         expect = (1 - 0.625) / (1 - 0.625 ** (N + 1))
-        assert rt.flux == pytest.approx(expect, rel=1e-13)
-        assert rt.flux > 0.375
+        assert flux == pytest.approx(expect, rel=1e-13)
+        assert flux > 0.375
         if prev is not None:
-            assert rt.flux < prev
-        prev = rt.flux
-
-
-def test_radial_needs_geometric():
-    P = TreeParams(p=2, ell=0.5, omega=0.4, N1=1, length_overrides={(0, 0): 1.5})
-    with pytest.raises(NotGeometric):
-        ca.radial_harmonic(P, 3)
+            assert flux < prev
+        prev = flux
 
 
 def test_harmonic_matches_radial():
     T = build_condensed(REF, 4)
-    f, _ = ca.radial_harmonic(REF, N=4, condensed=True)
+    f, _ = radial_harmonic(REF, N=4, condensed=True)
     u = ca.solve_harmonic_dirichlet(T, np.ones(T.n_leaves))
     d = u - f
     assert max(float(np.abs(c).max()) for c in d.coeffs) < 1e-13
@@ -104,10 +161,10 @@ def test_harmonic_energy_orthogonality():
     f0 = f - h
     assert abs(f0.root_value) < 1e-12
     assert np.abs(f0.leaf_values()).max() < 1e-12
-    cross = ca.h1_inner(f0, h)
-    assert abs(cross) < 1e-11 * ca.h1_seminorm(f) ** 2
-    lhs = ca.h1_seminorm(f) ** 2
-    rhs = ca.h1_seminorm(f0) ** 2 + ca.h1_seminorm(h) ** 2
+    cross = h1_inner(f0, h)
+    assert abs(cross) < 1e-11 * h1_seminorm(f) ** 2
+    lhs = h1_seminorm(f) ** 2
+    rhs = h1_seminorm(f0) ** 2 + h1_seminorm(h) ** 2
     assert lhs == pytest.approx(rhs, rel=1e-11)
 
 
@@ -121,7 +178,7 @@ def test_poisson_solves_laplacian():
         d = lap - s
         assert max(float(np.abs(c).max()) for c in d.coeffs) < 1e-12
         assert kres.relative < 1e-12
-        assert u.continuity_defect() < 1e-13
+        assert continuity_defect(u) < 1e-13
         assert abs(u.root_value) < 1e-14
         assert np.abs(u.leaf_values()).max() < 1e-13
 
@@ -165,8 +222,8 @@ def test_green_identity_quadrature_oracle():
             ell, w = T.lengths[n][k], T.weights[n][k]
             xs = 0.5 * ell * (x64 + 1)
             ws = 0.5 * ell * w64
-            bulk += w * (ws * lap.eval_edge(n, k, xs) * v.eval_edge(n, k, xs)).sum()
-            grad += w * (ws * du.eval_edge(n, k, xs) * dv.eval_edge(n, k, xs)).sum()
+            bulk += w * (ws * eval_edge(lap, n, k, xs) * eval_edge(v, n, k, xs)).sum()
+            grad += w * (ws * eval_edge(du, n, k, xs) * eval_edge(dv, n, k, xs)).sum()
     pairing = (ca.leaf_flux(u) * v.leaf_values()).sum()
     assert pairing == pytest.approx(bulk + grad, rel=1e-12)
     rep = ca.green_identity_check(u, v)
@@ -175,18 +232,18 @@ def test_green_identity_quadrature_oracle():
 
 def test_green_identity_rejects_nonzero_root():
     T = build_truncated(REF, 1)
-    u = ca.constant_function(T, 1.0)
-    v = ca.constant_function(T, 1.0)
+    u = constant_function(T, 1.0)
+    v = constant_function(T, 1.0)
     with pytest.raises(ValueError):
         ca.green_identity_check(u, v)
 
 
 def test_leaf_flux_radial():
-    f, rec = ca.radial_harmonic(REF, N=3, condensed=True)
+    f, total = radial_harmonic(REF, N=3, condensed=True)
     flux = ca.leaf_flux(f)
     # per-leaf share of the total current
-    np.testing.assert_allclose(flux.sum(), rec.flux, rtol=1e-13)
-    np.testing.assert_allclose(flux, rec.flux / 16)
+    np.testing.assert_allclose(flux.sum(), total, rtol=1e-13)
+    np.testing.assert_allclose(flux, total / 16)
 
 
 def test_leaf_flux_matches_full_derivative():
@@ -235,7 +292,7 @@ def poincare_constant(tree):
     p = tree.p
     offsets = np.cumsum([0] + [p**n for n in range(tree.depth + 1)])
     nv = offsets[-1]
-    ne = tree.n_edges
+    ne = sum(tree.rows)
     ndof = nv + 2 * ne
     A = np.zeros((ndof, ndof))
     B = np.zeros((ndof, ndof))
@@ -270,7 +327,7 @@ def test_poincare_interval():
     T = build_truncated(INTERVAL, 0)
     assert poincare_constant(T) == pytest.approx(2 / math.pi, rel=2e-2)
     T2 = build_truncated(INTERVAL, 4)
-    L = T2.total_length()
+    L = total_length(T2)
     assert poincare_constant(T2) == pytest.approx(2 * L / math.pi, rel=2e-2)
 
 

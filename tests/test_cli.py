@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treedisk import cli
+from treedisk import cli, transmission
 from treedisk.config import parse_config
 from treedisk.dtn import condensed_dtn
 from treedisk.errors import CutoffTooSmall
@@ -152,9 +152,13 @@ _ABOVE_LEVEL = REF_TEXT + "[tree]\nN1 = 4\n"
      "invalid input: condensation at N=2"),
     (REF_TEXT + "[transmission]\nlevels = 3, 4\n", ["convergence", "--out", "OUT/conv.csv"],
      "invalid input: need at least 3"),
+    (REF_TEXT + "[transmission]\nlevels =\n", ["convergence", "--out", "OUT/conv.csv"],
+     "line 20: bad value for 'transmission.levels': empty list"),
+    (REF_TEXT + "[source.exterior]\nprofile.2 =\n", ["transmission", "--out-prefix", "OUT/run_"],
+     "line 20: bad value for 'source.exterior.profile.2': empty list"),
 ], ids=["alpha1-zero", "p-zero", "level-below-N1", "pencil-level-below-N1",
         "source-depth-below-level", "tree-dtn-negative-depth", "tree-dtn-depth-below-N1",
-        "two-levels"])
+        "two-levels", "empty-levels", "empty-profile"])
 def test_invalid_input_exits_2(tmp_path, capsys, text, argv, message):
     path = tmp_path / "bad.ini"
     path.write_text(text)
@@ -189,6 +193,21 @@ def test_invalid_value_exits_2_with_one_line(tmp_path, capsys, text, argv, messa
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("invalid input: ") and message in err and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_convergence_checks_the_finest_level_before_solving(tmp_path, capsys, monkeypatch):
+    # modes up to 16 * 2^20 at level 20 exceed the mode budget; the levels
+    # 3 and 4 are not solved first
+    def solve_interface(system):
+        raise RuntimeError("level %d solved before the budget check" % system.config.level)
+
+    monkeypatch.setattr(transmission, "solve_interface", solve_interface)
+    path = tmp_path / "conv.ini"
+    path.write_text(REF_TEXT + "[transmission]\nlevels = 3, 4, 20\nmanufactured_mode = 1\n")
+    out = tmp_path / "conv.csv"
+    assert cli.main(["convergence", "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("problem too large: modes up to")
     assert list(tmp_path.iterdir()) == [path]
 
 

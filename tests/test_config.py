@@ -89,6 +89,15 @@ def test_bad_value_reports_line():
         parse_text("tree.p = two\ntree.ell = 0.5\ntree.omega = 0.4\n")
 
 
+@pytest.mark.parametrize("line", ["transmission.levels =", "transmission.levels = ,",
+                                  "source.exterior.profile.1 =", "source.exterior.profile.-2 = , "])
+def test_empty_list_value_rejected(line):
+    # an empty level list crashed the convergence study, and an empty
+    # profile was accepted as no source at all
+    with pytest.raises(ConfigError, match=r"line 6: bad value for '[^']+': empty list"):
+        parse_text(BASE + "%s\n" % line)
+
+
 def test_non_finite_value_rejected():
     with pytest.raises(ConfigError, match="non-finite"):
         parse_text("tree.p = 2\ntree.ell = inf\ntree.omega = 0.4\n")

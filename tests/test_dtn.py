@@ -83,7 +83,6 @@ def test_symmetry_and_coercivity():
     report = coercivity_check(A)
     assert report.symmetry_defect < 1e-12
     assert report.eig_min > 0.0
-    assert report.positive_definite
     # constants see the full flux, split evenly across the 2^{N+1} leaf cells
     assert report.const_image == pytest.approx(A.sum() / len(A), rel=1e-12)
     # the defect is relative to the largest entry

@@ -11,10 +11,9 @@ from treedisk.exterior import (
     RadialSource,
     _source_integral,
     bie_dtn_crosscheck,
-    circulant,
+    circulant_view,
     dtn_galerkin,
     dtn_symbol,
-    gamma1_exterior,
     layer_symbols,
     single_layer_quadrature,
     solve_exterior_dirichlet,
@@ -80,7 +79,7 @@ def test_harmonic_extension_and_gamma1():
     u = solve_exterior_dirichlet(g, None)
     assert u.eval_mode(2, 2.0) == pytest.approx(0.25)
     assert u.eval_mode(-1, 4.0) == pytest.approx(0.125)
-    t1 = gamma1_exterior(u)
+    t1 = u.trace1()
     assert t1.coeff(2) == pytest.approx(-2.0)
     assert t1.coeff(-1) == pytest.approx(-0.5)
     # traces reproduce the data
@@ -92,7 +91,7 @@ def test_constant_data_is_constant_field():
     g = FourierFn.from_modes(R, {0: 2.5})
     u = solve_exterior_dirichlet(g, None)
     assert u.eval_mode(0, 7.0) == pytest.approx(2.5)
-    assert abs(gamma1_exterior(u).coeff(0)) == 0.0
+    assert abs(u.trace1().coeff(0)) == 0.0
 
 
 def _bump_source(k, r_max):
@@ -132,10 +131,10 @@ def test_field_superposition():
     src = _bump_source(2, 2.0)
     g1 = FourierFn.from_modes(R, {2: 1.0})
     g2 = FourierFn.from_modes(R, {1: 0.5, 0: 1.0})
-    u = solve_exterior_dirichlet(g1, src) + solve_exterior_dirichlet(g2, None)
+    u1, u2 = solve_exterior_dirichlet(g1, src), solve_exterior_dirichlet(g2, None)
     v = solve_exterior_dirichlet(g1 + g2, src)
     for k in (0, 1, 2):
-        assert u.eval_mode(k, 1.8) == pytest.approx(v.eval_mode(k, 1.8), abs=1e-13)
+        assert u1.eval_mode(k, 1.8) + u2.eval_mode(k, 1.8) == pytest.approx(v.eval_mode(k, 1.8), abs=1e-13)
 
 
 def _oracle_modes(g, source, R):
@@ -187,18 +186,21 @@ def test_array_field_matches_per_mode_oracle(radius):
     # set by the source mode 9, not by the padding
     g = FourierFn(radius, rng.standard_normal(13) + 1j * rng.standard_normal(13)).pad_to(40)
     g2 = FourierFn.from_modes(radius, {1: 0.3, -4: 2.0 - 1j, 0: 0.8})
-    u = (solve_exterior_dirichlet(g, src)
-         + solve_exterior_dirichlet(g2, None)
-         + solve_exterior_dirichlet(None, src, R=radius))
+    fields = [solve_exterior_dirichlet(g, src),
+              solve_exterior_dirichlet(g2, None),
+              solve_exterior_dirichlet(None, src, R=radius)]
     modes = _oracle_add(_oracle_add(_oracle_modes(g, src, radius),
                                     _oracle_modes(g2, None, radius)),
                         _oracle_modes(None, src, radius))
     t0, t1 = _oracle_traces(modes, radius)
-    assert u.trace0().coeffs.shape == t0.shape == (19,)
-    assert np.abs(u.trace0().coeffs - t0).max() <= 1e-14 * np.abs(t0).max()
-    assert np.abs(u.trace1().coeffs - t1).max() <= 1e-14 * np.abs(t1).max()
+    trace0 = fields[0].trace0() + fields[1].trace0() + fields[2].trace0()
+    trace1 = fields[0].trace1() + fields[1].trace1() + fields[2].trace1()
+    assert trace0.coeffs.shape == t0.shape == (19,)
+    assert np.abs(trace0.coeffs - t0).max() <= 1e-14 * np.abs(t0).max()
+    assert np.abs(trace1.coeffs - t1).max() <= 1e-14 * np.abs(t1).max()
     for k in range(-10, 11):
-        assert np.allclose(u.mode_coeffs(k), modes.get(k, (0.0, 0.0)), rtol=1e-14, atol=0.0)
+        coeffs = np.sum([u.mode_coeffs(k) for u in fields], axis=0)
+        assert np.allclose(coeffs, modes.get(k, (0.0, 0.0)), rtol=1e-14, atol=0.0)
 
 
 def test_radial_source_validation():
@@ -208,8 +210,6 @@ def test_radial_source_validation():
     assert src.modes() == [-1, 1]
     assert src.profile_value(1, 1.5) == pytest.approx(3.0)
     assert src.profile_value(1, 2.5) == 0.0
-    assert RadialSource(1.0, 2.0, [(1, {0: 1 + 2j}), (-1, {0: 1 - 2j})]).is_real()
-    assert not RadialSource(1.0, 2.0, [(1, {0: 1j})]).is_real()
 
 
 def test_eval_inside_disk_rejected():
@@ -265,16 +265,8 @@ def test_galerkin_warns_on_small_cutoff():
         dtn_galerkin(dec, 3, dtn_symbol(R, 16))
 
 
-def test_symbol_apply():
-    sym = dtn_symbol(R, 8)
-    g = FourierFn.from_modes(R, {1: 2.0, -3: 1.0})
-    out = sym.apply(g)
-    assert out.coeff(1) == pytest.approx(-2.0)
-    assert out.coeff(-3) == pytest.approx(-3.0)
-
-
 @pytest.mark.parametrize("n", [1, 2, 5, 8, 27])
 def test_circulant_matches_scipy(n):
     rng = np.random.default_rng(n)
     row = rng.standard_normal(n)
-    assert np.array_equal(circulant(row), scipy.linalg.circulant(row))
+    assert np.array_equal(circulant_view(row), scipy.linalg.circulant(row))

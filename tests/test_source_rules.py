@@ -4,9 +4,11 @@ import ast
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "treedisk"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "treedisk"
 
 
 def test_no_check_depends_on_assert():
@@ -56,3 +58,45 @@ def test_a_solve_and_the_pencil_load_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          timeout=120, check=True).stdout
     assert out == "[]\n"
+
+
+def _identifiers(node) -> Counter:
+    """How often each identifier occurs in the code under node: names,
+    attributes and imported names.  Docstrings, comments and other strings
+    are not code."""
+    found = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            found[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            found[sub.attr] += 1
+        elif isinstance(sub, ast.alias):
+            found[sub.name.rsplit(".", 1)[-1]] += 1
+    return found
+
+
+def test_every_definition_has_a_caller():
+    """Every function, class and method defined in src/treedisk is named on a
+    user path: in src/treedisk outside its own definition, in demos/, or in
+    perfbench/ outside perfbench/tests.  Dunder methods are exempt.
+
+    A name is matched without its owner, so definitions that share a name
+    hide each other: the demos' calls of ExteriorSymbol.coeff also count for
+    FourierFn.coeff, which no user path calls.
+    """
+    paths = sorted(SRC.glob("*.py")) + sorted((ROOT / "demos").glob("*.py")) + sorted(
+        (ROOT / "perfbench").glob("*.py"))
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path)) for path in paths}
+    named = sum((_identifiers(tree) for tree in trees.values()), Counter())
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(trees[path]):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            name = node.name
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            if named[name] == _identifiers(node)[name]:
+                unused.append((path.name, node.lineno, name))
+    assert SRC.is_dir() and not unused, "named on no user path: %s" % ", ".join(
+        "%s:%d %s" % site for site in sorted(unused))

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import constant_function
 from treedisk import calculus, circle, dtn, transmission
 from treedisk import tree as tree_module
 from treedisk.calculus import TreeFunction
@@ -12,6 +13,7 @@ from treedisk.circle import FourierFn, MultiscaleDecomposition, PiecewiseConstan
 from treedisk.config import parse_text
 from treedisk.errors import (
     Alpha1Zero,
+    AssemblyTooLarge,
     DepthBelowChartLevel,
     DepthMismatch,
     InsufficientLevels,
@@ -25,13 +27,20 @@ from treedisk.transmission import (
     convergence_study,
     plasmonic_pencil,
     reconstruct,
-    root_bump,
     solve_interface,
     solve_transmission,
 )
 from treedisk.tree import TreeParams, build_condensed
 
 REF = TreeParams(p=2, ell=0.5, omega=0.4, L0=1.0, omega0=1.0)
+
+
+def root_bump(tree):
+    """The ansatz function u1 of the root datum: transmission._root_bump_coeffs
+    on the root edge, zero beyond."""
+    u1 = constant_function(tree, 0.0)
+    u1.coeffs[0] = transmission._root_bump_coeffs(tree)
+    return u1
 
 
 def _ext_source(k=1, amp=1.0):
@@ -112,9 +121,7 @@ def test_root_bump_properties():
     u1 = root_bump(tree)
     assert u1.root_value == 1.0
     assert np.abs(u1.leaf_values()).max() == 0.0
-    from treedisk.calculus import leaf_flux
-
-    assert np.abs(leaf_flux(u1)).max() == 0.0
+    assert np.abs(calculus.leaf_flux(u1)).max() == 0.0
 
 
 def test_flux_residual_within_discretization_defect():
@@ -204,6 +211,23 @@ def test_study_needs_enough_levels():
         convergence_study(cfg, [3], manufactured=gstar)
     with pytest.raises(InsufficientLevels):
         convergence_study(cfg, [3, 4], manufactured=None)
+
+
+@pytest.mark.parametrize("levels, manufactured, source_depth", [
+    # modes up to 16 * 2^20 exceed the mode budget
+    ([3, 4, 20], FourierFn.from_modes(1.0, {1: 0.5, -1: 0.5}), None),
+    # 2^19 rows in each of 42 generations below level 19 exceed the tree budget
+    ([3, 4, 19], None, 60),
+], ids=["mode-budget", "tree-budget"])
+def test_study_checks_the_finest_level_before_solving(monkeypatch, levels, manufactured,
+                                                      source_depth):
+    def solve_interface(system):
+        raise AssertionError("level %d solved before the budget check" % system.config.level)
+
+    monkeypatch.setattr(transmission, "solve_interface", solve_interface)
+    cfg = TransmissionConfig(params=REF, level=3, alpha1=1.0, alpha0=0.3, source_depth=source_depth)
+    with pytest.raises(AssemblyTooLarge):
+        convergence_study(cfg, levels, manufactured=manufactured)
 
 
 def test_pencil_level_one_closed_form():
@@ -535,8 +559,8 @@ def test_tree_forcing_matches_full_tree_formula(with_source):
         cfg.tree_source = rng.standard_normal((full.depth + 1, 3))
         f = TreeFunction(full, [np.tile(row, (2**n, 1)) for n, row in enumerate(cfg.tree_source)])
     else:
-        f = calculus.constant_function(full, 0.0)
-    lap_u1 = calculus.constant_function(full, 0.0)
+        f = constant_function(full, 0.0)
+    lap_u1 = constant_function(full, 0.0)
     lap_u1.coeffs[0] = np.array([[2.0 / full.lengths[0][0] ** 2]])
     expected = f - lap_u1 * complex(cfg.c_root)
     _assert_same_function(transmission._tree_forcing(cfg, tree).expanded(), expected)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import root_distances, total_length, total_measure
 from treedisk.errors import (
     CondensationBelowGeometricGeneration,
     NonPositiveParameter,
@@ -60,14 +61,13 @@ def test_bad_parameters_raise():
 def test_truncated_shape_and_distances():
     T = build_truncated(REF, 2)
     assert T.rows == (1, 2, 4)
-    assert T.n_edges == 7
     assert T.n_leaves == 4
-    np.testing.assert_allclose(T.dist[2], 1.75)
-    assert T.total_length() == pytest.approx(3.0)  # one edge of each length 1, .5, .25 per branch
+    np.testing.assert_allclose(root_distances(T)[2], 1.75)
+    assert total_length(T) == pytest.approx(3.0)  # one edge of each length 1, .5, .25 per branch
     # mu(T_N) = sum (p ell omega)^n -> geometric
     T20 = build_truncated(REF, 20)
-    assert T20.total_measure() == pytest.approx((1 - 0.4**21) / 0.6, rel=1e-15)
-    assert abs(T20.total_measure() - 1 / 0.6) < 1e-8
+    assert total_measure(T20) == pytest.approx((1 - 0.4**21) / 0.6, rel=1e-15)
+    assert abs(total_measure(T20) - 1 / 0.6) < 1e-8
 
 
 def test_condensed_leaf_stretch():
@@ -79,15 +79,15 @@ def test_condensed_leaf_stretch():
     # root-to-leaf distance equals the infinite-tree escape distance L0/(1-r)... no:
     # sum ell^n for n <= 3 plus stretched tail = sum_{n<=3} + ell^4/(1-r)
     d = sum(0.5**n for n in range(4)) + 0.5**4 / 0.375
-    np.testing.assert_allclose(C.dist[4], d)
+    np.testing.assert_allclose(root_distances(C)[4], d)
 
 
 def test_p1_condensed_completes_geodesic():
     P = TreeParams(p=1, ell=0.5, omega=1.0)
-    assert build_truncated(P, 3).total_length() == pytest.approx(1.875)
+    assert total_length(build_truncated(P, 3)) == pytest.approx(1.875)
     # condensing restores the full ray length L0/(1-ell) = 2
-    assert build_condensed(P, 3).total_length() == pytest.approx(2.0)
-    assert build_condensed(P, 7).total_length() == pytest.approx(2.0)
+    assert total_length(build_condensed(P, 3)) == pytest.approx(2.0)
+    assert total_length(build_condensed(P, 7)) == pytest.approx(2.0)
 
 
 def test_overrides_only_below_n1():
@@ -136,8 +136,6 @@ def test_condensation_needs_geometric_tail():
 
 def test_distances_and_elimination_are_computed_when_read():
     for tree in (build_truncated(REF, 3), build_condensed(REF, 3, level=2)):
-        assert "dist" not in vars(tree) and "elimination" not in vars(tree)
-        assert tree.dist is tree.dist
         assert "elimination" not in vars(tree)
         assert tree.elimination is tree.elimination
         c, pivot = tree.elimination

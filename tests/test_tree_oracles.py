@@ -20,6 +20,7 @@ import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import from_vertex_values, l2_inner, root_distances, total_measure
 from treedisk import calculus as ca
 from treedisk import dtn, transmission
 from treedisk.acceptance import _random_admissible_params
@@ -123,7 +124,7 @@ def sparse_harmonic(tree, leaf_values, root_value):
         u_int = _solve(fac["lu"], b)
     offsets = fac["offsets"]
     values = [u_int[offsets[n] : offsets[n + 1]] for n in range(tree.depth)]
-    return ca.from_vertex_values(tree, root_value, values + [leaf_values.astype(dtype)])
+    return from_vertex_values(tree, root_value, values + [leaf_values.astype(dtype)])
 
 
 def _poly_antider(c):
@@ -432,6 +433,11 @@ def _expand_rows(tree, arrays):
     return [np.repeat(a, tree.multiplicity(n), axis=0) for n, a in enumerate(arrays)]
 
 
+def _vertex_values(f):
+    """Values at X_{n,k} (far vertex of each edge), per generation."""
+    return [f.end_values(n) for n in range(f.tree.depth + 1)]
+
+
 def _assert_bits(got, ref):
     assert len(got) == len(ref)
     for g, r in zip(got, ref):
@@ -448,7 +454,7 @@ def test_compressed_tree_solves_match_the_full_tree_bit_for_bit(name, N, depth, 
     assert tree.rows == tuple(p ** min(n, N) for n in range(depth + 2))
     assert tree.expanded().rows == full.rows
     _assert_bits(_expand_rows(tree, tree.lengths), full.lengths)
-    _assert_bits(_expand_rows(tree, tree.dist), full.dist)
+    _assert_bits(_expand_rows(tree, root_distances(tree)), root_distances(full))
 
     # the elimination: conductances and pivots
     c, pivot = tree.elimination
@@ -466,13 +472,13 @@ def test_compressed_tree_solves_match_the_full_tree_bit_for_bit(name, N, depth, 
     u = ca.solve_harmonic_dirichlet(tree, g, root)
     u_full = ca.solve_harmonic_dirichlet(full, np.repeat(g, full.n_leaves // g.size), root)
     _assert_bits(u.expanded().coeffs, u_full.coeffs)
-    _assert_bits(_expand_rows(tree, u.vertex_values()), u_full.vertex_values())
+    _assert_bits(_expand_rows(tree, _vertex_values(u)), _vertex_values(u_full))
     _assert_bits([np.repeat(ca.leaf_flux(u), tree.multiplicity(tree.depth))], [ca.leaf_flux(u_full)])
     _assert_bits(_expand_rows(tree, ca.kirchhoff_residual(u).values),
                  ca.kirchhoff_residual(u_full).values)
     # totals and pairings count each row once per edge it stands for
-    assert tree.total_measure() == pytest.approx(full.total_measure(), rel=1e-14)
-    assert ca.l2_inner(u, u) == pytest.approx(ca.l2_inner(u_full, u_full), rel=1e-13)
+    assert total_measure(tree) == pytest.approx(total_measure(full), rel=1e-14)
+    assert l2_inner(u, u) == pytest.approx(l2_inner(u_full, u_full), rel=1e-13)
 
     # the Poisson lift: forcing constant per generation, as zero-stride rows;
     # v (root value 0) pairs with it in the Green identity
