@@ -111,9 +111,6 @@ class TreeFunction:
     def root_value(self):
         return self.coeffs[0][0, 0]
 
-    def start_values(self, n):
-        return self.coeffs[n][:, 0]
-
     def end_values(self, n):
         return _poly_eval(self.coeffs[n], self.tree.lengths[n])
 
@@ -164,46 +161,12 @@ def _parent_rows(x, p, merged):
 
 
 # ---------------------------------------------------------------------------
-# Laplacian, Kirchhoff residual, traces
+# Laplacian, traces
 
 
-@dataclass
-class KirchhoffResidual:
-    """Flux imbalance at interior vertices X_{n,k}, n < depth."""
-
-    values: list
-    scale: float
-
-    @property
-    def max_abs(self) -> float:
-        return max((float(np.abs(v).max()) for v in self.values if v.size), default=0.0)
-
-    @property
-    def relative(self) -> float:
-        return self.max_abs / max(self.scale, 1e-300)
-
-
-def kirchhoff_residual(f: TreeFunction) -> KirchhoffResidual:
-    tree = f.tree
-    p = tree.p
-    der = f.derivative()
-    values = []
-    scale = 0.0
-    for n in range(tree.depth):
-        out_flux = tree.weights[n] * der.end_values(n)
-        in_flux = tree.weights[n + 1] * der.start_values(n + 1)
-        merged = tree.merged(n + 1)
-        values.append(out_flux - _child_sums(in_flux, p, merged))
-        mags = np.abs(out_flux) + _child_sums(np.abs(in_flux), p, merged)
-        if mags.size:
-            scale = max(scale, float(mags.max()))
-    return KirchhoffResidual(values=values, scale=scale)
-
-
-def laplacian(f: TreeFunction):
-    """Edgewise second derivative together with the Kirchhoff residual report."""
-    lap = TreeFunction(f.tree, [_poly_der(_poly_der(c)) for c in f.coeffs])
-    return lap, kirchhoff_residual(f)
+def laplacian(f: TreeFunction) -> TreeFunction:
+    """Edgewise second derivative."""
+    return TreeFunction(f.tree, [_poly_der(_poly_der(c)) for c in f.coeffs])
 
 
 def leaf_flux(f: TreeFunction) -> np.ndarray:
@@ -250,7 +213,7 @@ def green_identity_check(u: TreeFunction, v: TreeFunction) -> GreenReport:
     if abs(v.root_value) > 1e-10 * max(vmax, 1.0):
         raise ValueError("green_identity_check requires v(o) = 0, got %r" % (v.root_value,))
     pairing = u.tree.multiplicity(u.tree.depth) * (leaf_flux(u) * v.leaf_values()).sum()
-    lap, _ = laplacian(u)
+    lap = laplacian(u)
     du, dv = u.derivative(), v.derivative()
     bulk = 0.0
     grad = 0.0

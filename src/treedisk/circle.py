@@ -85,10 +85,13 @@ class PiecewiseConstantFn:
     def l2_norm(self) -> float:
         return math.sqrt(self.decomp.cell_measure(self.level) * float((np.abs(self.values) ** 2).sum()))
 
-    def to_fourier(self, M: int) -> "FourierFn":
-        """The modes |k| <= M of this function: the transpose of alias_fold."""
+    def to_fourier(self, M: int, classes=None) -> "FourierFn":
+        """The modes |k| <= M of this function: the transpose of alias_fold.
+
+        classes are alias classes to derive this cutoff's from (_alias_classes).
+        """
         pn = self.decomp.n_cells(self.level)
-        r, sine, inv = _alias_classes(M, pn)
+        r, sine, inv = _alias_classes(M, pn, classes)
         W = np.exp(-1j * np.pi * np.arange(pn) / pn) * np.fft.fft(self.values) / pn
         coeffs = np.tile(W[r] * sine, -(-(2 * M + 1) // r.size))[: 2 * M + 1] * inv
         coeffs[M] = W[0]
@@ -138,9 +141,6 @@ class FourierFn:
             coeffs[k + M] = v
         return cls(R, coeffs)
 
-    def coeff(self, k: int) -> complex:
-        return self.coeffs[k + self.M] if abs(k) <= self.M else 0.0j
-
     def is_real(self, tol: float = 1e-12) -> bool:
         flipped = np.conj(self.coeffs[::-1])
         scale = max(float(np.abs(self.coeffs).max()), 1e-300)
@@ -174,7 +174,7 @@ class FourierFn:
     __rmul__ = __mul__
 
 
-def _alias_classes(M: int, pn: int):
+def _alias_classes(M: int, pn: int, within=None):
     """The alias blocks of the modes |k| <= M on pn cells (module docstring).
 
     The centred modes, cut into rows of width min(pn, 2M + 1), put mode k
@@ -182,7 +182,20 @@ def _alias_classes(M: int, pn: int):
     r[j] = (j - M) mod pn.  Returns (r, sine, inv): sine[j] = pn sin(pi
     r[j] / pn) / pi, so that (-1)^a sinc(k / pn) = sine[j] / k for k != 0,
     and inv[k + M] = 1 / k, with 0 for the mode 0 that callers set apart.
+
+    within may hold the classes of a cutoff M0 >= M on the same pn cells,
+    built once by a caller that folds several cutoffs.  When their rows are
+    as wide as this cutoff's, the classes are within's shifted by M0 - M
+    (columns rotated, inv sliced), so the 2M + 1 reciprocals, the bulk of
+    the cost, are not computed again; otherwise they are built afresh.
     """
+    if within is not None:
+        r, sine, inv = within
+        shift = (inv.size - 1) // 2 - M
+        if shift >= 0 and r.size == min(pn, 2 * M + 1):
+            turn = shift % r.size
+            return (np.concatenate((r[turn:], r[:turn])), np.concatenate((sine[turn:], sine[:turn])),
+                    inv[shift : inv.size - shift])
     r = (np.arange(min(pn, 2 * M + 1)) - M) % pn
     sine = pn * np.sin(np.pi * np.minimum(r, pn - r) / pn) / np.pi
     ks = np.arange(-M, M + 1, dtype=float)
@@ -190,11 +203,11 @@ def _alias_classes(M: int, pn: int):
     return r, sine, 1.0 / ks
 
 
-def _alias_fold(x, pn: int, power: int):
+def _alias_fold(x, pn: int, power: int, classes=None):
     """(r, S): S[j] sums x_k ((-1)^a sinc(k / pn))^power over the modes of
     class r[j], for the centred mode values x; see alias_fold."""
     M = (x.size - 1) // 2
-    r, sine, inv = _alias_classes(M, pn)
+    r, sine, inv = _alias_classes(M, pn, classes)
     blocks = np.zeros(-(-x.size // r.size) * r.size, dtype=np.result_type(x, float))
     blocks[: x.size] = x
     blocks[: x.size] *= inv**power
@@ -204,34 +217,38 @@ def _alias_fold(x, pn: int, power: int):
     return r, S
 
 
-def alias_fold(x, pn: int, power: int = 1) -> np.ndarray:
+def alias_fold(x, pn: int, power: int = 1, classes=None) -> np.ndarray:
     """S_r = sum_a x_k ((-1)^a sinc(k / pn))^power over k = r + a pn, r < pn.
 
     x holds the centred mode values x_{-M}..x_M.  power 1 folds Fourier
     coefficients onto the cells (the DFT of their averages), power 2 the
     Galerkin weights of a symbol (exterior.galerkin_row).  The aliased
-    multiples k = m pn (m != 0) add exact zeros.
+    multiples k = m pn (m != 0) add exact zeros.  classes are alias classes
+    to derive this cutoff's from (_alias_classes).
     """
-    r, S = _alias_fold(x, pn, power)
+    r, S = _alias_fold(x, pn, power, classes)
     out = np.zeros(pn, dtype=S.dtype)
     out[r] = S
     return out
 
 
-def cell_averages(decomp: MultiscaleDecomposition, g, n: int) -> np.ndarray:
-    """Averages of g over the level-n cells (complex for Fourier input)."""
+def cell_averages(decomp: MultiscaleDecomposition, g, n: int, classes=None) -> np.ndarray:
+    """Averages of g over the level-n cells (complex for Fourier input).
+
+    classes are alias classes to derive the fold's from (_alias_classes).
+    """
     if isinstance(g, PiecewiseConstantFn):
         if g.level <= n:
             return np.repeat(g.values, decomp.p ** (n - g.level))
         chunk = decomp.p ** (g.level - n)
         return g.values.reshape(decomp.n_cells(n), chunk).mean(axis=1)
     pn = decomp.n_cells(n)
-    S = alias_fold(g.coeffs, pn)
+    S = alias_fold(g.coeffs, pn, classes=classes)
     return pn * np.fft.ifft(S * np.exp(1j * np.pi * np.arange(pn) / pn))
 
 
-def cell_integrals(decomp: MultiscaleDecomposition, g, n: int) -> np.ndarray:
-    return cell_averages(decomp, g, n) * decomp.cell_measure(n)
+def cell_integrals(decomp: MultiscaleDecomposition, g, n: int, classes=None) -> np.ndarray:
+    return cell_averages(decomp, g, n, classes) * decomp.cell_measure(n)
 
 
 def project_PN(decomp: MultiscaleDecomposition, g, n: int) -> PiecewiseConstantFn:

@@ -314,14 +314,18 @@ class ExteriorField:
         return FourierFn(self.R, coeffs)
 
 
-def solve_exterior_dirichlet(g, source: RadialSource | None, R: float | None = None) -> ExteriorField:
+def solve_exterior_dirichlet(g, source: RadialSource | None, R: float | None = None,
+                             lift: ExteriorField | None = None) -> ExteriorField:
     """Solve Delta u = f outside the disk with u = g on the boundary circle.
 
     Per mode k the solution is fixed by the Dirichlet value at R and the
     bounded radiation class, which kills the growing part (r^{|k|}, and
     log r at k = 0, adjusting the free constant).  Modes k != 0 without a
     source term are a_k = g_k, b_k = 0 and are set as arrays; the source
-    modes and the mean mode take the formulas below one by one.
+    modes and the mean mode take the formulas below one by one.  b_k does
+    not depend on g: lift, a solution for the same source (the one with
+    g = None, say), hands over its b_k on the source modes, so their
+    integrals are not computed again.
     """
     if R is None:
         R = g.R if g is not None else (source.R if source is not None else None)
@@ -342,17 +346,22 @@ def solve_exterior_dirichlet(g, source: RadialSource | None, R: float | None = N
     b = np.zeros_like(a)
     if a[M] != 0:
         ks.add(0)
+    reused = set()
+    if lift is not None and source is not None:
+        if lift.source is not source:
+            raise ValueError("the lift solves another source")
+        reused = set(source.modes())
     for k in sorted(ks):
-        ghat = complex(a[k + M])
         ak = abs(k)
-        if ak > 0:
-            i_minus = _source_integral(source, k, 1.0 - ak, np.inf, scale=R)
-            b_c = -R * i_minus / (2.0 * ak)
-            a_c = ghat - b_c
+        if k in reused:
+            b_c = lift.b[k + lift.M]
+        elif ak > 0:
+            b_c = -R * _source_integral(source, k, 1.0 - ak, np.inf, scale=R) / (2.0 * ak)
         else:
             b_c = -(_source_integral(source, k, 1.0, np.inf) if source else 0.0)
-            a_c = ghat - b_c * math.log(R)
-        a[k + M], b[k + M] = a_c, b_c
+        ghat = complex(a[k + M])
+        a[k + M] = ghat - b_c if ak > 0 else ghat - b_c * math.log(R)
+        b[k + M] = b_c
     return ExteriorField(R=float(R), a=a, b=b, source=source)
 
 

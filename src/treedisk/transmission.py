@@ -10,20 +10,25 @@ source lifts: v_f solves the exterior problem with zero trace, u_f a tree
 Poisson problem with zero trace, and u1 is a root bump carrying the root
 value c without contributing any leaf flux.
 
-M is never formed on the solve path.  C is circulant, so it acts by FFT
-with the eigenvalues fft(row); D acts by one sweep over its level-N
-elimination; the alpha0 mass is a diagonal.  M g = -h is solved by GMRES,
-preconditioned on the right by T. Chan's optimal circulant P of M, and the
-condition number is a Hager-Higham 1-norm estimate; M is complex
-symmetric (M^T = M), so the estimate applies M and M^{-1} and never an
-adjoint.  The solve runs in the data's arithmetic: when alpha1, alpha0,
-c_root and the sources are real, h, the mass and M are real, and every
-vector, FFT (rfft/irfft) and Givens rotation is float64.  One GMRES step is
-one fused product M P^{-1} v: one forward FFT, one batched inverse FFT for
-P^{-1} v and -C P^{-1} v, and one D sweep.  C (a read-only circulant
-view), D and M are properties of InterfaceSystem, for the pencil and for
-tests; the pencil reduces to one symmetric eigvalsh, so no module here
-needs scipy.
+M g = -h is solved by GMRES, preconditioned on the right by T. Chan's
+optimal circulant P of M, and the condition number is a Hager-Higham
+1-norm estimate; M is complex symmetric (M^T = M), so the estimate applies
+M and M^{-1} and never an adjoint.  Above dtn._TOP_CELLS = 64 cells M is
+never formed on the solve path: C is circulant, so it acts by FFT with the
+eigenvalues fft(row); D acts by one sweep over its level-N elimination;
+the alpha0 mass is a diagonal, and one GMRES step is one fused product
+M P^{-1} v: one forward FFT, one batched inverse FFT for P^{-1} v and
+-C P^{-1} v, and one D sweep.  At p^N <= 64 cells D is a single Green block
+(dtn.TreeDtN.green_matrix) and numpy's FFT wrappers cost more than the
+arithmetic, so the system forms M, P^{-1} and M P^{-1} once (at most
+64 x 64 each) and every product is one matrix-vector product: at p = 2,
+N = 6 a step takes 0.8 us instead of 11 us (AMD EPYC, BLAS on one thread).
+The solve runs in the data's arithmetic: when alpha1, alpha0, c_root and
+the sources are real, h, the mass and M are real, and every vector, FFT
+(rfft/irfft), matrix and Givens rotation is float64.  C (a read-only
+circulant view), D and M are properties of InterfaceSystem, for the pencil
+and for tests; the pencil reduces to one symmetric eigvalsh, so no module
+here needs scipy.
 
 The source side runs on the condensed source tree compressed at level N
 (tree.build_condensed with level=N): every generation below N stores one
@@ -70,6 +75,7 @@ from .errors import (
 )
 from .exterior import (
     MODE_OVERSAMPLING,
+    ExteriorField,
     RadialSource,
     check_mode_budget,
     circulant_view,
@@ -245,11 +251,13 @@ class InterfaceSystem:
     access within the dense operator budget.  mass is the diagonal of the
     alpha0 mass matrix: alpha0 times the cell measure, per cell.  mass and
     h are float64 when the data are real, and M is then real symmetric.
-    The system also keeps the tree side of h for `reconstruct`: the Poisson
-    lift u_f on the source tree (compressed at the solve level; u_f.tree
-    keeps its elimination) and its per-cell leaf flux flux_f.  Without
-    tree forcing u_f is None and flux_f is zero; `reconstruct` then builds
-    the source tree.
+    The system also keeps the source lifts of h for `reconstruct`: the
+    Poisson lift u_f on the source tree (compressed at the solve level;
+    u_f.tree keeps its elimination), its per-cell leaf flux flux_f, and the
+    exterior lift v_f, whose source-mode coefficients b_k the exterior
+    solve with trace g reuses.  Without tree forcing u_f is None and flux_f
+    is zero, and `reconstruct` then builds the source tree; without an
+    exterior source v_f is None.
     """
 
     decomp: MultiscaleDecomposition
@@ -260,6 +268,7 @@ class InterfaceSystem:
     config: TransmissionConfig
     u_f: TreeFunction | None
     flux_f: np.ndarray
+    v_f: ExteriorField | None = None
     condition_estimate: float | None = None
 
     @cached_property
@@ -282,7 +291,11 @@ class InterfaceSystem:
 
     @property
     def M(self) -> np.ndarray:
-        M = self.D.astype(self.dtype)
+        return self._interface_matrix(self.D)
+
+    def _interface_matrix(self, D) -> np.ndarray:
+        """alpha1 D - C + diag(mass) for a dense D, in the dtype of M."""
+        M = D.astype(self.dtype)
         M *= self.alpha1
         M -= self.C
         M[np.diag_indices_from(M)] += self.mass
@@ -311,20 +324,58 @@ class InterfaceSystem:
         """[1/e; -lambda_C/e]: P^{-1} and -C P^{-1} on the fft basis."""
         return np.stack((1.0 / self.chan_eigs, -self.c_eigs / self.chan_eigs))
 
+    @cached_property
+    def _dense_step(self) -> tuple | None:
+        """(M, P^{-1}, M P^{-1}) as arrays when D is one Green block, else None.
+
+        The Green block covers the level when p^N <= dtn._TOP_CELLS
+        (TreeDtN.green_matrix), which needs no dense budget.  P^{-1} is the
+        circulant with first column irfft(1/e), or ifft(1/e) for complex e;
+        all three are in the dtype of M.  The build is one product of at
+        most 64^3, about 30 us at p^N = 64 once chan_eigs is known.
+        """
+        D = self.dtn.green_matrix
+        if D is None:
+            return None
+        M = self._interface_matrix(D)
+        inv = 1.0 / self.chan_eigs
+        n = inv.size
+        col = np.fft.irfft(inv[: n // 2 + 1], n) if np.isrealobj(inv) else np.fft.ifft(inv)
+        p_inv = circulant_view(col).copy()
+        return M, p_inv, M @ p_inv
+
     def apply(self, x) -> np.ndarray:
-        """M x in the dtype of x and M: C by FFT, D by its tree sweep, the mass as a diagonal."""
+        """M x in the dtype of x and M.
+
+        With a dense step (_dense_step) it is one product with M; otherwise
+        C acts by FFT, D by its tree sweep and the mass as a diagonal.
+        """
+        dense = self._dense_step
+        if dense is not None:
+            return dense[0] @ x
         return self.alpha1 * self.dtn.apply(x) - _circulant(self.c_eigs, x) + self.mass * x
 
     def precond(self, x) -> np.ndarray:
-        """P^{-1} x by two FFTs."""
+        """P^{-1} x: one product with the dense P^{-1}, or two FFTs."""
+        dense = self._dense_step
+        if dense is not None:
+            return dense[1] @ x
         return _circulant(self._step_eigs[0], x)
 
     def apply_preconditioned(self, x) -> np.ndarray:
-        """M P^{-1} x: one forward and one batched inverse FFT, then one D sweep.
+        """M P^{-1} x: one product with the dense M P^{-1}, or one fused FFT step.
 
-        The inverse FFT of fft(x) [1/e; -lambda_C/e] gives y = P^{-1} x and
-        -C y together, and M y = alpha1 D y + (-C y) + mass y.
+        At p^N <= dtn._TOP_CELLS cells the step is one product with the
+        cached M P^{-1} (_dense_step): 0.8 us at p = 2, N = 6, where the
+        FFT step takes 11 us, most of it in numpy's FFT wrappers (module
+        docstring).  Above that size the step is one forward and one
+        batched inverse FFT, then one D sweep: the inverse FFT of fft(x)
+        [1/e; -lambda_C/e] gives y = P^{-1} x and -C y together, and
+        M y = alpha1 D y + (-C y) + mass y.
         """
+        dense = self._dense_step
+        if dense is not None:
+            return dense[2] @ x
         y, minus_cy = _circulant(self._step_eigs, x)
         return self.alpha1 * self.dtn.apply(y) + minus_cy + self.mass * y
 
@@ -356,6 +407,7 @@ def assemble_system(cfg: TransmissionConfig) -> InterfaceSystem:
     mass = alpha0 * decomp.cell_measure(cfg.level)
 
     h = np.zeros(pn)
+    v_f = None
     if cfg.exterior_source is not None:
         v_f = solve_exterior_dirichlet(None, cfg.exterior_source, R=cfg.R)
         flux = v_f.trace1()
@@ -371,7 +423,7 @@ def assemble_system(cfg: TransmissionConfig) -> InterfaceSystem:
         flux_f = _cell_flux(u_f)
         h = h + _exact_real(cfg.alpha1)[()] * flux_f
     return InterfaceSystem(decomp=decomp, c_row=c_row, dtn=dtn, mass=mass, h=h, config=cfg,
-                           u_f=u_f, flux_f=flux_f)
+                           u_f=u_f, flux_f=flux_f, v_f=v_f)
 
 
 class _Unconverged(Exception):
@@ -505,11 +557,15 @@ def solve_interface(sys: InterfaceSystem) -> PiecewiseConstantFn:
     """Solve M g = -h by GMRES with one refinement step; residual <= 1e-10 ||h||.
 
     Everything runs in the dtype of M and h: float64, with rfft and irfft,
-    when alpha1, alpha0 and h are real, else complex128.  M acts
-    matrix-free (InterfaceSystem.apply).  The right preconditioner P is T.
-    Chan's optimal circulant of M (InterfaceSystem.chan_eigs), and each
-    GMRES step is InterfaceSystem.apply_preconditioned: one forward FFT,
-    one batched inverse FFT for P^{-1} v and -C P^{-1} v, and one D sweep.
+    when alpha1, alpha0 and h are real, else complex128.  The right
+    preconditioner P is T. Chan's optimal circulant of M
+    (InterfaceSystem.chan_eigs), and each GMRES step is
+    InterfaceSystem.apply_preconditioned.  Above 64 cells M acts
+    matrix-free (InterfaceSystem.apply) and a step is one forward FFT, one
+    batched inverse FFT for P^{-1} v and -C P^{-1} v, and one D sweep; at
+    p^N <= 64 cells, where D is one Green block, M, P^{-1} and M P^{-1} are
+    formed once per system and every product is one matrix-vector product,
+    since there numpy's FFT wrappers cost more than the arithmetic.
     The solve stops at _KRYLOV_RTOL; its refinement step solves for the
     residual to _REFINE_RTOL of that residual, which is rounding level.
     The 1-norm condition number is the Hager-Higham estimate of ||M||_1
@@ -595,9 +651,12 @@ def reconstruct(system: InterfaceSystem, g: PiecewiseConstantFn) -> Transmission
     traces match by construction: the leaf rows of the compressed source
     tree carry the cells of g, the exterior modes carry its Fourier
     coefficients at the assembly cutoff; a trace defect above 1e-10, or
-    NaN, raises AssertionError.  The config and u_f come from `system`,
-    the solved system, and the source tree from u_f when there is one, so
-    the tree is built and eliminated once per solve.
+    NaN, raises AssertionError.  The config, u_f and v_f come from
+    `system`, the solved system, and the source tree from u_f when there is
+    one, so the tree is built and eliminated once per solve; the exterior
+    solve takes the source modes' b_k from v_f, so no source integral is
+    computed twice.  The alias classes of the 16 p^N modes are built once
+    for the three folds between cells and modes.
     """
     cfg = system.config
     pn = cfg.params.p**cfg.level
@@ -628,8 +687,13 @@ def reconstruct(system: InterfaceSystem, g: PiecewiseConstantFn) -> Transmission
             coeffs[n] = c
     u_T = TreeFunction(tree, coeffs)
 
-    g_fourier = g.to_fourier(MODE_OVERSAMPLING * pn)
-    u_ext = solve_exterior_dirichlet(g_fourier, cfg.exterior_source, R=cfg.R)
+    # the alias classes of the assembly cutoff, built once: to_fourier and
+    # the mass fold use them as they are, and the flux fold at u_ext's
+    # cutoff derives its own from them (one mode fewer when g's top mode, a
+    # multiple of p^N, is an exact zero)
+    classes = circle._alias_classes(MODE_OVERSAMPLING * pn, pn)
+    g_fourier = g.to_fourier(MODE_OVERSAMPLING * pn, classes)
+    u_ext = solve_exterior_dirichlet(g_fourier, cfg.exterior_source, R=cfg.R, lift=system.v_f)
 
     tree_trace = np.abs(u_T.leaf_values() - g.values).max() if pn else 0.0
     diff = u_ext.trace0() - g_fourier
@@ -639,10 +703,10 @@ def reconstruct(system: InterfaceSystem, g: PiecewiseConstantFn) -> Transmission
     if not trace_defect <= 1e-10:
         raise AssertionError("interface traces disagree by %.3e" % trace_defect)
 
-    flux_ext = circle.cell_integrals(decomp, u_ext.trace1(), cfg.level)
+    flux_ext = circle.cell_integrals(decomp, u_ext.trace1(), cfg.level, classes)
     flux_tree = _cell_flux(u_T)
     a0 = cfg.alpha0_cells()
-    mass = a0 * circle.cell_integrals(decomp, g_fourier, cfg.level)
+    mass = a0 * circle.cell_integrals(decomp, g_fourier, cfg.level, classes)
     mass_exact = a0 * decomp.cell_measure(cfg.level) * g.values
     resid_vec = flux_ext - system.alpha1 * flux_tree - mass
     # normalize by the pre-cancellation flux magnitudes (the harmonic tree

@@ -1,12 +1,20 @@
-"""Tree oracles that several test modules share.
+"""Oracles that several test modules share.
 
-Nothing in the package calls these: each is a plain construction or a
-closed-form sum that a test checks the package against.
+Nothing in the package calls these: each is a plain construction, a
+closed-form sum or a direct read that a test checks the package against.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from treedisk.calculus import TreeFunction, _parent_rows, _poly_defint, _poly_mul, _same_tree
+from treedisk.tree import _child_sums
+
+
+def mode(g, k: int) -> complex:
+    """The coefficient of e^{ik theta} in the FourierFn g, 0 beyond its cutoff."""
+    return g.coeffs[k + g.M] if abs(k) <= g.M else 0.0j
 
 
 def constant_function(tree, value=1.0) -> TreeFunction:
@@ -64,3 +72,36 @@ def root_distances(tree) -> list:
     for n in range(1, tree.depth + 1):
         dist.append(_parent_rows(dist[-1], tree.p, tree.merged(n)) + tree.lengths[n])
     return dist
+
+
+@dataclass
+class KirchhoffResidual:
+    """Flux imbalance at interior vertices X_{n,k}, n < depth."""
+
+    values: list
+    scale: float
+
+    @property
+    def relative(self) -> float:
+        worst = max((float(np.abs(v).max()) for v in self.values if v.size), default=0.0)
+        return worst / max(self.scale, 1e-300)
+
+
+def kirchhoff_residual(f: TreeFunction) -> KirchhoffResidual:
+    """The flux imbalance at each interior vertex: the outflux of its parent
+    edge minus the summed influx of its child edges.  scale is the largest
+    sum of those flux magnitudes at one vertex."""
+    tree = f.tree
+    p = tree.p
+    der = f.derivative()
+    values = []
+    scale = 0.0
+    for n in range(tree.depth):
+        out_flux = tree.weights[n] * der.end_values(n)
+        in_flux = tree.weights[n + 1] * der.coeffs[n + 1][:, 0]
+        merged = tree.merged(n + 1)
+        values.append(out_flux - _child_sums(in_flux, p, merged))
+        mags = np.abs(out_flux) + _child_sums(np.abs(in_flux), p, merged)
+        if mags.size:
+            scale = max(scale, float(mags.max()))
+    return KirchhoffResidual(values=values, scale=scale)

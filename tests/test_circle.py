@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import mode
 from treedisk import circle as ci
 from treedisk.errors import ExponentOrderViolated
 
@@ -37,7 +38,7 @@ def test_indicator_closed_form():
         ref = np.where(ks == 0, 2.0**-n, (np.exp(-1j * ks * a) - np.exp(-1j * ks * b)) / (2j * np.pi * safe))
         np.testing.assert_allclose(f.coeffs, ref, atol=1e-14)
     triv = _indicator(0, 0, 8)
-    assert triv.coeff(0) == 1.0
+    assert mode(triv, 0) == 1.0
     assert np.abs(np.delete(triv.coeffs, 8)).max() == 0.0
 
 
@@ -123,7 +124,7 @@ def test_to_fourier_roundtrip():
     assert g.l2_norm() == pytest.approx(h.l2_norm(), rel=1e-3)
     np.testing.assert_allclose(np.real(ci.cell_averages(D, g, 3)), h.values, atol=5e-3)
     # integral is exact at any cutoff (k = 0 coefficient)
-    assert h.to_fourier(2).coeff(0) * 2 * math.pi == pytest.approx(D.cell_measure(3) * h.values.sum())
+    assert mode(h.to_fourier(2), 0) * 2 * math.pi == pytest.approx(D.cell_measure(3) * h.values.sum())
 
 
 def test_ar_norm_basics():
@@ -178,3 +179,16 @@ def test_sobolev_norm_and_duality():
         u = ci.FourierFn(1.0, rng.standard_normal(17) + 1j * rng.standard_normal(17))
         lhs = abs(2 * math.pi * h.R * (h.coeffs @ np.conj(u.coeffs)))
         assert lhs <= ci.sobolev_norm_fourier(h, -0.5) * ci.sobolev_norm_fourier(u, 0.5) + 1e-12
+
+
+@pytest.mark.parametrize("p,N", [(1, 2), (2, 0), (2, 6), (3, 4)])
+def test_alias_classes_derive_from_a_larger_cutoff(p, N):
+    # classes shifted from those of a larger cutoff equal the ones built
+    # afresh; a cutoff with narrower rows is built afresh
+    pn = p**N
+    within = ci._alias_classes(16 * pn, pn)
+    for M in (16 * pn, 16 * pn - 1, 16 * pn - 5, pn + 3, 2, 0):
+        fresh = ci._alias_classes(M, pn)
+        derived = ci._alias_classes(M, pn, within)
+        assert all(np.array_equal(a, b) for a, b in zip(fresh, derived)), M
+        assert all(a.shape == b.shape for a, b in zip(fresh, derived)), M

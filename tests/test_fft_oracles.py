@@ -183,12 +183,22 @@ def test_interface_operator_matches_dense(params, N, alpha1, alpha0):
     assert rel_err(np.conj(system.apply(np.conj(x))), M.conj().T @ x) <= 1e-13
 
 
-@pytest.mark.parametrize("params,N", [(TreeParams(p=2, ell=0.5, omega=0.4), 6), (P3_OVERRIDES, 4)])
+# levels on both sides of the dense interface step, which applies at
+# p^N <= dtn._TOP_CELLS = 64 cells
+STEP_LEVELS = [(TreeParams(p=2, ell=0.5, omega=0.4), 6), (P3_OVERRIDES, 4),
+               (TreeParams(p=2, ell=0.5, omega=0.4), 7), (P3_OVERRIDES, 3),
+               (TreeParams(p=4, ell=0.5, omega=0.3), 3)]
+DENSE_STEP = [(params, N) for params, N in STEP_LEVELS if params.p**N <= 64]
+
+
+@pytest.mark.parametrize("params,N", STEP_LEVELS)
 @pytest.mark.parametrize("alpha1,alpha0", COEFFS)
 def test_fused_preconditioned_step_matches_its_parts(params, N, alpha1, alpha0):
-    # one forward and one batched inverse FFT give P^{-1} v and -C P^{-1} v;
-    # real v on a real system stays real (rfft), anything else is complex
+    # one product with M P^{-1}, or one forward and one batched inverse FFT
+    # for P^{-1} v and -C P^{-1} v; real v on a real system stays real,
+    # anything else is complex
     system = _system(params, N, alpha1, alpha0)
+    assert (system._dense_step is not None) == ((params, N) in DENSE_STEP)
     assert (system.dtype == np.float64) == (np.isrealobj(alpha1) and np.isrealobj(alpha0))
     rng = np.random.default_rng(N)
     v = rng.standard_normal(system.h.size)
@@ -197,6 +207,29 @@ def test_fused_preconditioned_step_matches_its_parts(params, N, alpha1, alpha0):
         assert fused.dtype == np.result_type(system.dtype, x)
         assert rel_err(fused, system.apply(system.precond(x))) <= 1e-13
         assert rel_err(system.precond(x), np.fft.ifft(np.fft.fft(x) / system.chan_eigs)) <= 1e-13
+
+
+@pytest.mark.parametrize("params,N", DENSE_STEP)
+@pytest.mark.parametrize("alpha1,alpha0", COEFFS)
+def test_dense_step_matches_the_dense_oracle(params, N, alpha1, alpha0):
+    # M from the dense D_N, P^{-1} from the FFT of the identity
+    system = _system(params, N, alpha1, alpha0)
+    M, p_inv, step = system._dense_step
+    n = system.h.size
+    oracle_p_inv = np.fft.ifft(np.fft.fft(np.eye(n), axis=0) / system.chan_eigs[:, None], axis=0)
+    assert M.dtype == p_inv.dtype == step.dtype == system.dtype
+    assert rel_err(M, system.M) <= 1e-13
+    assert rel_err(p_inv, oracle_p_inv) <= 1e-13
+    assert rel_err(step, system.M @ oracle_p_inv) <= 1e-13
+    # a complex x on a real system, as convergence_study's manufactured
+    # datum: the products are complex and act on both parts alike
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    for product in (system.apply, system.precond, system.apply_preconditioned):
+        y = product(x)
+        assert y.dtype == np.complex128
+        assert rel_err(y, product(x.real) + 1j * product(x.imag)) <= 1e-14
+    assert rel_err(system.apply(x), system.M @ x) <= 1e-13
 
 
 @pytest.mark.parametrize("params,N", [(TreeParams(p=2, ell=0.5, omega=0.4), 3),

@@ -81,8 +81,8 @@ def test_every_definition_has_a_caller():
     perfbench/ outside perfbench/tests.  Dunder methods are exempt.
 
     A name is matched without its owner, so definitions that share a name
-    hide each other: the demos' calls of ExteriorSymbol.coeff also count for
-    FourierFn.coeff, which no user path calls.
+    hide each other: a call of ExteriorSymbol.coeff would also count for a
+    method coeff of any other class.
     """
     paths = sorted(SRC.glob("*.py")) + sorted((ROOT / "demos").glob("*.py")) + sorted(
         (ROOT / "perfbench").glob("*.py"))
