@@ -16,6 +16,14 @@ repeated over the edges it stands for, so the full tree is never built.
 The tree-dtn matrix repeats a few distinct values, so its values are
 formatted once per bit pattern and written as text.
 
+The `%.17g` text is the floor of one core's write, so `transmission`
+writes tree.csv in a forked child (_in_child) while this process writes
+g.csv and exterior.csv, and waits for the child before it writes the
+manifest.  The child reads the solution through copy-on-write and writes
+through the same writer, so the bytes are those of an in-process write.
+Fork is POSIX only: without os.fork (Windows) tree.csv is written
+in-process.
+
 Exit codes: 0 success, 2 configuration or validation failure (any
 errors.InvalidInput, a problem larger than the size budgets included),
 3 numerical failure.
@@ -25,9 +33,11 @@ import argparse
 import contextlib
 import math
 import os
+import pickle
 import sys
 import tempfile
 import time
+import warnings
 
 import numpy as np
 
@@ -52,8 +62,10 @@ EXIT_NUMERICAL = 3
 
 # Rows per chunk of a CSV write: each chunk is formatted by one `%` call and
 # written before the next is built, so a write holds the text and values of
-# at most this many rows whatever the size of the file.
-_CHUNK_ROWS = 2**16
+# at most this many rows whatever the size of the file.  2^13 rows (about
+# 0.4 MB of exterior.csv text) format as fast as 2^16 or a little faster, and
+# hold an eighth of the values and text at a time.
+_CHUNK_ROWS = 2**13
 
 
 @contextlib.contextmanager
@@ -77,6 +89,77 @@ def _atomic_file(path: str):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+# the warning CPython 3.12+ gives when os.fork() runs with other threads alive
+_FORK_WARNING = r"This process \(pid=\d+\) is multi-threaded, use of fork\(\) may lead to deadlocks"
+
+
+@contextlib.contextmanager
+def _in_child(write):
+    """Run write() in a forked child while the block runs here; wait for it on exit.
+
+    The child leaves by os._exit, and an exception it raises reaches the
+    parent pickled through a pipe (RuntimeError(repr(exc)) when it does not
+    round-trip) and is raised there after the block, unless the block
+    raised its own; a child that ends with no message and a nonzero wait
+    status is a RuntimeError.  Without os.fork (Windows) write() runs here
+    before the block.
+    """
+    if not hasattr(os, "fork"):
+        write()
+        yield
+        return
+    read_end, write_end = os.pipe()
+    try:
+        with warnings.catch_warnings():
+            # numpy's OpenBLAS pool makes the process multi-threaded, but the
+            # child runs no BLAS: it only formats text, writes one file and
+            # calls os._exit.  OpenBLAS registers a pthread_atfork handler
+            # for its pool, and glibc malloc is fork-safe.
+            warnings.filterwarnings("ignore", _FORK_WARNING, DeprecationWarning)
+            pid = os.fork()
+    except BaseException:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid == 0:
+        try:
+            os.close(read_end)
+            message = b""
+            try:
+                write()
+            except BaseException as exc:
+                message = _pickled(exc)
+            with os.fdopen(write_end, "wb") as fh:
+                fh.write(message)
+        finally:
+            os._exit(0)
+    os.close(write_end)
+    try:
+        yield
+    finally:
+        # the pipe is read before waitpid: a message larger than the pipe
+        # buffer would otherwise block the child, and the child the parent
+        try:
+            with os.fdopen(read_end, "rb") as fh:
+                message = fh.read()
+        finally:
+            _, status = os.waitpid(pid, 0)
+    if message:
+        raise pickle.loads(message)
+    if status != 0:
+        raise RuntimeError("the forked writer ended with wait status %d" % status)
+
+
+def _pickled(exc: BaseException) -> bytes:
+    """exc pickled, or RuntimeError(repr(exc)) pickled when exc does not round-trip."""
+    try:
+        message = pickle.dumps(exc)
+        pickle.loads(message)
+        return message
+    except Exception:
+        return pickle.dumps(RuntimeError(repr(exc)))
 
 
 def _field(col):
@@ -168,7 +251,9 @@ def _distinct_text(values):
     return np.array(_texts(keys.view(np.float64)), dtype=object)[inverse]
 
 
-def _write_manifest(path: str, command: str, cfg: RunConfig | None, started: float, outputs):
+def _write_manifest(path: str, command: str, cfg: RunConfig | None, started: float, outputs,
+                    results=()):
+    """command, config, parameters, outputs, the `key=value` lines of results, wall time."""
     lines = ["command=%s" % command]
     if cfg is not None:
         if cfg.path:
@@ -178,6 +263,7 @@ def _write_manifest(path: str, command: str, cfg: RunConfig | None, started: flo
             lines.append("param.%s=%s" % (key, value))
     for out in outputs:
         lines.append("output=%s" % out)
+    lines += results
     lines.append("wall_time_s=%.3f" % (time.monotonic() - started))
     with _atomic_file(path) as fh:
         fh.write("\n".join(lines) + "\n")
@@ -265,7 +351,9 @@ def _tree_chunks(u):
 def _cmd_transmission(args) -> int:
     started = time.monotonic()
     cfg = parse_config(args.config)
+    solving = time.monotonic()
     sol = solve_transmission(cfg.transmission())
+    writing = time.monotonic()
     # tree.csv lists every edge of the full source tree: refuse a tree beyond
     # the tree budget (what FiniteTree.expanded checks) before any file is
     # written; the rows are streamed from sol.u_rows, never expanded
@@ -273,18 +361,25 @@ def _cmd_transmission(args) -> int:
     check_tree_budget(tree.params, tree.depth, tree.depth)
     prefix = args.out_prefix
     g = sol.g.values
-    _write_csv(prefix + "g.csv", ("level", "cell", "value"),
-               [np.full(g.size, sol.g.level), np.arange(g.size), g])
-    _write_chunks(prefix + "tree.csv", ("n", "k", "coeff_index", "value"),
-                  _tree_chunks(sol.u_rows))
-    trace = sol.u_ext.trace0()
-    _write_csv(prefix + "exterior.csv", ("k", "re", "im"),
-               [trace.ks(), trace.coeffs.real, trace.coeffs.imag])
+    # tree.csv, the largest file, on the second core (module docstring)
+    with _in_child(lambda: _write_chunks(prefix + "tree.csv", ("n", "k", "coeff_index", "value"),
+                                         _tree_chunks(sol.u_rows))):
+        _write_csv(prefix + "g.csv", ("level", "cell", "value"),
+                   [np.full(g.size, sol.g.level), np.arange(g.size), g])
+        trace = sol.u_ext.trace0()
+        _write_csv(prefix + "exterior.csv", ("k", "re", "im"),
+                   [trace.ks(), trace.coeffs.real, trace.coeffs.imag])
+    reported = [("condition estimate", sol.condition_estimate),
+                ("trace defect", sol.trace_defect),
+                ("flux residual", sol.flux_residual),
+                ("discretization defect", sol.discretization_defect)]
     outputs = [prefix + name for name in ("g.csv", "tree.csv", "exterior.csv")]
-    _write_manifest(prefix + "manifest.txt", "transmission", cfg, started, outputs)
-    print("condition estimate = %.17g" % sol.condition_estimate)
-    print("trace defect = %.17g" % sol.trace_defect)
-    print("flux residual = %.17g" % sol.flux_residual)
+    results = ["%s=%.17g" % (name.replace(" ", "_"), value) for name, value in reported]
+    results += ["stage.solve_s=%.3f" % (writing - solving),
+                "stage.write_s=%.3f" % (time.monotonic() - writing)]
+    _write_manifest(prefix + "manifest.txt", "transmission", cfg, started, outputs, results)
+    for name, value in reported:
+        print("%s = %.17g" % (name, value))
     return EXIT_OK
 
 

@@ -240,6 +240,15 @@ def _circulant(eigs, x) -> np.ndarray:
     return np.fft.ifft(eigs * np.fft.fft(x))
 
 
+def _product(A, x) -> np.ndarray:
+    """A @ x; a real A takes a complex vector x as its (n, 2) real view,
+    so A is not cast to complex on every product."""
+    if A.dtype.kind == "f" and x.dtype.kind == "c":
+        pairs = np.ascontiguousarray(x, dtype=np.complex128).view(np.float64).reshape(-1, 2)
+        return (A @ pairs).view(np.complex128)[:, 0]
+    return A @ x
+
+
 @dataclass
 class InterfaceSystem:
     """Level-N operators and rhs of the interface equation M g = -h.
@@ -352,14 +361,14 @@ class InterfaceSystem:
         """
         dense = self._dense_step
         if dense is not None:
-            return dense[0] @ x
+            return _product(dense[0], x)
         return self.alpha1 * self.dtn.apply(x) - _circulant(self.c_eigs, x) + self.mass * x
 
     def precond(self, x) -> np.ndarray:
         """P^{-1} x: one product with the dense P^{-1}, or two FFTs."""
         dense = self._dense_step
         if dense is not None:
-            return dense[1] @ x
+            return _product(dense[1], x)
         return _circulant(self._step_eigs[0], x)
 
     def apply_preconditioned(self, x) -> np.ndarray:
@@ -375,7 +384,7 @@ class InterfaceSystem:
         """
         dense = self._dense_step
         if dense is not None:
-            return dense[2] @ x
+            return _product(dense[2], x)
         y, minus_cy = _circulant(self._step_eigs, x)
         return self.alpha1 * self.dtn.apply(y) + minus_cy + self.mass * y
 

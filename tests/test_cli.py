@@ -1,9 +1,12 @@
 """Command line subcommands: artifacts, exit codes, determinism."""
 
 import os
+import signal
 import stat
 import subprocess
 import sys
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -307,8 +310,9 @@ def test_transmission_artifacts_and_determinism(ref_config, tmp_path, capsys):
     prefix_b = str(tmp_path / "b_")
     assert cli.main(["transmission", "--config", ref_config,
                      "--out-prefix", prefix_a]) == 0
-    out = capsys.readouterr().out
-    assert "condition estimate" in out and "flux residual" in out
+    out = capsys.readouterr().out.splitlines()
+    names = ["condition estimate", "trace defect", "flux residual", "discretization defect"]
+    assert [line.partition(" = ")[0] for line in out] == names
     header, rows = _read_csv(tmp_path / "a_g.csv")
     assert header == ["level", "cell", "value"]
     assert len(rows) == 8
@@ -317,6 +321,11 @@ def test_transmission_artifacts_and_determinism(ref_config, tmp_path, capsys):
     assert "config_sha256=" in manifest
     assert manifest.count("output=") == 3
     assert "wall_time_s=" in manifest
+    # the reported numbers, as printed, and the time of the solve and of the writes
+    lines = manifest.splitlines()
+    for name, line in zip(names, out):
+        assert "%s=%s" % (name.replace(" ", "_"), line.partition(" = ")[2]) in lines
+    assert sum(line.startswith(("stage.solve_s=", "stage.write_s=")) for line in lines) == 2
 
     assert cli.main(["transmission", "--config", ref_config,
                      "--out-prefix", prefix_b]) == 0
@@ -339,6 +348,125 @@ def test_outputs_take_their_mode_from_the_umask(ref_config, tmp_path, capsys):
     names = ("g.csv", "tree.csv", "exterior.csv", "manifest.txt")
     modes = {name: stat.S_IMODE((tmp_path / ("m_" + name)).stat().st_mode) for name in names}
     assert modes == dict.fromkeys(names, 0o644)
+
+
+# the forked tree.csv writer, its exit and its errors: POSIX only
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="os.fork is POSIX only")
+
+
+def _assert_no_child_and_no_temp_file(directory):
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert not list(directory.glob(".tmp-*.part"))
+
+
+@needs_fork
+def test_failed_tree_write_in_the_child_raises_its_error(ref_config, tmp_path, capsys):
+    # tree.csv is written by a forked child: the rename onto a directory
+    # fails there, and the parent raises that OSError after its own writes
+    (tmp_path / "t_tree.csv").mkdir()
+    with pytest.raises(IsADirectoryError) as failure:
+        cli.main(["transmission", "--config", ref_config, "--out-prefix", str(tmp_path / "t_")])
+    assert failure.value.filename2 == str(tmp_path / "t_tree.csv")
+    _assert_no_child_and_no_temp_file(tmp_path)
+    assert (tmp_path / "t_exterior.csv").is_file()
+    assert not (tmp_path / "t_manifest.txt").exists()
+
+
+@needs_fork
+def test_parent_write_error_wins_over_the_child_s(ref_config, tmp_path, capsys):
+    (tmp_path / "t_tree.csv").mkdir()
+    (tmp_path / "t_exterior.csv").mkdir()
+    with pytest.raises(IsADirectoryError) as failure:
+        cli.main(["transmission", "--config", ref_config, "--out-prefix", str(tmp_path / "t_")])
+    assert failure.value.filename2 == str(tmp_path / "t_exterior.csv")
+    _assert_no_child_and_no_temp_file(tmp_path)
+
+
+class TwoPartError(Exception):
+    """Pickles, but does not unpickle: its args hold one of its two parts."""
+
+    def __init__(self, what, where):
+        super().__init__("%s at %s" % (what, where))
+
+
+def _local_error():
+    class LocalError(Exception):
+        """A class local to a function: pickle cannot find it by name."""
+
+    return LocalError("no rows")
+
+
+@needs_fork
+@pytest.mark.parametrize("error", [_local_error, lambda: TwoPartError("no rows", "generation 0")],
+                         ids=["does-not-pickle", "does-not-unpickle"])
+def test_child_error_that_does_not_round_trip_arrives_as_its_repr(error, ref_config, tmp_path,
+                                                                   monkeypatch, capsys):
+    def tree_chunks(u):
+        raise error()
+
+    monkeypatch.setattr(cli, "_tree_chunks", tree_chunks)
+    with pytest.raises(RuntimeError, match="Error\\('no rows"):
+        cli.main(["transmission", "--config", ref_config, "--out-prefix", str(tmp_path / "t_")])
+    _assert_no_child_and_no_temp_file(tmp_path)
+
+
+@needs_fork
+def test_killed_child_is_an_error(ref_config, tmp_path, monkeypatch, capsys):
+    # a child that sends no message (killed, say by the OOM killer) has
+    # not written tree.csv: the command must not report success
+    def tree_chunks(u):
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    monkeypatch.setattr(cli, "_tree_chunks", tree_chunks)
+    with pytest.raises(RuntimeError, match="wait status"):
+        cli.main(["transmission", "--config", ref_config, "--out-prefix", str(tmp_path / "t_")])
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@needs_fork
+def test_interrupt_in_the_parent_waits_for_the_child(ref_config, tmp_path, monkeypatch, capsys):
+    write_csv = cli._write_csv
+
+    def interrupted(path, header, columns):
+        if path.endswith("exterior.csv"):
+            raise KeyboardInterrupt
+        write_csv(path, header, columns)
+
+    monkeypatch.setattr(cli, "_write_csv", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(["transmission", "--config", ref_config, "--out-prefix", str(tmp_path / "t_")])
+    _assert_no_child_and_no_temp_file(tmp_path)
+
+
+def test_without_fork_the_files_are_the_same(tmp_path, monkeypatch, capsys):
+    # where os.fork is missing (Windows) tree.csv is written in-process
+    path = tmp_path / "run.ini"
+    path.write_text(COMPLEX_TEXT)
+    assert cli.main(["transmission", "--config", str(path), "--out-prefix", str(tmp_path / "a_")]) == 0
+    monkeypatch.delattr(os, "fork")
+    assert cli.main(["transmission", "--config", str(path), "--out-prefix", str(tmp_path / "b_")]) == 0
+    for name in ("g.csv", "tree.csv", "exterior.csv"):
+        assert (tmp_path / ("a_" + name)).read_bytes() == (tmp_path / ("b_" + name)).read_bytes()
+
+
+def test_fork_with_a_thread_alive_gives_no_deprecation_warning(ref_config, tmp_path, capsys):
+    # CPython 3.12+ warns on os.fork() in a multi-threaded process; the
+    # writer's fork is safe (see cli._in_child) and the warning must not escape
+    done = threading.Event()
+    thread = threading.Thread(target=done.wait)
+    thread.start()
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["transmission", "--config", ref_config,
+                             "--out-prefix", str(tmp_path / "t_")]) == 0
+    finally:
+        done.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert not [w for w in caught if issubclass(w.category, DeprecationWarning)]
 
 
 def test_transmission_at_pencil_eigenvalue_exits_3(tmp_path, capsys):

@@ -232,6 +232,27 @@ def test_dense_step_matches_the_dense_oracle(params, N, alpha1, alpha0):
     assert rel_err(system.apply(x), system.M @ x) <= 1e-13
 
 
+@pytest.mark.parametrize("params,N", DENSE_STEP)
+@pytest.mark.parametrize("alpha1,alpha0", [(1.0, 0.3), (1.3, "cells")], ids=["real", "per-cell"])
+def test_real_dense_step_on_a_complex_manufactured_datum(params, N, alpha1, alpha0):
+    # the datum convergence_study puts through M: cell averages of the modes
+    # +-1 with a complex amplitude.  The real matrices take its (n, 2) real
+    # view and must agree with the complex product of the cast matrices, to
+    # rounding of the terms before they cancel (|matrix| @ |datum|)
+    system = _system(params, N, alpha1, alpha0)
+    assert system.dtype == np.float64
+    manufactured = ci.FourierFn.from_modes(system.config.R, {1: 0.8 - 0.3j, -1: 0.8 - 0.3j})
+    datum = np.asarray(ci.cell_averages(system.decomp, manufactured, N), dtype=complex)
+    assert datum.imag.any()
+    M, p_inv, step = system._dense_step
+    for product, matrix in ((system.apply, M), (system.precond, p_inv),
+                            (system.apply_preconditioned, step)):
+        y = product(datum)
+        assert y.dtype == np.complex128 and y.shape == datum.shape
+        err = np.abs(y - matrix.astype(complex) @ datum).max()
+        assert err <= 1e-15 * (np.abs(matrix) @ np.abs(datum)).max()
+
+
 @pytest.mark.parametrize("params,N", [(TreeParams(p=2, ell=0.5, omega=0.4), 3),
                                       (TreeParams(p=2, ell=0.5, omega=0.4), 8),
                                       (TreeParams(p=1, ell=0.5, omega=1.0), 4),
