@@ -6,7 +6,7 @@ manifest recording the config hash, the effective parameters, and the wall
 time.  Numbers are written with 17 significant digits so identical configs
 reproduce byte-identical CSVs.
 
-Every CSV goes through one writer (_write_chunks), which streams chunks of
+Every CSV goes through one writer (_fill_csv), which streams chunks of
 at most _CHUNK_ROWS rows into the temp file.  A chunk is one row format,
 repeated over its rows and filled by one `%` call; its columns are
 numbers, formatted inside that call, or prepared text, passed as %s.
@@ -20,7 +20,9 @@ The `%.17g` text is the floor of one core's write, so `transmission`
 writes tree.csv in a forked child (_in_child) while this process writes
 g.csv and exterior.csv, and waits for the child before it writes the
 manifest.  The child reads the solution through copy-on-write and writes
-through the same writer, so the bytes are those of an in-process write.
+through the same writer into the temp file this process opened, so the
+bytes are those of an in-process write; this process renames the file once
+the child has succeeded and removes it when the child fails or is killed.
 Fork is POSIX only: without os.fork (Windows) tree.csv is written
 in-process.
 
@@ -73,7 +75,9 @@ def _atomic_file(path: str):
     """A text file handle; what is written replaces `path` when the block ends.
 
     The file gets the mode open() would give it, 0o666 less the umask:
-    mkstemp makes the temp file 0o600, and os.replace keeps that mode.
+    mkstemp makes the temp file 0o600, and os.replace keeps that mode.  The
+    temp file is removed when the block raises, also when a forked child
+    wrote it through the handle and was killed (cli._in_child).
     """
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
@@ -224,15 +228,22 @@ def _row(columns) -> list:
 
 
 def _write_chunks(path: str, header, chunks):
-    """Write a CSV atomically: the header, then the text of each chunk (_chunk_text).
+    """Write a CSV atomically (_atomic_file, _fill_csv)."""
+    with _atomic_file(path) as fh:
+        _fill_csv(fh, header, chunks)
+
+
+def _fill_csv(fh, header, chunks):
+    """Write the header, then the text of each chunk (_chunk_text), to fh and flush it.
 
     This is the one CSV writer.  The bytes are those of a row-by-row
     writer whatever the chunks are, so identical data give identical files.
+    The forked tree.csv writer leaves by os._exit, which flushes nothing.
     """
-    with _atomic_file(path) as fh:
-        fh.write(",".join(header) + "\n")
-        for fields in chunks:
-            fh.write(_chunk_text(fields))
+    fh.write(",".join(header) + "\n")
+    for fields in chunks:
+        fh.write(_chunk_text(fields))
+    fh.flush()
 
 
 def _write_csv(path: str, header, columns):
@@ -361,9 +372,11 @@ def _cmd_transmission(args) -> int:
     check_tree_budget(tree.params, tree.depth, tree.depth)
     prefix = args.out_prefix
     g = sol.g.values
-    # tree.csv, the largest file, on the second core (module docstring)
-    with _in_child(lambda: _write_chunks(prefix + "tree.csv", ("n", "k", "coeff_index", "value"),
-                                         _tree_chunks(sol.u_rows))):
+    # tree.csv, the largest file, on the second core (module docstring); this
+    # process owns its temp file, so a killed child leaves none behind
+    with _atomic_file(prefix + "tree.csv") as tree_fh, \
+            _in_child(lambda: _fill_csv(tree_fh, ("n", "k", "coeff_index", "value"),
+                                        _tree_chunks(sol.u_rows))):
         _write_csv(prefix + "g.csv", ("level", "cell", "value"),
                    [np.full(g.size, sol.g.level), np.arange(g.size), g])
         trace = sol.u_ext.trace0()

@@ -33,9 +33,10 @@ the per-generation autocorrelations of beta, and gathers the dense
 p^N x p^N matrix only when asked (TreeDtN.matrix).  The top of the sweep,
 from the largest level k with p^k <= _TOP_CELLS up to the root and back,
 is one Green block G (the loads collected at level k to the vertex values
-there), so apply runs only the N - k generations below k in Python; at
-p^N <= _TOP_CELLS that block is D itself (TreeDtN.green_matrix).  The
-dense builders condensed_dtn and truncated_dtn return plain arrays.
+there), so apply runs only the N - k generations below k in Python.  At
+p^N <= _TOP_CELLS the interface solve is direct and takes D as a dense
+array (TreeDtN.small_matrix).  The dense builders condensed_dtn and
+truncated_dtn return plain arrays.
 compress, the Galerkin restriction of a finer matrix, stays as the
 identity this rests on (acceptance criterion 3) and as its test oracle.
 """
@@ -61,11 +62,12 @@ DENSE_CELL_BUDGET = 4096
 # (BLAS on one thread) one p = 2 apply takes 1.8 us at N = 6 and 13 us at
 # N = 10, against 14 and 25 us for the whole sweep; 32 cells take 3.9 and
 # 15 us, and 128 cells save at most 1.7 us more with a block four times
-# the size.  When the block covers the whole level (p^N <= _TOP_CELLS), D
-# is that block (TreeDtN.green_matrix) and the interface solve takes its
-# dense step (transmission.InterfaceSystem): a GMRES step is one 64 x 64
-# product, 0.8 us at p = 2, N = 6, against 11 us for the FFT step, whose
-# cost there is numpy's FFT wrappers more than arithmetic.
+# the size.  At p^N <= _TOP_CELLS cells the interface solve is one dense LU
+# solve instead of GMRES (transmission.solve_interface): at p = 2, N = 6
+# building D (TreeDtN.small_matrix) takes 40 us, one LU solve for g and
+# M^{-1} 50 us and the whole interface solve 0.18 ms, against 0.54 ms for
+# GMRES and its condition estimate, whose cost there is numpy's call
+# overhead more than arithmetic.
 _TOP_CELLS = 64
 
 # dtn_convergence_rate measures on the Fourier modes cos(k theta) of
@@ -120,9 +122,10 @@ class TreeDtN:
     c and pivot are those of tree.FiniteTree.elimination cut at generation N,
     with c[-1] the merged leaf conductances, one per level-N cell (the
     arguments of _schur_boundary).  apply and chan_eigs cost O(p^N) and
-    O(N p^N log p^N); matrix gathers the dense p^N x p^N matrix.  apply and
-    green_matrix build the Green block of the top levels on first use
-    (_green), so matrix and chan_eigs never pay for it.
+    O(N p^N log p^N); matrix gathers the dense p^N x p^N matrix within the
+    dense budget, and small_matrix does so without one at p^N <= _TOP_CELLS.
+    apply builds the Green block of the top levels on first use (_green),
+    so neither matrix nor chan_eigs pays for it.
     """
 
     p: int
@@ -165,22 +168,15 @@ class TreeDtN:
             u /= pivot[n][:, None]
         return k, u
 
-    @cached_property
-    def green_matrix(self) -> np.ndarray | None:
-        """D as a dense array when the Green block covers level N, else None.
+    @property
+    def small_matrix(self) -> np.ndarray | None:
+        """D as a dense array when p^N <= _TOP_CELLS, else None.
 
-        With k = N no generation is swept, so D x = c_leaf x - c_leaf G
-        (c_leaf x) and D = diag(c_leaf) - c_leaf G c_leaf: p^N <= _TOP_CELLS
-        by construction, and no dense budget applies.
+        At most 64 x 64, so no dense budget applies (check_dense).
         """
-        k, green = self._green
-        if k < len(self.pivot) - 1:
+        if self.size > _TOP_CELLS:
             return None
-        c = self.c[-1]
-        D = green * -c
-        D *= c[:, None]
-        D[np.diag_indices_from(D)] += c
-        return D
+        return _schur_boundary(self.c, self.pivot)
 
     def apply(self, x) -> np.ndarray:
         """D x: the leaf fluxes c_leaf (x - u) of the harmonic extension u of x.

@@ -10,22 +10,22 @@ source lifts: v_f solves the exterior problem with zero trace, u_f a tree
 Poisson problem with zero trace, and u1 is a root bump carrying the root
 value c without contributing any leaf flux.
 
+At p^N <= dtn._TOP_CELLS = 64 cells M g = -h is solved directly: M is
+formed from the dense D (dtn.TreeDtN.small_matrix), and one LU solve of
+M [g | X] = [-h | I] gives g and M^{-1}, so the 1-norm condition number is
+exact.  At that size a Krylov solve costs more than the 64 x 64
+factorization, most of it in numpy's per-call overhead.  Above 64 cells
 M g = -h is solved by GMRES, preconditioned on the right by T. Chan's
 optimal circulant P of M, and the condition number is a Hager-Higham
 1-norm estimate; M is complex symmetric (M^T = M), so the estimate applies
-M and M^{-1} and never an adjoint.  Above dtn._TOP_CELLS = 64 cells M is
-never formed on the solve path: C is circulant, so it acts by FFT with the
-eigenvalues fft(row); D acts by one sweep over its level-N elimination;
-the alpha0 mass is a diagonal, and one GMRES step is one fused product
-M P^{-1} v: one forward FFT, one batched inverse FFT for P^{-1} v and
--C P^{-1} v, and one D sweep.  At p^N <= 64 cells D is a single Green block
-(dtn.TreeDtN.green_matrix) and numpy's FFT wrappers cost more than the
-arithmetic, so the system forms M, P^{-1} and M P^{-1} once (at most
-64 x 64 each) and every product is one matrix-vector product: at p = 2,
-N = 6 a step takes 0.8 us instead of 11 us (AMD EPYC, BLAS on one thread).
-The solve runs in the data's arithmetic: when alpha1, alpha0, c_root and
-the sources are real, h, the mass and M are real, and every vector, FFT
-(rfft/irfft), matrix and Givens rotation is float64.  C (a read-only
+M and M^{-1} and never an adjoint.  M is never formed on that path: C is
+circulant, so it acts by FFT with the eigenvalues fft(row); D acts by one
+sweep over its level-N elimination; the alpha0 mass is a diagonal, and one
+GMRES step is one fused product M P^{-1} v: one forward FFT, one batched
+inverse FFT for P^{-1} v and -C P^{-1} v, and one D sweep.  The solve runs
+in the data's arithmetic: when alpha1, alpha0, c_root and the sources are
+real, h, the mass and M are real, and every vector, FFT (rfft/irfft),
+matrix, factorization and Givens rotation is float64.  C (a read-only
 circulant view), D and M are properties of InterfaceSystem, for the pencil
 and for tests; the pencil reduces to one symmetric eigvalsh, so no module
 here needs scipy.
@@ -240,15 +240,6 @@ def _circulant(eigs, x) -> np.ndarray:
     return np.fft.ifft(eigs * np.fft.fft(x))
 
 
-def _product(A, x) -> np.ndarray:
-    """A @ x; a real A takes a complex vector x as its (n, 2) real view,
-    so A is not cast to complex on every product."""
-    if A.dtype.kind == "f" and x.dtype.kind == "c":
-        pairs = np.ascontiguousarray(x, dtype=np.complex128).view(np.float64).reshape(-1, 2)
-        return (A @ pairs).view(np.complex128)[:, 0]
-    return A @ x
-
-
 @dataclass
 class InterfaceSystem:
     """Level-N operators and rhs of the interface equation M g = -h.
@@ -257,7 +248,10 @@ class InterfaceSystem:
     D_N as its level-N elimination; neither is a p^N x p^N array.  C is
     the read-only circulant view of c_row (exterior.circulant_view), which
     stores 2 p^N values; D and M are dense properties, built on each
-    access within the dense operator budget.  mass is the diagonal of the
+    access within the dense operator budget.  apply, precond and
+    apply_preconditioned act without forming M, for the GMRES solve above
+    64 cells; at or below 64 cells solve_interface forms M from
+    dtn.small_matrix, which needs no budget.  mass is the diagonal of the
     alpha0 mass matrix: alpha0 times the cell measure, per cell.  mass and
     h are float64 when the data are real, and M is then real symmetric.
     The system also keeps the source lifts of h for `reconstruct`: the
@@ -333,58 +327,21 @@ class InterfaceSystem:
         """[1/e; -lambda_C/e]: P^{-1} and -C P^{-1} on the fft basis."""
         return np.stack((1.0 / self.chan_eigs, -self.c_eigs / self.chan_eigs))
 
-    @cached_property
-    def _dense_step(self) -> tuple | None:
-        """(M, P^{-1}, M P^{-1}) as arrays when D is one Green block, else None.
-
-        The Green block covers the level when p^N <= dtn._TOP_CELLS
-        (TreeDtN.green_matrix), which needs no dense budget.  P^{-1} is the
-        circulant with first column irfft(1/e), or ifft(1/e) for complex e;
-        all three are in the dtype of M.  The build is one product of at
-        most 64^3, about 30 us at p^N = 64 once chan_eigs is known.
-        """
-        D = self.dtn.green_matrix
-        if D is None:
-            return None
-        M = self._interface_matrix(D)
-        inv = 1.0 / self.chan_eigs
-        n = inv.size
-        col = np.fft.irfft(inv[: n // 2 + 1], n) if np.isrealobj(inv) else np.fft.ifft(inv)
-        p_inv = circulant_view(col).copy()
-        return M, p_inv, M @ p_inv
-
     def apply(self, x) -> np.ndarray:
-        """M x in the dtype of x and M.
-
-        With a dense step (_dense_step) it is one product with M; otherwise
-        C acts by FFT, D by its tree sweep and the mass as a diagonal.
-        """
-        dense = self._dense_step
-        if dense is not None:
-            return _product(dense[0], x)
+        """M x in the dtype of x and M: C by FFT, D by its tree sweep, the mass as a diagonal."""
         return self.alpha1 * self.dtn.apply(x) - _circulant(self.c_eigs, x) + self.mass * x
 
     def precond(self, x) -> np.ndarray:
-        """P^{-1} x: one product with the dense P^{-1}, or two FFTs."""
-        dense = self._dense_step
-        if dense is not None:
-            return _product(dense[1], x)
+        """P^{-1} x by two FFTs."""
         return _circulant(self._step_eigs[0], x)
 
     def apply_preconditioned(self, x) -> np.ndarray:
-        """M P^{-1} x: one product with the dense M P^{-1}, or one fused FFT step.
+        """M P^{-1} x by one fused FFT step.
 
-        At p^N <= dtn._TOP_CELLS cells the step is one product with the
-        cached M P^{-1} (_dense_step): 0.8 us at p = 2, N = 6, where the
-        FFT step takes 11 us, most of it in numpy's FFT wrappers (module
-        docstring).  Above that size the step is one forward and one
-        batched inverse FFT, then one D sweep: the inverse FFT of fft(x)
-        [1/e; -lambda_C/e] gives y = P^{-1} x and -C y together, and
-        M y = alpha1 D y + (-C y) + mass y.
+        One forward and one batched inverse FFT, then one D sweep: the
+        inverse FFT of fft(x) [1/e; -lambda_C/e] gives y = P^{-1} x and
+        -C y together, and M y = alpha1 D y + (-C y) + mass y.
         """
-        dense = self._dense_step
-        if dense is not None:
-            return _product(dense[2], x)
         y, minus_cy = _circulant(self._step_eigs, x)
         return self.alpha1 * self.dtn.apply(y) + minus_cy + self.mass * y
 
@@ -562,59 +519,83 @@ def _norm1_estimate(apply, n: int, dtype) -> float:
     return max(est, 2.0 * float(np.abs(apply(alt.astype(dtype))).sum()) / (3.0 * n))
 
 
-def solve_interface(sys: InterfaceSystem) -> PiecewiseConstantFn:
-    """Solve M g = -h by GMRES with one refinement step; residual <= 1e-10 ||h||.
+def _check_condition(sys: InterfaceSystem, cond: float) -> None:
+    """Record cond as sys.condition_estimate; raise SingularInterfaceOperator beyond _COND_LIMIT.
 
-    Everything runs in the dtype of M and h: float64, with rfft and irfft,
-    when alpha1, alpha0 and h are real, else complex128.  The right
-    preconditioner P is T. Chan's optimal circulant of M
-    (InterfaceSystem.chan_eigs), and each GMRES step is
-    InterfaceSystem.apply_preconditioned.  Above 64 cells M acts
-    matrix-free (InterfaceSystem.apply) and a step is one forward FFT, one
-    batched inverse FFT for P^{-1} v and -C P^{-1} v, and one D sweep; at
-    p^N <= 64 cells, where D is one Green block, M, P^{-1} and M P^{-1} are
-    formed once per system and every product is one matrix-vector product,
-    since there numpy's FFT wrappers cost more than the arithmetic.
-    The solve stops at _KRYLOV_RTOL; its refinement step solves for the
+    An infinite or NaN cond raises too.  The message names the plasmonic
+    pencil eigenvalue nearest alpha1 when the dense pencil fits its budget.
+    """
+    sys.condition_estimate = cond
+    if math.isfinite(cond) and cond <= _COND_LIMIT:
+        return
+    message = "interface operator condition %.3e" % cond
+    try:
+        evs = plasmonic_pencil(sys.C, sys.D, count=min(sys.h.size, 8))
+    except AssemblyTooLarge:
+        evs = []
+    if evs:
+        a1 = complex(sys.config.alpha1)
+        message += "; nearest pencil eigenvalue %r" % min(evs, key=lambda z: abs(z - a1))
+    raise SingularInterfaceOperator(message)
+
+
+def solve_interface(sys: InterfaceSystem) -> PiecewiseConstantFn:
+    """Solve M g = -h, directly at p^N <= 64 cells, else by GMRES; residual <= 1e-10 ||h||.
+
+    Everything runs in the dtype of M and h: float64 when alpha1, alpha0
+    and h are real, else complex128.  At p^N <= dtn._TOP_CELLS = 64 cells
+    M is formed from the dense D (TreeDtN.small_matrix, no dense budget)
+    and one LU solve of M [g | X] = [-h | I] gives g and X = M^{-1}, so the
+    condition number ||M||_1 ||X||_1 is exact; an exactly singular M
+    (np.linalg.LinAlgError) has condition inf.  Above 64 cells M acts
+    matrix-free (InterfaceSystem.apply): GMRES is preconditioned on the
+    right by T. Chan's optimal circulant P of M (InterfaceSystem.chan_eigs),
+    and each step is InterfaceSystem.apply_preconditioned, one forward FFT,
+    one batched inverse FFT for P^{-1} v and -C P^{-1} v, and one D sweep.
+    That solve stops at _KRYLOV_RTOL; its refinement step solves for the
     residual to _REFINE_RTOL of that residual, which is rounding level.
-    The 1-norm condition number is the Hager-Higham estimate of ||M||_1
+    Its 1-norm condition number is the Hager-Higham estimate of ||M||_1
     times that of ||M^{-1}||_1.  C and D are real symmetric and the mass is
     diagonal, so M^T = M and both estimates need products with M alone:
     those with M^{-1} are GMRES solves to _KRYLOV_RTOL, and the estimate is
-    inf when one of them misses its tolerance.  An estimate beyond 1e12
-    raises SingularInterfaceOperator and reports the nearest plasmonic
+    inf when one of them misses its tolerance.  A condition number beyond
+    1e12 raises SingularInterfaceOperator and reports the nearest plasmonic
     pencil eigenvalue as a diagnostic when the dense pencil fits its budget.
     """
     n = sys.h.size
     dtype = np.result_type(sys.dtype, sys.h)
-    step, precond = sys.apply_preconditioned, sys.precond
-    try:
-        inverse_norm = _norm1_estimate(_inverse(step, precond), n, dtype)
-    except _Unconverged:
-        inverse_norm = math.inf
-    cond = _norm1_estimate(sys.apply, n, dtype) * inverse_norm
-    sys.condition_estimate = cond
-    if not math.isfinite(cond) or cond > _COND_LIMIT:
-        message = "interface operator condition %.3e" % cond
-        try:
-            evs = plasmonic_pencil(sys.C, sys.D, count=min(n, 8))
-        except AssemblyTooLarge:
-            evs = []
-        if evs:
-            a1 = complex(sys.config.alpha1)
-            message += "; nearest pencil eigenvalue %r" % min(evs, key=lambda z: abs(z - a1))
-        raise SingularInterfaceOperator(message)
     rhs = -sys.h.astype(dtype)
-    g, _ = _gmres(step, precond, rhs)
-    g = g + _gmres(step, precond, rhs - sys.apply(g), _REFINE_RTOL)[0]
+    D = sys.dtn.small_matrix
+    if D is not None:
+        M = sys._interface_matrix(D)
+        apply = M.__matmul__
+        try:
+            X = np.linalg.solve(M, np.column_stack((rhs, np.eye(n, dtype=dtype))))
+        except np.linalg.LinAlgError:
+            cond = math.inf
+        else:
+            cond = float(np.linalg.norm(M, 1) * np.linalg.norm(X[:, 1:], 1))
+        # an infinite cond raises, so X exists past this check
+        _check_condition(sys, cond)
+        g = X[:, 0]
+    else:
+        apply = sys.apply
+        step, precond = sys.apply_preconditioned, sys.precond
+        try:
+            inverse_norm = _norm1_estimate(_inverse(step, precond), n, dtype)
+        except _Unconverged:
+            inverse_norm = math.inf
+        _check_condition(sys, _norm1_estimate(apply, n, dtype) * inverse_norm)
+        g, _ = _gmres(step, precond, rhs)
+        g = g + _gmres(step, precond, rhs - apply(g), _REFINE_RTOL)[0]
     if np.iscomplexobj(g) and np.abs(g.imag).max() <= 1e-12 * max(np.abs(g).max(), 1e-300):
         g = g.real.astype(float)
     scale = float(np.linalg.norm(sys.h))
-    residual = float(np.linalg.norm(sys.apply(g) + sys.h))
+    residual = float(np.linalg.norm(apply(g) + sys.h))
     if not residual <= 1e-10 * max(scale, 1e-300):
         raise SingularInterfaceOperator(
             "residual %.3e exceeds 1e-10 of ||h|| = %.3e (condition %.3e)"
-            % (residual, scale, cond))
+            % (residual, scale, sys.condition_estimate))
     return PiecewiseConstantFn(sys.decomp, sys.config.level, g)
 
 

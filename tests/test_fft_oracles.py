@@ -183,7 +183,7 @@ def test_interface_operator_matches_dense(params, N, alpha1, alpha0):
     assert rel_err(np.conj(system.apply(np.conj(x))), M.conj().T @ x) <= 1e-13
 
 
-# levels on both sides of the dense interface step, which applies at
+# levels on both sides of the direct interface solve, which applies at
 # p^N <= dtn._TOP_CELLS = 64 cells
 STEP_LEVELS = [(TreeParams(p=2, ell=0.5, omega=0.4), 6), (P3_OVERRIDES, 4),
                (TreeParams(p=2, ell=0.5, omega=0.4), 7), (P3_OVERRIDES, 3),
@@ -194,11 +194,10 @@ DENSE_STEP = [(params, N) for params, N in STEP_LEVELS if params.p**N <= 64]
 @pytest.mark.parametrize("params,N", STEP_LEVELS)
 @pytest.mark.parametrize("alpha1,alpha0", COEFFS)
 def test_fused_preconditioned_step_matches_its_parts(params, N, alpha1, alpha0):
-    # one product with M P^{-1}, or one forward and one batched inverse FFT
-    # for P^{-1} v and -C P^{-1} v; real v on a real system stays real,
-    # anything else is complex
+    # one forward and one batched inverse FFT for P^{-1} v and -C P^{-1} v,
+    # at every level; real v on a real system stays real, anything else is
+    # complex
     system = _system(params, N, alpha1, alpha0)
-    assert (system._dense_step is not None) == ((params, N) in DENSE_STEP)
     assert (system.dtype == np.float64) == (np.isrealobj(alpha1) and np.isrealobj(alpha0))
     rng = np.random.default_rng(N)
     v = rng.standard_normal(system.h.size)
@@ -209,48 +208,70 @@ def test_fused_preconditioned_step_matches_its_parts(params, N, alpha1, alpha0):
         assert rel_err(system.precond(x), np.fft.ifft(np.fft.fft(x) / system.chan_eigs)) <= 1e-13
 
 
+def _count_krylov_calls(system, monkeypatch):
+    """A list that grows by one name per call of the Krylov solve's parts on system."""
+    calls = []
+
+    def counted(name, product):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return product(*args, **kwargs)
+        return call
+
+    system.dtn.chan_eigs = counted("chan_eigs", system.dtn.chan_eigs)
+    system.apply_preconditioned = counted("apply_preconditioned", system.apply_preconditioned)
+    monkeypatch.setattr(transmission, "_gmres", counted("_gmres", transmission._gmres))
+    return calls
+
+
 @pytest.mark.parametrize("params,N", DENSE_STEP)
 @pytest.mark.parametrize("alpha1,alpha0", COEFFS)
-def test_dense_step_matches_the_dense_oracle(params, N, alpha1, alpha0):
-    # M from the dense D_N, P^{-1} from the FFT of the identity
+def test_direct_solve_matches_lapack_with_the_exact_condition_number(params, N, alpha1, alpha0,
+                                                                     monkeypatch):
+    # at p^N <= 64 cells one LU solve gives g and M^{-1}: the condition
+    # number is exact, and no part of the Krylov solve runs
     system = _system(params, N, alpha1, alpha0)
-    M, p_inv, step = system._dense_step
-    n = system.h.size
-    oracle_p_inv = np.fft.ifft(np.fft.fft(np.eye(n), axis=0) / system.chan_eigs[:, None], axis=0)
-    assert M.dtype == p_inv.dtype == step.dtype == system.dtype
-    assert rel_err(M, system.M) <= 1e-13
-    assert rel_err(p_inv, oracle_p_inv) <= 1e-13
-    assert rel_err(step, system.M @ oracle_p_inv) <= 1e-13
-    # a complex x on a real system, as convergence_study's manufactured
-    # datum: the products are complex and act on both parts alike
-    rng = np.random.default_rng(n)
-    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    for product in (system.apply, system.precond, system.apply_preconditioned):
-        y = product(x)
-        assert y.dtype == np.complex128
-        assert rel_err(y, product(x.real) + 1j * product(x.imag)) <= 1e-14
-    assert rel_err(system.apply(x), system.M @ x) <= 1e-13
+    calls = _count_krylov_calls(system, monkeypatch)
+    g = solve_interface(system).values
+    assert calls == [] and "chan_eigs" not in vars(system)
+    M = system.M
+    assert rel_err(g, np.linalg.solve(M, -system.h)) <= 1e-12
+    exact = float(np.linalg.cond(M, 1))
+    assert abs(system.condition_estimate - exact) <= 1e-9 * exact
 
 
 @pytest.mark.parametrize("params,N", DENSE_STEP)
 @pytest.mark.parametrize("alpha1,alpha0", [(1.0, 0.3), (1.3, "cells")], ids=["real", "per-cell"])
-def test_real_dense_step_on_a_complex_manufactured_datum(params, N, alpha1, alpha0):
-    # the datum convergence_study puts through M: cell averages of the modes
-    # +-1 with a complex amplitude.  The real matrices take its (n, 2) real
-    # view and must agree with the complex product of the cast matrices, to
-    # rounding of the terms before they cancel (|matrix| @ |datum|)
+def test_direct_solve_of_a_complex_manufactured_datum_on_a_real_system(params, N, alpha1, alpha0):
+    # the rhs convergence_study puts to a real M: h = -M x for the cell
+    # averages x of the modes +-1 with a complex amplitude
     system = _system(params, N, alpha1, alpha0)
     assert system.dtype == np.float64
     manufactured = ci.FourierFn.from_modes(system.config.R, {1: 0.8 - 0.3j, -1: 0.8 - 0.3j})
     datum = np.asarray(ci.cell_averages(system.decomp, manufactured, N), dtype=complex)
     assert datum.imag.any()
-    M, p_inv, step = system._dense_step
-    for product, matrix in ((system.apply, M), (system.precond, p_inv),
-                            (system.apply_preconditioned, step)):
-        y = product(datum)
-        assert y.dtype == np.complex128 and y.shape == datum.shape
-        err = np.abs(y - matrix.astype(complex) @ datum).max()
-        assert err <= 1e-15 * (np.abs(matrix) @ np.abs(datum)).max()
+    system.h = -system.apply(datum)
+    g = solve_interface(system).values
+    M = system.M
+    assert g.dtype == np.complex128
+    assert rel_err(g, np.linalg.solve(M, -system.h)) <= 1e-12
+    assert rel_err(g, datum) <= 1e-12
+    exact = float(np.linalg.cond(M, 1))
+    assert abs(system.condition_estimate - exact) <= 1e-9 * exact
+
+
+@pytest.mark.parametrize("params,N", DENSE_STEP)
+def test_direct_solve_of_an_exactly_singular_operator_raises(params, N, monkeypatch):
+    # LAPACK's exact zero pivot is condition inf, with the pencil diagnostic
+    system = _system(params, N, 1.0, 0.3)
+
+    def singular(a, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(transmission.np.linalg, "solve", singular)
+    with pytest.raises(SingularInterfaceOperator, match="condition inf; nearest pencil eigenvalue"):
+        solve_interface(system)
+    assert system.condition_estimate == math.inf
 
 
 @pytest.mark.parametrize("params,N", [(TreeParams(p=2, ell=0.5, omega=0.4), 3),
