@@ -326,7 +326,7 @@ def _cmd_tree_dtn(args) -> int:
 def _cmd_exterior_dtn(args) -> int:
     started = time.monotonic()
     symbol = dtn_symbol(args.radius, args.modes)
-    check_cutoff(args.modes, args.p**args.level)
+    check_cutoff(args.modes, args.p, args.level)
     _write_csv(args.out, ("k", "value"), [symbol.ks(), symbol.values])
     _write_manifest(args.out + ".manifest", "exterior-dtn", None, started, [args.out])
     return EXIT_OK

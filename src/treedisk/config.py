@@ -13,6 +13,7 @@ number.
 """
 
 import cmath
+import dataclasses
 import hashlib
 import re
 from dataclasses import dataclass, field
@@ -22,7 +23,7 @@ import numpy as np
 from .circle import FourierFn
 from .errors import ConfigError
 from .exterior import RadialSource, check_mode_budget
-from .tree import TreeParams, check_tree_budget
+from .tree import TreeParams
 
 
 def _parse_int(s):
@@ -158,8 +159,9 @@ class RunConfig:
         """Build the TransmissionConfig at the given level (default interface.N).
 
         source.tree.constant becomes the tree source as one constant row per
-        generation of the source tree; no tree is built here, but the tree
-        budget is checked before the rows are.
+        generation of the source tree, set by dataclasses.replace on a config
+        that has checked the budgets, so no tree is built and the rows are
+        within the tree budget.
         """
         from .transmission import TransmissionConfig
 
@@ -172,8 +174,7 @@ class RunConfig:
             source_depth=self.get("transmission.source_depth"), R=self.get("interface.radius"))
         const = self.get("source.tree.constant")
         if const != 0:
-            check_tree_budget(cfg.params, cfg.source_depth + 1, cfg.level)
-            cfg.tree_source = np.full((cfg.source_depth + 2, 1), const)
+            cfg = dataclasses.replace(cfg, tree_source=np.full((cfg.source_depth + 2, 1), const))
         return cfg
 
 

@@ -35,7 +35,7 @@ from the largest level k with p^k <= _TOP_CELLS up to the root and back,
 is one Green block G (the loads collected at level k to the vertex values
 there), so apply runs only the N - k generations below k in Python.  At
 p^N <= _TOP_CELLS the interface solve is direct and takes D as a dense
-array (TreeDtN.small_matrix).  The dense builders condensed_dtn and
+array (TreeDtN.matrix).  The dense builders condensed_dtn and
 truncated_dtn return plain arrays.
 compress, the Galerkin restriction of a finer matrix, stays as the
 identity this rests on (acceptance criterion 3) and as its test oracle.
@@ -64,7 +64,7 @@ DENSE_CELL_BUDGET = 4096
 # 15 us, and 128 cells save at most 1.7 us more with a block four times
 # the size.  At p^N <= _TOP_CELLS cells the interface solve is one dense LU
 # solve instead of GMRES (transmission.solve_interface): at p = 2, N = 6
-# building D (TreeDtN.small_matrix) takes 40 us, one LU solve for g and
+# building D (TreeDtN.matrix) takes 40 us, one LU solve for g and
 # M^{-1} 50 us and the whole interface solve 0.18 ms, against 0.54 ms for
 # GMRES and its condition estimate, whose cost there is numpy's call
 # overhead more than arithmetic.
@@ -77,11 +77,15 @@ _RATE_MODES = (1, 2, 3)
 _RATE_REF_EXTRA = 2
 
 
-def check_dense(n_cells: int) -> None:
-    """Raise AssemblyTooLarge before a dense n_cells x n_cells operator is built."""
-    if n_cells > DENSE_CELL_BUDGET:
-        raise AssemblyTooLarge("%d cells exceed the dense operator budget of %d cells"
-                               % (n_cells, DENSE_CELL_BUDGET))
+def check_dense(p: int, level: int) -> None:
+    """Raise AssemblyTooLarge before a dense operator on the p^level cells is built.
+
+    A level past the budget's bit length is refused before p^level is
+    formed, as tree.check_tree_budget does.
+    """
+    if p > 1 and level >= DENSE_CELL_BUDGET.bit_length() or p**level > DENSE_CELL_BUDGET:
+        raise AssemblyTooLarge("%d^%d cells exceed the dense operator budget of %d cells"
+                               % (p, level, DENSE_CELL_BUDGET))
 
 
 def _schur_boundary(c, pivot) -> np.ndarray:
@@ -111,7 +115,7 @@ def condensed_dtn(params: TreeParams, N: int) -> np.ndarray:
     Admits p = 1 (the interval oracle) even though sigma is undefined there;
     condensation only needs r = ell/(p omega) < 1.
     """
-    check_dense(params.p ** (N + 1))
+    check_dense(params.p, N + 1)
     return _schur_boundary(*build_condensed(params, N).elimination)
 
 
@@ -123,9 +127,8 @@ class TreeDtN:
     with c[-1] the merged leaf conductances, one per level-N cell (the
     arguments of _schur_boundary).  apply and chan_eigs cost O(p^N) and
     O(N p^N log p^N); matrix gathers the dense p^N x p^N matrix within the
-    dense budget, and small_matrix does so without one at p^N <= _TOP_CELLS.
-    apply builds the Green block of the top levels on first use (_green),
-    so neither matrix nor chan_eigs pays for it.
+    dense budget.  apply builds the Green block of the top levels on first
+    use (_green), so neither matrix nor chan_eigs pays for it.
     """
 
     p: int
@@ -138,7 +141,7 @@ class TreeDtN:
 
     @property
     def matrix(self) -> np.ndarray:
-        check_dense(self.size)
+        check_dense(self.p, len(self.pivot) - 1)
         return _schur_boundary(self.c, self.pivot)
 
     @cached_property
@@ -167,16 +170,6 @@ class TreeDtN:
             u += collected.pop()
             u /= pivot[n][:, None]
         return k, u
-
-    @property
-    def small_matrix(self) -> np.ndarray | None:
-        """D as a dense array when p^N <= _TOP_CELLS, else None.
-
-        At most 64 x 64, so no dense budget applies (check_dense).
-        """
-        if self.size > _TOP_CELLS:
-            return None
-        return _schur_boundary(self.c, self.pivot)
 
     def apply(self, x) -> np.ndarray:
         """D x: the leaf fluxes c_leaf (x - u) of the harmonic extension u of x.
@@ -244,7 +237,7 @@ def tree_dtn_operator(params: TreeParams, N: int) -> TreeDtN:
 
 def truncated_dtn(params: TreeParams, depth: int) -> np.ndarray:
     """DtN matrix of the plain truncated tree with edge generations 0..depth."""
-    check_dense(params.p**depth)
+    check_dense(params.p, depth)
     return _schur_boundary(*build_truncated(params, depth).elimination)
 
 

@@ -369,12 +369,16 @@ def solve_exterior_dirichlet(g, source: RadialSource | None, R: float | None = N
 # symbol Galerkin matrices on the multiscale cells
 
 
-def check_cutoff(M: int, pn: int):
-    """Warn (CutoffTooSmall) when M modes under-resolve the entries on pn cells."""
-    if M < MODE_OVERSAMPLING * pn:
+def check_cutoff(M: int, p: int, level: int):
+    """Warn (CutoffTooSmall) when M modes under-resolve the entries on the p^level cells.
+
+    p^level exceeds M once level reaches M's bit length (p >= 2), so such
+    a level warns before p^level is formed, as tree.check_tree_budget does.
+    """
+    if p > 1 and level >= int(M).bit_length() or M < MODE_OVERSAMPLING * p**level:
         warnings.warn(CutoffTooSmall(
-            "mode cutoff %d below %d * %d cells; entry tails unresolved"
-            % (M, MODE_OVERSAMPLING, pn)))
+            "mode cutoff %d below %d * %d^%d cells; entry tails unresolved"
+            % (M, MODE_OVERSAMPLING, p, level)))
 
 
 def galerkin_row(decomp: MultiscaleDecomposition, N: int, symbol: ExteriorSymbol) -> np.ndarray:
@@ -398,7 +402,7 @@ def galerkin_row(decomp: MultiscaleDecomposition, N: int, symbol: ExteriorSymbol
     if abs(symbol.R - decomp.R) > 1e-12 * decomp.R:
         raise ValueError("symbol radius differs from the decomposition radius")
     pn = decomp.n_cells(N)
-    check_cutoff(symbol.M, pn)
+    check_cutoff(symbol.M, decomp.p, N)
     folded = alias_fold(symbol.values, pn, power=2) / float(pn) ** 2
     return 2.0 * math.pi * decomp.R * np.fft.fft(folded).real
 
@@ -415,5 +419,5 @@ def circulant_view(row: np.ndarray) -> np.ndarray:
 def dtn_galerkin(decomp: MultiscaleDecomposition, N: int, symbol: ExteriorSymbol) -> np.ndarray:
     """Dense level-N Galerkin matrix of a symbol: a copy of the circulant view
     of galerkin_row."""
-    check_dense(decomp.n_cells(N))
+    check_dense(decomp.p, N)
     return circulant_view(galerkin_row(decomp, N, symbol)).copy()

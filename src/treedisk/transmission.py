@@ -11,24 +11,24 @@ Poisson problem with zero trace, and u1 is a root bump carrying the root
 value c without contributing any leaf flux.
 
 At p^N <= dtn._TOP_CELLS = 64 cells M g = -h is solved directly: M is
-formed from the dense D (dtn.TreeDtN.small_matrix), and one LU solve of
-M [g | X] = [-h | I] gives g and M^{-1}, so the 1-norm condition number is
-exact.  At that size a Krylov solve costs more than the 64 x 64
-factorization, most of it in numpy's per-call overhead.  Above 64 cells
-M g = -h is solved by GMRES, preconditioned on the right by T. Chan's
-optimal circulant P of M, and the condition number is a Hager-Higham
-1-norm estimate; M is complex symmetric (M^T = M), so the estimate applies
-M and M^{-1} and never an adjoint.  M is never formed on that path: C is
-circulant, so it acts by FFT with the eigenvalues fft(row); D acts by one
-sweep over its level-N elimination; the alpha0 mass is a diagonal, and one
-GMRES step is one fused product M P^{-1} v: one forward FFT, one batched
-inverse FFT for P^{-1} v and -C P^{-1} v, and one D sweep.  The solve runs
-in the data's arithmetic: when alpha1, alpha0, c_root and the sources are
-real, h, the mass and M are real, and every vector, FFT (rfft/irfft),
-matrix, factorization and Givens rotation is float64.  C (a read-only
-circulant view), D and M are properties of InterfaceSystem, for the pencil
-and for tests; the pencil reduces to one symmetric eigvalsh, so no module
-here needs scipy.
+formed densely (InterfaceSystem.M), and one LU solve of M [g | X] = [-h | I]
+gives g and M^{-1}, so the 1-norm condition number is exact.  At that size
+a Krylov solve costs more than the 64 x 64 factorization, most of it in
+numpy's per-call overhead.  Above 64 cells M g = -h is solved by GMRES,
+preconditioned on the right by T. Chan's optimal circulant P of M, and the
+condition number is a Hager-Higham 1-norm estimate; M is complex symmetric
+(M^T = M), so the estimate applies M and M^{-1} and never an adjoint.  M is
+never formed on that path: C is circulant, so it acts by FFT with the
+eigenvalues fft(row); D acts by one sweep over its level-N elimination; the
+alpha0 mass is a diagonal, and one GMRES step is one fused product
+M P^{-1} v: one forward FFT, one batched inverse FFT for P^{-1} v and
+-C P^{-1} v, and one D sweep.  The solve runs in the data's arithmetic,
+which TransmissionConfig fixes once, when it is built: when alpha1, alpha0,
+c_root and the sources are real, h, the mass and M are real, and every
+vector, FFT (rfft/irfft), matrix, factorization and Givens rotation is
+float64.  C (a read-only circulant view), D and M are properties of
+InterfaceSystem, for the pencil and for tests; the pencil reduces to one
+symmetric eigvalsh, so no module here needs scipy.
 
 The source side runs on the condensed source tree compressed at level N
 (tree.build_condensed with level=N): every generation below N stores one
@@ -62,7 +62,7 @@ from .calculus import (
 from .circle import MultiscaleDecomposition, PiecewiseConstantFn
 # compress is not called here; it stays importable from this module because
 # perfbench's tracer test wraps this binding
-from .dtn import TreeDtN, compress, tree_dtn_operator  # noqa: F401
+from .dtn import _TOP_CELLS, TreeDtN, compress, tree_dtn_operator  # noqa: F401
 from .errors import (
     Alpha1Zero,
     AssemblyTooLarge,
@@ -127,7 +127,7 @@ def _root_bump_coeffs(tree: FiniteTree) -> np.ndarray:
     return np.array([[1.0, -2.0 / l0, 1.0 / l0**2]])
 
 
-@dataclass
+@dataclass(frozen=True)
 class TransmissionConfig:
     """Data of the transmission problem and its discretization level.
 
@@ -137,6 +137,14 @@ class TransmissionConfig:
     array: row n holds the ascending coefficients of the polynomial on
     every edge of generation n of the condensed tree at source_depth
     (default level + 4), whose generations run from 0 to source_depth + 1.
+
+    Building the frozen config is the one place the data are typed and
+    checked: alpha1 and c_root become numpy scalars, alpha0 and tree_source
+    arrays, float64 when their imaginary parts are exactly 0, else
+    complex128 (_exact_real).  Then the tree budget (tree.check_tree_budget,
+    by exponent first), the mode budget, the length of alpha0 (InvalidInput)
+    and the shape of tree_source (DepthMismatch) are checked, so a config
+    that exists is valid.  dataclasses.replace changes one and checks again.
     """
 
     params: TreeParams
@@ -150,30 +158,38 @@ class TransmissionConfig:
     R: float = 1.0
 
     def __post_init__(self):
-        if complex(self.alpha1) == 0:
+        def store(name, value):
+            object.__setattr__(self, name, value)
+
+        store("alpha1", _exact_real(self.alpha1)[()])
+        store("c_root", _exact_real(self.c_root)[()])
+        store("alpha0", _exact_real(self.alpha0))
+        if self.tree_source is not None:
+            store("tree_source", _exact_real(self.tree_source))
+        if self.alpha1 == 0:
             raise Alpha1Zero("alpha1 must be nonzero")
         if self.level < max(self.params.N1, 0):
             raise DepthBelowChartLevel(
                 "level %d below the geometric generation %d" % (self.level, self.params.N1))
         if self.source_depth is None:
-            self.source_depth = self.level + 4
+            store("source_depth", self.level + 4)
         if self.source_depth < self.level:
             raise DepthBelowChartLevel("source depth below solve level")
         if self.exterior_source is not None and abs(self.exterior_source.R - self.R) > 1e-12:
             raise ValueError("exterior source annulus must start at the interface radius")
+        check_tree_budget(self.params, self.source_depth + 1, self.level)
+        n = self.params.p**self.level
+        check_mode_budget(MODE_OVERSAMPLING * n)
+        if self.alpha0.size not in (1, n):
+            raise InvalidInput("alpha0 needs 1 or %d values, got %d" % (n, self.alpha0.size))
+        f = self.tree_source
+        if f is not None and (f.ndim != 2 or f.shape[0] != self.source_depth + 2 or not f.shape[1]):
+            raise DepthMismatch("tree_source needs one coefficient row per generation, shape "
+                                "(%d, q + 1), got %r" % (self.source_depth + 2, f.shape))
 
     def alpha0_cells(self) -> np.ndarray:
-        """alpha0 per level-N cell: float64 when it is real, else complex128.
-
-        A length other than 1 or p^N raises InvalidInput.
-        """
-        n = self.params.p**self.level
-        arr = np.atleast_1d(_exact_real(self.alpha0))
-        if arr.size == 1:
-            return np.full(n, arr[0])
-        if arr.size != n:
-            raise InvalidInput("alpha0 needs 1 or %d values, got %d" % (n, arr.size))
-        return arr
+        """alpha0 per level-N cell as a read-only broadcast, in alpha0's dtype."""
+        return np.broadcast_to(self.alpha0.ravel(), self.params.p**self.level)
 
     def solvability(self) -> dict:
         """The two sign conditions under which M is provably injective."""
@@ -196,24 +212,17 @@ def _tree_forcing(cfg: TransmissionConfig, tree: FiniteTree) -> TreeFunction | N
     tree, a read-only zero-stride view (zero without a tree source).
     Lap(u1) is the constant 2/l_root^2 on the root edge and zero elsewhere,
     so only generation 0 changes.  The forcing is real when tree_source and
-    c_root have no imaginary part.  A tree_source of another shape than
-    (source_depth + 2, q + 1) raises DepthMismatch.
+    c_root have no imaginary part (TransmissionConfig types both).
     """
     f = cfg.tree_source
-    if f is not None:
-        f = _exact_real(f)
-        if f.ndim != 2 or f.shape[0] != cfg.source_depth + 2 or not f.shape[1]:
-            raise DepthMismatch("tree_source needs one coefficient row per generation, shape "
-                                "(%d, q + 1), got %r" % (cfg.source_depth + 2, f.shape))
-    elif cfg.c_root == 0:
-        return None
-    else:
+    if f is None:
+        if cfg.c_root == 0:
+            return None
         f = np.zeros((tree.depth + 1, 1))
     coeffs = [np.broadcast_to(f[n], (rows, f.shape[1])) for n, rows in enumerate(tree.rows)]
     if cfg.c_root != 0:
-        c_root = _exact_real(cfg.c_root)[()]
-        root = coeffs[0].astype(np.result_type(coeffs[0], c_root))
-        root[0, 0] -= (2.0 / tree.lengths[0][0] ** 2) * c_root
+        root = coeffs[0].astype(np.result_type(coeffs[0], cfg.c_root))
+        root[0, 0] -= (2.0 / tree.lengths[0][0] ** 2) * cfg.c_root
         coeffs[0] = root
     return TreeFunction(tree, coeffs)
 
@@ -250,10 +259,10 @@ class InterfaceSystem:
     stores 2 p^N values; D and M are dense properties, built on each
     access within the dense operator budget.  apply, precond and
     apply_preconditioned act without forming M, for the GMRES solve above
-    64 cells; at or below 64 cells solve_interface forms M from
-    dtn.small_matrix, which needs no budget.  mass is the diagonal of the
-    alpha0 mass matrix: alpha0 times the cell measure, per cell.  mass and
-    h are float64 when the data are real, and M is then real symmetric.
+    64 cells; at or below 64 cells solve_interface forms M.  alpha1 is
+    config.alpha1, typed by the config.  mass is the diagonal of the alpha0
+    mass matrix: alpha0 times the cell measure, per cell.  mass and h are
+    float64 when the data are real, and M is then real symmetric.
     The system also keeps the source lifts of h for `reconstruct`: the
     Poisson lift u_f on the source tree (compressed at the solve level;
     u_f.tree keeps its elimination), its per-cell leaf flux flux_f, and the
@@ -274,15 +283,10 @@ class InterfaceSystem:
     v_f: ExteriorField | None = None
     condition_estimate: float | None = None
 
-    @cached_property
-    def alpha1(self):
-        """alpha1 as a numpy scalar: float64 when its imaginary part is 0."""
-        return _exact_real(self.config.alpha1)[()]
-
     @property
     def dtype(self) -> np.dtype:
         """float64 when M is real, else complex128."""
-        return np.result_type(self.alpha1, self.mass)
+        return np.result_type(self.config.alpha1, self.mass)
 
     @property
     def C(self) -> np.ndarray:
@@ -294,12 +298,9 @@ class InterfaceSystem:
 
     @property
     def M(self) -> np.ndarray:
-        return self._interface_matrix(self.D)
-
-    def _interface_matrix(self, D) -> np.ndarray:
-        """alpha1 D - C + diag(mass) for a dense D, in the dtype of M."""
-        M = D.astype(self.dtype)
-        M *= self.alpha1
+        """alpha1 D - C + diag(mass), dense, in the dtype of M."""
+        M = self.D.astype(self.dtype)
+        M *= self.config.alpha1
         M -= self.C
         M[np.diag_indices_from(M)] += self.mass
         return M
@@ -318,7 +319,7 @@ class InterfaceSystem:
         eigenvalue exactly (a pencil eigenvector that is a Fourier mode);
         eps keeps P invertible.
         """
-        eigs = self.alpha1 * self.dtn.chan_eigs() - self.c_eigs + self.mass.mean()
+        eigs = self.config.alpha1 * self.dtn.chan_eigs() - self.c_eigs + self.mass.mean()
         eigs[eigs == 0] = np.finfo(float).eps * np.abs(eigs).max()
         return eigs
 
@@ -329,7 +330,7 @@ class InterfaceSystem:
 
     def apply(self, x) -> np.ndarray:
         """M x in the dtype of x and M: C by FFT, D by its tree sweep, the mass as a diagonal."""
-        return self.alpha1 * self.dtn.apply(x) - _circulant(self.c_eigs, x) + self.mass * x
+        return self.config.alpha1 * self.dtn.apply(x) - _circulant(self.c_eigs, x) + self.mass * x
 
     def precond(self, x) -> np.ndarray:
         """P^{-1} x by two FFTs."""
@@ -343,7 +344,7 @@ class InterfaceSystem:
         -C y together, and M y = alpha1 D y + (-C y) + mass y.
         """
         y, minus_cy = _circulant(self._step_eigs, x)
-        return self.alpha1 * self.dtn.apply(y) + minus_cy + self.mass * y
+        return self.config.alpha1 * self.dtn.apply(y) + minus_cy + self.mass * y
 
 
 def assemble_system(cfg: TransmissionConfig) -> InterfaceSystem:
@@ -355,22 +356,19 @@ def assemble_system(cfg: TransmissionConfig) -> InterfaceSystem:
     (tree_source or c_root), and v_f only enters h.  h is formed in the
     dtype of its terms: the cell integrals of gamma1 v_f are real when its
     modes are conjugate-symmetric bit for bit, and the other terms are real
-    when alpha1, c_root and tree_source have no imaginary part.  The source
-    tree is checked against its budget (tree.check_tree_budget) and alpha0
-    against the cell count (InvalidInput) before anything is built, and the
-    symbol against exterior.MODE_BUDGET before it is allocated; nothing
-    here is p^N x p^N.
+    when alpha1, c_root and tree_source have no imaginary part.  The budgets,
+    the length of alpha0 and the shape of tree_source were checked when cfg
+    was built (TransmissionConfig), so nothing is refused here once work
+    has started; nothing here is p^N x p^N.
     """
     p = cfg.params.p
-    check_tree_budget(cfg.params, cfg.source_depth + 1, cfg.level)
-    alpha0 = cfg.alpha0_cells()
     pn = p**cfg.level
     symbol = dtn_symbol(cfg.R, MODE_OVERSAMPLING * pn)
     dtn = tree_dtn_operator(cfg.params, cfg.level)
     n_max = max(cfg.level, cfg.source_depth + 1) + 1
     decomp = MultiscaleDecomposition(R=cfg.R, p=p, n_max=n_max)
     c_row = galerkin_row(decomp, cfg.level, symbol)
-    mass = alpha0 * decomp.cell_measure(cfg.level)
+    mass = cfg.alpha0_cells() * decomp.cell_measure(cfg.level)
 
     h = np.zeros(pn)
     v_f = None
@@ -387,7 +385,7 @@ def assemble_system(cfg: TransmissionConfig) -> InterfaceSystem:
         tree = _source_tree(cfg)
         u_f = solve_poisson_zero_trace(tree, _tree_forcing(cfg, tree))
         flux_f = _cell_flux(u_f)
-        h = h + _exact_real(cfg.alpha1)[()] * flux_f
+        h = h + cfg.alpha1 * flux_f
     return InterfaceSystem(decomp=decomp, c_row=c_row, dtn=dtn, mass=mass, h=h, config=cfg,
                            u_f=u_f, flux_f=flux_f, v_f=v_f)
 
@@ -544,7 +542,7 @@ def solve_interface(sys: InterfaceSystem) -> PiecewiseConstantFn:
 
     Everything runs in the dtype of M and h: float64 when alpha1, alpha0
     and h are real, else complex128.  At p^N <= dtn._TOP_CELLS = 64 cells
-    M is formed from the dense D (TreeDtN.small_matrix, no dense budget)
+    M is formed densely (InterfaceSystem.M, far inside the dense budget)
     and one LU solve of M [g | X] = [-h | I] gives g and X = M^{-1}, so the
     condition number ||M||_1 ||X||_1 is exact; an exactly singular M
     (np.linalg.LinAlgError) has condition inf.  Above 64 cells M acts
@@ -565,9 +563,8 @@ def solve_interface(sys: InterfaceSystem) -> PiecewiseConstantFn:
     n = sys.h.size
     dtype = np.result_type(sys.dtype, sys.h)
     rhs = -sys.h.astype(dtype)
-    D = sys.dtn.small_matrix
-    if D is not None:
-        M = sys._interface_matrix(D)
+    if n <= _TOP_CELLS:
+        M = sys.M
         apply = M.__matmul__
         try:
             X = np.linalg.solve(M, np.column_stack((rhs, np.eye(n, dtype=dtype))))
@@ -664,9 +661,8 @@ def reconstruct(system: InterfaceSystem, g: PiecewiseConstantFn) -> Transmission
     coeffs = u.coeffs
     del u
     if cfg.c_root != 0:
-        c_root = _exact_real(cfg.c_root)[()]
         bump = _root_bump_coeffs(tree)
-        root = np.asarray(c_root * bump, dtype=np.result_type(c_root, bump, coeffs[0]))
+        root = np.asarray(cfg.c_root * bump, dtype=np.result_type(cfg.c_root, bump, coeffs[0]))
         root[:, :2] += coeffs[0]
         coeffs[0] = root
     if u_f is not None:
@@ -698,10 +694,10 @@ def reconstruct(system: InterfaceSystem, g: PiecewiseConstantFn) -> Transmission
     a0 = cfg.alpha0_cells()
     mass = a0 * circle.cell_integrals(decomp, g_fourier, cfg.level, classes)
     mass_exact = a0 * decomp.cell_measure(cfg.level) * g.values
-    resid_vec = flux_ext - system.alpha1 * flux_tree - mass
+    resid_vec = flux_ext - cfg.alpha1 * flux_tree - mass
     # normalize by the pre-cancellation flux magnitudes (the harmonic tree
     # flux and the source flux can cancel when g is nearly constant)
-    a1 = abs(system.alpha1)
+    a1 = abs(cfg.alpha1)
     scale = max(np.abs(flux_ext).max(), a1 * np.abs(flux_u).max(),
                 a1 * np.abs(flux_f).max(), np.abs(mass).max(), 1e-300)
     flux_residual = float(np.abs(resid_vec).max() / scale)
@@ -743,8 +739,9 @@ def convergence_study(cfg: TransmissionConfig, N_list, manufactured=None) -> Con
     level) so levels are compared consistently.  Raises AssertionError
     unless the H^{1/2} errors are monotone nonincreasing with a positive
     fitted rate; both checks are skipped once the errors sit at the
-    rounding floor (datum resolved exactly).  The finest level's mode and
-    tree budgets are checked before any level is solved (AssemblyTooLarge).
+    rounding floor (datum resolved exactly).  The finest level's config is
+    built first, so its mode and tree budgets are checked before any level
+    is solved (AssemblyTooLarge).
     """
     levels = sorted(set(int(n) for n in N_list))
     needed = 2 if manufactured is not None else 3
@@ -765,9 +762,8 @@ def convergence_study(cfg: TransmissionConfig, N_list, manufactured=None) -> Con
         sd = cfg.source_depth if cfg.tree_source is not None else max(cfg.source_depth, n)
         return dataclasses.replace(cfg, level=n, source_depth=sd)
 
-    finest = level_config(max(levels))
-    check_mode_budget(m_ref)
-    check_tree_budget(finest.params, finest.source_depth + 1, finest.level)
+    # building the finest config checks its budgets before any level is solved
+    level_config(max(levels))
 
     coeffs = []
     for n in levels:

@@ -6,6 +6,7 @@ import stat
 import subprocess
 import sys
 import threading
+import time
 import warnings
 
 import numpy as np
@@ -303,6 +304,32 @@ def test_exterior_dtn_warns_at_levels_too_large_for_a_matrix(tmp_path):
     with pytest.warns(CutoffTooSmall):
         assert cli.main(["exterior-dtn", "--radius", "1.0", "--level", "20",
                          "--modes", "8", "--out", str(tmp_path / "symbol.csv")]) == 0
+
+
+# the refusals compare p^level by its exponent: at these levels p^level has
+# more than 4300 digits, past what %d formats, and 3^100000000 took about a
+# minute to compute; the bound leaves room for a loaded machine
+_FAST_S = 5.0
+
+
+def test_tree_dtn_refuses_a_huge_depth_without_forming_p_to_the_depth(ref_config, tmp_path,
+                                                                       capsys):
+    started = time.monotonic()
+    assert cli.main(["tree-dtn", "--config", ref_config, "--depth", "20000",
+                     "--out", str(tmp_path / "dtn.csv")]) == 2
+    assert time.monotonic() - started < _FAST_S
+    assert capsys.readouterr().err == ("problem too large: 2^20001 cells exceed the dense "
+                                       "operator budget of 4096 cells\n")
+    assert not (tmp_path / "dtn.csv").exists()
+
+
+@pytest.mark.parametrize("p, level", [(2, 14300), (3, 100000000)])
+def test_exterior_dtn_warns_at_a_huge_level_without_forming_p_to_the_level(tmp_path, p, level):
+    started = time.monotonic()
+    with pytest.warns(CutoffTooSmall, match=r"below 16 \* %d\^%d cells" % (p, level)):
+        assert cli.main(["exterior-dtn", "--radius", "1.0", "--p", str(p), "--level", str(level),
+                         "--modes", "8", "--out", str(tmp_path / "symbol.csv")]) == 0
+    assert time.monotonic() - started < _FAST_S
 
 
 def test_transmission_artifacts_and_determinism(ref_config, tmp_path, capsys):

@@ -127,7 +127,7 @@ def test_root_bump_properties():
 def test_flux_residual_within_discretization_defect():
     cfg = TransmissionConfig(params=REF, level=3, alpha1=2.0, alpha0=0.5, c_root=1.5,
                              exterior_source=_ext_source(1))
-    cfg.tree_source = np.full((cfg.source_depth + 2, 1), 0.7)
+    cfg = dataclasses.replace(cfg, tree_source=np.full((cfg.source_depth + 2, 1), 0.7))
     sol = solve_transmission(cfg)
     assert sol.trace_defect <= 1e-10
     assert sol.flux_residual <= sol.discretization_defect + 1e-10
@@ -289,8 +289,17 @@ def test_singular_operator_names_the_nearest_pencil_eigenvalue(monkeypatch):
     with pytest.raises(SingularInterfaceOperator) as exc:
         solve_interface(assemble_system(cfg))
     assert str(exc.value).endswith("; nearest pencil eigenvalue %r" % lam)
-    # past the dense budget the pencil is skipped and the solve still raises
-    monkeypatch.setattr(dtn, "DENSE_CELL_BUDGET", 4)
+    # past the dense budget the pencil is skipped and the solve still
+    # raises: 128 cells take the GMRES path, and at the real budget its
+    # message names the eigenvalue too
+    sy = assemble_system(TransmissionConfig(params=REF, level=7, alpha1=1.0, alpha0=0.0))
+    lam = plasmonic_pencil(sy.C, sy.D, 3)[1]
+    cfg = TransmissionConfig(params=REF, level=7, alpha1=lam, alpha0=0.0,
+                             exterior_source=_ext_source(1))
+    with pytest.raises(SingularInterfaceOperator) as exc:
+        solve_interface(assemble_system(cfg))
+    assert str(exc.value).endswith("; nearest pencil eigenvalue %r" % lam)
+    monkeypatch.setattr(dtn, "DENSE_CELL_BUDGET", 64)
     with pytest.raises(SingularInterfaceOperator) as exc:
         solve_interface(assemble_system(cfg))
     assert "pencil" not in str(exc.value)
@@ -315,15 +324,36 @@ def test_config_validation():
         TransmissionConfig(params=REF, level=3, alpha1=1.0, alpha0=np.ones(5)).alpha0_cells()
 
 
-def test_wrong_length_alpha0_raises_before_assembly(monkeypatch):
+# the wrong tree_source shapes are those of test_tree_source_on_wrong_tree_rejected
+@pytest.mark.parametrize("fields, error, message", [
+    ({"alpha0": np.ones(5)}, InvalidInput, "alpha0 needs 1 or 8 values, got 5"),
+    ({"tree_source": np.ones((6, 1)), "source_depth": 6}, DepthMismatch, r"got \(6, 1\)"),
+    ({"tree_source": np.ones((9, 1)), "source_depth": 6}, DepthMismatch, r"got \(9, 1\)"),
+    ({"tree_source": np.ones(8), "source_depth": 6}, DepthMismatch, r"got \(8,\)"),
+    ({"tree_source": np.ones((8, 0)), "source_depth": 6}, DepthMismatch, r"got \(8, 0\)"),
+    ({"tree_source": np.ones((8, 1, 1)), "source_depth": 6}, DepthMismatch, r"got \(8, 1, 1\)"),
+    # modes up to 16 * 2^20 exceed the mode budget; the tree budget holds
+    ({"level": 20}, AssemblyTooLarge, "modes up to 16777216 exceed the mode budget"),
+], ids=["alpha0-length", "tree-source-shallow", "tree-source-deep", "tree-source-1d",
+        "tree-source-no-coefficients", "tree-source-3d", "mode-budget"])
+def test_bad_data_refused_before_anything_is_built(monkeypatch, fields, error, message):
     def refuse(*args, **kwargs):
-        raise AssertionError("operators built before alpha0 was checked")
+        raise AssertionError("work started before the config was checked")
 
-    monkeypatch.setattr(transmission, "dtn_symbol", refuse)
-    monkeypatch.setattr(transmission, "tree_dtn_operator", refuse)
-    cfg = TransmissionConfig(params=REF, level=3, alpha1=1.0, alpha0=np.ones(5))
-    with pytest.raises(InvalidInput, match="alpha0 needs 1 or 8 values, got 5"):
-        assemble_system(cfg)
+    for module, name in [(transmission, "dtn_symbol"), (transmission, "tree_dtn_operator"),
+                         (transmission, "galerkin_row"), (transmission, "build_condensed"),
+                         (tree_module, "build_condensed"), (dtn, "build_condensed")]:
+        monkeypatch.setattr(module, name, refuse)
+    with pytest.raises(error, match=message):
+        TransmissionConfig(**{"params": REF, "level": 3, "alpha1": 1.0, **fields})
+
+
+def test_config_is_frozen_and_replace_checks_again():
+    cfg = TransmissionConfig(params=REF, level=3, alpha1=1.0, alpha0=0.3)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.alpha0 = 0.5
+    with pytest.raises(DepthMismatch):
+        dataclasses.replace(cfg, tree_source=np.ones((cfg.source_depth + 1, 1)))
 
 
 # the shape of a benchmark input: the parser makes every coefficient complex,
@@ -351,6 +381,15 @@ profile.-3 = -0.3, 0.9
 """
 
 
+def test_parser_built_config_is_typed_real():
+    # the parser returns complex values; the config stores their real parts
+    cfg = parse_text(REAL_TEXT).transmission()
+    assert cfg.alpha1.dtype == cfg.c_root.dtype == np.float64
+    assert cfg.alpha0.dtype == cfg.tree_source.dtype == np.float64
+    assert (cfg.alpha1, cfg.c_root, float(cfg.alpha0)) == (1.3, -0.4, 0.6)
+    assert np.all(cfg.tree_source == 0.5)
+
+
 def test_real_data_take_the_real_path():
     sy = assemble_system(parse_text(REAL_TEXT).transmission())
     assert sy.h.dtype == sy.mass.dtype == sy.flux_f.dtype == sy.dtype == np.float64
@@ -376,10 +415,9 @@ def test_tree_source_on_wrong_tree_rejected():
     # coefficients at all are refused
     for rows in [np.ones((6, 1)), np.ones((9, 1)), np.ones(8), np.ones((8, 0)),
                  np.ones((8, 1, 1))]:
-        cfg = TransmissionConfig(params=REF, level=3, alpha1=1.0, alpha0=0.3,
-                                 tree_source=rows, source_depth=6)
         with pytest.raises(DepthMismatch):
-            assemble_system(cfg)
+            TransmissionConfig(params=REF, level=3, alpha1=1.0, alpha0=0.3,
+                               tree_source=rows, source_depth=6)
 
 
 def test_reconstruct_matches_band_limited_exterior_trace():
@@ -477,7 +515,7 @@ def test_no_full_source_tree_per_solve(monkeypatch, tree_source):
     cfg = TransmissionConfig(params=REF, level=3, alpha1=1.0, alpha0=0.3, c_root=0.5,
                              exterior_source=_ext_source(2))
     if tree_source:
-        cfg.tree_source = np.full((cfg.source_depth + 2, 1), 0.7)
+        cfg = dataclasses.replace(cfg, tree_source=np.full((cfg.source_depth + 2, 1), 0.7))
     trees = _record_trees(monkeypatch)
     solve_transmission(cfg)
     deep = [t for t in trees if t[1] == cfg.source_depth + 1]
@@ -496,7 +534,7 @@ def test_each_solve_builds_one_compressed_source_tree(monkeypatch):
     assert sol.u_tree.tree.depth == cfg.source_depth + 1 and _leaves_stretched(sol.u_tree.tree)
     assert sol.u_tree.tree.rows == tuple(2**n for n in range(cfg.source_depth + 2))
     # a tree source is rows of coefficients, not a tree: the solve builds its own
-    cfg.tree_source = np.full((cfg.source_depth + 2, 1), 0.7)
+    cfg = dataclasses.replace(cfg, tree_source=np.full((cfg.source_depth + 2, 1), 0.7))
     sol = solve_transmission(cfg)
     assert len(builds) == 2
     assert sol.u_rows.tree.n_leaves == 8
@@ -582,7 +620,7 @@ def test_tree_forcing_matches_full_tree_formula(with_source):
     tree = build_condensed(REF, cfg.source_depth, level=cfg.level)
     if with_source:
         rng = np.random.default_rng(5)
-        cfg.tree_source = rng.standard_normal((full.depth + 1, 3))
+        cfg = dataclasses.replace(cfg, tree_source=rng.standard_normal((full.depth + 1, 3)))
         f = TreeFunction(full, [np.tile(row, (2**n, 1)) for n, row in enumerate(cfg.tree_source)])
     else:
         f = constant_function(full, 0.0)
@@ -591,7 +629,7 @@ def test_tree_forcing_matches_full_tree_formula(with_source):
     expected = f - lap_u1 * complex(cfg.c_root)
     _assert_same_function(transmission._tree_forcing(cfg, tree).expanded(), expected)
     # without c_root the generations are views of the tree source's rows
-    cfg.c_root = 0.0
+    cfg = dataclasses.replace(cfg, c_root=0.0)
     forcing = transmission._tree_forcing(cfg, tree)
     if with_source:
         assert all(np.shares_memory(c, cfg.tree_source) for c in forcing.coeffs)
@@ -634,7 +672,7 @@ def test_repeated_solves_are_bit_identical(c_root):
 def test_reconstructed_tree_solution_matches_sum_of_lifts(with_source, c_root):
     cfg = _tree_source_config(c_root)
     if not with_source:
-        cfg.tree_source = None
+        cfg = dataclasses.replace(cfg, tree_source=None)
     sy = assemble_system(cfg)
     sol = reconstruct(sy, solve_interface(sy))
     tree = sol.u_tree.tree
