@@ -7,24 +7,30 @@ time.  Numbers are written with 17 significant digits so identical configs
 reproduce byte-identical CSVs.
 
 Every CSV goes through one writer (_fill_csv), which streams chunks of
-at most _CHUNK_ROWS rows into the temp file.  A chunk is one row format,
-repeated over its rows and filled by one `%` call; its columns are
-numbers, formatted inside that call, or prepared text, passed as %s.
-tree.csv is streamed from the tree solution on the compressed source tree
-one generation at a time: each stored row is formatted once and its text
-repeated over the edges it stands for, so the full tree is never built.
-The tree-dtn matrix repeats a few distinct values, so its values are
-formatted once per bit pattern and written as text.
+at most _CHUNK_ROWS rows into the temp file.  A chunk lays out one row as
+literal text and columns: numbers, or text from csvtext.cells.  csvtext.join
+builds the chunk's bytes with numpy, each row in fixed cells of one uint8
+matrix whose padding it drops: integers as %d, reals as %.17g, complex
+values as %.17g%+.17gj, byte for byte what `%` writes (csvtext says how,
+and when it leaves a value to `%`).  tree.csv is streamed from the tree
+solution on the compressed source tree one generation at a time: each
+stored row is formatted once and its text repeated over the edges it
+stands for, so the full tree is never built.  The tree-dtn matrix repeats a
+few distinct values, so its values are formatted once per bit pattern and
+gathered as text.
 
-The `%.17g` text is the floor of one core's write, so `transmission`
-writes tree.csv in a forked child (_in_child) while this process writes
-g.csv and exterior.csv, and waits for the child before it writes the
-manifest.  The child reads the solution through copy-on-write and writes
-through the same writer into the temp file this process opened, so the
-bytes are those of an in-process write; this process renames the file once
-the child has succeeded and removes it when the child fails or is killed.
-Fork is POSIX only: without os.fork (Windows) tree.csv is written
-in-process.
+Formatting is still most of `transmission`'s write, so it writes tree.csv
+in a forked child (_in_child) while this process writes g.csv and
+exterior.csv, and waits for the child before it writes the manifest.  The
+child reads the solution through copy-on-write and writes through the same
+writer into the temp file this process opened, so the bytes are those of an
+in-process write; this process renames the file once the child has
+succeeded and removes it when the child fails or is killed.  Fork is POSIX
+only: without os.fork (Windows) tree.csv is written in-process.
+
+`transmission` refuses what it would print wrongly: a g that is not finite,
+or a flux residual above the discretization defect + 1e-10, exits 3 before
+any file is written.
 
 Exit codes: 0 success, 2 configuration or validation failure (any
 errors.InvalidInput, a problem larger than the size budgets included),
@@ -43,6 +49,7 @@ import warnings
 
 import numpy as np
 
+from . import csvtext
 from .config import RunConfig, parse_config
 from .dtn import condensed_dtn
 from .errors import InvalidInput, TreediskError
@@ -61,18 +68,22 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
+# the flux residual `transmission` accepts beyond the discretization defect
+_FLUX_SLACK = 1e-10
 
-# Rows per chunk of a CSV write: each chunk is formatted by one `%` call and
-# written before the next is built, so a write holds the text and values of
-# at most this many rows whatever the size of the file.  2^13 rows (about
-# 0.4 MB of exterior.csv text) format as fast as 2^16 or a little faster, and
-# hold an eighth of the values and text at a time.
-_CHUNK_ROWS = 2**13
+
+# Rows per chunk of a CSV write: each chunk's text is built in one matrix
+# (csvtext.join) and written before the next is built, so a write holds the
+# text of at most this many rows whatever the size of the file.  At 2^12
+# rows the exterior.csv write of N=10 peaks at 0.9 MB (tracemalloc: its
+# 0.45 MB matrix and the kernel's temporaries), half of what the `%` writer
+# held at 2^13 rows, and 2^13 or 2^14 rows write no faster.
+_CHUNK_ROWS = 2**12
 
 
 @contextlib.contextmanager
 def _atomic_file(path: str):
-    """A text file handle; what is written replaces `path` when the block ends.
+    """A binary file handle; what is written replaces `path` when the block ends.
 
     The file gets the mode open() would give it, 0o666 less the umask:
     mkstemp makes the temp file 0o600, and os.replace keeps that mode.  The
@@ -86,7 +97,7 @@ def _atomic_file(path: str):
         umask = os.umask(0)
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+        with os.fdopen(fd, "wb") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -166,58 +177,6 @@ def _pickled(exc: BaseException) -> bytes:
         return pickle.dumps(RuntimeError(repr(exc)))
 
 
-def _field(col):
-    """The `%` format of one column in a chunk and the lists of values it takes.
-
-    Text (an object column) is %s, integers %d, reals %.17g.  A complex
-    value is %.17g of its real part followed by %+.17gj of its imaginary
-    part unless that is zero (-0.0 included): a chunk whose imaginary parts
-    are all zero takes the real parts alone, one with none zero both
-    numbers, and a mixed one the imaginary texts as a %s field.
-    """
-    kind = col.dtype.kind
-    if kind == "O":
-        return "%s", [col.tolist()]
-    if kind in "iu":
-        return "%d", [col.tolist()]
-    if kind != "c":
-        return "%.17g", [col.tolist()]
-    real, imag = col.real.tolist(), col.imag
-    nonzero = imag != 0.0
-    if not nonzero.any():
-        return "%.17g", [real]
-    if nonzero.all():
-        return "%.17g%+.17gj", [real, imag.tolist()]
-    parts = imag[nonzero].tolist()
-    text = np.full(col.size, "", dtype=object)
-    text[nonzero] = ("%+.17gj\n" * len(parts) % tuple(parts)).split("\n")[:-1]
-    return "%.17g%s", [real, text.tolist()]
-
-
-def _chunk_text(fields) -> str:
-    """The text of one chunk: `fields` lays out one row as literal strs
-    (without %) and equal-length columns, and that row format, repeated
-    once per entry of the columns, is filled by one `%` call."""
-    fmt, values = [], []
-    for f in fields:
-        if isinstance(f, str):
-            fmt.append(f)
-        else:
-            spec, vals = _field(np.asarray(f))
-            fmt.append(spec)
-            values += vals
-    rows, width = len(values[0]), len(values)
-    flat = [None] * (rows * width)
-    for i, vals in enumerate(values):
-        flat[i::width] = vals
-    return "".join(fmt) * rows % tuple(flat)
-
-
-def _texts(column) -> list:
-    """The text of each value of a column, as _field formats it."""
-    return _chunk_text([column, "\n"]).split("\n")[:-1]
-
-
 def _row(columns) -> list:
     """The fields of a CSV row of equal-length columns: the columns, comma separated."""
     fields = []
@@ -234,15 +193,15 @@ def _write_chunks(path: str, header, chunks):
 
 
 def _fill_csv(fh, header, chunks):
-    """Write the header, then the text of each chunk (_chunk_text), to fh and flush it.
+    """Write the header, then the text of each chunk (csvtext.join), to fh and flush it.
 
     This is the one CSV writer.  The bytes are those of a row-by-row
     writer whatever the chunks are, so identical data give identical files.
     The forked tree.csv writer leaves by os._exit, which flushes nothing.
     """
-    fh.write(",".join(header) + "\n")
+    fh.write((",".join(header) + "\n").encode())
     for fields in chunks:
-        fh.write(_chunk_text(fields))
+        fh.write(csvtext.join(fields))
     fh.flush()
 
 
@@ -255,11 +214,11 @@ def _write_csv(path: str, header, columns):
 
 
 def _distinct_text(values):
-    """%.17g of each real value as a text column, formatted once per distinct
-    bit pattern (-0.0 stays apart from 0.0, which is equal as a value)."""
+    """%.17g of each real value as a text column (csvtext.cells), formatted once
+    per distinct bit pattern (-0.0 stays apart from 0.0, which is equal as a value)."""
     bits = np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
     keys, inverse = np.unique(bits, return_inverse=True)
-    return np.array(_texts(keys.view(np.float64)), dtype=object)[inverse]
+    return csvtext.cells(keys.view(np.float64))[inverse.ravel()]
 
 
 def _write_manifest(path: str, command: str, cfg: RunConfig | None, started: float, outputs,
@@ -277,7 +236,7 @@ def _write_manifest(path: str, command: str, cfg: RunConfig | None, started: flo
     lines += results
     lines.append("wall_time_s=%.3f" % (time.monotonic() - started))
     with _atomic_file(path) as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(("\n".join(lines) + "\n").encode())
 
 
 def _cmd_validate(args) -> int:
@@ -303,13 +262,13 @@ def _cmd_validate(args) -> int:
 def _matrix_chunks(A):
     """Chunks of (row, col, value) for a dense real matrix, one matrix row each.
 
-    The row index is a literal of the row format; the column indices are
+    The row index is a literal of the chunk; the column indices are
     text formatted once, and the values text formatted once per distinct
     value of the row: the matrix repeats a few values (12 among 4.2M
     entries of tree-dtn at depth 10).  A matrix row is within the dense
-    budget, so below _CHUNK_ROWS.
+    budget of 4096 cells, so within _CHUNK_ROWS.
     """
-    cols = np.array(_texts(np.arange(A.shape[1])), dtype=object)
+    cols = csvtext.cells(np.arange(A.shape[1]))
     for i, row in enumerate(A):
         yield ["%d," % i, cols, ",", _distinct_text(row), "\n"]
 
@@ -338,25 +297,26 @@ def _tree_chunks(u):
 
     Stored row r of generation n stands for edges r m .. r m + m - 1, m =
     u.tree.multiplicity(n): its coefficients are formatted once and their
-    texts repeated over those edges.  n and coeff_index are literals of the
-    row format, which covers one edge (q + 1 lines); a chunk holds at most
-    _CHUNK_ROWS lines, so a stored row standing for more edges spans several.
+    text repeated over those edges.  A chunk row is one line; a chunk holds
+    at most _CHUNK_ROWS lines, whole edges of q + 1 lines each, so a stored
+    row standing for more edges spans several chunks.
     """
     for n, coeffs in enumerate(u.coeffs):
         m = u.tree.multiplicity(n)
         width = coeffs.shape[1]
+        labels = np.array([",%d," % j for j in range(width)], dtype="S")
+        labels = labels.view(np.uint8).reshape(width, -1)
         edges = max(1, _CHUNK_ROWS // width)
-        block = max(1, edges // m)
-        for r0 in range(0, coeffs.shape[0], block):
-            texts = np.array(_texts(coeffs[r0:r0 + block].ravel()), dtype=object).reshape(-1, width)
-            first, stop = r0 * m, (r0 + texts.shape[0]) * m
+        for r0 in range(0, coeffs.shape[0], edges):
+            stored = coeffs[r0:r0 + edges]
+            texts = csvtext.cells(stored.ravel()).reshape(stored.shape[0], -1)
+            first, stop = r0 * m, (r0 + stored.shape[0]) * m
             for k0 in range(first, stop, edges):
                 k = np.arange(k0, min(k0 + edges, stop))
-                repeated = texts[(k - first) // m]
-                fields = []
-                for j in range(width):
-                    fields += ["%d," % n, k, ",%d," % j, repeated[:, j], "\n"]
-                yield fields
+                rows = (k - first) // m
+                values = np.repeat(texts[rows[0]:rows[-1] + 1], np.bincount(rows - rows[0]), axis=0)
+                yield ["%d," % n, np.repeat(csvtext.cells(k), width, axis=0),
+                       np.tile(labels, (k.size, 1)), values.reshape(k.size * width, -1), "\n"]
 
 
 def _cmd_transmission(args) -> int:
@@ -365,6 +325,13 @@ def _cmd_transmission(args) -> int:
     solving = time.monotonic()
     sol = solve_transmission(cfg.transmission())
     writing = time.monotonic()
+    # what is printed must hold: a g that is not finite, or a flux residual
+    # beyond the bound the benchmark checks, exits 3 before any file is written
+    if not np.isfinite(sol.g.values).all():
+        raise AssertionError("the interface datum g is not finite")
+    if not sol.flux_residual <= sol.discretization_defect + _FLUX_SLACK:
+        raise AssertionError("flux residual %.3e exceeds the discretization defect %.3e + %g"
+                             % (sol.flux_residual, sol.discretization_defect, _FLUX_SLACK))
     # tree.csv lists every edge of the full source tree: refuse a tree beyond
     # the tree budget (what FiniteTree.expanded checks) before any file is
     # written; the rows are streamed from sol.u_rows, never expanded

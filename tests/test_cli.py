@@ -513,6 +513,45 @@ def test_transmission_at_pencil_eigenvalue_exits_3(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+# the exterior source scaled by s at interface.N = 7: at 1e-200 and 1e200 the
+# solve returns g = 0 with a flux residual of 1 (its norms underflow or
+# overflow), which must exit 3 before any file is written
+@pytest.mark.parametrize("scale, code", [("1", 0), ("1e-200", 3), ("1e200", 3)])
+def test_transmission_refuses_a_flux_residual_beyond_its_bound(scale, code, tmp_path):
+    path = tmp_path / "scaled.ini"
+    path.write_text("tree.p = 2\ntree.ell = 0.5\ntree.omega = 0.4\ninterface.N = 7\n"
+                    "source.exterior.profile.1 = %s\nsource.exterior.profile.-1 = %s\n"
+                    % (scale, scale))
+    out = tmp_path / "out"
+    # in a child process: the suite's filter would raise the 1e200 solve's
+    # overflow warning, which the command only prints
+    proc = subprocess.run([sys.executable, "-m", "treedisk.cli", "transmission",
+                           "--config", str(path), "--out-prefix", str(out / "t_")],
+                          capture_output=True, text=True)
+    assert proc.returncode == code, proc.stderr
+    if code:
+        assert "numerical failure: flux residual 1.000e+00" in proc.stderr
+        assert not out.exists()
+    else:
+        assert sorted(os.listdir(out)) == ["t_exterior.csv", "t_g.csv", "t_manifest.txt",
+                                           "t_tree.csv"]
+
+
+def test_transmission_refuses_a_non_finite_g(ref_config, tmp_path, monkeypatch, capsys):
+    solve = cli.solve_transmission
+
+    def solve_to_nan(cfg):
+        sol = solve(cfg)
+        sol.g.values[1] = float("nan")
+        return sol
+
+    monkeypatch.setattr(cli, "solve_transmission", solve_to_nan)
+    assert cli.main(["transmission", "--config", ref_config,
+                     "--out-prefix", str(tmp_path / "out" / "t_")]) == 3
+    assert "g is not finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_convergence_study(ref_config, tmp_path, capsys):
     text = REF_TEXT + "[transmission]\nlevels = 3, 4, 5\nmanufactured_mode = 1\n"
     path = tmp_path / "conv.ini"
