@@ -26,6 +26,8 @@ for M modes, not O(M p^n).  The sine is an exact zero at r = 0, so the
 aliased multiples k = m p^n (m != 0) drop out and identities such as
 P_N P_n = P_min(N,n) hold to rounding error.  It is evaluated at
 min(r, p^n - r): near r = p^n, sin(pi r / p^n) is off by about 1e-14.
+Each fold builds its alias classes from (M, p^n) alone and drops them when
+it returns, so no caller holds the 2M + 1 reciprocals 1/k between folds.
 
 Projected norms never materialize fine levels: ||P_n g||^2 = 2 pi R
 sum_r |S_r|^2 with S the fold of g, and the blocks are at most 2M + 1
@@ -39,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DepthMismatch, ExponentOrderViolated
+from .errors import DepthMismatch, ExponentOrderViolated, NumericalCheckFailed
 
 
 class MultiscaleDecomposition:
@@ -85,13 +87,10 @@ class PiecewiseConstantFn:
     def l2_norm(self) -> float:
         return math.sqrt(self.decomp.cell_measure(self.level) * float((np.abs(self.values) ** 2).sum()))
 
-    def to_fourier(self, M: int, classes=None) -> "FourierFn":
-        """The modes |k| <= M of this function: the transpose of alias_fold.
-
-        classes are alias classes to derive this cutoff's from (_alias_classes).
-        """
+    def to_fourier(self, M: int) -> "FourierFn":
+        """The modes |k| <= M of this function: the transpose of alias_fold."""
         pn = self.decomp.n_cells(self.level)
-        r, sine, inv = _alias_classes(M, pn, classes)
+        r, sine, inv = _alias_classes(M, pn)
         W = np.exp(-1j * np.pi * np.arange(pn) / pn) * np.fft.fft(self.values) / pn
         coeffs = np.tile(W[r] * sine, -(-(2 * M + 1) // r.size))[: 2 * M + 1] * inv
         coeffs[M] = W[0]
@@ -174,7 +173,7 @@ class FourierFn:
     __rmul__ = __mul__
 
 
-def _alias_classes(M: int, pn: int, within=None):
+def _alias_classes(M: int, pn: int):
     """The alias blocks of the modes |k| <= M on pn cells (module docstring).
 
     The centred modes, cut into rows of width min(pn, 2M + 1), put mode k
@@ -182,20 +181,7 @@ def _alias_classes(M: int, pn: int, within=None):
     r[j] = (j - M) mod pn.  Returns (r, sine, inv): sine[j] = pn sin(pi
     r[j] / pn) / pi, so that (-1)^a sinc(k / pn) = sine[j] / k for k != 0,
     and inv[k + M] = 1 / k, with 0 for the mode 0 that callers set apart.
-
-    within may hold the classes of a cutoff M0 >= M on the same pn cells,
-    built once by a caller that folds several cutoffs.  When their rows are
-    as wide as this cutoff's, the classes are within's shifted by M0 - M
-    (columns rotated, inv sliced), so the 2M + 1 reciprocals, the bulk of
-    the cost, are not computed again; otherwise they are built afresh.
     """
-    if within is not None:
-        r, sine, inv = within
-        shift = (inv.size - 1) // 2 - M
-        if shift >= 0 and r.size == min(pn, 2 * M + 1):
-            turn = shift % r.size
-            return (np.concatenate((r[turn:], r[:turn])), np.concatenate((sine[turn:], sine[:turn])),
-                    inv[shift : inv.size - shift])
     r = (np.arange(min(pn, 2 * M + 1)) - M) % pn
     sine = pn * np.sin(np.pi * np.minimum(r, pn - r) / pn) / np.pi
     ks = np.arange(-M, M + 1, dtype=float)
@@ -203,11 +189,11 @@ def _alias_classes(M: int, pn: int, within=None):
     return r, sine, 1.0 / ks
 
 
-def _alias_fold(x, pn: int, power: int, classes=None):
+def _alias_fold(x, pn: int, power: int):
     """(r, S): S[j] sums x_k ((-1)^a sinc(k / pn))^power over the modes of
     class r[j], for the centred mode values x; see alias_fold."""
     M = (x.size - 1) // 2
-    r, sine, inv = _alias_classes(M, pn, classes)
+    r, sine, inv = _alias_classes(M, pn)
     blocks = np.zeros(-(-x.size // r.size) * r.size, dtype=np.result_type(x, float))
     blocks[: x.size] = x
     blocks[: x.size] *= inv**power
@@ -217,38 +203,34 @@ def _alias_fold(x, pn: int, power: int, classes=None):
     return r, S
 
 
-def alias_fold(x, pn: int, power: int = 1, classes=None) -> np.ndarray:
+def alias_fold(x, pn: int, power: int = 1) -> np.ndarray:
     """S_r = sum_a x_k ((-1)^a sinc(k / pn))^power over k = r + a pn, r < pn.
 
     x holds the centred mode values x_{-M}..x_M.  power 1 folds Fourier
     coefficients onto the cells (the DFT of their averages), power 2 the
     Galerkin weights of a symbol (exterior.galerkin_row).  The aliased
-    multiples k = m pn (m != 0) add exact zeros.  classes are alias classes
-    to derive this cutoff's from (_alias_classes).
+    multiples k = m pn (m != 0) add exact zeros.
     """
-    r, S = _alias_fold(x, pn, power, classes)
+    r, S = _alias_fold(x, pn, power)
     out = np.zeros(pn, dtype=S.dtype)
     out[r] = S
     return out
 
 
-def cell_averages(decomp: MultiscaleDecomposition, g, n: int, classes=None) -> np.ndarray:
-    """Averages of g over the level-n cells (complex for Fourier input).
-
-    classes are alias classes to derive the fold's from (_alias_classes).
-    """
+def cell_averages(decomp: MultiscaleDecomposition, g, n: int) -> np.ndarray:
+    """Averages of g over the level-n cells (complex for Fourier input)."""
     if isinstance(g, PiecewiseConstantFn):
         if g.level <= n:
             return np.repeat(g.values, decomp.p ** (n - g.level))
         chunk = decomp.p ** (g.level - n)
         return g.values.reshape(decomp.n_cells(n), chunk).mean(axis=1)
     pn = decomp.n_cells(n)
-    S = alias_fold(g.coeffs, pn, classes=classes)
+    S = alias_fold(g.coeffs, pn)
     return pn * np.fft.ifft(S * np.exp(1j * np.pi * np.arange(pn) / pn))
 
 
-def cell_integrals(decomp: MultiscaleDecomposition, g, n: int, classes=None) -> np.ndarray:
-    return cell_averages(decomp, g, n, classes) * decomp.cell_measure(n)
+def cell_integrals(decomp: MultiscaleDecomposition, g, n: int) -> np.ndarray:
+    return cell_averages(decomp, g, n) * decomp.cell_measure(n)
 
 
 def project_PN(decomp: MultiscaleDecomposition, g, n: int) -> PiecewiseConstantFn:
@@ -352,5 +334,5 @@ def projector_error_check(decomp: MultiscaleDecomposition, g: FourierFn, N: int,
     const = p ** (2 * sigma) / (p ** (2 * sigma) - 1)
     rhs = const * p ** (-N * (sigma_prime - sigma)) * ar_norm(decomp, g, sigma_prime)
     if not lhs <= rhs * (1 + 1e-9):
-        raise AssertionError("projector error bound violated: %g > %g" % (lhs, rhs))
+        raise NumericalCheckFailed("projector error bound violated: %g > %g" % (lhs, rhs))
     return lhs, rhs

@@ -34,7 +34,8 @@ any file is written.
 
 Exit codes: 0 success, 2 configuration or validation failure (any
 errors.InvalidInput, a problem larger than the size budgets included),
-3 numerical failure.
+3 numerical failure (any other errors.TreediskError, a failed
+errors.NumericalCheckFailed check included, or a LinAlgError).
 """
 
 import argparse
@@ -52,7 +53,7 @@ import numpy as np
 from . import csvtext
 from .config import RunConfig, parse_config
 from .dtn import condensed_dtn
-from .errors import InvalidInput, TreediskError
+from .errors import InvalidInput, NumericalCheckFailed, TreediskError
 from .exterior import check_cutoff, dtn_symbol
 from .transmission import (
     TransmissionConfig,
@@ -328,10 +329,10 @@ def _cmd_transmission(args) -> int:
     # what is printed must hold: a g that is not finite, or a flux residual
     # beyond the bound the benchmark checks, exits 3 before any file is written
     if not np.isfinite(sol.g.values).all():
-        raise AssertionError("the interface datum g is not finite")
+        raise NumericalCheckFailed("the interface datum g is not finite")
     if not sol.flux_residual <= sol.discretization_defect + _FLUX_SLACK:
-        raise AssertionError("flux residual %.3e exceeds the discretization defect %.3e + %g"
-                             % (sol.flux_residual, sol.discretization_defect, _FLUX_SLACK))
+        raise NumericalCheckFailed("flux residual %.3e exceeds the discretization defect %.3e + %g"
+                                   % (sol.flux_residual, sol.discretization_defect, _FLUX_SLACK))
     # tree.csv lists every edge of the full source tree: refuse a tree beyond
     # the tree budget (what FiniteTree.expanded checks) before any file is
     # written; the rows are streamed from sol.u_rows, never expanded
@@ -469,7 +470,7 @@ def main(argv=None) -> int:
     except InvalidInput as exc:
         print("%s: %s" % (exc.kind, exc), file=sys.stderr)
         return EXIT_CONFIG
-    except (TreediskError, AssertionError, np.linalg.LinAlgError) as exc:
+    except (TreediskError, np.linalg.LinAlgError) as exc:
         print("numerical failure: %s" % exc, file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -54,6 +54,15 @@ class Alpha1Zero(InvalidInput):
     """The transmission coefficient alpha1 must be nonzero."""
 
 
+class NumericalCheckFailed(TreediskError, AssertionError):
+    """A computed result failed one of the package's own checks (a defect, a
+    residual or a fitted rate beyond its bound, or a value that is not finite).
+
+    It is an AssertionError too, so callers that catch AssertionError still
+    catch it; it is raised explicitly, so python -O keeps every check.
+    """
+
+
 class SingularInterfaceOperator(TreediskError):
     """The interface operator M_N is numerically singular (plasmonic parameter hit)."""
 

@@ -71,6 +71,7 @@ from .errors import (
     InsufficientLevels,
     InvalidInput,
     NonPositiveParameter,
+    NumericalCheckFailed,
     SingularInterfaceOperator,
 )
 from .exterior import (
@@ -638,12 +639,11 @@ def reconstruct(system: InterfaceSystem, g: PiecewiseConstantFn) -> Transmission
     traces match by construction: the leaf rows of the compressed source
     tree carry the cells of g, the exterior modes carry its Fourier
     coefficients at the assembly cutoff; a trace defect above 1e-10, or
-    NaN, raises AssertionError.  The config, u_f and v_f come from
+    NaN, raises NumericalCheckFailed.  The config, u_f and v_f come from
     `system`, the solved system, and the source tree from u_f when there is
     one, so the tree is built and eliminated once per solve; the exterior
     solve takes the source modes' b_k from v_f, so no source integral is
-    computed twice.  The alias classes of the 16 p^N modes are built once
-    for the three folds between cells and modes.
+    computed twice.
     """
     cfg = system.config
     pn = cfg.params.p**cfg.level
@@ -673,12 +673,7 @@ def reconstruct(system: InterfaceSystem, g: PiecewiseConstantFn) -> Transmission
             coeffs[n] = c
     u_T = TreeFunction(tree, coeffs)
 
-    # the alias classes of the assembly cutoff, built once: to_fourier and
-    # the mass fold use them as they are, and the flux fold at u_ext's
-    # cutoff derives its own from them (one mode fewer when g's top mode, a
-    # multiple of p^N, is an exact zero)
-    classes = circle._alias_classes(MODE_OVERSAMPLING * pn, pn)
-    g_fourier = g.to_fourier(MODE_OVERSAMPLING * pn, classes)
+    g_fourier = g.to_fourier(MODE_OVERSAMPLING * pn)
     u_ext = solve_exterior_dirichlet(g_fourier, cfg.exterior_source, R=cfg.R, lift=system.v_f)
 
     tree_trace = np.abs(u_T.leaf_values() - g.values).max() if pn else 0.0
@@ -687,12 +682,12 @@ def reconstruct(system: InterfaceSystem, g: PiecewiseConstantFn) -> Transmission
     ext_trace = np.abs(diff.coeffs[diff.M - m : diff.M + m + 1]).max()
     trace_defect = float(max(tree_trace, ext_trace))
     if not trace_defect <= 1e-10:
-        raise AssertionError("interface traces disagree by %.3e" % trace_defect)
+        raise NumericalCheckFailed("interface traces disagree by %.3e" % trace_defect)
 
-    flux_ext = circle.cell_integrals(decomp, u_ext.trace1(), cfg.level, classes)
+    flux_ext = circle.cell_integrals(decomp, u_ext.trace1(), cfg.level)
     flux_tree = _cell_flux(u_T)
     a0 = cfg.alpha0_cells()
-    mass = a0 * circle.cell_integrals(decomp, g_fourier, cfg.level, classes)
+    mass = a0 * circle.cell_integrals(decomp, g_fourier, cfg.level)
     mass_exact = a0 * decomp.cell_measure(cfg.level) * g.values
     resid_vec = flux_ext - cfg.alpha1 * flux_tree - mass
     # normalize by the pre-cancellation flux magnitudes (the harmonic tree
@@ -736,9 +731,10 @@ def convergence_study(cfg: TransmissionConfig, N_list, manufactured=None) -> Con
     recovers the projected datum and the reported error is against g*
     itself; otherwise the finest level serves as reference and is excluded
     from the fit.  Norms use a fixed Fourier cutoff (oversampled finest
-    level) so levels are compared consistently.  Raises AssertionError
+    level) so levels are compared consistently.  Raises
+    NumericalCheckFailed when an error or the fitted rate is not finite, or
     unless the H^{1/2} errors are monotone nonincreasing with a positive
-    fitted rate; both checks are skipped once the errors sit at the
+    fitted rate; these two checks are skipped once the errors sit at the
     rounding floor (datum resolved exactly).  The finest level's config is
     built first, so its mode and tree budgets are checked before any level
     is solved (AssemblyTooLarge).
@@ -802,14 +798,18 @@ def convergence_study(cfg: TransmissionConfig, N_list, manufactured=None) -> Con
     while len(rate_running) < len(levels):
         rate_running.append(float("nan"))
 
+    # an infinite reference makes the floor test below pass everything
+    if not np.isfinite(err_l2 + err_h12 + [rho_hat]).all():
+        raise NumericalCheckFailed("interface errors are not finite: err_l2 %r, err_h12 %r, "
+                                   "rho_hat %r" % (err_l2, err_h12, rho_hat))
     scale = max(ref.l2_norm(), 1e-300)
     if max(fit_errs) > 1e-12 * scale:
         tol = 1e-12 * max(fit_errs)
         if any(e2 > e1 + tol for e1, e2 in zip(fit_errs, fit_errs[1:])):
-            raise AssertionError(
+            raise NumericalCheckFailed(
                 "interface errors are not monotone nonincreasing: %r" % (fit_errs,))
         if not rho_hat > 0:
-            raise AssertionError("fitted rate is not positive: %r" % (rho_hat,))
+            raise NumericalCheckFailed("fitted rate is not positive: %r" % (rho_hat,))
 
     sigma = cfg.params.sigma
     rho_max = (1.0 - 2.0 * sigma) / 2.0 if sigma is not None else None

@@ -179,16 +179,3 @@ def test_sobolev_norm_and_duality():
         u = ci.FourierFn(1.0, rng.standard_normal(17) + 1j * rng.standard_normal(17))
         lhs = abs(2 * math.pi * h.R * (h.coeffs @ np.conj(u.coeffs)))
         assert lhs <= ci.sobolev_norm_fourier(h, -0.5) * ci.sobolev_norm_fourier(u, 0.5) + 1e-12
-
-
-@pytest.mark.parametrize("p,N", [(1, 2), (2, 0), (2, 6), (3, 4)])
-def test_alias_classes_derive_from_a_larger_cutoff(p, N):
-    # classes shifted from those of a larger cutoff equal the ones built
-    # afresh; a cutoff with narrower rows is built afresh
-    pn = p**N
-    within = ci._alias_classes(16 * pn, pn)
-    for M in (16 * pn, 16 * pn - 1, 16 * pn - 5, pn + 3, 2, 0):
-        fresh = ci._alias_classes(M, pn)
-        derived = ci._alias_classes(M, pn, within)
-        assert all(np.array_equal(a, b) for a, b in zip(fresh, derived)), M
-        assert all(a.shape == b.shape for a, b in zip(fresh, derived)), M

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from treedisk import cli, transmission
 from treedisk.config import parse_config
 from treedisk.dtn import condensed_dtn
-from treedisk.errors import CutoffTooSmall
+from treedisk.errors import CutoffTooSmall, NumericalCheckFailed
 from treedisk.exterior import dtn_symbol
 from treedisk.transmission import (
     TransmissionConfig,
@@ -552,6 +552,20 @@ def test_transmission_refuses_a_non_finite_g(ref_config, tmp_path, monkeypatch, 
     assert not (tmp_path / "out").exists()
 
 
+def test_only_the_package_s_own_checks_exit_3(ref_config, tmp_path, monkeypatch):
+    # a failed check is errors.NumericalCheckFailed, which is also an
+    # AssertionError; any other AssertionError is a fault and is not reported
+    # as a numerical failure
+    assert issubclass(NumericalCheckFailed, AssertionError)
+
+    def failing(cfg):
+        raise AssertionError("not a check of the package")
+
+    monkeypatch.setattr(cli, "solve_transmission", failing)
+    with pytest.raises(AssertionError, match="not a check"):
+        cli.main(["transmission", "--config", ref_config, "--out-prefix", str(tmp_path / "t_")])
+
+
 def test_convergence_study(ref_config, tmp_path, capsys):
     text = REF_TEXT + "[transmission]\nlevels = 3, 4, 5\nmanufactured_mode = 1\n"
     path = tmp_path / "conv.ini"
@@ -565,6 +579,25 @@ def test_convergence_study(ref_config, tmp_path, capsys):
     errs = [float(r[3]) for r in rows]
     assert errs[0] > errs[1] > errs[2]
     assert "rho_hat" in capsys.readouterr().out
+
+
+def test_convergence_refuses_infinite_errors(tmp_path):
+    # a source whose r_max is 1e300 overflows the coarse levels' errors to
+    # inf, and with them the reference norm that scales the monotonicity and
+    # rate checks; in a child process, since the suite's filter would raise
+    # the overflow warnings, which the command only prints
+    path = tmp_path / "overflow.ini"
+    path.write_text("tree.p = 2\ntree.ell = 0.5\ntree.omega = 0.4\ninterface.N = 3\n"
+                    "transmission.alpha1 = 1\ntransmission.alpha0 = 0.3\n"
+                    "source.exterior.r_max = 1e300\n"
+                    "source.exterior.profile.1 = 1\nsource.exterior.profile.-1 = 1\n")
+    out = tmp_path / "conv.csv"
+    proc = subprocess.run([sys.executable, "-m", "treedisk.cli", "convergence",
+                           "--config", str(path), "--out", str(out)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 3, proc.stderr
+    assert "numerical failure: interface errors are not finite" in proc.stderr
+    assert sorted(os.listdir(tmp_path)) == ["overflow.ini"]
 
 
 def test_plasmonic_dump(ref_config, tmp_path):

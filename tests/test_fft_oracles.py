@@ -97,8 +97,10 @@ def test_to_fourier_and_cell_averages_match_dense(p, N):
     pn = p**N
     dec = ci.MultiscaleDecomposition(R=R, p=p, n_max=N + 1)
     rng = np.random.default_rng(1000 * p + N)
-    # cutoffs below, near and far above the number of cells
-    for M in sorted({max(pn // 3, 1), pn + 1, 4 * pn + 3}):
+    # cutoffs below, near and far above the number of cells, and the two
+    # that reconstruct folds at: g's modes and the exterior trace's
+    for M in sorted({max(pn // 3, 1), pn + 1, 4 * pn + 3, MODE_OVERSAMPLING * pn - 1,
+                     MODE_OVERSAMPLING * pn}):
         values = rng.standard_normal(pn) + 1j * rng.standard_normal(pn)
         fast = ci.PiecewiseConstantFn(dec, N, values).to_fourier(M).coeffs
         assert rel_err(fast, dense_to_fourier(values, pn, M)) <= 1e-13, (p, N, M)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from oracles import constant_function
-from treedisk import calculus, circle, dtn, exterior, transmission
+from treedisk import calculus, dtn, exterior, transmission
 from treedisk import tree as tree_module
 from treedisk.calculus import TreeFunction
 from treedisk.circle import FourierFn, MultiscaleDecomposition, PiecewiseConstantFn
@@ -453,27 +453,16 @@ def test_reconstruct_reuses_the_assembled_source_lifts(monkeypatch):
     assert len(calls) == 1
 
 
-def test_reconstruct_reuses_the_exterior_lift_and_one_set_of_alias_classes(monkeypatch):
+def test_reconstruct_reuses_the_exterior_lift(monkeypatch):
     # the source modes' b_k come from assemble_system's exterior lift, so
-    # reconstruct integrates only the mean mode that g adds; the alias
-    # classes of the assembly cutoff are built once for its three folds
+    # reconstruct integrates only the mean mode that g adds
     cfg = TransmissionConfig(params=REF, level=3, alpha1=1.0, alpha0=0.3, c_root=0.5,
                              exterior_source=_ext_source(2))
     system = assemble_system(cfg)
     g = solve_interface(system)
     integrals = _count_calls(monkeypatch, exterior, "_source_integral")
-    builds = []
-    classes = circle._alias_classes
-
-    def counted(M, pn, within=None):
-        if within is None:
-            builds.append((M, pn))
-        return classes(M, pn, within)
-
-    monkeypatch.setattr(circle, "_alias_classes", counted)
     sol = reconstruct(system, g)
     assert len(integrals) == 1
-    assert builds == [(16 * 8, 8)]
     monkeypatch.undo()
     fresh = exterior.solve_exterior_dirichlet(g.to_fourier(16 * 8), cfg.exterior_source)
     assert sol.u_ext.a.tobytes() == fresh.a.tobytes() and sol.u_ext.b.tobytes() == fresh.b.tobytes()
