@@ -179,3 +179,26 @@ def test_sobolev_norm_and_duality():
         u = ci.FourierFn(1.0, rng.standard_normal(17) + 1j * rng.standard_normal(17))
         lhs = abs(2 * math.pi * h.R * (h.coeffs @ np.conj(u.coeffs)))
         assert lhs <= ci.sobolev_norm_fourier(h, -0.5) * ci.sobolev_norm_fourier(u, 0.5) + 1e-12
+
+
+@pytest.mark.parametrize("p,N", [(1, 2), (2, 0), (2, 6), (3, 4)])
+def test_alias_classes_derive_from_a_larger_cutoff(p, N):
+    # the classes of a cutoff M are those of a larger cutoff M0 on the same
+    # cells shifted by M0 - M (columns rotated, reciprocals sliced) when their
+    # rows are as wide; a cutoff with narrower rows has the rows r = (j - M)
+    # mod pn of its own width.  Each fold builds them afresh, so the folds of
+    # reconstruct at 16 p^N and 16 p^N - 1 agree on the classes they share
+    pn = p**N
+    r0, sine0, inv0 = ci._alias_classes(16 * pn, pn)
+    for M in (16 * pn, 16 * pn - 1, 16 * pn - 5, pn + 3, 2, 0):
+        r, sine, inv = ci._alias_classes(M, pn)
+        width = min(pn, 2 * M + 1)
+        assert r.shape == sine.shape == (width,) and inv.shape == (2 * M + 1,), M
+        assert np.array_equal(r, (np.arange(width) - M) % pn), M
+        assert np.array_equal(sine, pn * np.sin(np.pi * np.minimum(r, pn - r) / pn) / np.pi), M
+        shift = 16 * pn - M
+        assert np.array_equal(inv, inv0[shift : inv0.size - shift]), M
+        if width == r0.size:
+            turn = shift % width
+            assert np.array_equal(r, np.roll(r0, -turn)), M
+            assert np.array_equal(sine, np.roll(sine0, -turn)), M
