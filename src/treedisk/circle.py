@@ -19,19 +19,28 @@ the sign (-1)^a.  For k != 0 (Briggs and Henson, The DFT, SIAM 1995)
     (-1)^a sinc(k / p^n) = p^n sin(pi r / p^n) / (pi k),
 
 so every bridge between cell values and modes is one fold (alias_fold):
-sum the coefficients divided by k over alias blocks of p^n modes, then
+sum the coefficients divided by k over alias rows of p^n modes, then
 multiply by the sine, a function of r alone; mode 0 (weight 1) is set
 apart.  Both directions cost one DFT of length p^n: O(M + p^n log p^n)
 for M modes, not O(M p^n).  The sine is an exact zero at r = 0, so the
 aliased multiples k = m p^n (m != 0) drop out and identities such as
 P_N P_n = P_min(N,n) hold to rounding error.  It is evaluated at
 min(r, p^n - r): near r = p^n, sin(pi r / p^n) is off by about 1e-14.
-Each fold builds its alias classes from (M, p^n) alone and drops them when
-it returns, so no caller holds the 2M + 1 reciprocals 1/k between folds.
+
+Mode space is visited a block at a time (mode_blocks: whole alias rows,
+at least BLOCK_MODES modes per block), with 1/k formed per block.  A fold
+(Fold) takes the modes in the order of k, a block at a time, and adds the
+rows in order, each to the running sum, as one sum over every row would,
+so its bits do not depend on the blocks.  The modes come from functions
+block(lo, hi) of the centred values of the modes lo..hi-1: FourierFn,
+exterior.ExteriorSymbol and CellModes (the modes of cell values at a
+cutoff, formed per block from one fft) give them, so no fold, and no
+transform from cells to modes but to_fourier, which returns one array,
+holds an array over all 2M + 1 modes.
 
 Projected norms never materialize fine levels: ||P_n g||^2 = 2 pi R
-sum_r |S_r|^2 with S the fold of g, and the blocks are at most 2M + 1
-modes wide, so the multiscale A^r norms cost O(M) per level.
+sum_r |S_r|^2 with S the fold of g, so the multiscale A^r norms cost
+O(M) per level.
 """
 
 from __future__ import annotations
@@ -88,12 +97,11 @@ class PiecewiseConstantFn:
         return math.sqrt(self.decomp.cell_measure(self.level) * float((np.abs(self.values) ** 2).sum()))
 
     def to_fourier(self, M: int) -> "FourierFn":
-        """The modes |k| <= M of this function: the transpose of alias_fold."""
-        pn = self.decomp.n_cells(self.level)
-        r, sine, inv = _alias_classes(M, pn)
-        W = np.exp(-1j * np.pi * np.arange(pn) / pn) * np.fft.fft(self.values) / pn
-        coeffs = np.tile(W[r] * sine, -(-(2 * M + 1) // r.size))[: 2 * M + 1] * inv
-        coeffs[M] = W[0]
+        """The modes |k| <= M of this function, as one array (CellModes forms them per block)."""
+        modes = CellModes(self, M)
+        coeffs = np.empty(2 * M + 1, dtype=complex)
+        for lo, hi in mode_blocks(M, 1):
+            coeffs[lo + M : hi + M] = modes.block(lo, hi)
         return FourierFn(self.decomp.R, coeffs)
 
     def _align(self, other):
@@ -130,6 +138,10 @@ class FourierFn:
 
     def ks(self) -> np.ndarray:
         return np.arange(-self.M, self.M + 1)
+
+    def block(self, lo: int, hi: int) -> np.ndarray:
+        """The coefficients of the modes lo..hi-1, zero beyond M."""
+        return centred_block(self.coeffs, lo, hi)
 
     @classmethod
     def from_modes(cls, R, modes: dict, M=None) -> "FourierFn":
@@ -173,60 +185,192 @@ class FourierFn:
     __rmul__ = __mul__
 
 
+# The least number of modes in a block of mode_blocks: a block's numpy calls
+# then cost little beside its arithmetic, and a block of complex values
+# takes 64 KiB.  The 2 * 16 p^N + 1 modes of a solve are one block at p^N <=
+# 64 cells and nine at p = 2, N = 10.
+BLOCK_MODES = 2**12
+
+
+def mode_blocks(M: int, width: int):
+    """(lo, hi): the modes -M..M in blocks of whole rows of min(width, 2M + 1)
+    modes, at least BLOCK_MODES modes per block but the last."""
+    w = min(width, 2 * M + 1)
+    step = -(-BLOCK_MODES // w) * w
+    for lo in range(-M, M + 1, step):
+        yield lo, min(lo + step, M + 1)
+
+
+def centred_block(values, lo: int, hi: int) -> np.ndarray:
+    """The modes lo..hi-1 of the centred values (modes -M..M), zero beyond M,
+    as a new array (ExteriorField writes into the blocks of its data)."""
+    M = (values.size - 1) // 2
+    out = np.zeros(hi - lo, dtype=values.dtype)
+    a, b = max(lo, -M), min(hi, M + 1)
+    if a < b:
+        out[a - lo : b - lo] = values[a + M : b + M]
+    return out
+
+
+def _reciprocals(lo: int, hi: int) -> np.ndarray:
+    """1/k for the modes lo..hi-1, 0 for the mode 0 that callers set apart."""
+    ks = np.arange(lo, hi, dtype=float)
+    if lo <= 0 < hi:
+        ks[-lo] = np.inf
+    return 1.0 / ks
+
+
 def _alias_classes(M: int, pn: int):
-    """The alias blocks of the modes |k| <= M on pn cells (module docstring).
+    """The alias classes of the modes |k| <= M on pn cells (module docstring).
 
     The centred modes, cut into rows of width min(pn, 2M + 1), put mode k
     in column (k + M) mod width, and column j holds the modes of the class
-    r[j] = (j - M) mod pn.  Returns (r, sine, inv): sine[j] = pn sin(pi
-    r[j] / pn) / pi, so that (-1)^a sinc(k / pn) = sine[j] / k for k != 0,
-    and inv[k + M] = 1 / k, with 0 for the mode 0 that callers set apart.
+    r[j] = (j - M) mod pn.  Returns (r, sine): sine[j] = pn sin(pi r[j] /
+    pn) / pi, so that (-1)^a sinc(k / pn) = sine[j] / k for k != 0.
     """
     r = (np.arange(min(pn, 2 * M + 1)) - M) % pn
-    sine = pn * np.sin(np.pi * np.minimum(r, pn - r) / pn) / np.pi
-    ks = np.arange(-M, M + 1, dtype=float)
-    ks[M] = np.inf
-    return r, sine, 1.0 / ks
+    return r, _sine(r, pn)
 
 
-def _alias_fold(x, pn: int, power: int):
-    """(r, S): S[j] sums x_k ((-1)^a sinc(k / pn))^power over the modes of
-    class r[j], for the centred mode values x; see alias_fold."""
-    M = (x.size - 1) // 2
-    r, sine, inv = _alias_classes(M, pn)
-    blocks = np.zeros(-(-x.size // r.size) * r.size, dtype=np.result_type(x, float))
-    blocks[: x.size] = x
-    blocks[: x.size] *= inv**power
-    S = blocks.reshape(-1, r.size).sum(axis=0)
-    S *= sine**power
-    S[M % r.size] += x[M]
-    return r, S
+def _sine(r, pn: int) -> np.ndarray:
+    """pn sin(pi r / pn) / pi for the classes r, taken at min(r, pn - r)."""
+    return pn * np.sin(np.pi * np.minimum(r, pn - r) / pn) / np.pi
 
 
-def alias_fold(x, pn: int, power: int = 1) -> np.ndarray:
+class Fold:
+    """The alias fold (alias_fold) of the centred modes -M..M, taken in the
+    order of k, any number of modes at a time.
+
+    add(x) takes the next x.size modes, whose reciprocals 1/k it forms, and
+    adds the finished rows (w = min(pn, 2M + 1) modes each) to the running
+    sum S in order: S is added to the first of them and the rows are summed,
+    and numpy sums the rows of a 2-D array one after the other, so S has the
+    bits of one sum over every row, which the rows' own sum added to S
+    would not.  A row left unfinished waits for the next add.  Rows of one
+    mode (pn = 1) are summed pairwise instead, so there the bits are those
+    of one sum when all the modes come in one add, as mode_blocks gives up
+    to BLOCK_MODES modes.
+    """
+
+    def __init__(self, M: int, pn: int, power: int = 1):
+        self.r, self.sine = _alias_classes(M, pn)
+        self.M, self.pn, self.power = M, pn, power
+        self.next = -M
+        self.rest = None
+        self.S = None
+
+    def add(self, x) -> None:
+        lo = self.next
+        self.next = lo + x.size
+        if lo <= 0 < self.next:
+            self.x0 = x[-lo]
+        v = x * _reciprocals(lo, self.next) ** self.power
+        self._add_rows(v if self.rest is None else np.concatenate((self.rest, v)))
+
+    def _add_rows(self, v) -> None:
+        n = v.size - v.size % self.r.size
+        self.rest = v[n:] if n < v.size else None
+        if n:
+            rows = v[:n].reshape(-1, self.r.size)
+            if self.S is not None:
+                rows[0] += self.S
+            self.S = rows.sum(axis=0)
+
+    def classes(self):
+        """(r, S) once every mode is added: S[j] sums x_k ((-1)^a sinc(k /
+        pn))^power over the modes of class r[j]."""
+        if self.rest is not None:
+            # the last row, padded with zeros
+            pad = np.zeros(self.r.size - self.rest.size, dtype=self.rest.dtype)
+            self._add_rows(np.concatenate((self.rest, pad)))
+        S = self.S * self.sine**self.power
+        S[self.M % self.r.size] += self.x0
+        return self.r, S
+
+    def folded(self) -> np.ndarray:
+        """S_r over the pn classes (alias_fold), once every mode is added."""
+        r, S = self.classes()
+        out = np.zeros(self.pn, dtype=S.dtype)
+        out[r] = S
+        return out
+
+    def averages(self, phases) -> np.ndarray:
+        """The pn cell averages of the modes (power 1), once every mode is added;
+        phases = twiddles(pn), built once by a caller that folds more than once."""
+        return self.pn * np.fft.ifft(self.folded() * phases)
+
+
+def _folded(block, M: int, pn: int, power: int = 1) -> Fold:
+    """The Fold of the modes block(lo, hi), |k| <= M, one block of mode_blocks at a time."""
+    fold = Fold(M, pn, power)
+    for lo, hi in mode_blocks(M, pn):
+        fold.add(block(lo, hi))
+    return fold
+
+
+def alias_fold(block, M: int, pn: int, power: int = 1) -> np.ndarray:
     """S_r = sum_a x_k ((-1)^a sinc(k / pn))^power over k = r + a pn, r < pn.
 
-    x holds the centred mode values x_{-M}..x_M.  power 1 folds Fourier
+    block(lo, hi) gives the centred mode values x_lo..x_{hi-1}, |k| <= M,
+    one block of mode_blocks at a time (Fold).  power 1 folds Fourier
     coefficients onto the cells (the DFT of their averages), power 2 the
     Galerkin weights of a symbol (exterior.galerkin_row).  The aliased
     multiples k = m pn (m != 0) add exact zeros.
     """
-    r, S = _alias_fold(x, pn, power)
-    out = np.zeros(pn, dtype=S.dtype)
-    out[r] = S
-    return out
+    return _folded(block, M, pn, power).folded()
+
+
+def twiddles(pn: int) -> np.ndarray:
+    """e^{i pi j / pn}, j < pn: the phases that turn the fold of the modes
+    into the DFT of the cell averages (Fold.averages)."""
+    return np.exp(1j * np.pi * np.arange(pn) / pn)
+
+
+class CellModes:
+    """The modes |k| <= M of piecewise-constant cell values, formed a block at a time.
+
+    With W = e^{-i pi j / pn} fft(values) / pn, mode k != 0 of class r = k
+    mod pn is W_r sine_r / k (module docstring) and mode 0 is W_0, so one
+    fft of the pn values gives every block; base holds W_r sine_r.  The
+    values are those of to_fourier bit for bit.
+    """
+
+    def __init__(self, g: PiecewiseConstantFn, M: int):
+        pn = g.decomp.n_cells(g.level)
+        W = np.exp(-1j * np.pi * np.arange(pn) / pn) * np.fft.fft(g.values) / pn
+        self.R = g.decomp.R
+        self.M = M
+        self.mean = W[0]
+        self.base = W * _sine(np.arange(pn), pn)
+
+    def block(self, lo: int, hi: int) -> np.ndarray:
+        """The modes lo..hi-1, zero beyond M."""
+        a, b = max(lo, -self.M), min(hi, self.M + 1)
+        if a >= b:
+            return np.zeros(hi - lo, dtype=complex)
+        modes = self.base[np.arange(a, b) % self.base.size] * _reciprocals(a, b)
+        if a <= 0 < b:
+            modes[-a] = self.mean
+        if (a, b) == (lo, hi):
+            return modes
+        out = np.zeros(hi - lo, dtype=complex)
+        out[a - lo : b - lo] = modes
+        return out
 
 
 def cell_averages(decomp: MultiscaleDecomposition, g, n: int) -> np.ndarray:
-    """Averages of g over the level-n cells (complex for Fourier input)."""
+    """Averages of g over the level-n cells (complex for Fourier input).
+
+    g is a PiecewiseConstantFn, or modes with M and block(lo, hi) (a
+    FourierFn, say), folded a block at a time (Fold).
+    """
     if isinstance(g, PiecewiseConstantFn):
         if g.level <= n:
             return np.repeat(g.values, decomp.p ** (n - g.level))
         chunk = decomp.p ** (g.level - n)
         return g.values.reshape(decomp.n_cells(n), chunk).mean(axis=1)
     pn = decomp.n_cells(n)
-    S = alias_fold(g.coeffs, pn)
-    return pn * np.fft.ifft(S * np.exp(1j * np.pi * np.arange(pn) / pn))
+    return _folded(g.block, g.M, pn).averages(twiddles(pn))
 
 
 def cell_integrals(decomp: MultiscaleDecomposition, g, n: int) -> np.ndarray:
@@ -255,7 +399,7 @@ def proj_norm_sq(decomp: MultiscaleDecomposition, g, n: int) -> float:
         if n >= g.level:
             return l2_norm_sq(g)
         return l2_norm_sq(project_PN(decomp, g, n))
-    _, S = _alias_fold(g.coeffs, decomp.n_cells(n), 1)
+    _, S = _folded(g.block, g.M, decomp.n_cells(n)).classes()
     return 2 * math.pi * decomp.R * float((np.abs(S) ** 2).sum())
 
 

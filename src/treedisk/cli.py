@@ -15,7 +15,9 @@ values as %.17g%+.17gj, byte for byte what `%` writes (csvtext says how,
 and when it leaves a value to `%`).  tree.csv is streamed from the tree
 solution on the compressed source tree one generation at a time: each
 stored row is formatted once and its text repeated over the edges it
-stands for, so the full tree is never built.  The tree-dtn matrix repeats a
+stands for, so the full tree is never built.  exterior.csv is streamed
+from the exterior field _CHUNK_ROWS modes at a time (_trace_chunks), so no
+array over its 2 * 16 p^N + 1 modes is held.  The tree-dtn matrix repeats a
 few distinct values, so its values are formatted once per bit pattern and
 gathered as text.
 
@@ -76,9 +78,9 @@ _FLUX_SLACK = 1e-10
 # Rows per chunk of a CSV write: each chunk's text is built in one matrix
 # (csvtext.join) and written before the next is built, so a write holds the
 # text of at most this many rows whatever the size of the file.  At 2^12
-# rows the exterior.csv write of N=10 peaks at 0.9 MB (tracemalloc: its
-# 0.45 MB matrix and the kernel's temporaries), half of what the `%` writer
-# held at 2^13 rows, and 2^13 or 2^14 rows write no faster.
+# rows the exterior.csv write of N=10 peaks at 1.0 MiB (tracemalloc: its
+# 0.45 MB matrix, the kernel's temporaries and the chunk's modes), and 2^13
+# or 2^14 rows write no faster.
 _CHUNK_ROWS = 2**12
 
 
@@ -320,6 +322,16 @@ def _tree_chunks(u):
                        np.tile(labels, (k.size, 1)), values.reshape(k.size * width, -1), "\n"]
 
 
+def _trace_chunks(u_ext):
+    """Chunks of exterior.csv (k, re, im), the Dirichlet trace of the exterior
+    field u_ext, formed _CHUNK_ROWS modes at a time (ExteriorField.trace0_block),
+    so no array over all its modes is held."""
+    for lo in range(-u_ext.M, u_ext.M + 1, _CHUNK_ROWS):
+        hi = min(lo + _CHUNK_ROWS, u_ext.M + 1)
+        trace = u_ext.trace0_block(lo, hi)
+        yield _row([np.arange(lo, hi), trace.real, trace.imag])
+
+
 def _cmd_transmission(args) -> int:
     started = time.monotonic()
     cfg = parse_config(args.config)
@@ -347,9 +359,7 @@ def _cmd_transmission(args) -> int:
                                         _tree_chunks(sol.u_rows))):
         _write_csv(prefix + "g.csv", ("level", "cell", "value"),
                    [np.full(g.size, sol.g.level), np.arange(g.size), g])
-        trace = sol.u_ext.trace0()
-        _write_csv(prefix + "exterior.csv", ("k", "re", "im"),
-                   [trace.ks(), trace.coeffs.real, trace.coeffs.imag])
+        _write_chunks(prefix + "exterior.csv", ("k", "re", "im"), _trace_chunks(sol.u_ext))
     reported = [("condition estimate", sol.condition_estimate),
                 ("trace defect", sol.trace_defect),
                 ("flux residual", sol.flux_residual),

@@ -25,14 +25,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circle import FourierFn, MultiscaleDecomposition, alias_fold
+from .circle import BLOCK_MODES, FourierFn, MultiscaleDecomposition, alias_fold, centred_block
 from .dtn import check_dense
 from .errors import AssemblyTooLarge, CutoffTooSmall, NonPositiveParameter, ScaleEqualsRadius
 
 MODE_OVERSAMPLING = 16
 
-# Symbols hold 2M+1 values: M is capped at the tree's leaf budget, which
-# bounds an interface solve (MODE_OVERSAMPLING * p^N modes) at 2^19 cells.
+# What holds all 2M+1 values of modes |k| <= M at once is capped at the
+# tree's leaf budget: the whole-array symbols (dtn_symbol, layer_symbols),
+# the whole arrays of an ExteriorField, convergence_study's reference
+# cutoff, and the modes a source or a manufactured datum names.  A solve
+# forms its modes per block and is bound by the tree budget alone.
 MODE_BUDGET = 2**23
 
 _GL64 = np.polynomial.legendre.leggauss(64)
@@ -69,6 +72,30 @@ class ExteriorSymbol:
             raise IndexError("mode %d beyond cutoff %d" % (k, self.M))
         return float(self.values[k + self.M])
 
+    def block(self, lo: int, hi: int) -> np.ndarray:
+        """s_lo..s_{hi-1}, zero beyond M."""
+        return centred_block(self.values, lo, hi)
+
+
+@dataclass(frozen=True)
+class DtnSymbol:
+    """The exterior DtN symbol s_k = -|k|/R, |k| <= M, formed a block at a time.
+
+    dtn_symbol holds the same values as one array; galerkin_row folds
+    either.
+    """
+
+    R: float
+    M: int
+
+    def __post_init__(self):
+        if self.R <= 0:
+            raise NonPositiveParameter("radius must be positive")
+
+    def block(self, lo: int, hi: int) -> np.ndarray:
+        """s_lo..s_{hi-1}, for -M <= lo <= hi <= M + 1."""
+        return -np.abs(np.arange(lo, hi)) / self.R
+
 
 def check_mode_budget(M: int) -> None:
     """Raise AssemblyTooLarge before the 2M+1 values of modes |k| <= M are allocated."""
@@ -83,15 +110,15 @@ def _modes(M: int) -> np.ndarray:
 
 
 def dtn_symbol(R: float, M: int) -> ExteriorSymbol:
-    """Exterior DtN symbol: s_0 = 0, s_k = -|k|/R.
+    """Exterior DtN symbol: s_0 = 0, s_k = -|k|/R, as one array (DtnSymbol by blocks).
 
     Non-positive with kernel the constants; the harmonic extension of
     e^{ik theta} is (R/r)^{|k|} e^{ik theta}, whose radial derivative at R
     is -|k|/R.
     """
-    if R <= 0:
-        raise NonPositiveParameter("radius must be positive")
-    return ExteriorSymbol(R, -np.abs(_modes(M)) / R)
+    symbol = DtnSymbol(R, M)
+    check_mode_budget(M)
+    return ExteriorSymbol(R, symbol.block(-M, M + 1))
 
 
 def layer_symbols(R: float, r_scale: float, M: int):
@@ -179,7 +206,7 @@ class RadialSource:
     Each profile f_k is a Laurent polynomial in r (dict power -> coeff, or
     an ascending coefficient array), supported on [R, r_max] and zero
     outside.  Real sources satisfy f_{-k} = conj(f_k).  A mode beyond
-    MODE_BUDGET raises AssemblyTooLarge, since the exterior solve holds
+    MODE_BUDGET raises AssemblyTooLarge, since the exterior solve visits
     every mode up to it.
     """
 
@@ -230,42 +257,95 @@ def _source_integral(source: RadialSource, k: int, expo: float, upper: float,
     return complex(half * (_GL64[1] @ vals))
 
 
-def _centered(coeffs, M: int) -> np.ndarray:
-    """Centered coefficients padded with zeros (or cut) to modes |k| <= M."""
-    out = np.zeros(2 * M + 1, dtype=complex)
-    c = (coeffs.size - 1) // 2
-    m = min(M, c)
-    out[M - m : M + m + 1] = coeffs[c - m : c + m + 1]
-    return out
+def _support(data):
+    """(extent, mean): the largest |k| with a nonzero mode in data (M and
+    block(lo, hi)), 0 when there is none, and whether mode 0 is nonzero.
+
+    Bands of BLOCK_MODES modes on each side are scanned from the outside
+    in, then the modes |k| <= BLOCK_MODES that remain as one block, which
+    holds mode 0.
+    """
+    top = data.M
+    while top > BLOCK_MODES:
+        lo = top - BLOCK_MODES + 1
+        pos = np.flatnonzero(data.block(lo, top + 1))
+        neg = np.flatnonzero(data.block(-top, 1 - lo))
+        if pos.size or neg.size:
+            extent = max(lo + pos[-1] if pos.size else 0, top - neg[0] if neg.size else 0)
+            return int(extent), bool(data.block(0, 1)[0] != 0)
+        top = lo - 1
+    x = data.block(-top, top + 1)
+    ks = np.abs(np.flatnonzero(x) - top)
+    return (int(ks.max()) if ks.size else 0), bool(x[top] != 0)
 
 
 @dataclass
 class ExteriorField:
     """Per-mode exterior solution a_k (R/r)^{|k|} + b_k (r/R)^{|k|} + particular part.
 
-    `a` and `b` are centered coefficient arrays over |k| <= M, where M is the
-    largest |k| that is a source mode or carries nonzero data.  Mode 0
-    carries a constant a_0 and a coefficient b_0 of log r, which cancels
-    the log growth of the source's mean.  Normalizing the powers at R
-    keeps every coefficient of the order of the data, whatever R and |k|.  The
-    particular part vanishes along with its derivative at r = R, so traces
-    at the boundary involve only (a, b).
+    The modes run over |k| <= M, where M is the largest |k| that is a
+    source mode or carries nonzero data.  Mode 0 carries a constant a_0 and
+    a coefficient b_0 of log r, which cancels the log growth of the
+    source's mean.  Normalizing the powers at R keeps every coefficient of
+    the order of the data, whatever R and |k|.  The particular part
+    vanishes along with its derivative at r = R, so traces at the boundary
+    involve only (a, b).
+
+    The field holds R, the source, the Dirichlet data and the few modes
+    the solve sets apart: data gives the data's modes g_k a block at a time
+    (data.block(lo, hi): a FourierFn, or circle.CellModes of g's cells),
+    and fixed maps each source mode and the mean mode to its b_k.  There
+    a_k = g_k - b_k (a_0 = g_0 - b_0 log R); elsewhere a_k = g_k, b_k = 0.
+    block forms (a, b) over the modes lo..hi-1, trace0_of and trace1_of the
+    traces from them, and trace0_block the Dirichlet trace's modes; a, b,
+    trace0() and trace1() are the whole arrays over |k| <= M, checked
+    against MODE_BUDGET before they are built.
     """
 
     R: float
-    a: np.ndarray
-    b: np.ndarray
+    M: int
+    data: object
+    fixed: dict
     source: RadialSource | None = None
 
+    def block(self, lo: int, hi: int, data=None):
+        """(a, b) over the modes lo..hi-1, zero beyond M.
+
+        data, the data's modes lo..hi-1 when the caller has formed them
+        already, is written into and returned as a.
+        """
+        if self.data is None:
+            a = np.zeros(hi - lo, dtype=complex)
+        else:
+            a = np.asarray(self.data.block(lo, hi) if data is None else data, dtype=complex)
+            a[: max(-self.M - lo, 0)] = 0
+            a[max(self.M + 1 - lo, 0) :] = 0
+        b = np.zeros_like(a)
+        for k, b_k in self.fixed.items():
+            if lo <= k < hi:
+                ghat = complex(a[k - lo])
+                a[k - lo] = ghat - b_k if k else ghat - b_k * math.log(self.R)
+                b[k - lo] = b_k
+        return a, b
+
+    def _whole(self, form) -> np.ndarray:
+        check_mode_budget(self.M)
+        return form(-self.M, self.M + 1)
+
     @property
-    def M(self) -> int:
-        return (self.a.size - 1) // 2
+    def a(self) -> np.ndarray:
+        return self._whole(self.block)[0]
+
+    @property
+    def b(self) -> np.ndarray:
+        return self._whole(self.block)[1]
 
     def mode_coeffs(self, k: int):
         k = int(k)
         if abs(k) > self.M:
             return (0.0, 0.0)
-        return (complex(self.a[k + self.M]), complex(self.b[k + self.M]))
+        a, b = self.block(k, k + 1)
+        return (complex(a[0]), complex(b[0]))
 
     def eval_mode(self, k: int, r):
         r = np.atleast_1d(np.asarray(r, dtype=float))
@@ -302,16 +382,31 @@ class ExteriorField:
             out = out + np.asarray(self.eval_mode(k, r)) * np.exp(1j * k * theta)
         return out
 
+    def trace0_of(self, lo: int, a, b) -> np.ndarray:
+        """The Dirichlet trace's modes from lo on, from their (a, b) (block):
+        a_k + b_k, and a_0 + b_0 log R."""
+        coeffs = a + b
+        if lo <= 0 < lo + a.size:
+            coeffs[-lo] = a[-lo] + b[-lo] * math.log(self.R)
+        return coeffs
+
+    def trace1_of(self, lo: int, a, b) -> np.ndarray:
+        """The conormal trace's modes from lo on, from their (a, b) (block):
+        |k| (b_k - a_k) / R, and b_0 / R."""
+        coeffs = np.abs(np.arange(lo, lo + a.size)) * (b - a) / self.R
+        if lo <= 0 < lo + a.size:
+            coeffs[-lo] = b[-lo] / self.R
+        return coeffs
+
+    def trace0_block(self, lo: int, hi: int) -> np.ndarray:
+        """The Dirichlet trace's modes lo..hi-1."""
+        return self.trace0_of(lo, *self.block(lo, hi))
+
     def trace0(self) -> FourierFn:
-        coeffs = self.a + self.b
-        coeffs[self.M] = self.a[self.M] + self.b[self.M] * math.log(self.R)
-        return FourierFn(self.R, coeffs)
+        return FourierFn(self.R, self._whole(self.trace0_block))
 
     def trace1(self) -> FourierFn:
-        ak = np.abs(np.arange(-self.M, self.M + 1))
-        coeffs = ak * (self.b - self.a) / self.R
-        coeffs[self.M] = self.b[self.M] / self.R
-        return FourierFn(self.R, coeffs)
+        return FourierFn(self.R, self._whole(lambda lo, hi: self.trace1_of(lo, *self.block(lo, hi))))
 
 
 def solve_exterior_dirichlet(g, source: RadialSource | None, R: float | None = None,
@@ -321,11 +416,13 @@ def solve_exterior_dirichlet(g, source: RadialSource | None, R: float | None = N
     Per mode k the solution is fixed by the Dirichlet value at R and the
     bounded radiation class, which kills the growing part (r^{|k|}, and
     log r at k = 0, adjusting the free constant).  Modes k != 0 without a
-    source term are a_k = g_k, b_k = 0 and are set as arrays; the source
-    modes and the mean mode take the formulas below one by one.  b_k does
-    not depend on g: lift, a solution for the same source (the one with
-    g = None, say), hands over its b_k on the source modes, so their
-    integrals are not computed again.
+    source term are a_k = g_k, b_k = 0, and are formed from g a block at
+    a time when asked (ExteriorField); the source modes and the mean mode
+    take the formulas below one by one.  g is a FourierFn, modes with R, M
+    and block(lo, hi) (circle.CellModes, say), or None.  b_k does not
+    depend on g: lift, a solution for the same source (the one with g =
+    None, say), hands over its b_k on the source modes, so their integrals
+    are not computed again.
     """
     if R is None:
         R = g.R if g is not None else (source.R if source is not None else None)
@@ -338,31 +435,27 @@ def solve_exterior_dirichlet(g, source: RadialSource | None, R: float | None = N
 
     ks = set(source.modes()) if source is not None else set()
     M = max((abs(k) for k in ks), default=0)
-    data = np.zeros(1, dtype=complex) if g is None else g.coeffs
-    nonzero = np.flatnonzero(data) - (data.size - 1) // 2
-    if nonzero.size:
-        M = max(M, int(np.abs(nonzero).max()))
-    a = _centered(data, M)
-    b = np.zeros_like(a)
-    if a[M] != 0:
-        ks.add(0)
+    if g is not None:
+        extent, mean = _support(g)
+        M = max(M, extent)
+        if mean:
+            ks.add(0)
     reused = set()
     if lift is not None and source is not None:
         if lift.source is not source:
             raise ValueError("the lift solves another source")
         reused = set(source.modes())
+    fixed = {}
     for k in sorted(ks):
         ak = abs(k)
         if k in reused:
-            b_c = lift.b[k + lift.M]
+            # as an array of the lift's b_k would hold it
+            fixed[k] = np.complex128(lift.fixed[k])
         elif ak > 0:
-            b_c = -R * _source_integral(source, k, 1.0 - ak, np.inf, scale=R) / (2.0 * ak)
+            fixed[k] = -R * _source_integral(source, k, 1.0 - ak, np.inf, scale=R) / (2.0 * ak)
         else:
-            b_c = -(_source_integral(source, k, 1.0, np.inf) if source else 0.0)
-        ghat = complex(a[k + M])
-        a[k + M] = ghat - b_c if ak > 0 else ghat - b_c * math.log(R)
-        b[k + M] = b_c
-    return ExteriorField(R=float(R), a=a, b=b, source=source)
+            fixed[k] = -(_source_integral(source, k, 1.0, np.inf) if source else 0.0)
+    return ExteriorField(R=float(R), M=M, data=g, fixed=fixed, source=source)
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +474,7 @@ def check_cutoff(M: int, p: int, level: int):
             % (M, MODE_OVERSAMPLING, p, level)))
 
 
-def galerkin_row(decomp: MultiscaleDecomposition, N: int, symbol: ExteriorSymbol) -> np.ndarray:
+def galerkin_row(decomp: MultiscaleDecomposition, N: int, symbol) -> np.ndarray:
     """Row a of the Galerkin matrix A[K][L] = 2 pi R sum_k s_k (1hat_L)_k (1hat_K)_{-k} on level N.
 
     The cell phases make A a symmetric circulant: its entries depend on
@@ -391,8 +484,9 @@ def galerkin_row(decomp: MultiscaleDecomposition, N: int, symbol: ExteriorSymbol
 
     Folding the weights onto k mod p^N (circle.alias_fold with power 2)
     turns that sum into the real part of one FFT of length p^N, so the row
-    costs O(M + p^N log p^N) time and O(M + p^N) memory, and fft(a) holds
-    the eigenvalues of A.  For the DtN symbol the sinc zeros at
+    costs O(M + p^N log p^N) time, and fft(a) holds the eigenvalues of A.
+    symbol is an ExteriorSymbol or a DtnSymbol, folded a block at a time,
+    so a DtnSymbol's row takes O(p^N) memory besides one block of modes.  For the DtN symbol the sinc zeros at
     aliased modes give A 1 = 0 up to rounding and
     the quadratic form 2 pi R sum s_k |g_M(k)|^2 <= 0, so A is negative
     semidefinite at every cutoff.  Entries of the order-one symbols (DtN,
@@ -403,7 +497,7 @@ def galerkin_row(decomp: MultiscaleDecomposition, N: int, symbol: ExteriorSymbol
         raise ValueError("symbol radius differs from the decomposition radius")
     pn = decomp.n_cells(N)
     check_cutoff(symbol.M, decomp.p, N)
-    folded = alias_fold(symbol.values, pn, power=2) / float(pn) ** 2
+    folded = alias_fold(symbol.block, symbol.M, pn, power=2) / float(pn) ** 2
     return 2.0 * math.pi * decomp.R * np.fft.fft(folded).real
 
 

@@ -76,11 +76,11 @@ from .errors import (
 )
 from .exterior import (
     MODE_OVERSAMPLING,
+    DtnSymbol,
     ExteriorField,
     RadialSource,
     check_mode_budget,
     circulant_view,
-    dtn_symbol,
     galerkin_row,
     solve_exterior_dirichlet,
 )
@@ -143,9 +143,11 @@ class TransmissionConfig:
     checked: alpha1 and c_root become numpy scalars, alpha0 and tree_source
     arrays, float64 when their imaginary parts are exactly 0, else
     complex128 (_exact_real).  Then the tree budget (tree.check_tree_budget,
-    by exponent first), the mode budget, the length of alpha0 (InvalidInput)
-    and the shape of tree_source (DepthMismatch) are checked, so a config
-    that exists is valid.  dataclasses.replace changes one and checks again.
+    by exponent first), the length of alpha0 (InvalidInput) and the shape
+    of tree_source (DepthMismatch) are checked, so a config that exists is
+    valid.  The 16 p^N exterior modes are formed a block at a time, so the
+    mode budget does not bound a solve.  dataclasses.replace changes one and
+    checks again.
     """
 
     params: TreeParams
@@ -180,7 +182,6 @@ class TransmissionConfig:
             raise ValueError("exterior source annulus must start at the interface radius")
         check_tree_budget(self.params, self.source_depth + 1, self.level)
         n = self.params.p**self.level
-        check_mode_budget(MODE_OVERSAMPLING * n)
         if self.alpha0.size not in (1, n):
             raise InvalidInput("alpha0 needs 1 or %d values, got %d" % (n, self.alpha0.size))
         f = self.tree_source
@@ -357,14 +358,16 @@ def assemble_system(cfg: TransmissionConfig) -> InterfaceSystem:
     (tree_source or c_root), and v_f only enters h.  h is formed in the
     dtype of its terms: the cell integrals of gamma1 v_f are real when its
     modes are conjugate-symmetric bit for bit, and the other terms are real
-    when alpha1, c_root and tree_source have no imaginary part.  The budgets,
-    the length of alpha0 and the shape of tree_source were checked when cfg
-    was built (TransmissionConfig), so nothing is refused here once work
-    has started; nothing here is p^N x p^N.
+    when alpha1, c_root and tree_source have no imaginary part.  The tree
+    budget, the length of alpha0 and the shape of tree_source were checked
+    when cfg was built (TransmissionConfig), so nothing is refused here once
+    work has started; nothing here is p^N x p^N, and the DtN symbol -|k|/R
+    at cutoff 16 p^N is folded into c_row a block of modes at a time
+    (exterior.DtnSymbol), never held whole.
     """
     p = cfg.params.p
     pn = p**cfg.level
-    symbol = dtn_symbol(cfg.R, MODE_OVERSAMPLING * pn)
+    symbol = DtnSymbol(cfg.R, MODE_OVERSAMPLING * pn)
     dtn = tree_dtn_operator(cfg.params, cfg.level)
     n_max = max(cfg.level, cfg.source_depth + 1) + 1
     decomp = MultiscaleDecomposition(R=cfg.R, p=p, n_max=n_max)
@@ -406,6 +409,28 @@ def _givens(a, b):
     return abs(a) / r, phase * b.conjugate() / r, phase * r
 
 
+def _norm(x) -> float:
+    """||x||_2 as 2^e ||2^-e x||_2, with e the exponent of max|x| (math.frexp).
+
+    The scaled entries are below 1 in magnitude, so no square overflows,
+    and the largest is at least 1/2, so the sum of squares does not
+    underflow: a vector of 1e-200 or 1e200 has its norm, where
+    np.linalg.norm gives 0 or inf.  Scaling by a power of two is exact, so
+    where np.linalg.norm(x) neither underflows nor overflows the two agree
+    bit for bit.  A NaN or infinite entry gives NaN or inf.
+    """
+    big = float(np.abs(x).max(initial=0.0))
+    if big == 0.0 or not math.isfinite(big):
+        return big
+    e = math.frexp(big)[1]
+    if np.iscomplexobj(x):
+        # ldexp on the real and imaginary parts: 2^-e itself can overflow
+        scaled = np.ldexp(np.ascontiguousarray(x).view(np.float64), -e).view(x.dtype)
+    else:
+        scaled = np.ldexp(x, -e)
+    return math.ldexp(float(np.linalg.norm(scaled)), e)
+
+
 def _gmres(step, precond, b, rtol=_KRYLOV_RTOL):
     """(x, converged): ||b - A x|| <= rtol ||b|| when converged.
 
@@ -420,9 +445,10 @@ def _gmres(step, precond, b, rtol=_KRYLOV_RTOL):
     more than the steps.  Each Hessenberg column is rotated as Python
     scalars and kept as a list, and y comes from back substitution over
     those columns.  Without convergence x is the minimal-residual iterate
-    after the last step.
+    after the last step.  Norms are _norm's, so a b of 1e-200 is solved,
+    not taken for zero.
     """
-    scale = float(np.linalg.norm(b))
+    scale = _norm(b)
     if scale == 0.0:
         return np.zeros(b.size, dtype=b.dtype), True
     steps = min(_KRYLOV_MAX_ITER, b.size)
@@ -438,7 +464,7 @@ def _gmres(step, precond, b, rtol=_KRYLOV_RTOL):
         again = (basis[: j + 1] @ w.conj()).conj()
         w -= again @ basis[: j + 1]
         coef += again
-        norm = float(np.linalg.norm(w))
+        norm = _norm(w)
         col = coef.tolist()
         for i, (c, s) in enumerate(rot):
             col[i], col[i + 1] = c * col[i] + s * col[i + 1], c * col[i + 1] - s.conjugate() * col[i]
@@ -560,8 +586,19 @@ def solve_interface(sys: InterfaceSystem) -> PiecewiseConstantFn:
     inf when one of them misses its tolerance.  A condition number beyond
     1e12 raises SingularInterfaceOperator and reports the nearest plasmonic
     pencil eigenvalue as a diagnostic when the dense pencil fits its budget.
+    The residual gate, residual <= 1e-10 ||h||, and GMRES take their norms
+    by _norm, which neither underflows nor overflows, so data of any
+    normal scale solve alike; an h that is not finite, or whose largest
+    entry is subnormal (too few digits to solve for), raises
+    NumericalCheckFailed before the solve.
     """
     n = sys.h.size
+    big = float(np.abs(sys.h).max())
+    if not math.isfinite(big):
+        raise NumericalCheckFailed("the right-hand side h is not finite")
+    if 0.0 < big < np.finfo(float).tiny:
+        raise NumericalCheckFailed("max|h| = %.3e is subnormal: the sources are too small to "
+                                   "solve for in float64" % big)
     dtype = np.result_type(sys.dtype, sys.h)
     rhs = -sys.h.astype(dtype)
     if n <= _TOP_CELLS:
@@ -588,8 +625,8 @@ def solve_interface(sys: InterfaceSystem) -> PiecewiseConstantFn:
         g = g + _gmres(step, precond, rhs - apply(g), _REFINE_RTOL)[0]
     if np.iscomplexobj(g) and np.abs(g.imag).max() <= 1e-12 * max(np.abs(g).max(), 1e-300):
         g = g.real.astype(float)
-    scale = float(np.linalg.norm(sys.h))
-    residual = float(np.linalg.norm(apply(g) + sys.h))
+    scale = _norm(sys.h)
+    residual = _norm(apply(g) + sys.h)
     if not residual <= 1e-10 * max(scale, 1e-300):
         raise SingularInterfaceOperator(
             "residual %.3e exceeds 1e-10 of ||h|| = %.3e (condition %.3e)"
@@ -644,6 +681,13 @@ def reconstruct(system: InterfaceSystem, g: PiecewiseConstantFn) -> Transmission
     one, so the tree is built and eliminated once per solve; the exterior
     solve takes the source modes' b_k from v_f, so no source integral is
     computed twice.
+
+    No array over the 2 * 16 p^N + 1 exterior modes is held: g's modes
+    (circle.CellModes, one fft of g) and the field's traces are formed in
+    one pass, a block of circle.mode_blocks at a time; the trace defect is
+    a maximum over blocks, and the exterior cell fluxes and the alpha0 mass
+    are running folds (circle.Fold), which share one set of twiddles.  The
+    results are those of folding whole arrays, bit for bit.
     """
     cfg = system.config
     pn = cfg.params.p**cfg.level
@@ -673,22 +717,36 @@ def reconstruct(system: InterfaceSystem, g: PiecewiseConstantFn) -> Transmission
             coeffs[n] = c
     u_T = TreeFunction(tree, coeffs)
 
-    g_fourier = g.to_fourier(MODE_OVERSAMPLING * pn)
-    u_ext = solve_exterior_dirichlet(g_fourier, cfg.exterior_source, R=cfg.R, lift=system.v_f)
+    m = MODE_OVERSAMPLING * pn
+    g_modes = circle.CellModes(g, m)
+    u_ext = solve_exterior_dirichlet(g_modes, cfg.exterior_source, R=cfg.R, lift=system.v_f)
+
+    # one pass over the modes, each block of g's modes formed once: the
+    # trace defect and the alpha0 mass (the fold of g's modes) over |k| <= m,
+    # the exterior flux (the fold of the conormal trace) over |k| <= u_ext.M
+    mass_fold, flux_fold = circle.Fold(m, pn), circle.Fold(u_ext.M, pn)
+    ext_trace = []
+    for lo, hi in circle.mode_blocks(max(m, u_ext.M), pn):
+        g_k = g_modes.block(lo, hi)
+        a, b = u_ext.block(lo, hi, g_k.copy())
+        inner = slice(max(-m - lo, 0), max(m + 1 - lo, 0))
+        if g_k[inner].size:
+            ext_trace.append(np.abs(u_ext.trace0_of(lo, a, b) - g_k)[inner].max())
+            mass_fold.add(g_k[inner])
+        flux_fold.add(u_ext.trace1_of(lo, a, b)[max(-u_ext.M - lo, 0) : max(u_ext.M + 1 - lo, 0)])
 
     tree_trace = np.abs(u_T.leaf_values() - g.values).max() if pn else 0.0
-    diff = u_ext.trace0() - g_fourier
-    m = g_fourier.M
-    ext_trace = np.abs(diff.coeffs[diff.M - m : diff.M + m + 1]).max()
-    trace_defect = float(max(tree_trace, ext_trace))
+    trace_defect = float(max(tree_trace, np.max(ext_trace)))
     if not trace_defect <= 1e-10:
         raise NumericalCheckFailed("interface traces disagree by %.3e" % trace_defect)
 
-    flux_ext = circle.cell_integrals(decomp, u_ext.trace1(), cfg.level)
+    phases = circle.twiddles(pn)
+    measure = decomp.cell_measure(cfg.level)
+    flux_ext = flux_fold.averages(phases) * measure
     flux_tree = _cell_flux(u_T)
     a0 = cfg.alpha0_cells()
-    mass = a0 * circle.cell_integrals(decomp, g_fourier, cfg.level)
-    mass_exact = a0 * decomp.cell_measure(cfg.level) * g.values
+    mass = a0 * (mass_fold.averages(phases) * measure)
+    mass_exact = a0 * measure * g.values
     resid_vec = flux_ext - cfg.alpha1 * flux_tree - mass
     # normalize by the pre-cancellation flux magnitudes (the harmonic tree
     # flux and the source flux can cancel when g is nearly constant)
@@ -736,15 +794,15 @@ def convergence_study(cfg: TransmissionConfig, N_list, manufactured=None) -> Con
     unless the H^{1/2} errors are monotone nonincreasing with a positive
     fitted rate; these two checks are skipped once the errors sit at the
     rounding floor (datum resolved exactly).  The finest level's config is
-    built first, so its mode and tree budgets are checked before any level
-    is solved (AssemblyTooLarge).
+    built first, so its tree budget is checked before any level is solved,
+    and then the budget of the modes every level is taken at, m_ref = 16
+    p^N_max (AssemblyTooLarge).
     """
     levels = sorted(set(int(n) for n in N_list))
     needed = 2 if manufactured is not None else 3
     if len(levels) < needed:
         raise InsufficientLevels("need at least %d distinct levels, got %r" % (needed, levels))
     p = cfg.params.p
-    m_ref = MODE_OVERSAMPLING * p ** max(levels)
 
     if manufactured is None and cfg.tree_source is not None and cfg.source_depth < max(levels):
         raise DepthBelowChartLevel(
@@ -758,8 +816,13 @@ def convergence_study(cfg: TransmissionConfig, N_list, manufactured=None) -> Con
         sd = cfg.source_depth if cfg.tree_source is not None else max(cfg.source_depth, n)
         return dataclasses.replace(cfg, level=n, source_depth=sd)
 
-    # building the finest config checks its budgets before any level is solved
+    # building the finest config checks its tree budget (by exponent, so
+    # before p^level is formed), and every level's modes are taken whole at
+    # the finest cutoff, so that cutoff is checked too, before any level is
+    # solved
     level_config(max(levels))
+    m_ref = MODE_OVERSAMPLING * p ** max(levels)
+    check_mode_budget(m_ref)
 
     coeffs = []
     for n in levels:

@@ -457,14 +457,14 @@ def test_killed_child_is_an_error(ref_config, tmp_path, monkeypatch, capsys):
 
 @needs_fork
 def test_interrupt_in_the_parent_waits_for_the_child(ref_config, tmp_path, monkeypatch, capsys):
-    write_csv = cli._write_csv
+    write_chunks = cli._write_chunks
 
-    def interrupted(path, header, columns):
+    def interrupted(path, header, chunks):
         if path.endswith("exterior.csv"):
             raise KeyboardInterrupt
-        write_csv(path, header, columns)
+        write_chunks(path, header, chunks)
 
-    monkeypatch.setattr(cli, "_write_csv", interrupted)
+    monkeypatch.setattr(cli, "_write_chunks", interrupted)
     with pytest.raises(KeyboardInterrupt):
         cli.main(["transmission", "--config", ref_config, "--out-prefix", str(tmp_path / "t_")])
     _assert_no_child_and_no_temp_file(tmp_path)
@@ -513,28 +513,61 @@ def test_transmission_at_pencil_eigenvalue_exits_3(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
-# the exterior source scaled by s at interface.N = 7: at 1e-200 and 1e200 the
-# solve returns g = 0 with a flux residual of 1 (its norms underflow or
-# overflow), which must exit 3 before any file is written
-@pytest.mark.parametrize("scale, code", [("1", 0), ("1e-200", 3), ("1e200", 3)])
-def test_transmission_refuses_a_flux_residual_beyond_its_bound(scale, code, tmp_path):
-    path = tmp_path / "scaled.ini"
-    path.write_text("tree.p = 2\ntree.ell = 0.5\ntree.omega = 0.4\ninterface.N = 7\n"
-                    "source.exterior.profile.1 = %s\nsource.exterior.profile.-1 = %s\n"
-                    % (scale, scale))
-    out = tmp_path / "out"
-    # in a child process: the suite's filter would raise the 1e200 solve's
-    # overflow warning, which the command only prints
-    proc = subprocess.run([sys.executable, "-m", "treedisk.cli", "transmission",
+_SCALED = ("tree.p = 2\ntree.ell = 0.5\ntree.omega = 0.4\ninterface.N = 7\n"
+           "source.exterior.profile.1 = %s\nsource.exterior.profile.-1 = %s\n")
+
+
+def _run_scaled(scale, out):
+    """treedisk transmission on the N = 7 ring source scaled by `scale`, in a
+    child process: the suite's filter would raise the 1e200 solve's overflow
+    warnings, which the command only prints."""
+    path = out.parent / ("scaled_%s.ini" % scale)
+    path.write_text(_SCALED % (scale, scale))
+    return subprocess.run([sys.executable, "-m", "treedisk.cli", "transmission",
                            "--config", str(path), "--out-prefix", str(out / "t_")],
                           capture_output=True, text=True)
-    assert proc.returncode == code, proc.stderr
-    if code:
-        assert "numerical failure: flux residual 1.000e+00" in proc.stderr
-        assert not out.exists()
-    else:
+
+
+def test_transmission_solves_sources_of_any_normal_scale(tmp_path):
+    # GMRES and the residual gate take norms that neither underflow nor
+    # overflow (transmission._norm), so a source of 1e-200 solves to 1e-200
+    # times the datum of the unit source; at 1e200 the traces carry absolute
+    # errors far above the absolute 1e-10 trace gate, and at 1e-320 the rhs
+    # is subnormal and refused; both exit 3 before any file is written
+    g = {}
+    for scale in ("1", "1e-200"):
+        out = tmp_path / scale
+        proc = _run_scaled(scale, out)
+        assert proc.returncode == 0, proc.stderr
         assert sorted(os.listdir(out)) == ["t_exterior.csv", "t_g.csv", "t_manifest.txt",
                                            "t_tree.csv"]
+        g[scale] = np.loadtxt(out / "t_g.csv", delimiter=",", skiprows=1)[:, 2]
+    assert np.abs(g["1e-200"] * 1e200 - g["1"]).max() <= 1e-12 * np.abs(g["1"]).max()
+    for scale, message in (("1e200", "interface traces disagree"), ("1e-320", "is subnormal")):
+        out = tmp_path / scale
+        proc = _run_scaled(scale, out)
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.startswith("numerical failure: ") and message in proc.stderr
+        assert not out.exists()
+
+
+def test_transmission_refuses_a_flux_residual_beyond_its_bound(tmp_path, monkeypatch, capsys):
+    # a g that does not solve the interface equation leaves a flux residual
+    # of order 1, which must exit 3 before any file is written
+    solve = transmission.solve_interface
+
+    def solve_off(system):
+        g = solve(system)
+        g.values[0] += 1.0
+        return g
+
+    monkeypatch.setattr(transmission, "solve_interface", solve_off)
+    path = tmp_path / "scaled.ini"
+    path.write_text(_SCALED % (1, 1))
+    out = tmp_path / "out"
+    assert cli.main(["transmission", "--config", str(path), "--out-prefix", str(out / "t_")]) == 3
+    assert capsys.readouterr().err.startswith("numerical failure: flux residual")
+    assert not out.exists()
 
 
 def test_transmission_refuses_a_non_finite_g(ref_config, tmp_path, monkeypatch, capsys):

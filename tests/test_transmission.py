@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from treedisk.errors import (
     DepthMismatch,
     InsufficientLevels,
     InvalidInput,
+    NumericalCheckFailed,
     SingularInterfaceOperator,
 )
 from treedisk.exterior import RadialSource
@@ -332,15 +334,16 @@ def test_config_validation():
     ({"tree_source": np.ones(8), "source_depth": 6}, DepthMismatch, r"got \(8,\)"),
     ({"tree_source": np.ones((8, 0)), "source_depth": 6}, DepthMismatch, r"got \(8, 0\)"),
     ({"tree_source": np.ones((8, 1, 1)), "source_depth": 6}, DepthMismatch, r"got \(8, 1, 1\)"),
-    # modes up to 16 * 2^20 exceed the mode budget; the tree budget holds
-    ({"level": 20}, AssemblyTooLarge, "modes up to 16777216 exceed the mode budget"),
+    # the modes are formed per block, so the tree bounds the level: at level
+    # 22 the source tree at depth 26 stores 2^23 - 1 + 5 * 2^22 rows
+    ({"level": 22}, AssemblyTooLarge, "29360127 stored rows exceed the tree budget"),
 ], ids=["alpha0-length", "tree-source-shallow", "tree-source-deep", "tree-source-1d",
-        "tree-source-no-coefficients", "tree-source-3d", "mode-budget"])
+        "tree-source-no-coefficients", "tree-source-3d", "tree-budget"])
 def test_bad_data_refused_before_anything_is_built(monkeypatch, fields, error, message):
     def refuse(*args, **kwargs):
         raise AssertionError("work started before the config was checked")
 
-    for module, name in [(transmission, "dtn_symbol"), (transmission, "tree_dtn_operator"),
+    for module, name in [(transmission, "DtnSymbol"), (transmission, "tree_dtn_operator"),
                          (transmission, "galerkin_row"), (transmission, "build_condensed"),
                          (tree_module, "build_condensed"), (dtn, "build_condensed")]:
         monkeypatch.setattr(module, name, refuse)
@@ -466,6 +469,77 @@ def test_reconstruct_reuses_the_exterior_lift(monkeypatch):
     monkeypatch.undo()
     fresh = exterior.solve_exterior_dirichlet(g.to_fourier(16 * 8), cfg.exterior_source)
     assert sol.u_ext.a.tobytes() == fresh.a.tobytes() and sol.u_ext.b.tobytes() == fresh.b.tobytes()
+
+
+def test_reconstruct_holds_no_array_over_all_modes():
+    # at p = 2, N = 12 the 2 * 16 * 4096 + 1 exterior modes take 2 MiB as one
+    # complex array; reconstruct forms them a block at a time, so its traced
+    # peak stays below that, tree work included
+    cfg = parse_text(REAL_TEXT.replace("N = 5", "N = 12").replace("source_depth = 9",
+                                                                 "source_depth = 16")).transmission()
+    system = assemble_system(cfg)
+    g = solve_interface(system)
+    whole = (2 * exterior.MODE_OVERSAMPLING * 2**12 + 1) * np.dtype(complex).itemsize
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        sol = reconstruct(system, g)
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    assert sol.trace_defect <= 1e-10 and sol.flux_residual <= sol.discretization_defect + 1e-10
+    assert peak < whole, "reconstruct peaked %d bytes above entry" % peak
+
+
+def test_a_solve_runs_with_its_modes_beyond_the_mode_budget(monkeypatch):
+    # the mode budget bounds what holds every mode at once, not a solve: at
+    # level 7 the 16 * 2^7 modes are over a budget of 1000, the solve runs,
+    # and the whole arrays of its exterior field are refused before they
+    # are allocated
+    monkeypatch.setattr(exterior, "MODE_BUDGET", 1000)
+    cfg = TransmissionConfig(params=REF, level=7, alpha1=1.0, alpha0=0.3, c_root=0.5,
+                             exterior_source=_ext_source(2))
+    sol = solve_transmission(cfg)
+    assert sol.u_ext.M == 16 * 2**7 - 1
+    assert sol.trace_defect <= 1e-10 and sol.flux_residual <= sol.discretization_defect + 1e-10
+    for whole in (lambda: sol.u_ext.a, sol.u_ext.trace0):
+        tracemalloc.start()
+        try:
+            with pytest.raises(AssemblyTooLarge, match="modes up to 2047 exceed the mode budget"):
+                whole()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (2 * sol.u_ext.M + 1) * np.dtype(complex).itemsize
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_scaled_norm_is_numpy_s_without_underflow_or_overflow(dtype):
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal(257).astype(dtype)
+    if dtype is complex:
+        x += 1j * rng.standard_normal(257)
+    exact = float(np.linalg.norm(x))
+    assert transmission._norm(x) == exact
+    for scale in (1e-200, 1e200, 2.0**-1060):
+        # powers of two scale exactly; the others are rounded once per entry
+        rel = 0.0 if math.frexp(scale)[0] == 0.5 else 1e-15
+        assert transmission._norm(x * scale) == pytest.approx(exact * scale, rel=max(rel, 1e-15))
+    assert transmission._norm(np.zeros(3, dtype=dtype)) == 0.0
+    x[1] = np.inf
+    assert transmission._norm(x) == np.inf
+    x[2] = np.nan
+    assert math.isnan(transmission._norm(x))
+
+
+@pytest.mark.parametrize("value, message", [(np.nan, "not finite"), (np.inf, "not finite"),
+                                            (1e-310, "subnormal")])
+def test_solve_refuses_a_rhs_it_cannot_solve_for(value, message):
+    system = assemble_system(TransmissionConfig(params=REF, level=3, alpha1=1.0, alpha0=0.3))
+    system.h = np.zeros(8)
+    system.h[3] = value
+    with pytest.raises(NumericalCheckFailed, match=message):
+        solve_interface(system)
 
 
 def _record_trees(monkeypatch):
