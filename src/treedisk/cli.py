@@ -7,23 +7,25 @@ time.  Numbers are written with 17 significant digits so identical configs
 reproduce byte-identical CSVs.
 
 Every CSV goes through one writer (_fill_csv), which streams chunks of
-at most _CHUNK_ROWS rows into the temp file.  A chunk lays out one row as
-literal text and columns: numbers, or text from csvtext.cells.  csvtext.join
-builds the chunk's bytes with numpy, each row in fixed cells of one uint8
-matrix whose padding it drops: integers as %d, reals as %.17g, complex
-values as %.17g%+.17gj, byte for byte what `%` writes (csvtext says how,
-and when it leaves a value to `%`).  tree.csv is streamed from the tree
-solution on the compressed source tree one generation at a time: each
-stored row is formatted once and its text repeated over the edges it
-stands for, so the full tree is never built.  exterior.csv is streamed
-from the exterior field _CHUNK_ROWS modes at a time (_trace_chunks), so no
-array over its 2 * 16 p^N + 1 modes is held.  The tree-dtn matrix repeats a
-few distinct values, so its values are formatted once per bit pattern and
-gathered as text.
+at most _CHUNK_ROWS rows into the temp file.  A chunk is either its
+finished text or one row laid out as literal text and columns: numbers, or
+text from csvtext.cells.  csvtext.join builds such a chunk's bytes with
+numpy, each row in fixed cells of one uint8 matrix whose padding it drops:
+integers as %d, reals as %.17g, complex values as %.17g%+.17gj, byte for
+byte what `%` writes (csvtext says how, and when it leaves a value to `%`).
+tree.csv is streamed from the tree solution on the compressed source tree
+one generation at a time, as finished text (_tree_chunks): each stored
+row's whole record is formatted once into a template, and a chunk is one
+gather of template rows over its edges with their k text written in, so
+the full tree is never built.  exterior.csv is streamed from the exterior
+field _CHUNK_ROWS modes at a time (_trace_chunks), so no array over its
+2 * 16 p^N + 1 modes is held.  The tree-dtn matrix repeats a few distinct
+values, so its values are formatted once per bit pattern and gathered as
+text.
 
-Formatting is still most of `transmission`'s write, so it writes tree.csv
-in a forked child (_in_child) while this process writes g.csv and
-exterior.csv, and waits for the child before it writes the manifest.  The
+tree.csv is most of `transmission`'s output, so it is written in a forked
+child (_in_child) while this process writes g.csv and exterior.csv, and
+this process waits for the child before it writes the manifest.  The
 child reads the solution through copy-on-write and writes through the same
 writer into the temp file this process opened, so the bytes are those of an
 in-process write; this process renames the file once the child has
@@ -76,11 +78,11 @@ _FLUX_SLACK = 1e-10
 
 
 # Rows per chunk of a CSV write: each chunk's text is built in one matrix
-# (csvtext.join) and written before the next is built, so a write holds the
-# text of at most this many rows whatever the size of the file.  At 2^12
-# rows the exterior.csv write of N=10 peaks at 1.0 MiB (tracemalloc: its
-# 0.45 MB matrix, the kernel's temporaries and the chunk's modes), and 2^13
-# or 2^14 rows write no faster.
+# (csvtext.join, or _tree_chunks' gather) and written before the next is
+# built, so a write holds the text of at most this many rows whatever the
+# size of the file.  At 2^12 rows the exterior.csv write of N=10 peaks at
+# 1.0 MiB (tracemalloc: its 0.45 MB matrix, the kernel's temporaries and the
+# chunk's modes), and 2^13 or 2^14 rows write no faster.
 _CHUNK_ROWS = 2**12
 
 
@@ -196,15 +198,17 @@ def _write_chunks(path: str, header, chunks):
 
 
 def _fill_csv(fh, header, chunks):
-    """Write the header, then the text of each chunk (csvtext.join), to fh and flush it.
+    """Write the header, then each chunk, to fh and flush it.
 
-    This is the one CSV writer.  The bytes are those of a row-by-row
-    writer whatever the chunks are, so identical data give identical files.
-    The forked tree.csv writer leaves by os._exit, which flushes nothing.
+    This is the one CSV writer.  A chunk is its finished text (bytes, as
+    _tree_chunks builds it) or the fields of csvtext.join.  The bytes are
+    those of a row-by-row writer whatever the chunks are, so identical data
+    give identical files.  The forked tree.csv writer leaves by os._exit,
+    which flushes nothing.
     """
     fh.write((",".join(header) + "\n").encode())
-    for fields in chunks:
-        fh.write(csvtext.join(fields))
+    for chunk in chunks:
+        fh.write(chunk if isinstance(chunk, (bytes, bytearray)) else csvtext.join(chunk))
     fh.flush()
 
 
@@ -295,31 +299,52 @@ def _cmd_exterior_dtn(args) -> int:
 
 
 def _tree_chunks(u):
-    """Chunks of tree.csv (n, k, coeff_index, value) for the tree function u,
-    whose tree may be compressed, without expanding it.
+    """Text chunks of tree.csv (n, k, coeff_index, value) for the tree
+    function u, whose tree may be compressed, without expanding it.
 
     Stored row r of generation n stands for edges r m .. r m + m - 1, m =
-    u.tree.multiplicity(n): its coefficients are formatted once and their
-    text repeated over those edges.  A chunk row is one line; a chunk holds
-    at most _CHUNK_ROWS lines, whole edges of q + 1 lines each, so a stored
-    row standing for more edges spans several chunks.
+    u.tree.multiplicity(n).  A block of at most _CHUNK_ROWS // (q + 1)
+    stored rows is formatted once (csvtext.cells) into a template: per
+    stored row its whole record, q + 1 NUL-padded lines "n," + k slot +
+    ",j," + value + "\\n", the k slot as wide as the generation's largest k.
+    A chunk is whole edges, at most _CHUNK_ROWS lines: one gather of
+    template rows (the template itself when m = 1), whose k slots then take
+    the edges' %d text; its NUL bytes are dropped.  So a stored row standing
+    for more edges spans several chunks.
     """
     for n, coeffs in enumerate(u.coeffs):
         m = u.tree.multiplicity(n)
         width = coeffs.shape[1]
+        edges = max(1, _CHUNK_ROWS // width)
+        head = len("%d," % n)
+        slot = slice(head, head + len("%d" % (coeffs.shape[0] * m - 1)))
         labels = np.array([",%d," % j for j in range(width)], dtype="S")
         labels = labels.view(np.uint8).reshape(width, -1)
-        edges = max(1, _CHUNK_ROWS // width)
+        value = slot.stop + labels.shape[1]
         for r0 in range(0, coeffs.shape[0], edges):
             stored = coeffs[r0:r0 + edges]
-            texts = csvtext.cells(stored.ravel()).reshape(stored.shape[0], -1)
+            texts = csvtext.cells(stored.ravel()).reshape(stored.shape[0], width, -1)
+            line = np.zeros((width, value + texts.shape[2] + 1), np.uint8)
+            line[:, :head] = np.frombuffer(b"%d," % n, np.uint8)
+            line[:, slot.stop:value] = labels
+            line[:, -1] = ord("\n")
+            template = bytearray(stored.shape[0] * line.size)
+            records = np.frombuffer(template, np.uint8).reshape(stored.shape[0], width, -1)
+            records[:] = line
+            records[:, :, value:-1] = texts
             first, stop = r0 * m, (r0 + stored.shape[0]) * m
             for k0 in range(first, stop, edges):
                 k = np.arange(k0, min(k0 + edges, stop))
-                rows = (k - first) // m
-                values = np.repeat(texts[rows[0]:rows[-1] + 1], np.bincount(rows - rows[0]), axis=0)
-                yield ["%d," % n, np.repeat(csvtext.cells(k), width, axis=0),
-                       np.tile(labels, (k.size, 1)), values.reshape(k.size * width, -1), "\n"]
+                if m == 1:
+                    text, chunk = template, records
+                else:
+                    text = bytearray(k.size * line.size)
+                    chunk = np.frombuffer(text, np.uint8).reshape(k.size, width, -1)
+                    # the rows are in range; mode "clip" has take write into
+                    # chunk directly, where "raise" would buffer it
+                    np.take(records, (k - first) // m, axis=0, out=chunk, mode="clip")
+                chunk[:, :, slot] = csvtext.int_cells(k, slot.stop - slot.start)[:, None]
+                yield text.translate(None, b"\0")
 
 
 def _trace_chunks(u_ext):

@@ -265,6 +265,14 @@ def _put_ints(out, v):
     out[:, 0] = np.where(negative, _MINUS, _NUL)
 
 
+def int_cells(v, width: int) -> np.ndarray:
+    """The '%d' text of each nonnegative integer of v in `width` cells, NUL
+    before it, a row per value; width must hold the longest text."""
+    out = np.zeros((v.size, 1 + 4 * max(_int_groups(v), -(-width // 4))), np.uint8)
+    _put_ints(out, v)
+    return out[:, -width:]
+
+
 def _width(col) -> int:
     """The cells a column's values take in a chunk's matrix."""
     kind = col.dtype.kind

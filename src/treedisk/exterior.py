@@ -312,12 +312,13 @@ class ExteriorField:
         """(a, b) over the modes lo..hi-1, zero beyond M.
 
         data, the data's modes lo..hi-1 when the caller has formed them
-        already, is written into and returned as a.
+        already, is written into and returned as a; a read-only block of
+        the data's (circle.CellModes) is copied.
         """
         if self.data is None:
             a = np.zeros(hi - lo, dtype=complex)
         else:
-            a = np.asarray(self.data.block(lo, hi) if data is None else data, dtype=complex)
+            a = np.require(self.data.block(lo, hi) if data is None else data, complex, "W")
             a[: max(-self.M - lo, 0)] = 0
             a[max(self.M + 1 - lo, 0) :] = 0
         b = np.zeros_like(a)

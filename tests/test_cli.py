@@ -1,5 +1,6 @@
 """Command line subcommands: artifacts, exit codes, determinism."""
 
+import io
 import os
 import signal
 import stat
@@ -7,6 +8,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treedisk import cli, transmission
-from treedisk.config import parse_config
+from treedisk.calculus import TreeFunction
+from treedisk.config import parse_config, parse_text
 from treedisk.dtn import condensed_dtn
 from treedisk.errors import CutoffTooSmall, NumericalCheckFailed
 from treedisk.exterior import dtn_symbol
@@ -793,6 +796,90 @@ def test_deep_tree_csv_matches_row_oracle_across_chunks(chunk_rows, tmp_path, mo
             for k in range(gen.shape[0]) for j in range(gen.shape[1])]
     expected = _oracle_csv(("n", "k", "coeff_index", "value"), rows)
     assert (tmp_path / "t_tree.csv").read_bytes() == expected
+
+
+@pytest.fixture(scope="module")
+def deep_tree():
+    """The compressed source tree of a p=2, N=3 solve at source depth 13,
+    whose tree is one generation deeper: generation n > 3 stores 8 rows of
+    2^(n-3) edges each, and generation 14 has 16384 edges, so its k text
+    grows from 1 to 5 digits."""
+    text = REF_TEXT + "[transmission]\nsource_depth = 13\n"
+    return solve_transmission(parse_text(text).transmission()).u_rows.tree
+
+
+def _from_bits(bits):
+    """The float64 with these 64 bits."""
+    return np.array([bits], dtype=np.uint64).view(np.float64)[0]
+
+
+# every kind of value the text kernel writes apart: any bit pattern (NaN
+# payloads, infinities, subnormals, +-0.0), ties of the 17th digit that `%`
+# rounds (1234567890123456.75), and |X| > 280, which `%` formats
+_REALS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(0, 2**64 - 1).map(_from_bits),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072009e-308, 1234567890123456.75]),
+    st.integers(4 * 10**15, 4 * 10**16 - 1).map(lambda i: i / 4),
+    st.floats(1e281, 1.7e308).flatmap(lambda x: st.sampled_from([x, -x, 1 / x])),
+)
+_STORED = st.one_of(_REALS, st.builds(complex, _REALS, st.sampled_from([0.0, -0.0]) | _REALS))
+
+
+@settings(max_examples=10, deadline=None)
+@given(pool=st.lists(_STORED, min_size=1, max_size=40), chunk_rows=st.sampled_from([2**15, 2**12, 100]),
+       data=st.data())
+def test_tree_csv_matches_row_oracle_on_any_stored_values(deep_tree, pool, chunk_rows, data):
+    # 2^15 rows per chunk put k = 9, 99, 999 and 9999 of generation 14 and
+    # the k after each in one chunk; column 0 of a stored row holds its
+    # index, so an edge given its neighbour row's record shows
+    coeffs = []
+    for n, rows in enumerate(deep_tree.rows):
+        gen = np.array([pool[(n + i) % len(pool)] for i in range(rows * 3)]).reshape(rows, 3)
+        if data.draw(st.booleans(), label="complex generation %d" % n):
+            gen = gen.astype(complex)
+        gen[:, 0] = np.arange(rows) + n / 64
+        coeffs.append(gen)
+    u = TreeFunction(deep_tree, coeffs)
+    header = ("n", "k", "coeff_index", "value")
+    out = io.BytesIO()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_CHUNK_ROWS", chunk_rows)
+        cli._fill_csv(out, header, cli._tree_chunks(u))
+    rows = [(n, k, j, gen[k // (2**n // gen.shape[0]), j]) for n, gen in enumerate(coeffs)
+            for k in range(2**n) for j in range(3)]
+    assert out.getvalue() == _oracle_csv(header, rows)
+
+
+class _Sink:
+    """A file that keeps only the count of the bytes written to it."""
+
+    size = 0
+
+    def write(self, data):
+        self.size += len(data)
+
+    def flush(self):
+        pass
+
+
+def test_tree_csv_write_holds_about_one_chunk():
+    # p=2, N=8, source depth 16: the deepest generation, 17, has 131072
+    # edges (15 MiB of text in all); a chunk is 2^12 lines of at most about
+    # 40 bytes, and the write holds its template, the chunk and their text
+    # at once.  One array over a generation's k (its %d text alone is 1.1
+    # MiB) fails this
+    text = REF_TEXT.replace("N = 3", "N = 8") + "[transmission]\nsource_depth = 16\n"
+    u = solve_transmission(parse_text(text).transmission()).u_rows
+    sink = _Sink()
+    tracemalloc.start()
+    try:
+        cli._fill_csv(sink, ("n", "k", "coeff_index", "value"), cli._tree_chunks(u))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.size > 15 * 2**20
+    assert peak <= 2**20, peak
 
 
 @pytest.mark.parametrize("text", [REF_TEXT, COMPLEX_TEXT], ids=["real", "complex"])
