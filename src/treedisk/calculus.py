@@ -30,6 +30,15 @@ repeat.  For data that is the same on the edges a row stands for, the
 compressed solve gives bit for bit the rows of the full solve, in
 O(p^N * depth).  `TreeFunction.expanded` repeats the rows onto the full
 tree.
+
+The merged generations level+1..depth (the tail, FiniteTree) are one
+block in every solve: a function keeps their coefficients as one
+(G, rows, q + 1) array, and the solves form the particular parts, the
+loads and the coefficients of all tail generations in block operations
+against the tree's tail blocks.  Only the recurrences along the
+generations (collected loads up, vertex values and harmonic corrections
+down) step through the tail one generation at a time, each element with
+the operations of the per-generation solve.
 """
 
 from __future__ import annotations
@@ -96,16 +105,46 @@ class TreeFunction:
 
     coeffs[n] has shape (tree.rows[n], q_n + 1) (p^n rows on a full tree);
     ascending powers of the local coordinate on each edge.
+
+    Given a tail, a (G, rows, q + 1) array of the coefficients of the tree's
+    tail generations level+1..depth, coeffs holds generations 0..level and
+    the tail generations are appended as views of it.  `tail` is that
+    block; for a function given one array per generation it is stacked
+    from them when read, a copy in their common dtype whose generations of
+    lower degree are padded with zero coefficients.  None on a full tree.
     """
 
-    def __init__(self, tree: FiniteTree, coeffs):
-        if len(coeffs) != tree.depth + 1:
-            raise DepthMismatch("expected %d generations of coefficients, got %d" % (tree.depth + 1, len(coeffs)))
+    def __init__(self, tree: FiniteTree, coeffs, tail=None):
         self.tree = tree
         self.coeffs = [np.atleast_2d(np.asarray(c)) for c in coeffs]
+        given = len(self.coeffs)
+        if tail is not None:
+            tail = np.asarray(tail)
+            if given != tree.level + 1 or tail.ndim != 3:
+                raise DepthMismatch("a tail block of shape (G, rows, q + 1) follows %d generations, "
+                                    "got %d and shape %r" % (tree.level + 1, given, tail.shape))
+            self.coeffs += list(tail)
+        self._tail = tail
+        if len(self.coeffs) != tree.depth + 1:
+            raise DepthMismatch("expected %d generations of coefficients, got %d"
+                                % (tree.depth + 1, len(self.coeffs)))
         for n, c in enumerate(self.coeffs):
             if c.shape[0] != tree.rows[n]:
                 raise DepthMismatch("generation %d needs %d rows, got %d" % (n, tree.rows[n], c.shape[0]))
+
+    @property
+    def tail(self):
+        """The coefficients of the tail generations as one (G, rows, q + 1) array."""
+        if self.tree.level == self.tree.depth:
+            return None
+        if self._tail is not None:
+            return self._tail
+        gens = self.coeffs[self.tree.level + 1 :]
+        out = np.zeros((len(gens), gens[0].shape[0], max(c.shape[1] for c in gens)),
+                       dtype=np.result_type(*gens))
+        for block, c in zip(out, gens):
+            block[:, : c.shape[1]] = c
+        return out
 
     @property
     def root_value(self):
@@ -230,33 +269,66 @@ def green_identity_check(u: TreeFunction, v: TreeFunction) -> GreenReport:
 # clamped graph-Laplacian solves
 
 
-def _solve_vertices(tree: FiniteTree, loads):
-    """Vertex values of the clamped graph system, per generation, leaves last.
+def _solve_vertices(tree: FiniteTree, loads, tail_loads):
+    """Vertex values of the clamped graph system.
 
-    loads[n] (n < depth) is the right-hand side at X_{n,k}; the leaves and
-    the root o are clamped at zero, which loads nothing.  One upward pass
-    collects the loads through tree.elimination, one downward pass
-    substitutes.
+    loads[n] is the right-hand side at X_{n,k} for the generations n <
+    depth up to the level, tail_loads the (G - 1, rows) block of those
+    below it (None on a full tree); the leaves and the root o are clamped
+    at zero, which loads nothing.  One upward pass collects the loads
+    through tree.elimination, one downward pass substitutes; the zero
+    leaves add the +0.0 that their products would.  Returns (values,
+    tail_values): values[n] for the generations up to the level, followed
+    on a full tree by the leaves' 0.0, and on a compressed tree the
+    (G + 1, rows) block of generations level..depth, values[level] its
+    first row and the clamped leaves its last.
     """
     p = tree.p
     c, pivot = tree.elimination
-    collected = [None] * tree.depth
     up = None
-    for n in range(tree.depth - 1, -1, -1):
-        # zero leaves add the +0.0 that their products would
+    if tail_loads is not None:
+        tail_c, tail_pivot = tree.tail_elimination[:2]
+        tail_collected = np.empty_like(tail_loads)
+        for i in range(len(tail_loads) - 1, -1, -1):
+            gathered = np.add(tail_loads[i], 0.0 if up is None else _child_sums(up, p, merged=True),
+                              tail_collected[i])
+            up = tail_c[i] * gathered
+            np.divide(up, tail_pivot[i], up)
+    collected = [None] * len(loads)
+    for n in range(len(loads) - 1, -1, -1):
         collected[n] = loads[n] + (0.0 if up is None else _child_sums(up, p, tree.merged(n + 1)))
         up = c[n] * collected[n]
         up /= pivot[n]
     values = []
     parent = 0.0
-    for n in range(tree.depth):
+    for n in range(len(loads)):
         if n:
             parent = _parent_rows(values[-1], p, tree.merged(n))
         v = c[n] * parent + collected[n]
         v /= pivot[n]
         values.append(v)
-    values.append(0.0)
-    return values
+    if tail_loads is None:
+        values.append(0.0)
+        return values, None
+    tail_values = np.empty((len(tail_loads) + 2, tree.rows[-1]), dtype=values[-1].dtype)
+    tail_values[0] = values[-1]
+    for i, v in enumerate(tail_values[1:-1]):
+        np.multiply(tail_c[i], tail_values[i], v)
+        np.add(v, tail_collected[i], v)
+        np.divide(v, tail_pivot[i], v)
+    tail_values[-1] = 0.0
+    return values, tail_values
+
+
+def _mean(below, share, p, merged):
+    """The weighted mean of the leaf values below X_{n,k} and the effective
+    conductance a below it, from the means and shares of its children
+    (solve_harmonic_dirichlet)."""
+    first = below if merged else below[0::p]
+    a = _child_sums(share, p, merged)
+    spread = _child_sums(share * (below - _parent_rows(first, p, merged)), p, merged)
+    spread /= a
+    return first + spread, a
 
 
 def solve_harmonic_dirichlet(tree: FiniteTree, leaf_values, root_value=0.0) -> TreeFunction:
@@ -278,40 +350,115 @@ def solve_harmonic_dirichlet(tree: FiniteTree, leaf_values, root_value=0.0) -> T
     at the root, and edge n has slope (w[n] - d[n]) / ell[n] (w = 0 on a
     leaf edge).  Below a compressed level every row has one child, so d[n]
     = w[n-1] and the leaf flux is a product of shares: exact at any depth.
+
+    In the tail the one child's mean is first itself, so m[n] - first is
+    exactly 0 for finite means and every tail mean above the leaves is the
+    one computed from them; the tail's means, d and slopes are blocks, and
+    only w steps down the tail one generation at a time.
     """
     leaf_values = np.asarray(leaf_values)
     if leaf_values.shape != (tree.n_leaves,):
         raise DepthMismatch("expected %d leaf values, got shape %r" % (tree.n_leaves, leaf_values.shape))
-    p = tree.p
+    p, level, depth = tree.p, tree.level, tree.depth
     c, pivot = tree.elimination
-    means = [None] * tree.depth + [leaf_values]
-    share = c[tree.depth]
-    for n in range(tree.depth - 1, -1, -1):
-        merged = tree.merged(n + 1)
-        below = means[n + 1]
-        first = below if merged else below[0::p]
-        a = _child_sums(share, p, merged)
-        spread = _child_sums(share * (below - _parent_rows(first, p, merged)), p, merged)
-        spread /= a
-        means[n] = first + spread
+    tail_c, tail_pivot, tail_share = tree.tail_elimination
+    gens = depth - level
+    below, share = leaf_values, c[depth]
+    if gens > 1:
+        below = _mean(below, share, p, merged=True)[0]
+        share = tail_share
+    tail_mean = below
+    if gens:
+        top, means = level, [None] * (level + 1)
+    else:
+        top, means = depth - 1, [None] * depth + [leaf_values]
+    for n in range(top, -1, -1):
+        means[n], a = _mean(below, share, p, tree.merged(n + 1))
+        below = means[n]
         share = c[n] * a
         share /= pivot[n]
 
     dtype = np.result_type(leaf_values, np.asarray(root_value), float)
     coeffs = []
     start, d = root_value, root_value - means[0]
-    for n in range(tree.depth + 1):
+    for n in range(len(means)):
         if n:
             merged = tree.merged(n)
             start = _parent_rows(means[n - 1] + w, p, merged)
             d = _parent_rows(means[n - 1], p, merged) - means[n]
             d += _parent_rows(w, p, merged)
-        w = c[n] * d / pivot[n] if n < tree.depth else 0.0
+        w = c[n] * d / pivot[n] if n < depth else 0.0
         coef = np.empty((tree.rows[n], 2), dtype=dtype)
         coef[:, 0] = start
         coef[:, 1] = (w - d) / tree.lengths[n]
         coeffs.append(coef)
-    return TreeFunction(tree, coeffs)
+    if not gens:
+        return TreeFunction(tree, coeffs)
+
+    # generations level..depth: means, w, and d of level+1..depth
+    rows = tree.rows[depth]
+    m = np.empty((gens + 1, rows), dtype=dtype)
+    m[0] = means[level]
+    m[1:-1] = tail_mean
+    m[-1] = leaf_values
+    w_tail = np.empty((gens + 1, rows), dtype=dtype)
+    w_tail[0] = w
+    w_tail[-1] = 0.0
+    d_tail = m[:-1] - m[1:]
+    for i, (d, w) in enumerate(zip(d_tail, w_tail[1:-1])):
+        np.add(d, w_tail[i], d)
+        np.multiply(tail_c[i], d, w)
+        np.divide(w, tail_pivot[i], w)
+    d_tail[-1] += w_tail[-2]
+    tail = np.empty((gens, rows, 2), dtype=dtype)
+    np.add(m[:-1], w_tail[:-1], out=tail[:, :, 0])
+    slope = w_tail[1:] - d_tail
+    slope /= tree.tail_lengths
+    tail[:, :, 1] = slope
+    return TreeFunction(tree, coeffs, tail)
+
+
+def _particular(s, ell, dtype):
+    """The coefficients (columns 2..) and end value w(ell) of the double
+    antiderivative w of the source rows s, w(0) = w'(0) = 0: column j + 2
+    is s_j / ((j+1)(j+2)), and w(ell) comes by Horner from the top
+    coefficient.  Columns 0 and 1 are left for the linear part.  s is one
+    generation's (rows, d + 1) or the tail's (G, rows, d + 1)."""
+    d = s.shape[-1] - 1
+    c = np.empty(s.shape[:-1] + (d + 3,), dtype=dtype)
+    end = s[..., d] / ((d + 1) * (d + 2))
+    c[..., d + 2] = end
+    for j in range(d - 1, -1, -1):
+        end *= ell
+        term = s[..., j] / ((j + 1) * (j + 2))
+        c[..., j + 2] = term
+        end += term
+    end *= ell
+    end *= ell
+    return c, end
+
+
+def _end_flux(s, ell, weight):
+    """omega w'(ell) of the double antiderivative of the source rows s, by
+    Horner: w' has the coefficient s_j / (j+1) of x^j."""
+    d = s.shape[-1] - 1
+    der = s[..., d] / (d + 1)
+    for j in range(d - 1, -1, -1):
+        der *= ell
+        der += s[..., j] / (j + 1)
+    der *= ell
+    der *= weight
+    return der
+
+
+def _linear_part(c, parent, value, end, ell):
+    """Columns 0 and 1 of c: the value at the parent vertex and the slope
+    (value - parent - w(ell)) / ell that corrects w to the vertex values."""
+    c[..., 0] = parent
+    slope = np.subtract(value, parent)
+    slope -= end
+    slope /= ell
+    c[..., 1] = slope
 
 
 def solve_poisson_zero_trace(tree: FiniteTree, source: TreeFunction) -> TreeFunction:
@@ -319,57 +466,43 @@ def solve_poisson_zero_trace(tree: FiniteTree, source: TreeFunction) -> TreeFunc
 
     Zero traces at both ends approximate the homogeneous-boundary space of
     the infinite tree.  On each edge u = w + linear, where w is the double
-    antiderivative of the source with w(0) = w'(0) = 0: its coefficient of
-    x^{j+2} is s_j / ((j+1)(j+2)), and its end values w(ell), w'(ell) come
-    in closed form from the source coefficients by Horner.  The vertex
-    values solve the clamped graph system, and the linear part corrects w
-    to them.  The source arrays are only read.
+    antiderivative of the source with w(0) = w'(0) = 0 (_particular).  The
+    vertex values solve the clamped graph system, and the linear part
+    corrects w to them.  The load at X_{n,k} is c w(ell) - omega w'(ell)
+    on its own edge, minus the children's c w(ell).  The tail's w, loads
+    and coefficients are formed as blocks.  The source arrays are only
+    read.
     """
     _same_tree(source.tree, tree)
-    p = tree.p
+    p, level, depth = tree.p, tree.level, tree.depth
     cond = tree.elimination[0]
     dtype = np.result_type(*(c.dtype for c in source.coeffs), float)
-    coeffs = [None] * (tree.depth + 1)
-    w_end = [None] * (tree.depth + 1)
-    loads = [None] * tree.depth
-    for n in range(tree.depth, -1, -1):
+    tail = tail_end = tail_loads = below = None
+    if level < depth:
+        s, ell = source.tail, tree.tail_lengths
+        tail, tail_end = _particular(s, ell, dtype)
+        own = tree.tail_elimination[0] * tail_end
+        tail_loads = np.subtract(own[:-1], _end_flux(s[:-1], ell[:-1], tree.tail_weights[:-1]),
+                                 dtype=dtype)
+        tail_loads -= _child_sums(own[1:], p, merged=True)
+        below = own[0]
+    coeffs = [None] * (level + 1)
+    w_end = [None] * (level + 1)
+    loads = [None] * min(level + 1, depth)
+    for n in range(level, -1, -1):
         s, ell = source.coeffs[n], tree.lengths[n]
-        d = s.shape[1] - 1
-        c = np.empty((s.shape[0], d + 3), dtype=dtype)
-        # w(ell) by Horner from the top coefficient; each column c[:, 2:]
-        # is written once, here, and c[:, :2] after the vertex solve
-        end = s[:, d] / ((d + 1) * (d + 2))
-        c[:, d + 2] = end
-        for j in range(d - 1, -1, -1):
-            end *= ell
-            term = s[:, j] / ((j + 1) * (j + 2))
-            c[:, j + 2] = term
-            end += term
-        end *= ell
-        end *= ell
-        coeffs[n], w_end[n] = c, end
-        # load at X_{n,k}: c w(ell) - omega w'(ell) on its own edge, minus
-        # the children's c w(ell)
-        own = cond[n] * end
-        if n < tree.depth:
-            # w'(ell) by Horner; its coefficient of x^j is s_j / (j+1)
-            der = s[:, d] / (d + 1)
-            for j in range(d - 1, -1, -1):
-                der *= ell
-                der += s[:, j] / (j + 1)
-            der *= ell
-            der *= tree.weights[n]
-            loads[n] = np.subtract(own, der, dtype=dtype)
+        coeffs[n], w_end[n] = _particular(s, ell, dtype)
+        own = cond[n] * w_end[n]
+        if n < depth:
+            loads[n] = np.subtract(own, _end_flux(s, ell, tree.weights[n]), dtype=dtype)
             loads[n] -= _child_sums(below, p, tree.merged(n + 1))
         below = own
-    values = _solve_vertices(tree, loads)
+    values, tail_values = _solve_vertices(tree, loads, tail_loads)
 
     for n, c in enumerate(coeffs):
-        a = np.zeros(1, dtype=dtype) if n == 0 else _parent_rows(values[n - 1], p, tree.merged(n))
-        c[:, 0] = a
-        # the linear part (values[n] - a - w(ell)) / ell; a may be values[n - 1]
-        a = np.subtract(values[n], a)
-        a -= w_end[n]
-        a /= tree.lengths[n]
-        c[:, 1] = a
-    return TreeFunction(tree, coeffs)
+        parent = np.zeros(1, dtype=dtype) if n == 0 else _parent_rows(values[n - 1], p, tree.merged(n))
+        _linear_part(c, parent, values[n], w_end[n], tree.lengths[n])
+    if tail is None:
+        return TreeFunction(tree, coeffs)
+    _linear_part(tail, tail_values[:-1], tail_values[1:], tail_end, tree.tail_lengths)
+    return TreeFunction(tree, coeffs, tail)

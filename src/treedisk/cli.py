@@ -334,16 +334,17 @@ def _tree_chunks(u):
             records[:, :, value:-1] = texts
             first, stop = r0 * m, (r0 + stored.shape[0]) * m
             for k0 in range(first, stop, edges):
-                k = np.arange(k0, min(k0 + edges, stop))
+                count = min(edges, stop - k0)
                 if m == 1:
                     text, chunk = template, records
                 else:
-                    text = bytearray(k.size * line.size)
-                    chunk = np.frombuffer(text, np.uint8).reshape(k.size, width, -1)
+                    text = bytearray(count * line.size)
+                    chunk = np.frombuffer(text, np.uint8).reshape(count, width, -1)
                     # the rows are in range; mode "clip" has take write into
                     # chunk directly, where "raise" would buffer it
-                    np.take(records, (k - first) // m, axis=0, out=chunk, mode="clip")
-                chunk[:, :, slot] = csvtext.int_cells(k, slot.stop - slot.start)[:, None]
+                    np.take(records, np.arange(k0 - first, k0 - first + count) // m, axis=0,
+                            out=chunk, mode="clip")
+                chunk[:, :, slot] = csvtext.range_cells(k0, count, slot.stop - slot.start)[:, None]
                 yield text.translate(None, b"\0")
 
 
@@ -354,7 +355,7 @@ def _trace_chunks(u_ext):
     for lo in range(-u_ext.M, u_ext.M + 1, _CHUNK_ROWS):
         hi = min(lo + _CHUNK_ROWS, u_ext.M + 1)
         trace = u_ext.trace0_block(lo, hi)
-        yield _row([np.arange(lo, hi), trace.real, trace.imag])
+        yield _row([csvtext.range_cells(lo, hi - lo), trace.real, trace.imag])
 
 
 def _cmd_transmission(args) -> int:

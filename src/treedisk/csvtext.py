@@ -265,12 +265,42 @@ def _put_ints(out, v):
     out[:, 0] = np.where(negative, _MINUS, _NUL)
 
 
-def int_cells(v, width: int) -> np.ndarray:
-    """The '%d' text of each nonnegative integer of v in `width` cells, NUL
-    before it, a row per value; width must hold the longest text."""
-    out = np.zeros((v.size, 1 + 4 * max(_int_groups(v), -(-width // 4))), np.uint8)
-    _put_ints(out, v)
-    return out[:, -width:]
+def range_cells(k0: int, n: int, width: int | None = None) -> np.ndarray:
+    """The '%d' text of the n consecutive integers k0, k0 + 1, .., k0 + n - 1,
+    a row per integer, laid out as _put_ints writes it (a sign cell and 4
+    cells per group, NUL before the text); with width, for nonnegative
+    integers, only the last `width` cells, which must hold the longest text.
+
+    Consecutive integers share their higher groups over runs of up to
+    10^4: the higher groups of a run are formatted once, from one Python
+    integer, and its low groups are one gather from the group table.  The
+    negative integers come first, their magnitudes descending.
+    """
+    t = _tables()
+    top = max(abs(k0), abs(k0 + n - 1))
+    count = max(1, (len(str(top)) + 3) // 4, -(-(width or 0) // 4))
+    out = np.zeros((n, 1 + 4 * count), np.uint8)
+    groups = out[:, 1:].view(np.uint32)
+    negative = min(max(-k0, 0), n)
+    out[:negative, 0] = _MINUS
+    for start, stop, step, m0 in ((0, negative, -1, -k0), (negative, n, 1, max(k0, 0))):
+        r = start
+        while r < stop:
+            high, low = divmod(m0 + step * (r - start), _GROUP)
+            run = min(stop - r, _GROUP - low if step > 0 else low + 1)
+            leading = True
+            for k in range(count - 1):
+                g = high // _GROUP ** (count - 2 - k) % _GROUP
+                groups[r:r + run, k] = t.groups[g + 2 * _GROUP if leading else g]
+                leading = leading and g == 0
+            index = np.arange(low, low + step * run, step)
+            if leading:
+                index += 2 * _GROUP
+            groups[r:r + run, count - 1] = t.groups[index]
+            if leading and low == 0:
+                out[r, -1] = _ZERO
+            r += run
+    return out if width is None else out[:, -width:]
 
 
 def _width(col) -> int:

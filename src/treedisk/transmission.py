@@ -211,22 +211,35 @@ def _tree_forcing(cfg: TransmissionConfig, tree: FiniteTree) -> TreeFunction | N
     """f_T - c * Lap(u1) on the compressed source tree, or None when both vanish.
 
     Generation n of f_T is row n of cfg.tree_source on every row of the
-    tree, a read-only zero-stride view (zero without a tree source).
-    Lap(u1) is the constant 2/l_root^2 on the root edge and zero elsewhere,
-    so only generation 0 changes.  The forcing is real when tree_source and
-    c_root have no imaginary part (TransmissionConfig types both).
+    tree, a read-only zero-stride view (zero without a tree source), and
+    the tail generations are one such view of their rows.  Lap(u1) is the
+    constant 2/l_root^2 on the root edge and zero elsewhere, so only
+    generation 0 changes.  The forcing is real when tree_source and c_root
+    have no imaginary part (TransmissionConfig types both).
     """
     f = cfg.tree_source
     if f is None:
         if cfg.c_root == 0:
             return None
         f = np.zeros((tree.depth + 1, 1))
-    coeffs = [np.broadcast_to(f[n], (rows, f.shape[1])) for n, rows in enumerate(tree.rows)]
+    level, q = tree.level, f.shape[1]
+    coeffs = [np.broadcast_to(f[n], (tree.rows[n], q)) for n in range(level + 1)]
+    tail = np.broadcast_to(f[level + 1 :, None], (tree.depth - level, tree.rows[-1], q))
     if cfg.c_root != 0:
         root = coeffs[0].astype(np.result_type(coeffs[0], cfg.c_root))
         root[0, 0] -= (2.0 / tree.lengths[0][0] ** 2) * cfg.c_root
         coeffs[0] = root
-    return TreeFunction(tree, coeffs)
+    return TreeFunction(tree, coeffs, tail)
+
+
+def _added(a, b) -> np.ndarray:
+    """A copy of the coefficients a with the columns of b added one by one;
+    a strided add per column is several times faster than one add over the
+    (rows, 2) block."""
+    c = a.astype(np.result_type(a, b))
+    for j in range(b.shape[-1]):
+        c[..., j] += b[..., j]
+    return c
 
 
 def _cell_flux(f: TreeFunction) -> np.ndarray:
@@ -698,11 +711,10 @@ def reconstruct(system: InterfaceSystem, g: PiecewiseConstantFn) -> Transmission
     # the leaf data
     u = solve_harmonic_dirichlet(tree, g.values, root_value=0.0)
     flux_u = _cell_flux(u)
-    # u_T: one array per generation, a copy of u_f with the columns of
-    # u (and of c u1 on the root edge) added one by one; a strided 1-D add
-    # is several times faster than one add over the (rows, 2) block.  Each
-    # generation of u is freed once it is added.
-    coeffs = u.coeffs
+    # u_T: a copy of u_f with the columns of u (and of c u1 on the root
+    # edge) added, one array per generation up to the level and one block
+    # for the tail; each of u's arrays is freed once it is added
+    coeffs, tail = u.coeffs[: tree.level + 1], u.tail
     del u
     if cfg.c_root != 0:
         bump = _root_bump_coeffs(tree)
@@ -710,12 +722,11 @@ def reconstruct(system: InterfaceSystem, g: PiecewiseConstantFn) -> Transmission
         root[:, :2] += coeffs[0]
         coeffs[0] = root
     if u_f is not None:
-        for n, cf in enumerate(u_f.coeffs):
-            c = cf.astype(np.result_type(cf, coeffs[n]))
-            for j in range(coeffs[n].shape[1]):
-                c[:, j] += coeffs[n][:, j]
-            coeffs[n] = c
-    u_T = TreeFunction(tree, coeffs)
+        for n, cf in enumerate(u_f.coeffs[: tree.level + 1]):
+            coeffs[n] = _added(cf, coeffs[n])
+        if tail is not None:
+            tail = _added(u_f.tail, tail)
+    u_T = TreeFunction(tree, coeffs, tail)
 
     m = MODE_OVERSAMPLING * pn
     g_modes = circle.CellModes(g, m)

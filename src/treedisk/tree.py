@@ -22,8 +22,11 @@ generation n > N has p^N rows, row k standing for the p^(n-N) edges of
 that generation under cell (N, k).  Below N1 every subtree is geometric,
 so those edges carry the same length and weight; functions that are also
 the same on them (forcing constant per generation, leaf data constant per
-cell) are stored and solved in O(p^N * depth).  `FiniteTree.expanded`
-gives the full tree back, within the tree budget.
+cell) are stored and solved in O(p^N * depth).  The merged generations
+N+1..depth, the tail, are geometric, so the tree keeps one length, weight,
+conductance and pivot per tail generation, as (G, p^N) read-only blocks
+of stride 0 over the rows.  `FiniteTree.expanded` gives the full tree
+back, within the tree budget.
 """
 
 from __future__ import annotations
@@ -180,6 +183,14 @@ def _child_sums(x, p, merged=False):
     return out
 
 
+def _rows_block(values, rows: int) -> np.ndarray:
+    """One value per generation as a read-only (len(values), rows) block of stride 0 over the rows."""
+    values = np.asarray(values, dtype=float)
+    block = np.ndarray((values.size, rows), float, buffer=values, strides=(values.itemsize, 0))
+    block.flags.writeable = False
+    return block
+
+
 class FiniteTree:
     """A finite portion of the tree: edges e_{n,k} for n <= depth.
 
@@ -193,14 +204,26 @@ class FiniteTree:
     parent generation (`merged`) stores one row for all p children of each
     parent row, and each row stands for `multiplicity(n)` edges; n_leaves
     counts stored rows.
+
+    The merged generations level+1..depth are the tail (none on a full
+    tree, where level = depth).  They are deeper than N1, so each has one
+    length and one weight: the tree is built from the arrays of generations
+    0..level and one value per tail generation, and keeps the tail as the
+    (G, rows) read-only blocks tail_lengths and tail_weights, of stride 0
+    over the rows; lengths[n] and weights[n] of a tail generation are rows
+    of them.
     """
 
-    def __init__(self, params: TreeParams, depth: int, lengths, weights):
+    def __init__(self, params: TreeParams, lengths, weights, tail_lengths=(), tail_weights=()):
         self.params = params
-        self.depth = depth
-        self.lengths = lengths
-        self.weights = weights
-        self.rows = tuple(len(arr) for arr in lengths)
+        gens = len(tail_lengths)
+        self.level = len(lengths) - 1
+        self.depth = self.level + gens
+        tail = _rows_block([*tail_lengths, *tail_weights], len(lengths[-1]))
+        self.tail_lengths, self.tail_weights = tail[:gens], tail[gens:]
+        self.lengths = list(lengths) + list(self.tail_lengths)
+        self.weights = list(weights) + list(self.tail_weights)
+        self.rows = tuple(len(arr) for arr in self.lengths)
 
     @property
     def p(self) -> int:
@@ -219,6 +242,30 @@ class FiniteTree:
         return self.rows[self.depth]
 
     @cached_property
+    def tail_elimination(self) -> tuple:
+        """(c, pivot, share) of the tail, one value per generation.
+
+        c holds the conductances of generations level+1..depth and pivot
+        the pivots of level+1..depth-1, as read-only blocks of stride 0
+        over the rows; share is the part c a / pivot of its load that a
+        vertex of generation level+1 hands up (c itself when those are the
+        leaf edges), a row of stride 0, None without a tail.  Every row of
+        a tail generation sees the same subtree, so the recurrence of
+        `elimination` runs on one float per generation, with the
+        operations it applies to each row.
+        """
+        p = self.p
+        c = (self.tail_weights[:, 0] / self.tail_lengths[:, 0]).tolist()
+        pivot, share = [], c[-1:]
+        for cn in reversed(c[:-1]):
+            a = _child_sums(share[0], p, merged=True)
+            pivot.append(cn + a)
+            share[0] = cn * a / pivot[-1]
+        block = _rows_block(c + pivot[::-1] + share, self.rows[-1])
+        gens = len(c)
+        return block[:gens], block[gens : 2 * gens - 1], block[-1] if gens else None
+
+    @cached_property
     def elimination(self) -> tuple:
         """Leaves-to-root elimination of the clamped graph Laplacian.
 
@@ -234,21 +281,24 @@ class FiniteTree:
         pivot u(X) - c u(parent) = (load collected from below), and the
         vertex hands the share c / pivot of its collected load on to its
         parent.  A tree has no cycles, so nothing fills in (Parter, SIAM
-        Review 3, 1961).  Every solve on the tree shares the arrays, so
-        they are read-only.
+        Review 3, 1961).  The tail generations are rows of
+        tail_elimination, and generations 0..level continue from its
+        share.  Every solve on the tree shares the arrays, so they are
+        read-only.
         """
-        p = self.p
-        c = [self.weights[n] / self.lengths[n] for n in range(self.depth + 1)]
-        pivot = [None] * self.depth
-        below = c[self.depth]
-        for n in range(self.depth - 1, -1, -1):
+        p, level = self.p, self.level
+        tail_c, tail_pivot, share = self.tail_elimination
+        c = [w / ln for w, ln in zip(self.weights[: level + 1], self.lengths[: level + 1])]
+        top, below = (level - 1, c[level]) if share is None else (level, share)
+        pivot = [None] * (top + 1)
+        for n in range(top, -1, -1):
             a = _child_sums(below, p, self.merged(n + 1))
             pivot[n] = c[n] + a
             below = c[n] * a
             below /= pivot[n]
         for arr in c + pivot:
             arr.setflags(write=False)
-        return c, pivot
+        return c + list(tail_c), pivot + list(tail_pivot)
 
     def expanded(self) -> "FiniteTree":
         """The full tree this one stands for: each row repeated over its edges.
@@ -261,7 +311,7 @@ class FiniteTree:
             return self
         check_tree_budget(self.params, self.depth, self.depth)
         reps = [self.multiplicity(n) for n in range(self.depth + 1)]
-        return FiniteTree(self.params, self.depth,
+        return FiniteTree(self.params,
                           [np.repeat(arr, m) for arr, m in zip(self.lengths, reps)],
                           [np.repeat(arr, m) for arr, m in zip(self.weights, reps)])
 
@@ -310,11 +360,14 @@ def check_tree_budget(params: TreeParams, depth: int, level: int):
 
 
 def _profile(params: TreeParams, depth: int, level: int):
-    """Lengths and weights of generations 0..depth, compressed below level."""
+    """Lengths and weights of generations 0..depth, compressed below level:
+    arrays of the generations up to level, then one length and one weight
+    per tail generation (FiniteTree's arguments)."""
     check_tree_budget(params, depth, level)
     lengths, weights = [], []
-    for n in range(depth + 1):
-        rows = params.p ** min(n, level)
+    top = min(depth, level)
+    for n in range(top + 1):
+        rows = params.p**n
         ln = np.full(rows, params.L0 * params.ell**n)
         wn = np.full(rows, params.omega0 * params.omega**n)
         if n < params.N1:
@@ -326,7 +379,9 @@ def _profile(params: TreeParams, depth: int, level: int):
                     wn[k] = val
         lengths.append(ln)
         weights.append(wn)
-    return lengths, weights
+    tail = range(top + 1, depth + 1)
+    return (lengths, weights, [params.L0 * params.ell**n for n in tail],
+            [params.omega0 * params.omega**n for n in tail])
 
 
 def build_truncated(params: TreeParams, N: int) -> FiniteTree:
@@ -334,8 +389,7 @@ def build_truncated(params: TreeParams, N: int) -> FiniteTree:
     require_valid(params)
     if N < 0:
         raise NonPositiveParameter("depth N must be >= 0, got %d" % N)
-    lengths, weights = _profile(params, N, N)
-    return FiniteTree(params, N, lengths, weights)
+    return FiniteTree(params, *_profile(params, N, N))
 
 
 def build_condensed(params: TreeParams, N: int, level: int | None = None) -> FiniteTree:
@@ -365,6 +419,9 @@ def build_condensed(params: TreeParams, N: int, level: int | None = None) -> Fin
     r = params.r
     if not r < 1.0:
         raise StructuralConditionViolated("r = ell/(p*omega) = %g must be < 1" % r)
-    lengths, weights = _profile(params, N + 1, level)
-    lengths[N + 1] = lengths[N + 1] / (1.0 - r)
-    return FiniteTree(params, N + 1, lengths, weights)
+    lengths, weights, tail_lengths, tail_weights = _profile(params, N + 1, level)
+    if tail_lengths:
+        tail_lengths[-1] = tail_lengths[-1] / (1.0 - r)
+    else:
+        lengths[N + 1] = lengths[N + 1] / (1.0 - r)
+    return FiniteTree(params, lengths, weights, tail_lengths, tail_weights)

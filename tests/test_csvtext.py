@@ -168,6 +168,27 @@ def test_random_int64_match_percent():
     assert _text(v[-1000:]) == _oracle(v[-1000:].tolist(), "%d")
 
 
+@settings(max_examples=60, deadline=None)
+@given(k0=st.one_of(st.integers(-30_000, 30_000), st.integers(-2**62, 2**62),
+                    st.sampled_from([0, -1, 9_999, -10_000, 10**8 - 5, -10**8 + 2])),
+       n=st.integers(0, 25_000), slack=st.integers(0, 6))
+def test_consecutive_integers_match_percent_and_the_column_kernel(k0, n, slack):
+    # runs across 4-digit group boundaries, across zero and of every length
+    # up to more than two runs; the same cells as the column kernel writes
+    cells = csvtext.range_cells(k0, n)
+    v = np.arange(k0, k0 + n, dtype=np.int64)
+    column = np.zeros(cells.shape, np.uint8)
+    csvtext._put_ints(column, v)
+    assert np.array_equal(cells, column)
+    assert bytes(csvtext.join([cells, "\n"])) == _oracle(range(k0, k0 + n), "%d")
+    if n and k0 >= 0:
+        # tree.csv's k slots: the last `width` cells of nonnegative integers
+        width = len("%d" % (k0 + n - 1)) + slack
+        slots = csvtext.range_cells(k0, n, width)
+        assert slots.shape == (n, width)
+        assert bytes(csvtext.join([slots, "\n"])) == _oracle(range(k0, k0 + n), "%d")
+
+
 def test_the_kernel_warns_about_nothing():
     values = [SPECIALS, -SPECIALS, _floats(np.arange(4096, dtype=np.uint64) << np.uint64(52))]
     with warnings.catch_warnings():

@@ -60,6 +60,15 @@ def test_a_solve_and_the_pencil_load_no_scipy():
     assert out == "[]\n"
 
 
+def test_the_cli_leaves_the_acceptance_suite_unloaded():
+    # only `treedisk selftest` and the tests run it, and they import it
+    code = "import sys, treedisk.cli\nprint('treedisk.acceptance' in sys.modules)\n"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent) + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=120, check=True).stdout
+    assert out == "False\n"
+
+
 def _identifiers(node) -> Counter:
     """How often each identifier occurs in the code under node: names,
     attributes and imported names.  Docstrings, comments and other strings

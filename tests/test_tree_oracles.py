@@ -13,6 +13,8 @@ against that dense matrix.  The same kernels on a source tree compressed
 below level N are checked bit for bit against the full tree.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -61,6 +63,8 @@ CASES = _cases()
 
 
 def _tree(name, kind, depth):
+    if kind == "compressed":
+        return build_condensed(PARAMS[name], depth, level=PARAMS[name].N1)
     build = build_condensed if kind == "condensed" else build_truncated
     return build(PARAMS[name], depth)
 
@@ -366,30 +370,39 @@ def _vertices_with_leaf_products(tree, loads, leaf_values):
     return values
 
 
-@pytest.mark.parametrize("name,kind,depth", POISSON_TREES)
+@pytest.mark.parametrize("name,kind,depth", POISSON_TREES + [("p3_overrides", "compressed", 6)])
 @pytest.mark.parametrize("complex_", [False, True])
 def test_zero_leaves_are_skipped_bit_for_bit(name, kind, depth, complex_):
     # the Poisson lift clamps its leaves at zero and skips their product;
     # the vertex values keep the bits of the product with a zero array,
-    # signed zeros included
+    # signed zeros included, also where the tail's loads are one block
     tree = _tree(name, kind, depth)
     rng = np.random.default_rng(depth)
     dtype = complex if complex_ else float
     signed_zero = complex(-0.0, -0.0) if complex_ else -0.0
     random_loads = []
     for n in range(tree.depth):
-        load = rng.standard_normal(tree.p**n).astype(dtype)
+        load = rng.standard_normal(tree.rows[n]).astype(dtype)
         if complex_:
             load.imag = rng.standard_normal(load.size)
         load[::3] = signed_zero
         random_loads.append(load)
-    zero_loads = [np.full(tree.p**n, signed_zero) for n in range(tree.depth)]
+    zero_loads = [np.full(tree.rows[n], signed_zero) for n in range(tree.depth)]
     zeros = np.zeros(tree.n_leaves, dtype=dtype)
+    top = min(tree.level + 1, tree.depth)
     for loads in (random_loads, zero_loads):
-        skipped = ca._solve_vertices(tree, loads)
+        tail_loads = np.array(loads[top:]) if tree.level < tree.depth else None
+        values, tail_values = ca._solve_vertices(tree, loads[:top], tail_loads)
         full = _vertices_with_leaf_products(tree, loads, zeros)
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(skipped[:-1], full))
-        assert skipped[-1] == 0.0
+        if tail_values is None:
+            skipped = values[:-1]
+            assert values[-1] == 0.0
+        else:
+            skipped = values + list(tail_values[1:-1])
+            assert tail_values[0].tobytes() == values[-1].tobytes()
+            assert tail_values[-1].tobytes() == zeros.tobytes()
+        assert len(skipped) == len(full)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(skipped, full))
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
@@ -534,6 +547,69 @@ def test_compressed_tree_matches_on_random_admissible_trees(seed):
     source_full = ca.TreeFunction(full, [np.tile(r, (params.p**n, 1)) for n, r in enumerate(rows)])
     _assert_bits(ca.solve_poisson_zero_trace(tree, source).expanded().coeffs,
                  ca.solve_poisson_zero_trace(full, source_full).coeffs)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), per_row=st.booleans(),
+       as_block=st.booleans(), data=st.data())
+def test_tail_blocks_match_the_expanded_tree(seed, per_row, as_block, data):
+    # the tail (generations level+1..depth) as one block in the elimination
+    # and both solves, against the same solves on tree.expanded(): p = 2 or
+    # 3, overrides above N1, up to 12 tail generations, and a tail source
+    # the same on every row or one per row, given as a block or per generation
+    rng = np.random.default_rng(seed)
+    params = _random_admissible_params(rng)
+    p = params.p
+    level = params.N1 + data.draw(st.integers(0, 1), label="level - N1")
+    gens = data.draw(st.integers(1, min(12, 14 - level) if p == 2 else 9 - level), label="tail")
+    tree = build_condensed(params, level + gens - 1, level=level)
+    full = tree.expanded()
+    assert tree.depth - tree.level == gens and full.level == full.depth
+
+    for ours, theirs in zip(tree.elimination, full.elimination):
+        assert len(ours) == len(theirs)
+        for n, (a, b) in enumerate(zip(ours, theirs)):
+            assert _rel(np.repeat(a, tree.multiplicity(n)), b) <= 1e-13
+
+    degree = int(rng.integers(0, 3))
+    complex_ = bool(rng.integers(0, 2))
+
+    def coeffs(shape):
+        c = rng.standard_normal(shape)
+        return c + 1j * rng.standard_normal(shape) if complex_ else c
+
+    rows = tree.rows[-1]
+    top = [coeffs((tree.rows[n], degree + 1)) for n in range(level + 1)]
+    tail = (coeffs((gens, rows, degree + 1)) if per_row
+            else np.broadcast_to(coeffs((gens, 1, degree + 1)), (gens, rows, degree + 1)))
+    source = ca.TreeFunction(tree, top, tail) if as_block else ca.TreeFunction(tree, top + list(tail))
+    assert np.array_equal(source.tail, tail)
+    u_f = ca.solve_poisson_zero_trace(tree, source)
+    assert u_f.tail.shape == (gens, rows, degree + 3)
+    assert _rel_fn(u_f.expanded(), ca.solve_poisson_zero_trace(full, source.expanded())) <= 1e-13
+
+    g = coeffs(rows)
+    root = complex(*rng.standard_normal(2)) if complex_ else float(rng.standard_normal())
+    u = ca.solve_harmonic_dirichlet(tree, g, root)
+    u_full = ca.solve_harmonic_dirichlet(full, np.repeat(g, tree.multiplicity(tree.depth)), root)
+    assert _rel_fn(u.expanded(), u_full) <= 1e-13
+
+
+def test_a_deep_tail_holds_one_value_per_generation():
+    # p = 2, level 12, depth 40: as arrays over the rows, the lengths,
+    # weights, conductances and pivots of the 28 tail generations of 4,096
+    # rows would hold 3.7 MB
+    params = TreeParams(p=2, ell=0.5, omega=0.4)
+    assert build_condensed(params, 4, level=2).elimination
+    tracemalloc.start()
+    try:
+        tree = build_condensed(params, 39, level=12)
+        assert tree.elimination
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tree.depth == 40 and tree.rows[-1] == 2**12
+    assert peak <= 2**19, peak
 
 
 def test_compression_needs_a_geometric_level():
