@@ -385,7 +385,9 @@ def solve_harmonic_dirichlet(tree: FiniteTree, leaf_values, root_value=0.0) -> T
         if n:
             merged = tree.merged(n)
             start = _parent_rows(means[n - 1] + w, p, merged)
-            d = _parent_rows(means[n - 1], p, merged) - means[n]
+            # in the result dtype: the means are real for real leaf values,
+            # w is complex for a complex root value
+            d = np.subtract(_parent_rows(means[n - 1], p, merged), means[n], dtype=dtype)
             d += _parent_rows(w, p, merged)
         w = c[n] * d / pivot[n] if n < depth else 0.0
         coef = np.empty((tree.rows[n], 2), dtype=dtype)

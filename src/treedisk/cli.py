@@ -24,17 +24,25 @@ values, so its values are formatted once per bit pattern and gathered as
 text.
 
 tree.csv is most of `transmission`'s output, so it is written in a forked
-child (_in_child) while this process writes g.csv and exterior.csv, and
-this process waits for the child before it writes the manifest.  The
-child reads the solution through copy-on-write and writes through the same
-writer into the temp file this process opened, so the bytes are those of an
-in-process write; this process renames the file once the child has
-succeeded and removes it when the child fails or is killed.  Fork is POSIX
-only: without os.fork (Windows) tree.csv is written in-process.
+child (_in_child), which starts as soon as the tree solution exists
+(transmission.reconstruct_tree): this process then solves the exterior
+side, runs its checks and writes g.csv and exterior.csv, and waits for the
+child before it writes the manifest.  The child reads the tree solution
+through copy-on-write and writes through the same writer into the temp file
+this process opened, so the bytes are those of an in-process write; this
+process renames the file once the child has succeeded and removes it when
+the child fails or is killed.  Fork is POSIX only: without os.fork
+(Windows) tree.csv is written in-process.
 
 `transmission` refuses what it would print wrongly: a g that is not finite,
-or a flux residual above the discretization defect + 1e-10, exits 3 before
-any file is written.
+a trace defect above 1e-10, or a flux residual above the discretization
+defect + 1e-10, exits 3 and leaves no file and no directory, although the
+tree.csv writer may have started.  Each temp file lives in the nearest
+existing directory of its output (_atomic_file) until its rename, and the
+output directory is made only then, after every check has passed.  A
+process killed before that leaves its `.tmp-*.part` files in that
+directory, and one killed between the renames also the outputs already
+renamed, but never a manifest: the manifest is written last.
 
 Exit codes: 0 success, 2 configuration or validation failure (any
 errors.InvalidInput, a problem larger than the size budgets included),
@@ -44,6 +52,7 @@ errors.NumericalCheckFailed check included, or a LinAlgError).
 
 import argparse
 import contextlib
+import functools
 import math
 import os
 import pickle
@@ -65,7 +74,9 @@ from .transmission import (
     check_pencil_count,
     convergence_study,
     plasmonic_pencil,
-    solve_transmission,
+    reconstruct,
+    reconstruct_tree,
+    solve_interface,
 )
 from .tree import check_tree_budget, validate_params
 
@@ -90,20 +101,28 @@ _CHUNK_ROWS = 2**12
 def _atomic_file(path: str):
     """A binary file handle; what is written replaces `path` when the block ends.
 
-    The file gets the mode open() would give it, 0o666 less the umask:
-    mkstemp makes the temp file 0o600, and os.replace keeps that mode.  The
-    temp file is removed when the block raises, also when a forked child
-    wrote it through the handle and was killed (cli._in_child).
+    The temp file is made in the nearest existing directory of `path`: its
+    own directory when that exists.  The missing directories are made only
+    when the block ends, just before the rename, so a block that raises
+    leaves none behind; they lie inside that nearest directory, so the
+    rename stays on one file system.  The file gets the mode open() would
+    give it, 0o666 less the umask: mkstemp makes the temp file 0o600, and
+    os.replace keeps that mode.  The temp file is removed when the block
+    raises, also when a forked child wrote it through the handle and was
+    killed (cli._in_child).
     """
     directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
+    nearest = directory
+    while not os.path.isdir(nearest):
+        nearest = os.path.dirname(nearest)
+    fd, tmp = tempfile.mkstemp(dir=nearest, prefix=".tmp-", suffix=".part")
     try:
         umask = os.umask(0)
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)
         with os.fdopen(fd, "wb") as fh:
             yield fh
+        os.makedirs(directory, exist_ok=True)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -362,29 +381,34 @@ def _cmd_transmission(args) -> int:
     started = time.monotonic()
     cfg = parse_config(args.config)
     solving = time.monotonic()
-    sol = solve_transmission(cfg.transmission())
-    writing = time.monotonic()
-    # what is printed must hold: a g that is not finite, or a flux residual
-    # beyond the bound the benchmark checks, exits 3 before any file is written
-    if not np.isfinite(sol.g.values).all():
+    # solve_transmission, split where tree.csv's writer can start
+    system = assemble_system(cfg.transmission())
+    g = solve_interface(system)
+    # what is printed must hold: a g that is not finite, a trace defect
+    # (reconstruct) or a flux residual beyond the bound the benchmark checks
+    # exits 3 and leaves no file (module docstring)
+    if not np.isfinite(g.values).all():
         raise NumericalCheckFailed("the interface datum g is not finite")
-    if not sol.flux_residual <= sol.discretization_defect + _FLUX_SLACK:
-        raise NumericalCheckFailed("flux residual %.3e exceeds the discretization defect %.3e + %g"
-                                   % (sol.flux_residual, sol.discretization_defect, _FLUX_SLACK))
+    tree_side = reconstruct_tree(system, g)
     # tree.csv lists every edge of the full source tree: refuse a tree beyond
-    # the tree budget (what FiniteTree.expanded checks) before any file is
-    # written; the rows are streamed from sol.u_rows, never expanded
-    tree = sol.u_rows.tree
+    # the tree budget (what FiniteTree.expanded checks) before the writer
+    # starts; the rows are streamed from u_rows, never expanded
+    tree = tree_side.u_rows.tree
     check_tree_budget(tree.params, tree.depth, tree.depth)
     prefix = args.out_prefix
-    g = sol.g.values
-    # tree.csv, the largest file, on the second core (module docstring); this
-    # process owns its temp file, so a killed child leaves none behind
+    # tree.csv, the largest file, on the second core while the exterior
+    # side is solved and checked here (module docstring); this process owns
+    # its temp file, so a killed child or a refusal leaves none behind
     with _atomic_file(prefix + "tree.csv") as tree_fh, \
             _in_child(lambda: _fill_csv(tree_fh, ("n", "k", "coeff_index", "value"),
-                                        _tree_chunks(sol.u_rows))):
+                                        _tree_chunks(tree_side.u_rows))):
+        sol = reconstruct(system, g, tree_side)
+        if not sol.flux_residual <= sol.discretization_defect + _FLUX_SLACK:
+            raise NumericalCheckFailed("flux residual %.3e exceeds the discretization defect %.3e + %g"
+                                       % (sol.flux_residual, sol.discretization_defect, _FLUX_SLACK))
+        writing = time.monotonic()
         _write_csv(prefix + "g.csv", ("level", "cell", "value"),
-                   [np.full(g.size, sol.g.level), np.arange(g.size), g])
+                   [np.full(g.values.size, g.level), np.arange(g.values.size), g.values])
         _write_chunks(prefix + "exterior.csv", ("k", "re", "im"), _trace_chunks(sol.u_ext))
     reported = [("condition estimate", sol.condition_estimate),
                 ("trace defect", sol.trace_defect),
@@ -392,6 +416,8 @@ def _cmd_transmission(args) -> int:
                 ("discretization defect", sol.discretization_defect)]
     outputs = [prefix + name for name in ("g.csv", "tree.csv", "exterior.csv")]
     results = ["%s=%.17g" % (name.replace(" ", "_"), value) for name, value in reported]
+    # the tree.csv writer starts inside stage.solve_s; stage.write_s is
+    # g.csv, exterior.csv and the wait for the writer
     results += ["stage.solve_s=%.3f" % (writing - solving),
                 "stage.write_s=%.3f" % (time.monotonic() - writing)]
     _write_manifest(prefix + "manifest.txt", "transmission", cfg, started, outputs, results)
@@ -451,7 +477,9 @@ def _checked(kind, test, requirement):
     return parse
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call only: parse_args keeps no state in it."""
     parser = argparse.ArgumentParser(prog="treedisk",
                                      description="Tree-disk transmission pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -496,9 +524,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:

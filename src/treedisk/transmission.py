@@ -278,12 +278,12 @@ class InterfaceSystem:
     config.alpha1, typed by the config.  mass is the diagonal of the alpha0
     mass matrix: alpha0 times the cell measure, per cell.  mass and h are
     float64 when the data are real, and M is then real symmetric.
-    The system also keeps the source lifts of h for `reconstruct`: the
-    Poisson lift u_f on the source tree (compressed at the solve level;
+    The system also keeps the source lifts of h for the reconstruction:
+    the Poisson lift u_f on the source tree (compressed at the solve level;
     u_f.tree keeps its elimination), its per-cell leaf flux flux_f, and the
     exterior lift v_f, whose source-mode coefficients b_k the exterior
     solve with trace g reuses.  Without tree forcing u_f is None and flux_f
-    is zero, and `reconstruct` then builds the source tree; without an
+    is zero, and `reconstruct_tree` then builds the source tree; without an
     exterior source v_f is None.
     """
 
@@ -678,34 +678,31 @@ class TransmissionSolution:
         return self.u_rows.expanded()
 
 
-def reconstruct(system: InterfaceSystem, g: PiecewiseConstantFn) -> TransmissionSolution:
-    """Rebuild u_T = u + c u1 + u_f and u_Omega = v + v_f from the trace g.
+@dataclass
+class TreeSolution:
+    """The tree side of a reconstruction (reconstruct_tree).
 
-    u_Omega is one exterior solve with trace g and the exterior source,
-    which by linearity is v + v_f.  The flux-condition residual is
-    recomputed from the reconstructed fields (leaf fluxes and per-mode
-    derivatives), not from the solved matrices, so it is an independent
-    check of the transmission conditions in the V_N pairing.  Interface
-    traces match by construction: the leaf rows of the compressed source
-    tree carry the cells of g, the exterior modes carry its Fourier
-    coefficients at the assembly cutoff; a trace defect above 1e-10, or
-    NaN, raises NumericalCheckFailed.  The config, u_f and v_f come from
-    `system`, the solved system, and the source tree from u_f when there is
-    one, so the tree is built and eliminated once per solve; the exterior
-    solve takes the source modes' b_k from v_f, so no source integral is
-    computed twice.
+    u_rows is u_T = u + c u1 + u_f on the compressed source tree, one row
+    per cell below the solve level; flux_u is the per-cell leaf flux of
+    its harmonic part u, which the flux residual's scale needs.
+    """
 
-    No array over the 2 * 16 p^N + 1 exterior modes is held: g's modes
-    (circle.CellModes, one fft of g) and the field's traces are formed in
-    one pass, a block of circle.mode_blocks at a time; the trace defect is
-    a maximum over blocks, and the exterior cell fluxes and the alpha0 mass
-    are running folds (circle.Fold), which share one set of twiddles.  The
-    results are those of folding whole arrays, bit for bit.
+    u_rows: TreeFunction
+    flux_u: np.ndarray
+
+
+def reconstruct_tree(system: InterfaceSystem, g: PiecewiseConstantFn) -> TreeSolution:
+    """The first step of the reconstruction: u_T = u + c u1 + u_f from the trace g.
+
+    u is harmonic on the source tree with leaf values g and root value 0.
+    The config and u_f come from `system`, the solved system, and the
+    source tree from u_f when there is one, so the tree is built and
+    eliminated once per solve.  This step needs no exterior mode; the CLI
+    starts writing tree.csv from it while `reconstruct`, the second step,
+    runs.
     """
     cfg = system.config
-    pn = cfg.params.p**cfg.level
-    decomp = g.decomp
-    u_f, flux_f = system.u_f, system.flux_f
+    u_f = system.u_f
     tree = _source_tree(cfg) if u_f is None else u_f.tree
     # the leaf rows of the compressed tree are the cells, so g itself is
     # the leaf data
@@ -726,7 +723,37 @@ def reconstruct(system: InterfaceSystem, g: PiecewiseConstantFn) -> Transmission
             coeffs[n] = _added(cf, coeffs[n])
         if tail is not None:
             tail = _added(u_f.tail, tail)
-    u_T = TreeFunction(tree, coeffs, tail)
+    return TreeSolution(u_rows=TreeFunction(tree, coeffs, tail), flux_u=flux_u)
+
+
+def reconstruct(system: InterfaceSystem, g: PiecewiseConstantFn,
+                tree_side: TreeSolution) -> TransmissionSolution:
+    """The second step of the reconstruction: u_Omega = v + v_f from the
+    trace g, and the checks of both sides against each other.
+
+    tree_side is reconstruct_tree(system, g), with u_T.  u_Omega is
+    one exterior solve with trace g and the exterior source, which by
+    linearity is v + v_f.  The flux-condition residual is recomputed from
+    the reconstructed fields (leaf fluxes and per-mode derivatives), not
+    from the solved matrices, so it is an independent check of the
+    transmission conditions in the V_N pairing.  Interface traces match by
+    construction: the leaf rows of the compressed source tree carry the
+    cells of g, the exterior modes carry its Fourier coefficients at the
+    assembly cutoff; a trace defect above 1e-10, or NaN, raises
+    NumericalCheckFailed.  The exterior solve takes the source modes' b_k
+    from system.v_f, so no source integral is computed twice.
+
+    No array over the 2 * 16 p^N + 1 exterior modes is held: g's modes
+    (circle.CellModes, one fft of g) and the field's traces are formed in
+    one pass, a block of circle.mode_blocks at a time; the trace defect is
+    a maximum over blocks, and the exterior cell fluxes and the alpha0 mass
+    are running folds (circle.Fold), which share one set of twiddles.  The
+    results are those of folding whole arrays, bit for bit.
+    """
+    cfg = system.config
+    pn = cfg.params.p**cfg.level
+    decomp = g.decomp
+    u_T, flux_u, flux_f = tree_side.u_rows, tree_side.flux_u, system.flux_f
 
     m = MODE_OVERSAMPLING * pn
     g_modes = circle.CellModes(g, m)
@@ -774,10 +801,11 @@ def reconstruct(system: InterfaceSystem, g: PiecewiseConstantFn) -> Transmission
 
 
 def solve_transmission(cfg: TransmissionConfig) -> TransmissionSolution:
-    """Assemble, solve, and reconstruct in one call."""
+    """Assemble, solve, and reconstruct in one call: the tree side
+    (reconstruct_tree), then the exterior side and the checks (reconstruct)."""
     system = assemble_system(cfg)
     g = solve_interface(system)
-    return reconstruct(system, g)
+    return reconstruct(system, g, reconstruct_tree(system, g))
 
 
 @dataclass

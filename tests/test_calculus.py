@@ -199,6 +199,17 @@ def test_complex_harmonic():
     assert u.root_value == 0.5j
 
 
+@pytest.mark.parametrize("tree", [build_truncated(REF, 3), build_condensed(REF, 5, level=2)],
+                         ids=["truncated", "condensed"])
+def test_harmonic_with_real_leaves_and_a_complex_root(tree):
+    # the deviations d are formed in the result dtype: real means with a
+    # complex w from the root must not be added in place into a real array
+    u = ca.solve_harmonic_dirichlet(tree, np.ones(tree.n_leaves), root_value=1 + 1j)
+    assert u.root_value == 1 + 1j
+    np.testing.assert_allclose(u.leaf_values(), 1.0, atol=1e-14)
+    assert kirchhoff_residual(u).relative < 1e-13
+
+
 def test_green_identity_random_pairs():
     rng = np.random.default_rng(19)
     T = build_condensed(REF, 3)

@@ -536,7 +536,7 @@ def test_transmission_solves_sources_of_any_normal_scale(tmp_path):
     # overflow (transmission._norm), so a source of 1e-200 solves to 1e-200
     # times the datum of the unit source; at 1e200 the traces carry absolute
     # errors far above the absolute 1e-10 trace gate, and at 1e-320 the rhs
-    # is subnormal and refused; both exit 3 before any file is written
+    # is subnormal and refused; both exit 3 and leave no file
     g = {}
     for scale in ("1", "1e-200"):
         out = tmp_path / scale
@@ -556,15 +556,15 @@ def test_transmission_solves_sources_of_any_normal_scale(tmp_path):
 
 def test_transmission_refuses_a_flux_residual_beyond_its_bound(tmp_path, monkeypatch, capsys):
     # a g that does not solve the interface equation leaves a flux residual
-    # of order 1, which must exit 3 before any file is written
-    solve = transmission.solve_interface
+    # of order 1, which must exit 3 and leave no file
+    solve = cli.solve_interface
 
     def solve_off(system):
         g = solve(system)
         g.values[0] += 1.0
         return g
 
-    monkeypatch.setattr(transmission, "solve_interface", solve_off)
+    monkeypatch.setattr(cli, "solve_interface", solve_off)
     path = tmp_path / "scaled.ini"
     path.write_text(_SCALED % (1, 1))
     out = tmp_path / "out"
@@ -573,15 +573,45 @@ def test_transmission_refuses_a_flux_residual_beyond_its_bound(tmp_path, monkeyp
     assert not out.exists()
 
 
+@needs_fork
+@pytest.mark.parametrize("exists", [False, True], ids=["new-directory", "existing-directory"])
+def test_refusal_after_the_tree_writer_started_leaves_nothing(exists, ref_config, tmp_path,
+                                                              monkeypatch, capsys):
+    # the tree.csv writer starts before the exterior side is checked; a
+    # refusal then waits for it and leaves no file, no temp file and no new
+    # directory: the temp file lives in the nearest existing directory
+    started = []
+    in_child = cli._in_child
+
+    def recorded(write):
+        started.append(1)
+        return in_child(write)
+
+    monkeypatch.setattr(cli, "_in_child", recorded)
+    monkeypatch.setattr(cli, "_FLUX_SLACK", -1.0)
+    out = tmp_path / "out"
+    if exists:
+        out.mkdir()
+    prefix = out / "t_" if exists else out / "run" / "t_"
+    assert cli.main(["transmission", "--config", ref_config, "--out-prefix", str(prefix)]) == 3
+    assert capsys.readouterr().err.startswith("numerical failure: flux residual")
+    assert started == [1]
+    _assert_no_child_and_no_temp_file(tmp_path)
+    if exists:
+        assert not list(out.iterdir())
+    else:
+        assert not out.exists()
+
+
 def test_transmission_refuses_a_non_finite_g(ref_config, tmp_path, monkeypatch, capsys):
-    solve = cli.solve_transmission
+    solve = cli.solve_interface
 
-    def solve_to_nan(cfg):
-        sol = solve(cfg)
-        sol.g.values[1] = float("nan")
-        return sol
+    def solve_to_nan(system):
+        g = solve(system)
+        g.values[1] = float("nan")
+        return g
 
-    monkeypatch.setattr(cli, "solve_transmission", solve_to_nan)
+    monkeypatch.setattr(cli, "solve_interface", solve_to_nan)
     assert cli.main(["transmission", "--config", ref_config,
                      "--out-prefix", str(tmp_path / "out" / "t_")]) == 3
     assert "g is not finite" in capsys.readouterr().err
@@ -594,12 +624,29 @@ def test_only_the_package_s_own_checks_exit_3(ref_config, tmp_path, monkeypatch)
     # as a numerical failure
     assert issubclass(NumericalCheckFailed, AssertionError)
 
-    def failing(cfg):
+    def failing(system, g, tree_side):
         raise AssertionError("not a check of the package")
 
-    monkeypatch.setattr(cli, "solve_transmission", failing)
+    monkeypatch.setattr(cli, "reconstruct", failing)
     with pytest.raises(AssertionError, match="not a check"):
         cli.main(["transmission", "--config", ref_config, "--out-prefix", str(tmp_path / "t_")])
+
+
+def test_the_parser_is_built_once_and_prints_as_a_fresh_one(capsys):
+    cli._build_parser.cache_clear()
+    argvs = (["--help"], ["transmission", "--help"], ["transmission"])
+    texts = []
+    for argv in argvs:
+        assert cli.main(argv) == (2 if argv == ["transmission"] else 0)
+        texts.append(capsys.readouterr())
+    assert cli._build_parser.cache_info().misses == 1
+    # a freshly built parser prints the same help and usage error, byte for byte
+    fresh = cli._build_parser.__wrapped__()
+    for argv, text in zip(argvs, texts):
+        with pytest.raises(SystemExit):
+            fresh.parse_args(argv)
+        assert capsys.readouterr() == text
+    assert "the following arguments are required: --config, --out-prefix" in texts[2].err
 
 
 def test_convergence_study(ref_config, tmp_path, capsys):

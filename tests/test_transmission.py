@@ -29,6 +29,7 @@ from treedisk.transmission import (
     convergence_study,
     plasmonic_pencil,
     reconstruct,
+    reconstruct_tree,
     solve_interface,
     solve_transmission,
 )
@@ -423,12 +424,17 @@ def test_tree_source_on_wrong_tree_rejected():
                                tree_source=rows, source_depth=6)
 
 
+def _reconstruct(system, g):
+    """Both steps of the reconstruction, as solve_transmission chains them."""
+    return reconstruct(system, g, reconstruct_tree(system, g))
+
+
 def test_reconstruct_matches_band_limited_exterior_trace():
     cfg = TransmissionConfig(params=REF, level=3, alpha1=1.0, alpha0=0.3,
                              exterior_source=_ext_source(1))
     sy = assemble_system(cfg)
     g = solve_interface(sy)
-    sol = reconstruct(sy, g)
+    sol = _reconstruct(sy, g)
     assert sol.trace_defect <= 1e-10
     assert sol.condition_estimate == sy.condition_estimate
     r = np.linspace(1.0, 3.0, 7)
@@ -464,7 +470,7 @@ def test_reconstruct_reuses_the_exterior_lift(monkeypatch):
     system = assemble_system(cfg)
     g = solve_interface(system)
     integrals = _count_calls(monkeypatch, exterior, "_source_integral")
-    sol = reconstruct(system, g)
+    sol = _reconstruct(system, g)
     assert len(integrals) == 1
     monkeypatch.undo()
     fresh = exterior.solve_exterior_dirichlet(g.to_fourier(16 * 8), cfg.exterior_source)
@@ -483,7 +489,7 @@ def test_reconstruct_holds_no_array_over_all_modes():
     tracemalloc.start()
     try:
         entry = tracemalloc.get_traced_memory()[0]
-        sol = reconstruct(system, g)
+        sol = _reconstruct(system, g)
         peak = tracemalloc.get_traced_memory()[1] - entry
     finally:
         tracemalloc.stop()
@@ -649,7 +655,7 @@ def test_source_tree_is_built_only_when_read(monkeypatch):
     sy = assemble_system(cfg)
     assert builds == []
     assert sy.u_f is None and not sy.flux_f.any()
-    sol = reconstruct(sy, solve_interface(sy))
+    sol = _reconstruct(sy, solve_interface(sy))
     assert len(builds) == 1
     assert sol.u_tree.tree.depth == cfg.source_depth + 1 and _leaves_stretched(sol.u_tree.tree)
     assert sol.trace_defect <= 1e-10
@@ -663,7 +669,7 @@ def test_reconstruct_refuses_a_nan_trace():
     sy = assemble_system(cfg)
     g = PiecewiseConstantFn(sy.decomp, cfg.level, np.full(2**cfg.level, np.nan))
     with pytest.raises(AssertionError, match="traces disagree"):
-        reconstruct(sy, g)
+        _reconstruct(sy, g)
 
 
 def _padded(f):
@@ -704,7 +710,7 @@ def test_reconstruct_adds_the_root_bump_on_the_root_edge():
     cfg = TransmissionConfig(params=REF, level=3, alpha1=1.5, alpha0=0.3, c_root=-0.7 + 0.2j,
                              exterior_source=_ext_source(1))
     sy = assemble_system(cfg)
-    sol = reconstruct(sy, solve_interface(sy))
+    sol = _reconstruct(sy, solve_interface(sy))
     tree = sy.u_f.tree.expanded()
     refined = np.repeat(sol.g.values, 2 ** (tree.depth - cfg.level))
     u = transmission.solve_harmonic_dirichlet(tree, refined, root_value=0.0)
@@ -737,7 +743,7 @@ def test_reconstructed_tree_solution_matches_sum_of_lifts(with_source, c_root):
     if not with_source:
         cfg = dataclasses.replace(cfg, tree_source=None)
     sy = assemble_system(cfg)
-    sol = reconstruct(sy, solve_interface(sy))
+    sol = _reconstruct(sy, solve_interface(sy))
     tree = sol.u_tree.tree
     refined = np.repeat(sol.g.values, 2 ** (tree.depth - cfg.level))
     expected = transmission.solve_harmonic_dirichlet(tree, refined, root_value=0.0)
