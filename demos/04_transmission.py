@@ -36,13 +36,13 @@ def main():
     print("  trace defect %.2e, flux residual %.2e (discretization defect %.2e)"
           % (sol.trace_defect, sol.flux_residual, sol.discretization_defect))
     print("  interface values g in [%.4f, %.4f]" % (sol.g.values.real.min(), sol.g.values.real.max()))
-    print("  tree potential at the root %.4e" % sol.u_tree.root_value.real)
+    print("  tree potential at the root %.4e" % sol.u_rows.root_value.real)
     radii = np.array([1.0, 1.5, 2.0, 3.0])
     print("  exterior potential at theta = 0, r = 1, 1.5, 2, 3 (source in 1 < r < 2): %s"
           % ", ".join("%.4f" % v for v in sol.u_ext.eval(radii, 0.0).real))
-    trace = sol.u_ext.trace0()
+    mode1 = sol.u_ext.trace0_block(1, 2)[0]
     print("  exterior trace: modes |k| <= %d, mode 1 = %.4f%+.4fj (g's, at 16 p^N modes)"
-          % (trace.M, trace.coeffs[trace.M + 1].real, trace.coeffs[trace.M + 1].imag))
+          % (sol.u_ext.M, mode1.real, mode1.imag))
 
     const = solve_transmission(TransmissionConfig(params=REF, level=4, alpha1=1.0,
                                                   alpha0=0.0, c_root=2.5))

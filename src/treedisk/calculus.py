@@ -28,8 +28,7 @@ itself, their sum is the p-fold sum x + x (+= x ...) that the strided sum
 of p equal children adds in the same order, and a parent value needs no
 repeat.  For data that is the same on the edges a row stands for, the
 compressed solve gives bit for bit the rows of the full solve, in
-O(p^N * depth).  `TreeFunction.expanded` repeats the rows onto the full
-tree.
+O(p^N * depth), and never builds the full tree.
 
 The merged generations level+1..depth (the tail, FiniteTree) are one
 block in every solve: a function keeps their coefficients as one
@@ -52,14 +51,6 @@ from .tree import FiniteTree, _child_sums
 
 # ---------------------------------------------------------------------------
 # small dense polynomial helpers (rows = edges, columns = ascending coeffs)
-
-
-def _pad(c, q):
-    if c.shape[1] >= q:
-        return c
-    out = np.zeros((c.shape[0], q), dtype=c.dtype)
-    out[:, : c.shape[1]] = c
-    return out
 
 
 def _poly_eval(c, x):
@@ -156,36 +147,8 @@ class TreeFunction:
     def leaf_values(self):
         return self.end_values(self.tree.depth)
 
-    def expanded(self) -> "TreeFunction":
-        """The same function on the full tree (tree.expanded()), each row
-        repeated over the edges it stands for; a function on a full tree is
-        returned as it is."""
-        tree = self.tree.expanded()
-        if tree is self.tree:
-            return self
-        return TreeFunction(tree, [np.repeat(c, self.tree.multiplicity(n), axis=0)
-                                   for n, c in enumerate(self.coeffs)])
-
     def derivative(self) -> "TreeFunction":
         return TreeFunction(self.tree, [_poly_der(c) for c in self.coeffs])
-
-    def _binary(self, other, sign):
-        cs = []
-        for n in range(self.tree.depth + 1):
-            q = max(self.coeffs[n].shape[1], other.coeffs[n].shape[1])
-            cs.append(_pad(self.coeffs[n], q) + sign * _pad(other.coeffs[n], q))
-        return TreeFunction(self.tree, cs)
-
-    def __add__(self, other):
-        return self._binary(other, 1.0)
-
-    def __sub__(self, other):
-        return self._binary(other, -1.0)
-
-    def __mul__(self, scalar):
-        return TreeFunction(self.tree, [c * scalar for c in self.coeffs])
-
-    __rmul__ = __mul__
 
 
 def _same_tree(a: FiniteTree, b: FiniteTree):

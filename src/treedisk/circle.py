@@ -38,9 +38,9 @@ cutoff, formed per block from one fft) give them, so no fold, and no
 transform from cells to modes but to_fourier, which returns one array,
 holds an array over all 2M + 1 modes.
 
-Projected norms never materialize fine levels: ||P_n g||^2 = 2 pi R
-sum_r |S_r|^2 with S the fold of g, so the multiscale A^r norms cost
-O(M) per level.
+The norms take modes (a FourierFn) and never materialize fine levels:
+||P_n g||^2 = 2 pi R sum_r |S_r|^2 with S the fold of g, so the
+multiscale A^r norms cost O(M) per level.
 """
 
 from __future__ import annotations
@@ -87,15 +87,6 @@ class PiecewiseConstantFn:
         self.level = level
         self.values = values
 
-    def refine(self, level: int) -> "PiecewiseConstantFn":
-        if level < self.level:
-            raise DepthMismatch("cannot refine to a coarser level")
-        reps = self.decomp.p ** (level - self.level)
-        return PiecewiseConstantFn(self.decomp, level, np.repeat(self.values, reps))
-
-    def l2_norm(self) -> float:
-        return math.sqrt(self.decomp.cell_measure(self.level) * float((np.abs(self.values) ** 2).sum()))
-
     def to_fourier(self, M: int) -> "FourierFn":
         """The modes |k| <= M of this function, as one array (CellModes forms them per block)."""
         modes = CellModes(self, M)
@@ -103,23 +94,6 @@ class PiecewiseConstantFn:
         for lo, hi in mode_blocks(M, 1):
             coeffs[lo + M : hi + M] = modes.block(lo, hi)
         return FourierFn(self.decomp.R, coeffs)
-
-    def _align(self, other):
-        lvl = max(self.level, other.level)
-        return self.refine(lvl), other.refine(lvl)
-
-    def __add__(self, other):
-        a, b = self._align(other)
-        return PiecewiseConstantFn(a.decomp, a.level, a.values + b.values)
-
-    def __sub__(self, other):
-        a, b = self._align(other)
-        return PiecewiseConstantFn(a.decomp, a.level, a.values - b.values)
-
-    def __mul__(self, scalar):
-        return PiecewiseConstantFn(self.decomp, self.level, self.values * scalar)
-
-    __rmul__ = __mul__
 
 
 class FourierFn:
@@ -171,18 +145,9 @@ class FourierFn:
         M = max(self.M, other.M)
         return self.pad_to(M), other.pad_to(M)
 
-    def __add__(self, other):
-        a, b = self._align(other)
-        return FourierFn(a.R, a.coeffs + b.coeffs)
-
     def __sub__(self, other):
         a, b = self._align(other)
         return FourierFn(a.R, a.coeffs - b.coeffs)
-
-    def __mul__(self, scalar):
-        return FourierFn(self.R, self.coeffs * scalar)
-
-    __rmul__ = __mul__
 
 
 # The least number of modes in a block of mode_blocks: a block's numpy calls
@@ -390,28 +355,13 @@ def cell_integrals(decomp: MultiscaleDecomposition, g, n: int) -> np.ndarray:
     return cell_averages(decomp, g, n) * decomp.cell_measure(n)
 
 
-def project_PN(decomp: MultiscaleDecomposition, g, n: int) -> PiecewiseConstantFn:
-    """Orthogonal projection onto V_n: the cell-average function."""
-    if n > decomp.n_max:
-        raise DepthMismatch("level %d exceeds n_max %d" % (n, decomp.n_max))
-    vals = cell_averages(decomp, g, n)
-    if isinstance(g, PiecewiseConstantFn) and np.isrealobj(g.values):
-        vals = np.real(vals)
-    elif isinstance(g, FourierFn) and g.is_real(1e-11):
-        vals = np.real(vals)
-    return PiecewiseConstantFn(decomp, n, vals)
-
-
 def l2_norm_sq(g) -> float:
     return float(g.l2_norm() ** 2)
 
 
 def proj_norm_sq(decomp: MultiscaleDecomposition, g, n: int) -> float:
-    """||P_n g||^2 without forming level-n values (aliased mode sums)."""
-    if isinstance(g, PiecewiseConstantFn):
-        if n >= g.level:
-            return l2_norm_sq(g)
-        return l2_norm_sq(project_PN(decomp, g, n))
+    """||P_n g||^2 of the modes g (a FourierFn, say) without forming level-n
+    values (aliased mode sums)."""
     _, S = _folded(g.block, g.M, decomp.n_cells(n)).classes()
     return 2 * math.pi * decomp.R * float((np.abs(S) ** 2).sum())
 
@@ -429,7 +379,7 @@ class ArNormReport:
 
 
 def ar_norm_report(decomp: MultiscaleDecomposition, g, r: float) -> ArNormReport:
-    """||g||_{A^r}^2 = ||P_0 g||^2 + sum_{n>=0} p^{2nr} ||g - P_n g||^2.
+    """||g||_{A^r}^2 = ||P_0 g||^2 + sum_{n>=0} p^{2nr} ||g - P_n g||^2 of the modes g.
 
     The series is summed until the terms are negligible or n_max is hit;
     the remainder is estimated by the limiting geometric ratio p^{2(r-1)}
@@ -439,10 +389,9 @@ def ar_norm_report(decomp: MultiscaleDecomposition, g, r: float) -> ArNormReport
         raise ExponentOrderViolated("A^r norms require 0 < r < 1/2, got r=%g" % r)
     p = decomp.p
     acc = proj_norm_sq(decomp, g, 0)
-    top = decomp.n_max if isinstance(g, FourierFn) else min(g.level, decomp.n_max)
     term = 0.0
     n_used = 0
-    for n in range(top + 1):
+    for n in range(decomp.n_max + 1):
         e = err_norm_sq(decomp, g, n)
         term = p ** (2 * n * r) * e
         acc += term

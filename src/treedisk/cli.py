@@ -36,8 +36,8 @@ the child fails or is killed.  Fork is POSIX only: without os.fork
 
 `transmission` refuses what it would print wrongly: a g that is not finite,
 a trace defect above 1e-10, or a flux residual above the discretization
-defect + 1e-10, exits 3 and leaves no file and no directory, although the
-tree.csv writer may have started.  Each temp file lives in the nearest
+defect + 1e-10, exits 3 and leaves no file and no directory; a tree.csv
+writer that has started is killed.  Each temp file lives in the nearest
 existing directory of its output (_atomic_file) until its rename, and the
 output directory is made only then, after every check has passed.  A
 process killed before that leaves its `.tmp-*.part` files in that
@@ -56,6 +56,7 @@ import functools
 import math
 import os
 import pickle
+import signal
 import sys
 import tempfile
 import time
@@ -140,10 +141,11 @@ def _in_child(write):
 
     The child leaves by os._exit, and an exception it raises reaches the
     parent pickled through a pipe (RuntimeError(repr(exc)) when it does not
-    round-trip) and is raised there after the block, unless the block
-    raised its own; a child that ends with no message and a nonzero wait
-    status is a RuntimeError.  Without os.fork (Windows) write() runs here
-    before the block.
+    round-trip) and is raised there after the block; a child that ends with
+    no message and a nonzero wait status is a RuntimeError.  A block that
+    raises keeps nothing the child writes, so the child is killed (SIGKILL)
+    and reaped, and the block's exception is raised.  Without os.fork
+    (Windows) write() runs here before the block.
     """
     if not hasattr(os, "fork"):
         write()
@@ -177,6 +179,9 @@ def _in_child(write):
     os.close(write_end)
     try:
         yield
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
     finally:
         # the pipe is read before waitpid: a message larger than the pipe
         # buffer would otherwise block the child, and the child the parent
@@ -391,14 +396,15 @@ def _cmd_transmission(args) -> int:
         raise NumericalCheckFailed("the interface datum g is not finite")
     tree_side = reconstruct_tree(system, g)
     # tree.csv lists every edge of the full source tree: refuse a tree beyond
-    # the tree budget (what FiniteTree.expanded checks) before the writer
-    # starts; the rows are streamed from u_rows, never expanded
+    # the tree budget before the writer starts; the rows are streamed from
+    # u_rows, never expanded
     tree = tree_side.u_rows.tree
     check_tree_budget(tree.params, tree.depth, tree.depth)
     prefix = args.out_prefix
     # tree.csv, the largest file, on the second core while the exterior
     # side is solved and checked here (module docstring); this process owns
-    # its temp file, so a killed child or a refusal leaves none behind
+    # its temp file, so a killed child or a refusal, which kills the child,
+    # leaves none behind
     with _atomic_file(prefix + "tree.csv") as tree_fh, \
             _in_child(lambda: _fill_csv(tree_fh, ("n", "k", "coeff_index", "value"),
                                         _tree_chunks(tree_side.u_rows))):

@@ -15,8 +15,8 @@ per mode by variation of parameters around the homogeneous pair
 radiation class: solutions stay O(1) at infinity.
 
 Normal direction convention: the conormal trace gamma1
-(ExteriorField.trace1) is d/dr at r = R, pointing out of the disk into the
-exterior domain.
+(ExteriorField.trace1_of) is d/dr at r = R, pointing out of the disk into
+the exterior domain.
 """
 
 import math
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circle import BLOCK_MODES, FourierFn, MultiscaleDecomposition, alias_fold, centred_block
+from .circle import BLOCK_MODES, MultiscaleDecomposition, alias_fold, centred_block, mode_blocks
 from .dtn import check_dense
 from .errors import AssemblyTooLarge, CutoffTooSmall, NonPositiveParameter, ScaleEqualsRadius
 
@@ -33,9 +33,9 @@ MODE_OVERSAMPLING = 16
 
 # What holds all 2M+1 values of modes |k| <= M at once is capped at the
 # tree's leaf budget: the whole-array symbols (dtn_symbol, layer_symbols),
-# the whole arrays of an ExteriorField, convergence_study's reference
-# cutoff, and the modes a source or a manufactured datum names.  A solve
-# forms its modes per block and is bound by the tree budget alone.
+# convergence_study's reference cutoff, and the modes a source or a
+# manufactured datum names.  A solve forms its modes per block
+# (ExteriorField) and is bound by the tree budget alone.
 MODE_BUDGET = 2**23
 
 _GL64 = np.polynomial.legendre.leggauss(64)
@@ -297,9 +297,8 @@ class ExteriorField:
     and fixed maps each source mode and the mean mode to its b_k.  There
     a_k = g_k - b_k (a_0 = g_0 - b_0 log R); elsewhere a_k = g_k, b_k = 0.
     block forms (a, b) over the modes lo..hi-1, trace0_of and trace1_of the
-    traces from them, and trace0_block the Dirichlet trace's modes; a, b,
-    trace0() and trace1() are the whole arrays over |k| <= M, checked
-    against MODE_BUDGET before they are built.
+    traces from them, and trace0_block the Dirichlet trace's modes; no
+    method, eval included, holds an array over all the modes |k| <= M.
     """
 
     R: float
@@ -328,18 +327,6 @@ class ExteriorField:
                 a[k - lo] = ghat - b_k if k else ghat - b_k * math.log(self.R)
                 b[k - lo] = b_k
         return a, b
-
-    def _whole(self, form) -> np.ndarray:
-        check_mode_budget(self.M)
-        return form(-self.M, self.M + 1)
-
-    @property
-    def a(self) -> np.ndarray:
-        return self._whole(self.block)[0]
-
-    @property
-    def b(self) -> np.ndarray:
-        return self._whole(self.block)[1]
 
     def mode_coeffs(self, k: int):
         k = int(k)
@@ -376,9 +363,10 @@ class ExteriorField:
         r = np.asarray(r, dtype=float)
         theta = np.asarray(theta, dtype=float)
         out = np.zeros(np.broadcast(r, theta).shape, dtype=complex)
-        ks = set((np.flatnonzero((self.a != 0) | (self.b != 0)) - self.M).tolist())
-        if self.source is not None:
-            ks |= set(self.source.modes())
+        ks = set(self.source.modes()) if self.source is not None else set()
+        for lo, hi in mode_blocks(self.M, 1):
+            a, b = self.block(lo, hi)
+            ks.update((lo + np.flatnonzero((a != 0) | (b != 0))).tolist())
         for k in sorted(ks):
             out = out + np.asarray(self.eval_mode(k, r)) * np.exp(1j * k * theta)
         return out
@@ -402,12 +390,6 @@ class ExteriorField:
     def trace0_block(self, lo: int, hi: int) -> np.ndarray:
         """The Dirichlet trace's modes lo..hi-1."""
         return self.trace0_of(lo, *self.block(lo, hi))
-
-    def trace0(self) -> FourierFn:
-        return FourierFn(self.R, self._whole(self.trace0_block))
-
-    def trace1(self) -> FourierFn:
-        return FourierFn(self.R, self._whole(lambda lo, hi: self.trace1_of(lo, *self.block(lo, hi))))
 
 
 def solve_exterior_dirichlet(g, source: RadialSource | None, R: float | None = None,

@@ -37,8 +37,8 @@ geometric, the tree forcing is one polynomial per generation, and the
 leaf data is g, constant per cell.  The lifts, the harmonic part and the
 leaf fluxes then cost O(p^N * depth) whatever the source depth; a cell's
 flux is its row's flux times the p^(depth - N) leaf edges under it.  The
-full tree solution TransmissionSolution.u_tree is expanded from the rows
-on first access only.
+tree solution is kept in these rows (TransmissionSolution.u_rows) and is
+never expanded to the full tree.
 
 Sign conventions: both volume equations are driven as Delta u = f (the
 exterior solver already uses this convention, so no negation occurs
@@ -391,7 +391,8 @@ def assemble_system(cfg: TransmissionConfig) -> InterfaceSystem:
     v_f = None
     if cfg.exterior_source is not None:
         v_f = solve_exterior_dirichlet(None, cfg.exterior_source, R=cfg.R)
-        flux = v_f.trace1()
+        # gamma1 v_f over its few source modes (v_f has no data)
+        flux = circle.FourierFn(v_f.R, v_f.trace1_of(-v_f.M, *v_f.block(-v_f.M, v_f.M + 1)))
         flux_integrals = circle.cell_integrals(decomp, flux, cfg.level)
         # conjugate-symmetric modes integrate to real cell values; the
         # imaginary parts of the fold are rounding only
@@ -657,7 +658,7 @@ class TransmissionSolution:
     alpha0 mass term (the exterior trace carries finitely many modes while
     the assembled mass matrix integrates the cell functions exactly).
     u_rows is the tree solution on the compressed source tree, one row per
-    cell below the solve level; u_tree is its expansion to the full tree.
+    cell below the solve level.
     """
 
     g: PiecewiseConstantFn
@@ -667,15 +668,6 @@ class TransmissionSolution:
     flux_residual: float
     discretization_defect: float
     condition_estimate: float
-
-    @cached_property
-    def u_tree(self) -> TreeFunction:
-        """u_rows on the full source tree, built on first access.
-
-        Raises AssemblyTooLarge, before allocating, when the full tree is
-        beyond the tree budget (tree.check_tree_budget).
-        """
-        return self.u_rows.expanded()
 
 
 @dataclass

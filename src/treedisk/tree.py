@@ -25,8 +25,8 @@ the same on them (forcing constant per generation, leaf data constant per
 cell) are stored and solved in O(p^N * depth).  The merged generations
 N+1..depth, the tail, are geometric, so the tree keeps one length, weight,
 conductance and pivot per tail generation, as (G, p^N) read-only blocks
-of stride 0 over the rows.  `FiniteTree.expanded` gives the full tree
-back, within the tree budget.
+of stride 0 over the rows.  No solve builds the full tree of a compressed
+one.
 """
 
 from __future__ import annotations
@@ -299,21 +299,6 @@ class FiniteTree:
         for arr in c + pivot:
             arr.setflags(write=False)
         return c + list(tail_c), pivot + list(tail_pivot)
-
-    def expanded(self) -> "FiniteTree":
-        """The full tree this one stands for: each row repeated over its edges.
-
-        A full tree is returned as it is; a compressed one is checked
-        against the tree budget (check_tree_budget) before anything is
-        allocated.
-        """
-        if self.rows[self.depth] == self.p**self.depth:
-            return self
-        check_tree_budget(self.params, self.depth, self.depth)
-        reps = [self.multiplicity(n) for n in range(self.depth + 1)]
-        return FiniteTree(self.params,
-                          [np.repeat(arr, m) for arr, m in zip(self.lengths, reps)],
-                          [np.repeat(arr, m) for arr, m in zip(self.weights, reps)])
 
 
 # A tree costs memory linear in its stored rows: 2^19 leaves (a depth-18

@@ -9,12 +9,92 @@ from dataclasses import dataclass
 import numpy as np
 
 from treedisk.calculus import TreeFunction, _parent_rows, _poly_defint, _poly_mul, _same_tree
-from treedisk.tree import _child_sums
+from treedisk.circle import FourierFn, PiecewiseConstantFn, cell_averages
+from treedisk.errors import DepthMismatch
+from treedisk.tree import FiniteTree, _child_sums, check_tree_budget
 
 
 def mode(g, k: int) -> complex:
     """The coefficient of e^{ik theta} in the FourierFn g, 0 beyond its cutoff."""
     return g.coeffs[k + g.M] if abs(k) <= g.M else 0.0j
+
+
+def project_PN(decomp, g, n: int) -> PiecewiseConstantFn:
+    """Orthogonal projection onto V_n: the cell-average function."""
+    if n > decomp.n_max:
+        raise DepthMismatch("level %d exceeds n_max %d" % (n, decomp.n_max))
+    vals = cell_averages(decomp, g, n)
+    if isinstance(g, PiecewiseConstantFn) and np.isrealobj(g.values):
+        vals = np.real(vals)
+    elif isinstance(g, FourierFn) and g.is_real(1e-11):
+        vals = np.real(vals)
+    return PiecewiseConstantFn(decomp, n, vals)
+
+
+def cells_l2_norm(f: PiecewiseConstantFn) -> float:
+    """The L^2 norm of cell values: sqrt(cell measure * sum |v|^2)."""
+    return float(np.sqrt(f.decomp.cell_measure(f.level) * (np.abs(f.values) ** 2).sum()))
+
+
+def whole(field):
+    """(a, b) of an exterior.ExteriorField over all its modes |k| <= M, as two arrays."""
+    return field.block(-field.M, field.M + 1)
+
+
+def trace0(field) -> FourierFn:
+    """The Dirichlet trace of an exterior.ExteriorField over all its modes."""
+    return FourierFn(field.R, field.trace0_of(-field.M, *whole(field)))
+
+
+def trace1(field) -> FourierFn:
+    """The conormal trace of an exterior.ExteriorField over all its modes."""
+    return FourierFn(field.R, field.trace1_of(-field.M, *whole(field)))
+
+
+def expanded_tree(tree: FiniteTree) -> FiniteTree:
+    """The full tree that a compressed one stands for: each row repeated over
+    its edges.  A full tree is returned as it is; a compressed one is checked
+    against the tree budget (check_tree_budget) before anything is allocated.
+    """
+    if tree.rows[tree.depth] == tree.p**tree.depth:
+        return tree
+    check_tree_budget(tree.params, tree.depth, tree.depth)
+    reps = [tree.multiplicity(n) for n in range(tree.depth + 1)]
+    return FiniteTree(tree.params,
+                      [np.repeat(arr, m) for arr, m in zip(tree.lengths, reps)],
+                      [np.repeat(arr, m) for arr, m in zip(tree.weights, reps)])
+
+
+def expanded(f: TreeFunction) -> TreeFunction:
+    """The same function on the full tree (expanded_tree), each row repeated
+    over the edges it stands for; a function on a full tree is returned as it is."""
+    tree = expanded_tree(f.tree)
+    if tree is f.tree:
+        return f
+    return TreeFunction(tree, [np.repeat(c, f.tree.multiplicity(n), axis=0)
+                               for n, c in enumerate(f.coeffs)])
+
+
+def pad(c, q: int):
+    """The coefficient rows c with zero columns appended up to q columns."""
+    if c.shape[1] >= q:
+        return c
+    out = np.zeros((c.shape[0], q), dtype=c.dtype)
+    out[:, : c.shape[1]] = c
+    return out
+
+
+def combined(*terms) -> TreeFunction:
+    """sum_i c_i f_i of the pairs (c_i, f_i), functions on one tree, generation
+    by generation, each padded with zero coefficients to the largest degree."""
+    tree = terms[0][1].tree
+    for _, f in terms:
+        _same_tree(tree, f.tree)
+    coeffs = []
+    for n in range(tree.depth + 1):
+        q = max(f.coeffs[n].shape[1] for _, f in terms)
+        coeffs.append(sum(c * pad(f.coeffs[n], q) for c, f in terms))
+    return TreeFunction(tree, coeffs)
 
 
 def constant_function(tree, value=1.0) -> TreeFunction:

@@ -7,6 +7,7 @@ import pytest
 import scipy.linalg
 
 from oracles import (
+    combined,
     constant_function,
     from_vertex_values,
     kirchhoff_residual,
@@ -155,7 +156,7 @@ def test_harmonic_matches_radial():
     T = build_condensed(REF, 4)
     f, _ = radial_harmonic(REF, N=4, condensed=True)
     u = ca.solve_harmonic_dirichlet(T, np.ones(T.n_leaves))
-    d = u - f
+    d = combined((1, u), (-1, f))
     assert max(float(np.abs(c).max()) for c in d.coeffs) < 1e-13
 
 
@@ -165,7 +166,7 @@ def test_harmonic_energy_orthogonality():
     T = build_condensed(REF, 3)
     f = random_continuous(T, rng, degree=3)
     h = ca.solve_harmonic_dirichlet(T, f.leaf_values(), root_value=f.root_value)
-    f0 = f - h
+    f0 = combined((1, f), (-1, h))
     assert abs(f0.root_value) < 1e-12
     assert np.abs(f0.leaf_values()).max() < 1e-12
     cross = h1_inner(f0, h)
@@ -181,7 +182,7 @@ def test_poisson_solves_laplacian():
     for trial in range(3):
         s = random_polynomial(T, rng, degree=2, complex_=(trial == 2))
         u = ca.solve_poisson_zero_trace(T, s)
-        d = ca.laplacian(u) - s
+        d = combined((1, ca.laplacian(u)), (-1, s))
         assert max(float(np.abs(c).max()) for c in d.coeffs) < 1e-12
         assert kirchhoff_residual(u).relative < 1e-12
         assert continuity_defect(u) < 1e-13
@@ -215,9 +216,9 @@ def test_green_identity_random_pairs():
     T = build_condensed(REF, 3)
     for _ in range(10):
         s = random_polynomial(T, rng, degree=2)
-        u = ca.solve_poisson_zero_trace(T, s) + ca.solve_harmonic_dirichlet(
+        u = combined((1, ca.solve_poisson_zero_trace(T, s)), (1, ca.solve_harmonic_dirichlet(
             T, rng.standard_normal(T.n_leaves), root_value=rng.standard_normal()
-        )
+        )))
         v = ca.solve_poisson_zero_trace(T, random_polynomial(T, rng, degree=1))
         rep = ca.green_identity_check(u, v)
         assert rep.relative < 1e-12

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import expanded, trace0
 from treedisk import cli, transmission
 from treedisk.calculus import TreeFunction
 from treedisk.config import parse_config, parse_text
@@ -578,7 +579,7 @@ def test_transmission_refuses_a_flux_residual_beyond_its_bound(tmp_path, monkeyp
 def test_refusal_after_the_tree_writer_started_leaves_nothing(exists, ref_config, tmp_path,
                                                               monkeypatch, capsys):
     # the tree.csv writer starts before the exterior side is checked; a
-    # refusal then waits for it and leaves no file, no temp file and no new
+    # refusal then kills it and leaves no file, no temp file and no new
     # directory: the temp file lives in the nearest existing directory
     started = []
     in_child = cli._in_child
@@ -601,6 +602,25 @@ def test_refusal_after_the_tree_writer_started_leaves_nothing(exists, ref_config
         assert not list(out.iterdir())
     else:
         assert not out.exists()
+
+
+@needs_fork
+def test_refusal_kills_the_tree_writer(ref_config, tmp_path, monkeypatch, capsys):
+    # a refusal deletes what the tree.csv writer writes, so the writer is
+    # killed, not waited for: one that would take 20 s holds nothing up
+    def tree_chunks(u):
+        time.sleep(20)
+        yield b""
+
+    monkeypatch.setattr(cli, "_tree_chunks", tree_chunks)
+    monkeypatch.setattr(cli, "_FLUX_SLACK", -1.0)
+    started = time.monotonic()
+    assert cli.main(["transmission", "--config", ref_config,
+                     "--out-prefix", str(tmp_path / "t_")]) == 3
+    assert time.monotonic() - started < 5
+    assert capsys.readouterr().err.startswith("numerical failure: flux residual")
+    _assert_no_child_and_no_temp_file(tmp_path)
+    assert sorted(os.listdir(tmp_path)) == ["ref.ini"]
 
 
 def test_transmission_refuses_a_non_finite_g(ref_config, tmp_path, monkeypatch, capsys):
@@ -839,7 +859,7 @@ def test_deep_tree_csv_matches_row_oracle_across_chunks(chunk_rows, tmp_path, mo
         assert tree.multiplicity(tree.depth) * deepest.shape[1] > chunk_rows
     prefix = str(tmp_path / "t_")
     assert cli.main(["transmission", "--config", str(path), "--out-prefix", prefix]) == 0
-    rows = [(n, k, j, gen[k, j]) for n, gen in enumerate(sol.u_tree.coeffs)
+    rows = [(n, k, j, gen[k, j]) for n, gen in enumerate(expanded(sol.u_rows).coeffs)
             for k in range(gen.shape[0]) for j in range(gen.shape[1])]
     expected = _oracle_csv(("n", "k", "coeff_index", "value"), rows)
     assert (tmp_path / "t_tree.csv").read_bytes() == expected
@@ -937,11 +957,11 @@ def test_transmission_csvs_match_row_oracle(text, tmp_path):
     assert cli.main(["transmission", "--config", str(path), "--out-prefix", prefix]) == 0
     sol = solve_transmission(parse_config(str(path)).transmission())
     tree_rows = []
-    for n, gen in enumerate(sol.u_tree.coeffs):
+    for n, gen in enumerate(expanded(sol.u_rows).coeffs):
         for k in range(gen.shape[0]):
             for j in range(gen.shape[1]):
                 tree_rows.append((n, k, j, gen[k, j]))
-    trace = sol.u_ext.trace0()
+    trace = trace0(sol.u_ext)
     expected = {
         "g.csv": _oracle_csv(("level", "cell", "value"),
                              [(sol.g.level, K, v) for K, v in enumerate(sol.g.values)]),

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from oracles import mode
-from treedisk.circle import FourierFn, MultiscaleDecomposition
+from oracles import mode, trace0, trace1, whole
+from treedisk.circle import CellModes, FourierFn, MultiscaleDecomposition, PiecewiseConstantFn, mode_blocks
 from treedisk.errors import CutoffTooSmall, ScaleEqualsRadius
 from treedisk.exterior import (
     MODE_OVERSAMPLING,
@@ -80,11 +80,11 @@ def test_harmonic_extension_and_gamma1():
     u = solve_exterior_dirichlet(g, None)
     assert u.eval_mode(2, 2.0) == pytest.approx(0.25)
     assert u.eval_mode(-1, 4.0) == pytest.approx(0.125)
-    t1 = u.trace1()
+    t1 = trace1(u)
     assert mode(t1, 2) == pytest.approx(-2.0)
     assert mode(t1, -1) == pytest.approx(-0.5)
     # traces reproduce the data
-    t0 = u.trace0()
+    t0 = trace0(u)
     assert mode(t0, 2) == pytest.approx(1.0) and mode(t0, -1) == pytest.approx(0.5)
 
 
@@ -92,7 +92,7 @@ def test_constant_data_is_constant_field():
     g = FourierFn.from_modes(R, {0: 2.5})
     u = solve_exterior_dirichlet(g, None)
     assert u.eval_mode(0, 7.0) == pytest.approx(2.5)
-    assert abs(mode(u.trace1(), 0)) == 0.0
+    assert abs(mode(trace1(u), 0)) == 0.0
 
 
 def _bump_source(k, r_max):
@@ -133,7 +133,7 @@ def test_field_superposition():
     g1 = FourierFn.from_modes(R, {2: 1.0})
     g2 = FourierFn.from_modes(R, {1: 0.5, 0: 1.0})
     u1, u2 = solve_exterior_dirichlet(g1, src), solve_exterior_dirichlet(g2, None)
-    v = solve_exterior_dirichlet(g1 + g2, src)
+    v = solve_exterior_dirichlet(FourierFn.from_modes(R, {2: 1.0, 1: 0.5, 0: 1.0}), src)
     for k in (0, 1, 2):
         assert u1.eval_mode(k, 1.8) + u2.eval_mode(k, 1.8) == pytest.approx(v.eval_mode(k, 1.8), abs=1e-13)
 
@@ -149,7 +149,7 @@ def test_lift_hands_over_the_source_modes(radius):
               FourierFn.from_modes(radius, {3: 1.0, -3: 1.0})):
         u = solve_exterior_dirichlet(g, src, lift=lift)
         fresh = solve_exterior_dirichlet(g, src)
-        assert u.a.tobytes() == fresh.a.tobytes() and u.b.tobytes() == fresh.b.tobytes()
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(whole(u), whole(fresh)))
     other = RadialSource(R=radius, r_max=2.0 * radius, terms=[(1, {0: 1.0})])
     with pytest.raises(ValueError):
         solve_exterior_dirichlet(g, other, lift=lift)
@@ -211,14 +211,39 @@ def test_array_field_matches_per_mode_oracle(radius):
                                     _oracle_modes(g2, None, radius)),
                         _oracle_modes(None, src, radius))
     t0, t1 = _oracle_traces(modes, radius)
-    trace0 = fields[0].trace0() + fields[1].trace0() + fields[2].trace0()
-    trace1 = fields[0].trace1() + fields[1].trace1() + fields[2].trace1()
-    assert trace0.coeffs.shape == t0.shape == (19,)
-    assert np.abs(trace0.coeffs - t0).max() <= 1e-14 * np.abs(t0).max()
-    assert np.abs(trace1.coeffs - t1).max() <= 1e-14 * np.abs(t1).max()
+    M = max(u.M for u in fields)
+    got0 = sum(trace0(u).pad_to(M).coeffs for u in fields)
+    got1 = sum(trace1(u).pad_to(M).coeffs for u in fields)
+    assert got0.shape == t0.shape == (19,)
+    assert np.abs(got0 - t0).max() <= 1e-14 * np.abs(t0).max()
+    assert np.abs(got1 - t1).max() <= 1e-14 * np.abs(t1).max()
     for k in range(-10, 11):
         coeffs = np.sum([u.mode_coeffs(k) for u in fields], axis=0)
         assert np.allclose(coeffs, modes.get(k, (0.0, 0.0)), rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("radius", [1.0, 1.3])
+@pytest.mark.parametrize("with_source", [False, True], ids=["data", "data-and-source"])
+def test_eval_is_the_sum_of_every_mode(radius, with_source):
+    # eval finds its nonzero modes a block at a time; the modes it skips add
+    # exact zeros, so the sum of eval_mode over every |k| <= M, in the order
+    # of k, has its bits.  The field's modes |k| < 16 * 2^8 are two blocks
+    # (the mode 16 * 2^8 is an aliased zero); r stays below R e^(709 / M),
+    # where (r / R)^M is finite
+    rng = np.random.default_rng(7)
+    cells = PiecewiseConstantFn(MultiscaleDecomposition(R=radius, p=2, n_max=8), 8,
+                                rng.standard_normal(256) + 1j * rng.standard_normal(256))
+    src = None
+    if with_source:
+        src = RadialSource(radius, 1.5 * radius, [(k, {0: 0.4 - 0.2j, -1: 1.1}) for k in (-3, 0, 2)])
+    u = solve_exterior_dirichlet(CellModes(cells, 16 * 2**8), src)
+    assert u.M == 16 * 2**8 - 1 and len(list(mode_blocks(u.M, 1))) == 2
+    r = radius * np.array([1.0, 1.05, 1.1, 1.15])
+    theta = np.array([0.0, 0.7, 2.1, 4.0])
+    expected = np.zeros(r.size, dtype=complex)
+    for k in range(-u.M, u.M + 1):
+        expected = expected + np.asarray(u.eval_mode(k, r)) * np.exp(1j * k * theta)
+    assert np.array_equal(u.eval(r, theta), expected)
 
 
 def test_radial_source_validation():

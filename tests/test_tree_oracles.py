@@ -22,7 +22,16 @@ import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import from_vertex_values, kirchhoff_residual, l2_inner, root_distances, total_measure
+from oracles import (
+    expanded,
+    expanded_tree,
+    from_vertex_values,
+    kirchhoff_residual,
+    l2_inner,
+    pad,
+    root_distances,
+    total_measure,
+)
 from treedisk import calculus as ca
 from treedisk import dtn, transmission
 from treedisk.acceptance import _random_admissible_params
@@ -155,7 +164,7 @@ def sparse_poisson(tree, source):
     for n in range(tree.depth + 1):
         a = np.zeros(1, dtype=dtype) if n == 0 else u_int[offsets[n - 1] : offsets[n]][np.arange(p**n) // p]
         b = u_int[offsets[n] : offsets[n + 1]] if n < tree.depth else np.zeros(p**n, dtype=dtype)
-        c = ca._pad(w_parts[n].astype(dtype), max(w_parts[n].shape[1], 2))
+        c = pad(w_parts[n].astype(dtype), max(w_parts[n].shape[1], 2))
         c[:, 0] += a
         c[:, 1] += (b - a - w_end[n]) / tree.lengths[n]
         coeffs.append(c)
@@ -176,7 +185,7 @@ def _rel_fn(got, ref):
     diff = 0.0
     for g, r in zip(got.coeffs, ref.coeffs):
         q = max(g.shape[1], r.shape[1])
-        diff = max(diff, float(np.abs(ca._pad(g, q) - ca._pad(r, q)).max()))
+        diff = max(diff, float(np.abs(pad(g, q) - pad(r, q)).max()))
     return diff / max(scale, 1e-300)
 
 
@@ -465,7 +474,7 @@ def test_compressed_tree_solves_match_the_full_tree_bit_for_bit(name, N, depth, 
     full = build_condensed(params, depth)
     p = params.p
     assert tree.rows == tuple(p ** min(n, N) for n in range(depth + 2))
-    assert tree.expanded().rows == full.rows
+    assert expanded_tree(tree).rows == full.rows
     _assert_bits(_expand_rows(tree, tree.lengths), full.lengths)
     _assert_bits(_expand_rows(tree, root_distances(tree)), root_distances(full))
 
@@ -484,7 +493,7 @@ def test_compressed_tree_solves_match_the_full_tree_bit_for_bit(name, N, depth, 
         root = complex(rng.standard_normal(), rng.standard_normal())
     u = ca.solve_harmonic_dirichlet(tree, g, root)
     u_full = ca.solve_harmonic_dirichlet(full, np.repeat(g, full.n_leaves // g.size), root)
-    _assert_bits(u.expanded().coeffs, u_full.coeffs)
+    _assert_bits(expanded(u).coeffs, u_full.coeffs)
     _assert_bits(_expand_rows(tree, _vertex_values(u)), _vertex_values(u_full))
     _assert_bits([np.repeat(ca.leaf_flux(u), tree.multiplicity(tree.depth))], [ca.leaf_flux(u_full)])
     _assert_bits(_expand_rows(tree, kirchhoff_residual(u).values),
@@ -505,7 +514,7 @@ def test_compressed_tree_solves_match_the_full_tree_bit_for_bit(name, N, depth, 
         source_full = ca.TreeFunction(full, [np.tile(r, (p**n, 1)) for n, r in enumerate(rows)])
         u_f = ca.solve_poisson_zero_trace(tree, source)
         u_f_full = ca.solve_poisson_zero_trace(full, source_full)
-        _assert_bits(u_f.expanded().coeffs, u_f_full.coeffs)
+        _assert_bits(expanded(u_f).coeffs, u_f_full.coeffs)
         _assert_bits([np.repeat(u_f.leaf_values(), tree.multiplicity(tree.depth))],
                      [u_f_full.leaf_values()])
         green = ca.green_identity_check(u_f, v)
@@ -541,11 +550,11 @@ def test_compressed_tree_matches_on_random_admissible_trees(seed):
     g = rng.standard_normal(params.p**N) + 1j * rng.standard_normal(params.p**N)
     u = ca.solve_harmonic_dirichlet(tree, g, 0.0)
     u_full = ca.solve_harmonic_dirichlet(full, np.repeat(g, full.n_leaves // g.size), 0.0)
-    _assert_bits(u.expanded().coeffs, u_full.coeffs)
+    _assert_bits(expanded(u).coeffs, u_full.coeffs)
     rows = rng.standard_normal((depth + 2, 2)) + 1j * rng.standard_normal((depth + 2, 2))
     source = ca.TreeFunction(tree, [np.broadcast_to(r, (k, 2)) for r, k in zip(rows, tree.rows)])
     source_full = ca.TreeFunction(full, [np.tile(r, (params.p**n, 1)) for n, r in enumerate(rows)])
-    _assert_bits(ca.solve_poisson_zero_trace(tree, source).expanded().coeffs,
+    _assert_bits(expanded(ca.solve_poisson_zero_trace(tree, source)).coeffs,
                  ca.solve_poisson_zero_trace(full, source_full).coeffs)
 
 
@@ -554,7 +563,7 @@ def test_compressed_tree_matches_on_random_admissible_trees(seed):
        as_block=st.booleans(), data=st.data())
 def test_tail_blocks_match_the_expanded_tree(seed, per_row, as_block, data):
     # the tail (generations level+1..depth) as one block in the elimination
-    # and both solves, against the same solves on tree.expanded(): p = 2 or
+    # and both solves, against the same solves on the expanded tree: p = 2 or
     # 3, overrides above N1, up to 12 tail generations, and a tail source
     # the same on every row or one per row, given as a block or per generation
     rng = np.random.default_rng(seed)
@@ -563,7 +572,7 @@ def test_tail_blocks_match_the_expanded_tree(seed, per_row, as_block, data):
     level = params.N1 + data.draw(st.integers(0, 1), label="level - N1")
     gens = data.draw(st.integers(1, min(12, 14 - level) if p == 2 else 9 - level), label="tail")
     tree = build_condensed(params, level + gens - 1, level=level)
-    full = tree.expanded()
+    full = expanded_tree(tree)
     assert tree.depth - tree.level == gens and full.level == full.depth
 
     for ours, theirs in zip(tree.elimination, full.elimination):
@@ -586,13 +595,13 @@ def test_tail_blocks_match_the_expanded_tree(seed, per_row, as_block, data):
     assert np.array_equal(source.tail, tail)
     u_f = ca.solve_poisson_zero_trace(tree, source)
     assert u_f.tail.shape == (gens, rows, degree + 3)
-    assert _rel_fn(u_f.expanded(), ca.solve_poisson_zero_trace(full, source.expanded())) <= 1e-13
+    assert _rel_fn(expanded(u_f), ca.solve_poisson_zero_trace(full, expanded(source))) <= 1e-13
 
     g = coeffs(rows)
     root = complex(*rng.standard_normal(2)) if complex_ else float(rng.standard_normal())
     u = ca.solve_harmonic_dirichlet(tree, g, root)
     u_full = ca.solve_harmonic_dirichlet(full, np.repeat(g, tree.multiplicity(tree.depth)), root)
-    assert _rel_fn(u.expanded(), u_full) <= 1e-13
+    assert _rel_fn(expanded(u), u_full) <= 1e-13
 
 
 def test_a_deep_tail_holds_one_value_per_generation():
