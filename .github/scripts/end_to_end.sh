@@ -31,6 +31,24 @@ printf '%s\n' "tree.p = 3" "tree.ell = 0.4" "tree.omega = 0.3" "interface.N = 4"
   > "$tmp/p3_complex.ini"
 no_stderr python -X dev -W error -m treedisk.cli transmission --config "$tmp/p3_complex.ini" --out-prefix "$tmp/p3_complex_"
 
+# `treedisk transmission` with no forcing, an exterior ring alone (no tree
+# source, no c_root): D_N is read off the source tree that assembly builds
+# for the harmonic part alone
+printf '%s\n' "tree.p = 2" "tree.ell = 0.5" "tree.omega = 0.4" "interface.N = 7" \
+  "transmission.alpha1 = 1.2" "transmission.alpha0 = 0.4" \
+  "source.exterior.r_max = 2" "source.exterior.profile.2 = 1, -0.5" "source.exterior.profile.-2 = 1, -0.5" \
+  > "$tmp/unforced.ini"
+no_stderr python -X dev -W error -m treedisk.cli transmission --config "$tmp/unforced.ini" --out-prefix "$tmp/unforced_"
+
+# `treedisk plasmonic` on a p = 3 tree with overrides below N1 = 2: D_N is
+# read off the source tree with a non-geometric top
+printf '%s\n' "tree.p = 3" "tree.ell = 0.5" "tree.omega = 0.3" "tree.N1 = 2" "interface.N = 4" \
+  "tree.length_override.0.0 = 1.1" "tree.weight_override.0.0 = 0.9" \
+  "tree.length_override.1.2 = 0.6" "tree.weight_override.1.0 = 0.35" \
+  "transmission.pencil_count = 6" \
+  > "$tmp/pencil_p3.ini"
+no_stderr python -X dev -W error -m treedisk.cli plasmonic --config "$tmp/pencil_p3.ini" --out "$tmp/pencil_p3.csv"
+
 # `treedisk convergence`: a ring source over levels 3..6 passes the
 # finiteness, monotonicity and rate checks and runs the folds between cells
 # and modes

@@ -297,10 +297,8 @@ class CellModes:
     With W = e^{-i pi j / pn} fft(values) / pn, mode k != 0 of class r = k
     mod pn is W_r sine_r / k (module docstring) and mode 0 is W_0, so one
     fft of the pn values gives every block; base holds W_r sine_r.  The
-    values are those of to_fourier bit for bit.  Up to M = BLOCK_MODES,
-    where exterior._support scans all the modes as one block, they are
-    formed once, here, and kept read-only (whole): a block within them is a
-    view of whole, which a caller that writes copies.
+    values are those of to_fourier bit for bit.  Every block is formed when
+    asked, as a new array that the caller may write into.
     """
 
     def __init__(self, g: PiecewiseConstantFn, M: int):
@@ -310,18 +308,8 @@ class CellModes:
         self.M = M
         self.mean = W[0]
         self.base = W * _sine(np.arange(pn), pn)
-        self.whole = None
-        if M <= BLOCK_MODES:
-            self.whole = self._formed(-M, M + 1)
-            self.whole.setflags(write=False)
 
     def block(self, lo: int, hi: int) -> np.ndarray:
-        """The modes lo..hi-1, zero beyond M; read-only within whole."""
-        if self.whole is not None and -self.M <= lo and hi <= self.M + 1:
-            return self.whole[lo + self.M : hi + self.M]
-        return self._formed(lo, hi)
-
-    def _formed(self, lo: int, hi: int) -> np.ndarray:
         """The modes lo..hi-1, zero beyond M, as a new array."""
         a, b = max(lo, -self.M), min(hi, self.M + 1)
         if a >= b:

@@ -24,12 +24,14 @@ Condensing the tree (stretching the generation-(N+1) leaf edges by
 truncating instead leaves a geometrically decaying defect.
 
 The interface solver tests D against level-N cells.  On a level-N
-indicator the p leaf edges below X_{N,k} carry one value, so they merge
-into one edge of summed conductance; tree_dtn_operator eliminates the
-condensed tree compressed at level N (one leaf row per cell) and keeps
-that level-N elimination as a TreeDtN, which applies D by one upward and
-one downward sweep in O(p^N), gives T. Chan's optimal circulant of D from
-the per-generation autocorrelations of beta, and gathers the dense
+indicator every leaf below X_{N,k} carries one value, so the subtree below
+X_{N,k} acts as one edge of the conductance it hands up when eliminated,
+which the elimination of a condensed tree compressed at level N already
+adds into pivot[N].  Condensation is exact, so tree_dtn_operator reads D_N
+off such a tree at any depth (the solver's source tree), builds none, and
+keeps the level-N elimination as a TreeDtN, which applies D by one upward
+and one downward sweep in O(p^N), gives T. Chan's optimal circulant of D
+from the per-generation autocorrelations of beta, and gathers the dense
 p^N x p^N matrix only when asked (TreeDtN.matrix).  The top of the sweep,
 from the largest level k with p^k <= _TOP_CELLS up to the root and back,
 is one Green block G (the loads collected at level k to the vertex values
@@ -49,8 +51,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import AssemblyTooLarge, InsufficientDepths
-from .tree import TreeParams, _child_sums, build_condensed, build_truncated
+from .errors import AssemblyTooLarge, DepthMismatch, InsufficientDepths
+from .tree import FiniteTree, TreeParams, _child_sums, build_condensed, build_truncated
 
 # Dense operators cost memory quadratic in the cell count: a p = 2, N = 12
 # solve (4096 cells) peaked at 2,251 MiB on a 7 GB host, and 8192 cells
@@ -124,11 +126,12 @@ class TreeDtN:
     """D_N of the condensed tree, held as its level-N elimination.
 
     c and pivot are those of tree.FiniteTree.elimination cut at generation N,
-    with c[-1] the merged leaf conductances, one per level-N cell (the
-    arguments of _schur_boundary).  apply and chan_eigs cost O(p^N) and
-    O(N p^N log p^N); matrix gathers the dense p^N x p^N matrix within the
-    dense budget.  apply builds the Green block of the top levels on first
-    use (_green), so neither matrix nor chan_eigs pays for it.
+    with c[-1] the merged conductance of the subtree below each level-N
+    vertex, one per cell (the arguments of _schur_boundary).  apply and
+    chan_eigs cost O(p^N) and O(N p^N log p^N); matrix gathers the dense
+    p^N x p^N matrix within the dense budget.  apply builds the Green block
+    of the top levels on first use (_green), so neither matrix nor
+    chan_eigs pays for it.
     """
 
     p: int
@@ -221,18 +224,22 @@ class TreeDtN:
         return np.fft.fft(sums).real / size
 
 
-def tree_dtn_operator(params: TreeParams, N: int) -> TreeDtN:
-    """D_N of the condensed tree tested against level-N cells, as a TreeDtN.
+def tree_dtn_operator(tree: FiniteTree) -> TreeDtN:
+    """D_N on level-N cells of a condensed tree compressed at its level N.
 
-    A level-N indicator sets the p stretched leaf edges below X_{N,k} to
-    one value, so they act as a single edge with their summed conductance.
-    The condensed tree is built compressed at level N, so its leaf
-    generation is already one row per cell, standing for those p edges, and
-    the merged conductance is the p-fold child sum of that row.
+    The tail below X_{N,k} acts as one edge whose conductance is the p-fold
+    child sum of the share it hands up (tree.tail_elimination), the term
+    tree.elimination adds into pivot[N].  c and pivot are the arrays of
+    tree.elimination up to generation N, shared, not copied.  A tree
+    without a tail raises DepthMismatch.
     """
-    c, pivot = build_condensed(params, N, level=N).elimination
-    merged = _child_sums(c[N + 1], params.p, merged=True)
-    return TreeDtN(p=params.p, c=c[: N + 1] + [merged], pivot=pivot)
+    if tree.depth == tree.level:
+        raise DepthMismatch("D_N is read off a tree compressed below its level; this tree "
+                            "of depth %d has no tail" % tree.depth)
+    N = tree.level
+    c, pivot = tree.elimination
+    merged = _child_sums(tree.tail_elimination[2], tree.p, merged=True)
+    return TreeDtN(p=tree.p, c=c[: N + 1] + [merged], pivot=pivot[: N + 1])
 
 
 def truncated_dtn(params: TreeParams, depth: int) -> np.ndarray:

@@ -311,13 +311,13 @@ class ExteriorField:
         """(a, b) over the modes lo..hi-1, zero beyond M.
 
         data, the data's modes lo..hi-1 when the caller has formed them
-        already, is written into and returned as a; a read-only block of
-        the data's (circle.CellModes) is copied.
+        already, is written into and returned as a; otherwise the data
+        forms a new block (circle.CellModes, FourierFn.block), and a is that.
         """
         if self.data is None:
             a = np.zeros(hi - lo, dtype=complex)
         else:
-            a = np.require(self.data.block(lo, hi) if data is None else data, complex, "W")
+            a = np.asarray(self.data.block(lo, hi) if data is None else data, dtype=complex)
             a[: max(-self.M - lo, 0)] = 0
             a[max(self.M + 1 - lo, 0) :] = 0
         b = np.zeros_like(a)
@@ -328,23 +328,25 @@ class ExteriorField:
                 b[k - lo] = b_k
         return a, b
 
-    def mode_coeffs(self, k: int):
-        k = int(k)
-        if abs(k) > self.M:
-            return (0.0, 0.0)
-        a, b = self.block(k, k + 1)
-        return (complex(a[0]), complex(b[0]))
-
     def eval_mode(self, k: int, r):
+        """Mode k of the field at the radii r >= R.
+
+        The growing part b_k (r/R)^|k| is formed only where b_k != 0: the
+        power overflows far from R at a large |k|, and 0 * inf is NaN.
+        """
         r = np.atleast_1d(np.asarray(r, dtype=float))
         if np.any(r < self.R):
             raise ValueError("exterior field evaluated inside the disk")
-        a_c, b_c = self.mode_coeffs(k)
-        ak = abs(int(k))
+        k = int(k)
+        a, b = self.block(k, k + 1)
+        a_c, b_c = complex(a[0]), complex(b[0])
+        ak = abs(k)
         if ak == 0:
             out = a_c + b_c * np.log(r) + 0j
         else:
-            out = a_c * (self.R / r)**ak + b_c * (r / self.R)**ak + 0j
+            out = a_c * (self.R / r)**ak + 0j
+            if b_c != 0:
+                out += b_c * (r / self.R)**ak
         if self.source is not None and k in self.source.modes():
             for i, ri in enumerate(r):
                 if ri <= self.source.R:

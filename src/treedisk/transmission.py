@@ -3,9 +3,9 @@
 The interface equation is M g = -h with M = -C + alpha1 D + alpha0, where C
 is the exterior DtN map, D the tree DtN map, and alpha0 acts by
 multiplication.  Discretization is Galerkin on the piecewise-constant cells
-V_N for both operators: D comes from the condensed finite tree (exact on
-V_N; dtn.tree_dtn_operator), C from the Fourier symbol at cutoff 16 p^N.  The
-right-hand side h = -gamma1 v_f + alpha1 gamma1(c u1 + u_f) collects the
+V_N for both operators: D comes from the condensed source tree (exact on
+V_N; dtn.tree_dtn_operator), C from the Fourier symbol at cutoff 16 p^N.
+The right-hand side h = -gamma1 v_f + alpha1 gamma1(c u1 + u_f) collects the
 source lifts: v_f solves the exterior problem with zero trace, u_f a tree
 Poisson problem with zero trace, and u1 is a root bump carrying the root
 value c without contributing any leaf flux.
@@ -30,15 +30,16 @@ float64.  C (a read-only circulant view), D and M are properties of
 InterfaceSystem, for the pencil and for tests; the pencil reduces to one
 symmetric eigvalsh, so no module here needs scipy.
 
-The source side runs on the condensed source tree compressed at level N
-(tree.build_condensed with level=N): every generation below N stores one
-row per cell, which is exact because the subtrees below N >= N1 are
-geometric, the tree forcing is one polynomial per generation, and the
-leaf data is g, constant per cell.  The lifts, the harmonic part and the
-leaf fluxes then cost O(p^N * depth) whatever the source depth; a cell's
-flux is its row's flux times the p^(depth - N) leaf edges under it.  The
-tree solution is kept in these rows (TransmissionSolution.u_rows) and is
-never expanded to the full tree.
+The tree side runs on one tree per solve, the condensed source tree
+compressed at level N (tree.build_condensed with level=N), built and
+eliminated once at assembly: every generation below N stores one row per
+cell, which is exact because the subtrees below N >= N1 are geometric, the
+tree forcing is one polynomial per generation, and the leaf data is g,
+constant per cell.  D_N, the lifts, the harmonic part and the leaf fluxes
+all read its elimination, and cost O(p^N * depth) whatever the source
+depth; a cell's flux is its row's flux times the p^(depth - N) leaf edges
+under it.  The tree solution is kept in these rows
+(TransmissionSolution.u_rows) and is never expanded to the full tree.
 
 Sign conventions: both volume equations are driven as Delta u = f (the
 exterior solver already uses this convention, so no negation occurs
@@ -202,13 +203,8 @@ class TransmissionConfig:
         return {"case_i": bool(case_i), "case_ii": bool(case_ii)}
 
 
-def _source_tree(cfg: TransmissionConfig) -> FiniteTree:
-    """The condensed tree at source_depth, compressed below the solve level."""
-    return build_condensed(cfg.params, cfg.source_depth, level=cfg.level)
-
-
-def _tree_forcing(cfg: TransmissionConfig, tree: FiniteTree) -> TreeFunction | None:
-    """f_T - c * Lap(u1) on the compressed source tree, or None when both vanish.
+def _tree_forcing(cfg: TransmissionConfig, tree: FiniteTree) -> TreeFunction:
+    """f_T - c * Lap(u1) on the compressed source tree.
 
     Generation n of f_T is row n of cfg.tree_source on every row of the
     tree, a read-only zero-stride view (zero without a tree source), and
@@ -219,8 +215,6 @@ def _tree_forcing(cfg: TransmissionConfig, tree: FiniteTree) -> TreeFunction | N
     """
     f = cfg.tree_source
     if f is None:
-        if cfg.c_root == 0:
-            return None
         f = np.zeros((tree.depth + 1, 1))
     level, q = tree.level, f.shape[1]
     coeffs = [np.broadcast_to(f[n], (tree.rows[n], q)) for n in range(level + 1)]
@@ -278,17 +272,17 @@ class InterfaceSystem:
     config.alpha1, typed by the config.  mass is the diagonal of the alpha0
     mass matrix: alpha0 times the cell measure, per cell.  mass and h are
     float64 when the data are real, and M is then real symmetric.
-    The system also keeps the source lifts of h for the reconstruction:
-    the Poisson lift u_f on the source tree (compressed at the solve level;
-    u_f.tree keeps its elimination), its per-cell leaf flux flux_f, and the
+    The system also keeps what the reconstruction reads: tree, the source
+    tree compressed at the solve level, whose elimination dtn shares; the
+    Poisson lift u_f on it and its per-cell leaf flux flux_f; and the
     exterior lift v_f, whose source-mode coefficients b_k the exterior
     solve with trace g reuses.  Without tree forcing u_f is None and flux_f
-    is zero, and `reconstruct_tree` then builds the source tree; without an
-    exterior source v_f is None.
+    is zero; without an exterior source v_f is None.
     """
 
     decomp: MultiscaleDecomposition
     c_row: np.ndarray
+    tree: FiniteTree
     dtn: TreeDtN
     mass: np.ndarray
     h: np.ndarray
@@ -363,13 +357,15 @@ class InterfaceSystem:
 
 
 def assemble_system(cfg: TransmissionConfig) -> InterfaceSystem:
-    """Build the C_N row, the D_N elimination, the alpha0 mass and the cell integrals of h.
+    """Build the C_N row, the source tree, the alpha0 mass and the cell integrals of h.
 
     h_N[K] = int_{Gamma_K} (-gamma1 v_f + alpha1 gamma1(c u1 + u_f)) ds; the
     root bump contributes no flux, so its only effect is the -c Lap(u1)
-    forcing inside u_f.  The source tree is built only when forced
-    (tree_source or c_root), and v_f only enters h.  h is formed in the
-    dtype of its terms: the cell integrals of gamma1 v_f are real when its
+    forcing inside u_f.  The source tree is built and eliminated once,
+    forced or not: D_N is read off its elimination, u_f is solved on it
+    when forced (tree_source or c_root), and reconstruct_tree solves the
+    harmonic part on it.  v_f only enters h.  h is formed in the dtype of
+    its terms: the cell integrals of gamma1 v_f are real when its
     modes are conjugate-symmetric bit for bit, and the other terms are real
     when alpha1, c_root and tree_source have no imaginary part.  The tree
     budget, the length of alpha0 and the shape of tree_source were checked
@@ -381,7 +377,8 @@ def assemble_system(cfg: TransmissionConfig) -> InterfaceSystem:
     p = cfg.params.p
     pn = p**cfg.level
     symbol = DtnSymbol(cfg.R, MODE_OVERSAMPLING * pn)
-    dtn = tree_dtn_operator(cfg.params, cfg.level)
+    tree = build_condensed(cfg.params, cfg.source_depth, level=cfg.level)
+    dtn = tree_dtn_operator(tree)
     n_max = max(cfg.level, cfg.source_depth + 1) + 1
     decomp = MultiscaleDecomposition(R=cfg.R, p=p, n_max=n_max)
     c_row = galerkin_row(decomp, cfg.level, symbol)
@@ -400,12 +397,11 @@ def assemble_system(cfg: TransmissionConfig) -> InterfaceSystem:
     u_f = None
     flux_f = np.zeros(pn)
     if cfg.tree_source is not None or cfg.c_root != 0:
-        tree = _source_tree(cfg)
         u_f = solve_poisson_zero_trace(tree, _tree_forcing(cfg, tree))
         flux_f = _cell_flux(u_f)
         h = h + cfg.alpha1 * flux_f
-    return InterfaceSystem(decomp=decomp, c_row=c_row, dtn=dtn, mass=mass, h=h, config=cfg,
-                           u_f=u_f, flux_f=flux_f, v_f=v_f)
+    return InterfaceSystem(decomp=decomp, c_row=c_row, tree=tree, dtn=dtn, mass=mass, h=h,
+                           config=cfg, u_f=u_f, flux_f=flux_f, v_f=v_f)
 
 
 class _Unconverged(Exception):
@@ -687,15 +683,13 @@ def reconstruct_tree(system: InterfaceSystem, g: PiecewiseConstantFn) -> TreeSol
     """The first step of the reconstruction: u_T = u + c u1 + u_f from the trace g.
 
     u is harmonic on the source tree with leaf values g and root value 0.
-    The config and u_f come from `system`, the solved system, and the
-    source tree from u_f when there is one, so the tree is built and
-    eliminated once per solve.  This step needs no exterior mode; the CLI
+    The config, u_f and the source tree come from `system`, the solved
+    system, so the harmonic solve reuses the elimination that assembly
+    made for D_N and u_f.  This step needs no exterior mode; the CLI
     starts writing tree.csv from it while `reconstruct`, the second step,
     runs.
     """
-    cfg = system.config
-    u_f = system.u_f
-    tree = _source_tree(cfg) if u_f is None else u_f.tree
+    cfg, u_f, tree = system.config, system.u_f, system.tree
     # the leaf rows of the compressed tree are the cells, so g itself is
     # the leaf data
     u = solve_harmonic_dirichlet(tree, g.values, root_value=0.0)

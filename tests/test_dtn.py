@@ -12,9 +12,9 @@ from treedisk.dtn import (
     tree_dtn_operator,
     truncated_dtn,
 )
-from treedisk.errors import AssemblyTooLarge, InsufficientDepths
+from treedisk.errors import AssemblyTooLarge, DepthMismatch, InsufficientDepths
 from treedisk.exterior import MODE_OVERSAMPLING, dtn_galerkin, dtn_symbol
-from treedisk.tree import TreeParams
+from treedisk.tree import TreeParams, build_condensed, build_truncated
 
 REF = TreeParams(p=2, ell=0.5, omega=0.4, L0=1.0, omega0=1.0)
 UNIT_INTERVAL = TreeParams(p=1, ell=0.5, omega=1.0, L0=1.0, omega0=1.0)
@@ -143,8 +143,14 @@ def test_dense_assembly_guard():
     with pytest.raises(AssemblyTooLarge):
         truncated_dtn(REF, 13)
     with pytest.raises(AssemblyTooLarge):
-        tree_dtn_operator(REF, 13).matrix
+        tree_dtn_operator(build_condensed(REF, 13, level=13)).matrix
     decomp = MultiscaleDecomposition(R=1.0, p=2, n_max=13)
     with pytest.raises(AssemblyTooLarge):
         dtn_galerkin(decomp, 13, dtn_symbol(1.0, MODE_OVERSAMPLING * 2**13))
 
+
+def test_tree_dtn_operator_needs_a_tail():
+    # a full tree has no subtree below its leaves to merge into one edge
+    for tree in (build_condensed(REF, 3), build_truncated(REF, 3)):
+        with pytest.raises(DepthMismatch, match="no tail"):
+            tree_dtn_operator(tree)

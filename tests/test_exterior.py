@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -218,7 +219,7 @@ def test_array_field_matches_per_mode_oracle(radius):
     assert np.abs(got0 - t0).max() <= 1e-14 * np.abs(t0).max()
     assert np.abs(got1 - t1).max() <= 1e-14 * np.abs(t1).max()
     for k in range(-10, 11):
-        coeffs = np.sum([u.mode_coeffs(k) for u in fields], axis=0)
+        coeffs = np.sum([np.concatenate(u.block(k, k + 1)) for u in fields], axis=0)
         assert np.allclose(coeffs, modes.get(k, (0.0, 0.0)), rtol=1e-14, atol=0.0)
 
 
@@ -244,6 +245,25 @@ def test_eval_is_the_sum_of_every_mode(radius, with_source):
     for k in range(-u.M, u.M + 1):
         expected = expected + np.asarray(u.eval_mode(k, r)) * np.exp(1j * k * theta)
     assert np.array_equal(u.eval(r, theta), expected)
+
+
+def test_eval_is_finite_where_the_growing_power_overflows():
+    # (r / R)^|k| overflows at r = 2 R for |k| > 1024, and the field's modes
+    # run to |k| = 4095; a mode without a growing part (b_k = 0) must not
+    # form it, or 0 * inf turns eval into NaN with a RuntimeWarning
+    rng = np.random.default_rng(7)
+    cells = PiecewiseConstantFn(MultiscaleDecomposition(R=1.0, p=2, n_max=8), 8,
+                                rng.standard_normal(256))
+    src = RadialSource(1.0, 1.5, [(k, {0: 1.0}) for k in (-1, 1)])
+    u = solve_exterior_dirichlet(CellModes(cells, 16 * 2**8), src)
+    r = np.array([1.0, 1.02, 1.1, 2.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = u.eval(r, 0.3)
+    assert np.isfinite(values).all()
+    # at r = 2 the modes |k| > 64 add less than 2^-64 of the data's size
+    low = sum(u.eval_mode(k, 2.0) * np.exp(0.3j * k) for k in range(-64, 65))
+    assert values[-1] == pytest.approx(low, rel=1e-14, abs=1e-14)
 
 
 def test_radial_source_validation():

@@ -33,7 +33,7 @@ P = TreeParams(p=2, ell=0.5, omega=0.4)
 """
 
 LIBRARY_CASES = {
-    "tree_dtn": "tree_dtn_operator(P, 13).matrix",
+    "tree_dtn": "tree_dtn_operator(build_condensed(P, 13, level=13)).matrix",
     "condensed_dtn": "condensed_dtn(P, 30)",
     "truncated_dtn": "truncated_dtn(P, 30)",
     "assemble_system": "assemble_system(TransmissionConfig(params=P, level=40, alpha1=1.0))",
@@ -48,8 +48,8 @@ LIBRARY_CASES = {
     # 902 generations of one row fit every budget, but omega^901 underflows
     # below the normal floats and the elimination would divide 0 by 0
     "deep_edge_weight": "build_condensed(P, 900, level=0)",
-    # an unforced source tree is built only after the interface solve, so
-    # assembly checks it without building it
+    # an unforced solve builds its source tree at assembly too, so the
+    # config refuses it before anything is built
     "unforced_deep_source": "assemble_system(TransmissionConfig(params=P, level=0, alpha1=1.0, "
                             "source_depth=900))",
     "dtn_symbol": "dtn_symbol(1.0, 10**11)",

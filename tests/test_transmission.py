@@ -567,20 +567,22 @@ def _leaves_stretched(tree):
 
 @pytest.mark.parametrize("tree_source", [False, True])
 def test_no_full_source_tree_per_solve(monkeypatch, tree_source):
-    # the source tree of depth source_depth + 1 is built and eliminated
-    # once, compressed to one row per cell below the level; the Poisson
-    # lift and the harmonic solve of reconstruct share its elimination
+    # the source tree of depth source_depth + 1 is the one tree of a solve:
+    # built and eliminated once, compressed to one row per cell below the
+    # level; D_N, the Poisson lift and the harmonic solve of reconstruct
+    # share its elimination
     cfg = TransmissionConfig(params=REF, level=3, alpha1=1.0, alpha0=0.3, c_root=0.5,
                              exterior_source=_ext_source(2))
     if tree_source:
         cfg = dataclasses.replace(cfg, tree_source=np.full((cfg.source_depth + 2, 1), 0.7))
     trees = _record_trees(monkeypatch)
-    solve_transmission(cfg)
-    deep = [t for t in trees if t[1] == cfg.source_depth + 1]
-    assert deep == [("built", cfg.source_depth + 1, 2**3), ("eliminated", cfg.source_depth + 1, 2**3)]
-    # D_N is eliminated on the condensed tree compressed at level N, so no
-    # tree of the solve stores more than p^N rows in a generation
-    assert max(rows for _, _, rows in trees) == 2**3
+    sy = assemble_system(cfg)
+    _reconstruct(sy, solve_interface(sy))
+    depth = cfg.source_depth + 1
+    assert trees == [("built", depth, 2**3), ("eliminated", depth, 2**3)]
+    assert sy.u_f.tree is sy.tree
+    pivot = sy.tree.elimination[1]
+    assert all(sy.dtn.pivot[n] is pivot[n] for n in range(cfg.level + 1))
 
 
 def test_each_solve_builds_one_compressed_source_tree(monkeypatch):
@@ -624,31 +626,22 @@ def test_manufactured_study_solves_no_source_lift(monkeypatch):
     assert st.err_l2 == expected.err_l2
 
 
-def _source_depth_builds(monkeypatch, cfg):
-    builds = []
-    original = transmission.build_condensed
-
-    def counted(params, N, **kwargs):
-        if N == cfg.source_depth:
-            builds.append(N)
-        return original(params, N, **kwargs)
-
-    monkeypatch.setattr(transmission, "build_condensed", counted)
-    return builds
-
-
-def test_source_tree_is_built_only_when_read(monkeypatch):
-    # no tree forcing: assembly reads only C and D, reconstruct needs the tree
+def test_unforced_solve_builds_one_tree_at_assembly(monkeypatch):
+    # no tree forcing: assembly builds and eliminates the source tree for
+    # D_N alone, and the harmonic solve of reconstruct reuses it
     cfg = TransmissionConfig(params=REF, level=3, alpha1=1.0, alpha0=0.3,
                              exterior_source=_ext_source(2))
-    builds = _source_depth_builds(monkeypatch, cfg)
+    trees = _record_trees(monkeypatch)
     sy = assemble_system(cfg)
-    assert builds == []
+    depth = cfg.source_depth + 1
+    one_tree = [("built", depth, 2**3), ("eliminated", depth, 2**3)]
+    assert trees == one_tree
     assert sy.u_f is None and not sy.flux_f.any()
     sol = _reconstruct(sy, solve_interface(sy))
-    assert len(builds) == 1
+    assert trees == one_tree
+    assert sol.u_rows.tree is sy.tree
     full = expanded_tree(sol.u_rows.tree)
-    assert full.depth == cfg.source_depth + 1 and _leaves_stretched(full)
+    assert full.depth == depth and _leaves_stretched(full)
     assert sol.trace_defect <= 1e-10
     assert sol.flux_residual <= sol.discretization_defect + 1e-10
 
@@ -689,12 +682,9 @@ def test_tree_forcing_matches_full_tree_formula(with_source):
     expected = combined((1, f), (-complex(cfg.c_root), lap_u1))
     _assert_same_function(expanded(transmission._tree_forcing(cfg, tree)), expected)
     # without c_root the generations are views of the tree source's rows
-    cfg = dataclasses.replace(cfg, c_root=0.0)
-    forcing = transmission._tree_forcing(cfg, tree)
     if with_source:
+        forcing = transmission._tree_forcing(dataclasses.replace(cfg, c_root=0.0), tree)
         assert all(np.shares_memory(c, cfg.tree_source) for c in forcing.coeffs)
-    else:
-        assert forcing is None
 
 
 def test_reconstruct_adds_the_root_bump_on_the_root_edge():

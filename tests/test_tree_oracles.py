@@ -6,8 +6,9 @@ interior block with splu: the construction the elimination kernel replaced,
 kept here as the oracle only.  sparse_poisson also keeps the particular
 parts of the old Poisson solve, double antiderivative arrays built with
 _poly_antider, where the kernel evaluates them in closed form.  The
-level-N builder tree_dtn_operator is checked, through its dense matrix,
-against the level-(N+1) condensed matrix summed down with compress, and
+level-N builder tree_dtn_operator is checked, through its dense matrix on
+source trees of depth N+1 .. N+13, against the level-(N+1) condensed
+matrix and the sparse Schur complement summed down with compress, and
 its matrix-free form (the sweep D x and T. Chan's circulant eigenvalues)
 against that dense matrix.  The same kernels on a source tree compressed
 below level N are checked bit for bit against the full tree.
@@ -249,11 +250,24 @@ def _level_cases():
     return cases
 
 
+# D_N is read off source trees 1 .. _SOURCE_EXTRA generations deeper than
+# the level-N tree of depth N + 1
+_SOURCE_EXTRA = 12
+
+
 def _check_level_builder(params, N):
-    D = tree_dtn_operator(params, N).matrix
     ref = compress(condensed_dtn(params, N), params.p, N)
-    assert D.shape == (params.p**N, params.p**N)
-    assert _rel(D, ref) <= 1e-12
+    oracle = compress(sparse_schur(build_condensed(params, N)), params.p, N)
+    for depth in range(N, N + _SOURCE_EXTRA + 1):
+        tree = build_condensed(params, depth, level=N)
+        op = tree_dtn_operator(tree)
+        D = op.matrix
+        assert D.shape == (params.p**N, params.p**N)
+        assert _rel(D, ref) <= 1e-12
+        assert _rel(D, oracle) <= 1e-12
+        # the operator holds the tree's elimination arrays, not copies
+        assert all(op.pivot[n] is tree.elimination[1][n] for n in range(N + 1))
+        assert all(op.c[n] is tree.elimination[0][n] for n in range(N + 1))
 
 
 @pytest.mark.parametrize("name,N", _level_cases())
@@ -280,7 +294,7 @@ def _chan_oracle(D):
 
 
 def _check_operator(params, N, rng):
-    op = tree_dtn_operator(params, N)
+    op = tree_dtn_operator(build_condensed(params, N, level=N))
     D = op.matrix
     assert (op.p, op.size) == (params.p, params.p**N)
     x = rng.standard_normal(op.size) + 1j * rng.standard_normal(op.size)
@@ -299,7 +313,7 @@ def test_operator_matches_dense_below_its_green_block():
     # at N = 4 (256 cells) the 64-cell block leaves one generation to sweep
     params = TreeParams(p=4, ell=0.5, omega=0.3)
     _check_operator(params, 4, np.random.default_rng(4))
-    k, green = tree_dtn_operator(params, 4)._green
+    k, green = tree_dtn_operator(build_condensed(params, 4, level=4))._green
     assert k == 3
     assert green.shape[0] == green.shape[1] <= dtn._TOP_CELLS
 
@@ -536,7 +550,8 @@ def test_harmonic_cell_flux_is_exact_deep_below_the_level(name, extra):
     rng = np.random.default_rng(extra)
     g = rng.standard_normal(params.p**N) + 1j * rng.standard_normal(params.p**N)
     u = ca.solve_harmonic_dirichlet(build_condensed(params, N + extra, level=N), g, 0.0)
-    assert _rel(transmission._cell_flux(u), tree_dtn_operator(params, N).apply(g)) <= 1e-13
+    op = tree_dtn_operator(build_condensed(params, N, level=N))
+    assert _rel(transmission._cell_flux(u), op.apply(g)) <= 1e-13
 
 
 @settings(max_examples=25, deadline=None)
