@@ -38,7 +38,7 @@ def main():
         rep = circle.ar_norm_report(decomp, g, r)
         print("  A^%.5f norm %.6f (%d levels, tail^2 estimate %.1e)"
               % (r, rep.value, rep.levels_used, rep.tail_sq_estimate))
-    print("  H^0.5 Fourier norm %.6f" % circle.sobolev_norm_fourier(g, 0.5))
+    print("  H^0.5 Fourier norm %.6f" % circle.sobolev_norms(g, 0.5)[0])
 
     print("\nprojector error bound ||P_N g - g||_{A^sigma} <= C 2^(-N(sigma'-sigma)) ||g||_{A^sigma'}")
     for n in range(2, 9):

@@ -33,14 +33,15 @@ at least BLOCK_MODES modes per block), with 1/k formed per block.  A fold
 rows in order, each to the running sum, as one sum over every row would,
 so its bits do not depend on the blocks.  The modes come from functions
 block(lo, hi) of the centred values of the modes lo..hi-1: FourierFn,
-exterior.ExteriorSymbol and CellModes (the modes of cell values at a
-cutoff, formed per block from one fft) give them, so no fold, and no
-transform from cells to modes but to_fourier, which returns one array,
-holds an array over all 2M + 1 modes.
+exterior.ExteriorSymbol, CellModes (the modes of cell values at a
+cutoff, formed per block from one fft) and ModeDifference give them, so
+no fold, norm or transform from cells to modes holds an array over all
+2M + 1 modes.
 
-The norms take modes (a FourierFn) and never materialize fine levels:
-||P_n g||^2 = 2 pi R sum_r |S_r|^2 with S the fold of g, so the
-multiscale A^r norms cost O(M) per level.
+The norms take modes and never materialize fine levels: the Fourier H^s
+norms (sobolev_norms) sum over one block at a time, and ||P_n g||^2 =
+2 pi R sum_r |S_r|^2 with S the fold of g, so the multiscale A^r norms
+cost O(M) per level.
 """
 
 from __future__ import annotations
@@ -87,14 +88,6 @@ class PiecewiseConstantFn:
         self.level = level
         self.values = values
 
-    def to_fourier(self, M: int) -> "FourierFn":
-        """The modes |k| <= M of this function, as one array (CellModes forms them per block)."""
-        modes = CellModes(self, M)
-        coeffs = np.empty(2 * M + 1, dtype=complex)
-        for lo, hi in mode_blocks(M, 1):
-            coeffs[lo + M : hi + M] = modes.block(lo, hi)
-        return FourierFn(self.decomp.R, coeffs)
-
 
 class FourierFn:
     """Finite Fourier series on the circle, g(theta) = sum_k c_k e^{i k theta}."""
@@ -109,9 +102,6 @@ class FourierFn:
     @property
     def M(self) -> int:
         return (self.coeffs.size - 1) // 2
-
-    def ks(self) -> np.ndarray:
-        return np.arange(-self.M, self.M + 1)
 
     def block(self, lo: int, hi: int) -> np.ndarray:
         """The coefficients of the modes lo..hi-1, zero beyond M."""
@@ -130,24 +120,6 @@ class FourierFn:
         flipped = np.conj(self.coeffs[::-1])
         scale = max(float(np.abs(self.coeffs).max()), 1e-300)
         return float(np.abs(self.coeffs - flipped).max()) <= tol * scale
-
-    def l2_norm(self) -> float:
-        return math.sqrt(2 * math.pi * self.R * float((np.abs(self.coeffs) ** 2).sum()))
-
-    def pad_to(self, M: int) -> "FourierFn":
-        if M < self.M:
-            raise ValueError("cannot truncate with pad_to")
-        out = np.zeros(2 * M + 1, dtype=complex)
-        out[M - self.M : M + self.M + 1] = self.coeffs
-        return FourierFn(self.R, out)
-
-    def _align(self, other):
-        M = max(self.M, other.M)
-        return self.pad_to(M), other.pad_to(M)
-
-    def __sub__(self, other):
-        a, b = self._align(other)
-        return FourierFn(a.R, a.coeffs - b.coeffs)
 
 
 # The least number of modes in a block of mode_blocks: a block's numpy calls
@@ -296,9 +268,9 @@ class CellModes:
 
     With W = e^{-i pi j / pn} fft(values) / pn, mode k != 0 of class r = k
     mod pn is W_r sine_r / k (module docstring) and mode 0 is W_0, so one
-    fft of the pn values gives every block; base holds W_r sine_r.  The
-    values are those of to_fourier bit for bit.  Every block is formed when
-    asked, as a new array that the caller may write into.
+    fft of the pn values gives every block; base holds W_r sine_r.  Every
+    block is formed when asked, as a new array that the caller may write
+    into.
     """
 
     def __init__(self, g: PiecewiseConstantFn, M: int):
@@ -324,6 +296,19 @@ class CellModes:
         return out
 
 
+class ModeDifference:
+    """The modes of a - b, two modes objects (R, M and block(lo, hi)) on one
+    circle, formed a block at a time."""
+
+    def __init__(self, a, b):
+        self.a, self.b = a, b
+        self.R, self.M = a.R, max(a.M, b.M)
+
+    def block(self, lo: int, hi: int) -> np.ndarray:
+        """The modes lo..hi-1, zero beyond M, as a new array."""
+        return self.a.block(lo, hi) - self.b.block(lo, hi)
+
+
 def cell_averages(decomp: MultiscaleDecomposition, g, n: int) -> np.ndarray:
     """Averages of g over the level-n cells (complex for Fourier input).
 
@@ -344,7 +329,7 @@ def cell_integrals(decomp: MultiscaleDecomposition, g, n: int) -> np.ndarray:
 
 
 def l2_norm_sq(g) -> float:
-    return float(g.l2_norm() ** 2)
+    return sobolev_norms(g, 0)[0] ** 2
 
 
 def proj_norm_sq(decomp: MultiscaleDecomposition, g, n: int) -> float:
@@ -396,12 +381,22 @@ def ar_norm(decomp: MultiscaleDecomposition, g, r: float) -> float:
     return ar_norm_report(decomp, g, r).value
 
 
-def sobolev_norm_fourier(g: FourierFn, s: float) -> float:
-    """Fourier H^s norm, (2 pi R sum (1+k^2)^s |g_k|^2)^{1/2}."""
-    if abs(s) > 1:
-        raise ValueError("|s| <= 1 expected, got %g" % s)
-    ks = g.ks()
-    return math.sqrt(2 * math.pi * g.R * float(((1 + ks.astype(float) ** 2) ** s * np.abs(g.coeffs) ** 2).sum()))
+def sobolev_norms(g, *orders) -> list:
+    """Fourier H^s norms (2 pi R sum_k (1+k^2)^s |g_k|^2)^{1/2}, |s| <= 1, of
+    the modes g, one for each s of orders (s = 0 is the L^2 norm).
+
+    g has R, M and block(lo, hi) (a FourierFn, CellModes or ModeDifference),
+    and the sums are taken one block of mode_blocks at a time, all orders
+    in one pass.
+    """
+    if any(abs(s) > 1 for s in orders):
+        raise ValueError("|s| <= 1 expected, got %r" % (orders,))
+    sums = np.zeros(len(orders))
+    for lo, hi in mode_blocks(g.M, 1):
+        sq = np.abs(g.block(lo, hi)) ** 2
+        weight = 1 + np.arange(lo, hi, dtype=float) ** 2
+        sums += [float((weight**s * sq).sum()) for s in orders]
+    return [math.sqrt(2 * math.pi * g.R * t) for t in sums]
 
 
 def projector_error_check(decomp: MultiscaleDecomposition, g: FourierFn, N: int, sigma: float, sigma_prime: float):

@@ -306,7 +306,8 @@ def dtn_convergence_rate(params: TreeParams, depths) -> ConvergenceRecord:
     """Fitted geometric rate of ||D P_N g - D g|| as N grows.
 
     For p >= 2 the errors are measured in the Fourier H^{-1/2} norm on
-    smooth test modes, with D realized exactly on a fine condensed level
+    smooth test modes (the modes of the cell differences, formed and summed
+    a block at a time), with D realized exactly on a fine condensed level
     (so only the projection error D P_N vs D remains); rho_hat = rate/log p
     matches O(p^{-rho N}) statements.  For p = 1 every V_N is the constants
     and the projection error vanishes, so the truncation defect
@@ -346,7 +347,7 @@ def dtn_convergence_rate(params: TreeParams, depths) -> ConvergenceRecord:
             refined = np.repeat(coarse, decomp.p ** (level - d))
             dens = ref @ refined / mu
             diff = circle.PiecewiseConstantFn(decomp, level, dens - dref)
-            worst = max(worst, circle.sobolev_norm_fourier(diff.to_fourier(m_eval), -0.5))
+            worst = max(worst, circle.sobolev_norms(circle.CellModes(diff, m_eval), -0.5)[0])
         errors.append(worst)
     rate, residual = _fit_rate(depths, errors)
     return ConvergenceRecord(

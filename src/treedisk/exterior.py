@@ -32,10 +32,10 @@ from .errors import AssemblyTooLarge, CutoffTooSmall, NonPositiveParameter, Scal
 MODE_OVERSAMPLING = 16
 
 # What holds all 2M+1 values of modes |k| <= M at once is capped at the
-# tree's leaf budget: the whole-array symbols (dtn_symbol, layer_symbols),
-# convergence_study's reference cutoff, and the modes a source or a
-# manufactured datum names.  A solve forms its modes per block
-# (ExteriorField) and is bound by the tree budget alone.
+# tree's leaf budget: the whole-array symbols (dtn_symbol, layer_symbols)
+# and the modes a source or a manufactured datum names.  A solve and a
+# convergence study form their modes per block (ExteriorField,
+# circle.CellModes) and are bound by the tree budget alone.
 MODE_BUDGET = 2**23
 
 _GL64 = np.polynomial.legendre.leggauss(64)
@@ -43,6 +43,10 @@ _GL24 = np.polynomial.legendre.leggauss(24)
 
 # the node budget of single_layer_quadrature
 _QUADRATURE_NODES = 2048
+
+# ExteriorField.eval takes at most this many points with one block of
+# modes, so its (points x modes) arrays hold at most 4 MiB each
+_EVAL_POINTS = 64
 
 
 @dataclass
@@ -297,8 +301,9 @@ class ExteriorField:
     and fixed maps each source mode and the mean mode to its b_k.  There
     a_k = g_k - b_k (a_0 = g_0 - b_0 log R); elsewhere a_k = g_k, b_k = 0.
     block forms (a, b) over the modes lo..hi-1, trace0_of and trace1_of the
-    traces from them, and trace0_block the Dirichlet trace's modes; no
-    method, eval included, holds an array over all the modes |k| <= M.
+    traces from them, trace0_block the Dirichlet trace's modes, and eval
+    the field at points from one block of (a, b) at a time; no method
+    holds an array over all the modes |k| <= M.
     """
 
     R: float
@@ -328,50 +333,48 @@ class ExteriorField:
                 b[k - lo] = b_k
         return a, b
 
-    def eval_mode(self, k: int, r):
-        """Mode k of the field at the radii r >= R.
+    def eval(self, r, theta):
+        """The field at the points (r, theta), in their broadcast shape; r < R
+        raises ValueError.
 
-        The growing part b_k (r/R)^|k| is formed only where b_k != 0: the
-        power overflows far from R at a large |k|, and 0 * inf is NaN.
+        The modes are summed one block of mode_blocks at a time, as a
+        (points x modes) product of a_k (R/r)^|k| e^{ik theta} (one complex
+        exp per entry), for at most _EVAL_POINTS points at once.  The growing part b_k (r/R)^|k|, and
+        b_0 log r at k = 0, is formed only where b_k != 0: the power
+        overflows far from R at a large |k|, and 0 * inf is NaN.  Each
+        source mode then adds its particular part point by point.
         """
-        r = np.atleast_1d(np.asarray(r, dtype=float))
+        r, theta = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(theta, dtype=float))
+        shape, r, theta = r.shape, r.ravel(), theta.ravel()
         if np.any(r < self.R):
             raise ValueError("exterior field evaluated inside the disk")
-        k = int(k)
-        a, b = self.block(k, k + 1)
-        a_c, b_c = complex(a[0]), complex(b[0])
-        ak = abs(k)
-        if ak == 0:
-            out = a_c + b_c * np.log(r) + 0j
-        else:
-            out = a_c * (self.R / r)**ak + 0j
-            if b_c != 0:
-                out += b_c * (r / self.R)**ak
-        if self.source is not None and k in self.source.modes():
-            for i, ri in enumerate(r):
-                if ri <= self.source.R:
-                    continue
+        out = np.zeros(r.size, dtype=complex)
+        for lo, hi in mode_blocks(self.M, 1):
+            a, b = self.block(lo, hi)
+            ks = np.arange(lo, hi)
+            for i in range(0, r.size, _EVAL_POINTS):
+                pts = slice(i, i + _EVAL_POINTS)
+                # (R/r)^|k| e^{ik theta} as one complex exponential
+                decay = np.multiply.outer(np.log(self.R / r[pts]), np.abs(ks))
+                out[pts] += np.exp(decay + 1j * np.multiply.outer(theta[pts], ks)) @ a
+                for j in np.flatnonzero(b):
+                    grow = np.log(r[pts]) if ks[j] == 0 else (r[pts] / self.R) ** abs(ks[j])
+                    out[pts] += b[j] * grow * np.exp(1j * ks[j] * theta[pts])
+        for k in self.source.modes() if self.source is not None else ():
+            ak = abs(k)
+            part = np.zeros(r.size, dtype=complex)
+            for i in np.flatnonzero(r > self.source.R):
+                ri = r[i]
                 if ak == 0:
                     ia = _source_integral(self.source, k, 1.0, ri)
                     il = _source_integral(self.source, k, 1.0, ri, with_log=True)
-                    out[i] += math.log(ri) * ia - il
+                    part[i] = math.log(ri) * ia - il
                 else:
                     im = _source_integral(self.source, k, 1.0 - ak, ri)
                     ip = _source_integral(self.source, k, 1.0 + ak, ri)
-                    out[i] += (ri**ak * im - ri**(-ak) * ip) / (2.0 * ak)
-        return out if out.size > 1 else complex(out[0])
-
-    def eval(self, r, theta):
-        r = np.asarray(r, dtype=float)
-        theta = np.asarray(theta, dtype=float)
-        out = np.zeros(np.broadcast(r, theta).shape, dtype=complex)
-        ks = set(self.source.modes()) if self.source is not None else set()
-        for lo, hi in mode_blocks(self.M, 1):
-            a, b = self.block(lo, hi)
-            ks.update((lo + np.flatnonzero((a != 0) | (b != 0))).tolist())
-        for k in sorted(ks):
-            out = out + np.asarray(self.eval_mode(k, r)) * np.exp(1j * k * theta)
-        return out
+                    part[i] = (ri**ak * im - ri**(-ak) * ip) / (2.0 * ak)
+            out += part * np.exp(1j * k * theta)
+        return out.reshape(shape)
 
     def trace0_of(self, lo: int, a, b) -> np.ndarray:
         """The Dirichlet trace's modes from lo on, from their (a, b) (block):

@@ -80,12 +80,11 @@ from .exterior import (
     DtnSymbol,
     ExteriorField,
     RadialSource,
-    check_mode_budget,
     circulant_view,
     galerkin_row,
     solve_exterior_dirichlet,
 )
-from .tree import FiniteTree, TreeParams, build_condensed, check_tree_budget
+from .tree import FiniteTree, TreeParams, build_condensed, check_tree_budget, require_valid
 
 _COND_LIMIT = 1e12
 
@@ -143,12 +142,13 @@ class TransmissionConfig:
     Building the frozen config is the one place the data are typed and
     checked: alpha1 and c_root become numpy scalars, alpha0 and tree_source
     arrays, float64 when their imaginary parts are exactly 0, else
-    complex128 (_exact_real).  Then the tree budget (tree.check_tree_budget,
-    by exponent first), the length of alpha0 (InvalidInput) and the shape
-    of tree_source (DepthMismatch) are checked, so a config that exists is
-    valid.  The 16 p^N exterior modes are formed a block at a time, so the
-    mode budget does not bound a solve.  dataclasses.replace changes one and
-    checks again.
+    complex128 (_exact_real).  Then the tree's structural conditions
+    (tree.require_valid, StructuralConditionViolated), the tree budget
+    (tree.check_tree_budget, by exponent first), the length of alpha0
+    (InvalidInput) and the shape of tree_source (DepthMismatch) are
+    checked, so a config that exists is valid.  The 16 p^N exterior modes
+    are formed a block at a time, so the mode budget does not bound a
+    solve.  dataclasses.replace changes one and checks again.
     """
 
     params: TreeParams
@@ -181,6 +181,7 @@ class TransmissionConfig:
             raise DepthBelowChartLevel("source depth below solve level")
         if self.exterior_source is not None and abs(self.exterior_source.R - self.R) > 1e-12:
             raise ValueError("exterior source annulus must start at the interface radius")
+        require_valid(self.params)
         check_tree_budget(self.params, self.source_depth + 1, self.level)
         n = self.params.p**self.level
         if self.alpha0.size not in (1, n):
@@ -819,9 +820,11 @@ def convergence_study(cfg: TransmissionConfig, N_list, manufactured=None) -> Con
     unless the H^{1/2} errors are monotone nonincreasing with a positive
     fitted rate; these two checks are skipped once the errors sit at the
     rounding floor (datum resolved exactly).  The finest level's config is
-    built first, so its tree budget is checked before any level is solved,
-    and then the budget of the modes every level is taken at, m_ref = 16
-    p^N_max (AssemblyTooLarge).
+    built first, so its tree budget is checked before any level is solved.
+    Each level's modes at the cutoff m_ref = 16 p^N_max are formed from its
+    cells (circle.CellModes) and both norms of its difference from the
+    reference are summed one block at a time (circle.sobolev_norms), so no
+    array over the 2 m_ref + 1 modes is held and no mode budget applies.
     """
     levels = sorted(set(int(n) for n in N_list))
     needed = 2 if manufactured is not None else 3
@@ -842,37 +845,33 @@ def convergence_study(cfg: TransmissionConfig, N_list, manufactured=None) -> Con
         return dataclasses.replace(cfg, level=n, source_depth=sd)
 
     # building the finest config checks its tree budget (by exponent, so
-    # before p^level is formed), and every level's modes are taken whole at
-    # the finest cutoff, so that cutoff is checked too, before any level is
-    # solved
+    # before p^level is formed) before any level is solved
     level_config(max(levels))
     m_ref = MODE_OVERSAMPLING * p ** max(levels)
-    check_mode_budget(m_ref)
 
-    coeffs = []
+    modes = []
     for n in levels:
         system = assemble_system(level_config(n))
         if manufactured is not None:
             datum = np.asarray(circle.cell_averages(system.decomp, manufactured, n), dtype=complex)
             system.h = -system.apply(datum)
-        g = solve_interface(system)
-        coeffs.append(g.to_fourier(m_ref))
+        modes.append(circle.CellModes(solve_interface(system), m_ref))
 
     if manufactured is not None:
         if isinstance(manufactured, PiecewiseConstantFn):
-            ref = manufactured.to_fourier(m_ref)
+            ref = circle.CellModes(manufactured, m_ref)
         else:
             ref = manufactured
         fit_idx = list(range(len(levels)))
     else:
-        ref = coeffs[-1]
+        ref = modes[-1]
         fit_idx = list(range(len(levels) - 1))
 
     err_l2, err_h12 = [], []
-    for c in coeffs:
-        diff = c - ref
-        err_l2.append(diff.l2_norm())
-        err_h12.append(circle.sobolev_norm_fourier(diff, 0.5))
+    for c in modes:
+        l2, h12 = circle.sobolev_norms(circle.ModeDifference(c, ref), 0, 0.5)
+        err_l2.append(l2)
+        err_h12.append(h12)
     fit_levels = [levels[i] for i in fit_idx]
     fit_errs = [max(err_h12[i], 1e-300) for i in fit_idx]
     slope = np.polynomial.polynomial.polyfit(fit_levels, np.log(fit_errs), 1)[1]
@@ -890,7 +889,7 @@ def convergence_study(cfg: TransmissionConfig, N_list, manufactured=None) -> Con
     if not np.isfinite(err_l2 + err_h12 + [rho_hat]).all():
         raise NumericalCheckFailed("interface errors are not finite: err_l2 %r, err_h12 %r, "
                                    "rho_hat %r" % (err_l2, err_h12, rho_hat))
-    scale = max(ref.l2_norm(), 1e-300)
+    scale = max(circle.sobolev_norms(ref, 0)[0], 1e-300)
     if max(fit_errs) > 1e-12 * scale:
         tol = 1e-12 * max(fit_errs)
         if any(e2 > e1 + tol for e1, e2 in zip(fit_errs, fit_errs[1:])):

@@ -4,19 +4,97 @@ Nothing in the package calls these: each is a plain construction, a
 closed-form sum or a direct read that a test checks the package against.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from treedisk.calculus import TreeFunction, _parent_rows, _poly_defint, _poly_mul, _same_tree
-from treedisk.circle import FourierFn, PiecewiseConstantFn, cell_averages
+from treedisk.circle import CellModes, FourierFn, PiecewiseConstantFn, cell_averages
 from treedisk.errors import DepthMismatch
+from treedisk.exterior import _source_integral
 from treedisk.tree import FiniteTree, _child_sums, check_tree_budget
 
 
 def mode(g, k: int) -> complex:
     """The coefficient of e^{ik theta} in the FourierFn g, 0 beyond its cutoff."""
     return g.coeffs[k + g.M] if abs(k) <= g.M else 0.0j
+
+
+def ks(g) -> np.ndarray:
+    """The mode numbers -M..M of the FourierFn g."""
+    return np.arange(-g.M, g.M + 1)
+
+
+def to_fourier(g: PiecewiseConstantFn, M: int) -> FourierFn:
+    """The modes |k| <= M of cell values as one array (circle.CellModes
+    forms them a block at a time, with the same bits)."""
+    return FourierFn(g.decomp.R, CellModes(g, M).block(-M, M + 1))
+
+
+def padded(g: FourierFn, M: int) -> FourierFn:
+    """g with zero modes up to the cutoff M >= g.M."""
+    if M < g.M:
+        raise ValueError("cannot truncate by padding")
+    out = np.zeros(2 * M + 1, dtype=complex)
+    out[M - g.M : M + g.M + 1] = g.coeffs
+    return FourierFn(g.R, out)
+
+
+def difference(f: FourierFn, g: FourierFn) -> FourierFn:
+    """f - g as one array at the larger cutoff."""
+    M = max(f.M, g.M)
+    return FourierFn(f.R, padded(f, M).coeffs - padded(g, M).coeffs)
+
+
+def sobolev_norm(g: FourierFn, s: float) -> float:
+    """The Fourier H^s norm (2 pi R sum (1+k^2)^s |g_k|^2)^{1/2} over the
+    whole array of g's modes; s = 0 is the L^2 norm."""
+    weight = (1 + ks(g).astype(float) ** 2) ** s
+    return math.sqrt(2 * math.pi * g.R * float((weight * np.abs(g.coeffs) ** 2).sum()))
+
+
+def study_errors(cells, reference, M: int):
+    """(err_l2, err_h12) of convergence_study the whole-array way: each
+    level's cell values (PiecewiseConstantFn) as one array of modes at the
+    cutoff M, minus the reference's modes (a FourierFn, or the modes at M
+    of cell values), at the larger cutoff."""
+    if isinstance(reference, PiecewiseConstantFn):
+        reference = to_fourier(reference, M)
+    diffs = [difference(to_fourier(g, M), reference) for g in cells]
+    return [sobolev_norm(d, 0) for d in diffs], [sobolev_norm(d, 0.5) for d in diffs]
+
+
+def eval_mode(field, k: int, r):
+    """Mode k of the exterior.ExteriorField field at the radii r >= R, one
+    mode at a time: a_k (R/r)^|k| (+ b_k (r/R)^|k| where b_k != 0), a_0 +
+    b_0 log r at k = 0, and the particular part of a source mode."""
+    r = np.atleast_1d(np.asarray(r, dtype=float))
+    if np.any(r < field.R):
+        raise ValueError("exterior field evaluated inside the disk")
+    k = int(k)
+    a, b = field.block(k, k + 1)
+    a_c, b_c = complex(a[0]), complex(b[0])
+    ak = abs(k)
+    if ak == 0:
+        out = a_c + b_c * np.log(r) + 0j
+    else:
+        out = a_c * (field.R / r) ** ak + 0j
+        if b_c != 0:
+            out += b_c * (r / field.R) ** ak
+    if field.source is not None and k in field.source.modes():
+        for i, ri in enumerate(r):
+            if ri <= field.source.R:
+                continue
+            if ak == 0:
+                ia = _source_integral(field.source, k, 1.0, ri)
+                il = _source_integral(field.source, k, 1.0, ri, with_log=True)
+                out[i] += math.log(ri) * ia - il
+            else:
+                im = _source_integral(field.source, k, 1.0 - ak, ri)
+                ip = _source_integral(field.source, k, 1.0 + ak, ri)
+                out[i] += (ri**ak * im - ri**(-ak) * ip) / (2.0 * ak)
+    return out if out.size > 1 else complex(out[0])
 
 
 def project_PN(decomp, g, n: int) -> PiecewiseConstantFn:

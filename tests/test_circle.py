@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import cells_l2_norm, mode, project_PN
+from oracles import cells_l2_norm, difference, ks, mode, project_PN, sobolev_norm, to_fourier
 from treedisk import circle as ci
 from treedisk.errors import ExponentOrderViolated
 
@@ -16,7 +16,7 @@ def _indicator(n, K, M):
     """The modes |k| <= M of the indicator of cell K of level n."""
     values = np.zeros(D.n_cells(n))
     values[K] = 1.0
-    return ci.PiecewiseConstantFn(D, n, values).to_fourier(M)
+    return to_fourier(ci.PiecewiseConstantFn(D, n, values), M)
 
 
 def test_cell_geometry():
@@ -32,10 +32,10 @@ def test_cell_geometry():
 def test_indicator_closed_form():
     for n, K, M in [(2, 1, 16), (3, 5, 31)]:
         f = _indicator(n, K, M)
-        ks = f.ks()
+        k = ks(f)
         a, b = 2 * np.pi * K / 2**n, 2 * np.pi * (K + 1) / 2**n
-        safe = np.where(ks == 0, 1, ks)
-        ref = np.where(ks == 0, 2.0**-n, (np.exp(-1j * ks * a) - np.exp(-1j * ks * b)) / (2j * np.pi * safe))
+        safe = np.where(k == 0, 1, k)
+        ref = np.where(k == 0, 2.0**-n, (np.exp(-1j * k * a) - np.exp(-1j * k * b)) / (2j * np.pi * safe))
         np.testing.assert_allclose(f.coeffs, ref, atol=1e-14)
     triv = _indicator(0, 0, 8)
     assert mode(triv, 0) == 1.0
@@ -94,9 +94,9 @@ def test_to_fourier_vanishes_exactly_at_aliased_modes(p):
         pn = p**n
         M = 7 * pn + 2
         g = ci.PiecewiseConstantFn(dec, n, rng.standard_normal(pn) + 1j * rng.standard_normal(pn))
-        f = g.to_fourier(M)
-        ks = f.ks()
-        aliased = (ks % pn == 0) & (ks != 0)
+        f = to_fourier(g, M)
+        k = ks(f)
+        aliased = (k % pn == 0) & (k != 0)
         assert np.all(f.coeffs[aliased] == 0)
         assert np.all(f.coeffs[~aliased] != 0)
 
@@ -109,22 +109,22 @@ def test_to_fourier_keeps_every_mode_to_rounding(p, n):
     pn = p**n
     values = np.zeros(pn)
     values[0] = 1.0
-    f = ci.PiecewiseConstantFn(dec, n, values).to_fourier(4 * pn + 3)
-    ks = f.ks()
-    near = np.abs(ks) < pn // 2
-    ref = np.exp(-1j * np.pi * ks[near] / pn) * np.sinc(ks[near] / pn) / pn
+    f = to_fourier(ci.PiecewiseConstantFn(dec, n, values), 4 * pn + 3)
+    k = ks(f)
+    near = np.abs(k) < pn // 2
+    ref = np.exp(-1j * np.pi * k[near] / pn) * np.sinc(k[near] / pn) / pn
     assert np.max(np.abs(f.coeffs[near] - ref) / np.abs(ref)) <= 1e-14
 
 
 def test_to_fourier_roundtrip():
     rng = np.random.default_rng(13)
     h = ci.PiecewiseConstantFn(D, 3, rng.standard_normal(8))
-    g = h.to_fourier(3000)
+    g = to_fourier(h, 3000)
     # high cutoff recovers the L2 norm and the cell averages
-    assert g.l2_norm() == pytest.approx(cells_l2_norm(h), rel=1e-3)
+    assert ci.sobolev_norms(g, 0)[0] == pytest.approx(cells_l2_norm(h), rel=1e-3)
     np.testing.assert_allclose(np.real(ci.cell_averages(D, g, 3)), h.values, atol=5e-3)
     # integral is exact at any cutoff (k = 0 coefficient)
-    assert mode(h.to_fourier(2), 0) * 2 * math.pi == pytest.approx(D.cell_measure(3) * h.values.sum())
+    assert mode(to_fourier(h, 2), 0) * 2 * math.pi == pytest.approx(D.cell_measure(3) * h.values.sum())
 
 
 def test_ar_norm_basics():
@@ -148,7 +148,7 @@ def test_ar_vs_fourier_sobolev_equivalence():
         ci.FourierFn.from_modes(1.0, {2: 1.0, -2: 1.0, 5: 0.3, -5: 0.3}),
         ci.FourierFn.from_modes(1.0, {0: 1.0, 7: 0.1, -7: 0.1}),
     ]
-    ratios = [ci.ar_norm(D, g, r) / ci.sobolev_norm_fourier(g, r) for g in corpus]
+    ratios = [ci.ar_norm(D, g, r) / ci.sobolev_norms(g, r)[0] for g in corpus]
     for q in ratios:
         assert 0.2 < q < 5.0
 
@@ -163,21 +163,42 @@ def test_projector_error_bound_cos():
         if prev is not None:
             assert lhs <= prev * 2 ** -0.08096 + 1e-12
         prev = lhs
-    inV = ci.PiecewiseConstantFn(D, 2, np.ones(4)).to_fourier(64)
     with pytest.raises(ExponentOrderViolated):
         ci.projector_error_check(D, g, 3, 0.42, 0.33904)
 
 
 def test_sobolev_norm_and_duality():
     g = ci.FourierFn.from_modes(2.0, {3: 1.0})
-    assert ci.sobolev_norm_fourier(g, 0.5) ** 2 == pytest.approx(2 * math.pi * 2 * 10**0.5)
-    assert ci.sobolev_norm_fourier(g, 0) == pytest.approx(g.l2_norm())
+    h12, l2 = ci.sobolev_norms(g, 0.5, 0)
+    assert h12**2 == pytest.approx(2 * math.pi * 2 * 10**0.5)
+    assert l2 == pytest.approx(math.sqrt(2 * math.pi * 2))
     rng = np.random.default_rng(21)
     for _ in range(5):
         h = ci.FourierFn(1.0, rng.standard_normal(17) + 1j * rng.standard_normal(17))
         u = ci.FourierFn(1.0, rng.standard_normal(17) + 1j * rng.standard_normal(17))
         lhs = abs(2 * math.pi * h.R * (h.coeffs @ np.conj(u.coeffs)))
-        assert lhs <= ci.sobolev_norm_fourier(h, -0.5) * ci.sobolev_norm_fourier(u, 0.5) + 1e-12
+        assert lhs <= ci.sobolev_norms(h, -0.5)[0] * ci.sobolev_norms(u, 0.5)[0] + 1e-12
+    with pytest.raises(ValueError):
+        ci.sobolev_norms(g, 0.5, 1.5)
+
+
+@pytest.mark.parametrize("p,n", [(2, 9), (3, 5)])
+def test_sobolev_norms_match_the_whole_array_oracle(p, n):
+    # the norms of cell modes, of a FourierFn and of their difference, summed
+    # a block at a time over several blocks, against one sum over each whole
+    # array of modes
+    rng = np.random.default_rng(p)
+    dec = ci.MultiscaleDecomposition(R=1.3, p=p, n_max=n)
+    cells = ci.PiecewiseConstantFn(dec, n, rng.standard_normal(p**n) + 1j * rng.standard_normal(p**n))
+    M = 16 * p**n
+    fourier = ci.FourierFn(1.3, rng.standard_normal(41) + 1j * rng.standard_normal(41))
+    whole = to_fourier(cells, M)
+    assert len(list(ci.mode_blocks(M, 1))) > 1
+    orders = (0, 0.5, -0.5, 1)
+    for modes, oracle in [(ci.CellModes(cells, M), whole), (fourier, fourier),
+                          (ci.ModeDifference(ci.CellModes(cells, M), fourier), difference(whole, fourier))]:
+        got = ci.sobolev_norms(modes, *orders)
+        assert got == pytest.approx([sobolev_norm(oracle, s) for s in orders], rel=1e-13, abs=0)
 
 
 @pytest.mark.parametrize("p,N", [(1, 2), (2, 0), (2, 6), (3, 4), (2, 9)])

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import expanded, trace0
+from oracles import expanded, ks, trace0
 from treedisk import cli, transmission
 from treedisk.calculus import TreeFunction
 from treedisk.config import parse_config, parse_text
@@ -205,17 +205,18 @@ def test_invalid_value_exits_2_with_one_line(tmp_path, capsys, text, argv, messa
 
 
 def test_convergence_checks_the_finest_level_before_solving(tmp_path, capsys, monkeypatch):
-    # modes up to 16 * 2^20 at level 20 exceed the mode budget; the levels
-    # 3 and 4 are not solved first
+    # the source tree of level 22 exceeds the tree budget; the levels 3 and
+    # 4 are not solved first
     def solve_interface(system):
         raise RuntimeError("level %d solved before the budget check" % system.config.level)
 
     monkeypatch.setattr(transmission, "solve_interface", solve_interface)
     path = tmp_path / "conv.ini"
-    path.write_text(REF_TEXT + "[transmission]\nlevels = 3, 4, 20\nmanufactured_mode = 1\n")
+    path.write_text(REF_TEXT + "[transmission]\nlevels = 3, 4, 22\nmanufactured_mode = 1\n")
     out = tmp_path / "conv.csv"
     assert cli.main(["convergence", "--config", str(path), "--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith("problem too large: modes up to")
+    err = capsys.readouterr().err
+    assert err.startswith("problem too large: ") and "tree budget" in err
     assert list(tmp_path.iterdir()) == [path]
 
 
@@ -968,7 +969,7 @@ def test_transmission_csvs_match_row_oracle(text, tmp_path):
         "tree.csv": _oracle_csv(("n", "k", "coeff_index", "value"), tree_rows),
         "exterior.csv": _oracle_csv(("k", "re", "im"),
                                     [(int(k), c.real, c.imag)
-                                     for k, c in zip(trace.ks(), trace.coeffs)]),
+                                     for k, c in zip(ks(trace), trace.coeffs)]),
     }
     for name, data in expected.items():
         assert (tmp_path / ("t_" + name)).read_bytes() == data, name

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from oracles import mode, trace0, trace1, whole
+from oracles import eval_mode, ks, mode, padded, trace0, trace1, whole
 from treedisk.circle import CellModes, FourierFn, MultiscaleDecomposition, PiecewiseConstantFn, mode_blocks
 from treedisk.errors import CutoffTooSmall, ScaleEqualsRadius
 from treedisk.exterior import (
@@ -79,8 +79,8 @@ def test_hypersingular_matches_dtn_and_double_layer():
 def test_harmonic_extension_and_gamma1():
     g = FourierFn.from_modes(R, {2: 1.0, -1: 0.5})
     u = solve_exterior_dirichlet(g, None)
-    assert u.eval_mode(2, 2.0) == pytest.approx(0.25)
-    assert u.eval_mode(-1, 4.0) == pytest.approx(0.125)
+    assert eval_mode(u, 2, 2.0) == pytest.approx(0.25)
+    assert eval_mode(u, -1, 4.0) == pytest.approx(0.125)
     t1 = trace1(u)
     assert mode(t1, 2) == pytest.approx(-2.0)
     assert mode(t1, -1) == pytest.approx(-0.5)
@@ -92,7 +92,7 @@ def test_harmonic_extension_and_gamma1():
 def test_constant_data_is_constant_field():
     g = FourierFn.from_modes(R, {0: 2.5})
     u = solve_exterior_dirichlet(g, None)
-    assert u.eval_mode(0, 7.0) == pytest.approx(2.5)
+    assert eval_mode(u, 0, 7.0) == pytest.approx(2.5)
     assert abs(mode(trace1(u), 0)) == 0.0
 
 
@@ -123,10 +123,10 @@ def test_manufactured_bump_recovery():
         src = _bump_source(k, r_max)
         g = FourierFn.from_modes(R, {k: 1.0})
         u = solve_exterior_dirichlet(g, src)
-        got = np.array([u.eval_mode(k, r) for r in radii])
+        got = np.array([eval_mode(u, k, r) for r in radii])
         assert np.abs(got - _bump_exact(k, radii, r_max)).max() <= 1e-8
         # support ends at r_max: field vanishes outside
-        assert abs(u.eval_mode(k, 10.0)) <= 1e-12
+        assert abs(eval_mode(u, k, 10.0)) <= 1e-12
 
 
 def test_field_superposition():
@@ -136,7 +136,7 @@ def test_field_superposition():
     u1, u2 = solve_exterior_dirichlet(g1, src), solve_exterior_dirichlet(g2, None)
     v = solve_exterior_dirichlet(FourierFn.from_modes(R, {2: 1.0, 1: 0.5, 0: 1.0}), src)
     for k in (0, 1, 2):
-        assert u1.eval_mode(k, 1.8) + u2.eval_mode(k, 1.8) == pytest.approx(v.eval_mode(k, 1.8), abs=1e-13)
+        assert eval_mode(u1, k, 1.8) + eval_mode(u2, k, 1.8) == pytest.approx(eval_mode(v, k, 1.8), abs=1e-13)
 
 
 @pytest.mark.parametrize("radius", [1.0, 1.3])
@@ -159,11 +159,11 @@ def test_lift_hands_over_the_source_modes(radius):
 def _oracle_modes(g, source, R):
     """Per-mode solve into a dict k -> (a_k, b_k), over the source modes and the
     modes with nonzero data, kept as the oracle of the array solve."""
-    ks = set(source.modes()) if source is not None else set()
+    modes_k = set(source.modes()) if source is not None else set()
     if g is not None:
-        ks |= {int(k) for k in g.ks() if mode(g, int(k)) != 0}
+        modes_k |= {int(k) for k in ks(g) if mode(g, int(k)) != 0}
     modes = {}
-    for k in sorted(ks):
+    for k in sorted(modes_k):
         ghat = complex(mode(g, k)) if g is not None else 0.0
         ak = abs(k)
         if ak > 0:
@@ -203,7 +203,7 @@ def test_array_field_matches_per_mode_oracle(radius):
     src = RadialSource(radius, 1.7 * radius, [(k, {0: 0.4 - 0.2j, -2: 1.1}) for k in (-9, 0, 2, 3)])
     # data of degree 6 padded with zeros to 40 modes: the field's extent is
     # set by the source mode 9, not by the padding
-    g = FourierFn(radius, rng.standard_normal(13) + 1j * rng.standard_normal(13)).pad_to(40)
+    g = padded(FourierFn(radius, rng.standard_normal(13) + 1j * rng.standard_normal(13)), 40)
     g2 = FourierFn.from_modes(radius, {1: 0.3, -4: 2.0 - 1j, 0: 0.8})
     fields = [solve_exterior_dirichlet(g, src),
               solve_exterior_dirichlet(g2, None),
@@ -213,8 +213,8 @@ def test_array_field_matches_per_mode_oracle(radius):
                         _oracle_modes(None, src, radius))
     t0, t1 = _oracle_traces(modes, radius)
     M = max(u.M for u in fields)
-    got0 = sum(trace0(u).pad_to(M).coeffs for u in fields)
-    got1 = sum(trace1(u).pad_to(M).coeffs for u in fields)
+    got0 = sum(padded(trace0(u), M).coeffs for u in fields)
+    got1 = sum(padded(trace1(u), M).coeffs for u in fields)
     assert got0.shape == t0.shape == (19,)
     assert np.abs(got0 - t0).max() <= 1e-14 * np.abs(t0).max()
     assert np.abs(got1 - t1).max() <= 1e-14 * np.abs(t1).max()
@@ -226,11 +226,11 @@ def test_array_field_matches_per_mode_oracle(radius):
 @pytest.mark.parametrize("radius", [1.0, 1.3])
 @pytest.mark.parametrize("with_source", [False, True], ids=["data", "data-and-source"])
 def test_eval_is_the_sum_of_every_mode(radius, with_source):
-    # eval finds its nonzero modes a block at a time; the modes it skips add
-    # exact zeros, so the sum of eval_mode over every |k| <= M, in the order
-    # of k, has its bits.  The field's modes |k| < 16 * 2^8 are two blocks
-    # (the mode 16 * 2^8 is an aliased zero); r stays below R e^(709 / M),
-    # where (r / R)^M is finite
+    # eval sums the modes a block at a time, a (points x modes) product per
+    # block and per _EVAL_POINTS points; the per-mode oracle summed over
+    # every |k| <= M in the order of k agrees to rounding.  The field's
+    # modes |k| < 16 * 2^8 are two blocks (the mode 16 * 2^8 is an aliased
+    # zero), and the 2 x 70 points of a broadcast grid are three chunks
     rng = np.random.default_rng(7)
     cells = PiecewiseConstantFn(MultiscaleDecomposition(R=radius, p=2, n_max=8), 8,
                                 rng.standard_normal(256) + 1j * rng.standard_normal(256))
@@ -239,12 +239,18 @@ def test_eval_is_the_sum_of_every_mode(radius, with_source):
         src = RadialSource(radius, 1.5 * radius, [(k, {0: 0.4 - 0.2j, -1: 1.1}) for k in (-3, 0, 2)])
     u = solve_exterior_dirichlet(CellModes(cells, 16 * 2**8), src)
     assert u.M == 16 * 2**8 - 1 and len(list(mode_blocks(u.M, 1))) == 2
-    r = radius * np.array([1.0, 1.05, 1.1, 1.15])
-    theta = np.array([0.0, 0.7, 2.1, 4.0])
+    r = radius * np.array([[1.0], [1.6]]) + np.zeros(70)
+    r[0] += radius * np.linspace(0.0, 0.15, 70)
+    theta = np.linspace(0.0, 6.0, 70)
+    grid = u.eval(r, theta)
+    assert grid.shape == (2, 70)
+    points = np.broadcast_to(theta, r.shape).ravel()
     expected = np.zeros(r.size, dtype=complex)
     for k in range(-u.M, u.M + 1):
-        expected = expected + np.asarray(u.eval_mode(k, r)) * np.exp(1j * k * theta)
-    assert np.array_equal(u.eval(r, theta), expected)
+        expected = expected + np.asarray(eval_mode(u, k, r.ravel())) * np.exp(1j * k * points)
+    assert np.abs(grid.ravel() - expected).max() <= 1e-13 * np.abs(expected).max()
+    one = u.eval(r[1, 3], theta[3])
+    assert one.shape == () and one == pytest.approx(grid[1, 3], rel=1e-14)
 
 
 def test_eval_is_finite_where_the_growing_power_overflows():
@@ -262,7 +268,7 @@ def test_eval_is_finite_where_the_growing_power_overflows():
         values = u.eval(r, 0.3)
     assert np.isfinite(values).all()
     # at r = 2 the modes |k| > 64 add less than 2^-64 of the data's size
-    low = sum(u.eval_mode(k, 2.0) * np.exp(0.3j * k) for k in range(-64, 65))
+    low = sum(eval_mode(u, k, 2.0) * np.exp(0.3j * k) for k in range(-64, 65))
     assert values[-1] == pytest.approx(low, rel=1e-14, abs=1e-14)
 
 
@@ -278,7 +284,7 @@ def test_radial_source_validation():
 def test_eval_inside_disk_rejected():
     u = solve_exterior_dirichlet(FourierFn.from_modes(R, {1: 1.0}), None)
     with pytest.raises(ValueError):
-        u.eval_mode(1, 0.5)
+        u.eval(np.array([1.0, 0.5]), 0.0)
 
 
 def test_galerkin_dtn_structure():

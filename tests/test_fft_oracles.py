@@ -66,7 +66,7 @@ def dense_to_fourier(values, pn, M):
 
 
 def dense_cell_averages(g, pn):
-    r, weight = mode_split(g.ks(), pn)
+    r, weight = mode_split(np.arange(-g.M, g.M + 1), pn)
     idx = np.outer(2 * np.arange(pn) + 1, r) % (2 * pn)
     return np.exp(1j * np.pi * idx / pn) @ (g.coeffs * weight)
 
@@ -102,7 +102,7 @@ def test_to_fourier_and_cell_averages_match_dense(p, N):
     for M in sorted({max(pn // 3, 1), pn + 1, 4 * pn + 3, MODE_OVERSAMPLING * pn - 1,
                      MODE_OVERSAMPLING * pn}):
         values = rng.standard_normal(pn) + 1j * rng.standard_normal(pn)
-        fast = ci.PiecewiseConstantFn(dec, N, values).to_fourier(M).coeffs
+        fast = ci.CellModes(ci.PiecewiseConstantFn(dec, N, values), M).block(-M, M + 1)
         assert rel_err(fast, dense_to_fourier(values, pn, M)) <= 1e-13, (p, N, M)
 
         g = ci.FourierFn(R, rng.standard_normal(2 * M + 1) + 1j * rng.standard_normal(2 * M + 1))
@@ -129,7 +129,7 @@ def test_fft_kernels_match_dense_on_random_inputs(p, radius, seed, data):
 
     rng = np.random.default_rng(seed)
     values = rng.standard_normal(pn) + 1j * rng.standard_normal(pn)
-    fast = ci.PiecewiseConstantFn(dec, N, values).to_fourier(M).coeffs
+    fast = ci.CellModes(ci.PiecewiseConstantFn(dec, N, values), M).block(-M, M + 1)
     assert rel_err(fast, dense_to_fourier(values, pn, M)) <= 1e-13, (p, N, M)
     g = ci.FourierFn(radius, rng.standard_normal(2 * M + 1) + 1j * rng.standard_normal(2 * M + 1))
     assert rel_err(ci.cell_averages(dec, g, N), dense_cell_averages(g, pn)) <= 1e-13, (p, N, M)

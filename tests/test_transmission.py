@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import combined, constant_function, expanded, expanded_tree, whole
+from oracles import combined, constant_function, expanded, expanded_tree, study_errors, to_fourier, whole
 from treedisk import calculus, dtn, exterior, transmission
 from treedisk import tree as tree_module
 from treedisk.calculus import TreeFunction
@@ -21,6 +21,7 @@ from treedisk.errors import (
     InvalidInput,
     NumericalCheckFailed,
     SingularInterfaceOperator,
+    StructuralConditionViolated,
 )
 from treedisk.exterior import RadialSource
 from treedisk.transmission import (
@@ -217,11 +218,11 @@ def test_study_needs_enough_levels():
 
 
 @pytest.mark.parametrize("levels, manufactured, source_depth", [
-    # modes up to 16 * 2^20 exceed the mode budget
-    ([3, 4, 20], FourierFn.from_modes(1.0, {1: 0.5, -1: 0.5}), None),
+    # the source tree of level 22 at depth 26 stores 2^23 - 1 + 5 * 2^22 rows
+    ([3, 4, 22], FourierFn.from_modes(1.0, {1: 0.5, -1: 0.5}), None),
     # 2^19 rows in each of 42 generations below level 19 exceed the tree budget
     ([3, 4, 19], None, 60),
-], ids=["mode-budget", "tree-budget"])
+], ids=["manufactured", "tree-budget"])
 def test_study_checks_the_finest_level_before_solving(monkeypatch, levels, manufactured,
                                                       source_depth):
     def solve_interface(system):
@@ -229,8 +230,55 @@ def test_study_checks_the_finest_level_before_solving(monkeypatch, levels, manuf
 
     monkeypatch.setattr(transmission, "solve_interface", solve_interface)
     cfg = TransmissionConfig(params=REF, level=3, alpha1=1.0, alpha0=0.3, source_depth=source_depth)
-    with pytest.raises(AssemblyTooLarge):
+    with pytest.raises(AssemblyTooLarge, match="tree budget"):
         convergence_study(cfg, levels, manufactured=manufactured)
+
+
+def test_a_study_runs_with_its_modes_beyond_the_mode_budget(monkeypatch):
+    # the mode budget bounds what holds every mode at once, not a study: at
+    # level 6 the reference cutoff 16 * 2^6 is over a budget of 1000, and
+    # every level's modes are formed and summed a block at a time
+    monkeypatch.setattr(exterior, "MODE_BUDGET", 1000)
+    cfg = TransmissionConfig(params=REF, level=3, alpha1=1.0, alpha0=0.3,
+                             exterior_source=_ext_source(1))
+    st = convergence_study(cfg, [3, 4, 5, 6], manufactured=None)
+    assert st.err_h12[-1] == 0.0 and all(b < a for a, b in zip(st.err_h12[:-1], st.err_h12[1:-1]))
+
+
+def _fitted_rate(levels, errors, p):
+    slope = np.polynomial.polynomial.polyfit(levels, np.log(np.maximum(errors, 1e-300)), 1)[1]
+    return -slope / math.log(p)
+
+
+@pytest.mark.parametrize("p, datum", [(2, "fourier"), (2, None), (3, "cells"), (3, None)])
+def test_study_norms_match_the_whole_array_path(monkeypatch, p, datum):
+    # the streamed norms against the whole-array path (oracles.study_errors):
+    # every level's g as one array of modes at 16 p^N_max minus the
+    # reference's, from the g that the study solved for
+    solved = []
+
+    def solve_interface(system):
+        solved.append(original(system))
+        return solved[-1]
+
+    original = transmission.solve_interface
+    monkeypatch.setattr(transmission, "solve_interface", solve_interface)
+    params = TreeParams(p=p, ell=0.5 if p == 2 else 0.4, omega=0.4 if p == 2 else 0.3)
+    levels = [3, 4, 5, 6] if p == 2 else [2, 3, 4]
+    decomp = MultiscaleDecomposition(R=1.0, p=p, n_max=8)
+    rng = np.random.default_rng(p)
+    manufactured = {"fourier": FourierFn.from_modes(1.0, {1: 0.5, -1: 0.5, 3: 0.2j, -3: -0.2j}),
+                    "cells": PiecewiseConstantFn(decomp, 5, rng.standard_normal(p**5)),
+                    None: None}[datum]
+    cfg = TransmissionConfig(params=params, level=levels[0], alpha1=1.0 + 0.3j, alpha0=0.25,
+                             exterior_source=None if datum else _ext_source(1))
+    st = convergence_study(cfg, levels, manufactured=manufactured)
+    reference = manufactured if datum else solved[-1]
+    err_l2, err_h12 = study_errors(solved, reference, 16 * p ** max(levels))
+    fit = slice(None) if datum else slice(None, -1)
+    assert st.err_l2 == pytest.approx(err_l2, rel=1e-13, abs=0)
+    assert st.err_h12 == pytest.approx(err_h12, rel=1e-13, abs=0)
+    assert st.rho_hat == pytest.approx(_fitted_rate(levels[fit], err_h12[fit], p), rel=1e-13)
 
 
 def test_pencil_level_one_closed_form():
@@ -338,8 +386,11 @@ def test_config_validation():
     # the modes are formed per block, so the tree bounds the level: at level
     # 22 the source tree at depth 26 stores 2^23 - 1 + 5 * 2^22 rows
     ({"level": 22}, AssemblyTooLarge, "29360127 stored rows exceed the tree budget"),
+    # omega * p = 5 is not below 1 / ell = 2
+    ({"params": TreeParams(p=2, ell=0.5, omega=2.5)}, StructuralConditionViolated,
+     r"omega\*p < 1/ell fails"),
 ], ids=["alpha0-length", "tree-source-shallow", "tree-source-deep", "tree-source-1d",
-        "tree-source-no-coefficients", "tree-source-3d", "tree-budget"])
+        "tree-source-no-coefficients", "tree-source-3d", "tree-budget", "structural"])
 def test_bad_data_refused_before_anything_is_built(monkeypatch, fields, error, message):
     def refuse(*args, **kwargs):
         raise AssertionError("work started before the config was checked")
@@ -473,7 +524,7 @@ def test_reconstruct_reuses_the_exterior_lift(monkeypatch):
     sol = _reconstruct(system, g)
     assert len(integrals) == 1
     monkeypatch.undo()
-    fresh = exterior.solve_exterior_dirichlet(g.to_fourier(16 * 8), cfg.exterior_source)
+    fresh = exterior.solve_exterior_dirichlet(to_fourier(g, 16 * 8), cfg.exterior_source)
     assert all(x.tobytes() == y.tobytes() for x, y in zip(whole(sol.u_ext), whole(fresh)))
 
 
