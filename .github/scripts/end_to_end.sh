@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# treedisk transmission and convergence end to end, with every warning an
-# error.  Run it from the root of a checkout, with treedisk importable:
+# treedisk transmission, exterior-dtn and convergence end to end, with
+# every warning an error.  Run it from the root of a checkout, with treedisk importable:
 #
 #     bash -eo pipefail .github/scripts/end_to_end.sh
 #
@@ -57,3 +57,18 @@ printf '%s\n' "tree.p = 2" "tree.ell = 0.5" "tree.omega = 0.4" "interface.N = 3"
   "source.exterior.r_max = 2" "source.exterior.profile.1 = 1" "source.exterior.profile.-1 = 1" \
   > "$tmp/ring.ini"
 python -W error -m treedisk.cli convergence --config "$tmp/ring.ini" --out "$tmp/ring.csv"
+
+# `treedisk exterior-dtn` at the mode budget: its 2^24 + 1 rows (289 MB) are
+# streamed from the symbol's blocks a chunk at a time, so the command peaks
+# under 128 MiB (37 MiB on a 2-vCPU host, against 293 MiB when the symbol
+# held all its values); it fails above that
+python - "$tmp/symbol.csv" <<'EOF'
+import resource, subprocess, sys
+subprocess.run([sys.executable, "-W", "error", "-m", "treedisk.cli", "exterior-dtn", "--radius", "1",
+                "--level", "19", "--modes", "8388608", "--out", sys.argv[1]], check=True)
+peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+print("exterior-dtn at 8388608 modes: peak %.0f MiB" % peak)
+if peak > 128:
+    sys.exit("peak RSS %.0f MiB exceeds 128 MiB" % peak)
+EOF
+rm -f "$tmp/symbol.csv"

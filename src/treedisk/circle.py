@@ -32,11 +32,11 @@ at least BLOCK_MODES modes per block), with 1/k formed per block.  A fold
 (Fold) takes the modes in the order of k, a block at a time, and adds the
 rows in order, each to the running sum, as one sum over every row would,
 so its bits do not depend on the blocks.  The modes come from functions
-block(lo, hi) of the centred values of the modes lo..hi-1: FourierFn,
-exterior.ExteriorSymbol, CellModes (the modes of cell values at a
-cutoff, formed per block from one fft) and ModeDifference give them, so
-no fold, norm or transform from cells to modes holds an array over all
-2M + 1 modes.
+block(lo, hi) of the modes lo..hi-1: FourierFn (from its centred values),
+exterior.ExteriorSymbol (from its closed form in |k|), CellModes (the
+modes of cell values at a cutoff, formed per block from one fft) and
+ModeDifference give them, so no fold, norm or transform from cells to
+modes holds an array over all 2M + 1 modes.
 
 The norms take modes and never materialize fine levels: the Fourier H^s
 norms (sobolev_norms) sum over one block at a time, and ||P_n g||^2 =

@@ -18,10 +18,10 @@ one generation at a time, as finished text (_tree_chunks): each stored
 row's whole record is formatted once into a template, and a chunk is one
 gather of template rows over its edges with their k text written in, so
 the full tree is never built.  exterior.csv is streamed from the exterior
-field _CHUNK_ROWS modes at a time (_trace_chunks), so no array over its
-2 * 16 p^N + 1 modes is held.  The tree-dtn matrix repeats a few distinct
-values, so its values are formatted once per bit pattern and gathered as
-text.
+field, and the exterior-dtn dump from the symbol, _CHUNK_ROWS modes at a
+time (_mode_chunks), so no array over all their modes is held.  The
+tree-dtn matrix repeats a few distinct values, so its values are formatted
+once per bit pattern and gathered as text.
 
 tree.csv is most of `transmission`'s output, so it is written in a forked
 child (_in_child), which starts as soon as the tree solution exists
@@ -68,7 +68,7 @@ from . import csvtext
 from .config import RunConfig, parse_config
 from .dtn import condensed_dtn
 from .errors import InvalidInput, NumericalCheckFailed, TreediskError
-from .exterior import check_cutoff, dtn_symbol
+from .exterior import check_cutoff, check_mode_budget, dtn_symbol
 from .transmission import (
     TransmissionConfig,
     assemble_system,
@@ -315,9 +315,11 @@ def _cmd_tree_dtn(args) -> int:
 
 def _cmd_exterior_dtn(args) -> int:
     started = time.monotonic()
+    # the budget bounds the 2 M + 1 rows written, not the symbol
+    check_mode_budget(args.modes)
     symbol = dtn_symbol(args.radius, args.modes)
     check_cutoff(args.modes, args.p, args.level)
-    _write_csv(args.out, ("k", "value"), [symbol.ks(), symbol.values])
+    _write_chunks(args.out, ("k", "value"), _mode_chunks(args.modes, symbol.block))
     _write_manifest(args.out + ".manifest", "exterior-dtn", None, started, [args.out])
     return EXIT_OK
 
@@ -372,14 +374,17 @@ def _tree_chunks(u):
                 yield text.translate(None, b"\0")
 
 
-def _trace_chunks(u_ext):
-    """Chunks of exterior.csv (k, re, im), the Dirichlet trace of the exterior
-    field u_ext, formed _CHUNK_ROWS modes at a time (ExteriorField.trace0_block),
-    so no array over all its modes is held."""
-    for lo in range(-u_ext.M, u_ext.M + 1, _CHUNK_ROWS):
-        hi = min(lo + _CHUNK_ROWS, u_ext.M + 1)
-        trace = u_ext.trace0_block(lo, hi)
-        yield _row([csvtext.range_cells(lo, hi - lo), trace.real, trace.imag])
+def _mode_chunks(M: int, block):
+    """Chunks of a CSV over the modes -M..M: k, then the values block(lo, hi)
+    of the modes lo..hi-1, as re and im when they are complex.  They are
+    formed _CHUNK_ROWS modes at a time (exterior.csv from
+    ExteriorField.trace0_block, the exterior-dtn dump from
+    ExteriorSymbol.block), so no array over all the modes is held."""
+    for lo in range(-M, M + 1, _CHUNK_ROWS):
+        hi = min(lo + _CHUNK_ROWS, M + 1)
+        values = block(lo, hi)
+        parts = [values.real, values.imag] if np.iscomplexobj(values) else [values]
+        yield _row([csvtext.range_cells(lo, hi - lo), *parts])
 
 
 def _cmd_transmission(args) -> int:
@@ -415,7 +420,8 @@ def _cmd_transmission(args) -> int:
         writing = time.monotonic()
         _write_csv(prefix + "g.csv", ("level", "cell", "value"),
                    [np.full(g.values.size, g.level), np.arange(g.values.size), g.values])
-        _write_chunks(prefix + "exterior.csv", ("k", "re", "im"), _trace_chunks(sol.u_ext))
+        _write_chunks(prefix + "exterior.csv", ("k", "re", "im"),
+                      _mode_chunks(sol.u_ext.M, sol.u_ext.trace0_block))
     reported = [("condition estimate", sol.condition_estimate),
                 ("trace defect", sol.trace_defect),
                 ("flux residual", sol.flux_residual),

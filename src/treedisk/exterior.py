@@ -3,7 +3,9 @@
 On the circle of radius R every boundary operator of the exterior Laplace
 problem acts diagonally on Fourier modes, so the Dirichlet-to-Neumann map
 and the layer potentials S, T* and the hypersingular operator are carried
-around as symbol sequences s_k.  The symbol values are cross-checked two
+around as symbols s_k (ExteriorSymbol): R, the cutoff M and the closed form
+in |k|, from which every caller forms a block of modes at a time, so no
+symbol holds its 2M+1 values.  The symbol values are cross-checked two
 independent ways: against direct quadrature of the log kernel (with a
 singularity-graded Gauss rule, since the kernel is only weakly singular)
 and against the boundary-equation identity linking S, T and the DtN map.
@@ -21,21 +23,23 @@ the exterior domain.
 
 import math
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circle import BLOCK_MODES, MultiscaleDecomposition, alias_fold, centred_block, mode_blocks
+from .circle import BLOCK_MODES, MultiscaleDecomposition, alias_fold, mode_blocks
 from .dtn import check_dense
 from .errors import AssemblyTooLarge, CutoffTooSmall, NonPositiveParameter, ScaleEqualsRadius
 
 MODE_OVERSAMPLING = 16
 
-# What holds all 2M+1 values of modes |k| <= M at once is capped at the
-# tree's leaf budget: the whole-array symbols (dtn_symbol, layer_symbols)
-# and the modes a source or a manufactured datum names.  A solve and a
-# convergence study form their modes per block (ExteriorField,
-# circle.CellModes) and are bound by the tree budget alone.
+# The modes an input names are capped at the tree's leaf budget: the
+# rows of `treedisk exterior-dtn --modes`, a source's modes and a
+# manufactured datum's, each of which is visited or written mode by mode.
+# Symbols, a solve and a convergence study form their modes per block
+# (ExteriorSymbol, ExteriorField, circle.CellModes) and are bound by the
+# tree budget alone.
 MODE_BUDGET = 2**23
 
 _GL64 = np.polynomial.legendre.leggauss(64)
@@ -49,80 +53,52 @@ _QUADRATURE_NODES = 2048
 _EVAL_POINTS = 64
 
 
-@dataclass
-class ExteriorSymbol:
-    """Fourier symbol s_k, |k| <= M, of a boundary operator on the circle.
-
-    values holds s_{-M}..s_M, an odd number of values.
-    """
-
-    R: float
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim != 1 or self.values.size % 2 == 0:
-            raise ValueError("need 2M+1 symbol values")
-
-    @property
-    def M(self) -> int:
-        return (self.values.size - 1) // 2
-
-    def ks(self):
-        return np.arange(-self.M, self.M + 1)
-
-    def coeff(self, k: int) -> float:
-        if abs(k) > self.M:
-            raise IndexError("mode %d beyond cutoff %d" % (k, self.M))
-        return float(self.values[k + self.M])
-
-    def block(self, lo: int, hi: int) -> np.ndarray:
-        """s_lo..s_{hi-1}, zero beyond M."""
-        return centred_block(self.values, lo, hi)
-
-
 @dataclass(frozen=True)
-class DtnSymbol:
-    """The exterior DtN symbol s_k = -|k|/R, |k| <= M, formed a block at a time.
+class ExteriorSymbol:
+    """Fourier symbol s_k, |k| <= M, of a boundary operator on the circle,
+    formed a block at a time from its closed form in |k|.
 
-    dtn_symbol holds the same values as one array; galerkin_row folds
-    either.
+    form maps an array of |k| to the symbol's values there; no array over
+    all 2M+1 modes is held, so M is bounded by no budget.
     """
 
     R: float
     M: int
+    form: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self):
         if self.R <= 0:
             raise NonPositiveParameter("radius must be positive")
 
     def block(self, lo: int, hi: int) -> np.ndarray:
-        """s_lo..s_{hi-1}, for -M <= lo <= hi <= M + 1."""
-        return -np.abs(np.arange(lo, hi)) / self.R
+        """s_lo..s_{hi-1}, zero beyond M."""
+        a, b = max(lo, -self.M), min(hi, self.M + 1)
+        values = self.form(np.abs(np.arange(a, b)))
+        if (a, b) == (lo, hi):
+            return values
+        out = np.zeros(hi - lo)
+        out[a - lo : a - lo + values.size] = values
+        return out
+
+    def coeff(self, k: int) -> float:
+        return float(self.block(k, k + 1)[0])
 
 
 def check_mode_budget(M: int) -> None:
-    """Raise AssemblyTooLarge before the 2M+1 values of modes |k| <= M are allocated."""
+    """Raise AssemblyTooLarge when M is beyond MODE_BUDGET: an input that
+    names modes up to M holds or writes every mode up to it."""
     if M > MODE_BUDGET:
         raise AssemblyTooLarge("modes up to %d exceed the mode budget of %d" % (M, MODE_BUDGET))
 
 
-def _modes(M: int) -> np.ndarray:
-    """The mode numbers -M..M, once M is within MODE_BUDGET."""
-    check_mode_budget(M)
-    return np.arange(-M, M + 1)
-
-
 def dtn_symbol(R: float, M: int) -> ExteriorSymbol:
-    """Exterior DtN symbol: s_0 = 0, s_k = -|k|/R, as one array (DtnSymbol by blocks).
+    """Exterior DtN symbol: s_0 = 0, s_k = -|k|/R.
 
     Non-positive with kernel the constants; the harmonic extension of
     e^{ik theta} is (R/r)^{|k|} e^{ik theta}, whose radial derivative at R
     is -|k|/R.
     """
-    symbol = DtnSymbol(R, M)
-    check_mode_budget(M)
-    return ExteriorSymbol(R, symbol.block(-M, M + 1))
+    return ExteriorSymbol(R, M, lambda ak: -ak / R)
 
 
 def layer_symbols(R: float, r_scale: float, M: int):
@@ -136,15 +112,11 @@ def layer_symbols(R: float, r_scale: float, M: int):
         raise NonPositiveParameter("radius must be positive")
     if r_scale == R:
         raise ScaleEqualsRadius("r_scale = R makes the single layer singular on constants")
-    ak = np.abs(_modes(M))
-    safe = np.maximum(ak, 1)
-    single = np.where(ak == 0, R * math.log(r_scale / R), R / (2.0 * safe))
-    double_t = np.where(ak == 0, -1.0, 0.0)
-    hyper = ak / (2.0 * R)
+    s_0 = R * math.log(r_scale / R)
     return (
-        ExteriorSymbol(R, single),
-        ExteriorSymbol(R, double_t),
-        ExteriorSymbol(R, hyper),
+        ExteriorSymbol(R, M, lambda ak: np.where(ak == 0, s_0, R / (2.0 * np.maximum(ak, 1)))),
+        ExteriorSymbol(R, M, lambda ak: np.where(ak == 0, -1.0, 0.0)),
+        ExteriorSymbol(R, M, lambda ak: ak / (2.0 * R)),
     )
 
 
@@ -153,14 +125,16 @@ def bie_dtn_crosscheck(R: float, r_scale: float, M: int) -> float:
 
     The identity encodes the Dirichlet boundary equation at zero volume
     source; mode 0 is excluded because the log-growth and bounded radiation
-    classes differ there (including it gives defect 1 by design).
+    classes differ there (including it gives defect 1 by design).  The
+    symbols are read a block of mode_blocks at a time.
     """
     single, double_t, _ = layer_symbols(R, r_scale, M)
     dtn = dtn_symbol(R, M)
-    ks = dtn.ks()
-    keep = ks != 0
-    defect = single.values * dtn.values + 0.5 * (1.0 - double_t.values)
-    return float(np.abs(defect[keep]).max())
+    worst = 0.0
+    for lo, hi in mode_blocks(M, 1):
+        defect = single.block(lo, hi) * dtn.block(lo, hi) + 0.5 * (1.0 - double_t.block(lo, hi))
+        worst = max(worst, np.abs(defect[np.arange(lo, hi) != 0]).max(initial=0.0))
+    return float(worst)
 
 
 def single_layer_quadrature(R: float, r_scale: float, k: int) -> float:
@@ -261,13 +235,12 @@ def _source_integral(source: RadialSource, k: int, expo: float, upper: float,
     return complex(half * (_GL64[1] @ vals))
 
 
-def _support(data):
-    """(extent, mean): the largest |k| with a nonzero mode in data (M and
-    block(lo, hi)), 0 when there is none, and whether mode 0 is nonzero.
+def _support(data) -> int:
+    """The largest |k| with a nonzero mode in data (M and block(lo, hi)), 0
+    when there is none.
 
     Bands of BLOCK_MODES modes on each side are scanned from the outside
-    in, then the modes |k| <= BLOCK_MODES that remain as one block, which
-    holds mode 0.
+    in, then the modes |k| <= BLOCK_MODES that remain as one block.
     """
     top = data.M
     while top > BLOCK_MODES:
@@ -275,12 +248,9 @@ def _support(data):
         pos = np.flatnonzero(data.block(lo, top + 1))
         neg = np.flatnonzero(data.block(-top, 1 - lo))
         if pos.size or neg.size:
-            extent = max(lo + pos[-1] if pos.size else 0, top - neg[0] if neg.size else 0)
-            return int(extent), bool(data.block(0, 1)[0] != 0)
+            return int(max(lo + pos[-1] if pos.size else 0, top - neg[0] if neg.size else 0))
         top = lo - 1
-    x = data.block(-top, top + 1)
-    ks = np.abs(np.flatnonzero(x) - top)
-    return (int(ks.max()) if ks.size else 0), bool(x[top] != 0)
+    return int(np.abs(np.flatnonzero(data.block(-top, top + 1)) - top).max(initial=0))
 
 
 @dataclass
@@ -298,8 +268,8 @@ class ExteriorField:
     The field holds R, the source, the Dirichlet data and the few modes
     the solve sets apart: data gives the data's modes g_k a block at a time
     (data.block(lo, hi): a FourierFn, or circle.CellModes of g's cells),
-    and fixed maps each source mode and the mean mode to its b_k.  There
-    a_k = g_k - b_k (a_0 = g_0 - b_0 log R); elsewhere a_k = g_k, b_k = 0.
+    and fixed maps each source mode to its b_k.  There a_k = g_k - b_k
+    (a_0 = g_0 - b_0 log R); elsewhere a_k = g_k, b_k = 0.
     block forms (a, b) over the modes lo..hi-1, trace0_of and trace1_of the
     traces from them, trace0_block the Dirichlet trace's modes, and eval
     the field at points from one block of (a, b) at a time; no method
@@ -403,14 +373,14 @@ def solve_exterior_dirichlet(g, source: RadialSource | None, R: float | None = N
 
     Per mode k the solution is fixed by the Dirichlet value at R and the
     bounded radiation class, which kills the growing part (r^{|k|}, and
-    log r at k = 0, adjusting the free constant).  Modes k != 0 without a
-    source term are a_k = g_k, b_k = 0, and are formed from g a block at
-    a time when asked (ExteriorField); the source modes and the mean mode
-    take the formulas below one by one.  g is a FourierFn, modes with R, M
-    and block(lo, hi) (circle.CellModes, say), or None.  b_k does not
-    depend on g: lift, a solution for the same source (the one with g =
-    None, say), hands over its b_k on the source modes, so their integrals
-    are not computed again.
+    log r at k = 0, adjusting the free constant).  Modes without a source
+    term are a_k = g_k, b_k = 0 (b_0 cancels only a source's log growth),
+    and are formed from g a block at a time when asked (ExteriorField); the
+    source modes take the formulas below one by one.  g is a FourierFn,
+    modes with R, M and block(lo, hi) (circle.CellModes, say), or None.
+    b_k does not depend on g: lift, a solution for the same source (the one
+    with g = None, say), hands over its b_k on the source modes, so their
+    integrals are not computed again.
     """
     if R is None:
         R = g.R if g is not None else (source.R if source is not None else None)
@@ -421,28 +391,22 @@ def solve_exterior_dirichlet(g, source: RadialSource | None, R: float | None = N
     if source is not None and abs(source.R - R) > 1e-12 * R:
         raise ValueError("source annulus does not start at R")
 
-    ks = set(source.modes()) if source is not None else set()
+    ks = source.modes() if source is not None else []
     M = max((abs(k) for k in ks), default=0)
     if g is not None:
-        extent, mean = _support(g)
-        M = max(M, extent)
-        if mean:
-            ks.add(0)
-    reused = set()
-    if lift is not None and source is not None:
-        if lift.source is not source:
-            raise ValueError("the lift solves another source")
-        reused = set(source.modes())
+        M = max(M, _support(g))
+    if lift is not None and source is not None and lift.source is not source:
+        raise ValueError("the lift solves another source")
     fixed = {}
-    for k in sorted(ks):
+    for k in ks:
         ak = abs(k)
-        if k in reused:
+        if lift is not None:
             # as an array of the lift's b_k would hold it
             fixed[k] = np.complex128(lift.fixed[k])
         elif ak > 0:
             fixed[k] = -R * _source_integral(source, k, 1.0 - ak, np.inf, scale=R) / (2.0 * ak)
         else:
-            fixed[k] = -(_source_integral(source, k, 1.0, np.inf) if source else 0.0)
+            fixed[k] = -_source_integral(source, k, 1.0, np.inf)
     return ExteriorField(R=float(R), M=M, data=g, fixed=fixed, source=source)
 
 
@@ -462,7 +426,7 @@ def check_cutoff(M: int, p: int, level: int):
             % (M, MODE_OVERSAMPLING, p, level)))
 
 
-def galerkin_row(decomp: MultiscaleDecomposition, N: int, symbol) -> np.ndarray:
+def galerkin_row(decomp: MultiscaleDecomposition, N: int, symbol: ExteriorSymbol) -> np.ndarray:
     """Row a of the Galerkin matrix A[K][L] = 2 pi R sum_k s_k (1hat_L)_k (1hat_K)_{-k} on level N.
 
     The cell phases make A a symmetric circulant: its entries depend on
@@ -473,10 +437,9 @@ def galerkin_row(decomp: MultiscaleDecomposition, N: int, symbol) -> np.ndarray:
     Folding the weights onto k mod p^N (circle.alias_fold with power 2)
     turns that sum into the real part of one FFT of length p^N, so the row
     costs O(M + p^N log p^N) time, and fft(a) holds the eigenvalues of A.
-    symbol is an ExteriorSymbol or a DtnSymbol, folded a block at a time,
-    so a DtnSymbol's row takes O(p^N) memory besides one block of modes.  For the DtN symbol the sinc zeros at
-    aliased modes give A 1 = 0 up to rounding and
-    the quadratic form 2 pi R sum s_k |g_M(k)|^2 <= 0, so A is negative
+    The symbol is folded a block at a time, so the row takes O(p^N) memory
+    besides one block of modes.  For the DtN symbol the sinc zeros at
+    aliased modes give A 1 = 0 up to rounding and the quadratic form 2 pi R sum s_k |g_M(k)|^2 <= 0, so A is negative
     semidefinite at every cutoff.  Entries of the order-one symbols (DtN,
     hypersingular) depend on the cutoff M (their diagonal grows like log M);
     the summable layer symbols converge with tail O(M^{-2}).

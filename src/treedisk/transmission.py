@@ -77,10 +77,10 @@ from .errors import (
 )
 from .exterior import (
     MODE_OVERSAMPLING,
-    DtnSymbol,
     ExteriorField,
     RadialSource,
     circulant_view,
+    dtn_symbol,
     galerkin_row,
     solve_exterior_dirichlet,
 )
@@ -373,11 +373,11 @@ def assemble_system(cfg: TransmissionConfig) -> InterfaceSystem:
     when cfg was built (TransmissionConfig), so nothing is refused here once
     work has started; nothing here is p^N x p^N, and the DtN symbol -|k|/R
     at cutoff 16 p^N is folded into c_row a block of modes at a time
-    (exterior.DtnSymbol), never held whole.
+    (exterior.ExteriorSymbol), never held whole.
     """
     p = cfg.params.p
     pn = p**cfg.level
-    symbol = DtnSymbol(cfg.R, MODE_OVERSAMPLING * pn)
+    symbol = dtn_symbol(cfg.R, MODE_OVERSAMPLING * pn)
     tree = build_condensed(cfg.params, cfg.source_depth, level=cfg.level)
     dtn = tree_dtn_operator(tree)
     n_max = max(cfg.level, cfg.source_depth + 1) + 1
@@ -420,26 +420,11 @@ def _givens(a, b):
     return abs(a) / r, phase * b.conjugate() / r, phase * r
 
 
-def _norm(x) -> float:
-    """||x||_2 as 2^e ||2^-e x||_2, with e the exponent of max|x| (math.frexp).
-
-    The scaled entries are below 1 in magnitude, so no square overflows,
-    and the largest is at least 1/2, so the sum of squares does not
-    underflow: a vector of 1e-200 or 1e200 has its norm, where
-    np.linalg.norm gives 0 or inf.  Scaling by a power of two is exact, so
-    where np.linalg.norm(x) neither underflows nor overflows the two agree
-    bit for bit.  A NaN or infinite entry gives NaN or inf.
-    """
-    big = float(np.abs(x).max(initial=0.0))
-    if big == 0.0 or not math.isfinite(big):
-        return big
-    e = math.frexp(big)[1]
-    if np.iscomplexobj(x):
-        # ldexp on the real and imaginary parts: 2^-e itself can overflow
-        scaled = np.ldexp(np.ascontiguousarray(x).view(np.float64), -e).view(x.dtype)
-    else:
-        scaled = np.ldexp(x, -e)
-    return math.ldexp(float(np.linalg.norm(scaled)), e)
+def _ldexp(x, e: int) -> np.ndarray:
+    """x 2^e, exact where it stays normal: ldexp of x's real and imaginary
+    parts, as 2^e itself can overflow."""
+    x = np.ascontiguousarray(x)
+    return np.ldexp(x.view(np.float64), e).view(x.dtype)
 
 
 def _gmres(step, precond, b, rtol=_KRYLOV_RTOL):
@@ -456,10 +441,10 @@ def _gmres(step, precond, b, rtol=_KRYLOV_RTOL):
     more than the steps.  Each Hessenberg column is rotated as Python
     scalars and kept as a list, and y comes from back substitution over
     those columns.  Without convergence x is the minimal-residual iterate
-    after the last step.  Norms are _norm's, so a b of 1e-200 is solved,
-    not taken for zero.
+    after the last step.  solve_interface hands it a b of unit scale, so
+    its norms neither underflow nor overflow.
     """
-    scale = _norm(b)
+    scale = float(np.linalg.norm(b))
     if scale == 0.0:
         return np.zeros(b.size, dtype=b.dtype), True
     steps = min(_KRYLOV_MAX_ITER, b.size)
@@ -475,7 +460,7 @@ def _gmres(step, precond, b, rtol=_KRYLOV_RTOL):
         again = (basis[: j + 1] @ w.conj()).conj()
         w -= again @ basis[: j + 1]
         coef += again
-        norm = _norm(w)
+        norm = float(np.linalg.norm(w))
         col = coef.tolist()
         for i, (c, s) in enumerate(rot):
             col[i], col[i + 1] = c * col[i] + s * col[i + 1], c * col[i + 1] - s.conjugate() * col[i]
@@ -597,10 +582,13 @@ def solve_interface(sys: InterfaceSystem) -> PiecewiseConstantFn:
     inf when one of them misses its tolerance.  A condition number beyond
     1e12 raises SingularInterfaceOperator and reports the nearest plasmonic
     pencil eigenvalue as a diagnostic when the dense pencil fits its budget.
-    The residual gate, residual <= 1e-10 ||h||, and GMRES take their norms
-    by _norm, which neither underflows nor overflows, so data of any
-    normal scale solve alike; an h that is not finite, or whose largest
-    entry is subnormal (too few digits to solve for), raises
+    h is scaled by 2^-e, e the exponent of max|h| (math.frexp), and the
+    solve runs at that unit scale, where no norm of GMRES or of the
+    residual gate, residual <= 1e-10 ||h||, underflows or overflows; g is
+    scaled back by 2^e.  Scaling by a power of two is exact and every step
+    of the solve is linear, so g is that of the unscaled solve bit for bit,
+    and data of any normal scale solve alike.  An h that is not finite, or
+    whose largest entry is subnormal (too few digits to solve for), raises
     NumericalCheckFailed before the solve.
     """
     n = sys.h.size
@@ -610,8 +598,10 @@ def solve_interface(sys: InterfaceSystem) -> PiecewiseConstantFn:
     if 0.0 < big < np.finfo(float).tiny:
         raise NumericalCheckFailed("max|h| = %.3e is subnormal: the sources are too small to "
                                    "solve for in float64" % big)
-    dtype = np.result_type(sys.dtype, sys.h)
-    rhs = -sys.h.astype(dtype)
+    e = math.frexp(big)[1]
+    h = _ldexp(sys.h, -e)
+    dtype = np.result_type(sys.dtype, h)
+    rhs = -h.astype(dtype)
     if n <= _TOP_CELLS:
         M = sys.M
         apply = M.__matmul__
@@ -634,15 +624,15 @@ def solve_interface(sys: InterfaceSystem) -> PiecewiseConstantFn:
         _check_condition(sys, _norm1_estimate(apply, n, dtype) * inverse_norm)
         g, _ = _gmres(step, precond, rhs)
         g = g + _gmres(step, precond, rhs - apply(g), _REFINE_RTOL)[0]
-    if np.iscomplexobj(g) and np.abs(g.imag).max() <= 1e-12 * max(np.abs(g).max(), 1e-300):
+    if np.iscomplexobj(g) and np.abs(g.imag).max() <= 1e-12 * np.abs(g).max():
         g = g.real.astype(float)
-    scale = _norm(sys.h)
-    residual = _norm(apply(g) + sys.h)
-    if not residual <= 1e-10 * max(scale, 1e-300):
+    scale = float(np.linalg.norm(h))
+    residual = float(np.linalg.norm(apply(g) + h))
+    if not residual <= 1e-10 * scale:
         raise SingularInterfaceOperator(
-            "residual %.3e exceeds 1e-10 of ||h|| = %.3e (condition %.3e)"
-            % (residual, scale, sys.condition_estimate))
-    return PiecewiseConstantFn(sys.decomp, sys.config.level, g)
+            "residual %.3e exceeds 1e-10 of ||h|| = %.3e, h scaled by 2^%d (condition %.3e)"
+            % (residual, scale, -e, sys.condition_estimate))
+    return PiecewiseConstantFn(sys.decomp, sys.config.level, _ldexp(g, e))
 
 
 @dataclass
@@ -760,7 +750,7 @@ def reconstruct(system: InterfaceSystem, g: PiecewiseConstantFn,
             mass_fold.add(g_k[inner])
         flux_fold.add(u_ext.trace1_of(lo, a, b)[max(-u_ext.M - lo, 0) : max(u_ext.M + 1 - lo, 0)])
 
-    tree_trace = np.abs(u_T.leaf_values() - g.values).max() if pn else 0.0
+    tree_trace = np.abs(u_T.leaf_values() - g.values).max()
     trace_defect = float(max(tree_trace, np.max(ext_trace)))
     if not trace_defect <= 1e-10:
         raise NumericalCheckFailed("interface traces disagree by %.3e" % trace_defect)

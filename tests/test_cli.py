@@ -311,6 +311,34 @@ def test_exterior_dtn_warns_at_levels_too_large_for_a_matrix(tmp_path):
                          "--modes", "8", "--out", str(tmp_path / "symbol.csv")]) == 0
 
 
+def test_exterior_dtn_streams_its_modes(tmp_path):
+    # 2^21 + 1 rows (36 MiB of text) are written from the symbol's blocks,
+    # _CHUNK_ROWS modes at a time; one array over the modes and their values
+    # takes 32 MiB
+    out = tmp_path / "symbol.csv"
+    tracemalloc.start()
+    try:
+        assert cli.main(["exterior-dtn", "--radius", "1", "--level", "16",
+                         "--modes", "1048576", "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.stat().st_size > 30 * 2**20
+    with open(out, "rb") as fh:
+        assert fh.readline() == b"k,value\n" and fh.readline() == b"-1048576,-1048576\n"
+    assert peak < 4 * 2**20, peak
+
+
+def test_exterior_dtn_refuses_modes_beyond_the_mode_budget(tmp_path, capsys):
+    # the budget bounds the rows written: one mode past it exits 2
+    out = tmp_path / "symbol.csv"
+    assert cli.main(["exterior-dtn", "--radius", "1", "--level", "19",
+                     "--modes", "8388609", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("problem too large: modes up to 8388609 exceed the "
+                                       "mode budget of 8388608\n")
+    assert os.listdir(tmp_path) == []
+
+
 # the refusals compare p^level by its exponent: at these levels p^level has
 # more than 4300 digits, past what %d formats, and 3^100000000 took about a
 # minute to compute; the bound leaves room for a loaded machine
@@ -534,9 +562,10 @@ def _run_scaled(scale, out):
 
 
 def test_transmission_solves_sources_of_any_normal_scale(tmp_path):
-    # GMRES and the residual gate take norms that neither underflow nor
-    # overflow (transmission._norm), so a source of 1e-200 solves to 1e-200
-    # times the datum of the unit source; at 1e200 the traces carry absolute
+    # the interface solve runs on h scaled to unit size by a power of two,
+    # where GMRES's and the residual gate's norms neither underflow nor
+    # overflow, so a source of 1e-200 solves to 1e-200 times the datum of
+    # the unit source; at 1e200 the traces carry absolute
     # errors far above the absolute 1e-10 trace gate, and at 1e-320 the rhs
     # is subnormal and refused; both exit 3 and leave no file
     g = {}
@@ -991,7 +1020,7 @@ def test_matrix_and_table_csvs_match_row_oracle(ref_config, tmp_path):
         assert cli.main(["exterior-dtn", "--radius", "0.7", "--level", "3",
                          "--modes", "9", "--out", str(out)]) == 0
     symbol = dtn_symbol(0.7, 9)
-    rows = [(int(k), symbol.coeff(int(k))) for k in symbol.ks()]
+    rows = [(int(k), symbol.coeff(int(k))) for k in np.arange(-9, 10)]
     assert out.read_bytes() == _oracle_csv(("k", "value"), rows)
 
     path = tmp_path / "conv.ini"

@@ -35,7 +35,22 @@ def test_symbol_values_and_symmetry():
     assert double_t.coeff(0) == -1.0 and double_t.coeff(5) == 0.0
     assert hyper.coeff(4) == pytest.approx(2.0)
     for sym in (dtn, single, double_t, hyper):
-        assert np.array_equal(sym.values, sym.values[::-1])
+        values = sym.block(-8, 9)
+        assert np.array_equal(values, values[::-1])
+
+
+def test_symbols_form_any_block_from_their_closed_form():
+    # a symbol holds no values, so a cutoff of 10^11 modes is no allocation:
+    # a block reads the closed form, zero beyond the cutoff
+    M = 10**11
+    dtn = dtn_symbol(R, M)
+    assert dtn.block(M - 2, M + 2).tolist() == [-(M - 2.0), -(M - 1.0), -float(M), 0.0]
+    assert dtn.block(-M - 1, -M + 1).tolist() == [0.0, -float(M)]
+    assert dtn.coeff(M + 1) == 0.0
+    single, double_t, hyper = layer_symbols(R, R_SCALE, M)
+    assert single.block(M, M + 2).tolist() == [R / (2.0 * M), 0.0]
+    assert double_t.block(-1, 2).tolist() == [0.0, -1.0, 0.0]
+    assert hyper.block(M, M + 1)[0] == pytest.approx(M / (2.0 * R))
 
 
 def test_scale_equal_radius_rejected():

@@ -52,8 +52,8 @@ def mode_split(ks, pn):
 
 
 def dense_galerkin_row(symbol, pn):
-    ks = symbol.ks()
-    weights = symbol.values * sinc_cells(ks, pn) ** 2 / float(pn) ** 2
+    ks = np.arange(-symbol.M, symbol.M + 1)
+    weights = symbol.block(-symbol.M, symbol.M + 1) * sinc_cells(ks, pn) ** 2 / float(pn) ** 2
     phases = np.mod(np.outer(np.arange(pn), ks), pn)
     return 2.0 * math.pi * symbol.R * (np.cos(2.0 * math.pi * phases / pn) @ weights)
 

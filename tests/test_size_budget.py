@@ -26,7 +26,6 @@ TESTS = str(pathlib.Path(__file__).resolve().parent)
 SETUP = """
 from treedisk.dtn import condensed_dtn, tree_dtn_operator, truncated_dtn
 from treedisk.errors import AssemblyTooLarge
-from treedisk.exterior import dtn_symbol, layer_symbols
 from treedisk.transmission import TransmissionConfig, assemble_system
 from treedisk.tree import TreeParams, build_condensed, build_truncated
 P = TreeParams(p=2, ell=0.5, omega=0.4)
@@ -52,8 +51,6 @@ LIBRARY_CASES = {
     # config refuses it before anything is built
     "unforced_deep_source": "assemble_system(TransmissionConfig(params=P, level=0, alpha1=1.0, "
                             "source_depth=900))",
-    "dtn_symbol": "dtn_symbol(1.0, 10**11)",
-    "layer_symbols": "layer_symbols(1.0, 2.0, 10**11)",
 }
 
 SOLVE_BEYOND_DENSE_BUDGET = """
