@@ -40,6 +40,15 @@ printf '%s\n' "tree.p = 2" "tree.ell = 0.5" "tree.omega = 0.4" "interface.N = 7"
   > "$tmp/unforced.ini"
 no_stderr python -X dev -W error -m treedisk.cli transmission --config "$tmp/unforced.ini" --out-prefix "$tmp/unforced_"
 
+# `treedisk transmission` on an interface of radius 2.5 with an exterior
+# source that has a mode-0 term: R != 1 in the source integrals and the
+# k = 0 formula (b_0 and its log R) end to end
+printf '%s\n' "tree.p = 2" "tree.ell = 0.5" "tree.omega = 0.4" "interface.radius = 2.5" "interface.N = 5" \
+  "transmission.alpha1 = 1" "transmission.alpha0 = 0.25" "source.exterior.r_max = 4" \
+  "source.exterior.profile.1 = 1" "source.exterior.profile.-1 = 1" "source.exterior.profile.0 = 1, -0.25" \
+  > "$tmp/radius.ini"
+no_stderr python -X dev -W error -m treedisk.cli transmission --config "$tmp/radius.ini" --out-prefix "$tmp/radius_"
+
 # `treedisk plasmonic` on a p = 3 tree with overrides below N1 = 2: D_N is
 # read off the source tree with a non-geometric top
 printf '%s\n' "tree.p = 3" "tree.ell = 0.5" "tree.omega = 0.3" "tree.N1 = 2" "interface.N = 4" \
@@ -57,6 +66,11 @@ printf '%s\n' "tree.p = 2" "tree.ell = 0.5" "tree.omega = 0.4" "interface.N = 3"
   "source.exterior.r_max = 2" "source.exterior.profile.1 = 1" "source.exterior.profile.-1 = 1" \
   > "$tmp/ring.ini"
 python -W error -m treedisk.cli convergence --config "$tmp/ring.ini" --out "$tmp/ring.csv"
+
+# the same study without transmission.levels: the default levels
+# interface.N .. interface.N + 3
+grep -v "transmission.levels" "$tmp/ring.ini" > "$tmp/ring_default.ini"
+python -W error -m treedisk.cli convergence --config "$tmp/ring_default.ini" --out "$tmp/ring_default.csv"
 
 # `treedisk exterior-dtn` at the mode budget: its 2^24 + 1 rows (289 MB) are
 # streamed from the symbol's blocks a chunk at a time, so the command peaks

@@ -278,8 +278,8 @@ CRITERIA = (criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,
             criterion_6, criterion_7, criterion_8, criterion_9, criterion_10)
 
 
-def run_all(verbose: bool = False):
-    """Run every criterion; returns a list of (name, ok, detail) tuples."""
+def run_all():
+    """Run every criterion and print its line; returns a list of (name, ok, detail) tuples."""
     results = []
     for index, criterion in enumerate(CRITERIA, start=1):
         try:
@@ -288,6 +288,5 @@ def run_all(verbose: bool = False):
             doc = (criterion.__doc__ or criterion.__name__).strip().rstrip(".")
             name, ok, detail = doc, False, "raised %s: %s" % (type(exc).__name__, exc)
         results.append((name, ok, detail))
-        if verbose:
-            print("%s %2d. %s (%s)" % ("PASS" if ok else "FAIL", index, name, detail))
+        print("%s %2d. %s (%s)" % ("PASS" if ok else "FAIL", index, name, detail))
     return results

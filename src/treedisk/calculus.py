@@ -294,9 +294,9 @@ def _mean(below, share, p, merged):
     return first + spread, a
 
 
-def solve_harmonic_dirichlet(tree: FiniteTree, leaf_values, root_value=0.0) -> TreeFunction:
+def solve_harmonic_dirichlet(tree: FiniteTree, leaf_values) -> TreeFunction:
     """Edgewise-linear function, harmonic off the vertices, with prescribed
-    leaf values and root value; Kirchhoff holds at interior vertices.
+    leaf values and root value 0; Kirchhoff holds at interior vertices.
 
     The elimination is carried in deviations, so that no slope is the
     difference of two nearly equal vertex values (Higham, Accuracy and
@@ -309,9 +309,9 @@ def solve_harmonic_dirichlet(tree: FiniteTree, leaf_values, root_value=0.0) -> T
     with first the first child's mean and a the sum of the shares, the
     effective conductance below X; equal children give first exactly.
     Downward, u(X_{n,k}) = m[n] + w[n] with w[n] = c[n] d[n] / pivot[n],
-    where d[n] = u(parent) - m[n] is (m[n-1] - m[n]) + w[n-1], or r0 - m[0]
-    at the root, and edge n has slope (w[n] - d[n]) / ell[n] (w = 0 on a
-    leaf edge).  Below a compressed level every row has one child, so d[n]
+    where d[n] = u(parent) - m[n] is (m[n-1] - m[n]) + w[n-1], or 0.0 - m[0]
+    at the root (0.0 - m keeps the sign of a zero m), and edge n has slope
+    (w[n] - d[n]) / ell[n] (w = 0 on a leaf edge).  Below a compressed level every row has one child, so d[n]
     = w[n-1] and the leaf flux is a product of shares: exact at any depth.
 
     In the tail the one child's mean is first itself, so m[n] - first is
@@ -341,16 +341,14 @@ def solve_harmonic_dirichlet(tree: FiniteTree, leaf_values, root_value=0.0) -> T
         share = c[n] * a
         share /= pivot[n]
 
-    dtype = np.result_type(leaf_values, np.asarray(root_value), float)
+    dtype = np.result_type(leaf_values, float)
     coeffs = []
-    start, d = root_value, root_value - means[0]
+    start, d = 0.0, 0.0 - means[0]
     for n in range(len(means)):
         if n:
             merged = tree.merged(n)
             start = _parent_rows(means[n - 1] + w, p, merged)
-            # in the result dtype: the means are real for real leaf values,
-            # w is complex for a complex root value
-            d = np.subtract(_parent_rows(means[n - 1], p, merged), means[n], dtype=dtype)
+            d = _parent_rows(means[n - 1], p, merged) - means[n]
             d += _parent_rows(w, p, merged)
         w = c[n] * d / pivot[n] if n < depth else 0.0
         coef = np.empty((tree.rows[n], 2), dtype=dtype)

@@ -18,14 +18,15 @@ the sign (-1)^a.  For k != 0 (Briggs and Henson, The DFT, SIAM 1995)
 
     (-1)^a sinc(k / p^n) = p^n sin(pi r / p^n) / (pi k),
 
-so every bridge between cell values and modes is one fold (alias_fold):
-sum the coefficients divided by k over alias rows of p^n modes, then
-multiply by the sine, a function of r alone; mode 0 (weight 1) is set
-apart.  Both directions cost one DFT of length p^n: O(M + p^n log p^n)
-for M modes, not O(M p^n).  The sine is an exact zero at r = 0, so the
-aliased multiples k = m p^n (m != 0) drop out and identities such as
-P_N P_n = P_min(N,n) hold to rounding error.  It is evaluated at
-min(r, p^n - r): near r = p^n, sin(pi r / p^n) is off by about 1e-14.
+so every bridge between cell values and modes is one fold (Fold): sum
+the coefficients divided by k over alias rows of p^n modes, then multiply
+by the sine, a function of r alone; mode 0 (weight 1) is set apart.  Both
+directions cost one DFT of length p^n: O(M + p^n log p^n) for M modes, not
+O(M p^n).  The sine is an exact zero at r = 0, so the aliased multiples
+k = m p^n (m != 0) drop out and identities such as P_N P_n = P_min(N,n)
+hold to rounding error.  It is evaluated at min(r, p^n - r): near
+r = p^n, sin(pi r / p^n) is off by about 1e-14.  The Galerkin weights of
+a symbol fold with sinc^2 (alias_fold).
 
 Mode space is visited a block at a time (mode_blocks: whole alias rows,
 at least BLOCK_MODES modes per block), with 1/k formed per block.  A fold
@@ -57,7 +58,7 @@ from .errors import DepthMismatch, ExponentOrderViolated, NumericalCheckFailed
 class MultiscaleDecomposition:
     """Equal-arc p-adic partition hierarchy of the circle of radius R."""
 
-    def __init__(self, R: float = 1.0, p: int = 2, n_max: int = 24):
+    def __init__(self, R: float, p: int, n_max: int):
         if R <= 0 or p < 1 or n_max < 0:
             raise ValueError("need R > 0, p >= 1, n_max >= 0")
         self.R = float(R)
@@ -108,18 +109,17 @@ class FourierFn:
         return centred_block(self.coeffs, lo, hi)
 
     @classmethod
-    def from_modes(cls, R, modes: dict, M=None) -> "FourierFn":
-        if M is None:
-            M = max((abs(k) for k in modes), default=0)
+    def from_modes(cls, R, modes: dict) -> "FourierFn":
+        """The series of the modes {k: c_k}, cut at the largest |k|."""
+        M = max((abs(k) for k in modes), default=0)
         coeffs = np.zeros(2 * M + 1, dtype=complex)
         for k, v in modes.items():
             coeffs[k + M] = v
         return cls(R, coeffs)
 
-    def is_real(self, tol: float = 1e-12) -> bool:
-        flipped = np.conj(self.coeffs[::-1])
-        scale = max(float(np.abs(self.coeffs).max()), 1e-300)
-        return float(np.abs(self.coeffs - flipped).max()) <= tol * scale
+    def is_real(self) -> bool:
+        """Whether c_{-k} = conj(c_k) exactly, so that the function is real."""
+        return not (self.coeffs - np.conj(self.coeffs[::-1])).any()
 
 
 # The least number of modes in a block of mode_blocks: a block's numpy calls
@@ -175,8 +175,8 @@ def _sine(r, pn: int) -> np.ndarray:
 
 
 class Fold:
-    """The alias fold (alias_fold) of the centred modes -M..M, taken in the
-    order of k, any number of modes at a time.
+    """The alias fold of the centred modes -M..M (module docstring), taken
+    in the order of k, any number of modes at a time.
 
     add(x) takes the next x.size modes, whose reciprocals 1/k it forms, and
     adds the finished rows (w = min(pn, 2M + 1) modes each) to the running
@@ -225,7 +225,7 @@ class Fold:
         return self.r, S
 
     def folded(self) -> np.ndarray:
-        """S_r over the pn classes (alias_fold), once every mode is added."""
+        """S_r over the pn classes, once every mode is added."""
         r, S = self.classes()
         out = np.zeros(self.pn, dtype=S.dtype)
         out[r] = S
@@ -245,16 +245,15 @@ def _folded(block, M: int, pn: int, power: int = 1) -> Fold:
     return fold
 
 
-def alias_fold(block, M: int, pn: int, power: int = 1) -> np.ndarray:
-    """S_r = sum_a x_k ((-1)^a sinc(k / pn))^power over k = r + a pn, r < pn.
+def alias_fold(block, M: int, pn: int) -> np.ndarray:
+    """S_r = sum_a x_k sinc^2(k / pn) over k = r + a pn, r < pn: the fold of
+    the Galerkin weights of a symbol (exterior.galerkin_row).
 
     block(lo, hi) gives the centred mode values x_lo..x_{hi-1}, |k| <= M,
-    one block of mode_blocks at a time (Fold).  power 1 folds Fourier
-    coefficients onto the cells (the DFT of their averages), power 2 the
-    Galerkin weights of a symbol (exterior.galerkin_row).  The aliased
+    one block of mode_blocks at a time (Fold, with power 2).  The aliased
     multiples k = m pn (m != 0) add exact zeros.
     """
-    return _folded(block, M, pn, power).folded()
+    return _folded(block, M, pn, 2).folded()
 
 
 def twiddles(pn: int) -> np.ndarray:

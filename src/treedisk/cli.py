@@ -474,7 +474,7 @@ def _cmd_plasmonic(args) -> int:
 def _cmd_selftest(args) -> int:
     from . import acceptance
 
-    results = acceptance.run_all(verbose=True)
+    results = acceptance.run_all()
     return EXIT_OK if all(ok for _, ok, _ in results) else EXIT_NUMERICAL
 
 

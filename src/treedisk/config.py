@@ -16,7 +16,7 @@ import cmath
 import dataclasses
 import hashlib
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -94,9 +94,9 @@ _SECTIONS = ("tree", "interface", "transmission", "source.tree", "source.exterio
 class RunConfig:
     """Parsed and validated key/value configuration."""
 
-    values: dict = field(default_factory=dict)
-    path: str | None = None
-    text: str = ""
+    values: dict
+    path: str | None
+    text: str
 
     def get(self, key):
         if key in self.values:

@@ -24,7 +24,7 @@ the exterior domain.
 import math
 import warnings
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -190,7 +190,7 @@ class RadialSource:
 
     R: float
     r_max: float
-    terms: list = field(default_factory=list)
+    terms: list
 
     def __post_init__(self):
         if not (0 < self.R < self.r_max):
@@ -367,7 +367,7 @@ class ExteriorField:
         return self.trace0_of(lo, *self.block(lo, hi))
 
 
-def solve_exterior_dirichlet(g, source: RadialSource | None, R: float | None = None,
+def solve_exterior_dirichlet(g, source: RadialSource | None,
                              lift: ExteriorField | None = None) -> ExteriorField:
     """Solve Delta u = f outside the disk with u = g on the boundary circle.
 
@@ -378,18 +378,16 @@ def solve_exterior_dirichlet(g, source: RadialSource | None, R: float | None = N
     and are formed from g a block at a time when asked (ExteriorField); the
     source modes take the formulas below one by one.  g is a FourierFn,
     modes with R, M and block(lo, hi) (circle.CellModes, say), or None.
-    b_k does not depend on g: lift, a solution for the same source (the one
-    with g = None, say), hands over its b_k on the source modes, so their
-    integrals are not computed again.
+    The radius R is g's, or the source's without g; given both, the source
+    annulus must start at g's radius.  b_k does not depend on g: lift, a
+    solution for the same source (the one with g = None, say), hands over
+    its b_k on the source modes, so their integrals are not computed again.
     """
-    if R is None:
-        R = g.R if g is not None else (source.R if source is not None else None)
-    if R is None:
-        raise ValueError("radius must be given when both g and source are absent")
-    if g is not None and abs(g.R - R) > 1e-12 * R:
-        raise ValueError("boundary data radius differs from R")
+    if g is None and source is None:
+        raise ValueError("boundary data or a source must be given")
+    R = g.R if g is not None else source.R
     if source is not None and abs(source.R - R) > 1e-12 * R:
-        raise ValueError("source annulus does not start at R")
+        raise ValueError("source annulus does not start at the boundary data's radius")
 
     ks = source.modes() if source is not None else []
     M = max((abs(k) for k in ks), default=0)
@@ -434,7 +432,7 @@ def galerkin_row(decomp: MultiscaleDecomposition, N: int, symbol: ExteriorSymbol
 
         a_j = 2 pi R sum_k w_k cos(2 pi j k / p^N),  w_k = s_k sinc^2(k / p^N) / p^{2N}.
 
-    Folding the weights onto k mod p^N (circle.alias_fold with power 2)
+    Folding the weights onto k mod p^N (circle.alias_fold)
     turns that sum into the real part of one FFT of length p^N, so the row
     costs O(M + p^N log p^N) time, and fft(a) holds the eigenvalues of A.
     The symbol is folded a block at a time, so the row takes O(p^N) memory
@@ -448,7 +446,7 @@ def galerkin_row(decomp: MultiscaleDecomposition, N: int, symbol: ExteriorSymbol
         raise ValueError("symbol radius differs from the decomposition radius")
     pn = decomp.n_cells(N)
     check_cutoff(symbol.M, decomp.p, N)
-    folded = alias_fold(symbol.block, symbol.M, pn, power=2) / float(pn) ** 2
+    folded = alias_fold(symbol.block, symbol.M, pn) / float(pn) ** 2
     return 2.0 * math.pi * decomp.R * np.fft.fft(folded).real
 
 

@@ -179,7 +179,7 @@ class TransmissionConfig:
             store("source_depth", self.level + 4)
         if self.source_depth < self.level:
             raise DepthBelowChartLevel("source depth below solve level")
-        if self.exterior_source is not None and abs(self.exterior_source.R - self.R) > 1e-12:
+        if self.exterior_source is not None and abs(self.exterior_source.R - self.R) > 1e-12 * self.R:
             raise ValueError("exterior source annulus must start at the interface radius")
         require_valid(self.params)
         check_tree_budget(self.params, self.source_depth + 1, self.level)
@@ -278,7 +278,9 @@ class InterfaceSystem:
     Poisson lift u_f on it and its per-cell leaf flux flux_f; and the
     exterior lift v_f, whose source-mode coefficients b_k the exterior
     solve with trace g reuses.  Without tree forcing u_f is None and flux_f
-    is zero; without an exterior source v_f is None.
+    is zero; without an exterior source v_f is None.  condition_estimate
+    is not a constructor argument: solve_interface records it, and it is
+    None before the solve.
     """
 
     decomp: MultiscaleDecomposition
@@ -291,7 +293,7 @@ class InterfaceSystem:
     u_f: TreeFunction | None
     flux_f: np.ndarray
     v_f: ExteriorField | None = None
-    condition_estimate: float | None = None
+    condition_estimate: float | None = dataclasses.field(default=None, init=False)
 
     @property
     def dtype(self) -> np.dtype:
@@ -388,13 +390,13 @@ def assemble_system(cfg: TransmissionConfig) -> InterfaceSystem:
     h = np.zeros(pn)
     v_f = None
     if cfg.exterior_source is not None:
-        v_f = solve_exterior_dirichlet(None, cfg.exterior_source, R=cfg.R)
+        v_f = solve_exterior_dirichlet(None, cfg.exterior_source)
         # gamma1 v_f over its few source modes (v_f has no data)
         flux = circle.FourierFn(v_f.R, v_f.trace1_of(-v_f.M, *v_f.block(-v_f.M, v_f.M + 1)))
         flux_integrals = circle.cell_integrals(decomp, flux, cfg.level)
         # conjugate-symmetric modes integrate to real cell values; the
         # imaginary parts of the fold are rounding only
-        h = h - (flux_integrals.real if flux.is_real(0.0) else flux_integrals)
+        h = h - (flux_integrals.real if flux.is_real() else flux_integrals)
     u_f = None
     flux_f = np.zeros(pn)
     if cfg.tree_source is not None or cfg.c_root != 0:
@@ -683,7 +685,7 @@ def reconstruct_tree(system: InterfaceSystem, g: PiecewiseConstantFn) -> TreeSol
     cfg, u_f, tree = system.config, system.u_f, system.tree
     # the leaf rows of the compressed tree are the cells, so g itself is
     # the leaf data
-    u = solve_harmonic_dirichlet(tree, g.values, root_value=0.0)
+    u = solve_harmonic_dirichlet(tree, g.values)
     flux_u = _cell_flux(u)
     # u_T: a copy of u_f with the columns of u (and of c u1 on the root
     # edge) added, one array per generation up to the level and one block
@@ -734,7 +736,7 @@ def reconstruct(system: InterfaceSystem, g: PiecewiseConstantFn,
 
     m = MODE_OVERSAMPLING * pn
     g_modes = circle.CellModes(g, m)
-    u_ext = solve_exterior_dirichlet(g_modes, cfg.exterior_source, R=cfg.R, lift=system.v_f)
+    u_ext = solve_exterior_dirichlet(g_modes, cfg.exterior_source, lift=system.v_f)
 
     # one pass over the modes, each block of g's modes formed once: the
     # trace defect and the alpha0 mass (the fold of g's modes) over |k| <= m,
@@ -764,12 +766,13 @@ def reconstruct(system: InterfaceSystem, g: PiecewiseConstantFn,
     mass_exact = a0 * measure * g.values
     resid_vec = flux_ext - cfg.alpha1 * flux_tree - mass
     # normalize by the pre-cancellation flux magnitudes (the harmonic tree
-    # flux and the source flux can cancel when g is nearly constant)
+    # flux and the source flux can cancel when g is nearly constant); no
+    # floor, so data of any normal scale read the same bits, and 0 at scale 0
     a1 = abs(cfg.alpha1)
     scale = max(np.abs(flux_ext).max(), a1 * np.abs(flux_u).max(),
-                a1 * np.abs(flux_f).max(), np.abs(mass).max(), 1e-300)
-    flux_residual = float(np.abs(resid_vec).max() / scale)
-    discretization_defect = float(np.abs(mass - mass_exact).max() / scale)
+                a1 * np.abs(flux_f).max(), np.abs(mass).max())
+    flux_residual = float(np.abs(resid_vec).max() / scale) if scale else 0.0
+    discretization_defect = float(np.abs(mass - mass_exact).max() / scale) if scale else 0.0
     return TransmissionSolution(
         g=g, u_rows=u_T, u_ext=u_ext, trace_defect=trace_defect,
         flux_residual=flux_residual, discretization_defect=discretization_defect,
@@ -859,7 +862,8 @@ def convergence_study(cfg: TransmissionConfig, N_list, manufactured=None) -> Con
 
     err_l2, err_h12 = [], []
     for c in modes:
-        l2, h12 = circle.sobolev_norms(circle.ModeDifference(c, ref), 0, 0.5)
+        # the finest level as reference differs from itself by exactly 0
+        l2, h12 = (0.0, 0.0) if c is ref else circle.sobolev_norms(circle.ModeDifference(c, ref), 0, 0.5)
         err_l2.append(l2)
         err_h12.append(h12)
     fit_levels = [levels[i] for i in fit_idx]

@@ -208,13 +208,13 @@ class FiniteTree:
     The merged generations level+1..depth are the tail (none on a full
     tree, where level = depth).  They are deeper than N1, so each has one
     length and one weight: the tree is built from the arrays of generations
-    0..level and one value per tail generation, and keeps the tail as the
-    (G, rows) read-only blocks tail_lengths and tail_weights, of stride 0
-    over the rows; lengths[n] and weights[n] of a tail generation are rows
-    of them.
+    0..level and one value per tail generation (none on a full tree), and
+    keeps the tail as the (G, rows) read-only blocks tail_lengths and
+    tail_weights, of stride 0 over the rows; lengths[n] and weights[n] of a
+    tail generation are rows of them.
     """
 
-    def __init__(self, params: TreeParams, lengths, weights, tail_lengths=(), tail_weights=()):
+    def __init__(self, params: TreeParams, lengths, weights, tail_lengths, tail_weights):
         self.params = params
         gens = len(tail_lengths)
         self.level = len(lengths) - 1

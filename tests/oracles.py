@@ -104,7 +104,7 @@ def project_PN(decomp, g, n: int) -> PiecewiseConstantFn:
     vals = cell_averages(decomp, g, n)
     if isinstance(g, PiecewiseConstantFn) and np.isrealobj(g.values):
         vals = np.real(vals)
-    elif isinstance(g, FourierFn) and g.is_real(1e-11):
+    elif isinstance(g, FourierFn) and g.is_real():
         vals = np.real(vals)
     return PiecewiseConstantFn(decomp, n, vals)
 
@@ -140,7 +140,7 @@ def expanded_tree(tree: FiniteTree) -> FiniteTree:
     reps = [tree.multiplicity(n) for n in range(tree.depth + 1)]
     return FiniteTree(tree.params,
                       [np.repeat(arr, m) for arr, m in zip(tree.lengths, reps)],
-                      [np.repeat(arr, m) for arr, m in zip(tree.weights, reps)])
+                      [np.repeat(arr, m) for arr, m in zip(tree.weights, reps)], (), ())
 
 
 def expanded(f: TreeFunction) -> TreeFunction:

@@ -56,7 +56,7 @@ def test_criterion_10_plasmonic_pencil_location():
 
 
 def test_run_all_prints_one_line_per_criterion(capsys):
-    results = acceptance.run_all(verbose=True)
+    results = acceptance.run_all()
     assert len(results) == len(acceptance.CRITERIA) == 10
     assert all(ok for _, ok, _ in results)
     lines = capsys.readouterr().out.strip().splitlines()

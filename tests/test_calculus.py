@@ -165,7 +165,9 @@ def test_harmonic_energy_orthogonality():
     rng = np.random.default_rng(7)
     T = build_condensed(REF, 3)
     f = random_continuous(T, rng, degree=3)
-    h = ca.solve_harmonic_dirichlet(T, f.leaf_values(), root_value=f.root_value)
+    # shifted to the root value 0 of the harmonic solve
+    f = combined((1, f), (-f.root_value, constant_function(T, 1.0)))
+    h = ca.solve_harmonic_dirichlet(T, f.leaf_values())
     f0 = combined((1, f), (-1, h))
     assert abs(f0.root_value) < 1e-12
     assert np.abs(f0.leaf_values()).max() < 1e-12
@@ -194,21 +196,10 @@ def test_complex_harmonic():
     T = build_truncated(REF, 3)
     rng = np.random.default_rng(11)
     g = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-    u = ca.solve_harmonic_dirichlet(T, g, root_value=0.5j)
+    u = ca.solve_harmonic_dirichlet(T, g)
     assert kirchhoff_residual(u).relative < 1e-13
     np.testing.assert_allclose(u.leaf_values(), g, atol=1e-14)
-    assert u.root_value == 0.5j
-
-
-@pytest.mark.parametrize("tree", [build_truncated(REF, 3), build_condensed(REF, 5, level=2)],
-                         ids=["truncated", "condensed"])
-def test_harmonic_with_real_leaves_and_a_complex_root(tree):
-    # the deviations d are formed in the result dtype: real means with a
-    # complex w from the root must not be added in place into a real array
-    u = ca.solve_harmonic_dirichlet(tree, np.ones(tree.n_leaves), root_value=1 + 1j)
-    assert u.root_value == 1 + 1j
-    np.testing.assert_allclose(u.leaf_values(), 1.0, atol=1e-14)
-    assert kirchhoff_residual(u).relative < 1e-13
+    assert u.root_value == 0
 
 
 def test_green_identity_random_pairs():
@@ -217,7 +208,7 @@ def test_green_identity_random_pairs():
     for _ in range(10):
         s = random_polynomial(T, rng, degree=2)
         u = combined((1, ca.solve_poisson_zero_trace(T, s)), (1, ca.solve_harmonic_dirichlet(
-            T, rng.standard_normal(T.n_leaves), root_value=rng.standard_normal()
+            T, rng.standard_normal(T.n_leaves)
         )))
         v = ca.solve_poisson_zero_trace(T, random_polynomial(T, rng, degree=1))
         rep = ca.green_identity_check(u, v)
@@ -230,7 +221,7 @@ def test_green_identity_quadrature_oracle():
     T = build_truncated(REF, 2)
     s = random_polynomial(T, rng, degree=2)
     u = ca.solve_poisson_zero_trace(T, s)
-    v = ca.solve_harmonic_dirichlet(T, rng.standard_normal(4), root_value=0.0)
+    v = ca.solve_harmonic_dirichlet(T, rng.standard_normal(4))
     x64, w64 = np.polynomial.legendre.leggauss(12)
     lap = ca.laplacian(u)
     du, dv = u.derivative(), v.derivative()

@@ -69,6 +69,13 @@ c_root = 0.3
 constant = 0.7
 """
 
+# an interface of radius 2.5 and an exterior source with a mode-0 term: the
+# source integrals scaled by R, and b_0 log R in the mode-0 trace
+RADIUS_TEXT = REF_TEXT.replace("radius = 1.0", "radius = 2.5").replace("r_max = 2.0", "r_max = 4.0") + """
+[source.exterior]
+profile.0 = 1.0, -0.25
+"""
+
 
 def _fmt(x):
     """Row-wise field formatting of the CSV writer, kept as the oracle."""
@@ -979,7 +986,7 @@ def test_tree_csv_write_holds_about_one_chunk():
     assert peak <= 2**20, peak
 
 
-@pytest.mark.parametrize("text", [REF_TEXT, COMPLEX_TEXT], ids=["real", "complex"])
+@pytest.mark.parametrize("text", [REF_TEXT, COMPLEX_TEXT, RADIUS_TEXT], ids=["real", "complex", "radius"])
 def test_transmission_csvs_match_row_oracle(text, tmp_path):
     path = tmp_path / "run.ini"
     path.write_text(text)

@@ -222,7 +222,7 @@ def test_array_field_matches_per_mode_oracle(radius):
     g2 = FourierFn.from_modes(radius, {1: 0.3, -4: 2.0 - 1j, 0: 0.8})
     fields = [solve_exterior_dirichlet(g, src),
               solve_exterior_dirichlet(g2, None),
-              solve_exterior_dirichlet(None, src, R=radius)]
+              solve_exterior_dirichlet(None, src)]
     modes = _oracle_add(_oracle_add(_oracle_modes(g, src, radius),
                                     _oracle_modes(g2, None, radius)),
                         _oracle_modes(None, src, radius))

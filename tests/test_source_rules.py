@@ -2,6 +2,8 @@
 
 import ast
 import contextlib
+import importlib
+import importlib.util
 import inspect
 import io
 import os
@@ -9,8 +11,11 @@ import runpy
 import subprocess
 import sys
 import types
-from collections import Counter
+from collections import Counter, defaultdict
+from functools import cached_property
 from pathlib import Path
+
+import pytest
 
 from treedisk import cli
 
@@ -126,6 +131,16 @@ NOT_RUN = {
                             "(test_cli's forked-writer tests)",
 }
 
+# Defaulted parameters that the user paths do not both leave at the default
+# and set to another value, "module.qualname(parameter)" -> why the default
+# stays.
+NOT_VARIED = {
+    "cli.main(argv)": "the treedisk console script calls main() without argv, which "
+                      "parse_args reads from sys.argv; the traced paths pass argv",
+    "exterior._source_integral(with_log)": "only ExteriorField.eval of a mode-0 source sets it, "
+                                           "and no user path evaluates one",
+}
+
 _BASE = "tree.p = 2\ntree.ell = 0.5\ntree.omega = 0.4\n"
 _CONFIGS = {
     # an exterior source
@@ -136,6 +151,11 @@ _CONFIGS = {
                "transmission.alpha1 = 1+0.5j\ntransmission.alpha0 = 0.25\n"
                "transmission.c_root = 0.3\ntransmission.source_depth = 5\n"
                "source.tree.constant = 0.7\nsource.exterior.profile.1 = 1\n",
+    # an interface of radius 2.5 and an exterior source with a mode-0 term
+    "radius": _BASE + "interface.N = 3\ninterface.radius = 2.5\ntransmission.alpha1 = 1\n"
+                      "transmission.alpha0 = 0.25\nsource.exterior.r_max = 4\n"
+                      "source.exterior.profile.1 = 1\nsource.exterior.profile.-1 = 1\n"
+                      "source.exterior.profile.0 = 1, -0.25\n",
     "manufactured": _BASE + "transmission.levels = 3, 4, 5\ntransmission.manufactured_mode = 1\n",
     # a subnormal source is refused with exit 3, an unknown key with exit 2
     "subnormal": _BASE + "source.exterior.profile.1 = 1e-320\nsource.exterior.profile.-1 = 1e-320\n",
@@ -159,9 +179,25 @@ def _function_codes(path) -> dict:
     return found
 
 
-def _user_paths(tmp_path) -> list:
-    """Run the demos and every subcommand of cli.main in this process; the
-    exit codes of the subcommands."""
+def _perfbench_inputs():
+    """perfbench's workloads module and, per workload, its name, its seed-7
+    input and a reference: for the CLI op the library solve of its input,
+    which gives the discretization defect that the CLI does not print."""
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    inputs = []
+    for name in workloads.WORKLOADS:
+        ini = workloads.generate(name, 7)
+        reference = workloads.reference_outputs(name, ini) if workloads.OPS[name] == "cli" else None
+        inputs.append((name, ini, reference))
+    return workloads, inputs
+
+
+def _user_paths(tmp_path, perfbench) -> tuple:
+    """Run the demos, every subcommand of cli.main and one op of each
+    perfbench workload, set up and run, in this process; the exit codes of
+    the subcommands and the perfbench Workloads."""
     configs = {}
     for name, text in _CONFIGS.items():
         configs[name] = str(tmp_path / (name + ".ini"))
@@ -174,52 +210,145 @@ def _user_paths(tmp_path) -> list:
         ["exterior-dtn", "--radius", "1", "--level", "2", "--modes", "64", "--out", out + "_sym.csv"],
         ["transmission", "--config", configs["ring"], "--out-prefix", out + "_ring_"],
         ["transmission", "--config", configs["complex"], "--out-prefix", out + "_complex_"],
+        ["transmission", "--config", configs["radius"], "--out-prefix", out + "_radius_"],
         ["transmission", "--config", configs["subnormal"], "--out-prefix", out + "_subnormal_"],
         ["convergence", "--config", configs["manufactured"], "--out", out + "_conv.csv"],
+        # the default levels interface.N .. interface.N + 3
+        ["convergence", "--config", configs["ring"], "--out", out + "_ring_conv.csv"],
         ["plasmonic", "--config", configs["ring"], "--out", out + "_pencil.csv"],
         ["selftest"],
     ]
     codes = [cli.main(argv) for argv in argvs]
     for path in sorted((ROOT / "demos").glob("*.py")):
         runpy.run_path(str(path), run_name="__main__")
-    return codes
+    workloads, inputs = perfbench
+    ops = [workloads.Workload(name, ini, workdir=str(tmp_path / name), reference=reference)
+           for name, ini, reference in inputs]
+    for op in ops:
+        op.run()
+    return codes, ops
 
 
-def test_every_function_runs_on_a_user_path(tmp_path, monkeypatch):
-    """Every function and method in src/treedisk runs when the demos, the
-    acceptance suite (treedisk selftest) and every subcommand run in this
-    process, traced by sys.setprofile, or is in NOT_RUN with its reason.
+def _defaulted_parameters() -> dict:
+    """code -> [(label, parameter, default)] for every function, method and
+    dataclass constructor of src/treedisk with a defaulted parameter; the
+    label is "module.qualname(parameter)", a constructor named by its class.
 
-    The traced code objects are told apart by file, first line and name,
-    so a method is not hidden by another of the same name.  Without os.fork
-    the tree.csv writer runs here (cli._in_child).  The package's
-    functools caches are cleared first, so what an earlier test cached runs
-    again.  The package is imported before the trace starts, so a function
-    that runs only on import counts as not run.
+    Functions are found on the modules and their classes, unwrapped from
+    decorators, properties and static or class methods.  A def or lambda
+    with defaults elsewhere (nested in a function, say) would not be found,
+    so there must be none.
     """
-    defined = {}
+    found = {}
     for path in sorted(SRC.glob("*.py")):
-        defined.update(_function_codes(path))
+        module = importlib.import_module("treedisk" if path.stem == "__init__" else "treedisk." + path.stem)
+        functions = []
+        for value in vars(module).values():
+            value = inspect.unwrap(value)
+            if inspect.isclass(value) and value.__module__ == module.__name__:
+                for member in vars(value).values():
+                    if isinstance(member, (staticmethod, classmethod)):
+                        member = member.__func__
+                    elif isinstance(member, property):
+                        member = member.fget
+                    elif isinstance(member, cached_property):
+                        member = member.func
+                    if inspect.isfunction(member):
+                        functions.append(inspect.unwrap(member))
+            elif inspect.isfunction(value) and value.__module__ == module.__name__:
+                functions.append(value)
+        short = module.__name__.rpartition(".")[2]
+        for func in functions:
+            qualname = func.__qualname__.removesuffix(".__init__")
+            params = [(name, param.default) for name, param in inspect.signature(func).parameters.items()
+                      if param.default is not inspect.Parameter.empty]
+            if params:
+                if func.__code__.co_flags & (inspect.CO_GENERATOR | inspect.CO_COROUTINE):
+                    raise TypeError("%s.%s: a generator resumes with its current locals"
+                                    % (short, qualname))
+                found[func.__code__] = [("%s.%s(%s)" % (short, qualname, name), name, default)
+                                        for name, default in params]
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        bodies = [tree.body] + [node.body for node in tree.body if isinstance(node, ast.ClassDef)]
+        top = {id(node) for body in bodies for node in body}
+        hidden = ["%s:%d" % (path.name, node.lineno) for node in ast.walk(tree)
+                  if isinstance(node, (ast.FunctionDef, ast.Lambda, ast.ClassDef))
+                  and id(node) not in top and (isinstance(node, ast.ClassDef) or node.args.defaults
+                                               or any(node.args.kw_defaults))]
+        assert not hidden, "defaults or classes that _defaulted_parameters does not find: %s" % hidden
+    return found
+
+
+def _at_default(value, default) -> bool:
+    """Whether a parameter's value is its default: the same object, or equal to it."""
+    if value is default:
+        return True
+    try:
+        return bool(value == default)
+    except (TypeError, ValueError):
+        # an array of several values, which is no default here
+        return False
+
+
+@pytest.fixture(scope="module")
+def traced(tmp_path_factory):
+    """The user paths run once in this process under sys.setprofile.
+
+    Returns the exit codes of the subcommands, the code objects that ran,
+    and for each defaulted parameter (_defaulted_parameters) the set of
+    answers to whether a call left it at its default.  Without os.fork the
+    tree.csv writer runs here (cli._in_child).  The package's functools
+    caches are cleared first, so what an earlier test cached runs again.
+    The package is imported and the perfbench inputs and references are
+    made before the trace starts, so a function that runs only on import or
+    for a reference counts as not run.
+    """
+    tmp_path = tmp_path_factory.mktemp("user_paths")
+    perfbench = _perfbench_inputs()
+    watched = _defaulted_parameters()
     for name, module in list(sys.modules.items()):
         if name.startswith("treedisk."):
             for value in vars(module).values():
                 if callable(getattr(value, "cache_clear", None)):
                     value.cache_clear()
-    ran = set()
+    ran, seen = set(), defaultdict(set)
 
     def profile(frame, event, arg):
         if event == "call":
             ran.add(frame.f_code)
+            for label, name, default in watched.get(frame.f_code, ()):
+                seen[label].add(_at_default(frame.f_locals[name], default))
 
-    monkeypatch.delattr(os, "fork")
-    monkeypatch.chdir(tmp_path)
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        sys.setprofile(profile)
-        try:
-            codes = _user_paths(tmp_path)
-        finally:
-            sys.setprofile(None)
-    assert codes == [0, 2, 0, 0, 0, 0, 3, 0, 0, 0]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.delattr(os, "fork")
+        patch.chdir(tmp_path)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            sys.setprofile(profile)
+            try:
+                codes, ops = _user_paths(tmp_path, perfbench)
+            finally:
+                sys.setprofile(None)
+    failures = {op.name: op.check(op.outputs()) for op in ops}
+    assert not any(failures.values()), failures
+    labels = [label for params in watched.values() for label, _, _ in params]
+    return codes, ran, {label: seen[label] for label in labels}
+
+
+def test_every_function_runs_on_a_user_path(traced):
+    """Every function and method in src/treedisk runs when the demos, the
+    acceptance suite (treedisk selftest), every subcommand and one op of
+    each perfbench workload run in this process (traced), or is in NOT_RUN
+    with its reason.
+
+    The traced code objects are told apart by file, first line and name,
+    so a method is not hidden by another of the same name.
+    """
+    codes, ran, _ = traced
+    defined = {}
+    for path in sorted(SRC.glob("*.py")):
+        defined.update(_function_codes(path))
+    assert codes == [0, 2, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0]
     ran = {(Path(code.co_filename).name, code.co_firstlineno, code.co_name) for code in ran
            if Path(code.co_filename).resolve().parent == SRC}
     missing = sorted(key for key in set(defined) - ran if key[::2] not in NOT_RUN)
@@ -228,3 +357,21 @@ def test_every_function_runs_on_a_user_path(tmp_path, monkeypatch):
     # each exemption names a function that is defined and does not run
     assert all(any(key[::2] == site for key in set(defined) - ran) for site in NOT_RUN)
 
+
+def test_every_default_is_a_choice(traced):
+    """Every defaulted parameter of a function, method or dataclass
+    constructor in src/treedisk is a choice that the user paths make: some
+    traced call leaves it at its default and some call gives it another
+    value, or it is in NOT_VARIED with its reason.  A default that every
+    call overrides is a parameter that should be required, and one that no
+    call changes is a constant.  The default is told by value
+    (_at_default), so an argument equal to it counts as leaving it.
+    """
+    verdicts = {frozenset(): "never runs", frozenset({False}): "never left at its default",
+                frozenset({True}): "never given another value"}
+    flagged = {label: verdicts[frozenset(seen)] for label, seen in traced[2].items()
+               if seen != {True, False}}
+    found = sorted("%s %s" % item for item in flagged.items() if item[0] not in NOT_VARIED)
+    assert not found, "defaults that are no choice: %s" % "; ".join(found)
+    # each exemption names a defaulted parameter that is not varied
+    assert set(NOT_VARIED) <= set(flagged)

@@ -389,8 +389,11 @@ def test_config_validation():
     # omega * p = 5 is not below 1 / ell = 2
     ({"params": TreeParams(p=2, ell=0.5, omega=2.5)}, StructuralConditionViolated,
      r"omega\*p < 1/ell fails"),
+    # relative to R, as the exterior solve checks the radii
+    ({"R": 1e-3, "exterior_source": RadialSource(R=1e-3 * (1 + 1e-10), r_max=2e-3, terms=[(1, {0: 1.0})])},
+     ValueError, "must start at the interface radius"),
 ], ids=["alpha0-length", "tree-source-shallow", "tree-source-deep", "tree-source-1d",
-        "tree-source-no-coefficients", "tree-source-3d", "tree-budget", "structural"])
+        "tree-source-no-coefficients", "tree-source-3d", "tree-budget", "structural", "source-radius"])
 def test_bad_data_refused_before_anything_is_built(monkeypatch, fields, error, message):
     def refuse(*args, **kwargs):
         raise AssertionError("work started before the config was checked")
@@ -580,6 +583,24 @@ def test_interface_solve_scales_bit_for_bit(dtype):
             assert np.array_equal(solve_interface(system).values, g * 2.0**k), (level, k)
 
 
+@functools.cache
+def _ring_defects(k: int) -> tuple:
+    """(flux residual, discretization defect) of the solve at p = 2, N = 7
+    with a ring source of modes +-1 scaled by 2^k."""
+    cfg = TransmissionConfig(params=REF, level=7, alpha1=1.0, alpha0=0.25,
+                             exterior_source=_ext_source(1, 2.0**k))
+    sol = solve_transmission(cfg)
+    return sol.flux_residual, sol.discretization_defect
+
+
+@pytest.mark.parametrize("k", [-332, -664, -996, -1000])
+def test_flux_residual_and_defect_do_not_depend_on_the_data_scale(k):
+    # the fluxes scale with the sources by 2^k exactly and both numbers are
+    # ratios of them, so they keep their bits down to 2^-1000, where the
+    # cell fluxes lie far below 1e-300
+    assert _ring_defects(k) == _ring_defects(0)
+
+
 @pytest.mark.parametrize("value, message", [(np.nan, "not finite"), (np.inf, "not finite"),
                                             (1e-310, "subnormal")])
 def test_solve_refuses_a_rhs_it_cannot_solve_for(value, message):
@@ -747,7 +768,7 @@ def test_reconstruct_adds_the_root_bump_on_the_root_edge():
     sol = _reconstruct(sy, solve_interface(sy))
     tree = expanded_tree(sy.u_f.tree)
     refined = np.repeat(sol.g.values, 2 ** (tree.depth - cfg.level))
-    u = transmission.solve_harmonic_dirichlet(tree, refined, root_value=0.0)
+    u = transmission.solve_harmonic_dirichlet(tree, refined)
     expected = combined((1, u), (complex(cfg.c_root), root_bump(tree)), (1, expanded(sy.u_f)))
     _assert_same_function(expanded(sol.u_rows), expected)
 
@@ -780,7 +801,7 @@ def test_reconstructed_tree_solution_matches_sum_of_lifts(with_source, c_root):
     sol = _reconstruct(sy, solve_interface(sy))
     tree = expanded_tree(sol.u_rows.tree)
     refined = np.repeat(sol.g.values, 2 ** (tree.depth - cfg.level))
-    terms = [(1, transmission.solve_harmonic_dirichlet(tree, refined, root_value=0.0)),
+    terms = [(1, transmission.solve_harmonic_dirichlet(tree, refined)),
              (complex(cfg.c_root), root_bump(tree))]
     if sy.u_f is not None:
         terms.append((1, expanded(sy.u_f)))

@@ -128,17 +128,16 @@ def sparse_schur(tree):
     return q_bb - fac["Q_bi"] @ fac["lu"].solve(fac["Q_ib"].toarray())
 
 
-def sparse_harmonic(tree, leaf_values, root_value):
+def sparse_harmonic(tree, leaf_values):
+    """The harmonic function with the leaf values and root value 0, by a sparse LU."""
     fac = sparse_system(tree)
-    dtype = np.result_type(leaf_values.dtype, type(root_value), float)
+    dtype = np.result_type(leaf_values.dtype, float)
     u_int = np.zeros(0, dtype=dtype)
     if fac["lu"] is not None:
-        b = -(fac["Q_ib"] @ leaf_values).astype(dtype)
-        b[0] += (tree.weights[0][0] / tree.lengths[0][0]) * root_value
-        u_int = _solve(fac["lu"], b)
+        u_int = _solve(fac["lu"], -(fac["Q_ib"] @ leaf_values).astype(dtype))
     offsets = fac["offsets"]
     values = [u_int[offsets[n] : offsets[n + 1]] for n in range(tree.depth)]
-    return from_vertex_values(tree, root_value, values + [leaf_values.astype(dtype)])
+    return from_vertex_values(tree, 0.0, values + [leaf_values.astype(dtype)])
 
 
 def _poly_antider(c):
@@ -199,10 +198,9 @@ def _random_source(tree, rng, degree, complex_=True):
 
 def _check_tree(tree, rng):
     leaves = rng.standard_normal(tree.n_leaves) + 1j * rng.standard_normal(tree.n_leaves)
-    root = complex(rng.standard_normal(), rng.standard_normal())
-    assert _rel_fn(ca.solve_harmonic_dirichlet(tree, leaves, root), sparse_harmonic(tree, leaves, root)) <= 1e-12
+    assert _rel_fn(ca.solve_harmonic_dirichlet(tree, leaves), sparse_harmonic(tree, leaves)) <= 1e-12
     real = rng.standard_normal(tree.n_leaves)
-    assert _rel_fn(ca.solve_harmonic_dirichlet(tree, real, 0.0), sparse_harmonic(tree, real, 0.0)) <= 1e-12
+    assert _rel_fn(ca.solve_harmonic_dirichlet(tree, real), sparse_harmonic(tree, real)) <= 1e-12
     source = _random_source(tree, rng, degree=2)
     assert _rel_fn(ca.solve_poisson_zero_trace(tree, source), sparse_poisson(tree, source)) <= 1e-12
 
@@ -501,12 +499,10 @@ def test_compressed_tree_solves_match_the_full_tree_bit_for_bit(name, N, depth, 
     rng = np.random.default_rng(depth + 10 * N + len(name))
     # the harmonic part: leaf data constant per level-N cell
     g = rng.standard_normal(p**N)
-    root = 0.0
     if complex_:
         g = g + 1j * rng.standard_normal(g.size)
-        root = complex(rng.standard_normal(), rng.standard_normal())
-    u = ca.solve_harmonic_dirichlet(tree, g, root)
-    u_full = ca.solve_harmonic_dirichlet(full, np.repeat(g, full.n_leaves // g.size), root)
+    u = ca.solve_harmonic_dirichlet(tree, g)
+    u_full = ca.solve_harmonic_dirichlet(full, np.repeat(g, full.n_leaves // g.size))
     _assert_bits(expanded(u).coeffs, u_full.coeffs)
     _assert_bits(_expand_rows(tree, _vertex_values(u)), _vertex_values(u_full))
     _assert_bits([np.repeat(ca.leaf_flux(u), tree.multiplicity(tree.depth))], [ca.leaf_flux(u_full)])
@@ -517,9 +513,7 @@ def test_compressed_tree_solves_match_the_full_tree_bit_for_bit(name, N, depth, 
     assert l2_inner(u, u) == pytest.approx(l2_inner(u_full, u_full), rel=1e-13)
 
     # the Poisson lift: forcing constant per generation, as zero-stride rows;
-    # v (root value 0) pairs with it in the Green identity
-    v = ca.solve_harmonic_dirichlet(tree, g, 0.0)
-    v_full = ca.solve_harmonic_dirichlet(full, np.repeat(g, full.n_leaves // g.size), 0.0)
+    # u (root value 0) pairs with it in the Green identity
     for degree in (0, 2):
         rows = rng.standard_normal((depth + 2, degree + 1))
         if complex_:
@@ -531,8 +525,8 @@ def test_compressed_tree_solves_match_the_full_tree_bit_for_bit(name, N, depth, 
         _assert_bits(expanded(u_f).coeffs, u_f_full.coeffs)
         _assert_bits([np.repeat(u_f.leaf_values(), tree.multiplicity(tree.depth))],
                      [u_f_full.leaf_values()])
-        green = ca.green_identity_check(u_f, v)
-        assert green.scale == pytest.approx(ca.green_identity_check(u_f_full, v_full).scale, rel=1e-13)
+        green = ca.green_identity_check(u_f, u)
+        assert green.scale == pytest.approx(ca.green_identity_check(u_f_full, u_full).scale, rel=1e-13)
         assert green.relative <= 1e-12
         # a cell's flux is its row's flux times the leaf edges under it
         cell = transmission._cell_flux(u_f)
@@ -549,7 +543,7 @@ def test_harmonic_cell_flux_is_exact_deep_below_the_level(name, extra):
     N = max(params.N1, 2)
     rng = np.random.default_rng(extra)
     g = rng.standard_normal(params.p**N) + 1j * rng.standard_normal(params.p**N)
-    u = ca.solve_harmonic_dirichlet(build_condensed(params, N + extra, level=N), g, 0.0)
+    u = ca.solve_harmonic_dirichlet(build_condensed(params, N + extra, level=N), g)
     op = tree_dtn_operator(build_condensed(params, N, level=N))
     assert _rel(transmission._cell_flux(u), op.apply(g)) <= 1e-13
 
@@ -563,8 +557,8 @@ def test_compressed_tree_matches_on_random_admissible_trees(seed):
     depth = N + int(rng.integers(0, 3))
     tree, full = build_condensed(params, depth, level=N), build_condensed(params, depth)
     g = rng.standard_normal(params.p**N) + 1j * rng.standard_normal(params.p**N)
-    u = ca.solve_harmonic_dirichlet(tree, g, 0.0)
-    u_full = ca.solve_harmonic_dirichlet(full, np.repeat(g, full.n_leaves // g.size), 0.0)
+    u = ca.solve_harmonic_dirichlet(tree, g)
+    u_full = ca.solve_harmonic_dirichlet(full, np.repeat(g, full.n_leaves // g.size))
     _assert_bits(expanded(u).coeffs, u_full.coeffs)
     rows = rng.standard_normal((depth + 2, 2)) + 1j * rng.standard_normal((depth + 2, 2))
     source = ca.TreeFunction(tree, [np.broadcast_to(r, (k, 2)) for r, k in zip(rows, tree.rows)])
@@ -613,9 +607,8 @@ def test_tail_blocks_match_the_expanded_tree(seed, per_row, as_block, data):
     assert _rel_fn(expanded(u_f), ca.solve_poisson_zero_trace(full, expanded(source))) <= 1e-13
 
     g = coeffs(rows)
-    root = complex(*rng.standard_normal(2)) if complex_ else float(rng.standard_normal())
-    u = ca.solve_harmonic_dirichlet(tree, g, root)
-    u_full = ca.solve_harmonic_dirichlet(full, np.repeat(g, tree.multiplicity(tree.depth)), root)
+    u = ca.solve_harmonic_dirichlet(tree, g)
+    u_full = ca.solve_harmonic_dirichlet(full, np.repeat(g, tree.multiplicity(tree.depth)))
     assert _rel_fn(expanded(u), u_full) <= 1e-13
 
 
