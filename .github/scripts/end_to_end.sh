@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# treedisk transmission, exterior-dtn and convergence end to end, with
-# every warning an error.  Run it from the root of a checkout, with treedisk importable:
+# treedisk transmission, validate, plasmonic, exterior-dtn and convergence
+# end to end, with every warning an error.  Run it from the root of a checkout, with treedisk importable:
 #
 #     bash -eo pipefail .github/scripts/end_to_end.sh
 #
@@ -48,6 +48,26 @@ printf '%s\n' "tree.p = 2" "tree.ell = 0.5" "tree.omega = 0.4" "interface.radius
   "source.exterior.profile.1 = 1" "source.exterior.profile.-1 = 1" "source.exterior.profile.0 = 1, -0.25" \
   > "$tmp/radius.ini"
 no_stderr python -X dev -W error -m treedisk.cli transmission --config "$tmp/radius.ini" --out-prefix "$tmp/radius_"
+
+# `treedisk transmission` on the N = 7 ring source scaled by 1e100: the
+# trace gate is 1e-10 at the scale of max|g|, so a source of any normal scale
+# solves (an absolute gate refused it with exit 3)
+printf '%s\n' "tree.p = 2" "tree.ell = 0.5" "tree.omega = 0.4" "interface.N = 7" \
+  "transmission.alpha1 = 1" "transmission.alpha0 = 0.25" "source.exterior.r_max = 2" \
+  "source.exterior.profile.1 = 1e100" "source.exterior.profile.-1 = 1e100" \
+  > "$tmp/scaled.ini"
+no_stderr python -X dev -W error -m treedisk.cli transmission --config "$tmp/scaled.ini" --out-prefix "$tmp/scaled_"
+
+# `treedisk validate` on a tree that breaks the three structural
+# inequalities: exit 2, with each failure on stderr
+printf '%s\n' "tree.p = 2" "tree.ell = 2" "tree.omega = 0.5" > "$tmp/broken.ini"
+python -W error -m treedisk.cli validate --config "$tmp/broken.ini" 2> "$tmp/stderr.txt" && status=0 || status=$?
+cat "$tmp/stderr.txt" >&2
+[ "$status" -eq 2 ]
+[ "$(grep -c "^FAIL: " "$tmp/stderr.txt")" -eq 3 ]
+for failure in "ell < 1 fails" "ell < omega*p fails" "omega*p < 1/ell fails"; do
+  grep -qF "FAIL: $failure" "$tmp/stderr.txt"
+done
 
 # `treedisk plasmonic` on a p = 3 tree with overrides below N1 = 2: D_N is
 # read off the source tree with a non-geometric top

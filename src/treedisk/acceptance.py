@@ -129,8 +129,7 @@ def criterion_5():
     for n in range(2, 11):
         lhs, _ = circle.projector_error_check(decomp, g, n, sigma, sigma_prime)
         rhs = 2.667 * 2.0 ** (-n * (sigma_prime - sigma)) * circle.ar_norm(decomp, g, sigma_prime)
-        if lhs > rhs:
-            violations += 1
+        violations += lhs > rhs
         margin = min(margin, rhs / lhs)
     ok = violations == 0
     return ("projector error bound for cos theta", ok,
@@ -245,9 +244,9 @@ def criterion_9():
     singular_cfg = TransmissionConfig(
         params=REF, level=3, alpha1=lam, alpha0=0.0,
         exterior_source=RadialSource(R=1.0, r_max=2.0, terms=[(1, {0: 1.0}), (-1, {0: 1.0})]))
+    raised = False
     try:
         solve_interface(assemble_system(singular_cfg))
-        raised = False
     except SingularInterfaceOperator:
         raised = True
     ok = solvable == 40 and raised

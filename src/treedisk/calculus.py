@@ -100,9 +100,9 @@ class TreeFunction:
     Given a tail, a (G, rows, q + 1) array of the coefficients of the tree's
     tail generations level+1..depth, coeffs holds generations 0..level and
     the tail generations are appended as views of it.  `tail` is that
-    block; for a function given one array per generation it is stacked
-    from them when read, a copy in their common dtype whose generations of
-    lower degree are padded with zero coefficients.  None on a full tree.
+    block, which the solves take for a compressed tree's tail (every solve
+    returns one); it is None for a function given one array per
+    generation, and on a full tree.
     """
 
     def __init__(self, tree: FiniteTree, coeffs, tail=None):
@@ -115,27 +115,13 @@ class TreeFunction:
                 raise DepthMismatch("a tail block of shape (G, rows, q + 1) follows %d generations, "
                                     "got %d and shape %r" % (tree.level + 1, given, tail.shape))
             self.coeffs += list(tail)
-        self._tail = tail
+        self.tail = tail
         if len(self.coeffs) != tree.depth + 1:
             raise DepthMismatch("expected %d generations of coefficients, got %d"
                                 % (tree.depth + 1, len(self.coeffs)))
         for n, c in enumerate(self.coeffs):
             if c.shape[0] != tree.rows[n]:
                 raise DepthMismatch("generation %d needs %d rows, got %d" % (n, tree.rows[n], c.shape[0]))
-
-    @property
-    def tail(self):
-        """The coefficients of the tail generations as one (G, rows, q + 1) array."""
-        if self.tree.level == self.tree.depth:
-            return None
-        if self._tail is not None:
-            return self._tail
-        gens = self.coeffs[self.tree.level + 1 :]
-        out = np.zeros((len(gens), gens[0].shape[0], max(c.shape[1] for c in gens)),
-                       dtype=np.result_type(*gens))
-        for block, c in zip(out, gens):
-            block[:, : c.shape[1]] = c
-        return out
 
     @property
     def root_value(self):
@@ -176,13 +162,13 @@ def leaf_flux(f: TreeFunction) -> np.ndarray:
     row, the flux through each of the edges the row stands for).
 
     Dividing by the boundary cell measures |Gamma_{N,K}| turns this into
-    the distributional normal-derivative trace density.
+    the distributional normal-derivative trace density.  Every solve gives
+    leaf edges of degree q >= 1; a constant (q = 0) gives c 0 omega, a zero
+    with the sign of c.
     """
     tree = f.tree
     c = f.coeffs[tree.depth]
     q = c.shape[1] - 1
-    if q == 0:
-        return np.zeros(c.shape[0], dtype=np.result_type(c.dtype, float))
     # Horner on the derivative's coefficients j c_j, without forming them
     ell = tree.lengths[tree.depth]
     der = np.multiply(c[:, q], q, dtype=np.result_type(c.dtype, float))
@@ -443,6 +429,9 @@ def solve_poisson_zero_trace(tree: FiniteTree, source: TreeFunction) -> TreeFunc
     tail = tail_end = tail_loads = below = None
     if level < depth:
         s, ell = source.tail, tree.tail_lengths
+        if s is None:
+            raise DepthMismatch("a source on a tree compressed below level %d gives generations "
+                                "%d..%d as one tail block" % (level, level + 1, depth))
         tail, tail_end = _particular(s, ell, dtype)
         own = tree.tail_elimination[0] * tail_end
         tail_loads = np.subtract(own[:-1], _end_flux(s[:-1], ell[:-1], tree.tail_weights[:-1]),

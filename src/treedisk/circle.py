@@ -282,17 +282,12 @@ class CellModes:
 
     def block(self, lo: int, hi: int) -> np.ndarray:
         """The modes lo..hi-1, zero beyond M, as a new array."""
-        a, b = max(lo, -self.M), min(hi, self.M + 1)
-        if a >= b:
-            return np.zeros(hi - lo, dtype=complex)
-        modes = self.base[np.arange(a, b) % self.base.size] * _reciprocals(a, b)
-        if a <= 0 < b:
-            modes[-a] = self.mean
-        if (a, b) == (lo, hi):
-            return modes
-        out = np.zeros(hi - lo, dtype=complex)
-        out[a - lo : b - lo] = modes
-        return out
+        modes = self.base[np.arange(lo, hi) % self.base.size] * _reciprocals(lo, hi)
+        if lo <= 0 < hi:
+            modes[-lo] = self.mean
+        modes[: max(-self.M - lo, 0)] = 0
+        modes[max(self.M + 1 - lo, 0) :] = 0
+        return modes
 
 
 class ModeDifference:
@@ -359,21 +354,23 @@ def ar_norm_report(decomp: MultiscaleDecomposition, g, r: float) -> ArNormReport
     """
     if not 0 < r < 0.5:
         raise ExponentOrderViolated("A^r norms require 0 < r < 1/2, got r=%g" % r)
-    p = decomp.p
-    acc = proj_norm_sq(decomp, g, 0)
-    term = 0.0
-    n_used = 0
-    for n in range(decomp.n_max + 1):
-        e = err_norm_sq(decomp, g, n)
-        term = p ** (2 * n * r) * e
-        acc += term
-        n_used = n + 1
-        if term <= 1e-17 * acc:
-            term = 0.0
-            break
-    q = float(p) ** (2 * (r - 1))
+    acc, n_used, term = _error_series(decomp, g, r, 0, proj_norm_sq(decomp, g, 0))
+    q = float(decomp.p) ** (2 * (r - 1))
     tail = term * q / (1 - q)
     return ArNormReport(value=math.sqrt(acc), levels_used=n_used, tail_sq_estimate=tail)
+
+
+def _error_series(decomp: MultiscaleDecomposition, g, r: float, start: int, acc: float):
+    """acc + sum_{start <= n <= n_max} p^{2nr} ||g - P_n g||^2, stopped at the
+    first negligible term; (sum, levels summed from 0, last term, or 0 once
+    negligible)."""
+    term, n = 0.0, start - 1
+    for n in range(start, decomp.n_max + 1):
+        term = decomp.p ** (2 * n * r) * err_norm_sq(decomp, g, n)
+        acc += term
+        if term <= 1e-17 * acc:
+            return acc, n + 1, 0.0
+    return acc, n + 1, term
 
 
 def ar_norm(decomp: MultiscaleDecomposition, g, r: float) -> float:
@@ -412,13 +409,7 @@ def projector_error_check(decomp: MultiscaleDecomposition, g: FourierFn, N: int,
     p = decomp.p
     eN = err_norm_sq(decomp, g, N)
     s1 = (p ** (2 * sigma * (N + 1)) - 1) / (p ** (2 * sigma) - 1)
-    acc = s1 * eN
-    for n in range(N + 1, decomp.n_max + 1):
-        term = p ** (2 * n * sigma) * err_norm_sq(decomp, g, n)
-        acc += term
-        if term <= 1e-17 * acc:
-            break
-    lhs = math.sqrt(acc)
+    lhs = math.sqrt(_error_series(decomp, g, sigma, N + 1, s1 * eN)[0])
     const = p ** (2 * sigma) / (p ** (2 * sigma) - 1)
     rhs = const * p ** (-N * (sigma_prime - sigma)) * ar_norm(decomp, g, sigma_prime)
     if not lhs <= rhs * (1 + 1e-9):

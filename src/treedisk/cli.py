@@ -35,9 +35,10 @@ the child fails or is killed.  Fork is POSIX only: without os.fork
 (Windows) tree.csv is written in-process.
 
 `transmission` refuses what it would print wrongly: a g that is not finite,
-a trace defect above 1e-10, or a flux residual above the discretization
-defect + 1e-10, exits 3 and leaves no file and no directory; a tree.csv
-writer that has started is killed.  Each temp file lives in the nearest
+a trace defect above 1e-10 at the scale of g (transmission.reconstruct),
+or a flux residual above the discretization defect + 1e-10, exits 3 and
+leaves no file and no directory; a tree.csv writer that has started is
+killed.  Each temp file lives in the nearest
 existing directory of its output (_atomic_file) until its rename, and the
 output directory is made only then, after every check has passed.  A
 process killed before that leaves its `.tmp-*.part` files in that
@@ -225,14 +226,15 @@ def _fill_csv(fh, header, chunks):
     """Write the header, then each chunk, to fh and flush it.
 
     This is the one CSV writer.  A chunk is its finished text (bytes, as
-    _tree_chunks builds it) or the fields of csvtext.join.  The bytes are
-    those of a row-by-row writer whatever the chunks are, so identical data
-    give identical files.  The forked tree.csv writer leaves by os._exit,
+    _tree_chunks builds it) or the fields of csvtext.join, which lays each
+    out in one buffer per file.  The bytes are those of a row-by-row writer
+    whatever the chunks are, so identical data give identical files.  The forked tree.csv writer leaves by os._exit,
     which flushes nothing.
     """
     fh.write((",".join(header) + "\n").encode())
+    buffer = bytearray()
     for chunk in chunks:
-        fh.write(chunk if isinstance(chunk, (bytes, bytearray)) else csvtext.join(chunk))
+        fh.write(chunk if isinstance(chunk, (bytes, bytearray)) else csvtext.join(chunk, buffer))
     fh.flush()
 
 

@@ -112,12 +112,9 @@ class RunConfig:
         return hashlib.sha256(self.text.encode()).hexdigest()
 
     def echo(self):
-        """All effective key/value pairs, sorted, for the run manifest."""
-        out = {}
-        for key, (_, default) in _KEYS.items():
-            if default is _REQUIRED and key not in self.values:
-                continue
-            out[key] = self.get(key)
+        """All effective key/value pairs, sorted, for the run manifest; parse_text,
+        which builds every RunConfig, refuses a config without a required key."""
+        out = {key: self.get(key) for key in _KEYS}
         out.update(self.values)
         return sorted((k, v) for k, v in out.items() if v is not None)
 

@@ -348,17 +348,27 @@ def cells(column) -> np.ndarray:
     return np.take(out, np.flatnonzero(out.any(axis=0)), axis=1)
 
 
-def join(fields) -> bytearray:
+def join(fields, buffer: bytearray) -> bytearray:
     """The text of a chunk of rows: `fields` lays out one row as literal strs
     and equal-length columns (numbers, or text from cells), and the chunk
-    holds one row per entry of the columns."""
+    holds one row per entry of the columns.
+
+    The chunk's matrix is laid out at the start of `buffer`, which grows
+    when the chunk needs more and is zeroed for each chunk, so the chunks
+    of one file reuse its pages; what a shorter chunk leaves of it is NUL,
+    and dropped with the padding.
+    """
     fields = [f.encode() if isinstance(f, str) else np.asarray(f) for f in fields]
     rows = len(next(f for f in fields if not isinstance(f, bytes)))
-    if rows == 0:
-        return bytearray()
     widths = [len(f) if isinstance(f, bytes) else _width(f) for f in fields]
-    text = bytearray(rows * sum(widths))
-    matrix = np.frombuffer(text, np.uint8).reshape(rows, -1)
+    size = rows * sum(widths)
+    if len(buffer) < size:
+        # size zero bytes in place: extend would copy them from a temporary
+        # as large, which shows in the peak RSS
+        buffer.__init__(size)
+    cells = np.frombuffer(buffer, np.uint8)
+    cells[:] = _NUL
+    matrix = cells[:size].reshape(rows, sum(widths))
     start = 0
     for f, width in zip(fields, widths):
         view = matrix[:, start:start + width]
@@ -367,4 +377,4 @@ def join(fields) -> bytearray:
             view[:] = np.frombuffer(f, np.uint8)
         else:
             _put(view, f)
-    return text.translate(None, b"\0")
+    return buffer.translate(None, b"\0")

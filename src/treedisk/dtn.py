@@ -272,11 +272,8 @@ class CoercivityReport:
 
 
 def coercivity_check(A: np.ndarray) -> CoercivityReport:
-    """Spectral summary of the symmetrized matrix plus the constant-vector image."""
-    sym = 0.5 * (A + A.T)
-    if np.iscomplexobj(sym):
-        sym = 0.5 * (A + A.conj().T)
-    vals = np.linalg.eigvalsh(np.real_if_close(sym))
+    """Spectral summary of the symmetrized real matrix A plus the constant-vector image."""
+    vals = np.linalg.eigvalsh(0.5 * (A + A.T))
     scale = max(float(np.abs(A).max()), 1e-300)
     return CoercivityReport(
         symmetry_defect=float(np.abs(A - A.T).max()) / scale,

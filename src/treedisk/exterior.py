@@ -59,7 +59,8 @@ class ExteriorSymbol:
     formed a block at a time from its closed form in |k|.
 
     form maps an array of |k| to the symbol's values there; no array over
-    all 2M+1 modes is held, so M is bounded by no budget.
+    all 2M+1 modes is held, so M is bounded by no budget.  Every caller
+    asks for modes within |k| <= M (block).
     """
 
     R: float
@@ -71,14 +72,9 @@ class ExteriorSymbol:
             raise NonPositiveParameter("radius must be positive")
 
     def block(self, lo: int, hi: int) -> np.ndarray:
-        """s_lo..s_{hi-1}, zero beyond M."""
-        a, b = max(lo, -self.M), min(hi, self.M + 1)
-        values = self.form(np.abs(np.arange(a, b)))
-        if (a, b) == (lo, hi):
-            return values
-        out = np.zeros(hi - lo)
-        out[a - lo : a - lo + values.size] = values
-        return out
+        """s_lo..s_{hi-1}, for -M <= lo < hi <= M + 1: galerkin_row folds
+        the modes -M..M, and `treedisk exterior-dtn` writes them."""
+        return self.form(np.abs(np.arange(lo, hi)))
 
     def coeff(self, k: int) -> float:
         return float(self.block(k, k + 1)[0])
@@ -198,12 +194,10 @@ class RadialSource:
         merged = {}
         for k, profile in self.terms:
             check_mode_budget(abs(int(k)))
-            prof = _as_profile(profile)
-            if int(k) in merged:
-                for m, c in prof.items():
-                    merged[int(k)][m] = merged[int(k)].get(m, 0.0) + c
-            else:
-                merged[int(k)] = prof
+            # a repeated mode adds its coefficients to those given before
+            prof = merged.setdefault(int(k), {})
+            for m, c in _as_profile(profile).items():
+                prof[m] = prof.get(m, 0.0) + c
         self.terms = sorted(merged.items())
 
     def modes(self):
@@ -223,10 +217,10 @@ class RadialSource:
 
 def _source_integral(source: RadialSource, k: int, expo: float, upper: float,
                      with_log: bool = False, scale: float = 1.0) -> complex:
-    """Gauss integral of (s/scale)^expo * f_k(s) (optionally * log s) over [R, min(upper, r_max)]."""
+    """Gauss integral of (s/scale)^expo * f_k(s) (optionally * log s) over
+    [R, min(upper, r_max)]; every caller passes an upper limit above R, and
+    R < r_max (RadialSource)."""
     hi = min(upper, source.r_max)
-    if hi <= source.R:
-        return 0.0
     mid, half = 0.5 * (hi + source.R), 0.5 * (hi - source.R)
     s = mid + half * _GL64[0]
     vals = (s / scale)**expo * source.profile_value(k, s)

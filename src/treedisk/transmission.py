@@ -411,15 +411,16 @@ class _Unconverged(Exception):
     """An inner GMRES solve missed _KRYLOV_RTOL within _KRYLOV_MAX_ITER steps."""
 
 
-def _givens(a, b):
-    """(c, s, r): c real, [[c, s], [-conj(s), c]] maps (a, b) to (r, 0)."""
+def _givens(a, b: float):
+    """(c, s, r): c real, [[c, s], [-conj(s), c]] maps (a, b) to (r, 0), for b >= 0.
+
+    At a = 0 the phase of a is 1, which gives (0, 1, b) exactly.
+    """
     if b == 0:
         return 1.0, 0.0, a
-    if a == 0:
-        return 0.0, 1.0, b
-    r = math.hypot(abs(a), abs(b))
-    phase = a / abs(a)
-    return abs(a) / r, phase * b.conjugate() / r, phase * r
+    r = math.hypot(abs(a), b)
+    phase = a / abs(a) if a else 1.0
+    return abs(a) / r, phase * b / r, phase * r
 
 
 def _ldexp(x, e: int) -> np.ndarray:
@@ -520,12 +521,10 @@ def _norm1_estimate(apply, n: int, dtype) -> float:
     It reads A^H s only through |A^H s|, which is |A conj(s)| when
     A^T = A, so A is the only operator it applies.  The test vectors are of
     the given dtype: float64 for a real A runs dlacn2, whose signs are those
-    zlacn2 takes for a real y.
+    zlacn2 takes for a real y.  It runs on the GMRES path alone, so n > 64.
     """
     y = apply(np.full(n, 1.0 / n, dtype=dtype))
     est = float(np.abs(y).sum())
-    if n == 1:
-        return est
     j = int(np.argmax(np.abs(apply(_sign(y).conj()))))
     for _ in range(4):
         x = np.zeros(n, dtype=dtype)
@@ -700,8 +699,7 @@ def reconstruct_tree(system: InterfaceSystem, g: PiecewiseConstantFn) -> TreeSol
     if u_f is not None:
         for n, cf in enumerate(u_f.coeffs[: tree.level + 1]):
             coeffs[n] = _added(cf, coeffs[n])
-        if tail is not None:
-            tail = _added(u_f.tail, tail)
+        tail = _added(u_f.tail, tail)
     return TreeSolution(u_rows=TreeFunction(tree, coeffs, tail), flux_u=flux_u)
 
 
@@ -718,9 +716,11 @@ def reconstruct(system: InterfaceSystem, g: PiecewiseConstantFn,
     transmission conditions in the V_N pairing.  Interface traces match by
     construction: the leaf rows of the compressed source tree carry the
     cells of g, the exterior modes carry its Fourier coefficients at the
-    assembly cutoff; a trace defect above 1e-10, or NaN, raises
-    NumericalCheckFailed.  The exterior solve takes the source modes' b_k
-    from system.v_f, so no source integral is computed twice.
+    assembly cutoff, so the traces differ by rounding at the scale of g.  A
+    trace defect above 1e-10 2^e, e the exponent of max|g| (math.frexp, as
+    solve_interface scales h), or NaN, raises NumericalCheckFailed; the
+    defect is reported unscaled.  The exterior solve takes the source
+    modes' b_k from system.v_f, so no source integral is computed twice.
 
     No array over the 2 * 16 p^N + 1 exterior modes is held: g's modes
     (circle.CellModes, one fft of g) and the field's traces are formed in
@@ -754,8 +754,10 @@ def reconstruct(system: InterfaceSystem, g: PiecewiseConstantFn,
 
     tree_trace = np.abs(u_T.leaf_values() - g.values).max()
     trace_defect = float(max(tree_trace, np.max(ext_trace)))
-    if not trace_defect <= 1e-10:
-        raise NumericalCheckFailed("interface traces disagree by %.3e" % trace_defect)
+    bound = math.ldexp(1e-10, math.frexp(float(np.abs(g.values).max()))[1])
+    if not trace_defect <= bound:
+        raise NumericalCheckFailed("interface traces disagree by %.3e, beyond %.3e (1e-10 "
+                                   "at the scale of max|g|)" % (trace_defect, bound))
 
     phases = circle.twiddles(pn)
     measure = decomp.cell_measure(cfg.level)

@@ -559,11 +559,10 @@ _SCALED = ("tree.p = 2\ntree.ell = 0.5\ntree.omega = 0.4\ninterface.N = 7\n"
 
 def _run_scaled(scale, out):
     """treedisk transmission on the N = 7 ring source scaled by `scale`, in a
-    child process: the suite's filter would raise the 1e200 solve's overflow
-    warnings, which the command only prints."""
+    child process, with every warning an error."""
     path = out.parent / ("scaled_%s.ini" % scale)
     path.write_text(_SCALED % (scale, scale))
-    return subprocess.run([sys.executable, "-m", "treedisk.cli", "transmission",
+    return subprocess.run([sys.executable, "-W", "error", "-m", "treedisk.cli", "transmission",
                            "--config", str(path), "--out-prefix", str(out / "t_")],
                           capture_output=True, text=True)
 
@@ -571,25 +570,25 @@ def _run_scaled(scale, out):
 def test_transmission_solves_sources_of_any_normal_scale(tmp_path):
     # the interface solve runs on h scaled to unit size by a power of two,
     # where GMRES's and the residual gate's norms neither underflow nor
-    # overflow, so a source of 1e-200 solves to 1e-200 times the datum of
-    # the unit source; at 1e200 the traces carry absolute
-    # errors far above the absolute 1e-10 trace gate, and at 1e-320 the rhs
-    # is subnormal and refused; both exit 3 and leave no file
+    # overflow, and the trace gate is 1e-10 at the scale of max|g|, so a
+    # source of 1e-200 or 1e200 solves to that factor times the datum of the
+    # unit source; at 1e-320 the rhs is subnormal and refused, with exit 3
+    # and no file
     g = {}
-    for scale in ("1", "1e-200"):
+    for scale in ("1", "1e-200", "1e200"):
         out = tmp_path / scale
         proc = _run_scaled(scale, out)
-        assert proc.returncode == 0, proc.stderr
+        assert proc.returncode == 0 and not proc.stderr, proc.stderr
         assert sorted(os.listdir(out)) == ["t_exterior.csv", "t_g.csv", "t_manifest.txt",
                                            "t_tree.csv"]
         g[scale] = np.loadtxt(out / "t_g.csv", delimiter=",", skiprows=1)[:, 2]
-    assert np.abs(g["1e-200"] * 1e200 - g["1"]).max() <= 1e-12 * np.abs(g["1"]).max()
-    for scale, message in (("1e200", "interface traces disagree"), ("1e-320", "is subnormal")):
-        out = tmp_path / scale
-        proc = _run_scaled(scale, out)
-        assert proc.returncode == 3, proc.stderr
-        assert proc.stderr.startswith("numerical failure: ") and message in proc.stderr
-        assert not out.exists()
+    for scale in ("1e-200", "1e200"):
+        assert np.abs(g[scale] / float(scale) - g["1"]).max() <= 1e-12 * np.abs(g["1"]).max()
+    out = tmp_path / "1e-320"
+    proc = _run_scaled("1e-320", out)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("numerical failure: ") and "is subnormal" in proc.stderr
+    assert not out.exists()
 
 
 def test_transmission_refuses_a_flux_residual_beyond_its_bound(tmp_path, monkeypatch, capsys):

@@ -23,7 +23,7 @@ def kernel_at_any_size(monkeypatch):
 
 def _text(column) -> bytes:
     """What the kernel writes for a column, one value per line."""
-    return bytes(csvtext.join([column, "\n"]))
+    return bytes(csvtext.join([column, "\n"], bytearray()))
 
 
 def _oracle(values, spec="%.17g") -> bytes:
@@ -180,13 +180,13 @@ def test_consecutive_integers_match_percent_and_the_column_kernel(k0, n, slack):
     column = np.zeros(cells.shape, np.uint8)
     csvtext._put_ints(column, v)
     assert np.array_equal(cells, column)
-    assert bytes(csvtext.join([cells, "\n"])) == _oracle(range(k0, k0 + n), "%d")
+    assert bytes(csvtext.join([cells, "\n"], bytearray())) == _oracle(range(k0, k0 + n), "%d")
     if n and k0 >= 0:
         # tree.csv's k slots: the last `width` cells of nonnegative integers
         width = len("%d" % (k0 + n - 1)) + slack
         slots = csvtext.range_cells(k0, n, width)
         assert slots.shape == (n, width)
-        assert bytes(csvtext.join([slots, "\n"])) == _oracle(range(k0, k0 + n), "%d")
+        assert bytes(csvtext.join([slots, "\n"], bytearray())) == _oracle(range(k0, k0 + n), "%d")
 
 
 def test_the_kernel_warns_about_nothing():
@@ -206,9 +206,22 @@ def test_cells_are_trimmed_text_that_join_takes_back():
     cells = csvtext.cells(x)
     assert cells.dtype == np.uint8 and cells.flags.c_contiguous
     assert (cells != 0).any(axis=0).all()
-    assert bytes(csvtext.join(["<", cells, ">", np.arange(3), "\n"])) == \
+    assert bytes(csvtext.join(["<", cells, ">", np.arange(3), "\n"], bytearray())) == \
         b"".join(b"<%s>%d\n" % (b"%.17g" % v, i) for i, v in enumerate(x.tolist()))
-    assert bytes(csvtext.join([np.zeros(0), "\n"])) == b""
+    assert bytes(csvtext.join([np.zeros(0), "\n"], bytearray())) == b""
+
+
+def test_one_buffer_serves_every_chunk_of_a_file():
+    # the chunks of a file share one buffer: a longer chunk grows it, and a
+    # shorter one, or one whose columns take fewer cells, leaves NUL behind
+    # its matrix, which is dropped; each chunk reads as if its buffer were new
+    buffer = bytearray()
+    for n, imag in ((5, 0.0), (3, 1.5), (9, 0.0), (1, -2.0)):
+        k = np.arange(-n, 0) * 10**n
+        z = np.arange(n) / 7.0 + imag * 1j
+        fields = [k, ",", z, "\n"]
+        assert csvtext.join(fields, buffer) == csvtext.join(fields, bytearray())
+    assert len(buffer) == 9 * (1 + 4 * 3 + 1 + csvtext._FLOAT_WIDTH + 1)
 
 
 def test_a_short_column_is_formatted_by_percent(monkeypatch):

@@ -41,14 +41,14 @@ def test_symbol_values_and_symmetry():
 
 def test_symbols_form_any_block_from_their_closed_form():
     # a symbol holds no values, so a cutoff of 10^11 modes is no allocation:
-    # a block reads the closed form, zero beyond the cutoff
+    # a block reads the closed form
     M = 10**11
     dtn = dtn_symbol(R, M)
-    assert dtn.block(M - 2, M + 2).tolist() == [-(M - 2.0), -(M - 1.0), -float(M), 0.0]
-    assert dtn.block(-M - 1, -M + 1).tolist() == [0.0, -float(M)]
-    assert dtn.coeff(M + 1) == 0.0
+    assert dtn.block(M - 2, M + 1).tolist() == [-(M - 2.0), -(M - 1.0), -float(M)]
+    assert dtn.block(-M, -M + 2).tolist() == [-float(M), -(M - 1.0)]
+    assert dtn.coeff(M) == -float(M)
     single, double_t, hyper = layer_symbols(R, R_SCALE, M)
-    assert single.block(M, M + 2).tolist() == [R / (2.0 * M), 0.0]
+    assert single.block(M - 1, M + 1).tolist() == [R / (2.0 * (M - 1)), R / (2.0 * M)]
     assert double_t.block(-1, 2).tolist() == [0.0, -1.0, 0.0]
     assert hyper.block(M, M + 1)[0] == pytest.approx(M / (2.0 * R))
 

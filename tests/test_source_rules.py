@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from treedisk import cli
+from treedisk.errors import CutoffTooSmall
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "treedisk"
@@ -160,6 +161,19 @@ _CONFIGS = {
     # a subnormal source is refused with exit 3, an unknown key with exit 2
     "subnormal": _BASE + "source.exterior.profile.1 = 1e-320\nsource.exterior.profile.-1 = 1e-320\n",
     "unknown_key": _BASE + "tree.colour = 3\n",
+    # an interval tree (p = 1, sigma n/a) that breaks the three structural
+    # inequalities, with overrides at N1, naming no edge, not positive and
+    # beyond the float range
+    "broken": "tree.p = 1\ntree.ell = 2\ntree.omega = 1\ntree.N1 = 2\n"
+              "tree.length_override.2.0 = 1\ntree.length_override.0.3 = 1\n"
+              "tree.weight_override.0.0 = -1\ntree.weight_override.1.0 = 5e-324\n",
+    # omega above ell, so sigma reaches 1/2, written with a [section] header,
+    # a comment and a blank line
+    "sections": "# sigma >= 1/2\n[tree]\np = 2\nell = 0.5\n\nomega = 0.6\n",
+    # no source at all above 64 cells: h = 0, g = 0, and the exterior trace's
+    # support is scanned over 16 p^N > BLOCK_MODES modes
+    "unforced": _BASE + "interface.N = 9\ntransmission.alpha1 = 1\ntransmission.alpha0 = 0.25\n"
+                        "transmission.source_depth = 9\n",
 }
 
 
@@ -204,14 +218,18 @@ def _user_paths(tmp_path, perfbench) -> tuple:
         Path(configs[name]).write_text(text)
     out = str(tmp_path / "out")
     argvs = [
+        ["--help"],
         ["validate", "--config", configs["ring"]],
         ["validate", "--config", configs["unknown_key"]],
+        ["validate", "--config", configs["broken"]],
+        ["validate", "--config", configs["sections"]],
         ["tree-dtn", "--config", configs["ring"], "--depth", "3", "--out", out + "_dtn.csv"],
         ["exterior-dtn", "--radius", "1", "--level", "2", "--modes", "64", "--out", out + "_sym.csv"],
         ["transmission", "--config", configs["ring"], "--out-prefix", out + "_ring_"],
         ["transmission", "--config", configs["complex"], "--out-prefix", out + "_complex_"],
         ["transmission", "--config", configs["radius"], "--out-prefix", out + "_radius_"],
         ["transmission", "--config", configs["subnormal"], "--out-prefix", out + "_subnormal_"],
+        ["transmission", "--config", configs["unforced"], "--out-prefix", out + "_unforced_"],
         ["convergence", "--config", configs["manufactured"], "--out", out + "_conv.csv"],
         # the default levels interface.N .. interface.N + 3
         ["convergence", "--config", configs["ring"], "--out", out + "_ring_conv.csv"],
@@ -219,6 +237,10 @@ def _user_paths(tmp_path, perfbench) -> tuple:
         ["selftest"],
     ]
     codes = [cli.main(argv) for argv in argvs]
+    # a mode cutoff below 16 p^level cells warns
+    with pytest.warns(CutoffTooSmall):
+        codes.append(cli.main(["exterior-dtn", "--radius", "1", "--level", "2", "--modes", "32",
+                               "--out", out + "_coarse_sym.csv"]))
     for path in sorted((ROOT / "demos").glob("*.py")):
         runpy.run_path(str(path), run_name="__main__")
     workloads, inputs = perfbench
@@ -293,16 +315,18 @@ def _at_default(value, default) -> bool:
 
 @pytest.fixture(scope="module")
 def traced(tmp_path_factory):
-    """The user paths run once in this process under sys.setprofile.
+    """The user paths run once in this process under sys.settrace.
 
     Returns the exit codes of the subcommands, the code objects that ran,
-    and for each defaulted parameter (_defaulted_parameters) the set of
-    answers to whether a call left it at its default.  Without os.fork the
-    tree.csv writer runs here (cli._in_child).  The package's functools
-    caches are cleared first, so what an earlier test cached runs again.
-    The package is imported and the perfbench inputs and references are
-    made before the trace starts, so a function that runs only on import or
-    for a reference counts as not run.
+    for each defaulted parameter (_defaulted_parameters) the set of answers
+    to whether a call left it at its default, and per file of src/treedisk
+    the lines that ran: a frame of src/treedisk gets the line tracer, any
+    other frame only its call event.  Without os.fork the tree.csv writer
+    runs here (cli._in_child).  The package's functools caches are cleared
+    first, so what an earlier test cached runs again.  The package is
+    imported and the perfbench inputs and references are made before the
+    trace starts, so a function or line that runs only on import or for a
+    reference counts as not run.
     """
     tmp_path = tmp_path_factory.mktemp("user_paths")
     perfbench = _perfbench_inputs()
@@ -312,27 +336,36 @@ def traced(tmp_path_factory):
             for value in vars(module).values():
                 if callable(getattr(value, "cache_clear", None)):
                     value.cache_clear()
-    ran, seen = set(), defaultdict(set)
+    ran, seen, lines = set(), defaultdict(set), defaultdict(set)
+    # a code object's file name is its module's __file__, whatever the path
+    files = {importlib.import_module("treedisk" if path.stem == "__init__" else "treedisk." + path.stem)
+             .__file__: path.name for path in SRC.glob("*.py")}
 
-    def profile(frame, event, arg):
-        if event == "call":
-            ran.add(frame.f_code)
-            for label, name, default in watched.get(frame.f_code, ()):
-                seen[label].add(_at_default(frame.f_locals[name], default))
+    def line(frame, event, arg):
+        if event == "line":
+            lines[files[frame.f_code.co_filename]].add(frame.f_lineno)
+        return line
+
+    def call(frame, event, arg):
+        ran.add(frame.f_code)
+        for label, name, default in watched.get(frame.f_code, ()):
+            seen[label].add(_at_default(frame.f_locals[name], default))
+        return line if frame.f_code.co_filename in files else None
 
     with pytest.MonkeyPatch.context() as patch:
         patch.delattr(os, "fork")
         patch.chdir(tmp_path)
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            sys.setprofile(profile)
+            previous = sys.gettrace()
+            sys.settrace(call)
             try:
                 codes, ops = _user_paths(tmp_path, perfbench)
             finally:
-                sys.setprofile(None)
+                sys.settrace(previous)
     failures = {op.name: op.check(op.outputs()) for op in ops}
     assert not any(failures.values()), failures
     labels = [label for params in watched.values() for label, _, _ in params]
-    return codes, ran, {label: seen[label] for label in labels}
+    return codes, ran, {label: seen[label] for label in labels}, dict(lines)
 
 
 def test_every_function_runs_on_a_user_path(traced):
@@ -344,11 +377,11 @@ def test_every_function_runs_on_a_user_path(traced):
     The traced code objects are told apart by file, first line and name,
     so a method is not hidden by another of the same name.
     """
-    codes, ran, _ = traced
+    codes, ran, _, _ = traced
     defined = {}
     for path in sorted(SRC.glob("*.py")):
         defined.update(_function_codes(path))
-    assert codes == [0, 2, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0]
+    assert codes == [0, 0, 2, 2, 2, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0]
     ran = {(Path(code.co_filename).name, code.co_firstlineno, code.co_name) for code in ran
            if Path(code.co_filename).resolve().parent == SRC}
     missing = sorted(key for key in set(defined) - ran if key[::2] not in NOT_RUN)
@@ -375,3 +408,132 @@ def test_every_default_is_a_choice(traced):
     assert not found, "defaults that are no choice: %s" % "; ".join(found)
     # each exemption names a defaulted parameter that is not varied
     assert set(NOT_VARIED) <= set(flagged)
+
+
+# Statements of src/treedisk that no user path runs, (file, function, the
+# first line of the arm's first statement) -> why the arm stays.  An arm is
+# a run of consecutive statements of one block that do not run.
+NOT_RUN_ARMS = {
+    ("acceptance.py", "criterion_4",
+     'return (name, False, "draw %d is not admissible: %s" % (i, "; ".join(report.failures)))'):
+        "a failure report: every seeded draw is admissible (test_acceptance fails one)",
+    ("acceptance.py", "criterion_9",
+     'return (name, False, "draw %d (alpha1 %r, alpha0 %r) violates %s"'):
+        "a failure report: every seeded draw meets its sign condition (test_acceptance fails one)",
+    ("calculus.py", "_solve_vertices", "values.append(0.0)"):
+        "full trees: every user path solves on a compressed tree; the tests use the full-tree "
+        "solve as the reference of the compressed one",
+    ("calculus.py", "solve_harmonic_dirichlet", "top, means = depth - 1, [None] * depth + [leaf_values]"):
+        "full trees, the tests' reference for the compressed solve",
+    ("calculus.py", "solve_harmonic_dirichlet", "return TreeFunction(tree, coeffs)"):
+        "full trees, the tests' reference for the compressed solve",
+    ("calculus.py", "solve_poisson_zero_trace", "return TreeFunction(tree, coeffs)"):
+        "full trees, the tests' reference for the compressed solve",
+    ("calculus.py", "_particular", "end *= ell"):
+        "tree sources of degree >= 1, which TransmissionConfig.tree_source admits and the INI "
+        "format cannot write",
+    ("calculus.py", "_end_flux", "der *= ell"):
+        "tree sources of degree >= 1, which the INI format cannot write",
+    ("circle.py", "cell_averages", "chunk = decomp.p ** (g.level - n)"):
+        "a cell datum finer than the level, which convergence_study admits as a manufactured "
+        "datum; criterion 8's is at the coarsest study level",
+    ("circle.py", "_error_series", "return acc, n + 1, 0.0"):
+        "a series negligible before n_max: criterion 5's terms for cos theta decay like "
+        "p^(-2n(1 - r)), far above 1e-17 of the sum at its n_max = 14",
+    ("cli.py", "_in_child", "read_end, write_end = os.pipe()"):
+        "the fork and the forked child: the trace removes os.fork (test_cli's forked-writer tests)",
+    ("csvtext.py", "_decimal", "i[moved] += up[moved].astype(np.intp) - down[moved]"):
+        "a floor(log10|x|) that rounding puts one off, next to a power of ten "
+        "(test_csvtext's neighbours of powers of ten)",
+    ("csvtext.py", "_put_reals", "_put_by_percent(out, x, slow, plus)"):
+        "values left to %: ties within 2^-40, NaN, infinity and |X| > 280 (test_csvtext)",
+    ("exterior.py", "_source_integral", "vals = vals * np.log(s)"):
+        "with_log, which only ExteriorField.eval of a mode-0 source sets (NOT_VARIED)",
+    ("exterior.py", "ExteriorField.eval", "ia = _source_integral(self.source, k, 1.0, ri)"):
+        "the particular part of a mode-0 source, which no user path evaluates",
+    ("transmission.py", "_givens", "return 1.0, 0.0, a"):
+        "an exact breakdown of GMRES: a Krylov space that A P^-1 maps into itself",
+    ("transmission.py", "_gmres", "grown = np.empty((min(2 * len(basis), steps + 1), b.size), dtype=b.dtype)"):
+        "more than 16 GMRES steps: the Chan preconditioner takes 7-8 for a constant alpha0, which "
+        "is all the INI format writes",
+}
+
+
+def _unrun_arms(path, ran_lines) -> dict:
+    """(file, function, first line) -> line number of each arm of path's
+    functions that does not run (NOT_RUN_ARMS), but error handling.
+
+    A statement runs when a line it spans ran.  Error handling is a raise
+    statement, an except body and an if arm whose last statement is a
+    raise.  Module and class bodies run on import and are not counted, nor
+    are docstrings and the functions of NOT_RUN.  A function is named by
+    its qualified name without <locals>.
+    """
+    text = path.read_text(encoding="utf-8")
+    source = text.splitlines()
+    found = {}
+
+    def runs(node):
+        return not ran_lines.isdisjoint(range(node.lineno, node.end_lineno + 1))
+
+    def block(body, function):
+        arm = []
+        for node in body + [None]:
+            if node is not None and not isinstance(node, ast.Raise) and not runs(node):
+                arm.append(node)
+                continue
+            if arm:
+                found[(path.name, function, source[arm[0].lineno - 1].strip())] = arm[0].lineno
+                arm = []
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                define(node, function + ".")
+            elif node is not None:
+                for sub in _arms(node):
+                    block(sub, function)
+
+    def define(node, prefix):
+        body = node.body[1:] if _is_docstring(node.body[0]) else node.body
+        if (path.name, node.name) not in NOT_RUN:
+            block(body, prefix + node.name)
+
+    for node in ast.parse(text, filename=str(path)).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            define(node, "")
+        elif isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    define(member, node.name + ".")
+    return found
+
+
+def _is_docstring(node) -> bool:
+    return isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant) and isinstance(
+        node.value.value, str)
+
+
+def _arms(node) -> list:
+    """The blocks of statements of a compound statement, but error handling:
+    except bodies, and if arms whose last statement raises."""
+    arms = [getattr(node, name, []) for name in ("body", "orelse", "finalbody")]
+    if isinstance(node, ast.If):
+        arms = [arm for arm in arms if arm and not isinstance(arm[-1], ast.Raise)]
+    return [arm for arm in arms if arm]
+
+
+def test_every_branch_runs_on_a_user_path(traced):
+    """Every statement inside a function of src/treedisk runs on the traced
+    user paths (traced), is error handling, or is the first of an arm in
+    NOT_RUN_ARMS with its reason (_unrun_arms).  The function rule and
+    the default rule read the same traced run.
+    """
+    lines = traced[3]
+    unrun = {}
+    for path in sorted(SRC.glob("*.py")):
+        unrun.update(_unrun_arms(path, lines.get(path.name, set())))
+    missing = sorted((file, line, function, first) for (file, function, first), line in unrun.items()
+                     if (file, function, first) not in NOT_RUN_ARMS)
+    assert SRC.is_dir() and not missing, "%d arms run on no user path:\n%s" % (
+        len(missing), "\n".join("%s:%d %s: %s" % arm for arm in missing))
+    # each exemption names an arm that exists and does not run
+    assert set(NOT_RUN_ARMS) <= set(unrun), sorted(set(NOT_RUN_ARMS) - set(unrun))
+    assert len(NOT_RUN_ARMS) <= 18

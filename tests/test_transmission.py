@@ -720,6 +720,21 @@ def test_unforced_solve_builds_one_tree_at_assembly(monkeypatch):
     assert sol.flux_residual <= sol.discretization_defect + 1e-10
 
 
+def test_sources_of_any_normal_scale_solve_alike():
+    # the ring source of r_max 2 on p = 2, N = 7, scaled by s: the traces
+    # differ by rounding at the scale of g, and the trace gate is 1e-10 at
+    # the scale of max|g|, so every scale from 1e-300 to 1e300 solves to s
+    # times the unit datum (an absolute gate refused 1e11 and 1e50..1e300)
+    def solve(s):
+        ring = RadialSource(R=1.0, r_max=2.0, terms=[(1, {0: s}), (-1, {0: s})])
+        cfg = TransmissionConfig(params=REF, level=7, alpha1=1.0, alpha0=0.25, exterior_source=ring)
+        return solve_transmission(cfg).g.values
+
+    unit = solve(1.0)
+    for s in [10.0**j for j in range(-300, 301, 50)] + [1e11]:
+        assert np.abs(solve(s) - s * unit).max() <= 1e-12 * s * np.abs(unit).max(), s
+
+
 def test_reconstruct_refuses_a_nan_trace():
     # a NaN trace compares false against every bound; the check must not pass it
     cfg = TransmissionConfig(params=REF, level=3, alpha1=1.0, alpha0=0.3, c_root=0.5,

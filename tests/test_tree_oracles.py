@@ -37,7 +37,7 @@ from treedisk import calculus as ca
 from treedisk import dtn, transmission
 from treedisk.acceptance import _random_admissible_params
 from treedisk.dtn import compress, condensed_dtn, tree_dtn_operator, truncated_dtn
-from treedisk.errors import CondensationBelowGeometricGeneration
+from treedisk.errors import CondensationBelowGeometricGeneration, DepthMismatch
 from treedisk.tree import TreeParams, _child_sums, build_condensed, build_truncated
 
 PARAMS = {
@@ -472,6 +472,16 @@ def _vertex_values(f):
     return [f.end_values(n) for n in range(f.tree.depth + 1)]
 
 
+def _generation_rows(tree, rows):
+    """The function with coefficient row rows[n] on every edge of generation
+    n of a compressed tree, as _tree_forcing builds it: zero-stride rows up
+    to the level, then the tail generations as one zero-stride block."""
+    level, width = tree.level, rows.shape[1]
+    top = [np.broadcast_to(r, (k, width)) for r, k in zip(rows[: level + 1], tree.rows)]
+    tail = np.broadcast_to(rows[level + 1 :, None], (tree.depth - level, tree.rows[-1], width))
+    return ca.TreeFunction(tree, top, tail)
+
+
 def _assert_bits(got, ref):
     assert len(got) == len(ref)
     for g, r in zip(got, ref):
@@ -518,7 +528,7 @@ def test_compressed_tree_solves_match_the_full_tree_bit_for_bit(name, N, depth, 
         rows = rng.standard_normal((depth + 2, degree + 1))
         if complex_:
             rows = rows + 1j * rng.standard_normal(rows.shape)
-        source = ca.TreeFunction(tree, [np.broadcast_to(r, (k, r.size)) for r, k in zip(rows, tree.rows)])
+        source = _generation_rows(tree, rows)
         source_full = ca.TreeFunction(full, [np.tile(r, (p**n, 1)) for n, r in enumerate(rows)])
         u_f = ca.solve_poisson_zero_trace(tree, source)
         u_f_full = ca.solve_poisson_zero_trace(full, source_full)
@@ -561,20 +571,19 @@ def test_compressed_tree_matches_on_random_admissible_trees(seed):
     u_full = ca.solve_harmonic_dirichlet(full, np.repeat(g, full.n_leaves // g.size))
     _assert_bits(expanded(u).coeffs, u_full.coeffs)
     rows = rng.standard_normal((depth + 2, 2)) + 1j * rng.standard_normal((depth + 2, 2))
-    source = ca.TreeFunction(tree, [np.broadcast_to(r, (k, 2)) for r, k in zip(rows, tree.rows)])
+    source = _generation_rows(tree, rows)
     source_full = ca.TreeFunction(full, [np.tile(r, (params.p**n, 1)) for n, r in enumerate(rows)])
     _assert_bits(expanded(ca.solve_poisson_zero_trace(tree, source)).coeffs,
                  ca.solve_poisson_zero_trace(full, source_full).coeffs)
 
 
 @settings(max_examples=30, deadline=None)
-@given(seed=st.integers(min_value=0, max_value=2**32 - 1), per_row=st.booleans(),
-       as_block=st.booleans(), data=st.data())
-def test_tail_blocks_match_the_expanded_tree(seed, per_row, as_block, data):
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), per_row=st.booleans(), data=st.data())
+def test_tail_blocks_match_the_expanded_tree(seed, per_row, data):
     # the tail (generations level+1..depth) as one block in the elimination
     # and both solves, against the same solves on the expanded tree: p = 2 or
     # 3, overrides above N1, up to 12 tail generations, and a tail source
-    # the same on every row or one per row, given as a block or per generation
+    # the same on every row or one per row
     rng = np.random.default_rng(seed)
     params = _random_admissible_params(rng)
     p = params.p
@@ -600,8 +609,8 @@ def test_tail_blocks_match_the_expanded_tree(seed, per_row, as_block, data):
     top = [coeffs((tree.rows[n], degree + 1)) for n in range(level + 1)]
     tail = (coeffs((gens, rows, degree + 1)) if per_row
             else np.broadcast_to(coeffs((gens, 1, degree + 1)), (gens, rows, degree + 1)))
-    source = ca.TreeFunction(tree, top, tail) if as_block else ca.TreeFunction(tree, top + list(tail))
-    assert np.array_equal(source.tail, tail)
+    source = ca.TreeFunction(tree, top, tail)
+    assert source.tail is tail
     u_f = ca.solve_poisson_zero_trace(tree, source)
     assert u_f.tail.shape == (gens, rows, degree + 3)
     assert _rel_fn(expanded(u_f), ca.solve_poisson_zero_trace(full, expanded(source))) <= 1e-13
@@ -610,6 +619,18 @@ def test_tail_blocks_match_the_expanded_tree(seed, per_row, as_block, data):
     u = ca.solve_harmonic_dirichlet(tree, g)
     u_full = ca.solve_harmonic_dirichlet(full, np.repeat(g, tree.multiplicity(tree.depth)))
     assert _rel_fn(expanded(u), u_full) <= 1e-13
+
+
+def test_a_compressed_source_gives_its_tail_as_one_block():
+    # one array per generation leaves the tail to the caller: the Poisson
+    # solve takes a compressed tree's tail generations as one block
+    tree = build_condensed(TreeParams(p=2, ell=0.5, omega=0.4), 4, level=2)
+    rows = np.ones((tree.depth + 1, 1))
+    per_generation = ca.TreeFunction(tree, [np.broadcast_to(r, (k, 1)) for r, k in zip(rows, tree.rows)])
+    assert per_generation.tail is None
+    with pytest.raises(DepthMismatch, match="one tail block"):
+        ca.solve_poisson_zero_trace(tree, per_generation)
+    assert ca.solve_poisson_zero_trace(tree, _generation_rows(tree, rows)).tail.shape == (3, 4, 3)
 
 
 def test_a_deep_tail_holds_one_value_per_generation():
