@@ -40,6 +40,23 @@ printf '%s\n' "tree.p = 2" "tree.ell = 0.5" "tree.omega = 0.4" "interface.N = 7"
   > "$tmp/unforced.ini"
 no_stderr python -X dev -W error -m treedisk.cli transmission --config "$tmp/unforced.ini" --out-prefix "$tmp/unforced_"
 
+# `treedisk transmission` with the root datum alone (c_root = 2.5, alpha0 =
+# 0, no source) on the GMRES path (p^N = 128 cells): u_T = u_Omega = 2.5
+# solves the problem, so every value in g.csv is 2.5
+printf '%s\n' "tree.p = 2" "tree.ell = 0.5" "tree.omega = 0.4" "interface.N = 7" \
+  "transmission.alpha1 = 1" "transmission.alpha0 = 0" "transmission.c_root = 2.5" \
+  > "$tmp/root_only.ini"
+no_stderr python -X dev -W error -m treedisk.cli transmission --config "$tmp/root_only.ini" --out-prefix "$tmp/root_only_"
+python - "$tmp/root_only_g.csv" <<'EOF'
+import csv, sys
+with open(sys.argv[1], newline="") as f:
+    values = [complex(row["value"]) for row in csv.DictReader(f)]
+worst = max(abs(v - 2.5) for v in values) / 2.5
+print("root datum alone: %d values, max |g - 2.5| / 2.5 = %.2e" % (len(values), worst))
+if len(values) != 128 or not worst <= 1e-12:
+    sys.exit("g.csv is not the constant root datum 2.5")
+EOF
+
 # `treedisk transmission` on an interface of radius 2.5 with an exterior
 # source that has a mode-0 term: R != 1 in the source integrals and the
 # k = 0 formula (b_0 and its log R) end to end

@@ -218,19 +218,19 @@ def green_identity_check(u: TreeFunction, v: TreeFunction) -> GreenReport:
 # clamped graph-Laplacian solves
 
 
-def _solve_vertices(tree: FiniteTree, loads, tail_loads):
+def _solve_vertices(tree: FiniteTree, loads, tail_loads, root_value):
     """Vertex values of the clamped graph system.
 
     loads[n] is the right-hand side at X_{n,k} for the generations n <
     depth up to the level, tail_loads the (G - 1, rows) block of those
-    below it (None on a full tree); the leaves and the root o are clamped
-    at zero, which loads nothing.  One upward pass collects the loads
-    through tree.elimination, one downward pass substitutes; the zero
-    leaves add the +0.0 that their products would.  Returns (values,
-    tail_values): values[n] for the generations up to the level, followed
-    on a full tree by the leaves' 0.0, and on a compressed tree the
-    (G + 1, rows) block of generations level..depth, values[level] its
-    first row and the clamped leaves its last.
+    below it (None on a full tree); the leaves are clamped at zero, which
+    loads nothing, and the root o at root_value.  One upward pass collects
+    the loads through tree.elimination, one downward pass substitutes
+    from root_value; the zero leaves add the +0.0 that their products
+    would.  Returns (values, tail_values): values[n] for the generations
+    up to the level, followed on a full tree by the leaves' 0.0, and on a
+    compressed tree the (G + 1, rows) block of generations level..depth,
+    values[level] its first row and the clamped leaves its last.
     """
     p = tree.p
     c, pivot = tree.elimination
@@ -249,7 +249,7 @@ def _solve_vertices(tree: FiniteTree, loads, tail_loads):
         up = c[n] * collected[n]
         up /= pivot[n]
     values = []
-    parent = 0.0
+    parent = root_value
     for n in range(len(loads)):
         if n:
             parent = _parent_rows(values[-1], p, tree.merged(n))
@@ -410,22 +410,22 @@ def _linear_part(c, parent, value, end, ell):
     c[..., 1] = slope
 
 
-def solve_poisson_zero_trace(tree: FiniteTree, source: TreeFunction) -> TreeFunction:
-    """Solve Lap u = source edgewise with u(o) = 0 and zero leaf values.
+def solve_poisson_zero_trace(tree: FiniteTree, source: TreeFunction, root_value) -> TreeFunction:
+    """Solve Lap u = source edgewise with u(o) = root_value and zero leaf values.
 
-    Zero traces at both ends approximate the homogeneous-boundary space of
-    the infinite tree.  On each edge u = w + linear, where w is the double
-    antiderivative of the source with w(0) = w'(0) = 0 (_particular).  The
-    vertex values solve the clamped graph system, and the linear part
-    corrects w to them.  The load at X_{n,k} is c w(ell) - omega w'(ell)
-    on its own edge, minus the children's c w(ell).  The tail's w, loads
-    and coefficients are formed as blocks.  The source arrays are only
-    read.
+    Zero leaf values approximate the homogeneous-boundary space of the
+    infinite tree; root_value is the root Dirichlet datum.  On each edge
+    u = w + linear, where w is the double antiderivative of the source with
+    w(0) = w'(0) = 0 (_particular).  The vertex values solve the graph
+    system clamped at root_value and zero, and the linear part corrects w
+    to them.  The load at X_{n,k} is c w(ell) - omega w'(ell) on its own
+    edge, minus the children's c w(ell).  The tail's w, loads and
+    coefficients are formed as blocks.  The source arrays are only read.
     """
     _same_tree(source.tree, tree)
     p, level, depth = tree.p, tree.level, tree.depth
     cond = tree.elimination[0]
-    dtype = np.result_type(*(c.dtype for c in source.coeffs), float)
+    dtype = np.result_type(*(c.dtype for c in source.coeffs), root_value, float)
     tail = tail_end = tail_loads = below = None
     if level < depth:
         s, ell = source.tail, tree.tail_lengths
@@ -449,10 +449,10 @@ def solve_poisson_zero_trace(tree: FiniteTree, source: TreeFunction) -> TreeFunc
             loads[n] = np.subtract(own, _end_flux(s, ell, tree.weights[n]), dtype=dtype)
             loads[n] -= _child_sums(below, p, tree.merged(n + 1))
         below = own
-    values, tail_values = _solve_vertices(tree, loads, tail_loads)
+    values, tail_values = _solve_vertices(tree, loads, tail_loads, root_value)
 
     for n, c in enumerate(coeffs):
-        parent = np.zeros(1, dtype=dtype) if n == 0 else _parent_rows(values[n - 1], p, tree.merged(n))
+        parent = np.full(1, root_value, dtype) if n == 0 else _parent_rows(values[n - 1], p, tree.merged(n))
         _linear_part(c, parent, values[n], w_end[n], tree.lengths[n])
     if tail is None:
         return TreeFunction(tree, coeffs)

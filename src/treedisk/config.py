@@ -77,10 +77,12 @@ _KEYS = {
     "source.exterior.r_max": (_parse_float, 2.0),
 }
 
-# patterned keys: override corridor entries and exterior source profiles
-_LENGTH_OVERRIDE = re.compile(r"^tree\.length_override\.(\d+)\.(\d+)$")
-_WEIGHT_OVERRIDE = re.compile(r"^tree\.weight_override\.(\d+)\.(\d+)$")
-_PROFILE = re.compile(r"^source\.exterior\.profile\.(-?\d+)$")
+# patterned keys: override corridor entries and exterior source profiles;
+# their numbers are written as %d (ASCII digits, no leading zero or -0), so
+# that each entry has one key and the duplicate check sees a repeat
+_LENGTH_OVERRIDE = re.compile(r"^tree\.length_override\.(0|[1-9][0-9]*)\.(0|[1-9][0-9]*)$")
+_WEIGHT_OVERRIDE = re.compile(r"^tree\.weight_override\.(0|[1-9][0-9]*)\.(0|[1-9][0-9]*)$")
+_PROFILE = re.compile(r"^source\.exterior\.profile\.(0|-?[1-9][0-9]*)$")
 _PATTERNS = [
     (_LENGTH_OVERRIDE, _parse_float),
     (_WEIGHT_OVERRIDE, _parse_float),

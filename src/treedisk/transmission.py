@@ -5,10 +5,10 @@ is the exterior DtN map, D the tree DtN map, and alpha0 acts by
 multiplication.  Discretization is Galerkin on the piecewise-constant cells
 V_N for both operators: D comes from the condensed source tree (exact on
 V_N; dtn.tree_dtn_operator), C from the Fourier symbol at cutoff 16 p^N.
-The right-hand side h = -gamma1 v_f + alpha1 gamma1(c u1 + u_f) collects the
-source lifts: v_f solves the exterior problem with zero trace, u_f a tree
-Poisson problem with zero trace, and u1 is a root bump carrying the root
-value c without contributing any leaf flux.
+The right-hand side h = -gamma1 v_f + alpha1 gamma1 u_f collects the
+source lifts: v_f solves the exterior problem with zero trace, and u_f the
+tree Poisson problem Lap u_f = f_T with the root value u_f(o) = c and zero
+leaf trace, so the root datum is a boundary value of the lift.
 
 At p^N <= dtn._TOP_CELLS = 64 cells M g = -h is solved directly: M is
 formed densely (InterfaceSystem.M), and one LU solve of M [g | X] = [-h | I]
@@ -116,18 +116,6 @@ def _exact_real(x) -> np.ndarray:
     return x.real.astype(float, copy=False)
 
 
-def _root_bump_coeffs(tree: FiniteTree) -> np.ndarray:
-    """Root-edge coefficients of the ansatz function u1: (1 - t/l_root)^2 on
-    the root edge, zero beyond.
-
-    u1(o) = 1, the trace and the leaf fluxes vanish identically, and the
-    Laplacian is the constant 2/l_root^2 on the root edge, so u1 carries a
-    root value into the source problem without touching the interface.
-    """
-    l0 = tree.lengths[0][0]
-    return np.array([[1.0, -2.0 / l0, 1.0 / l0**2]])
-
-
 @dataclass(frozen=True)
 class TransmissionConfig:
     """Data of the transmission problem and its discretization level.
@@ -205,14 +193,12 @@ class TransmissionConfig:
 
 
 def _tree_forcing(cfg: TransmissionConfig, tree: FiniteTree) -> TreeFunction:
-    """f_T - c * Lap(u1) on the compressed source tree.
+    """The tree forcing f_T on the compressed source tree.
 
-    Generation n of f_T is row n of cfg.tree_source on every row of the
-    tree, a read-only zero-stride view (zero without a tree source), and
-    the tail generations are one such view of their rows.  Lap(u1) is the
-    constant 2/l_root^2 on the root edge and zero elsewhere, so only
-    generation 0 changes.  The forcing is real when tree_source and c_root
-    have no imaginary part (TransmissionConfig types both).
+    Generation n is row n of cfg.tree_source on every row of the tree, a
+    read-only zero-stride view (zero without a tree source), and the tail
+    generations are one such view of their rows.  The forcing is real when
+    tree_source has no imaginary part (TransmissionConfig types it).
     """
     f = cfg.tree_source
     if f is None:
@@ -220,10 +206,6 @@ def _tree_forcing(cfg: TransmissionConfig, tree: FiniteTree) -> TreeFunction:
     level, q = tree.level, f.shape[1]
     coeffs = [np.broadcast_to(f[n], (tree.rows[n], q)) for n in range(level + 1)]
     tail = np.broadcast_to(f[level + 1 :, None], (tree.depth - level, tree.rows[-1], q))
-    if cfg.c_root != 0:
-        root = coeffs[0].astype(np.result_type(coeffs[0], cfg.c_root))
-        root[0, 0] -= (2.0 / tree.lengths[0][0] ** 2) * cfg.c_root
-        coeffs[0] = root
     return TreeFunction(tree, coeffs, tail)
 
 
@@ -362,11 +344,11 @@ class InterfaceSystem:
 def assemble_system(cfg: TransmissionConfig) -> InterfaceSystem:
     """Build the C_N row, the source tree, the alpha0 mass and the cell integrals of h.
 
-    h_N[K] = int_{Gamma_K} (-gamma1 v_f + alpha1 gamma1(c u1 + u_f)) ds; the
-    root bump contributes no flux, so its only effect is the -c Lap(u1)
-    forcing inside u_f.  The source tree is built and eliminated once,
-    forced or not: D_N is read off its elimination, u_f is solved on it
-    when forced (tree_source or c_root), and reconstruct_tree solves the
+    h_N[K] = int_{Gamma_K} (-gamma1 v_f + alpha1 gamma1 u_f) ds, where the
+    one tree lift u_f solves Lap u_f = f_T with u_f(o) = c and zero leaf
+    trace.  The source tree is built and eliminated once, forced or not:
+    D_N is read off its elimination, u_f is solved on it when forced
+    (tree_source or c_root), and reconstruct_tree solves the
     harmonic part on it.  v_f only enters h.  h is formed in the dtype of
     its terms: the cell integrals of gamma1 v_f are real when its
     modes are conjugate-symmetric bit for bit, and the other terms are real
@@ -400,7 +382,7 @@ def assemble_system(cfg: TransmissionConfig) -> InterfaceSystem:
     u_f = None
     flux_f = np.zeros(pn)
     if cfg.tree_source is not None or cfg.c_root != 0:
-        u_f = solve_poisson_zero_trace(tree, _tree_forcing(cfg, tree))
+        u_f = solve_poisson_zero_trace(tree, _tree_forcing(cfg, tree), cfg.c_root)
         flux_f = _cell_flux(u_f)
         h = h + cfg.alpha1 * flux_f
     return InterfaceSystem(decomp=decomp, c_row=c_row, tree=tree, dtn=dtn, mass=mass, h=h,
@@ -625,8 +607,6 @@ def solve_interface(sys: InterfaceSystem) -> PiecewiseConstantFn:
         _check_condition(sys, _norm1_estimate(apply, n, dtype) * inverse_norm)
         g, _ = _gmres(step, precond, rhs)
         g = g + _gmres(step, precond, rhs - apply(g), _REFINE_RTOL)[0]
-    if np.iscomplexobj(g) and np.abs(g.imag).max() <= 1e-12 * np.abs(g).max():
-        g = g.real.astype(float)
     scale = float(np.linalg.norm(h))
     residual = float(np.linalg.norm(apply(g) + h))
     if not residual <= 1e-10 * scale:
@@ -662,8 +642,8 @@ class TransmissionSolution:
 class TreeSolution:
     """The tree side of a reconstruction (reconstruct_tree).
 
-    u_rows is u_T = u + c u1 + u_f on the compressed source tree, one row
-    per cell below the solve level; flux_u is the per-cell leaf flux of
+    u_rows is u_T = u + u_f on the compressed source tree, one row per
+    cell below the solve level; flux_u is the per-cell leaf flux of
     its harmonic part u, which the flux residual's scale needs.
     """
 
@@ -672,30 +652,25 @@ class TreeSolution:
 
 
 def reconstruct_tree(system: InterfaceSystem, g: PiecewiseConstantFn) -> TreeSolution:
-    """The first step of the reconstruction: u_T = u + c u1 + u_f from the trace g.
+    """The first step of the reconstruction: u_T = u + u_f from the trace g.
 
-    u is harmonic on the source tree with leaf values g and root value 0.
-    The config, u_f and the source tree come from `system`, the solved
-    system, so the harmonic solve reuses the elimination that assembly
-    made for D_N and u_f.  This step needs no exterior mode; the CLI
-    starts writing tree.csv from it while `reconstruct`, the second step,
-    runs.
+    u is harmonic on the source tree with leaf values g and root value 0,
+    and the lift u_f carries the root datum c.  u_f and the source tree
+    come from `system`, the solved system, so the harmonic solve reuses
+    the elimination that assembly made for D_N and u_f.  This step needs
+    no exterior mode; the CLI starts writing tree.csv from it while
+    `reconstruct`, the second step, runs.
     """
-    cfg, u_f, tree = system.config, system.u_f, system.tree
+    u_f, tree = system.u_f, system.tree
     # the leaf rows of the compressed tree are the cells, so g itself is
     # the leaf data
     u = solve_harmonic_dirichlet(tree, g.values)
     flux_u = _cell_flux(u)
-    # u_T: a copy of u_f with the columns of u (and of c u1 on the root
-    # edge) added, one array per generation up to the level and one block
-    # for the tail; each of u's arrays is freed once it is added
+    # u_T: a copy of u_f with the columns of u added, one array per
+    # generation up to the level and one block for the tail; each of u's
+    # arrays is freed once it is added
     coeffs, tail = u.coeffs[: tree.level + 1], u.tail
     del u
-    if cfg.c_root != 0:
-        bump = _root_bump_coeffs(tree)
-        root = np.asarray(cfg.c_root * bump, dtype=np.result_type(cfg.c_root, bump, coeffs[0]))
-        root[:, :2] += coeffs[0]
-        coeffs[0] = root
     if u_f is not None:
         for n, cf in enumerate(u_f.coeffs[: tree.level + 1]):
             coeffs[n] = _added(cf, coeffs[n])

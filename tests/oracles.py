@@ -9,7 +9,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from treedisk.calculus import TreeFunction, _parent_rows, _poly_defint, _poly_mul, _same_tree
+from treedisk.calculus import (
+    TreeFunction,
+    _parent_rows,
+    _poly_defint,
+    _poly_mul,
+    _same_tree,
+    solve_poisson_zero_trace,
+)
 from treedisk.circle import CellModes, FourierFn, PiecewiseConstantFn, cell_averages
 from treedisk.errors import DepthMismatch
 from treedisk.exterior import _source_integral
@@ -177,6 +184,27 @@ def combined(*terms) -> TreeFunction:
 
 def constant_function(tree, value=1.0) -> TreeFunction:
     return TreeFunction(tree, [np.full((rows, 1), value) for rows in tree.rows])
+
+
+def root_bump(tree) -> TreeFunction:
+    """The root bump u1 = (1 - t/l_root)^2 on the root edge, zero beyond:
+    u1(o) = 1, its leaf values and leaf fluxes vanish, and its Laplacian is
+    the constant 2/l_root^2 on the root edge."""
+    u1 = constant_function(tree, 0.0)
+    l0 = tree.lengths[0][0]
+    u1.coeffs[0] = np.array([[1.0, -2.0 / l0, 1.0 / l0**2]])
+    return u1
+
+
+def bump_lift(forcing: TreeFunction, c) -> TreeFunction:
+    """The tree lift with Laplacian forcing, root value c and zero leaf
+    trace by the root-bump ansatz, on a full tree: c u1 plus the Poisson
+    solve of forcing - c Lap(u1) with root value 0."""
+    tree = forcing.tree
+    lap_u1 = constant_function(tree, 0.0)
+    lap_u1.coeffs[0] = np.array([[2.0 / tree.lengths[0][0] ** 2]])
+    rest = solve_poisson_zero_trace(tree, combined((1, forcing), (-c, lap_u1)), 0.0)
+    return combined((c, root_bump(tree)), (1, rest))
 
 
 def from_vertex_values(tree, root_value, vertex_values) -> TreeFunction:

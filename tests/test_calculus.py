@@ -121,7 +121,7 @@ def test_eval_and_vertex_values():
 def test_interval_poisson():
     # u'' = 1 on [0, 1], u(0) = u(1) = 0  ->  u = (x^2 - x)/2
     T = build_truncated(INTERVAL, 0)
-    u = ca.solve_poisson_zero_trace(T, constant_function(T, 1.0))
+    u = ca.solve_poisson_zero_trace(T, constant_function(T, 1.0), 0.0)
     np.testing.assert_allclose(u.coeffs[0], [[0.0, -0.5, 0.5]], atol=1e-15)
     assert l2_norm(u) == pytest.approx(math.sqrt(1.0 / 120.0), rel=1e-12)
 
@@ -183,7 +183,7 @@ def test_poisson_solves_laplacian():
     T = build_condensed(REF, 3)
     for trial in range(3):
         s = random_polynomial(T, rng, degree=2, complex_=(trial == 2))
-        u = ca.solve_poisson_zero_trace(T, s)
+        u = ca.solve_poisson_zero_trace(T, s, 0.0)
         d = combined((1, ca.laplacian(u)), (-1, s))
         assert max(float(np.abs(c).max()) for c in d.coeffs) < 1e-12
         assert kirchhoff_residual(u).relative < 1e-12
@@ -207,10 +207,10 @@ def test_green_identity_random_pairs():
     T = build_condensed(REF, 3)
     for _ in range(10):
         s = random_polynomial(T, rng, degree=2)
-        u = combined((1, ca.solve_poisson_zero_trace(T, s)), (1, ca.solve_harmonic_dirichlet(
+        u = combined((1, ca.solve_poisson_zero_trace(T, s, 0.0)), (1, ca.solve_harmonic_dirichlet(
             T, rng.standard_normal(T.n_leaves)
         )))
-        v = ca.solve_poisson_zero_trace(T, random_polynomial(T, rng, degree=1))
+        v = ca.solve_poisson_zero_trace(T, random_polynomial(T, rng, degree=1), 0.0)
         rep = ca.green_identity_check(u, v)
         assert rep.relative < 1e-12
 
@@ -220,7 +220,7 @@ def test_green_identity_quadrature_oracle():
     rng = np.random.default_rng(23)
     T = build_truncated(REF, 2)
     s = random_polynomial(T, rng, degree=2)
-    u = ca.solve_poisson_zero_trace(T, s)
+    u = ca.solve_poisson_zero_trace(T, s, 0.0)
     v = ca.solve_harmonic_dirichlet(T, rng.standard_normal(4))
     x64, w64 = np.polynomial.legendre.leggauss(12)
     lap = ca.laplacian(u)

@@ -85,6 +85,23 @@ def test_duplicate_key_rejected_across_spellings():
         parse_text(BASE + "tree.ell = 0.6\n")
 
 
+@pytest.mark.parametrize("key,alias", [
+    ("source.exterior.profile.1", "source.exterior.profile.01"),
+    ("source.exterior.profile.0", "source.exterior.profile.-0"),
+    ("source.exterior.profile.-2", "source.exterior.profile.-02"),
+    ("source.exterior.profile.1", "source.exterior.profile.\u0661"),  # an Arabic-Indic 1
+    ("tree.length_override.1.0", "tree.length_override.01.0"),
+    ("tree.weight_override.1.0", "tree.weight_override.1.00"),
+])
+def test_patterned_keys_have_one_spelling(key, alias):
+    # a second spelling of one entry was summed (profiles) or overwrote the
+    # first (overrides) without a word; only the %d spelling is a key
+    text = "tree.p = 2\ntree.ell = 0.5\ntree.omega = 0.4\ntree.N1 = 2\n%s = 0.5\n" % key
+    assert parse_text(text).get(key) in (0.5, [0.5])
+    with pytest.raises(ConfigError, match=r"line 6: unknown key '%s'" % alias.replace(".", r"\.")):
+        parse_text(text + "%s = 0.25\n" % alias)
+
+
 def test_bad_value_reports_line():
     with pytest.raises(ConfigError, match="bad value"):
         parse_text("tree.p = two\ntree.ell = 0.5\ntree.omega = 0.4\n")

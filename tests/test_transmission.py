@@ -6,7 +6,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import combined, constant_function, expanded, expanded_tree, study_errors, to_fourier, whole
+from oracles import (
+    bump_lift,
+    combined,
+    constant_function,
+    expanded,
+    expanded_tree,
+    study_errors,
+    to_fourier,
+    whole,
+)
 from treedisk import calculus, dtn, exterior, transmission
 from treedisk import tree as tree_module
 from treedisk.calculus import TreeFunction
@@ -37,14 +46,6 @@ from treedisk.transmission import (
 from treedisk.tree import TreeParams, build_condensed
 
 REF = TreeParams(p=2, ell=0.5, omega=0.4, L0=1.0, omega0=1.0)
-
-
-def root_bump(tree):
-    """The ansatz function u1 of the root datum: transmission._root_bump_coeffs
-    on the root edge, zero beyond."""
-    u1 = constant_function(tree, 0.0)
-    u1.coeffs[0] = transmission._root_bump_coeffs(tree)
-    return u1
 
 
 def _ext_source(k=1, amp=1.0):
@@ -92,14 +93,19 @@ def test_rhs_superposition():
     assert np.abs(h_scaled - 2.0 * h_root).max() < 1e-12
 
 
-def test_constant_equilibrium_recovered():
+@pytest.mark.parametrize("params,level,alpha1,c", [
+    (REF, 4, 2.0, 2.5),  # dense
+    (REF, 7, 2.0, 2.5),  # GMRES
+    (TreeParams(p=3, ell=0.4, omega=0.3), 3, 1.0 + 0.5j, 2.5 - 1.0j),  # dense, complex
+])
+def test_constant_equilibrium_recovered(params, level, alpha1, c):
     # alpha0 = 0 with only a root value c: u_T = c and u_Omega = c solve the
     # problem exactly, so the interface trace must be the constant c
-    cfg = TransmissionConfig(params=REF, level=4, alpha1=2.0, alpha0=0.0, c_root=2.5)
+    cfg = TransmissionConfig(params=params, level=level, alpha1=alpha1, alpha0=0.0, c_root=c)
     sol = solve_transmission(cfg)
-    assert np.abs(sol.g.values - 2.5).max() < 1e-10
+    assert np.abs(sol.g.values - c).max() < 1e-10
     assert sol.flux_residual < 1e-10
-    assert sol.u_rows.root_value == pytest.approx(2.5, abs=1e-10)
+    assert sol.u_rows.root_value == pytest.approx(c, abs=1e-10)
 
 
 def test_lift_choice_does_not_change_the_trace():
@@ -118,14 +124,6 @@ def test_lift_choice_does_not_change_the_trace():
     g_a = solve_interface(sy_a)
     g_b = solve_interface(sy_b)
     assert np.abs(g_a.values - g_b.values).max() < 1e-12
-
-
-def test_root_bump_properties():
-    tree = build_condensed(REF, 4)
-    u1 = root_bump(tree)
-    assert u1.root_value == 1.0
-    assert np.abs(u1.leaf_values()).max() == 0.0
-    assert np.abs(calculus.leaf_flux(u1)).max() == 0.0
 
 
 def test_flux_residual_within_discretization_defect():
@@ -720,14 +718,19 @@ def test_unforced_solve_builds_one_tree_at_assembly(monkeypatch):
     assert sol.flux_residual <= sol.discretization_defect + 1e-10
 
 
-def test_sources_of_any_normal_scale_solve_alike():
-    # the ring source of r_max 2 on p = 2, N = 7, scaled by s: the traces
-    # differ by rounding at the scale of g, and the trace gate is 1e-10 at
-    # the scale of max|g|, so every scale from 1e-300 to 1e300 solves to s
-    # times the unit datum (an absolute gate refused 1e11 and 1e50..1e300)
+@pytest.mark.parametrize("tree_data", [False, True])
+def test_sources_of_any_normal_scale_solve_alike(tree_data):
+    # the ring source of r_max 2 on p = 2, N = 7, with or without c_root and
+    # a constant tree source, all scaled by s: the traces differ by rounding
+    # at the scale of g, and the trace gate is 1e-10 at the scale of max|g|,
+    # so every scale from 1e-300 to 1e300 solves to s times the unit datum
+    # (an absolute gate refused 1e11 and 1e50..1e300)
     def solve(s):
         ring = RadialSource(R=1.0, r_max=2.0, terms=[(1, {0: s}), (-1, {0: s})])
         cfg = TransmissionConfig(params=REF, level=7, alpha1=1.0, alpha0=0.25, exterior_source=ring)
+        if tree_data:
+            cfg = dataclasses.replace(cfg, c_root=0.6 * s,
+                                      tree_source=np.full((cfg.source_depth + 2, 1), -0.4 * s))
         return solve_transmission(cfg).g.values
 
     unit = solve(1.0)
@@ -755,28 +758,38 @@ def _assert_same_function(got, expected):
         assert np.array_equal(a, b)
 
 
+def _full_forcing(cfg, full):
+    """f_T of cfg on the full source tree, one edge at a time."""
+    if cfg.tree_source is None:
+        return constant_function(full, 0.0)
+    return TreeFunction(full, [np.tile(row, (full.p**n, 1)) for n, row in enumerate(cfg.tree_source)])
+
+
+def _assert_close_function(got, expected, rtol):
+    diff = combined((1, expected), (-1, got))
+    scale = max(float(np.abs(c).max()) for c in expected.coeffs)
+    assert max(float(np.abs(c).max()) for c in diff.coeffs) <= rtol * scale
+
+
 @pytest.mark.parametrize("with_source", [False, True])
 def test_tree_forcing_matches_full_tree_formula(with_source):
+    # the root value c enters the lift as its boundary value, not the forcing
     cfg = TransmissionConfig(params=REF, level=2, alpha1=1.0, c_root=0.8 - 0.3j)
     full = build_condensed(REF, cfg.source_depth)
     tree = build_condensed(REF, cfg.source_depth, level=cfg.level)
     if with_source:
         rng = np.random.default_rng(5)
         cfg = dataclasses.replace(cfg, tree_source=rng.standard_normal((full.depth + 1, 3)))
-        f = TreeFunction(full, [np.tile(row, (2**n, 1)) for n, row in enumerate(cfg.tree_source)])
-    else:
-        f = constant_function(full, 0.0)
-    lap_u1 = constant_function(full, 0.0)
-    lap_u1.coeffs[0] = np.array([[2.0 / full.lengths[0][0] ** 2]])
-    expected = combined((1, f), (-complex(cfg.c_root), lap_u1))
-    _assert_same_function(expanded(transmission._tree_forcing(cfg, tree)), expected)
-    # without c_root the generations are views of the tree source's rows
+    forcing = transmission._tree_forcing(cfg, tree)
+    _assert_same_function(expanded(forcing), _full_forcing(cfg, full))
+    # the generations are read-only views of the tree source's rows
+    assert not any(c.flags.writeable for c in forcing.coeffs + [forcing.tail])
     if with_source:
-        forcing = transmission._tree_forcing(dataclasses.replace(cfg, c_root=0.0), tree)
         assert all(np.shares_memory(c, cfg.tree_source) for c in forcing.coeffs)
 
 
-def test_reconstruct_adds_the_root_bump_on_the_root_edge():
+def test_reconstruct_matches_the_root_bump_lift():
+    # the lift with root value c against the ansatz c u1 + Poisson(-c Lap u1)
     cfg = TransmissionConfig(params=REF, level=3, alpha1=1.5, alpha0=0.3, c_root=-0.7 + 0.2j,
                              exterior_source=_ext_source(1))
     sy = assemble_system(cfg)
@@ -784,8 +797,9 @@ def test_reconstruct_adds_the_root_bump_on_the_root_edge():
     tree = expanded_tree(sy.u_f.tree)
     refined = np.repeat(sol.g.values, 2 ** (tree.depth - cfg.level))
     u = transmission.solve_harmonic_dirichlet(tree, refined)
-    expected = combined((1, u), (complex(cfg.c_root), root_bump(tree)), (1, expanded(sy.u_f)))
-    _assert_same_function(expanded(sol.u_rows), expected)
+    expected = combined((1, u), (1, bump_lift(_full_forcing(cfg, tree), complex(cfg.c_root))))
+    _assert_close_function(expanded(sol.u_rows), expected, 1e-15)
+    assert sol.u_rows.root_value == cfg.c_root
 
 
 def _tree_source_config(c_root):
@@ -816,14 +830,9 @@ def test_reconstructed_tree_solution_matches_sum_of_lifts(with_source, c_root):
     sol = _reconstruct(sy, solve_interface(sy))
     tree = expanded_tree(sol.u_rows.tree)
     refined = np.repeat(sol.g.values, 2 ** (tree.depth - cfg.level))
-    terms = [(1, transmission.solve_harmonic_dirichlet(tree, refined)),
-             (complex(cfg.c_root), root_bump(tree))]
-    if sy.u_f is not None:
-        terms.append((1, expanded(sy.u_f)))
-    expected = combined(*terms)
-    diff = combined((1, expected), (-1, expanded(sol.u_rows)))
-    scale = max(float(np.abs(c).max()) for c in expected.coeffs)
-    assert max(float(np.abs(c).max()) for c in diff.coeffs) <= 1e-15 * scale
+    expected = combined((1, transmission.solve_harmonic_dirichlet(tree, refined)),
+                        (1, bump_lift(_full_forcing(cfg, tree), complex(cfg.c_root))))
+    _assert_close_function(expanded(sol.u_rows), expected, 1e-15)
 
 
 # ---------------------------------------------------------------------------

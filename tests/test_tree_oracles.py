@@ -146,23 +146,28 @@ def _poly_antider(c):
     return out
 
 
-def sparse_poisson(tree, source):
+def sparse_poisson(tree, source, root_value):
+    """Lap u = source with u(o) = root_value and zero leaf values: the
+    double antiderivatives w plus the vertex values of a sparse LU solve,
+    the clamped root loading c_0 root_value at X_0."""
     p = tree.p
     w_parts = [_poly_antider(_poly_antider(c)) for c in source.coeffs]
     w_end = [ca._poly_eval(w_parts[n], tree.lengths[n]) for n in range(tree.depth + 1)]
     wder_end = [ca._poly_eval(ca._poly_der(w_parts[n]), tree.lengths[n]) for n in range(tree.depth + 1)]
     fac = sparse_system(tree)
     offsets = fac["offsets"]
-    dtype = np.result_type(*(c.dtype for c in source.coeffs), float)
+    dtype = np.result_type(*(c.dtype for c in source.coeffs), root_value, float)
     rhs = np.zeros(offsets[tree.depth], dtype=dtype)
     for n in range(tree.depth):
         idx = offsets[n] + np.arange(p**n)
         rhs[idx] += -tree.weights[n] * wder_end[n] + tree.weights[n] / tree.lengths[n] * w_end[n]
         rhs[idx] -= (tree.weights[n + 1] / tree.lengths[n + 1] * w_end[n + 1]).reshape(-1, p).sum(axis=1)
+    if tree.depth:
+        rhs[0] += tree.weights[0][0] / tree.lengths[0][0] * root_value
     u_int = _solve(fac["lu"], rhs) if fac["lu"] is not None else rhs
     coeffs = []
     for n in range(tree.depth + 1):
-        a = np.zeros(1, dtype=dtype) if n == 0 else u_int[offsets[n - 1] : offsets[n]][np.arange(p**n) // p]
+        a = np.full(1, root_value, dtype=dtype) if n == 0 else u_int[offsets[n - 1] : offsets[n]][np.arange(p**n) // p]
         b = u_int[offsets[n] : offsets[n + 1]] if n < tree.depth else np.zeros(p**n, dtype=dtype)
         c = pad(w_parts[n].astype(dtype), max(w_parts[n].shape[1], 2))
         c[:, 0] += a
@@ -202,7 +207,7 @@ def _check_tree(tree, rng):
     real = rng.standard_normal(tree.n_leaves)
     assert _rel_fn(ca.solve_harmonic_dirichlet(tree, real), sparse_harmonic(tree, real)) <= 1e-12
     source = _random_source(tree, rng, degree=2)
-    assert _rel_fn(ca.solve_poisson_zero_trace(tree, source), sparse_poisson(tree, source)) <= 1e-12
+    assert _rel_fn(ca.solve_poisson_zero_trace(tree, source, 0.0), sparse_poisson(tree, source, 0.0)) <= 1e-12
 
 
 @pytest.mark.parametrize("name,kind,depth", CASES)
@@ -339,10 +344,10 @@ POISSON_TREES = [("interval", "truncated", 6), ("p2", "condensed", 4), ("p3_over
 def test_poisson_matches_oracle_by_source_degree(name, kind, depth, complex_, degree):
     tree = _tree(name, kind, depth)
     source = _random_source(tree, np.random.default_rng(17 * degree + depth), degree, complex_)
-    u = ca.solve_poisson_zero_trace(tree, source)
+    u = ca.solve_poisson_zero_trace(tree, source, 0.0)
     assert [c.shape[1] for c in u.coeffs] == [degree + 3] * (tree.depth + 1)
     assert np.iscomplexobj(u.coeffs[0]) == complex_
-    assert _rel_fn(u, sparse_poisson(tree, source)) <= 1e-12
+    assert _rel_fn(u, sparse_poisson(tree, source, 0.0)) <= 1e-12
 
 
 @pytest.mark.parametrize("name,kind,depth", POISSON_TREES)
@@ -353,10 +358,33 @@ def test_poisson_matches_oracle_on_root_only_broadcast_forcing(name, kind, depth
     root = np.array([[0.3 - 1.2j]])
     zeros = [np.broadcast_to(0.0, (tree.p**n, 1)) for n in range(1, tree.depth + 1)]
     source = ca.TreeFunction(tree, [root] + zeros)
-    u = ca.solve_poisson_zero_trace(tree, source)
-    assert _rel_fn(u, sparse_poisson(tree, source)) <= 1e-12
+    u = ca.solve_poisson_zero_trace(tree, source, 0.0)
+    assert _rel_fn(u, sparse_poisson(tree, source, 0.0)) <= 1e-12
     assert np.array_equal(root, [[0.3 - 1.2j]])
     assert all(not z.flags.writeable and not z.any() for z in zeros)
+
+
+@pytest.mark.parametrize("name,kind,depth",
+                         POISSON_TREES + [("interval", "compressed", 6), ("p2", "compressed", 5),
+                                          ("p3_overrides", "compressed", 6)])
+@pytest.mark.parametrize("root_value", [0.7, -1.3 + 0.4j])
+def test_poisson_with_a_root_value_matches_the_sparse_oracle(name, kind, depth, root_value):
+    # the root Dirichlet datum is the clamped root's value; a compressed tree
+    # takes a source constant per generation and is read on the full tree
+    tree = _tree(name, kind, depth)
+    rng = np.random.default_rng(depth + len(name))
+    if kind == "compressed":
+        full = build_condensed(PARAMS[name], depth)
+        rows = rng.standard_normal((tree.depth + 1, 3))
+        source = _generation_rows(tree, rows)
+        source_full = ca.TreeFunction(full, [np.tile(r, (full.p**n, 1)) for n, r in enumerate(rows)])
+    else:
+        full, source = tree, _random_source(tree, rng, degree=2, complex_=False)
+        source_full = source
+    u = ca.solve_poisson_zero_trace(tree, source, root_value)
+    assert u.root_value == root_value
+    assert np.iscomplexobj(u.coeffs[0]) == np.iscomplexobj(root_value)
+    assert _rel_fn(expanded(u), sparse_poisson(full, source_full, root_value)) <= 1e-12
 
 
 def test_poisson_leaves_its_source_untouched():
@@ -365,7 +393,7 @@ def test_poisson_leaves_its_source_untouched():
     for degree in (0, 2):
         source = _random_source(tree, rng, degree)
         before = [c.copy() for c in source.coeffs]
-        u = ca.solve_poisson_zero_trace(tree, source)
+        u = ca.solve_poisson_zero_trace(tree, source, 0.0)
         assert all(np.array_equal(a, b) for a, b in zip(source.coeffs, before))
         assert not any(np.shares_memory(a, b) for a, b in zip(u.coeffs, source.coeffs))
 
@@ -413,7 +441,7 @@ def test_zero_leaves_are_skipped_bit_for_bit(name, kind, depth, complex_):
     top = min(tree.level + 1, tree.depth)
     for loads in (random_loads, zero_loads):
         tail_loads = np.array(loads[top:]) if tree.level < tree.depth else None
-        values, tail_values = ca._solve_vertices(tree, loads[:top], tail_loads)
+        values, tail_values = ca._solve_vertices(tree, loads[:top], tail_loads, 0.0)
         full = _vertices_with_leaf_products(tree, loads, zeros)
         if tail_values is None:
             skipped = values[:-1]
@@ -530,8 +558,8 @@ def test_compressed_tree_solves_match_the_full_tree_bit_for_bit(name, N, depth, 
             rows = rows + 1j * rng.standard_normal(rows.shape)
         source = _generation_rows(tree, rows)
         source_full = ca.TreeFunction(full, [np.tile(r, (p**n, 1)) for n, r in enumerate(rows)])
-        u_f = ca.solve_poisson_zero_trace(tree, source)
-        u_f_full = ca.solve_poisson_zero_trace(full, source_full)
+        u_f = ca.solve_poisson_zero_trace(tree, source, 0.0)
+        u_f_full = ca.solve_poisson_zero_trace(full, source_full, 0.0)
         _assert_bits(expanded(u_f).coeffs, u_f_full.coeffs)
         _assert_bits([np.repeat(u_f.leaf_values(), tree.multiplicity(tree.depth))],
                      [u_f_full.leaf_values()])
@@ -573,8 +601,8 @@ def test_compressed_tree_matches_on_random_admissible_trees(seed):
     rows = rng.standard_normal((depth + 2, 2)) + 1j * rng.standard_normal((depth + 2, 2))
     source = _generation_rows(tree, rows)
     source_full = ca.TreeFunction(full, [np.tile(r, (params.p**n, 1)) for n, r in enumerate(rows)])
-    _assert_bits(expanded(ca.solve_poisson_zero_trace(tree, source)).coeffs,
-                 ca.solve_poisson_zero_trace(full, source_full).coeffs)
+    _assert_bits(expanded(ca.solve_poisson_zero_trace(tree, source, 0.0)).coeffs,
+                 ca.solve_poisson_zero_trace(full, source_full, 0.0).coeffs)
 
 
 @settings(max_examples=30, deadline=None)
@@ -611,9 +639,9 @@ def test_tail_blocks_match_the_expanded_tree(seed, per_row, data):
             else np.broadcast_to(coeffs((gens, 1, degree + 1)), (gens, rows, degree + 1)))
     source = ca.TreeFunction(tree, top, tail)
     assert source.tail is tail
-    u_f = ca.solve_poisson_zero_trace(tree, source)
+    u_f = ca.solve_poisson_zero_trace(tree, source, 0.0)
     assert u_f.tail.shape == (gens, rows, degree + 3)
-    assert _rel_fn(expanded(u_f), ca.solve_poisson_zero_trace(full, expanded(source))) <= 1e-13
+    assert _rel_fn(expanded(u_f), ca.solve_poisson_zero_trace(full, expanded(source), 0.0)) <= 1e-13
 
     g = coeffs(rows)
     u = ca.solve_harmonic_dirichlet(tree, g)
@@ -629,8 +657,8 @@ def test_a_compressed_source_gives_its_tail_as_one_block():
     per_generation = ca.TreeFunction(tree, [np.broadcast_to(r, (k, 1)) for r, k in zip(rows, tree.rows)])
     assert per_generation.tail is None
     with pytest.raises(DepthMismatch, match="one tail block"):
-        ca.solve_poisson_zero_trace(tree, per_generation)
-    assert ca.solve_poisson_zero_trace(tree, _generation_rows(tree, rows)).tail.shape == (3, 4, 3)
+        ca.solve_poisson_zero_trace(tree, per_generation, 0.0)
+    assert ca.solve_poisson_zero_trace(tree, _generation_rows(tree, rows), 0.0).tail.shape == (3, 4, 3)
 
 
 def test_a_deep_tail_holds_one_value_per_generation():
