@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# treedisk transmission, validate, plasmonic, exterior-dtn and convergence
+# treedisk transmission, validate, tree-dtn, plasmonic, exterior-dtn and convergence
 # end to end, with every warning an error.  Run it from the root of a checkout, with treedisk importable:
 #
 #     bash -eo pipefail .github/scripts/end_to_end.sh
@@ -86,6 +86,26 @@ for failure in "ell < 1 fails" "ell < omega*p fails" "omega*p < 1/ell fails"; do
   grep -qF "FAIL: $failure" "$tmp/stderr.txt"
 done
 
+# `treedisk tree-dtn` at depth 6: the condensed tree's 128 x 128 DtN matrix
+# is symmetric, and each row carries the constant flux (1 - r) / 128 of
+# criterion 2, with r = ell / (p omega) = 0.625
+printf '%s\n' "tree.p = 2" "tree.ell = 0.5" "tree.omega = 0.4" > "$tmp/tree_dtn.ini"
+no_stderr python -X dev -W error -m treedisk.cli tree-dtn --config "$tmp/tree_dtn.ini" --depth 6 --out "$tmp/tree_dtn.csv"
+python - "$tmp/tree_dtn.csv" <<'EOF'
+import csv, sys
+import numpy as np
+A = np.zeros((128, 128))
+with open(sys.argv[1], newline="") as f:
+    rows = list(csv.DictReader(f))
+for row in rows:
+    A[int(row["row"]), int(row["col"])] = float(row["value"])
+flux = 0.375 / 128
+worst = float(np.abs(A.sum(axis=1) - flux).max()) / flux
+print("tree-dtn at depth 6: %d entries, max |row sum - 0.375/128| / (0.375/128) = %.2e" % (len(rows), worst))
+if len(rows) != 128 * 128 or not np.array_equal(A, A.T) or not worst <= 1e-10:
+    sys.exit("tree-dtn matrix is not symmetric with row sums 0.375/128")
+EOF
+
 # `treedisk plasmonic` on a p = 3 tree with overrides below N1 = 2: D_N is
 # read off the source tree with a non-geometric top
 printf '%s\n' "tree.p = 3" "tree.ell = 0.5" "tree.omega = 0.3" "tree.N1 = 2" "interface.N = 4" \
@@ -103,6 +123,14 @@ printf '%s\n' "tree.p = 2" "tree.ell = 0.5" "tree.omega = 0.4" "interface.N = 3"
   "source.exterior.r_max = 2" "source.exterior.profile.1 = 1" "source.exterior.profile.-1 = 1" \
   > "$tmp/ring.ini"
 python -W error -m treedisk.cli convergence --config "$tmp/ring.ini" --out "$tmp/ring.csv"
+
+# `treedisk convergence` on a p = 1 tree, where every level has one cell:
+# exit 2 before any level is solved, with no CSV left behind
+printf '%s\n' "tree.p = 1" "tree.ell = 0.5" "tree.omega = 1" "interface.N = 3" \
+  "transmission.alpha1 = 1" "transmission.alpha0 = 0.3" > "$tmp/interval.ini"
+python -W error -m treedisk.cli convergence --config "$tmp/interval.ini" --out "$tmp/interval.csv" && status=0 || status=$?
+[ "$status" -eq 2 ]
+[ ! -e "$tmp/interval.csv" ]
 
 # the same study without transmission.levels: the default levels
 # interface.N .. interface.N + 3

@@ -30,15 +30,16 @@ which the elimination of a condensed tree compressed at level N already
 adds into pivot[N].  Condensation is exact, so tree_dtn_operator reads D_N
 off such a tree at any depth (the solver's source tree), builds none, and
 keeps the level-N elimination as a TreeDtN, which applies D by one upward
-and one downward sweep in O(p^N), gives T. Chan's optimal circulant of D
-from the per-generation autocorrelations of beta, and gathers the dense
-p^N x p^N matrix only when asked (TreeDtN.matrix).  The top of the sweep,
-from the largest level k with p^k <= _TOP_CELLS up to the root and back,
-is one Green block G (the loads collected at level k to the vertex values
-there), so apply runs only the N - k generations below k in Python.  At
-p^N <= _TOP_CELLS the interface solve is direct and takes D as a dense
-array (TreeDtN.matrix).  The dense builders condensed_dtn and
-truncated_dtn return plain arrays.
+and one downward sweep in O(p^N).  Every other form reads the one sum over
+generations (_generations): the dense matrix (TreeDtN.matrix, and the
+plain arrays of condensed_dtn and truncated_dtn) starts it at
+diag(c_leaf) with beta = c_leaf, T. Chan's optimal circulant of D
+(chan_eigs) takes the autocorrelations of its beta blocks, and the top of
+the sweep, from the largest level k with p^k <= _TOP_CELLS up to the root
+and back, is one Green block G (_green: the loads collected at level k to
+the vertex values there) summed over generations 0..k from beta = 1.  So
+apply runs only the N - k generations below k in Python.  At p^N <=
+_TOP_CELLS the interface solve is direct and takes D as a dense array.
 compress, the Galerkin restriction of a finer matrix, stays as the
 identity this rests on (acceptance criterion 3) and as its test oracle.
 """
@@ -90,24 +91,26 @@ def check_dense(p: int, level: int) -> None:
                                % (p, level, DENSE_CELL_BUDGET))
 
 
-def _schur_boundary(c, pivot) -> np.ndarray:
-    """Dense boundary Schur complement from a leaves-to-root elimination.
+def _generations(c, pivot, beta):
+    """(beta, pivot[n]) per generation n, leaves first, of sum beta beta^T / pivot.
 
-    c[-1] holds the boundary-edge conductances, c[n] and pivot[n] those of
-    the interior vertices X_{n,k} (tree.FiniteTree.elimination).  The leaves
-    below each vertex are contiguous, so generation n acts on pivot[n].size
-    diagonal blocks of equal size.
+    beta starts at the given leaf weights and is scaled by c[n] / pivot[n]
+    on the way up; generation n has pivot[n].size rows, one per vertex
+    X_{n,k}, over the contiguous leaves below it.
     """
-    A = np.diag(c[-1])
-    beta = c[-1]
     for n in range(len(pivot) - 1, -1, -1):
-        blocks_n = pivot[n].size
-        beta = beta.reshape(blocks_n, -1)
-        m = beta.shape[1]
+        beta = beta.reshape(pivot[n].size, -1)
+        yield beta, pivot[n]
+        beta = beta * (c[n] / pivot[n])[:, None]
+
+
+def _subtract_generations(A, c, pivot, beta) -> np.ndarray:
+    """A - sum beta beta^T / pivot over _generations, in place, block by diagonal block."""
+    for beta, piv in _generations(c, pivot, beta):
+        blocks_n, m = beta.shape
         # the diagonal blocks of A, as a writeable einsum view
         diag_blocks = np.einsum("ijik->ijk", A.reshape(blocks_n, m, blocks_n, m))
-        diag_blocks -= (beta / pivot[n][:, None])[:, :, None] * beta[:, None, :]
-        beta = beta * (c[n] / pivot[n])[:, None]
+        diag_blocks -= (beta / piv[:, None])[:, :, None] * beta[:, None, :]
     return A
 
 
@@ -118,7 +121,8 @@ def condensed_dtn(params: TreeParams, N: int) -> np.ndarray:
     condensation only needs r = ell/(p omega) < 1.
     """
     check_dense(params.p, N + 1)
-    return _schur_boundary(*build_condensed(params, N).elimination)
+    c, pivot = build_condensed(params, N).elimination
+    return _subtract_generations(np.diag(c[-1]), c, pivot, c[-1])
 
 
 @dataclass
@@ -127,11 +131,11 @@ class TreeDtN:
 
     c and pivot are those of tree.FiniteTree.elimination cut at generation N,
     with c[-1] the merged conductance of the subtree below each level-N
-    vertex, one per cell (the arguments of _schur_boundary).  apply and
-    chan_eigs cost O(p^N) and O(N p^N log p^N); matrix gathers the dense
-    p^N x p^N matrix within the dense budget.  apply builds the Green block
-    of the top levels on first use (_green), so neither matrix nor
-    chan_eigs pays for it.
+    vertex, one per cell.  matrix, _green and chan_eigs read one sum over
+    generations (_generations).  apply and chan_eigs cost O(p^N) and
+    O(N p^N log p^N); matrix gathers the dense p^N x p^N matrix within the
+    dense budget.  apply builds the Green block of the top levels on first
+    use (_green), so neither matrix nor chan_eigs pays for it.
     """
 
     p: int
@@ -145,7 +149,7 @@ class TreeDtN:
     @property
     def matrix(self) -> np.ndarray:
         check_dense(self.p, len(self.pivot) - 1)
-        return _schur_boundary(self.c, self.pivot)
+        return _subtract_generations(np.diag(self.c[-1]), self.c, self.pivot, self.c[-1])
 
     @cached_property
     def _shares(self) -> list:
@@ -157,22 +161,15 @@ class TreeDtN:
         """(k, G): k the largest level <= N with p^k <= _TOP_CELLS, G its Green block.
 
         G maps the loads collected at the p^k vertices of level k to the
-        vertex values there.  It is the sweep from level k to the root and
-        back, run on the p^k unit loads (the columns of the identity).
+        vertex values there.  It is the sum over generations 0..k with unit
+        weights at level k: G = sum beta beta^T / pivot, beta = 1 at level k.
         """
-        c, pivot, shares, p = self.c, self.pivot, self._shares, self.p
         k = 0
-        while k < len(pivot) - 1 and p ** (k + 1) <= _TOP_CELLS:
+        while k < len(self.pivot) - 1 and self.p ** (k + 1) <= _TOP_CELLS:
             k += 1
-        collected = [np.eye(p**k)]
-        for n in range(k, 0, -1):
-            collected.append(_child_sums(shares[n][:, None] * collected[-1], p))
-        u = collected.pop() / pivot[0][:, None]
-        for n in range(1, k + 1):
-            u = c[n][:, None] * np.repeat(u, p, axis=0)
-            u += collected.pop()
-            u /= pivot[n][:, None]
-        return k, u
+        m = self.p**k
+        green = _subtract_generations(np.zeros((m, m)), self.c, self.pivot[: k + 1], np.ones(m))
+        return k, np.negative(green, out=green)
 
     def apply(self, x) -> np.ndarray:
         """D x: the leaf fluxes c_leaf (x - u) of the harmonic extension u of x.
@@ -207,20 +204,16 @@ class TreeDtN:
         autocorrelations of beta: one rfft of the rows zero-padded to 2m,
         weighted by 1 / pivot and summed, then folded onto the p^N lags.
         """
-        c, pivot = self.c, self.pivot
         size = self.size
         sums = np.zeros(size)
-        sums[0] = c[-1].sum()
-        beta = c[-1]
-        for n in range(len(pivot) - 1, -1, -1):
-            beta = beta.reshape(pivot[n].size, -1)
+        sums[0] = self.c[-1].sum()
+        for beta, piv in _generations(self.c, self.pivot, self.c[-1]):
             m = beta.shape[1]
             spectrum = np.fft.rfft(beta, n=2 * m, axis=1)
-            power = (spectrum.real**2 + spectrum.imag**2) / pivot[n][:, None]
+            power = (spectrum.real**2 + spectrum.imag**2) / piv[:, None]
             corr = np.fft.irfft(power.sum(axis=0), n=2 * m)
             lags = np.arange(1 - m, m)
             sums -= np.bincount(lags % size, corr[lags], size)
-            beta = beta * self._shares[n][:, None]
         return np.fft.fft(sums).real / size
 
 
@@ -245,7 +238,8 @@ def tree_dtn_operator(tree: FiniteTree) -> TreeDtN:
 def truncated_dtn(params: TreeParams, depth: int) -> np.ndarray:
     """DtN matrix of the plain truncated tree with edge generations 0..depth."""
     check_dense(params.p, depth)
-    return _schur_boundary(*build_truncated(params, depth).elimination)
+    c, pivot = build_truncated(params, depth).elimination
+    return _subtract_generations(np.diag(c[-1]), c, pivot, c[-1])
 
 
 def compress(A: np.ndarray, p: int, level: int) -> np.ndarray:

@@ -99,7 +99,13 @@ _COND_LIMIT = 1e12
 _KRYLOV_RTOL = 1e-12
 _REFINE_RTOL = 1e-4
 _KRYLOV_MAX_ITER = 100
-# rows of the GMRES basis allocated at first; the basis doubles when full
+# rows of the GMRES basis allocated at first; the basis doubles when full.
+# All _KRYLOV_MAX_ITER + 1 rows at once give the same bits but are slower:
+# on p = 2 solves with a rough complex alpha0 (10^U(-3, 3) e^(i U(-1.5, 1.5))
+# per cell; 2-vCPU host, BLAS on one thread) one solve_interface took
+# 1.93-2.02 s against 1.45-1.62 s at N = 16 (127 GMRES steps, though it
+# peaked 17 MiB lower without the doubling's copy), and at N = 12 (371
+# steps) it peaked 1.3-3.5 MiB higher.
 _BASIS_ROWS = 16
 
 
@@ -789,7 +795,9 @@ def convergence_study(cfg: TransmissionConfig, N_list, manufactured=None) -> Con
     NumericalCheckFailed when an error or the fitted rate is not finite, or
     unless the H^{1/2} errors are monotone nonincreasing with a positive
     fitted rate; these two checks are skipped once the errors sit at the
-    rounding floor (datum resolved exactly).  The finest level's config is
+    rounding floor, at most 1e-12 times the reference's L^2 norm (datum
+    resolved exactly, or a zero solution).  A tree of p = 1, where every
+    level has one cell, raises InvalidInput.  The finest level's config is
     built first, so its tree budget is checked before any level is solved.
     Each level's modes at the cutoff m_ref = 16 p^N_max are formed from its
     cells (circle.CellModes) and both norms of its difference from the
@@ -801,6 +809,8 @@ def convergence_study(cfg: TransmissionConfig, N_list, manufactured=None) -> Con
     if len(levels) < needed:
         raise InsufficientLevels("need at least %d distinct levels, got %r" % (needed, levels))
     p = cfg.params.p
+    if p == 1:
+        raise InvalidInput("a level study needs p >= 2: at p = 1 every level has one cell")
 
     if manufactured is None and cfg.tree_source is not None and cfg.source_depth < max(levels):
         raise DepthBelowChartLevel(
@@ -846,13 +856,12 @@ def convergence_study(cfg: TransmissionConfig, N_list, manufactured=None) -> Con
     fit_levels = [levels[i] for i in fit_idx]
     fit_errs = [max(err_h12[i], 1e-300) for i in fit_idx]
     slope = np.polynomial.polynomial.polyfit(fit_levels, np.log(fit_errs), 1)[1]
-    rho_hat = float(-slope / math.log(p)) if p > 1 else float(-slope)
+    rho_hat = float(-slope / math.log(p))
 
     rate_running = [float("nan")]
     for i in range(1, len(fit_idx)):
         step = fit_levels[i] - fit_levels[i - 1]
-        rate_running.append(
-            math.log(max(fit_errs[i - 1], 1e-300) / max(fit_errs[i], 1e-300)) / (step * math.log(p)))
+        rate_running.append(math.log(fit_errs[i - 1] / fit_errs[i]) / (step * math.log(p)))
     while len(rate_running) < len(levels):
         rate_running.append(float("nan"))
 
@@ -860,8 +869,9 @@ def convergence_study(cfg: TransmissionConfig, N_list, manufactured=None) -> Con
     if not np.isfinite(err_l2 + err_h12 + [rho_hat]).all():
         raise NumericalCheckFailed("interface errors are not finite: err_l2 %r, err_h12 %r, "
                                    "rho_hat %r" % (err_l2, err_h12, rho_hat))
-    scale = max(circle.sobolev_norms(ref, 0)[0], 1e-300)
-    if max(fit_errs) > 1e-12 * scale:
+    # the floor test reads the unfloored errors: a zero solution (every error
+    # and the reference 0) sits at the floor, not above it
+    if max(err_h12[i] for i in fit_idx) > 1e-12 * circle.sobolev_norms(ref, 0)[0]:
         tol = 1e-12 * max(fit_errs)
         if any(e2 > e1 + tol for e1, e2 in zip(fit_errs, fit_errs[1:])):
             raise NumericalCheckFailed(
@@ -886,6 +896,7 @@ def check_pencil_count(count: int) -> None:
 def plasmonic_pencil(C, D, count: int = 8):
     """The count generalized eigenvalues alpha of C g = alpha D g nearest zero, nearest first.
 
+    The pencil of n = p^N cells has n values, so a count above n gives all n.
     These are the coupling parameters at which -C + alpha D is singular
     (alpha0 = 0).  C must be a real symmetric circulant (InvalidInput
     otherwise) whose eigenvalues lambda = rfft(C[:, 0]) are negative off the

@@ -291,3 +291,23 @@ def kirchhoff_residual(f: TreeFunction) -> KirchhoffResidual:
         if mags.size:
             scale = max(scale, float(mags.max()))
     return KirchhoffResidual(values=values, scale=scale)
+
+
+def green_by_sweep(op, k: int) -> np.ndarray:
+    """The Green block of a dtn.TreeDtN at level k by the apply sweep.
+
+    The sweep from level k to the root and back, run on the p^k unit loads
+    (the columns of the identity): each column's loads are collected up to
+    the root with the share c / pivot handed on, then the vertex values are
+    substituted down to level k.
+    """
+    c, pivot, p = op.c, op.pivot, op.p
+    collected = [np.eye(p**k)]
+    for n in range(k, 0, -1):
+        collected.append(_child_sums((c[n] / pivot[n])[:, None] * collected[-1], p))
+    u = collected.pop() / pivot[0][:, None]
+    for n in range(1, k + 1):
+        u = c[n][:, None] * np.repeat(u, p, axis=0)
+        u += collected.pop()
+        u /= pivot[n][:, None]
+    return u

@@ -169,11 +169,13 @@ _ABOVE_LEVEL = REF_TEXT + "[tree]\nN1 = 4\n"
      "invalid input: need at least 3"),
     (REF_TEXT + "[transmission]\nlevels =\n", ["convergence", "--out", "OUT/conv.csv"],
      "line 20: bad value for 'transmission.levels': empty list"),
+    (REF_TEXT.replace("p = 2", "p = 1").replace("omega = 0.4", "omega = 1.0"),
+     ["convergence", "--out", "OUT/conv.csv"], "invalid input: a level study needs p >= 2"),
     (REF_TEXT + "[source.exterior]\nprofile.2 =\n", ["transmission", "--out-prefix", "OUT/run_"],
      "line 20: bad value for 'source.exterior.profile.2': empty list"),
 ], ids=["alpha1-zero", "p-zero", "level-below-N1", "pencil-level-below-N1",
         "source-depth-below-level", "tree-dtn-negative-depth", "tree-dtn-depth-below-N1",
-        "two-levels", "empty-levels", "empty-profile"])
+        "two-levels", "empty-levels", "convergence-p-1", "empty-profile"])
 def test_invalid_input_exits_2(tmp_path, capsys, text, argv, message):
     path = tmp_path / "bad.ini"
     path.write_text(text)

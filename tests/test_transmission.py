@@ -215,6 +215,28 @@ def test_study_needs_enough_levels():
         convergence_study(cfg, [3, 4], manufactured=None)
 
 
+def test_a_zero_solution_study_returns():
+    # no source and no root datum: g is 0 at every level and so is the
+    # reference, so every error sits at the rounding floor and the
+    # monotonicity and rate checks are skipped
+    cfg = TransmissionConfig(params=REF, level=3, alpha1=1.0, alpha0=0.5)
+    st = convergence_study(cfg, [3, 4, 5, 6], manufactured=None)
+    assert st.err_l2 == st.err_h12 == [0.0] * 4
+    assert st.rate_running[1:3] == [0.0, 0.0]
+
+
+def test_a_study_refuses_p_1_before_solving(monkeypatch):
+    def solve_interface(system):
+        raise AssertionError("level %d solved before the refusal" % system.config.level)
+
+    monkeypatch.setattr(transmission, "solve_interface", solve_interface)
+    cfg = TransmissionConfig(params=TreeParams(p=1, ell=0.5, omega=1.0), level=3, alpha1=1.0,
+                             alpha0=0.3)
+    for manufactured in (None, FourierFn.from_modes(1.0, {1: 0.5, -1: 0.5})):
+        with pytest.raises(InvalidInput, match="p >= 2"):
+            convergence_study(cfg, [3, 4, 5], manufactured=manufactured)
+
+
 @pytest.mark.parametrize("levels, manufactured, source_depth", [
     # the source tree of level 22 at depth 26 stores 2^23 - 1 + 5 * 2^22 rows
     ([3, 4, 22], FourierFn.from_modes(1.0, {1: 0.5, -1: 0.5}), None),

@@ -10,7 +10,8 @@ level-N builder tree_dtn_operator is checked, through its dense matrix on
 source trees of depth N+1 .. N+13, against the level-(N+1) condensed
 matrix and the sparse Schur complement summed down with compress, and
 its matrix-free form (the sweep D x and T. Chan's circulant eigenvalues)
-against that dense matrix.  The same kernels on a source tree compressed
+against that dense matrix, and its Green block against the sweep of the
+identity's columns (oracles.green_by_sweep).  The same kernels on a source tree compressed
 below level N are checked bit for bit against the full tree.
 """
 
@@ -27,6 +28,7 @@ from oracles import (
     expanded,
     expanded_tree,
     from_vertex_values,
+    green_by_sweep,
     kirchhoff_residual,
     l2_inner,
     pad,
@@ -319,6 +321,20 @@ def test_operator_matches_dense_below_its_green_block():
     k, green = tree_dtn_operator(build_condensed(params, 4, level=4))._green
     assert k == 3
     assert green.shape[0] == green.shape[1] <= dtn._TOP_CELLS
+
+
+@pytest.mark.parametrize("params,N,k", [
+    (PARAMS["p2"], 8, 6), (PARAMS["p2"], 5, 5),
+    (PARAMS["p3"], 5, 3), (PARAMS["p3_overrides"], 3, 3),
+    (TreeParams(p=4, ell=0.5, omega=0.3), 4, 3), (TreeParams(p=4, ell=0.5, omega=0.3), 2, 2),
+])
+def test_green_block_matches_the_identity_sweep(params, N, k):
+    # the sum over generations 0..k against the sweep of the identity's
+    # columns up to the root and back, below (k < N) and at the level (k = N)
+    op = tree_dtn_operator(build_condensed(params, N + 2, level=N))
+    got_k, green = op._green
+    assert got_k == k
+    assert _rel(green, green_by_sweep(op, k)) <= 1e-15
 
 
 @settings(max_examples=25, deadline=None)
