@@ -23,13 +23,33 @@ python -c "import sys; sys.path.insert(0, 'perfbench'); import workloads; sys.st
 no_stderr python -X dev -W error -m treedisk.cli transmission --config "$tmp/seed41.ini" --out-prefix "$tmp/seed41_"
 
 # a p = 3 tree with complex alpha1, so g, the tree coefficients and the trace
-# are complex and tree.csv's records are built from complex text
+# are complex and tree.csv's values are complex text
 printf '%s\n' "tree.p = 3" "tree.ell = 0.4" "tree.omega = 0.3" "interface.N = 4" \
   "transmission.alpha1 = 1+0.5j" "transmission.alpha0 = 0.25" "transmission.c_root = 0.3" \
   "transmission.source_depth = 8" "source.tree.constant = 0.7" \
   "source.exterior.r_max = 2" "source.exterior.profile.1 = 1" "source.exterior.profile.-1 = 1" \
   > "$tmp/p3_complex.ini"
 no_stderr python -X dev -W error -m treedisk.cli transmission --config "$tmp/p3_complex.ini" --out-prefix "$tmp/p3_complex_"
+# tree.csv holds one record per stored row and coefficient, standing for
+# `edges` edges: per generation and coefficient they count its 3^n edges
+python - "$tmp/p3_complex_tree.csv" <<'EOF'
+import collections, csv, sys
+edges = collections.Counter()
+with open(sys.argv[1], newline="") as f:
+    for row in csv.DictReader(f):
+        edges[int(row["n"]), int(row["coeff_index"])] += int(row["edges"])
+print("p = 3 tree.csv: %d (n, coeff_index) pairs" % len(edges))
+if {n for n, _ in edges} != set(range(10)) or any(count != 3**n for (n, _), count in edges.items()):
+    sys.exit("the edges column of tree.csv does not count 3^n edges per generation and coefficient")
+EOF
+
+# a source tree of depth 30 at N = 3: its 2^31 leaf edges are written as
+# 8 stored rows of 2^28 edges each
+printf '%s\n' "tree.p = 2" "tree.ell = 0.5" "tree.omega = 0.4" "interface.N = 3" \
+  "transmission.alpha1 = 1" "transmission.alpha0 = 0.25" "transmission.source_depth = 30" \
+  "source.exterior.r_max = 2" "source.exterior.profile.1 = 1" "source.exterior.profile.-1 = 1" \
+  > "$tmp/deep_source.ini"
+no_stderr python -X dev -W error -m treedisk.cli transmission --config "$tmp/deep_source.ini" --out-prefix "$tmp/deep_source_"
 
 # `treedisk transmission` with no forcing, an exterior ring alone (no tree
 # source, no c_root): D_N is read off the source tree that assembly builds

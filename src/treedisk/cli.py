@@ -7,32 +7,31 @@ time.  Numbers are written with 17 significant digits so identical configs
 reproduce byte-identical CSVs.
 
 Every CSV goes through one writer (_fill_csv), which streams chunks of
-at most _CHUNK_ROWS rows into the temp file.  A chunk is either its
-finished text or one row laid out as literal text and columns: numbers, or
-text from csvtext.cells.  csvtext.join builds such a chunk's bytes with
-numpy, each row in fixed cells of one uint8 matrix whose padding it drops:
-integers as %d, reals as %.17g, complex values as %.17g%+.17gj, byte for
-byte what `%` writes (csvtext says how, and when it leaves a value to `%`).
-tree.csv is streamed from the tree solution on the compressed source tree
-one generation at a time, as finished text (_tree_chunks): each stored
-row's whole record is formatted once into a template, and a chunk is one
-gather of template rows over its edges with their k text written in, so
-the full tree is never built.  exterior.csv is streamed from the exterior
-field, and the exterior-dtn dump from the symbol, _CHUNK_ROWS modes at a
-time (_mode_chunks), so no array over all their modes is held.  The
-tree-dtn matrix repeats a few distinct values, so its values are formatted
-once per bit pattern and gathered as text.
+at most _CHUNK_ROWS rows into the temp file.  A chunk is one row laid out
+as literal text and columns: numbers, or text from csvtext.cells.
+csvtext.join builds the chunk's bytes with numpy, each row in fixed cells
+of one uint8 matrix whose padding it drops: integers as %d, reals as
+%.17g, complex values as %.17g%+.17gj, byte for byte what `%` writes
+(csvtext says how, and when it leaves a value to `%`).  tree.csv holds
+one record per stored row and coefficient of the tree solution on the
+compressed source tree (_tree_chunks): n, k, edges, coeff_index, value,
+standing for the edges k .. k + edges - 1 of generation n, so the full
+tree is never built.  exterior.csv is streamed from the exterior field,
+and the exterior-dtn dump from the symbol, _CHUNK_ROWS modes at a time
+(_mode_chunks), so no array over all their modes is held.  The tree-dtn
+matrix repeats a few distinct values, so its values are formatted once
+per bit pattern and gathered as text.
 
-tree.csv is most of `transmission`'s output, so it is written in a forked
-child (_in_child), which starts as soon as the tree solution exists
-(transmission.reconstruct_tree): this process then solves the exterior
-side, runs its checks and writes g.csv and exterior.csv, and waits for the
-child before it writes the manifest.  The child reads the tree solution
-through copy-on-write and writes through the same writer into the temp file
-this process opened, so the bytes are those of an in-process write; this
-process renames the file once the child has succeeded and removes it when
-the child fails or is killed.  Fork is POSIX only: without os.fork
-(Windows) tree.csv is written in-process.
+tree.csv is written in a forked child (_in_child), which starts as soon
+as the tree solution exists (transmission.reconstruct_tree): this process
+then solves the exterior side, runs its checks and writes g.csv and
+exterior.csv, and waits for the child before it writes the manifest.  The
+child reads the tree solution through copy-on-write and writes through
+the same writer into the temp file this process opened, so the bytes are
+those of an in-process write; this process renames the file once the
+child has succeeded and removes it when the child fails or is killed.
+Fork is POSIX only: without os.fork (Windows) tree.csv is written
+in-process.
 
 `transmission` refuses what it would print wrongly: a g that is not finite,
 a trace defect above 1e-10 at the scale of g (transmission.reconstruct),
@@ -68,7 +67,7 @@ import numpy as np
 from . import csvtext
 from .config import RunConfig, parse_config
 from .dtn import condensed_dtn
-from .errors import InvalidInput, NumericalCheckFailed, TreediskError
+from .errors import AssemblyTooLarge, InvalidInput, NumericalCheckFailed, TreediskError
 from .exterior import check_cutoff, check_mode_budget, dtn_symbol
 from .transmission import (
     TransmissionConfig,
@@ -80,7 +79,7 @@ from .transmission import (
     reconstruct_tree,
     solve_interface,
 )
-from .tree import check_tree_budget, validate_params
+from .tree import validate_params
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -91,9 +90,9 @@ _FLUX_SLACK = 1e-10
 
 
 # Rows per chunk of a CSV write: each chunk's text is built in one matrix
-# (csvtext.join, or _tree_chunks' gather) and written before the next is
-# built, so a write holds the text of at most this many rows whatever the
-# size of the file.  At 2^12 rows the exterior.csv write of N=10 peaks at
+# (csvtext.join) and written before the next is built, so a write holds
+# the text of at most this many rows whatever the size of the file.  At
+# 2^12 rows the exterior.csv write of N=10 peaks at
 # 1.0 MiB (tracemalloc: its 0.45 MB matrix, the kernel's temporaries and the
 # chunk's modes), and 2^13 or 2^14 rows write no faster.
 _CHUNK_ROWS = 2**12
@@ -225,16 +224,16 @@ def _write_chunks(path: str, header, chunks):
 def _fill_csv(fh, header, chunks):
     """Write the header, then each chunk, to fh and flush it.
 
-    This is the one CSV writer.  A chunk is its finished text (bytes, as
-    _tree_chunks builds it) or the fields of csvtext.join, which lays each
-    out in one buffer per file.  The bytes are those of a row-by-row writer
-    whatever the chunks are, so identical data give identical files.  The forked tree.csv writer leaves by os._exit,
-    which flushes nothing.
+    This is the one CSV writer.  A chunk is the fields of csvtext.join,
+    which lays each out in one buffer per file.  The bytes are those of a
+    row-by-row writer whatever the chunks are, so identical data give
+    identical files.  The forked tree.csv writer leaves by os._exit, which
+    flushes nothing.
     """
     fh.write((",".join(header) + "\n").encode())
     buffer = bytearray()
     for chunk in chunks:
-        fh.write(chunk if isinstance(chunk, (bytes, bytearray)) else csvtext.join(chunk, buffer))
+        fh.write(csvtext.join(chunk, buffer))
     fh.flush()
 
 
@@ -327,53 +326,23 @@ def _cmd_exterior_dtn(args) -> int:
 
 
 def _tree_chunks(u):
-    """Text chunks of tree.csv (n, k, coeff_index, value) for the tree
-    function u, whose tree may be compressed, without expanding it.
+    """Chunks of tree.csv (n, k, edges, coeff_index, value) for the tree
+    function u, whose tree may be compressed: a record per stored row and
+    coefficient, so the full tree is never built.
 
-    Stored row r of generation n stands for edges r m .. r m + m - 1, m =
-    u.tree.multiplicity(n).  A block of at most _CHUNK_ROWS // (q + 1)
-    stored rows is formatted once (csvtext.cells) into a template: per
-    stored row its whole record, q + 1 NUL-padded lines "n," + k slot +
-    ",j," + value + "\\n", the k slot as wide as the generation's largest k.
-    A chunk is whole edges, at most _CHUNK_ROWS lines: one gather of
-    template rows (the template itself when m = 1), whose k slots then take
-    the edges' %d text; its NUL bytes are dropped.  So a stored row standing
-    for more edges spans several chunks.
+    Stored row r of generation n stands for the edges k .. k + edges - 1,
+    k = r edges, edges = u.tree.multiplicity(n).  A chunk is a block of at
+    most _CHUNK_ROWS // (q + 1) stored rows.
     """
     for n, coeffs in enumerate(u.coeffs):
         m = u.tree.multiplicity(n)
-        width = coeffs.shape[1]
-        edges = max(1, _CHUNK_ROWS // width)
-        head = len("%d," % n)
-        slot = slice(head, head + len("%d" % (coeffs.shape[0] * m - 1)))
-        labels = np.array([",%d," % j for j in range(width)], dtype="S")
-        labels = labels.view(np.uint8).reshape(width, -1)
-        value = slot.stop + labels.shape[1]
-        for r0 in range(0, coeffs.shape[0], edges):
-            stored = coeffs[r0:r0 + edges]
-            texts = csvtext.cells(stored.ravel()).reshape(stored.shape[0], width, -1)
-            line = np.zeros((width, value + texts.shape[2] + 1), np.uint8)
-            line[:, :head] = np.frombuffer(b"%d," % n, np.uint8)
-            line[:, slot.stop:value] = labels
-            line[:, -1] = ord("\n")
-            template = bytearray(stored.shape[0] * line.size)
-            records = np.frombuffer(template, np.uint8).reshape(stored.shape[0], width, -1)
-            records[:] = line
-            records[:, :, value:-1] = texts
-            first, stop = r0 * m, (r0 + stored.shape[0]) * m
-            for k0 in range(first, stop, edges):
-                count = min(edges, stop - k0)
-                if m == 1:
-                    text, chunk = template, records
-                else:
-                    text = bytearray(count * line.size)
-                    chunk = np.frombuffer(text, np.uint8).reshape(count, width, -1)
-                    # the rows are in range; mode "clip" has take write into
-                    # chunk directly, where "raise" would buffer it
-                    np.take(records, np.arange(k0 - first, k0 - first + count) // m, axis=0,
-                            out=chunk, mode="clip")
-                chunk[:, :, slot] = csvtext.range_cells(k0, count, slot.stop - slot.start)[:, None]
-                yield text.translate(None, b"\0")
+        rows, width = coeffs.shape
+        block = max(1, _CHUNK_ROWS // width)
+        index = np.tile(np.arange(width), block)
+        for r0 in range(0, rows, block):
+            stored = coeffs[r0:r0 + block]
+            k = np.repeat(np.arange(r0 * m, (r0 + len(stored)) * m, m), width)
+            yield _row(["%d" % n, k, "%d" % m, index[:stored.size], stored.ravel()])
 
 
 def _mode_chunks(M: int, block):
@@ -393,8 +362,15 @@ def _cmd_transmission(args) -> int:
     started = time.monotonic()
     cfg = parse_config(args.config)
     solving = time.monotonic()
+    tcfg = cfg.transmission()
+    # tree.csv's k and edges columns are int64, which must count the edges
+    # of the deepest generation, source_depth + 1: refused before any work
+    p, deepest = tcfg.params.p, tcfg.source_depth + 1
+    if p**deepest > np.iinfo(np.int64).max:
+        raise AssemblyTooLarge("the %d^%d edges of generation %d exceed the int64 edge index of "
+                               "tree.csv" % (p, deepest, deepest))
     # solve_transmission, split where tree.csv's writer can start
-    system = assemble_system(cfg.transmission())
+    system = assemble_system(tcfg)
     g = solve_interface(system)
     # what is printed must hold: a g that is not finite, a trace defect
     # (reconstruct) or a flux residual beyond the bound the benchmark checks
@@ -402,18 +378,12 @@ def _cmd_transmission(args) -> int:
     if not np.isfinite(g.values).all():
         raise NumericalCheckFailed("the interface datum g is not finite")
     tree_side = reconstruct_tree(system, g)
-    # tree.csv lists every edge of the full source tree: refuse a tree beyond
-    # the tree budget before the writer starts; the rows are streamed from
-    # u_rows, never expanded
-    tree = tree_side.u_rows.tree
-    check_tree_budget(tree.params, tree.depth, tree.depth)
     prefix = args.out_prefix
-    # tree.csv, the largest file, on the second core while the exterior
-    # side is solved and checked here (module docstring); this process owns
-    # its temp file, so a killed child or a refusal, which kills the child,
-    # leaves none behind
+    # tree.csv on the second core while the exterior side is solved and
+    # checked here (module docstring); this process owns its temp file, so
+    # a killed child or a refusal, which kills the child, leaves none behind
     with _atomic_file(prefix + "tree.csv") as tree_fh, \
-            _in_child(lambda: _fill_csv(tree_fh, ("n", "k", "coeff_index", "value"),
+            _in_child(lambda: _fill_csv(tree_fh, ("n", "k", "edges", "coeff_index", "value"),
                                         _tree_chunks(tree_side.u_rows))):
         sol = reconstruct(system, g, tree_side)
         if not sol.flux_residual <= sol.discretization_defect + _FLUX_SLACK:

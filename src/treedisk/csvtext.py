@@ -265,11 +265,10 @@ def _put_ints(out, v):
     out[:, 0] = np.where(negative, _MINUS, _NUL)
 
 
-def range_cells(k0: int, n: int, width: int | None = None) -> np.ndarray:
+def range_cells(k0: int, n: int) -> np.ndarray:
     """The '%d' text of the n consecutive integers k0, k0 + 1, .., k0 + n - 1,
     a row per integer, laid out as _put_ints writes it (a sign cell and 4
-    cells per group, NUL before the text); with width, for nonnegative
-    integers, only the last `width` cells, which must hold the longest text.
+    cells per group, NUL before the text).
 
     Consecutive integers share their higher groups over runs of up to
     10^4: the higher groups of a run are formatted once, from one Python
@@ -278,7 +277,7 @@ def range_cells(k0: int, n: int, width: int | None = None) -> np.ndarray:
     """
     t = _tables()
     top = max(abs(k0), abs(k0 + n - 1))
-    count = max(1, (len(str(top)) + 3) // 4, -(-(width or 0) // 4))
+    count = max(1, (len(str(top)) + 3) // 4)
     out = np.zeros((n, 1 + 4 * count), np.uint8)
     groups = out[:, 1:].view(np.uint32)
     negative = min(max(-k0, 0), n)
@@ -300,7 +299,7 @@ def range_cells(k0: int, n: int, width: int | None = None) -> np.ndarray:
             if leading and low == 0:
                 out[r, -1] = _ZERO
             r += run
-    return out if width is None else out[:, -width:]
+    return out
 
 
 def _width(col) -> int:

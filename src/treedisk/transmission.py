@@ -664,8 +664,9 @@ def reconstruct_tree(system: InterfaceSystem, g: PiecewiseConstantFn) -> TreeSol
     and the lift u_f carries the root datum c.  u_f and the source tree
     come from `system`, the solved system, so the harmonic solve reuses
     the elimination that assembly made for D_N and u_f.  This step needs
-    no exterior mode; the CLI starts writing tree.csv from it while
-    `reconstruct`, the second step, runs.
+    no exterior mode; the CLI starts writing tree.csv from it, a record per
+    stored row of u_T and coefficient, while `reconstruct`, the second
+    step, runs.
     """
     u_f, tree = system.u_f, system.tree
     # the leaf rows of the compressed tree are the cells, so g itself is
@@ -855,8 +856,13 @@ def convergence_study(cfg: TransmissionConfig, N_list, manufactured=None) -> Con
         err_h12.append(h12)
     fit_levels = [levels[i] for i in fit_idx]
     fit_errs = [max(err_h12[i], 1e-300) for i in fit_idx]
-    slope = np.polynomial.polynomial.polyfit(fit_levels, np.log(fit_errs), 1)[1]
-    rho_hat = float(-slope / math.log(p))
+    # the least-squares slope of the log errors over the levels, in centred
+    # form; the logs are taken relative to the first, which leaves the slope
+    # as it is and makes equal errors (a zero solution's, floored) fit 0
+    x = np.array(fit_levels, dtype=float)
+    x -= x.mean()
+    y = np.log(fit_errs)
+    rho_hat = float(x @ (y[0] - y) / (x @ x) / math.log(p))
 
     rate_running = [float("nan")]
     for i in range(1, len(fit_idx)):

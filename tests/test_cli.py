@@ -30,7 +30,7 @@ from treedisk.transmission import (
     plasmonic_pencil,
     solve_transmission,
 )
-from treedisk.tree import TreeParams
+from treedisk.tree import TreeParams, build_condensed
 
 REF_TEXT = """
 [tree]
@@ -88,6 +88,26 @@ def _fmt(x):
 def _oracle_csv(header, rows):
     lines = [",".join(header)] + [",".join(_fmt(x) for x in row) for row in rows]
     return ("\n".join(lines) + "\n").encode()
+
+
+def _per_edge(text: bytes) -> bytes:
+    """tree.csv's records (n,k,edges,coeff_index,value) expanded over their
+    edges, edge-major and coefficient-minor, as the per-edge rows
+    n,k,coeff_index,value: the bytes _oracle_csv writes for every edge.  The
+    records of a stored row are consecutive."""
+    lines = text.decode().splitlines()
+    assert lines[0] == "n,k,edges,coeff_index,value"
+    records = [line.split(",", 3) for line in lines[1:]]
+    out, i = ["n,k,coeff_index,value"], 0
+    while i < len(records):
+        n, k, edges, _ = records[i]
+        j = i
+        while j < len(records) and records[j][:3] == [n, k, edges]:
+            j += 1
+        for e in range(int(k), int(k) + int(edges)):
+            out += ["%s,%d,%s" % (n, e, record[3]) for record in records[i:j]]
+        i = j
+    return ("\n".join(out) + "\n").encode()
 
 
 def _read_csv(path):
@@ -886,21 +906,20 @@ def test_csv_chunks_match_row_oracle_at_any_split(drawn, tmp_path_factory):
 @pytest.mark.parametrize("chunk_rows", [2**16, 1000, 3])
 def test_deep_tree_csv_matches_row_oracle_across_chunks(chunk_rows, tmp_path, monkeypatch):
     # source depth N + 8: each stored row of the deepest generation stands
-    # for 2^9 edges, split across chunks below the default chunk size
+    # for 2^9 edges; 2^16 and 1000 rows per chunk write a generation's
+    # records in one chunk, 3 rows one stored row's records per chunk
     path = tmp_path / "deep.ini"
     path.write_text(COMPLEX_TEXT + "[transmission]\nsource_depth = 11\n")
     sol = solve_transmission(parse_config(str(path)).transmission())
     tree, deepest = sol.u_rows.tree, sol.u_rows.coeffs[-1]
-    assert deepest.imag.any()
+    assert deepest.imag.any() and tree.multiplicity(tree.depth) == 2**9
     monkeypatch.setattr(cli, "_CHUNK_ROWS", chunk_rows)
-    if chunk_rows < 2**16:
-        assert tree.multiplicity(tree.depth) * deepest.shape[1] > chunk_rows
     prefix = str(tmp_path / "t_")
     assert cli.main(["transmission", "--config", str(path), "--out-prefix", prefix]) == 0
     rows = [(n, k, j, gen[k, j]) for n, gen in enumerate(expanded(sol.u_rows).coeffs)
             for k in range(gen.shape[0]) for j in range(gen.shape[1])]
     expected = _oracle_csv(("n", "k", "coeff_index", "value"), rows)
-    assert (tmp_path / "t_tree.csv").read_bytes() == expected
+    assert _per_edge((tmp_path / "t_tree.csv").read_bytes()) == expected
 
 
 @pytest.fixture(scope="module")
@@ -932,12 +951,13 @@ _STORED = st.one_of(_REALS, st.builds(complex, _REALS, st.sampled_from([0.0, -0.
 
 
 @settings(max_examples=10, deadline=None)
-@given(pool=st.lists(_STORED, min_size=1, max_size=40), chunk_rows=st.sampled_from([2**15, 2**12, 100]),
+@given(pool=st.lists(_STORED, min_size=1, max_size=40), chunk_rows=st.sampled_from([2**12, 12, 3]),
        data=st.data())
 def test_tree_csv_matches_row_oracle_on_any_stored_values(deep_tree, pool, chunk_rows, data):
-    # 2^15 rows per chunk put k = 9, 99, 999 and 9999 of generation 14 and
-    # the k after each in one chunk; column 0 of a stored row holds its
-    # index, so an edge given its neighbour row's record shows
+    # 2^12 rows per chunk put the 8 stored rows of generation 14, whose k
+    # text runs from 0 to 14336, in one chunk, 12 rows 4 stored rows and 3
+    # rows one; column 0 of a stored row holds its index, so an edge given
+    # its neighbour row's record shows
     coeffs = []
     for n, rows in enumerate(deep_tree.rows):
         gen = np.array([pool[(n + i) % len(pool)] for i in range(rows * 3)]).reshape(rows, 3)
@@ -946,14 +966,13 @@ def test_tree_csv_matches_row_oracle_on_any_stored_values(deep_tree, pool, chunk
         gen[:, 0] = np.arange(rows) + n / 64
         coeffs.append(gen)
     u = TreeFunction(deep_tree, coeffs)
-    header = ("n", "k", "coeff_index", "value")
     out = io.BytesIO()
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cli, "_CHUNK_ROWS", chunk_rows)
-        cli._fill_csv(out, header, cli._tree_chunks(u))
+        cli._fill_csv(out, ("n", "k", "edges", "coeff_index", "value"), cli._tree_chunks(u))
     rows = [(n, k, j, gen[k // (2**n // gen.shape[0]), j]) for n, gen in enumerate(coeffs)
             for k in range(2**n) for j in range(3)]
-    assert out.getvalue() == _oracle_csv(header, rows)
+    assert _per_edge(out.getvalue()) == _oracle_csv(("n", "k", "coeff_index", "value"), rows)
 
 
 class _Sink:
@@ -969,21 +988,22 @@ class _Sink:
 
 
 def test_tree_csv_write_holds_about_one_chunk():
-    # p=2, N=8, source depth 16: the deepest generation, 17, has 131072
-    # edges (15 MiB of text in all); a chunk is 2^12 lines of at most about
-    # 40 bytes, and the write holds its template, the chunk and their text
-    # at once.  One array over a generation's k (its %d text alone is 1.1
-    # MiB) fails this
-    text = REF_TEXT.replace("N = 3", "N = 8") + "[transmission]\nsource_depth = 16\n"
-    u = solve_transmission(parse_text(text).transmission()).u_rows
+    # p=2 compressed below N=12 to source depth 16: 28,671 stored rows of 3
+    # coefficients (random values, 2.7 MiB of text in all); a chunk is the
+    # records of at most 2^12 // 3 stored rows, and the write holds its
+    # matrix, its text and the kernel's temporaries at once.  Writing the
+    # whole file's text at once fails this
+    tree = build_condensed(TreeParams(p=2, ell=0.5, omega=0.4), 16, level=12)
+    rng = np.random.default_rng(5)
+    u = TreeFunction(tree, [rng.standard_normal((rows, 3)) for rows in tree.rows])
     sink = _Sink()
     tracemalloc.start()
     try:
-        cli._fill_csv(sink, ("n", "k", "coeff_index", "value"), cli._tree_chunks(u))
+        cli._fill_csv(sink, ("n", "k", "edges", "coeff_index", "value"), cli._tree_chunks(u))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sink.size > 15 * 2**20
+    assert sink.size > 5 * 2**19
     assert peak <= 2**20, peak
 
 
@@ -1009,11 +1029,47 @@ def test_transmission_csvs_match_row_oracle(text, tmp_path):
                                      for k, c in zip(ks(trace), trace.coeffs)]),
     }
     for name, data in expected.items():
-        assert (tmp_path / ("t_" + name)).read_bytes() == data, name
+        written = (tmp_path / ("t_" + name)).read_bytes()
+        assert (_per_edge(written) if name == "tree.csv" else written) == data, name
     if text is COMPLEX_TEXT:
         assert b"j" in expected["g.csv"] and b"j" in expected["tree.csv"]
     # 16 p^N = 128 modes; the top one is an aliased zero and gets no row
     assert len(trace.coeffs) == 255
+
+
+def test_a_source_tree_beyond_the_leaf_budget_writes_its_stored_rows(tmp_path, capsys):
+    # p=2, N=3, source depth 30: generation 31 has 2^31 edges, beyond the
+    # leaf budget of 2^23, in 8 stored rows; each generation's records tile
+    # its edges in order, per coefficient
+    path = tmp_path / "deep.ini"
+    path.write_text(REF_TEXT + "[transmission]\nsource_depth = 30\n")
+    assert cli.main(["transmission", "--config", str(path), "--out-prefix", str(tmp_path / "t_")]) == 0
+    header, rows = _read_csv(tmp_path / "t_tree.csv")
+    assert header == ["n", "k", "edges", "coeff_index", "value"]
+    tiles = {}
+    for n, k, edges, j, _ in rows:
+        tiles.setdefault((int(n), int(j)), []).append((int(k), int(edges)))
+    assert {n for n, _ in tiles} == set(range(32))
+    for (n, _), tile in tiles.items():
+        starts = [k for k, _ in tile] + [2**n]
+        assert starts[0] == 0 and all(k + edges == after for (k, edges), after in zip(tile, starts[1:]))
+
+
+@pytest.mark.parametrize("text, message", [
+    (REF_TEXT.replace("N = 3", "N = 24"), "2^24 leaves exceed the tree budget"),
+    (REF_TEXT + "[transmission]\nsource_depth = 62\n", "the 2^63 edges of generation 63 exceed"),
+], ids=["interface-level", "edge-index"])
+def test_oversize_transmission_exits_2_before_assembly(text, message, tmp_path, monkeypatch, capsys):
+    def assemble(cfg):
+        raise AssertionError("a refused problem was assembled")
+
+    monkeypatch.setattr(cli, "assemble_system", assemble)
+    path = tmp_path / "big.ini"
+    path.write_text(text)
+    assert cli.main(["transmission", "--config", str(path), "--out-prefix", str(tmp_path / "t_")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("problem too large: ") and message in err, err
+    assert sorted(os.listdir(tmp_path)) == ["big.ini"]
 
 
 def test_matrix_and_table_csvs_match_row_oracle(ref_config, tmp_path):

@@ -95,7 +95,9 @@ else:
 CONFIG = "tree.p = 2\ntree.ell = 0.5\ntree.omega = 0.4\n"
 CLI_CASES = {
     "interface_level": CONFIG + "interface.N = 40\n",
-    "source_depth": CONFIG + "transmission.source_depth = 40\nsource.tree.constant = 1.0\n",
+    # solved compressed, but tree.csv's int64 edge index cannot count the
+    # 2^63 edges of generation 63
+    "source_depth": CONFIG + "transmission.source_depth = 62\nsource.tree.constant = 1.0\n",
     # stored one row per cell below N, these trees still exceed the row budget
     "compressed_source_depth":
         CONFIG + "transmission.source_depth = 1000000000\nsource.tree.constant = 1.0\n",

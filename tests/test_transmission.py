@@ -225,6 +225,18 @@ def test_a_zero_solution_study_returns():
     assert st.rate_running[1:3] == [0.0, 0.0]
 
 
+@pytest.mark.parametrize("levels", [[3, 4, 5, 6], [3, 4, 5, 7, 8, 9, 10, 11]])
+def test_a_zero_solution_study_fits_a_rate_of_0(levels):
+    # every fitted error is floored at 1e-300, so the fit is flat: rho_hat
+    # is +0.0, as rate_running reads.  The mean of 7 floored logs is one ulp
+    # off them, so logs centred on it over levels whose mean is inexact fit
+    # 4.8e-30 (polyfit fitted -5.3e-14 at the first levels)
+    cfg = TransmissionConfig(params=REF, level=3, alpha1=1.0, alpha0=0.5)
+    st = convergence_study(cfg, levels, manufactured=None)
+    assert st.rho_hat == 0.0 and math.copysign(1.0, st.rho_hat) == 1.0
+    assert st.rate_running[1:-1] == [0.0] * (len(levels) - 2)
+
+
 def test_a_study_refuses_p_1_before_solving(monkeypatch):
     def solve_interface(system):
         raise AssertionError("level %d solved before the refusal" % system.config.level)
