@@ -157,6 +157,36 @@ python -W error -m treedisk.cli convergence --config "$tmp/interval.ini" --out "
 grep -v "transmission.levels" "$tmp/ring.ini" > "$tmp/ring_default.ini"
 python -W error -m treedisk.cli convergence --config "$tmp/ring_default.ini" --out "$tmp/ring_default.csv"
 
+# every field of the CSVs above reads back to its own text: integer columns
+# as '%d', reals as '%.17g', complex values as '%.17g%+.17gj', or the real
+# part alone when the imaginary part is zero
+python - "$tmp"/seed41_{g,tree,exterior}.csv "$tmp"/p3_complex_{g,tree,exterior}.csv \
+  "$tmp/tree_dtn.csv" "$tmp/pencil_p3.csv" "$tmp/ring.csv" "$tmp/ring_default.csv" <<'EOF'
+import sys
+INTEGER = {"level", "cell", "n", "k", "edges", "coeff_index", "row", "col", "index", "N", "dof"}
+
+def again(field, integer):
+    if integer:
+        return "%d" % int(field)
+    if not field.endswith("j"):
+        return "%.17g" % float(field)
+    z = complex(field)
+    return "%.17g" % z.real if z.imag == 0 else "%.17g%+.17gj" % (z.real, z.imag)
+
+for path in sys.argv[1:]:
+    with open(path, encoding="ascii") as f:
+        header, *rows = f.read().splitlines()
+    integer = [name in INTEGER for name in header.split(",")]
+    ragged = [i for i, row in enumerate(rows, 2) if row.count(",") != len(integer) - 1]
+    wrong = [(i, field) for i, row in enumerate(rows, 2) for field, kind in zip(row.split(","), integer)
+             if again(field, kind) != field]
+    print("%s: %d rows, %d fields that do not read back" % (path.rsplit("/", 1)[-1], len(rows), len(wrong)))
+    if ragged:
+        sys.exit("%s: line %d does not have %d fields" % (path, ragged[0], len(integer)))
+    if wrong:
+        sys.exit("%s: line %d: %r does not read back to itself" % ((path,) + wrong[0]))
+EOF
+
 # `treedisk exterior-dtn` at the mode budget: its 2^24 + 1 rows (289 MB) are
 # streamed from the symbol's blocks a chunk at a time, so the command peaks
 # under 128 MiB (37 MiB on a 2-vCPU host, against 293 MiB when the symbol

@@ -5,7 +5,8 @@ symbol -|k|/R (mode 0 maps to zero under the bounded radiation condition).
 The single and double layer symbols satisfy the Calderon-style relation
 checked by bie_dtn_crosscheck.  A direct quadrature of the log-singular
 single layer kernel validates the closed forms: a Gauss-Legendre rule
-graded toward the singularity reaches near machine precision.
+graded toward the singularity reaches near machine precision.  The bounded
+exterior solution with Fourier data cos(2 theta) is (R/r)^2 cos(2 theta).
 """
 
 import numpy as np
@@ -17,6 +18,7 @@ from treedisk.exterior import (
     dtn_symbol,
     layer_symbols,
     single_layer_quadrature,
+    solve_exterior_dirichlet,
 )
 
 R, R_SCALE = 1.0, 2.0
@@ -36,6 +38,12 @@ def main():
     for k in range(0, 5):
         graded = abs(single_layer_quadrature(R, R_SCALE, k) - single.coeff(k))
         print("  %d   %.2e" % (k, graded))
+
+    u = solve_exterior_dirichlet(circle.FourierFn.from_modes(R, {2: 0.5, -2: 0.5}), None)
+    radii = np.array([1.0, 2.0, 4.0])
+    print("\nexterior solution of cos(2 theta) data, modes |k| <= %d, at theta = 0:" % u.M)
+    print("  r = 1, 2, 4: %s (closed form %s)" % (", ".join("%.6f" % v for v in u.eval(radii, 0.0).real),
+                                                  ", ".join("%.6f" % v for v in (R / radii) ** 2)))
 
     decomp = circle.MultiscaleDecomposition(R=R, p=2, n_max=6)
     level = 3

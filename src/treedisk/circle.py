@@ -108,6 +108,10 @@ class FourierFn:
         """The coefficients of the modes lo..hi-1, zero beyond M."""
         return centred_block(self.coeffs, lo, hi)
 
+    def support(self) -> int:
+        """The largest |k| with a nonzero coefficient, 0 when there is none."""
+        return int(np.abs(np.flatnonzero(self.coeffs) - self.M).max(initial=0))
+
     @classmethod
     def from_modes(cls, R, modes: dict) -> "FourierFn":
         """The series of the modes {k: c_k}, cut at the largest |k|."""
@@ -288,6 +292,33 @@ class CellModes:
         modes[: max(-self.M - lo, 0)] = 0
         modes[max(self.M + 1 - lo, 0) :] = 0
         return modes
+
+    def support(self) -> int:
+        """The largest |k| with a nonzero mode (block), 0 when there is none.
+
+        Mode k != 0 of class r is base_r / k (nonzero forms it as block
+        does), which does not grow with |k|: a class's nonzero modes on
+        either side run from its mode nearest 0 (first) to its mode nearest
+        the cutoff (last), unless base_r / k underflows to 0 before, when a
+        bisection over the class's modes, pn apart, finds the last nonzero.
+        """
+        pn, M = self.base.size, self.M
+
+        def nonzero(k):
+            return self.base[k % pn] * (1.0 / k) != 0
+
+        first = np.arange(1, min(pn, M) + 1)
+        last = M - (M - first) % pn
+        lo, hi = np.concatenate((first, -first)), np.concatenate((last, -last))
+        at_last = nonzero(hi)
+        if at_last.any():
+            return int(np.abs(hi[at_last]).max())
+        alive = nonzero(lo)
+        for _ in range((M // pn).bit_length()):
+            mid = lo + (hi - lo) // (2 * pn) * pn
+            ok = nonzero(mid)
+            lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
+        return int(np.abs(lo[alive]).max(initial=0))
 
 
 class ModeDifference:

@@ -89,12 +89,11 @@ EXIT_NUMERICAL = 3
 _FLUX_SLACK = 1e-10
 
 
-# Rows per chunk of a CSV write: each chunk's text is built in one matrix
-# (csvtext.join) and written before the next is built, so a write holds
-# the text of at most this many rows whatever the size of the file.  At
-# 2^12 rows the exterior.csv write of N=10 peaks at
-# 1.0 MiB (tracemalloc: its 0.45 MB matrix, the kernel's temporaries and the
-# chunk's modes), and 2^13 or 2^14 rows write no faster.
+# Rows per chunk of a CSV write: a chunk's text is built in one matrix
+# (csvtext.join) and written before the next, so a write holds at most this
+# many rows of text.  At 2^12 the exterior.csv write of N=10 peaks at 0.73
+# MiB (tracemalloc); in the command 2^11 is 2-4 ms slower, and 2^13 no faster
+# with 230 more page faults (2-vCPU AMD EPYC, 80 alternating commands each).
 _CHUNK_ROWS = 2**12
 
 

@@ -5,20 +5,24 @@ each field of the line owns fixed cells of it, and a value's text fills its
 cells, NUL where it is shorter.  The chunk's text is the matrix with its NUL
 bytes dropped (join), so no value's text is shifted into place.
 
-A float's cells are its sign, the "0.000" prefix of the fixed form below 1,
-its 17 significant digits each followed by a slot for the point, and the
-exponent of the exponential form.  The digits come from an exact decimal
-scaling (_decimal): with X = floor(log10|x|), |x| 10^(16-X) is formed as a
-double-double product (Dekker's two-product) with a (hi, lo) split of
-10^(16-X) built exactly from Python integers; X moves by one when the
-product falls outside [1e16, 1e17), and the integer nearest to it, rounded
-half to even, is the 17 digits.  The product is within about 1e-14 of the
-exact one, so its fraction decides the rounding unless it lies within
-2^-40 of one half.  Such a value, a NaN or infinity, and a value with
-|X| > 280, whose scale or split would leave the normal floats, are
-formatted by `%`, and so is a column of at most _FEW values, where `%` is
-the faster.  The digits are taken 4 at a time from a table whose zeros are
-NUL when no nonzero digit follows, which drops trailing zeros as `%g` does.
+A float owns 34 cells: 8 for its sign and the "0.000" prefix of the fixed
+form below 1, its lead digit, a slot for the point after it, its other 16
+digits and 8 for the exponent of the exponential form.  The digits come
+from an exact decimal scaling (_decimal): with X = floor(log10|x|), |x|
+10^(16-X) is formed as a double-double product (Dekker's two-product) with
+a (hi, lo) split of 10^(16-X) built exactly from Python integers; X moves
+by one when the product falls outside [1e16, 1e17), and the integer
+nearest to it, rounded half to even, is the 17 digits.  The product is
+within about 1e-14 of the exact one, so its fraction decides the rounding
+unless it lies within 2^-40 of one half.  Such a value, a NaN or infinity,
+and a value with |X| > 280, whose scale or split would leave the normal
+floats, are formatted by `%`, and so is a column of at most _FEW values,
+where `%` is the faster.  The 16 digits are taken 4 at a time from a table
+whose zeros are NUL when no nonzero digit follows, which drops trailing
+zeros as `%g` does; the slot holds the point of the exponential form and
+of X = 0.  The fixed form with 1 <= X <= 16 (10 <= |x| < 1e17) takes one
+more pass, which moves the point after digit X and shows the zeros of the
+integer part.
 Dekker, Numer. Math. 18 (1971); the same fixed-precision conversion is
 U. Adams, "Ryu revisited: printf floating point conversion", OOPSLA 2019.
 
@@ -31,19 +35,21 @@ from types import SimpleNamespace
 import numpy as np
 
 # cells of a float: the sign and the prefix "0." + up to three zeros (8
-# cells), the 17 digits each followed by a point slot, and the exponent
-# "e-308" at most (8 cells); the 8-cell parts are written as uint64
-_DIGITS = slice(8, 42, 2)
-_FLOAT_WIDTH = 50
+# cells, a uint64), the lead digit and a slot for the point after it, the
+# other 16 digits (4 uint32 groups of 4) and the exponent "e-308" at most
+# (8 cells, a uint64)
+_LEAD, _SLOT, _TAIL = 8, 9, 26
+_FLOAT_WIDTH = _TAIL + 8
 # decimal exponents formatted without `%`, and the range of the tables,
 # which leaves room for the move by one and the carry of the rounding
 _X_FAST = 280
 _X_MIN = -_X_FAST - 2
 _GROUP = 10**4
 # up to this many values `%` is faster than the kernel's fixed cost of about
-# 50 us: 4 us against 50 us for 12 values, 44 against 54 for 128
-_FEW = 128
-_NUL, _ZERO, _MINUS, _PLUS, _POINT = 0, ord("0"), ord("-"), ord("+"), ord(".")
+# 85 us: 8 against 77 us for 8 values, 86 against 89 for 104, 104 against 89
+# for 128 (2-vCPU AMD EPYC, lower quartiles of 400 calls)
+_FEW = 100
+_NUL, _ZERO, _MINUS, _POINT = 0, ord("0"), ord("-"), ord(".")
 
 
 def _split(v):
@@ -65,13 +71,14 @@ def _tables() -> SimpleNamespace:
 
     groups: uint32 text of each 4-digit group, plain, then with the zeros
     that no nonzero digit follows NUL, then with the zeros that no nonzero
-    digit precedes NUL.  The rest is indexed by X - _X_MIN: pow_hi + pow_lo
-    is 10^(16-X) (pow_hi correctly rounded, pow_lo the rest rounded), and
-    pow_hi_hi + pow_hi_lo is pow_hi in 26-bit halves; point is the digit a
-    point may follow (X in the fixed form, 0 in the exponential one, -1 for
-    none); least is how many digits the fixed form shows even if they are
-    zero (X + 1); head is the uint64 cells of the sign and the "0.000"
-    prefix, 3 per X for no sign, "+" and "-"; tail the uint64 exponent cells.
+    digit precedes NUL.  Indexed by X - _X_MIN: pow_hi + pow_lo is 10^(16-X)
+    (pow_hi correctly rounded) and pow_hi_hi + pow_hi_lo is pow_hi in 26-bit
+    halves; lead the little-endian uint16 of "0" and the point (exponential
+    form, X = 0) or NUL, to which the lead digit is added; whole is X where
+    1 <= X <= 16, else 0; head[plus] the uint64 cells of the sign and the
+    "0.000" prefix at 2 X + the sign bit; tail the uint64 exponent cells.
+    Indexed by X <= 16, in 3 little-endian words of the 24 cells from the
+    lead digit on: move marks the cells 1..X, point the cell X + 1.
     """
     digits = (np.arange(_GROUP, dtype=np.int16)[:, None] // np.array([1000, 100, 10, 1], np.int16)
               % 10).astype(np.uint8)
@@ -81,39 +88,36 @@ def _tables() -> SimpleNamespace:
     groups[1] = np.where(followed, groups[0], _NUL)
     groups[2] = np.where(np.maximum.accumulate(digits, axis=1) > 0, groups[0], _NUL)
 
+    # 10^(16-X) = num / den; int / int is correctly rounded, and so the rest
+    # num / den - hn / hd of its float h = hn / hd
     hi, lo = [], []
     for X in range(_X_MIN, -_X_MIN + 1):
-        s = 16 - X
-        if s >= 0:
-            h = float(10**s)
-            hi.append(h)
-            lo.append(float(10**s - int(h)))
-        else:
-            # int / int is correctly rounded; 10^s - h = (den - num 10^-s) / (den 10^-s)
-            h = 1 / 10**-s
-            num, den = h.as_integer_ratio()
-            hi.append(h)
-            lo.append((den - num * 10**-s) / (den * 10**-s))
-    pow_hi = np.array(hi)
-    pow_hi_hi, pow_hi_lo = _split(pow_hi)
+        num, den = (10 ** (16 - X), 1) if X <= 16 else (1, 10 ** (X - 16))
+        hn, hd = (num / den).as_integer_ratio()
+        hi.append(hn / hd)
+        lo.append((num * hd - hn * den) / (den * hd))
+    pow_hi_hi, pow_hi_lo = _split(np.array(hi))
 
     X = np.arange(_X_MIN, -_X_MIN + 1)
-    fixed = (X >= -4) & (X < 17)
     prefix = [b"0." + b"0" * (-x - 1) if -4 <= x < 0 else b"" for x in X.tolist()]
+    c, x = np.arange(24), np.arange(17)[:, None]
     return SimpleNamespace(
-        groups=groups.view(np.uint32).ravel(), pow_hi=pow_hi, pow_lo=np.array(lo),
+        groups=groups.view(np.uint32).ravel(), pow_hi=np.array(hi), pow_lo=np.array(lo),
         pow_hi_hi=pow_hi_hi, pow_hi_lo=pow_hi_lo,
-        point=np.where(fixed, np.where((X >= 0) & (X < 16), X, -1), 0).astype(np.int8),
-        least=np.where(fixed & (X >= 0), X + 1, 0).astype(np.int8),
-        head=_words([sign + p for p in prefix for sign in (b"", b"+", b"-")]),
+        lead=np.where((X < -4) | (X > 16) | (X == 0), _POINT << 8, 0).astype(np.int32) + _ZERO,
+        whole=np.where((X >= 1) & (X <= 16), X, 0).astype(np.int8),
+        move=np.where((c >= 1) & (c <= x), 255, 0).astype(np.uint8).view("<u8"),
+        point=np.where(c == x + 1, 255, 0).astype(np.uint8).view("<u8"),
+        head=np.array([_words([sign + p for p in prefix for sign in (plus, b"-")])
+                       for plus in (b"", b"+")]),
         tail=_words([b"" if -4 <= x < 17 else b"e%+03d" % x for x in X.tolist()]))
 
 
 def _scaled(a, i, t):
-    """|x| 10^(16-X) as p + e: p the rounded product, e the rest (to about 1e-14).
-
-    i indexes the tables at X.  The hi part of the product is exact
-    (Dekker): its error is the sum of the products of the 26-bit halves,
+    """The integer nearest to |x| 10^(16-X), rounded half to even, and the
+    rest, the product less it, in [-1/2, 1/2] (to about 1e-14); i indexes
+    the tables at X.  The product is p + e, p rounded and e its error, which
+    is exact (Dekker) as the sum of the products of the 26-bit halves,
     added in this order.
     """
     p = t.pow_hi[i]
@@ -122,110 +126,108 @@ def _scaled(a, i, t):
     h = t.pow_hi_hi[i]
     e = a_hi * h
     e -= p
-    term = a_lo * h
-    e += term
-    np.take(t.pow_hi_lo, i, out=h)
-    e += np.multiply(a_hi, h, out=term)
-    e += np.multiply(a_lo, h, out=term)
-    np.take(t.pow_lo, i, out=h)
-    e += np.multiply(a, h, out=term)
-    return p, e
+    e += np.multiply(a_lo, h, out=h)
+    h = t.pow_hi_lo[i]
+    e += np.multiply(a_hi, h, out=a_hi)
+    e += np.multiply(a_lo, h, out=a_lo)
+    h = t.pow_lo[i]
+    e += np.multiply(a, h, out=h)
+    r = np.rint(e)
+    digits = p.astype(np.int64)
+    digits += r.astype(np.int64)
+    e -= r
+    return digits, e
 
 
 def _decimal(x):
     """The 17 significant digits of each |x| as an int64, the index of its
-    decimal exponent X in the tables, and where both hold: elsewhere x is
-    zero, not finite, beyond |X| = _X_FAST or within the tie guard, and the
-    digits are 0 and X is 0.
-
-    Temporaries are reused or deleted once spent: a chunk's write holds at
-    most about eight float64 arrays of its length (cli._CHUNK_ROWS).
+    decimal exponent X in the tables, and the rows where they do not hold:
+    x is zero, not finite, beyond |X| = _X_FAST or within the tie guard,
+    and the digits are 0 and X is 0.  Temporaries are reused or deleted
+    once spent: a chunk's write holds at most about six float64 arrays of
+    its length (cli._CHUNK_ROWS).
     """
     t = _tables()
     with np.errstate(all="ignore"):
         a = np.abs(x)
-        X = np.log10(a)
-        np.floor(X, out=X)
-        # NaN, infinities and zero fail this too; they take X = 0 and a = 1
-        fast = (X <= _X_FAST) & (X >= -_X_FAST)
-        a[~fast] = 1.0
-        X[~fast] = 0.0
-        i = X.astype(np.intp)
+        X = np.floor(np.log10(a))
+        # NaN, infinities and zero fail this too; they take X = 0 and a = 2,
+        # whose product is no power of ten
+        slow = np.flatnonzero(~(np.abs(X) <= _X_FAST))
+        a[slow] = 2.0
+        X[slow] = 0.0
+        i = X.astype(np.intp) - _X_MIN
         del X
-        i -= _X_MIN
-        p, e = _scaled(a, i, t)
-        up = (p - 1e17) + e >= 0
-        down = (p - 1e16) + e < 0
-        moved = np.flatnonzero(up | down)
-        if moved.size:
-            i[moved] += up[moved].astype(np.intp) - down[moved]
-            p[moved], e[moved] = _scaled(a[moved], i[moved], t)
-        del a, up, down
-        digits = p.astype(np.int64)
-        digits += np.rint(e, out=p).astype(np.int64)
-        # the fraction of e, within 2^-40 of one half: a tie or too near one
-        e -= np.floor(e, out=p)
-        e -= 0.5
-        fast &= np.abs(e, out=e) >= 2.0**-40
-    fast &= (digits >= 10**16) & (digits <= 10**17)
-    carry = fast & (digits == 10**17)
-    digits[carry] = 10**16
-    i += carry
-    digits[~fast] = 0
-    i[~fast] = -_X_MIN
-    return digits, i, fast
+        digits, rest = _scaled(a, i, t)
+        # X is one off where the product is outside [1e16, 1e17); only the
+        # digits at either end can tell, and 10^17 moves up as a carry would
+        edge = np.flatnonzero((digits - (10**16 + 1)).view(np.uint64) >= 10**17 - 10**16 - 1)
+        if edge.size:
+            # up where the product reaches 1e17, down where it is below 1e16
+            d, below = digits[edge], rest[edge] < 0
+            step = (d >= 10**17).astype(np.intp) - (d - below < 10**16)
+            moved = edge[step != 0]
+            if moved.size:
+                i[moved] += step[step != 0]
+                digits[moved], rest[moved] = _scaled(a[moved], i[moved], t)
+                # a product moved down that rounds to 10^17 carries back
+                carry = moved[digits[moved] == 10**17]
+                digits[carry] = 10**16
+                i[carry] += 1
+        del a
+        # within 2^-40 of one half: a tie or too near one
+        slow = np.concatenate((slow, np.flatnonzero(np.abs(rest, out=rest) > 0.5 - 2.0**-40)))
+    digits[slow] = 0
+    i[slow] = -_X_MIN
+    return digits, i, slow
 
 
 def _put_reals(out, x, plus=False):
     """Write the text '%.17g' % v (with plus, '%+.17g' % v) of each float64 v
-    of x into the first _FLOAT_WIDTH cells of its row of out, a zeroed view."""
+    of x into the first _FLOAT_WIDTH cells of its row of out, every one of them."""
     if x.size <= _FEW:
         _put_by_percent(out, x, slice(None), plus)
         return
     t = _tables()
     # a zero, and each value left to `%`, is written here as 0 in the fixed form
-    digits, i, fast = _decimal(x)
+    digits, i, slow = _decimal(x)
 
-    # the digits as 9 + 8, in int32, then 1 + 4 + 4 + 4 + 4
-    high = (digits // 10**8).astype(np.int32)
-    low = (digits - high.astype(np.int64) * 10**8).astype(np.int32)
-    first = high // _GROUP
-    lead = first // _GROUP
-    third, fifth = low // _GROUP, high - first * _GROUP
-    groups = [low - third * _GROUP, third, fifth, first - lead * _GROUP]
-    # the first digit, then 4 groups of 4 digits, each digit followed by a point slot
-    out[:, 8] = np.where(digits > 0, lead + _ZERO, _NUL)
-    del digits, high, low, first, lead, third, fifth
+    # the 16 digits after the lead, 4 at a time from the last, from the table
+    # whose zeros are NUL while no nonzero digit has followed; one V16 store
     text = np.empty((x.size, 4), np.uint32)
-    trailing = np.ones(x.size, bool)
-    for k, g in enumerate(groups):
-        index = g.astype(np.intp)
-        np.add(index, _GROUP, out=index, where=trailing)
-        text[:, 3 - k] = t.groups[index]
-        trailing &= g == 0
-    out[:, 10:42:2] = text.view(np.uint8)
-    del groups, trailing, index, text
+    trailing = True
+    for k in (3, 2, 1, 0):
+        rest = digits // _GROUP
+        g = digits - rest * _GROUP
+        np.add(g, _GROUP, out=g, where=trailing)
+        text[:, k] = t.groups[g]
+        trailing = g == _GROUP
+        digits = rest
+    out[:, _SLOT + 1:_TAIL].view("V16")[:, 0] = text.view("V16")[:, 0]
+    # digits is the lead digit now; a point follows it in the exponential
+    # form and at X = 0 if a nonzero digit follows
+    out[:, _LEAD:_SLOT + 1].view("<u2")[:, 0] = digits + t.lead[i]
+    out[np.flatnonzero(trailing), _SLOT] = _NUL
+    del digits, rest, g, text, trailing
 
-    # a point after digit `point` if a nonzero digit follows it
-    point = t.point[i]
-    rows = np.flatnonzero(point >= 0)
-    cell = 2 * point[rows].astype(np.intp) + 9
-    shown = out[rows, cell + 1] != _NUL
-    out[rows[shown], cell[shown]] = _POINT
-    # the fixed form shows digits up to the point even if they are zero
-    least = t.least[i]
-    rows = np.flatnonzero(least)
-    rows = rows[out[rows, 2 * least[rows].astype(np.intp) + 6] == _NUL]
-    if rows.size:
-        cells = out[rows, _DIGITS]
-        cells[(cells == _NUL) & (np.arange(17) < least[rows, None])] = _ZERO
-        out[rows, _DIGITS] = cells
-    sign = np.where(np.signbit(x), 2, 1 if plus else 0)
-    sign += 3 * i
-    out[:, :8].view(np.uint64)[:, 0] = t.head[sign]
-    out[:, 42:50].view(np.uint64)[:, 0] = t.tail[i]
+    out[:, :_LEAD].view(np.uint64)[:, 0] = t.head[int(plus)][2 * i + np.signbit(x)]
+    out[:, _TAIL:_FLOAT_WIDTH].view(np.uint64)[:, 0] = t.tail[i]
+    # the fixed form with 1 <= X <= 16: cell p after the lead digit takes
+    # cell p + 1 for p = 1..X, its zero shown, and cell X + 1 the point if a
+    # digit follows.  Word k from the lead on holds p = 8k..8k+7 (the third
+    # reaches into the exponent's cells, NUL in the fixed form)
+    words = out[:, _LEAD:_LEAD + 24].view("<u8")
+    rows = np.flatnonzero(t.whole[i])
+    for k in range(3):
+        rows = rows[t.whole[i[rows]] >= 8 * k - 1]
+        if not rows.size:
+            break
+        X, w = t.whole[i[rows]], words[rows, k]
+        s = w >> 8 | (words[rows, k + 1] << 56 if k < 2 else 0)
+        move, point = t.move[X, k], t.point[X, k]
+        words[rows, k] = (w & ~(move | point) | (s | 0x3030303030303030) & move
+                          | ((s & point) >> 4 & 0x0101010101010101) * _POINT)
 
-    slow = np.flatnonzero(~fast)
     slow = slow[x[slow] != 0]
     if slow.size:
         _put_by_percent(out, x, slow, plus)
@@ -276,8 +278,7 @@ def range_cells(k0: int, n: int) -> np.ndarray:
     negative integers come first, their magnitudes descending.
     """
     t = _tables()
-    top = max(abs(k0), abs(k0 + n - 1))
-    count = max(1, (len(str(top)) + 3) // 4)
+    count = _int_groups(np.array([k0, k0 + n - 1]))
     out = np.zeros((n, 1 + 4 * count), np.uint8)
     groups = out[:, 1:].view(np.uint32)
     negative = min(max(-k0, 0), n)
@@ -315,7 +316,7 @@ def _width(col) -> int:
 
 
 def _put(out, col):
-    """Write a column's text into out, a zeroed (len(col), _width(col)) view.
+    """Write a column's text into every cell of out, a (len(col), _width(col)) view.
 
     A 2-D uint8 column is text already (cells); integers are %d, reals %.17g.
     A complex value is %.17g of its real part followed by %+.17gj of its
@@ -353,9 +354,9 @@ def join(fields, buffer: bytearray) -> bytearray:
     holds one row per entry of the columns.
 
     The chunk's matrix is laid out at the start of `buffer`, which grows
-    when the chunk needs more and is zeroed for each chunk, so the chunks
-    of one file reuse its pages; what a shorter chunk leaves of it is NUL,
-    and dropped with the padding.
+    when the chunk needs more, so the chunks of one file reuse its pages.
+    Every cell of the matrix is written (_put), so only what a shorter
+    chunk leaves of the buffer is zeroed, and dropped with the padding.
     """
     fields = [f.encode() if isinstance(f, str) else np.asarray(f) for f in fields]
     rows = len(next(f for f in fields if not isinstance(f, bytes)))
@@ -366,7 +367,7 @@ def join(fields, buffer: bytearray) -> bytearray:
         # as large, which shows in the peak RSS
         buffer.__init__(size)
     cells = np.frombuffer(buffer, np.uint8)
-    cells[:] = _NUL
+    cells[size:] = _NUL
     matrix = cells[:size].reshape(rows, sum(widths))
     start = 0
     for f, width in zip(fields, widths):

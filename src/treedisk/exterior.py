@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circle import BLOCK_MODES, MultiscaleDecomposition, alias_fold, mode_blocks
+from .circle import MultiscaleDecomposition, alias_fold, mode_blocks
 from .dtn import check_dense
 from .errors import AssemblyTooLarge, CutoffTooSmall, NonPositiveParameter, ScaleEqualsRadius
 
@@ -51,6 +51,7 @@ _QUADRATURE_NODES = 2048
 # ExteriorField.eval takes at most this many points with one block of
 # modes, so its (points x modes) arrays hold at most 4 MiB each
 _EVAL_POINTS = 64
+_UNDERFLOW = 746.0  # exp(x) is exactly 0 in float64 below x = -745.13
 
 
 @dataclass(frozen=True)
@@ -229,24 +230,6 @@ def _source_integral(source: RadialSource, k: int, expo: float, upper: float,
     return complex(half * (_GL64[1] @ vals))
 
 
-def _support(data) -> int:
-    """The largest |k| with a nonzero mode in data (M and block(lo, hi)), 0
-    when there is none.
-
-    Bands of BLOCK_MODES modes on each side are scanned from the outside
-    in, then the modes |k| <= BLOCK_MODES that remain as one block.
-    """
-    top = data.M
-    while top > BLOCK_MODES:
-        lo = top - BLOCK_MODES + 1
-        pos = np.flatnonzero(data.block(lo, top + 1))
-        neg = np.flatnonzero(data.block(-top, 1 - lo))
-        if pos.size or neg.size:
-            return int(max(lo + pos[-1] if pos.size else 0, top - neg[0] if neg.size else 0))
-        top = lo - 1
-    return int(np.abs(np.flatnonzero(data.block(-top, top + 1)) - top).max(initial=0))
-
-
 @dataclass
 class ExteriorField:
     """Per-mode exterior solution a_k (R/r)^{|k|} + b_k (r/R)^{|k|} + particular part.
@@ -303,24 +286,34 @@ class ExteriorField:
 
         The modes are summed one block of mode_blocks at a time, as a
         (points x modes) product of a_k (R/r)^|k| e^{ik theta} (one complex
-        exp per entry), for at most _EVAL_POINTS points at once.  The growing part b_k (r/R)^|k|, and
-        b_0 log r at k = 0, is formed only where b_k != 0: the power
-        overflows far from R at a large |k|, and 0 * inf is NaN.  Each
-        source mode then adds its particular part point by point.
+        exp per entry), for chunks of at most _EVAL_POINTS points in the
+        order of r.  Past |k| log(r/R) >= _UNDERFLOW at a chunk's nearest
+        point its terms are exact zeros, so those blocks are skipped (and not
+        formed if no chunk reaches them) with the same bits.  The growing
+        part b_k (r/R)^|k|, and b_0 log r at k = 0, is formed only where b_k
+        != 0: the power overflows far from R at a large |k|, and 0 * inf is
+        NaN.  Each source mode then adds its particular part point by point.
         """
         r, theta = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(theta, dtype=float))
         shape, r, theta = r.shape, r.ravel(), theta.ravel()
         if np.any(r < self.R):
             raise ValueError("exterior field evaluated inside the disk")
+        order = np.argsort(r, kind="stable")
+        r, theta = r[order], theta[order]
+        near = np.log(r[::_EVAL_POINTS] / self.R)
         out = np.zeros(r.size, dtype=complex)
         for lo, hi in mode_blocks(self.M, 1):
+            reached = max(lo, 1 - hi, 0) * near < _UNDERFLOW
+            if not reached.any() and not any(lo <= k < hi for k in self.fixed):
+                continue
             a, b = self.block(lo, hi)
             ks = np.arange(lo, hi)
-            for i in range(0, r.size, _EVAL_POINTS):
+            for c, i in enumerate(range(0, r.size, _EVAL_POINTS)):
                 pts = slice(i, i + _EVAL_POINTS)
-                # (R/r)^|k| e^{ik theta} as one complex exponential
-                decay = np.multiply.outer(np.log(self.R / r[pts]), np.abs(ks))
-                out[pts] += np.exp(decay + 1j * np.multiply.outer(theta[pts], ks)) @ a
+                if reached[c]:
+                    # (R/r)^|k| e^{ik theta} as one complex exponential
+                    decay = np.multiply.outer(np.log(self.R / r[pts]), np.abs(ks))
+                    out[pts] += np.exp(decay + 1j * np.multiply.outer(theta[pts], ks)) @ a
                 for j in np.flatnonzero(b):
                     grow = np.log(r[pts]) if ks[j] == 0 else (r[pts] / self.R) ** abs(ks[j])
                     out[pts] += b[j] * grow * np.exp(1j * ks[j] * theta[pts])
@@ -338,7 +331,7 @@ class ExteriorField:
                     ip = _source_integral(self.source, k, 1.0 + ak, ri)
                     part[i] = (ri**ak * im - ri**(-ak) * ip) / (2.0 * ak)
             out += part * np.exp(1j * k * theta)
-        return out.reshape(shape)
+        return out[np.argsort(order)].reshape(shape)
 
     def trace0_of(self, lo: int, a, b) -> np.ndarray:
         """The Dirichlet trace's modes from lo on, from their (a, b) (block):
@@ -370,8 +363,9 @@ def solve_exterior_dirichlet(g, source: RadialSource | None,
     log r at k = 0, adjusting the free constant).  Modes without a source
     term are a_k = g_k, b_k = 0 (b_0 cancels only a source's log growth),
     and are formed from g a block at a time when asked (ExteriorField); the
-    source modes take the formulas below one by one.  g is a FourierFn,
-    modes with R, M and block(lo, hi) (circle.CellModes, say), or None.
+    source modes take the formulas below one by one.  g is None or modes
+    with R, M, block(lo, hi) and support() (a FourierFn or circle.CellModes),
+    which gives M with the source modes.
     The radius R is g's, or the source's without g; given both, the source
     annulus must start at g's radius.  b_k does not depend on g: lift, a
     solution for the same source (the one with g = None, say), hands over
@@ -386,7 +380,7 @@ def solve_exterior_dirichlet(g, source: RadialSource | None,
     ks = source.modes() if source is not None else []
     M = max((abs(k) for k in ks), default=0)
     if g is not None:
-        M = max(M, _support(g))
+        M = max(M, g.support())
     if lift is not None and source is not None and lift.source is not source:
         raise ValueError("the lift solves another source")
     fixed = {}

@@ -17,7 +17,7 @@ from treedisk.calculus import (
     _same_tree,
     solve_poisson_zero_trace,
 )
-from treedisk.circle import CellModes, FourierFn, PiecewiseConstantFn, cell_averages
+from treedisk.circle import BLOCK_MODES, CellModes, FourierFn, PiecewiseConstantFn, cell_averages
 from treedisk.errors import DepthMismatch
 from treedisk.exterior import _source_integral
 from treedisk.tree import FiniteTree, _child_sums, check_tree_budget
@@ -311,3 +311,19 @@ def green_by_sweep(op, k: int) -> np.ndarray:
         u += collected.pop()
         u /= pivot[n][:, None]
     return u
+
+
+def support_by_scan(data) -> int:
+    """The largest |k| with a nonzero mode in data (M and block(lo, hi)), 0
+    when there is none: bands of BLOCK_MODES modes on each side, scanned
+    from the outside in, then the modes |k| <= BLOCK_MODES that remain as
+    one block."""
+    top = data.M
+    while top > BLOCK_MODES:
+        lo = top - BLOCK_MODES + 1
+        pos = np.flatnonzero(data.block(lo, top + 1))
+        neg = np.flatnonzero(data.block(-top, 1 - lo))
+        if pos.size or neg.size:
+            return int(max(lo + pos[-1] if pos.size else 0, top - neg[0] if neg.size else 0))
+        top = lo - 1
+    return int(np.abs(np.flatnonzero(data.block(-top, top + 1)) - top).max(initial=0))

@@ -139,6 +139,59 @@ def test_signed_reals_match_percent_with_plus():
     assert bytes(out[out != 0]) == _oracle(x.tolist(), "%+.17g").replace(b"\n", b"")
 
 
+def _plus_text(x) -> bytes:
+    """What the kernel writes for '%+.17g', one value per line."""
+    out = np.zeros((x.size, csvtext._FLOAT_WIDTH + 1), np.uint8)
+    csvtext._put_reals(out, x, plus=True)
+    out[:, -1] = ord("\n")
+    return bytes(out[out != 0])
+
+
+def test_every_fixed_exponent_mixed_with_the_exponential_form_matches_percent():
+    # X from -5 (exponential) to 17 (exponential again), the fixed form
+    # between; in one column, and 1 <= X <= 16 puts the point after digit X
+    rng = np.random.default_rng(25)
+    mantissas = np.concatenate([rng.uniform(1.0, 10.0, 40), [1.0, 1.5, 9.999, 1.0000000000000002,
+                                                             3.0000000000000004, 7.25]])
+    x = np.concatenate([m * 10.0 ** np.arange(-5, 18) for m in mantissas]
+                       + [[1e-300, 2.5e20, 0.0, 6.02e23, 1e-7]])
+    rng.shuffle(x)
+    for column in (x, -x, x * rng.choice([-1.0, 1.0], x.size)):
+        assert _text(column) == _oracle(column.tolist())
+        assert _plus_text(column) == _oracle(column.tolist(), "%+.17g")
+
+
+def test_integer_parts_with_zeros_match_percent():
+    # the fixed form shows every digit up to the point, zeros included, and
+    # the point only if a nonzero digit follows it
+    x = np.array([10.0, 100.5, 1e15, 2.0**53, 1000.0, 1e16, 100.0, 10.000000000000002, 101.0,
+                  100000.00100000001, 20.5, 9007199254740993.0, 99999999999999984.0, 1e16 + 2,
+                  1234000000000000.0, 120.00000000000001])
+    for column in (x, -x):
+        assert _text(column) == _oracle(column.tolist())
+        assert _plus_text(column) == _oracle(column.tolist(), "%+.17g")
+
+
+def test_fixed_values_without_a_fraction_write_no_point():
+    x = np.concatenate([[12345.0, 9999999999999998.0, 123.0, 10.0, 4.0, 1e16, 7e15, 99.0],
+                        np.arange(1, 2000) * 13.0])
+    text = _text(x)
+    assert text == _oracle(x.tolist()) and b"." not in text
+    assert _plus_text(-x) == _oracle((-x).tolist(), "%+.17g")
+
+
+def test_a_column_without_integer_parts_skips_the_fixed_pass():
+    # no value has 10 <= |v| < 1e17, so no row takes the fixed-form pass
+    rng = np.random.default_rng(26)
+    x = np.concatenate([rng.uniform(-9.9, 9.9, 500), 10.0 ** rng.uniform(-20, 1, 500),
+                        10.0 ** rng.uniform(17, 300, 500), [0.0, -0.0, 1.0, 9.5, 1e17]])
+    whole = csvtext._tables().whole
+    assert not whole[csvtext._decimal(x)[1]].any()
+    assert whole[csvtext._decimal(np.array([10.0, 9.99]))[1]].tolist() == [1, 0]
+    assert _text(x) == _oracle(x.tolist())
+    assert _plus_text(x) == _oracle(x.tolist(), "%+.17g")
+
+
 def test_complex_values_match_percent():
     nan, inf = float("nan"), float("inf")
     z = np.array([1 + 0j, complex(-2.0, -0.0), complex(0.0, nan), complex(-0.0, 0.0),

@@ -8,8 +8,10 @@ import scipy.linalg
 from oracles import eval_mode, ks, mode, padded, trace0, trace1, whole
 from treedisk.circle import CellModes, FourierFn, MultiscaleDecomposition, PiecewiseConstantFn, mode_blocks
 from treedisk.errors import CutoffTooSmall, ScaleEqualsRadius
+from treedisk import exterior
 from treedisk.exterior import (
     MODE_OVERSAMPLING,
+    ExteriorField,
     RadialSource,
     _source_integral,
     bie_dtn_crosscheck,
@@ -266,6 +268,62 @@ def test_eval_is_the_sum_of_every_mode(radius, with_source):
     assert np.abs(grid.ravel() - expected).max() <= 1e-13 * np.abs(expected).max()
     one = u.eval(r[1, 3], theta[3])
     assert one.shape == () and one == pytest.approx(grid[1, 3], rel=1e-14)
+
+
+def _bits(values) -> bytes:
+    return np.ascontiguousarray(values).view(np.uint64).tobytes()
+
+
+def test_eval_skips_the_blocks_past_the_underflow_with_the_same_bits(monkeypatch):
+    # modes to |k| = 16383 are eight blocks; past |k| log(r/R) >= 746 every
+    # term is an exact zero, so eval skips those blocks of a chunk of points,
+    # and forms no block that no chunk reaches.  The sum over every block
+    # (no cut-off) is the oracle, bit for bit, in the caller's order, on
+    # points that include r = R, where nothing decays
+    rng = np.random.default_rng(8)
+    cells = PiecewiseConstantFn(MultiscaleDecomposition(R=1.3, p=2, n_max=10), 10,
+                                rng.standard_normal(1024) + 1j * rng.standard_normal(1024))
+    src = RadialSource(1.3, 2.0, [(k, {0: 0.4 - 0.2j, -1: 1.1}) for k in (-3, 0, 2)])
+    u = solve_exterior_dirichlet(CellModes(cells, 16 * 2**10), src)
+    assert len(list(mode_blocks(u.M, 1))) == 8
+    r = 1.3 * np.concatenate([np.ones(7), rng.uniform(1.0, 3.0, 250), [3.0] * 3])
+    theta = rng.uniform(0.0, 2 * np.pi, r.size)
+    far = np.full(64, 3.9)
+    with monkeypatch.context() as patch:
+        patch.setattr(exterior, "_UNDERFLOW", np.inf)
+        full, full_far = u.eval(r, theta), u.eval(far, theta[:64])
+    assert _bits(u.eval(r, theta)) == _bits(full)
+    assert _bits(u.eval(r[::-1], theta[::-1])) == _bits(full[::-1])
+
+    formed = []
+    block = ExteriorField.block
+    monkeypatch.setattr(ExteriorField, "block", lambda self, lo, hi: formed.append(lo) or block(self, lo, hi))
+    # at r = 3 R only the blocks with a |k| below 746 / log 3 are formed:
+    # the two next to k = 0; at r = R every block is
+    assert _bits(u.eval(far, theta[:64])) == _bits(full_far)
+    assert sorted(formed) == [-4095, 1]
+    formed.clear()
+    u.eval(np.full(64, 1.3), theta[:64])
+    assert len(formed) == 8
+
+
+def test_eval_cut_off_keeps_a_huge_mode_until_its_terms_are_zero(monkeypatch):
+    # modes to |k| = 3192 are two blocks, the second from k = 904 on; a
+    # mode 904 of size 1e308 adds 1e308 exp(-904 log r) while that is not 0,
+    # up to about 5e-16 at 904 log r = 745.05, so the cut-off must wait for
+    # the exponential's exact zero below -745.13
+    coeffs = np.zeros(2 * 3192 + 1, dtype=complex)
+    coeffs[3192 + np.array([-3192, -1, 1, 3192])] = 1.0
+    coeffs[3192 + 904] = 1e308
+    u = solve_exterior_dirichlet(FourierFn(1.0, coeffs), None)
+    assert [lo for lo, _ in mode_blocks(u.M, 1)] == [-3192, 904]
+    theta = np.array([0.2, 2.5])
+    for exponent in (700.0, 720.0, 744.9, 745.05, 745.3, 746.5, 760.0):
+        r = np.exp(exponent / 904) * np.ones(2)
+        with monkeypatch.context() as patch:
+            patch.setattr(exterior, "_UNDERFLOW", np.inf)
+            full = u.eval(r, theta)
+        assert _bits(u.eval(r, theta)) == _bits(full), exponent
 
 
 def test_eval_is_finite_where_the_growing_power_overflows():
