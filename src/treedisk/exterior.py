@@ -304,19 +304,18 @@ class ExteriorField:
         out = np.zeros(r.size, dtype=complex)
         for lo, hi in mode_blocks(self.M, 1):
             reached = max(lo, 1 - hi, 0) * near < _UNDERFLOW
-            if not reached.any() and not any(lo <= k < hi for k in self.fixed):
-                continue
-            a, b = self.block(lo, hi)
-            ks = np.arange(lo, hi)
-            for c, i in enumerate(range(0, r.size, _EVAL_POINTS)):
-                pts = slice(i, i + _EVAL_POINTS)
-                if reached[c]:
-                    # (R/r)^|k| e^{ik theta} as one complex exponential
-                    decay = np.multiply.outer(np.log(self.R / r[pts]), np.abs(ks))
-                    out[pts] += np.exp(decay + 1j * np.multiply.outer(theta[pts], ks)) @ a
-                for j in np.flatnonzero(b):
-                    grow = np.log(r[pts]) if ks[j] == 0 else (r[pts] / self.R) ** abs(ks[j])
-                    out[pts] += b[j] * grow * np.exp(1j * ks[j] * theta[pts])
+            if reached.any() or any(lo <= k < hi for k in self.fixed):
+                a, b = self.block(lo, hi)
+                ks = np.arange(lo, hi)
+                for c, i in enumerate(range(0, r.size, _EVAL_POINTS)):
+                    pts = slice(i, i + _EVAL_POINTS)
+                    if reached[c]:
+                        # (R/r)^|k| e^{ik theta} as one complex exponential
+                        decay = np.multiply.outer(np.log(self.R / r[pts]), np.abs(ks))
+                        out[pts] += np.exp(decay + 1j * np.multiply.outer(theta[pts], ks)) @ a
+                    for j in np.flatnonzero(b):
+                        grow = np.log(r[pts]) if ks[j] == 0 else (r[pts] / self.R) ** abs(ks[j])
+                        out[pts] += b[j] * grow * np.exp(1j * ks[j] * theta[pts])
         for k in self.source.modes() if self.source is not None else ():
             ak = abs(k)
             part = np.zeros(r.size, dtype=complex)

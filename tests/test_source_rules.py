@@ -449,9 +449,6 @@ NOT_RUN_ARMS = {
         "values left to %: ties within 2^-40, NaN, infinity and |X| > 280 (test_csvtext)",
     ("exterior.py", "_source_integral", "vals = vals * np.log(s)"):
         "with_log, which only ExteriorField.eval of a mode-0 source sets (NOT_VARIED)",
-    ("exterior.py", "ExteriorField.eval", "continue"):
-        "a block of modes that no evaluated point reaches: the user paths evaluate fields whose "
-        "modes are one block (demos 03 and 04; test_exterior skips blocks)",
     ("exterior.py", "ExteriorField.eval", "ia = _source_integral(self.source, k, 1.0, ri)"):
         "the particular part of a mode-0 source, which no user path evaluates",
     ("transmission.py", "_givens", "return 1.0, 0.0, a"):
