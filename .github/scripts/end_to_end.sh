@@ -43,6 +43,24 @@ if {n for n, _ in edges} != set(range(10)) or any(count != 3**n for (n, _), coun
     sys.exit("the edges column of tree.csv does not count 3^n edges per generation and coefficient")
 EOF
 
+# exterior.csv lists the modes of the assembly cutoff 16 p^N in order: its
+# 2 * 16 p^N + 1 rows run from k = -16 p^N to 16 p^N, and the two end modes,
+# aliased zeros, read 0,0 (seed 41 at p = 2, N = 10; the complex p = 3, N = 4)
+python - "$tmp/seed41_exterior.csv" 2 10 "$tmp/p3_complex_exterior.csv" 3 4 <<'EOF'
+import sys
+args = sys.argv[1:]
+for path, p, N in zip(args[::3], args[1::3], args[2::3]):
+    top = 16 * int(p) ** int(N)
+    with open(path, encoding="ascii") as f:
+        header, *rows = f.read().splitlines()
+    ks = [int(row.split(",", 1)[0]) for row in rows]
+    print("%s: %d rows, k from %d to %d" % (path.rsplit("/", 1)[-1], len(rows), ks[0], ks[-1]))
+    if len(rows) != 2 * top + 1 or ks != list(range(-top, top + 1)):
+        sys.exit("%s does not list the modes -%d..%d in order" % (path, top, top))
+    if [row.split(",", 1)[1] for row in (rows[0], rows[-1])] != ["0,0", "0,0"]:
+        sys.exit("%s: the end modes -%d and %d do not read 0,0" % (path, top, top))
+EOF
+
 # a source tree of depth 30 at N = 3: its 2^31 leaf edges are written as
 # 8 stored rows of 2^28 edges each
 printf '%s\n' "tree.p = 2" "tree.ell = 0.5" "tree.omega = 0.4" "interface.N = 3" \

@@ -41,7 +41,7 @@ def main():
     print("  exterior potential at theta = 0, r = 1, 1.5, 2, 3 (source in 1 < r < 2): %s"
           % ", ".join("%.4f" % v for v in sol.u_ext.eval(radii, 0.0).real))
     mode1 = sol.u_ext.trace0_block(1, 2)[0]
-    print("  exterior trace: modes |k| <= %d, mode 1 = %.4f%+.4fj (g's, at 16 p^N modes)"
+    print("  exterior trace: modes |k| <= %d (16 p^N), mode 1 = %.4f%+.4fj (g's)"
           % (sol.u_ext.M, mode1.real, mode1.imag))
 
     const = solve_transmission(TransmissionConfig(params=REF, level=4, alpha1=1.0,

@@ -30,14 +30,17 @@ a symbol fold with sinc^2 (alias_fold).
 
 Mode space is visited a block at a time (mode_blocks: whole alias rows,
 at least BLOCK_MODES modes per block), with 1/k formed per block.  A fold
-(Fold) takes the modes in the order of k, a block at a time, and adds the
-rows in order, each to the running sum, as one sum over every row would,
-so its bits do not depend on the blocks.  The modes come from functions
-block(lo, hi) of the modes lo..hi-1: FourierFn (from its centred values),
-exterior.ExteriorSymbol (from its closed form in |k|), CellModes (the
-modes of cell values at a cutoff, formed per block from one fft) and
-ModeDifference give them, so no fold, norm or transform from cells to
-modes holds an array over all 2M + 1 modes.
+(Fold) takes the modes in the order of k, a block of whole rows at a
+time, and adds the rows in order, each to the running sum, as one sum
+over every row would, so its bits do not depend on the blocks.  The
+modes come from objects with a cutoff M and a function block(lo, hi) of
+the modes lo..hi-1, zero beyond M: FourierFn (from its centred values),
+exterior.ExteriorSymbol (from its closed form in |k|) and CellModes (the
+modes of cell values at a cutoff, formed per block from one fft) give
+them, so no fold, norm or transform from cells to modes holds an array
+over all 2M + 1 modes.  Modes combined from several objects run to the
+largest of their cutoffs (the exterior field's to its data's, or to a
+source mode further out), where the others' modes are zero.
 
 The norms take modes and never materialize fine levels: the Fourier H^s
 norms (sobolev_norms) sum over one block at a time, and ||P_n g||^2 =
@@ -108,10 +111,6 @@ class FourierFn:
         """The coefficients of the modes lo..hi-1, zero beyond M."""
         return centred_block(self.coeffs, lo, hi)
 
-    def support(self) -> int:
-        """The largest |k| with a nonzero coefficient, 0 when there is none."""
-        return int(np.abs(np.flatnonzero(self.coeffs) - self.M).max(initial=0))
-
     @classmethod
     def from_modes(cls, R, modes: dict) -> "FourierFn":
         """The series of the modes {k: c_k}, cut at the largest |k|."""
@@ -180,50 +179,44 @@ def _sine(r, pn: int) -> np.ndarray:
 
 class Fold:
     """The alias fold of the centred modes -M..M (module docstring), taken
-    in the order of k, any number of modes at a time.
+    in the order of k, a block of whole rows at a time.
 
     add(x) takes the next x.size modes, whose reciprocals 1/k it forms, and
-    adds the finished rows (w = min(pn, 2M + 1) modes each) to the running
-    sum S in order: S is added to the first of them and the rows are summed,
-    and numpy sums the rows of a 2-D array one after the other, so S has the
+    adds their rows (w = min(pn, 2M + 1) modes each) to the running sum S
+    in order: S is added to the first of them and the rows are summed, and
+    numpy sums the rows of a 2-D array one after the other, so S has the
     bits of one sum over every row, which the rows' own sum added to S
-    would not.  A row left unfinished waits for the next add.  Rows of one
-    mode (pn = 1) are summed pairwise instead, so there the bits are those
-    of one sum when all the modes come in one add, as mode_blocks gives up
-    to BLOCK_MODES modes.
+    would not.  Every add but the last is whole rows, as mode_blocks gives
+    them; the last row may be unfinished, and is padded with zeros, so an
+    add after it raises ValueError.  Rows of one mode (pn = 1) are summed
+    pairwise instead, so there the bits are those of one sum when all the
+    modes come in one add, as mode_blocks gives up to BLOCK_MODES modes.
     """
 
     def __init__(self, M: int, pn: int, power: int = 1):
         self.r, self.sine = _alias_classes(M, pn)
         self.M, self.pn, self.power = M, pn, power
         self.next = -M
-        self.rest = None
         self.S = None
 
     def add(self, x) -> None:
-        lo = self.next
+        lo, width = self.next, self.r.size
+        if (lo + self.M) % width:
+            raise ValueError("modes from %d follow an unfinished row of %d modes" % (lo, width))
         self.next = lo + x.size
         if lo <= 0 < self.next:
             self.x0 = x[-lo]
         v = x * _reciprocals(lo, self.next) ** self.power
-        self._add_rows(v if self.rest is None else np.concatenate((self.rest, v)))
-
-    def _add_rows(self, v) -> None:
-        n = v.size - v.size % self.r.size
-        self.rest = v[n:] if n < v.size else None
-        if n:
-            rows = v[:n].reshape(-1, self.r.size)
-            if self.S is not None:
-                rows[0] += self.S
-            self.S = rows.sum(axis=0)
+        if v.size % width:
+            v = np.concatenate((v, np.zeros(width - v.size % width, dtype=v.dtype)))
+        rows = v.reshape(-1, width)
+        if self.S is not None:
+            rows[0] += self.S
+        self.S = rows.sum(axis=0)
 
     def classes(self):
         """(r, S) once every mode is added: S[j] sums x_k ((-1)^a sinc(k /
         pn))^power over the modes of class r[j]."""
-        if self.rest is not None:
-            # the last row, padded with zeros
-            pad = np.zeros(self.r.size - self.rest.size, dtype=self.rest.dtype)
-            self._add_rows(np.concatenate((self.rest, pad)))
         S = self.S * self.sine**self.power
         S[self.M % self.r.size] += self.x0
         return self.r, S
@@ -292,46 +285,6 @@ class CellModes:
         modes[: max(-self.M - lo, 0)] = 0
         modes[max(self.M + 1 - lo, 0) :] = 0
         return modes
-
-    def support(self) -> int:
-        """The largest |k| with a nonzero mode (block), 0 when there is none.
-
-        Mode k != 0 of class r is base_r / k (nonzero forms it as block
-        does), which does not grow with |k|: a class's nonzero modes on
-        either side run from its mode nearest 0 (first) to its mode nearest
-        the cutoff (last), unless base_r / k underflows to 0 before, when a
-        bisection over the class's modes, pn apart, finds the last nonzero.
-        """
-        pn, M = self.base.size, self.M
-
-        def nonzero(k):
-            return self.base[k % pn] * (1.0 / k) != 0
-
-        first = np.arange(1, min(pn, M) + 1)
-        last = M - (M - first) % pn
-        lo, hi = np.concatenate((first, -first)), np.concatenate((last, -last))
-        at_last = nonzero(hi)
-        if at_last.any():
-            return int(np.abs(hi[at_last]).max())
-        alive = nonzero(lo)
-        for _ in range((M // pn).bit_length()):
-            mid = lo + (hi - lo) // (2 * pn) * pn
-            ok = nonzero(mid)
-            lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
-        return int(np.abs(lo[alive]).max(initial=0))
-
-
-class ModeDifference:
-    """The modes of a - b, two modes objects (R, M and block(lo, hi)) on one
-    circle, formed a block at a time."""
-
-    def __init__(self, a, b):
-        self.a, self.b = a, b
-        self.R, self.M = a.R, max(a.M, b.M)
-
-    def block(self, lo: int, hi: int) -> np.ndarray:
-        """The modes lo..hi-1, zero beyond M, as a new array."""
-        return self.a.block(lo, hi) - self.b.block(lo, hi)
 
 
 def cell_averages(decomp: MultiscaleDecomposition, g, n: int) -> np.ndarray:
@@ -412,9 +365,8 @@ def sobolev_norms(g, *orders) -> list:
     """Fourier H^s norms (2 pi R sum_k (1+k^2)^s |g_k|^2)^{1/2}, |s| <= 1, of
     the modes g, one for each s of orders (s = 0 is the L^2 norm).
 
-    g has R, M and block(lo, hi) (a FourierFn, CellModes or ModeDifference),
-    and the sums are taken one block of mode_blocks at a time, all orders
-    in one pass.
+    g has R, M and block(lo, hi) (a FourierFn or CellModes), and the sums
+    are taken one block of mode_blocks at a time, all orders in one pass.
     """
     if any(abs(s) > 1 for s in orders):
         raise ValueError("|s| <= 1 expected, got %r" % (orders,))

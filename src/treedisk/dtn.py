@@ -14,7 +14,7 @@ the weighted graph Laplacian (conductances omega_e / ell_e, root clamped):
 
 It is assembled by eliminating the interior vertices from the leaves to the
 root (tree.FiniteTree.elimination).  Eliminating X_{n,k} subtracts one
-rank-one term beta beta^T / pivot, where beta, supported on the leaves
+rank-one term beta beta^T / pivot, where beta, nonzero on the leaves only
 below X_{n,k}, holds the leaf conductances scaled by c / pivot once per
 generation on the way up; so generation n adds p^n diagonal blocks of size
 p^{depth-n} to A = diag(leaf conductances) - sum beta beta^T / pivot.

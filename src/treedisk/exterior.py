@@ -10,7 +10,7 @@ independent ways: against direct quadrature of the log kernel (with a
 singularity-graded Gauss rule, since the kernel is only weakly singular)
 and against the boundary-equation identity linking S, T and the DtN map.
 
-Source terms are radial Laurent-polynomial profiles supported in an
+Source terms are radial Laurent-polynomial profiles that live in an
 annulus [R, r_max]; the exterior Dirichlet problem Delta u = f is solved
 per mode by variation of parameters around the homogeneous pair
 (r^{|k|}, r^{-|k|}), or (1, log r) for the mean mode, in the bounded
@@ -179,7 +179,7 @@ class RadialSource:
     """Volume source f(r, theta) = sum_k f_k(r) e^{ik theta} in an annulus.
 
     Each profile f_k is a Laurent polynomial in r (dict power -> coeff, or
-    an ascending coefficient array), supported on [R, r_max] and zero
+    an ascending coefficient array), taken on [R, r_max] and zero
     outside.  Real sources satisfy f_{-k} = conj(f_k).  A mode beyond
     MODE_BUDGET raises AssemblyTooLarge, since the exterior solve visits
     every mode up to it.
@@ -234,13 +234,13 @@ def _source_integral(source: RadialSource, k: int, expo: float, upper: float,
 class ExteriorField:
     """Per-mode exterior solution a_k (R/r)^{|k|} + b_k (r/R)^{|k|} + particular part.
 
-    The modes run over |k| <= M, where M is the largest |k| that is a
-    source mode or carries nonzero data.  Mode 0 carries a constant a_0 and
-    a coefficient b_0 of log r, which cancels the log growth of the
-    source's mean.  Normalizing the powers at R keeps every coefficient of
-    the order of the data, whatever R and |k|.  The particular part
-    vanishes along with its derivative at r = R, so traces at the boundary
-    involve only (a, b).
+    The modes run over |k| <= M, the data's cutoff data.M, or the largest
+    |k| of a source mode where that is further out.  Mode 0 carries a
+    constant a_0 and a coefficient b_0 of log r, which cancels the log
+    growth of the source's mean.  Normalizing the powers at R keeps every
+    coefficient of the order of the data, whatever R and |k|.  The
+    particular part vanishes along with its derivative at r = R, so traces
+    at the boundary involve only (a, b).
 
     The field holds R, the source, the Dirichlet data and the few modes
     the solve sets apart: data gives the data's modes g_k a block at a time
@@ -260,7 +260,7 @@ class ExteriorField:
     source: RadialSource | None = None
 
     def block(self, lo: int, hi: int, data=None):
-        """(a, b) over the modes lo..hi-1, zero beyond M.
+        """(a, b) over the modes lo..hi-1, zero beyond M (M >= data.M).
 
         data, the data's modes lo..hi-1 when the caller has formed them
         already, is written into and returned as a; otherwise the data
@@ -270,8 +270,6 @@ class ExteriorField:
             a = np.zeros(hi - lo, dtype=complex)
         else:
             a = np.asarray(self.data.block(lo, hi) if data is None else data, dtype=complex)
-            a[: max(-self.M - lo, 0)] = 0
-            a[max(self.M + 1 - lo, 0) :] = 0
         b = np.zeros_like(a)
         for k, b_k in self.fixed.items():
             if lo <= k < hi:
@@ -363,8 +361,11 @@ def solve_exterior_dirichlet(g, source: RadialSource | None,
     term are a_k = g_k, b_k = 0 (b_0 cancels only a source's log growth),
     and are formed from g a block at a time when asked (ExteriorField); the
     source modes take the formulas below one by one.  g is None or modes
-    with R, M, block(lo, hi) and support() (a FourierFn or circle.CellModes),
-    which gives M with the source modes.
+    with R, M and block(lo, hi) (a FourierFn or circle.CellModes); the
+    field's cutoff is g's M, or the largest |k| of a source mode where that
+    is further out, so a solve's field (transmission.reconstruct) runs
+    over the assembly's 16 p^N modes, the aliased zeros k = +-16 p^N
+    included.
     The radius R is g's, or the source's without g; given both, the source
     annulus must start at g's radius.  b_k does not depend on g: lift, a
     solution for the same source (the one with g = None, say), hands over
@@ -377,9 +378,7 @@ def solve_exterior_dirichlet(g, source: RadialSource | None,
         raise ValueError("source annulus does not start at the boundary data's radius")
 
     ks = source.modes() if source is not None else []
-    M = max((abs(k) for k in ks), default=0)
-    if g is not None:
-        M = max(M, g.support())
+    M = max([abs(k) for k in ks] + [g.M if g is not None else 0])
     if lift is not None and source is not None and lift.source is not source:
         raise ValueError("the lift solves another source")
     fixed = {}

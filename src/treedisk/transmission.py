@@ -698,41 +698,41 @@ def reconstruct(system: InterfaceSystem, g: PiecewiseConstantFn,
     transmission conditions in the V_N pairing.  Interface traces match by
     construction: the leaf rows of the compressed source tree carry the
     cells of g, the exterior modes carry its Fourier coefficients at the
-    assembly cutoff, so the traces differ by rounding at the scale of g.  A
-    trace defect above 1e-10 2^e, e the exponent of max|g| (math.frexp, as
-    solve_interface scales h), or NaN, raises NumericalCheckFailed; the
-    defect is reported unscaled.  The exterior solve takes the source
-    modes' b_k from system.v_f, so no source integral is computed twice.
+    assembly cutoff m = 16 p^N, so the traces differ by rounding at the
+    scale of g.  A trace defect above 1e-10 2^e, e the exponent of max|g|
+    (math.frexp, as solve_interface scales h), or NaN, raises
+    NumericalCheckFailed; the defect is reported unscaled.  The exterior
+    solve takes the source modes' b_k from system.v_f, so no source
+    integral is computed twice.
 
-    No array over the 2 * 16 p^N + 1 exterior modes is held: g's modes
-    (circle.CellModes, one fft of g) and the field's traces are formed in
-    one pass, a block of circle.mode_blocks at a time; the trace defect is
-    a maximum over blocks, and the exterior cell fluxes and the alpha0 mass
-    are running folds (circle.Fold), which share one set of twiddles.  The
-    results are those of folding whole arrays, bit for bit.
+    The field's cutoff is m, or a source mode further out, beyond which
+    g's modes are zero.  No array over the field's 2M + 1 modes is held:
+    g's modes (circle.CellModes, one fft of g) and the field's traces are
+    formed in one pass, a block of circle.mode_blocks(M, p^N) at a time;
+    the trace defect is a maximum over blocks, and the exterior cell fluxes
+    and the alpha0 mass are running folds of every block (circle.Fold),
+    which share one set of twiddles.  The results are those of folding
+    whole arrays, bit for bit.
     """
     cfg = system.config
     pn = cfg.params.p**cfg.level
     decomp = g.decomp
     u_T, flux_u, flux_f = tree_side.u_rows, tree_side.flux_u, system.flux_f
 
-    m = MODE_OVERSAMPLING * pn
-    g_modes = circle.CellModes(g, m)
+    g_modes = circle.CellModes(g, MODE_OVERSAMPLING * pn)
     u_ext = solve_exterior_dirichlet(g_modes, cfg.exterior_source, lift=system.v_f)
 
-    # one pass over the modes, each block of g's modes formed once: the
-    # trace defect and the alpha0 mass (the fold of g's modes) over |k| <= m,
-    # the exterior flux (the fold of the conormal trace) over |k| <= u_ext.M
-    mass_fold, flux_fold = circle.Fold(m, pn), circle.Fold(u_ext.M, pn)
+    # one pass over the field's modes, each block of g's modes formed once:
+    # the trace defect, the alpha0 mass (the fold of g's modes) and the
+    # exterior flux (the fold of the conormal trace)
+    mass_fold, flux_fold = circle.Fold(u_ext.M, pn), circle.Fold(u_ext.M, pn)
     ext_trace = []
-    for lo, hi in circle.mode_blocks(max(m, u_ext.M), pn):
+    for lo, hi in circle.mode_blocks(u_ext.M, pn):
         g_k = g_modes.block(lo, hi)
         a, b = u_ext.block(lo, hi, g_k.copy())
-        inner = slice(max(-m - lo, 0), max(m + 1 - lo, 0))
-        if g_k[inner].size:
-            ext_trace.append(np.abs(u_ext.trace0_of(lo, a, b) - g_k)[inner].max())
-            mass_fold.add(g_k[inner])
-        flux_fold.add(u_ext.trace1_of(lo, a, b)[max(-u_ext.M - lo, 0) : max(u_ext.M + 1 - lo, 0)])
+        ext_trace.append(np.abs(u_ext.trace0_of(lo, a, b) - g_k).max())
+        mass_fold.add(g_k)
+        flux_fold.add(u_ext.trace1_of(lo, a, b))
 
     tree_trace = np.abs(u_T.leaf_values() - g.values).max()
     trace_defect = float(max(tree_trace, np.max(ext_trace)))
@@ -801,9 +801,10 @@ def convergence_study(cfg: TransmissionConfig, N_list, manufactured=None) -> Con
     level has one cell, raises InvalidInput.  The finest level's config is
     built first, so its tree budget is checked before any level is solved.
     Each level's modes at the cutoff m_ref = 16 p^N_max are formed from its
-    cells (circle.CellModes) and both norms of its difference from the
-    reference are summed one block at a time (circle.sobolev_norms), so no
-    array over the 2 m_ref + 1 modes is held and no mode budget applies.
+    cells (circle.CellModes), and one walk over the modes sums both norms
+    of every level's difference from the reference a block at a time, the
+    reference's block formed once, so no array over the 2 m_ref + 1 modes
+    is held and no mode budget applies.
     """
     levels = sorted(set(int(n) for n in N_list))
     needed = 2 if manufactured is not None else 3
@@ -848,12 +849,20 @@ def convergence_study(cfg: TransmissionConfig, N_list, manufactured=None) -> Con
         ref = modes[-1]
         fit_idx = list(range(len(levels) - 1))
 
-    err_l2, err_h12 = [], []
-    for c in modes:
-        # the finest level as reference differs from itself by exactly 0
-        l2, h12 = (0.0, 0.0) if c is ref else circle.sobolev_norms(circle.ModeDifference(c, ref), 0, 0.5)
-        err_l2.append(l2)
-        err_h12.append(h12)
+    # one walk over the modes, each block of the reference's modes formed
+    # once: every level's L^2 and H^{1/2} error and the reference's L^2
+    # norm, summed per block as circle.sobolev_norms sums them; the finest
+    # level as reference differs from itself by exactly 0
+    sums, ref_sq = np.zeros((len(modes), 2)), 0.0
+    for lo, hi in circle.mode_blocks(max(m_ref, ref.M), 1):
+        ref_k = ref.block(lo, hi)
+        h12 = (1 + np.arange(lo, hi, dtype=float) ** 2) ** 0.5
+        ref_sq += float((np.abs(ref_k) ** 2).sum())
+        for i, c in enumerate(modes):
+            if c is not ref:
+                sq = np.abs(c.block(lo, hi) - ref_k) ** 2
+                sums[i] += [float(sq.sum()), float((h12 * sq).sum())]
+    err_l2, err_h12 = ([math.sqrt(2 * math.pi * c.R * t) for c, t in zip(modes, col)] for col in sums.T)
     fit_levels = [levels[i] for i in fit_idx]
     fit_errs = [max(err_h12[i], 1e-300) for i in fit_idx]
     # the least-squares slope of the log errors over the levels, in centred
@@ -877,7 +886,7 @@ def convergence_study(cfg: TransmissionConfig, N_list, manufactured=None) -> Con
                                    "rho_hat %r" % (err_l2, err_h12, rho_hat))
     # the floor test reads the unfloored errors: a zero solution (every error
     # and the reference 0) sits at the floor, not above it
-    if max(err_h12[i] for i in fit_idx) > 1e-12 * circle.sobolev_norms(ref, 0)[0]:
+    if max(err_h12[i] for i in fit_idx) > 1e-12 * math.sqrt(2 * math.pi * ref.R * ref_sq):
         tol = 1e-12 * max(fit_errs)
         if any(e2 > e1 + tol for e1, e2 in zip(fit_errs, fit_errs[1:])):
             raise NumericalCheckFailed(

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import cells_l2_norm, difference, ks, mode, project_PN, sobolev_norm, support_by_scan, to_fourier
+from oracles import cells_l2_norm, ks, mode, project_PN, sobolev_norm, to_fourier
 from treedisk import circle as ci
 from treedisk.errors import ExponentOrderViolated
 
@@ -184,9 +184,8 @@ def test_sobolev_norm_and_duality():
 
 @pytest.mark.parametrize("p,n", [(2, 9), (3, 5)])
 def test_sobolev_norms_match_the_whole_array_oracle(p, n):
-    # the norms of cell modes, of a FourierFn and of their difference, summed
-    # a block at a time over several blocks, against one sum over each whole
-    # array of modes
+    # the norms of cell modes and of a FourierFn, summed a block at a time
+    # over several blocks, against one sum over each whole array of modes
     rng = np.random.default_rng(p)
     dec = ci.MultiscaleDecomposition(R=1.3, p=p, n_max=n)
     cells = ci.PiecewiseConstantFn(dec, n, rng.standard_normal(p**n) + 1j * rng.standard_normal(p**n))
@@ -195,8 +194,7 @@ def test_sobolev_norms_match_the_whole_array_oracle(p, n):
     whole = to_fourier(cells, M)
     assert len(list(ci.mode_blocks(M, 1))) > 1
     orders = (0, 0.5, -0.5, 1)
-    for modes, oracle in [(ci.CellModes(cells, M), whole), (fourier, fourier),
-                          (ci.ModeDifference(ci.CellModes(cells, M), fourier), difference(whole, fourier))]:
+    for modes, oracle in [(ci.CellModes(cells, M), whole), (fourier, fourier)]:
         got = ci.sobolev_norms(modes, *orders)
         assert got == pytest.approx([sobolev_norm(oracle, s) for s in orders], rel=1e-13, abs=0)
 
@@ -206,9 +204,9 @@ def test_alias_classes_derive_from_a_larger_cutoff(p, N):
     # the classes of a cutoff M are those of a larger cutoff M0 on the same
     # cells shifted by M0 - M (columns rotated) when their rows are as wide;
     # a cutoff with narrower rows has the rows r = (j - M) mod pn of its own
-    # width.  Each fold builds them afresh, so the folds of reconstruct at
-    # 16 p^N and 16 p^N - 1 agree on the classes they share.  The blocks of
-    # a fold are whole rows covering -M..M, and their reciprocals are 1/k
+    # width.  Each fold builds them afresh, so folds of the same modes at
+    # two cutoffs agree on the classes they share.  The blocks of a fold
+    # are whole rows covering -M..M, and their reciprocals are 1/k
     pn = p**N
     r0, sine0 = ci._alias_classes(16 * pn, pn)
     for M in (16 * pn, 16 * pn - 1, 16 * pn - 5, pn + 3, 2, 0):
@@ -232,62 +230,23 @@ def test_alias_classes_derive_from_a_larger_cutoff(p, N):
         assert inv.tobytes() == (1.0 / ks).tobytes(), M
 
 
-@pytest.mark.parametrize("p", [2, 3])
-def test_cell_modes_support_matches_the_band_scan(p):
-    # CellModes reads its largest nonzero |k| from its base values (one per
-    # alias class) and the scan over every mode is the oracle; the cutoffs
-    # run from below one row of p^N modes to past BLOCK_MODES, and half of
-    # the classes are zeroed, up to all of them
-    rng = np.random.default_rng(11)
-    decomp = ci.MultiscaleDecomposition(1.0, p, 6)
-    for n in range(0, 7):
-        pn = p**n
-        for M in sorted({0, 1, pn // 2, pn, 16 * pn - 1, 16 * pn, 16 * pn + 5, ci.BLOCK_MODES + 3}):
-            values = rng.standard_normal(pn) + 1j * rng.standard_normal(pn)
-            modes = ci.CellModes(ci.PiecewiseConstantFn(decomp, n, values), M)
-            for zeroed in (0.0, 0.5, 1.0):
-                modes.base[rng.random(pn) < zeroed] = 0
-                assert modes.support() == support_by_scan(modes), (n, M, zeroed)
+@pytest.mark.parametrize("p,N", [(2, 3), (3, 4), (2, 9)])
+def test_a_fold_takes_whole_rows_until_its_last_add(p, N):
+    # any split of the modes into whole rows, the last row unfinished and
+    # padded with zeros, gives the bits of the fold of mode_blocks' blocks;
+    # an add after an unfinished row raises instead of dropping it
+    pn, M = p**N, 16 * p**N
+    rng = np.random.default_rng(pn)
+    x = rng.standard_normal(2 * M + 1) + 1j * rng.standard_normal(2 * M + 1)
+    expected = ci._folded(lambda lo, hi: x[lo + M : hi + M], M, pn).folded()
+    for rows in (1, 3, 7):
+        fold = ci.Fold(M, pn)
+        for lo in range(0, x.size, rows * pn):
+            fold.add(x[lo : lo + rows * pn])
+        assert fold.folded().tobytes() == expected.tobytes(), rows
+    fold = ci.Fold(M, pn)
+    fold.add(x[: pn + 1])
+    with pytest.raises(ValueError):
+        fold.add(x[pn + 1 :])
 
 
-def test_cell_modes_support_of_zero_data_and_a_zero_mean():
-    for values in (np.zeros(64), np.array([1.0, -1.0] * 32), np.zeros(64, complex)):
-        modes = ci.CellModes(ci.PiecewiseConstantFn(D, 6, values), 16 * 64)
-        assert modes.mean == 0
-        assert modes.support() == support_by_scan(modes)
-    assert ci.CellModes(ci.PiecewiseConstantFn(D, 6, np.zeros(64)), 16 * 64).support() == 0
-    # a constant: only the mean is nonzero, and it is mode 0
-    assert ci.CellModes(ci.PiecewiseConstantFn(D, 6, np.ones(64)), 16 * 64).support() == 0
-
-
-def test_cell_modes_support_where_subnormal_modes_underflow():
-    # base_r / k underflows to 0 before the cutoff, at a |k| of each class's
-    # own; the outermost modes are all 0 and the support lies further in
-    rng = np.random.default_rng(12)
-    found = 0
-    for scale in 10.0 ** np.arange(-323.5, -317.0, 0.5):
-        for n, M in ((2, 16 * 4 + 3), (5, 16 * 32 + 3), (3, 23 * 8 + 1)):
-            values = (rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)) * scale
-            modes = ci.CellModes(ci.PiecewiseConstantFn(D, n, values), M)
-            outer = np.concatenate([modes.block(-M, 2**n - M), modes.block(M + 1 - 2**n, M + 1)])
-            found += not outer.any() and modes.support() > 0
-            assert modes.support() == support_by_scan(modes), (scale, n)
-    assert found >= 5
-    # one class, of 90 times the least subnormal: its mode 177 = 1 + 22 * 8
-    # is the last that does not underflow, 22 of the 23 steps to the cutoff
-    modes = ci.CellModes(ci.PiecewiseConstantFn(D, 3, np.zeros(8)), 185)
-    modes.base[1] = 90 * 5e-324
-    assert modes.block(177, 186)[[0, 8]].tolist() == [5e-324, 0]
-    assert modes.support() == support_by_scan(modes) == 177
-
-
-def test_fourier_support_reads_the_coefficients():
-    assert ci.FourierFn(1.0, np.zeros(7)).support() == 0
-    assert ci.FourierFn(1.0, [0, 0, 0, 2.0, 0, 0, 0]).support() == 0
-    assert ci.FourierFn(1.0, [0, 1j, 0, 0, 0, 0, 0]).support() == 2
-    assert ci.FourierFn(1.0, [0, 0, 0, 0, 5e-324, 0, 0]).support() == 1
-    rng = np.random.default_rng(13)
-    for _ in range(50):
-        coeffs = rng.standard_normal(41) * (rng.random(41) < 0.2)
-        g = ci.FourierFn(1.0, coeffs)
-        assert g.support() == support_by_scan(g)

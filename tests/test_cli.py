@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import expanded, ks, trace0
+from oracles import expanded, ks, support_by_scan, trace0
 from treedisk import cli, transmission
 from treedisk.calculus import TreeFunction
 from treedisk.config import parse_config, parse_text
@@ -1019,13 +1019,17 @@ def test_transmission_csvs_match_row_oracle(text, tmp_path):
         for k in range(gen.shape[0]):
             for j in range(gen.shape[1]):
                 tree_rows.append((n, k, j, gen[k, j]))
+    # the trace runs over the 2 * 16 p^N + 1 modes of the assembly cutoff:
+    # up to its largest nonzero |k| (support_by_scan) it is the row
+    # oracle's, and each mode beyond reads k,0,0
     trace = trace0(sol.u_ext)
+    top = support_by_scan(trace)
     expected = {
         "g.csv": _oracle_csv(("level", "cell", "value"),
                              [(sol.g.level, K, v) for K, v in enumerate(sol.g.values)]),
         "tree.csv": _oracle_csv(("n", "k", "coeff_index", "value"), tree_rows),
         "exterior.csv": _oracle_csv(("k", "re", "im"),
-                                    [(int(k), c.real, c.imag)
+                                    [(int(k), c.real, c.imag) if abs(k) <= top else (int(k), 0, 0)
                                      for k, c in zip(ks(trace), trace.coeffs)]),
     }
     for name, data in expected.items():
@@ -1033,8 +1037,8 @@ def test_transmission_csvs_match_row_oracle(text, tmp_path):
         assert (_per_edge(written) if name == "tree.csv" else written) == data, name
     if text is COMPLEX_TEXT:
         assert b"j" in expected["g.csv"] and b"j" in expected["tree.csv"]
-    # 16 p^N = 128 modes; the top one is an aliased zero and gets no row
-    assert len(trace.coeffs) == 255
+    # 16 p^N = 128, and the end modes k = +-128, aliased zeros, get their rows
+    assert len(trace.coeffs) == 2 * 16 * 2**3 + 1 and top == 16 * 2**3 - 1
 
 
 def test_a_source_tree_beyond_the_leaf_budget_writes_its_stored_rows(tmp_path, capsys):

@@ -218,9 +218,9 @@ def _oracle_traces(modes, R):
 def test_array_field_matches_per_mode_oracle(radius):
     rng = np.random.default_rng(7)
     src = RadialSource(radius, 1.7 * radius, [(k, {0: 0.4 - 0.2j, -2: 1.1}) for k in (-9, 0, 2, 3)])
-    # data of degree 6 padded with zeros to 40 modes: the field's extent is
-    # set by the source mode 9, not by the padding
-    g = padded(FourierFn(radius, rng.standard_normal(13) + 1j * rng.standard_normal(13)), 40)
+    # data of degree 6 and data of degree 4: the field's extent is set by
+    # the source mode 9, beyond the data's cutoff
+    g = FourierFn(radius, rng.standard_normal(13) + 1j * rng.standard_normal(13))
     g2 = FourierFn.from_modes(radius, {1: 0.3, -4: 2.0 - 1j, 0: 0.8})
     fields = [solve_exterior_dirichlet(g, src),
               solve_exterior_dirichlet(g2, None),
@@ -233,6 +233,9 @@ def test_array_field_matches_per_mode_oracle(radius):
     got0 = sum(padded(trace0(u), M).coeffs for u in fields)
     got1 = sum(padded(trace1(u), M).coeffs for u in fields)
     assert got0.shape == t0.shape == (19,)
+    # the data's cutoff, where it is further out, is the field's: zero modes
+    # included
+    assert solve_exterior_dirichlet(padded(g, 40), src).M == 40
     assert np.abs(got0 - t0).max() <= 1e-14 * np.abs(t0).max()
     assert np.abs(got1 - t1).max() <= 1e-14 * np.abs(t1).max()
     for k in range(-10, 11):
@@ -245,16 +248,16 @@ def test_array_field_matches_per_mode_oracle(radius):
 def test_eval_is_the_sum_of_every_mode(radius, with_source):
     # eval sums the modes a block at a time, a (points x modes) product per
     # block and per _EVAL_POINTS points; the per-mode oracle summed over
-    # every |k| <= M in the order of k agrees to rounding.  The field's
-    # modes |k| < 16 * 2^8 are two blocks (the mode 16 * 2^8 is an aliased
-    # zero), and the 2 x 70 points of a broadcast grid are three chunks
+    # every |k| <= M in the order of k agrees to rounding.  The cell modes
+    # cut at |k| <= 16 * 2^8 - 1 are two blocks, and the 2 x 70 points of a
+    # broadcast grid are three chunks
     rng = np.random.default_rng(7)
     cells = PiecewiseConstantFn(MultiscaleDecomposition(R=radius, p=2, n_max=8), 8,
                                 rng.standard_normal(256) + 1j * rng.standard_normal(256))
     src = None
     if with_source:
         src = RadialSource(radius, 1.5 * radius, [(k, {0: 0.4 - 0.2j, -1: 1.1}) for k in (-3, 0, 2)])
-    u = solve_exterior_dirichlet(CellModes(cells, 16 * 2**8), src)
+    u = solve_exterior_dirichlet(CellModes(cells, 16 * 2**8 - 1), src)
     assert u.M == 16 * 2**8 - 1 and len(list(mode_blocks(u.M, 1))) == 2
     r = radius * np.array([[1.0], [1.6]]) + np.zeros(70)
     r[0] += radius * np.linspace(0.0, 0.15, 70)
@@ -275,16 +278,16 @@ def _bits(values) -> bytes:
 
 
 def test_eval_skips_the_blocks_past_the_underflow_with_the_same_bits(monkeypatch):
-    # modes to |k| = 16383 are eight blocks; past |k| log(r/R) >= 746 every
-    # term is an exact zero, so eval skips those blocks of a chunk of points,
-    # and forms no block that no chunk reaches.  The sum over every block
-    # (no cut-off) is the oracle, bit for bit, in the caller's order, on
-    # points that include r = R, where nothing decays
+    # cell modes cut at |k| <= 16 * 2^10 - 1 = 16383 are eight blocks; past
+    # |k| log(r/R) >= 746 every term is an exact zero, so eval skips those
+    # blocks of a chunk of points, and forms no block that no chunk reaches.
+    # The sum over every block (no cut-off) is the oracle, bit for bit, in
+    # the caller's order, on points that include r = R, where nothing decays
     rng = np.random.default_rng(8)
     cells = PiecewiseConstantFn(MultiscaleDecomposition(R=1.3, p=2, n_max=10), 10,
                                 rng.standard_normal(1024) + 1j * rng.standard_normal(1024))
     src = RadialSource(1.3, 2.0, [(k, {0: 0.4 - 0.2j, -1: 1.1}) for k in (-3, 0, 2)])
-    u = solve_exterior_dirichlet(CellModes(cells, 16 * 2**10), src)
+    u = solve_exterior_dirichlet(CellModes(cells, 16 * 2**10 - 1), src)
     assert len(list(mode_blocks(u.M, 1))) == 8
     r = 1.3 * np.concatenate([np.ones(7), rng.uniform(1.0, 3.0, 250), [3.0] * 3])
     theta = rng.uniform(0.0, 2 * np.pi, r.size)
@@ -328,7 +331,7 @@ def test_eval_cut_off_keeps_a_huge_mode_until_its_terms_are_zero(monkeypatch):
 
 def test_eval_is_finite_where_the_growing_power_overflows():
     # (r / R)^|k| overflows at r = 2 R for |k| > 1024, and the field's modes
-    # run to |k| = 4095; a mode without a growing part (b_k = 0) must not
+    # run to |k| = 4096; a mode without a growing part (b_k = 0) must not
     # form it, or 0 * inf turns eval into NaN with a RuntimeWarning
     rng = np.random.default_rng(7)
     cells = PiecewiseConstantFn(MultiscaleDecomposition(R=1.0, p=2, n_max=8), 8,

@@ -170,8 +170,8 @@ _CONFIGS = {
     # omega above ell, so sigma reaches 1/2, written with a [section] header,
     # a comment and a blank line
     "sections": "# sigma >= 1/2\n[tree]\np = 2\nell = 0.5\n\nomega = 0.6\n",
-    # no source at all above 64 cells: h = 0, g = 0, and the exterior trace's
-    # support is scanned over 16 p^N > BLOCK_MODES modes
+    # no source at all above 64 cells: h = 0, g = 0, and exterior.csv lists
+    # the 2 * 16 p^N + 1 modes of the cutoff, every one zero
     "unforced": _BASE + "interface.N = 9\ntransmission.alpha1 = 1\ntransmission.alpha0 = 0.25\n"
                         "transmission.source_depth = 9\n",
 }

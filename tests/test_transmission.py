@@ -19,7 +19,7 @@ from oracles import (
 from treedisk import calculus, dtn, exterior, transmission
 from treedisk import tree as tree_module
 from treedisk.calculus import TreeFunction
-from treedisk.circle import FourierFn, MultiscaleDecomposition, PiecewiseConstantFn
+from treedisk.circle import CellModes, FourierFn, MultiscaleDecomposition, PiecewiseConstantFn, sobolev_norms
 from treedisk.config import parse_text
 from treedisk.errors import (
     Alpha1Zero,
@@ -313,6 +313,42 @@ def test_study_norms_match_the_whole_array_path(monkeypatch, p, datum):
     assert st.rho_hat == pytest.approx(_fitted_rate(levels[fit], err_h12[fit], p), rel=1e-13)
 
 
+class _Difference:
+    """The modes of a - b, two modes objects on one circle, a block at a time."""
+
+    def __init__(self, a, b):
+        self.a, self.b, self.R, self.M = a, b, a.R, max(a.M, b.M)
+
+    def block(self, lo, hi):
+        return self.a.block(lo, hi) - self.b.block(lo, hi)
+
+
+@pytest.mark.parametrize("datum", ["fourier", None])
+def test_study_walk_has_the_bits_of_each_level_s_norms(monkeypatch, datum):
+    # the study walks the modes once, forming each block of the reference's
+    # modes once; every level's errors have the bits of circle.sobolev_norms
+    # of that level's difference from the reference, summed on its own
+    solved = []
+
+    def solve_interface(system):
+        solved.append(original(system))
+        return solved[-1]
+
+    original = transmission.solve_interface
+    monkeypatch.setattr(transmission, "solve_interface", solve_interface)
+    levels = [3, 4, 5, 6]
+    manufactured = FourierFn.from_modes(1.0, {1: 0.5, -1: 0.5, 3: 0.2j, -3: -0.2j}) if datum else None
+    cfg = TransmissionConfig(params=REF, level=3, alpha1=1.0 + 0.3j, alpha0=0.25,
+                             exterior_source=None if datum else _ext_source(1))
+    st = convergence_study(cfg, levels, manufactured=manufactured)
+    m_ref = 16 * 2**6
+    ref = manufactured if datum else CellModes(solved[-1], m_ref)
+    norms = [sobolev_norms(_Difference(CellModes(g, m_ref), ref), 0, 0.5) for g in solved]
+    if not datum:
+        norms[-1] = [0.0, 0.0]
+    assert st.err_l2 == [l2 for l2, _ in norms] and st.err_h12 == [h12 for _, h12 in norms]
+
+
 def test_pencil_level_one_closed_form():
     # both matrices diagonalize on [1,1], [1,-1]; the nonzero eigenvalue is
     # (C00-C01)/(D00-D01) with C00-C01 = -(8/pi) sum_{odd k<=31} 1/k at the
@@ -590,8 +626,45 @@ def test_a_solve_runs_with_its_modes_beyond_the_mode_budget(monkeypatch):
     cfg = TransmissionConfig(params=REF, level=7, alpha1=1.0, alpha0=0.3, c_root=0.5,
                              exterior_source=_ext_source(2))
     sol = solve_transmission(cfg)
-    assert sol.u_ext.M == 16 * 2**7 - 1
+    assert sol.u_ext.M == 16 * 2**7
     assert sol.trace_defect <= 1e-10 and sol.flux_residual <= sol.discretization_defect + 1e-10
+
+
+def test_source_modes_beyond_the_assembly_cutoff_fold_whole():
+    # p = 3, N = 2: the assembly cutoff is 16 * 9 = 144 and the source modes
+    # 200 and -150 lie beyond it, so the field runs to |k| = 200 and g's
+    # modes are zero past 144.  reconstruct folds every block of the field's
+    # modes; the flux residual recomputed from whole arrays, with the cell
+    # averages exp(i pi k (2K+1) / p^N) sinc(k / p^N) of every mode, agrees.
+    # A ring of modes +-4 makes g vary over the cells, so the residual is
+    # the discretization defect of the alpha0 mass (about 1e-2), far above
+    # its rounding
+    params = TreeParams(p=3, ell=0.4, omega=0.3)
+    src = RadialSource(R=1.0, r_max=2.0, terms=[(200, {0: 1.0}), (-150, {0: 0.5 - 0.25j}),
+                                                (4, {0: 1.0}), (-4, {0: 1.0})])
+    cfg = TransmissionConfig(params=params, level=2, alpha1=1.0, alpha0=16.0, c_root=0.3,
+                             exterior_source=src)
+    system = assemble_system(cfg)
+    g = solve_interface(system)
+    tree_side = reconstruct_tree(system, g)
+    sol = reconstruct(system, g, tree_side)
+    assert sol.u_ext.M == 200
+    assert sol.trace_defect <= math.ldexp(1e-10, math.frexp(float(np.abs(g.values).max()))[1])
+
+    def cell_integrals(modes):
+        k = np.arange(-modes.M, modes.M + 1)
+        cells = np.arange(9)[:, None]
+        averages = np.exp(1j * np.pi * k * (2 * cells + 1) / 9) * np.sinc(k / 9)
+        return averages @ modes.coeffs * g.decomp.cell_measure(2)
+
+    u = sol.u_ext
+    flux_ext = cell_integrals(FourierFn(1.0, u.trace1_of(-u.M, *whole(u))))
+    mass = 16.0 * cell_integrals(to_fourier(g, 16 * 9))
+    flux_tree = transmission._cell_flux(sol.u_rows)
+    residual = np.abs(flux_ext - flux_tree - mass).max()
+    scale = max(np.abs(flux_ext).max(), np.abs(tree_side.flux_u).max(),
+                np.abs(system.flux_f).max(), np.abs(mass).max())
+    assert sol.flux_residual == pytest.approx(residual / scale, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
